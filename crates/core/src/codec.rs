@@ -234,13 +234,197 @@ pub fn encode_into(packet: &Packet, buf: &mut Vec<u8>) -> Result<(), CodecError>
     Ok(())
 }
 
-/// Decodes a wire frame into a packet.
+/// A validated frame whose variable-length parts still borrow the wire
+/// bytes: what [`parse`] returns and [`decode`] copies into a
+/// [`Packet`]. Most frames a mesh node hears are not for it, so the
+/// receive path dispatches on this and copies only what it consumes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FrameView<'a> {
+    /// A routing broadcast.
+    Hello(HelloView<'a>),
+    /// Any other kind: all of them carry the forwarding extension.
+    Unicast(UnicastView<'a>),
+}
+
+/// A validated Hello frame; the entries are read off the wire on demand.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct HelloView<'a> {
+    /// The advertising node.
+    pub src: Address,
+    /// The sender's packet id.
+    pub id: u8,
+    /// Role bits of the advertising node itself.
+    pub role: u8,
+    entries: &'a [[u8; ROUTE_ENTRY_LEN]],
+}
+
+/// A validated frame of a forwarded kind (Data, Sync, Frag, Ack, Lost).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct UnicastView<'a> {
+    /// Final destination.
+    pub dst: Address,
+    /// Originating node.
+    pub src: Address,
+    /// The originator's packet id.
+    pub id: u8,
+    /// Forwarding state.
+    pub fwd: Forwarding,
+    /// The kind-specific rest of the frame.
+    pub body: UnicastBody<'a>,
+}
+
+/// The kind-specific body of a [`UnicastView`]; fields as in the
+/// [`Packet`] variant of the same name.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[allow(missing_docs)]
+pub enum UnicastBody<'a> {
+    Data {
+        payload: &'a [u8],
+    },
+    Sync {
+        seq: u8,
+        frag_count: u16,
+        total_len: u32,
+    },
+    Frag {
+        seq: u8,
+        index: u16,
+        data: &'a [u8],
+    },
+    Ack {
+        seq: u8,
+        index: u16,
+    },
+    Lost {
+        seq: u8,
+        missing: &'a [[u8; 2]],
+    },
+}
+
+impl<'a> HelloView<'a> {
+    /// The advertised routes, in wire order.
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = RouteEntry> + 'a {
+        self.entries
+            .iter()
+            .map(|&[lo, hi, metric, role]| RouteEntry {
+                address: Address::new(u16::from_le_bytes([lo, hi])),
+                metric,
+                role,
+            })
+    }
+}
+
+impl UnicastView<'_> {
+    /// The packet's kind.
+    #[must_use]
+    pub fn kind(&self) -> PacketKind {
+        match self.body {
+            UnicastBody::Data { .. } => PacketKind::Data,
+            UnicastBody::Sync { .. } => PacketKind::Sync,
+            UnicastBody::Frag { .. } => PacketKind::Frag,
+            UnicastBody::Ack { .. } => PacketKind::Ack,
+            UnicastBody::Lost { .. } => PacketKind::Lost,
+        }
+    }
+
+    /// Copies the frame into an owned [`Packet`].
+    #[must_use]
+    pub fn to_packet(&self) -> Packet {
+        let UnicastView {
+            dst, src, id, fwd, ..
+        } = *self;
+        match self.body {
+            UnicastBody::Data { payload } => Packet::Data {
+                dst,
+                src,
+                id,
+                fwd,
+                payload: payload.to_vec(),
+            },
+            UnicastBody::Sync {
+                seq,
+                frag_count,
+                total_len,
+            } => Packet::Sync {
+                dst,
+                src,
+                id,
+                fwd,
+                seq,
+                frag_count,
+                total_len,
+            },
+            UnicastBody::Frag { seq, index, data } => Packet::Frag {
+                dst,
+                src,
+                id,
+                fwd,
+                seq,
+                index,
+                data: data.to_vec(),
+            },
+            UnicastBody::Ack { seq, index } => Packet::Ack {
+                dst,
+                src,
+                id,
+                fwd,
+                seq,
+                index,
+            },
+            UnicastBody::Lost { seq, missing } => Packet::Lost {
+                dst,
+                src,
+                id,
+                fwd,
+                seq,
+                missing: missing.iter().map(|&m| u16::from_le_bytes(m)).collect(),
+            },
+        }
+    }
+}
+
+impl FrameView<'_> {
+    /// The originating node.
+    #[must_use]
+    pub fn src(&self) -> Address {
+        match self {
+            FrameView::Hello(h) => h.src,
+            FrameView::Unicast(u) => u.src,
+        }
+    }
+
+    /// The packet's kind.
+    #[must_use]
+    pub fn kind(&self) -> PacketKind {
+        match self {
+            FrameView::Hello(_) => PacketKind::Hello,
+            FrameView::Unicast(u) => u.kind(),
+        }
+    }
+
+    /// Copies the frame into an owned [`Packet`].
+    #[must_use]
+    pub fn to_packet(&self) -> Packet {
+        match self {
+            FrameView::Hello(h) => Packet::Hello {
+                src: h.src,
+                id: h.id,
+                role: h.role,
+                entries: h.entries().collect(),
+            },
+            FrameView::Unicast(u) => u.to_packet(),
+        }
+    }
+}
+
+/// Validates a wire frame — header, declared length and the whole
+/// kind-specific body — without copying any of it.
 ///
 /// # Errors
 ///
 /// Returns a [`CodecError`] when the frame is truncated, declares a wrong
 /// length, uses an unknown kind, or carries a malformed payload.
-pub fn decode(frame: &[u8]) -> Result<Packet, CodecError> {
+pub fn parse(frame: &[u8]) -> Result<FrameView<'_>, CodecError> {
     if frame.len() < COMMON_HEADER_LEN {
         return Err(CodecError::Truncated {
             needed: COMMON_HEADER_LEN,
@@ -260,24 +444,20 @@ pub fn decode(frame: &[u8]) -> Result<Packet, CodecError> {
     }
 
     if kind == PacketKind::Hello {
-        if actual == 0 || !(actual - 1).is_multiple_of(ROUTE_ENTRY_LEN) {
+        if actual == 0 {
             return Err(CodecError::MalformedRoutingPayload);
         }
         let role = r.u8()?;
-        let mut entries = Vec::with_capacity(r.remaining() / ROUTE_ENTRY_LEN);
-        while r.remaining() > 0 {
-            entries.push(RouteEntry {
-                address: Address::new(r.u16_le()?),
-                metric: r.u8()?,
-                role: r.u8()?,
-            });
+        let (entries, ragged) = r.rest().as_chunks();
+        if !ragged.is_empty() {
+            return Err(CodecError::MalformedRoutingPayload);
         }
-        return Ok(Packet::Hello {
+        return Ok(FrameView::Hello(HelloView {
             src,
             id,
             role,
             entries,
-        });
+        }));
     }
 
     // All remaining kinds carry the forwarding extension.
@@ -285,75 +465,55 @@ pub fn decode(frame: &[u8]) -> Result<Packet, CodecError> {
         via: Address::new(r.u16_le()?),
         ttl: r.u8()?,
     };
-
-    match kind {
+    let body = match kind {
         // Returned above; this arm only keeps the match exhaustive
         // without reintroducing a panic path.
-        PacketKind::Hello => Err(CodecError::UnknownKind(PacketKind::Hello.wire())),
-        PacketKind::Data => Ok(Packet::Data {
-            dst,
-            src,
-            id,
-            fwd,
-            payload: r.rest().to_vec(),
-        }),
-        PacketKind::Sync => {
-            let packet = Packet::Sync {
-                dst,
-                src,
-                id,
-                fwd,
-                seq: r.u8()?,
-                frag_count: r.u16_le()?,
-                total_len: r.u32_le()?,
-            };
-            if r.remaining() > 0 {
-                return Err(CodecError::TrailingBytes(r.remaining()));
-            }
-            Ok(packet)
-        }
-        PacketKind::Frag => Ok(Packet::Frag {
-            dst,
-            src,
-            id,
-            fwd,
+        PacketKind::Hello => return Err(CodecError::UnknownKind(kind_byte)),
+        PacketKind::Data => UnicastBody::Data { payload: r.rest() },
+        PacketKind::Sync => UnicastBody::Sync {
+            seq: r.u8()?,
+            frag_count: r.u16_le()?,
+            total_len: r.u32_le()?,
+        },
+        PacketKind::Frag => UnicastBody::Frag {
             seq: r.u8()?,
             index: r.u16_le()?,
-            data: r.rest().to_vec(),
-        }),
-        PacketKind::Ack => {
-            let packet = Packet::Ack {
-                dst,
-                src,
-                id,
-                fwd,
-                seq: r.u8()?,
-                index: r.u16_le()?,
-            };
-            if r.remaining() > 0 {
-                return Err(CodecError::TrailingBytes(r.remaining()));
-            }
-            Ok(packet)
-        }
+            data: r.rest(),
+        },
+        PacketKind::Ack => UnicastBody::Ack {
+            seq: r.u8()?,
+            index: r.u16_le()?,
+        },
         PacketKind::Lost => {
             let seq = r.u8()?;
-            if !r.remaining().is_multiple_of(2) {
+            let (missing, ragged) = r.rest().as_chunks();
+            if !ragged.is_empty() {
                 return Err(CodecError::MalformedRoutingPayload);
             }
-            let mut missing = Vec::with_capacity(r.remaining() / 2);
-            while r.remaining() > 0 {
-                missing.push(r.u16_le()?);
-            }
-            Ok(Packet::Lost {
-                dst,
-                src,
-                id,
-                fwd,
-                seq,
-                missing,
-            })
+            UnicastBody::Lost { seq, missing }
         }
+    };
+    // Only the fixed-size bodies (Sync, Ack) can leave bytes behind.
+    if r.remaining() > 0 {
+        return Err(CodecError::TrailingBytes(r.remaining()));
     }
+    Ok(FrameView::Unicast(UnicastView {
+        dst,
+        src,
+        id,
+        fwd,
+        body,
+    }))
+}
+
+/// Decodes a wire frame into a packet: [`parse`], then one copy.
+///
+/// # Errors
+///
+/// Returns a [`CodecError`] when the frame is truncated, declares a wrong
+/// length, uses an unknown kind, or carries a malformed payload.
+pub fn decode(frame: &[u8]) -> Result<Packet, CodecError> {
+    parse(frame).map(|view| view.to_packet())
 }
 
 /// The encoded size of a packet without actually encoding it.
@@ -601,6 +761,43 @@ mod tests {
         wire.push(0x01);
         wire[6] += 1;
         assert_eq!(decode(&wire), Err(CodecError::MalformedRoutingPayload));
+    }
+
+    /// Sync and Ack bodies have a fixed size; anything after them is an
+    /// error, not ignored padding.
+    #[test]
+    fn decode_rejects_trailing_bytes_after_fixed_size_bodies() {
+        for p in [&samples()[2], &samples()[4]] {
+            let mut wire = encode(p).unwrap();
+            wire.extend_from_slice(&[0xEE, 0xEE]);
+            wire[6] += 2;
+            assert_eq!(decode(&wire), Err(CodecError::TrailingBytes(2)), "{p:?}");
+        }
+    }
+
+    /// The view's variable-length parts are the frame's own bytes.
+    #[test]
+    fn parse_borrows_from_the_frame() {
+        let wire = encode(&samples()[1]).unwrap();
+        match parse(&wire).unwrap() {
+            FrameView::Unicast(UnicastView {
+                body: UnicastBody::Data { payload },
+                ..
+            }) => assert!(core::ptr::eq(payload, &wire[DATA_OVERHEAD..])),
+            v => panic!("unexpected {v:?}"),
+        }
+        let wire = encode(&samples()[0]).unwrap();
+        match parse(&wire).unwrap() {
+            FrameView::Hello(hello) => {
+                assert_eq!(
+                    (hello.src, hello.id, hello.role),
+                    (Address::new(0x0A0A), 7, 1)
+                );
+                let metrics: Vec<u8> = hello.entries().map(|e| e.metric).collect();
+                assert_eq!(metrics, vec![1, 2]);
+            }
+            v => panic!("unexpected {v:?}"),
+        }
     }
 
     #[test]

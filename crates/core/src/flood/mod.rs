@@ -261,6 +261,13 @@ impl FloodNode {
         }
     }
 
+    /// Whether [`Self::take_events`] would return anything — lets a host
+    /// skip the drain after the many callbacks that emit nothing.
+    #[must_use]
+    pub fn has_events(&self) -> bool {
+        !self.bus.events.is_empty()
+    }
+
     /// Drains the pending application events.
     pub fn take_events(&mut self) -> Vec<MeshEvent> {
         self.bus.events.drain(..).collect()

@@ -58,6 +58,14 @@ fn ewma(old: f64, new: f64) -> f64 {
     (1.0 - SNR_EWMA_ALPHA) * old + SNR_EWMA_ALPHA * new
 }
 
+/// Whether re-stamping a route's `last_seen` from `old` to `now` can
+/// raise the table minimum `earliest`: only when the route held that
+/// minimum and the stamp actually moves (a fresh insert, or a second
+/// frame in the same instant, carries `now` already).
+fn vacates(earliest: Option<Duration>, old: Duration, now: Duration) -> bool {
+    earliest == Some(old) && old != now
+}
+
 /// Route-selection policy.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RoutingPolicy {
@@ -146,6 +154,13 @@ pub struct RoutingTable<M: RouteMetric = RoutingPolicy> {
     /// unchanged `version` guarantees [`RoutingTable::as_entries`]
     /// returns the same list and lets callers cache its encoding.
     version: u64,
+    /// The smallest `last_seen` over `routes` (`None` when empty): the
+    /// state behind [`RoutingTable::next_expiry`]. Exact, not a bound —
+    /// hosts schedule timers from it. Owned by the four mutators
+    /// (`heard_from`, `apply_hello`, `purge`, `drop_via`): each keeps it
+    /// current on insert and re-derives it with one walk only when a
+    /// route that held the minimum was refreshed or removed in that call.
+    earliest_seen: Option<Duration>,
 }
 
 impl RoutingTable {
@@ -170,6 +185,7 @@ impl<M: RouteMetric> RoutingTable<M> {
             routes: BTreeMap::new(),
             policy,
             version: 0,
+            earliest_seen: None,
         }
     }
 
@@ -227,6 +243,14 @@ impl<M: RouteMetric> RoutingTable<M> {
     /// Records that a packet was heard directly from `neighbour`,
     /// creating or refreshing its metric-1 route.
     pub fn heard_from(&mut self, neighbour: Address, snr: f64, now: Duration) {
+        let stale = self.refresh_direct(neighbour, snr, now);
+        self.settle_earliest(stale, now);
+    }
+
+    /// [`RoutingTable::heard_from`] minus the `earliest_seen` upkeep:
+    /// returns whether the refreshed route held the table minimum, for
+    /// the calling mutator to pass to [`RoutingTable::settle_earliest`].
+    fn refresh_direct(&mut self, neighbour: Address, snr: f64, now: Duration) -> bool {
         debug_assert!(!neighbour.is_broadcast());
         let entry = self.routes.entry(neighbour).or_insert(Route {
             destination: neighbour,
@@ -248,6 +272,7 @@ impl<M: RouteMetric> RoutingTable<M> {
         } else {
             entry.snr_ewma = ewma(entry.snr_ewma, snr);
         }
+        let stale = vacates(self.earliest_seen, entry.last_seen, now);
         entry.via = neighbour;
         entry.metric = 1;
         entry.last_seen = now;
@@ -256,6 +281,24 @@ impl<M: RouteMetric> RoutingTable<M> {
         if advertised_change {
             self.touch();
         }
+        stale
+    }
+
+    /// Closes a mutator call that stamped `now` into at least one route:
+    /// `stale` says a route that held `earliest_seen` was refreshed or
+    /// removed, so the minimum is re-derived by one walk; otherwise the
+    /// only candidate below the old minimum is `now` itself.
+    fn settle_earliest(&mut self, stale: bool, now: Duration) {
+        self.earliest_seen = if stale {
+            self.scan_earliest()
+        } else {
+            Some(self.earliest_seen.map_or(now, |e| e.min(now)))
+        };
+    }
+
+    /// The minimum `last_seen` by walking the table.
+    fn scan_earliest(&self) -> Option<Duration> {
+        self.routes.values().map(|r| r.last_seen).min()
     }
 
     /// The direct neighbours (metric-1 routes) with their link statistics.
@@ -275,8 +318,24 @@ impl<M: RouteMetric> RoutingTable<M> {
         snr: f64,
         now: Duration,
     ) -> usize {
+        self.apply_adverts(me, neighbour, role, entries.iter().copied(), snr, now)
+    }
+
+    /// [`RoutingTable::apply_hello`] over any source of entries, so the
+    /// receive path can feed a [`crate::codec::HelloView`] straight from
+    /// the wire bytes.
+    pub(crate) fn apply_adverts(
+        &mut self,
+        me: Address,
+        neighbour: Address,
+        role: u8,
+        entries: impl Iterator<Item = RouteEntry>,
+        snr: f64,
+        now: Duration,
+    ) -> usize {
         let mut changed = 0;
-        self.heard_from(neighbour, snr, now);
+        let mut stale = self.refresh_direct(neighbour, snr, now);
+        let earliest = self.earliest_seen;
         let mut role_changed = false;
         if let Some(r) = self.routes.get_mut(&neighbour) {
             if r.role != role {
@@ -330,6 +389,7 @@ impl<M: RouteMetric> RoutingTable<M> {
                         } else {
                             r.snr_ewma = ewma(r.snr_ewma, snr);
                         }
+                        stale |= vacates(earliest, r.last_seen, now);
                         r.via = neighbour;
                         r.metric = candidate_metric;
                         r.role = e.role;
@@ -344,6 +404,7 @@ impl<M: RouteMetric> RoutingTable<M> {
                         // rather than keeping infinity clutter that would
                         // be re-advertised across the mesh.
                         if candidate_metric >= RoutingTable::INFINITY_METRIC {
+                            stale |= earliest == Some(r.last_seen);
                             self.routes.remove(&e.address);
                             changed += 1;
                             self.version = self.version.wrapping_add(1);
@@ -354,6 +415,7 @@ impl<M: RouteMetric> RoutingTable<M> {
                             if r.metric != candidate_metric || r.role != e.role {
                                 self.version = self.version.wrapping_add(1);
                             }
+                            stale |= vacates(earliest, r.last_seen, now);
                             r.metric = candidate_metric;
                             r.role = e.role;
                             r.last_seen = now;
@@ -365,6 +427,7 @@ impl<M: RouteMetric> RoutingTable<M> {
                 }
             }
         }
+        self.settle_earliest(stale, now);
         changed
     }
 
@@ -380,12 +443,7 @@ impl<M: RouteMetric> RoutingTable<M> {
             })
             .map(|r| r.destination)
             .collect();
-        for d in &dead {
-            self.routes.remove(d);
-        }
-        if !dead.is_empty() {
-            self.touch();
-        }
+        self.remove_all(&dead);
         dead
     }
 
@@ -398,20 +456,34 @@ impl<M: RouteMetric> RoutingTable<M> {
             .filter(|r| r.via == via)
             .map(|r| r.destination)
             .collect();
-        for d in &dead {
-            self.routes.remove(d);
+        self.remove_all(&dead);
+        dead
+    }
+
+    /// The removal half of `purge` and `drop_via`.
+    fn remove_all(&mut self, dead: &[Address]) {
+        let mut stale = false;
+        for d in dead {
+            if let Some(r) = self.routes.remove(d) {
+                stale |= self.earliest_seen == Some(r.last_seen);
+            }
+        }
+        if stale {
+            self.earliest_seen = self.scan_earliest();
         }
         if !dead.is_empty() {
             self.touch();
         }
-        dead
     }
 
     /// The earliest instant at which some route will time out, given the
-    /// configured timeout — the node's next purge deadline.
+    /// configured timeout — the node's next purge deadline. A field read
+    /// (see `earliest_seen`); a deadline beyond what `Duration` can
+    /// hold — `timeout` near `Duration::MAX`, "never expire" — is no
+    /// deadline.
     #[must_use]
     pub fn next_expiry(&self, timeout: Duration) -> Option<Duration> {
-        self.routes.values().map(|r| r.last_seen + timeout).min()
+        self.earliest_seen?.checked_add(timeout)
     }
 
     /// The table as Hello-broadcast entries (address order).

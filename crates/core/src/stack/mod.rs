@@ -48,7 +48,7 @@ use core::time::Duration;
 use lora_phy::link::SignalQuality;
 
 use crate::addr::Address;
-use crate::codec;
+use crate::codec::{self, FrameView, UnicastBody};
 use crate::config::MeshConfig;
 use crate::driver::{NodeProtocol, RadioIo};
 use crate::error::SendError;
@@ -119,6 +119,13 @@ impl MeshNode {
         // Include retransmissions of transfers still in flight.
         s.reliable_retransmits += self.transport.in_flight_retransmits();
         s
+    }
+
+    /// Whether [`Self::take_events`] would return anything — lets a host
+    /// skip the drain after the many callbacks that emit nothing.
+    #[must_use]
+    pub fn has_events(&self) -> bool {
+        !self.bus.events.is_empty()
     }
 
     /// Drains the pending application events.
@@ -243,61 +250,47 @@ impl NodeProtocol for MeshNode {
 
     fn on_frame(&mut self, frame: &[u8], quality: SignalQuality, io: &mut RadioIo) {
         let now = io.now();
-        let packet = match codec::decode(frame) {
-            Ok(p) => p,
+        // Validate the whole frame first, borrowed; what gets copied out
+        // of it below is only what this node consumes.
+        let view = match codec::parse(frame) {
+            Ok(v) => v,
             Err(_) => {
                 self.bus.stats.decode_errors += 1;
                 return;
             }
         };
-        if packet.src() == self.config.address {
+        let me = self.config.address;
+        if view.src() == me {
             // We cannot hear ourselves (half-duplex): someone else is
             // using our address.
             self.bus.stats.address_conflicts += 1;
-            self.bus.emit(MeshEvent::AddressConflict {
-                kind: packet.kind(),
-            });
+            self.bus
+                .emit(MeshEvent::AddressConflict { kind: view.kind() });
             return;
         }
-        match &packet {
-            Packet::Hello {
-                src, role, entries, ..
-            } => {
-                self.routing
-                    .on_hello(self.config.address, *src, *role, entries, quality.snr, now);
+        match view {
+            FrameView::Hello(hello) => {
+                self.routing.on_hello(me, &hello, quality.snr, now);
                 self.bus.stats.hellos_received += 1;
             }
-            _ => {
-                let dst = packet.dst();
-                // Every non-Hello kind decodes with a forwarding
-                // extension; treat its absence as a decode error rather
-                // than a panic on over-the-air input.
-                let Some(fwd) = packet.forwarding() else {
-                    self.bus.stats.decode_errors += 1;
-                    return;
-                };
-                if dst == self.config.address {
-                    match packet {
-                        Packet::Data { src, payload, .. } => {
-                            app::deliver_datagram(&mut self.bus, src, payload);
-                        }
-                        p => self.transport.consume(
-                            p,
-                            now,
-                            &self.config,
-                            &mut self.bus,
-                            &self.routing,
-                        ),
-                    }
-                } else if dst.is_broadcast() {
-                    if let Packet::Data { src, payload, .. } = packet {
-                        app::deliver_broadcast(&mut self.bus, src, payload);
-                    }
-                } else if fwd.via == self.config.address {
-                    self.routing.forward(packet, &mut self.bus);
+            FrameView::Unicast(unicast) if unicast.dst == me => match unicast.to_packet() {
+                Packet::Data { src, payload, .. } => {
+                    app::deliver_datagram(&mut self.bus, src, payload);
                 }
-                // Otherwise: overheard traffic for someone else; ignore.
+                p => self
+                    .transport
+                    .consume(p, now, &self.config, &mut self.bus, &self.routing),
+            },
+            FrameView::Unicast(unicast) if unicast.dst.is_broadcast() => {
+                if let UnicastBody::Data { payload } = unicast.body {
+                    app::deliver_broadcast(&mut self.bus, unicast.src, payload.to_vec());
+                }
             }
+            FrameView::Unicast(unicast) if unicast.fwd.via == me => {
+                self.routing.forward(unicast.to_packet(), &mut self.bus);
+            }
+            // Overheard traffic for someone else: nothing to copy.
+            FrameView::Unicast(_) => {}
         }
     }
 
@@ -330,6 +323,8 @@ impl NodeProtocol for MeshNode {
             consider(Some(Duration::ZERO)); // immediate
         }
         consider(self.mac.next_wake());
+        // A field read: the table keeps its earliest `last_seen` current
+        // in its mutators, so the wake costs the same at any table size.
         consider(self.routing.table.next_expiry(self.config.route_timeout));
         consider(self.transport.next_wake(&self.config));
         wake
@@ -374,6 +369,41 @@ mod tests {
         let mut io = RadioIo::new(Duration::ZERO);
         n.on_start(&mut io);
         assert!(io.take_requests().is_empty());
+        assert!(n.next_wake().is_some());
+    }
+
+    /// `route_timeout(Duration::MAX)` means "never expire": once a route
+    /// exists, the expiry deadline is absent — not `last_seen + MAX`,
+    /// which panics — and the other deadlines still set the wake.
+    #[test]
+    fn never_expiring_routes_leave_the_wake_to_the_other_deadlines() {
+        let mut n = MeshNode::new(
+            MeshConfig::builder(Address::new(1))
+                .region(Region::Unlimited)
+                .route_timeout(Duration::MAX)
+                .build(),
+        );
+        let mut io = RadioIo::new(Duration::ZERO);
+        n.on_start(&mut io);
+        let hello = codec::encode(&Packet::Hello {
+            src: Address::new(2),
+            id: 0,
+            role: 0,
+            entries: alloc::vec![crate::packet::RouteEntry {
+                address: Address::new(3),
+                metric: 1,
+                role: 0,
+            }],
+        })
+        .unwrap();
+        let mut io = RadioIo::new(Duration::from_secs(1));
+        n.on_frame(&hello, SignalQuality::ideal(), &mut io);
+        assert_eq!(n.routing_table().len(), 2);
+        assert_eq!(n.next_wake(), Some(n.routing.next_hello));
+        // Far in the future the routes are still there.
+        let mut io = RadioIo::new(Duration::from_secs(1_000_000));
+        n.on_timer(&mut io);
+        assert_eq!(n.routing_table().len(), 2);
         assert!(n.next_wake().is_some());
     }
 }

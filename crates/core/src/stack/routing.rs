@@ -17,7 +17,7 @@ use alloc::vec::Vec;
 use core::time::Duration;
 
 use crate::addr::Address;
-use crate::codec;
+use crate::codec::{self, HelloView};
 use crate::config::MeshConfig;
 use crate::error::SendError;
 use crate::packet::{Packet, RouteEntry};
@@ -71,16 +71,9 @@ impl RoutingLayer {
 
     /// Applies a received hello to the table (dispatch from `on_frame`;
     /// the caller counts it in the bus stats).
-    pub(crate) fn on_hello(
-        &mut self,
-        me: Address,
-        src: Address,
-        role: u8,
-        entries: &[RouteEntry],
-        snr: f64,
-        now: Duration,
-    ) {
-        self.table.apply_hello(me, src, role, entries, snr, now);
+    pub(crate) fn on_hello(&mut self, me: Address, hello: &HelloView<'_>, snr: f64, now: Duration) {
+        self.table
+            .apply_adverts(me, hello.src, hello.role, hello.entries(), snr, now);
     }
 
     /// Step 1 of the dispatch order: purge routes past the timeout and

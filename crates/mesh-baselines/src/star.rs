@@ -135,6 +135,13 @@ impl StarNode {
         self.config.address == self.config.gateway
     }
 
+    /// Whether [`Self::take_events`] would return anything — lets a host
+    /// skip the drain after the many callbacks that emit nothing.
+    #[must_use]
+    pub fn has_events(&self) -> bool {
+        !self.events.is_empty()
+    }
+
     /// Drains pending application events.
     pub fn take_events(&mut self) -> Vec<StarEvent> {
         self.events.drain(..).collect()

@@ -18,6 +18,7 @@ use std::time::Duration;
 use lora_phy::link::SignalQuality;
 
 use loramesher::addr::Address;
+use loramesher::codec::FrameView;
 use loramesher::driver::NodeProtocol;
 use loramesher::error::SendError;
 use loramesher::flood::FloodNode;
@@ -204,9 +205,9 @@ impl ProtocolNode {
 
     fn drain_events(&mut self) -> Vec<AppEvent> {
         match self {
-            ProtocolNode::Mesh(n) => Self::map_mesh_events(n.take_events()),
-            ProtocolNode::Flooding(n) => Self::map_mesh_events(n.take_events()),
-            ProtocolNode::Star(n) => n
+            ProtocolNode::Mesh(n) if n.has_events() => Self::map_mesh_events(n.take_events()),
+            ProtocolNode::Flooding(n) if n.has_events() => Self::map_mesh_events(n.take_events()),
+            ProtocolNode::Star(n) if n.has_events() => n
                 .take_events()
                 .into_iter()
                 .map(|StarEvent::Received { src, payload }| AppEvent::Received {
@@ -215,6 +216,9 @@ impl ProtocolNode {
                     broadcast: false,
                 })
                 .collect(),
+            // This runs after every callback and almost none emits an
+            // event: no drain, no collect, no allocation.
+            _ => Vec::new(),
         }
     }
 }
@@ -382,22 +386,22 @@ impl<P: HostedProtocol> Firmware for ProtocolFirmware<P> {
 
     fn on_frame(&mut self, bytes: &[u8], quality: SignalQuality, ctx: &mut Context) {
         if self.log_frames {
-            if let Ok(packet) = loramesher::codec::decode(bytes) {
-                let fwd = packet
-                    .forwarding()
-                    .unwrap_or(loramesher::packet::Forwarding {
-                        via: packet.dst(),
-                        ttl: 0,
-                    });
+            if let Ok(view) = loramesher::codec::parse(bytes) {
+                // A Hello has no forwarding extension: log it as
+                // addressed to everyone, as `Packet::dst` reports it.
+                let (dst, via, ttl, id) = match view {
+                    FrameView::Hello(h) => (Address::BROADCAST, Address::BROADCAST, 0, h.id),
+                    FrameView::Unicast(u) => (u.dst, u.fwd.via, u.fwd.ttl, u.id),
+                };
                 self.frame_log.push((
                     ctx.now(),
                     FrameMeta {
-                        kind: packet.kind(),
-                        src: packet.src(),
-                        dst: packet.dst(),
-                        via: fwd.via,
-                        ttl: fwd.ttl,
-                        id: packet.id(),
+                        kind: view.kind(),
+                        src: view.src(),
+                        dst,
+                        via,
+                        ttl,
+                        id,
                     },
                 ));
             }

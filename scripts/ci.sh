@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate for the repository: formatting, the static-analysis wall
 # (clippy -D warnings + meshlint), a fully offline release build, and
-# the fully offline test suite. Run from anywhere; no network access is
-# required (the workspace has no registry dependencies).
+# the fully offline test suite, then the out-of-workspace benchmark
+# package (smoke run + its unit tests). Run from anywhere; no network
+# access is required (the workspace has no registry dependencies).
 #
 #   ./scripts/ci.sh
 set -euo pipefail
@@ -46,5 +47,14 @@ cargo run -q --release --offline -p meshsim -- --nodes 12 --duration 120 --shard
 
 echo "==> meshsim --protocol flooding --shards 4 --threads 2 --rng-streams smoke (flooding stack on the parallel engine)"
 cargo run -q --release --offline -p meshsim -- --protocol flooding --nodes 12 --duration 120 --shards 4 --threads 2 --rng-streams >/dev/null
+
+# The benchmark is a package of its own outside the workspace, so none
+# of the legs above compile it: these two catch a public-API break it
+# depends on here instead of in the bench driver.
+echo "==> benchmark/run.sh --smoke (out-of-workspace benchmark: builds against the crates, every check passes)"
+benchmark/run.sh --smoke --out target/benchmark/smoke.json >/dev/null
+
+echo "==> (cd benchmark && cargo test -q --offline) (benchmark package unit tests)"
+(cd benchmark && cargo test -q --offline)
 
 echo "ci: all checks passed"

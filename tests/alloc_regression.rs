@@ -28,6 +28,13 @@
 //!
 //! The firmware transmits a pre-built `Arc<[u8]>` frame each beacon,
 //! mirroring how `bench::scaling` exercises the simulator hot path.
+//!
+//! A fourth leg hosts the real LoRaMesher stack instead of the beacon:
+//! in a converged mesh with no application traffic the only recurring
+//! work is the hello round, and a node may allocate for the hello it
+//! *sends* (its queued `Packet` carries the entry list) but not for the
+//! several it *hears* — those are applied to the routing table straight
+//! from the frame bytes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -38,7 +45,9 @@ use lora_phy::link::SignalQuality;
 use lora_phy::propagation::Position;
 use radio_sim::firmware::{Context, Firmware};
 use radio_sim::mobility::Mobility;
-use radio_sim::{SimConfig, Simulator};
+use radio_sim::{topology, SimConfig, Simulator};
+use scenario::experiments::default_spacing;
+use scenario::runner::{NetworkBuilder, Runner};
 
 struct CountingAlloc;
 
@@ -255,5 +264,52 @@ fn threaded_mobile_coordinator_allocates_no_more_than_sequential() {
         threaded_allocs <= serial_allocs + serial_allocs / 8 + 256,
         "coordinator allocated {threaded_allocs} times with workers vs \
          {serial_allocs} single-threaded"
+    );
+}
+
+/// Converged 3×3 LoRaMesher grid, no application traffic: over a
+/// steady-state window the allocation count is bounded by the hellos
+/// *sent*, although every node hears two to four hellos per hello it
+/// sends. Two per hello sent: the entry list cloned into the queued
+/// packet, and (debug builds only, which is what `cargo test` runs) the
+/// encode inside the MAC's wire-cache cross-check. The eighth on top
+/// covers what the simulator allocates per collision (a reception's
+/// interferer list). A receive path that materialises the decoded entry
+/// list allocates once per hello heard and lands at four to five per
+/// hello sent.
+#[test]
+fn mesh_steady_state_allocates_per_hello_sent_not_per_hello_heard() {
+    let mut net = NetworkBuilder::mesh(topology::grid(3, 3, default_spacing()), 7).build();
+    net.run_until_converged(Duration::from_secs(2), Duration::from_secs(1200))
+        .expect("grid-9 converges");
+    // Two more hours with the final tables: hello caches, transmit
+    // queues and (the slowest) the calendar's bucket heaps reach their
+    // steady-state capacities.
+    net.run_for(Duration::from_secs(7200));
+    let hellos = |net: &Runner| {
+        (0..net.len())
+            .filter_map(|i| net.mesh_node(i))
+            .map(|n| n.stats())
+            .fold((0, 0), |(sent, heard), s| {
+                (sent + s.hellos_sent, heard + s.hellos_received)
+            })
+    };
+    let (sent_before, heard_before) = hellos(&net);
+    let allocs_before = local_allocs();
+    net.run_for(Duration::from_secs(1800));
+    let allocs = local_allocs() - allocs_before;
+    let (sent, heard) = hellos(&net);
+    let (sent, heard) = (sent - sent_before, heard - heard_before);
+
+    assert!(sent > 100, "only {sent} hellos sent in the window");
+    // Or the bound below would not tell the two receive paths apart.
+    assert!(
+        heard > 2 * sent,
+        "{heard} hellos heard for {sent} sent: not a mesh"
+    );
+    assert!(
+        allocs <= 2 * sent + sent / 8,
+        "{allocs} allocations for {sent} hellos sent ({heard} heard): \
+         the receive path allocates per hello heard"
     );
 }
