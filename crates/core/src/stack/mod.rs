@@ -259,6 +259,12 @@ impl NodeProtocol for MeshNode {
                 return;
             }
         };
+        if view.src().is_broadcast() {
+            // Nobody owns the broadcast address: a frame claiming to come
+            // from it is malformed, and must not become a route *to* it.
+            self.bus.stats.decode_errors += 1;
+            return;
+        }
         let me = self.config.address;
         if view.src() == me {
             // We cannot hear ourselves (half-duplex): someone else is
@@ -405,5 +411,25 @@ mod tests {
         n.on_timer(&mut io);
         assert_eq!(n.routing_table().len(), 2);
         assert!(n.next_wake().is_some());
+    }
+
+    /// A frame whose source is the broadcast address is malformed: it is
+    /// counted and dropped before it can become a route to broadcast.
+    #[test]
+    fn frame_from_the_broadcast_address_is_rejected() {
+        let mut n = MeshNode::new(MeshConfig::builder(Address::new(1)).build());
+        n.on_start(&mut RadioIo::new(Duration::ZERO));
+        let hello = codec::encode(&Packet::Hello {
+            src: Address::BROADCAST,
+            id: 0,
+            role: 0,
+            entries: alloc::vec![],
+        })
+        .unwrap();
+        let mut io = RadioIo::new(Duration::from_secs(1));
+        n.on_frame(&hello, SignalQuality::ideal(), &mut io);
+        assert_eq!(n.stats().decode_errors, 1);
+        assert_eq!(n.stats().hellos_received, 0);
+        assert!(n.routing_table().is_empty());
     }
 }

@@ -228,15 +228,23 @@ const ME: Address = Address::new(1);
 /// Like [`arb_packet`], but with every address drawn from six nodes
 /// around [`ME`], so frames addressed to it, routed via it, spoofing it
 /// and merely overheard all occur often, and hellos keep rewriting the
-/// same few routes (adverts for `ME` and for broadcast included).
+/// same few routes (adverts for `ME` and for broadcast included). One
+/// frame in twenty claims to come *from* broadcast, which no node owns.
 fn arb_nearby_packet(g: &mut Gen) -> Packet {
     fn near(g: &mut Gen) -> Address {
         Address::new(g.int_in(1, 6) as u16)
     }
+    fn sender(g: &mut Gen) -> Address {
+        if g.bool(0.05) {
+            Address::BROADCAST
+        } else {
+            near(g)
+        }
+    }
     let mut packet = arb_packet(g);
     match &mut packet {
         Packet::Hello { src, entries, .. } => {
-            *src = near(g);
+            *src = sender(g);
             entries.truncate(6);
             for e in entries {
                 e.address = if g.bool(0.1) {
@@ -257,7 +265,7 @@ fn arb_nearby_packet(g: &mut Gen) -> Packet {
             } else {
                 near(g)
             };
-            *src = near(g);
+            *src = sender(g);
             fwd.via = near(g);
         }
     }
@@ -285,7 +293,8 @@ fn mesh_node_accounts_for_frames_like_a_full_decode() {
             let mut node = MeshNode::new(MeshConfig::builder(ME).build());
             node.on_start(&mut RadioIo::new(Duration::ZERO));
             // The reference: decode everything, then do what `on_frame`
-            // documents — count, reject our own address, apply hellos.
+            // documents — count, reject a broadcast source as malformed
+            // and our own address as a conflict, apply hellos.
             let mut table = RoutingTable::new();
             let (mut decode_errors, mut address_conflicts, mut hellos_received) = (0, 0, 0);
             for (i, (frame, snr)) in frames.iter().enumerate() {
@@ -297,6 +306,7 @@ fn mesh_node_accounts_for_frames_like_a_full_decode() {
                 node.on_frame(frame, quality, &mut RadioIo::new(now));
                 match decode(frame) {
                     Err(_) => decode_errors += 1,
+                    Ok(p) if p.src().is_broadcast() => decode_errors += 1,
                     Ok(p) if p.src() == ME => address_conflicts += 1,
                     Ok(Packet::Hello {
                         src, role, entries, ..

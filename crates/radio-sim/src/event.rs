@@ -380,6 +380,21 @@ impl EventQueue {
         if !self.settle() {
             return None;
         }
+        self.take_head()
+    }
+
+    /// [`EventQueue::pop`], but only when the earliest live event is due
+    /// at or before `until` — the run loop's peek-then-pop with one
+    /// settle instead of two.
+    pub fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, SimEvent)> {
+        if self.peek_time()? > until {
+            return None;
+        }
+        self.take_head()
+    }
+
+    /// Removes the head of the cursor bucket; the queue must be settled.
+    fn take_head(&mut self) -> Option<(SimTime, SimEvent)> {
         let slot = Self::slot_of(self.cursor);
         let s = self.buckets.get_mut(slot).and_then(BinaryHeap::pop)?;
         self.note_removed(slot);

@@ -152,6 +152,11 @@ pub struct Medium {
     next_frame: u64,
     /// [`RfConfig::capture_ratio_linear`], hoisted out of the hot loops.
     capture_ratio_linear: f64,
+    /// The modulation's sensitivity and the bandwidth's noise floor:
+    /// fixed for the run, so [`Medium::audible`] and [`Medium::quality`]
+    /// compare against stored values instead of a `log10` per call.
+    sensitivity: Dbm,
+    noise_floor: Dbm,
 }
 
 impl Medium {
@@ -160,6 +165,11 @@ impl Medium {
     pub fn new(config: RfConfig) -> Self {
         Medium {
             capture_ratio_linear: config.capture_ratio_linear(),
+            sensitivity: sensitivity(
+                config.modulation.spreading_factor,
+                config.modulation.bandwidth,
+            ),
+            noise_floor: noise_floor(config.modulation.bandwidth),
             config,
             active: Vec::new(),
             next_frame: 0,
@@ -212,11 +222,7 @@ impl Medium {
     /// under the shared modulation.
     #[must_use]
     pub fn audible(&self, power: Dbm) -> bool {
-        power
-            >= sensitivity(
-                self.config.modulation.spreading_factor,
-                self.config.modulation.bandwidth,
-            )
+        power >= self.sensitivity
     }
 
     /// The signal quality a receiver would measure for `power`.
@@ -224,7 +230,7 @@ impl Medium {
     pub fn quality(&self, power: Dbm) -> SignalQuality {
         SignalQuality {
             rssi: power,
-            snr: power.value() - noise_floor(self.config.modulation.bandwidth).value(),
+            snr: power.value() - self.noise_floor.value(),
         }
     }
 

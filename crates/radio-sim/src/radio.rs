@@ -59,7 +59,9 @@ pub struct Reception {
     /// The frame contents (delivered to the firmware on success), shared
     /// zero-copy with the medium's [`crate::medium::ActiveTx`].
     pub payload: Arc<[u8]>,
-    /// Currently overlapping interferers and their received powers (mW).
+    /// Overlapping interferers and their received powers (mW), as of the
+    /// last [`Reception::add_interferer`]: entries whose frame has since
+    /// ended linger until [`Reception::prune_interferers`] drops them.
     /// Ascending by frame id: the set is seeded from the medium's
     /// ordered iteration and later arrivals carry higher ids, so the
     /// float summation order (and thus every bit of the result) matches
@@ -94,7 +96,9 @@ impl Reception {
         }
     }
 
-    /// Records that an interfering transmission became active.
+    /// Records that an interfering transmission became active. Call
+    /// [`Reception::prune_interferers`] first: the running sum below is
+    /// the only reader of the list.
     pub fn add_interferer(&mut self, frame: FrameId, power_mw: f64) {
         match self.interferers.iter_mut().find(|(f, _)| *f == frame) {
             Some(entry) => entry.1 = power_mw,
@@ -106,11 +110,15 @@ impl Reception {
         }
     }
 
-    /// Records that an interfering transmission ended.
-    pub fn remove_interferer(&mut self, frame: FrameId) {
-        if let Some(pos) = self.interferers.iter().position(|&(f, _)| f == frame) {
-            self.interferers.remove(pos);
-        }
+    /// Drops every interferer whose frame `on_air` no longer finds on
+    /// the medium, keeping the rest in order. Nobody tells a reception
+    /// when an interferer ends: the list is read in exactly one place —
+    /// the sum inside [`Reception::add_interferer`]
+    /// ([`Reception::sir_db`] reads only the stored peak) — so pruning
+    /// immediately before each add gives the same sums, bit for bit, as
+    /// removing each frame the moment it ends.
+    pub fn prune_interferers(&mut self, on_air: impl Fn(FrameId) -> bool) {
+        self.interferers.retain(|&(f, _)| on_air(f));
     }
 
     /// Signal-to-interference ratio in dB against the worst overlap
@@ -346,8 +354,13 @@ mod tests {
         let mut rec = Reception::new(FrameId(1), crate::firmware::NodeId(0), q(), 8.0e-9, vec![]);
         rec.add_interferer(FrameId(2), 1.0e-9);
         rec.add_interferer(FrameId(3), 1.0e-9);
-        rec.remove_interferer(FrameId(2));
+        // Frame 2 ends; the next add prunes it before summing.
+        rec.prune_interferers(|f| f != FrameId(2));
         rec.add_interferer(FrameId(4), 0.5e-9);
+        assert_eq!(
+            rec.interferers,
+            vec![(FrameId(3), 1.0e-9), (FrameId(4), 0.5e-9)]
+        );
         // Peak was when 2 and 3 overlapped: 2e-9.
         assert!((rec.peak_interference_mw - 2.0e-9).abs() < 1e-18);
         // SIR against the peak: 10*log10(8/2) ≈ 6.02 dB.

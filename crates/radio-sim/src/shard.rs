@@ -26,7 +26,7 @@
 use std::time::Duration;
 
 use lora_phy::link::sensitivity;
-use lora_phy::propagation::Shadowing;
+use lora_phy::propagation::{Position, Shadowing};
 
 use crate::medium::RfConfig;
 
@@ -72,6 +72,18 @@ pub fn max_audible_range(config: &RfConfig) -> f64 {
     }
     // `hi` is inaudible, so every audible distance is strictly below it.
     hi
+}
+
+/// The range gate: `true` when `a` and `b` are farther apart than `r_max`
+/// ([`max_audible_range`]) along either axis — hence in distance — so no
+/// link between them can be audible. The same proof obligation the band
+/// partition and [`crate::grid`] rest on, in its cheapest conservative
+/// form (two subtractions, no squares to round), for hot loops that want
+/// to skip a far transmission before touching the link cache.
+#[inline]
+#[must_use]
+pub fn beyond_range(r_max: f64, a: Position, b: Position) -> bool {
+    (a.x - b.x).abs() > r_max || (a.y - b.y).abs() > r_max
 }
 
 /// The conservative lookahead window of the sharded engine: the shortest

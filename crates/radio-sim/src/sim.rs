@@ -170,6 +170,15 @@ struct NodeSlot<F> {
     scheduled_wake: Option<Duration>,
 }
 
+/// What `start_tx` knows about the frame it is fanning out, handed to
+/// every `lock_receiver` call instead of looked up again per receiver.
+struct Lock<'a> {
+    frame: FrameId,
+    sender: NodeId,
+    payload: &'a std::sync::Arc<[u8]>,
+    end: SimTime,
+}
+
 /// The per-node state every parallel region reads *shared* during a
 /// batch (positions for link math, liveness for dispatch gates), split
 /// out of [`NodeSlot`] so it can cross worker threads by `&` reference:
@@ -267,24 +276,15 @@ pub struct Simulator<F: Firmware> {
     link_loss: std::collections::BTreeMap<(usize, usize), f64>,
     /// Cached link budgets for the current topology epoch.
     link_cache: LinkCache,
-    /// Indices of nodes currently in [`RadioState::Rx`], kept sorted
-    /// ascending. Interference sums are audibility-gated (sub-sensitivity
-    /// power never enters one), so the culled fan-out no longer needs to
-    /// visit receivers; this index powers the sharded engine's
-    /// `TxEnd`/`kill` interferer sweeps, which visit only locked
-    /// receivers instead of all N nodes. A sorted `Vec` rather than a
-    /// `BTreeSet`: membership churn in the hot path must not allocate.
-    rx_nodes: Vec<usize>,
     /// Reused fan-out buffer: `(node index, link)` pairs a transmission
     /// must visit, ascending (avoids a per-transmission alloc).
     fanout_scratch: Vec<(usize, Link)>,
     /// Reused firmware-command buffer for [`Simulator::fire`] (avoids a
     /// per-callback alloc).
     command_scratch: Vec<RadioCommand>,
-    /// Reused in-flight-transmission snapshot for `lock_receiver`.
-    interferer_scratch: Vec<(FrameId, NodeId, Position)>,
-    /// Reused in-flight-transmission snapshot for `channel_busy`.
-    active_scratch: Vec<(NodeId, Position)>,
+    /// Reused in-flight-transmission snapshot for `lock_receiver` and
+    /// `channel_busy` (never nested).
+    roster_scratch: Vec<(FrameId, NodeId, Position)>,
     /// Events processed so far (throughput accounting for benches).
     events_processed: u64,
     /// Parallel batch commits performed ([`commit`]): lets tests and
@@ -331,11 +331,9 @@ impl<F: Firmware> Simulator<F> {
             mobility_scheduled: false,
             link_loss: std::collections::BTreeMap::new(),
             link_cache: LinkCache::new(),
-            rx_nodes: Vec::new(),
             fanout_scratch: Vec::new(),
             command_scratch: Vec::new(),
-            interferer_scratch: Vec::new(),
-            active_scratch: Vec::new(),
+            roster_scratch: Vec::new(),
             events_processed: 0,
             commit_batches: 0,
             shard: None,
@@ -801,20 +799,6 @@ impl<F: Firmware> Simulator<F> {
         }
     }
 
-    /// Adds `i` to the sorted receiving-node index.
-    fn rx_insert(&mut self, i: usize) {
-        if let Err(pos) = self.rx_nodes.binary_search(&i) {
-            self.rx_nodes.insert(pos, i);
-        }
-    }
-
-    /// Removes `i` from the sorted receiving-node index.
-    fn rx_remove(&mut self, i: usize) {
-        if let Ok(pos) = self.rx_nodes.binary_search(&i) {
-            self.rx_nodes.remove(pos);
-        }
-    }
-
     /// Rebuilds the spatial grid over the current positions if any have
     /// changed since the last build. No-op when the grid is disabled.
     fn ensure_grid(&mut self) {
@@ -900,6 +884,40 @@ impl<F: Firmware> Simulator<F> {
         }
     }
 
+    /// Visits, ascending by frame id, the in-flight transmissions that
+    /// can matter at `at`: the band roster when sharded (every audible
+    /// transmission is registered there — coverage ∈ reach of its
+    /// origin), else the medium's registry, minus whatever the range
+    /// gate ([`shard::beyond_range`]) proves inaudible before any link
+    /// cache lookup. Both sources ascend by frame id and the gate only
+    /// skips, so an audibility filter over the visited frames yields the
+    /// same set in the same order — bit-identical float sums — as a
+    /// scan of the whole registry. `range` is `self.audible_range`;
+    /// the debug cross-check passes infinity to see everything.
+    fn in_flight_near(
+        &self,
+        at: Position,
+        range: f64,
+        mut visit: impl FnMut(FrameId, NodeId, Position),
+    ) {
+        match &self.shard {
+            Some(sh) => {
+                for &(f, s, origin) in &sh.active[sh.parts.band_of(at.x)] {
+                    if !shard::beyond_range(range, origin, at) {
+                        visit(f, s, origin);
+                    }
+                }
+            }
+            None => {
+                for tx in self.medium.active() {
+                    if !shard::beyond_range(range, tx.origin, at) {
+                        visit(tx.frame, tx.sender, tx.origin);
+                    }
+                }
+            }
+        }
+    }
+
     /// The CAD predicate: any in-flight transmission (other than
     /// `except`) audible at node `i`?
     fn channel_busy(&mut self, i: usize, except: Option<NodeId>) -> bool {
@@ -908,29 +926,18 @@ impl<F: Firmware> Simulator<F> {
                 .medium
                 .channel_busy_at(&self.state[i].position, NodeId(i), except);
         }
-        let mut active = std::mem::take(&mut self.active_scratch);
-        active.clear();
-        // The band roster is a superset of the transmissions audible at
-        // `i` (audibility is distance-bounded), so scanning it instead of
-        // the global registry yields the same boolean.
-        match &self.shard {
-            Some(sh) => {
-                let band = sh.parts.band_of(self.state[i].position.x);
-                active.extend(sh.active[band].iter().map(|&(_, s, origin)| (s, origin)));
+        let mut roster = std::mem::take(&mut self.roster_scratch);
+        roster.clear();
+        let (at, range) = (self.state[i].position, self.audible_range);
+        self.in_flight_near(at, range, |f, s, origin| {
+            if Some(s) != except && s.0 != i {
+                roster.push((f, s, origin));
             }
-            None => active.extend(self.medium.active().map(|tx| (tx.sender, tx.origin))),
-        }
-        let mut busy = false;
-        for &(sender, origin) in &active {
-            if Some(sender) == except || sender.0 == i {
-                continue;
-            }
-            if self.active_tx_audible(sender.0, origin, i) {
-                busy = true;
-                break;
-            }
-        }
-        self.active_scratch = active;
+        });
+        let busy = roster
+            .iter()
+            .any(|&(_, s, origin)| self.active_tx_audible(s.0, origin, i));
+        self.roster_scratch = roster;
         busy
     }
 
@@ -999,7 +1006,6 @@ impl<F: Firmware> Simulator<F> {
                 // this). The pending RxEnd event goes stale.
                 self.metrics.rx_aborted_by_tx += 1;
                 self.nodes[i].radio.to_idle(self.now);
-                self.rx_remove(i);
             }
             RadioState::Tx { .. } | RadioState::Cad { .. } | RadioState::Off => {
                 self.metrics.tx_while_busy += 1;
@@ -1008,9 +1014,17 @@ impl<F: Firmware> Simulator<F> {
         }
         let sender = NodeId(i);
         let origin = self.state[i].position;
-        let tx = self.medium.begin_tx(sender, origin, self.now, bytes);
+        let tx = self
+            .medium
+            .begin_tx(sender, origin, self.now, bytes.clone());
         let frame = tx.frame;
         let end = self.now + tx.airtime;
+        let lock = Lock {
+            frame,
+            sender,
+            payload: &bytes,
+            end,
+        };
         self.nodes[i].radio.begin_tx(self.now, frame, end);
         self.schedule_for(end, i, SimEvent::TxEnd(sender, frame));
         if let Some(sh) = &mut self.shard {
@@ -1057,7 +1071,7 @@ impl<F: Firmware> Simulator<F> {
             match *self.nodes[j].radio.state() {
                 RadioState::Idle => {
                     if link.audible {
-                        self.lock_receiver(j, frame, link.power, link.power_mw, end);
+                        self.lock_receiver(j, &lock, link);
                     }
                 }
                 RadioState::Rx { frame: current, .. } => {
@@ -1070,11 +1084,19 @@ impl<F: Firmware> Simulator<F> {
                     // and scoped cache invalidation exact (DESIGN.md,
                     // "Sharded engine").
                     let steal = link.audible && {
+                        let medium = &self.medium;
                         let rec = self.nodes[j]
                             .radio
                             .reception
                             .as_mut()
                             .expect("Rx state implies a reception");
+                        rec.prune_interferers(|f| medium.get(f).is_some());
+                        debug_assert!(
+                            rec.interferers
+                                .iter()
+                                .all(|&(f, _)| medium.active().any(|tx| tx.frame == f)),
+                            "an ended frame survived the prune at node {j}"
+                        );
                         rec.add_interferer(frame, link.power_mw);
                         link.power_mw >= rec.signal_mw * self.medium.capture_ratio_linear()
                             && self
@@ -1094,7 +1116,7 @@ impl<F: Firmware> Simulator<F> {
                                 reason: crate::medium::LossReason::Truncated,
                             },
                         );
-                        self.lock_receiver(j, frame, link.power, link.power_mw, end);
+                        self.lock_receiver(j, &lock, link);
                     }
                 }
                 RadioState::Cad { .. } => {
@@ -1108,51 +1130,61 @@ impl<F: Firmware> Simulator<F> {
         self.fanout_scratch = fanout;
     }
 
-    /// Locks receiver `j` onto `frame`, seeding its interference set with
-    /// every other transmission already on the air. `power`/`power_mw`
-    /// are the received power `start_tx` already computed for this link.
-    fn lock_receiver(&mut self, j: usize, frame: FrameId, power: Dbm, power_mw: f64, end: SimTime) {
+    /// Locks receiver `j` onto the frame `start_tx` is fanning out,
+    /// seeding its interference set with every other transmission
+    /// already on the air and audible at `j`. `link` is the budget
+    /// `start_tx` already holds for this pair.
+    fn lock_receiver(&mut self, j: usize, lock: &Lock, link: Link) {
         let receiver = NodeId(j);
-        let quality = self.medium.quality(power);
-        let tx = self.medium.get(frame).expect("frame just registered");
-        let sender = tx.sender;
-        let payload = tx.payload.clone(); // Arc bump, not a byte copy
-        let mut reception = Reception::new(frame, sender, quality, power_mw, payload);
-        let mut interferers = std::mem::take(&mut self.interferer_scratch);
-        interferers.clear();
-        // The sharded engine reads the receiver's band roster instead of
-        // the global registry: every audible transmission is registered
-        // there (coverage ∈ reach of its origin), and rosters are kept
-        // ascending by frame id, so the audibility filter below yields
-        // the same interferer set in the same order — bit-identical
-        // float sums — as the sequential scan.
-        match &self.shard {
-            Some(sh) => {
-                let band = sh.parts.band_of(self.state[j].position.x);
-                interferers.extend(
-                    sh.active[band]
-                        .iter()
-                        .filter(|&&(f, s, _)| f != frame && s != receiver)
-                        .copied(),
-                );
+        let mut reception = Reception::new(
+            lock.frame,
+            lock.sender,
+            self.medium.quality(link.power),
+            link.power_mw,
+            lock.payload.clone(), // Arc bump, not a byte copy
+        );
+        let mut roster = std::mem::take(&mut self.roster_scratch);
+        roster.clear();
+        let (at, range) = (self.state[j].position, self.audible_range);
+        self.in_flight_near(at, range, |f, s, origin| {
+            if f != lock.frame && s != receiver {
+                roster.push((f, s, origin));
             }
-            None => interferers.extend(
-                self.medium
-                    .active()
-                    .filter(|a| a.frame != frame && a.sender != receiver)
-                    .map(|a| (a.frame, a.sender, a.origin)),
-            ),
-        }
-        for &(f, s, origin) in &interferers {
+        });
+        for &(f, s, origin) in &roster {
             if self.active_tx_audible(s.0, origin, j) {
                 let p = self.active_tx_power_mw(s.0, origin, j);
                 reception.add_interferer(f, p);
             }
         }
-        self.interferer_scratch = interferers;
-        self.nodes[j].radio.begin_rx(self.now, reception, end);
-        self.rx_insert(j);
-        self.schedule_for(end, j, SimEvent::RxEnd(receiver, frame));
+        self.roster_scratch = roster;
+        debug_assert!(
+            self.seeded_like_ungated_scan(j, &reception),
+            "range gate or link cache changed node {j}'s interferer set"
+        );
+        self.nodes[j].radio.begin_rx(self.now, reception, lock.end);
+        self.schedule_for(lock.end, j, SimEvent::RxEnd(receiver, lock.frame));
+    }
+
+    /// Debug cross-check making the whole suite the gate's oracle: the
+    /// frames `lock_receiver` seeded are exactly those an ungated scan
+    /// selects judging audibility straight from the link budget (no
+    /// gate, no cache), in the same order.
+    fn seeded_like_ungated_scan(&self, j: usize, reception: &Reception) -> bool {
+        let (receiver, at) = (NodeId(j), self.state[j].position);
+        let mut seeded = reception.interferers.iter().map(|&(f, _)| f);
+        let mut same = true;
+        self.in_flight_near(at, f64::INFINITY, |f, s, origin| {
+            if f != reception.frame
+                && s != receiver
+                && self
+                    .medium
+                    .audible(self.medium.received_power(&origin, &at, s, receiver))
+            {
+                same &= seeded.next() == Some(f);
+            }
+        });
+        same && seeded.next().is_none()
     }
 
     fn handle_tx_end(&mut self, node: NodeId, frame: FrameId) {
@@ -1161,29 +1193,11 @@ impl<F: Firmware> Simulator<F> {
             return;
         };
         debug_assert_eq!(tx.sender, node);
-        // The frame stops interfering with ongoing receptions. The
-        // sharded engine visits only locked receivers (the rx-node
-        // index) instead of all N: a node outside it either has no
-        // reception or a stale one left behind by an rx-abort, whose
-        // contents are never read again (receptions are only consulted
-        // under a matching `Rx` radio state and are overwritten by the
-        // next lock).
+        // Nothing to tell the receivers: a reception drops interferers
+        // that left the air the next time it sums them (see
+        // `Reception::prune_interferers`).
         if let Some(sh) = &mut self.shard {
             sh.unregister(frame, tx.origin);
-            let Self {
-                nodes, rx_nodes, ..
-            } = self;
-            for &j in rx_nodes.iter() {
-                if let Some(rec) = nodes[j].radio.reception.as_mut() {
-                    rec.remove_interferer(frame);
-                }
-            }
-        } else {
-            for slot in &mut self.nodes {
-                if let Some(rec) = slot.radio.reception.as_mut() {
-                    rec.remove_interferer(frame);
-                }
-            }
         }
         self.trace.push(self.now, TraceEvent::TxEnd { node, frame });
         let slot = &self.nodes[node.0];
@@ -1208,7 +1222,6 @@ impl<F: Firmware> Simulator<F> {
             .take()
             .expect("Rx state implies a reception");
         slot.radio.to_idle(self.now);
-        self.rx_remove(node.0);
         let Self {
             rngs,
             medium,
@@ -1306,34 +1319,16 @@ impl<F: Firmware> Simulator<F> {
         }
         self.state[i].alive = false;
         // A transmission in progress is truncated: receivers locked to it
-        // can no longer decode it, and it stops interfering.
+        // can no longer decode it, and it stops interfering (it leaves
+        // the air here, so interferer sets prune it like any ended frame).
         if let RadioState::Tx { frame, .. } = *self.nodes[i].radio.state() {
             let ended = self.medium.end_tx(frame);
-            if let Some(sh) = &mut self.shard {
-                // Same rx-node-scoped sweep as `handle_tx_end`.
-                let origin = ended.expect("Tx state implies an active frame").origin;
-                sh.unregister(frame, origin);
-                let Self {
-                    nodes, rx_nodes, ..
-                } = self;
-                for &j in rx_nodes.iter() {
-                    if let Some(rec) = nodes[j].radio.reception.as_mut() {
-                        if rec.frame == frame {
-                            rec.corrupted = true;
-                        } else {
-                            rec.remove_interferer(frame);
-                        }
-                    }
-                }
-            } else {
-                for slot in &mut self.nodes {
-                    if let Some(rec) = slot.radio.reception.as_mut() {
-                        if rec.frame == frame {
-                            rec.corrupted = true;
-                        } else {
-                            rec.remove_interferer(frame);
-                        }
-                    }
+            if let (Some(sh), Some(tx)) = (&mut self.shard, ended) {
+                sh.unregister(frame, tx.origin);
+            }
+            for slot in &mut self.nodes {
+                if let Some(rec) = slot.radio.reception.as_mut() {
+                    rec.corrupted |= rec.frame == frame;
                 }
             }
         }
@@ -1345,7 +1340,6 @@ impl<F: Firmware> Simulator<F> {
             // inside the queue instead.
             self.cancel_wake(node);
         }
-        self.rx_remove(i);
         self.trace.push(self.now, TraceEvent::Killed { node });
     }
 
@@ -1470,14 +1464,12 @@ impl<F: Firmware + Send> Simulator<F> {
         if self.shard.is_some() {
             self.run_merged(until);
         } else {
-            while let Some(at) = self.queue.peek_time() {
-                if at > until {
-                    break;
-                }
-                self.step();
+            while let Some((at, event)) = self.queue.pop_until(until) {
+                self.dispatch(at, event);
             }
         }
-        // Peeking may have discarded stale tombstones after the last step.
+        // Published once per run, not per event; settling may also have
+        // discarded stale tombstones after the last dispatch.
         self.metrics.stale_timers_dropped = self.stale_dropped_total();
         if until > self.now {
             self.now = until;

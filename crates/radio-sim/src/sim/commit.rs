@@ -70,10 +70,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use lora_phy::modulation::LoRaModulation;
-use lora_phy::power::Dbm;
 use lora_phy::propagation::Position;
 
-use super::{link_between, NodeSlot, NodeState, SimConfig, Simulator};
+use super::{link_between, Lock, NodeSlot, NodeState, SimConfig, Simulator};
 use crate::event::{EventQueue, FrameId, SimEvent};
 use crate::firmware::{Context, Firmware, NodeId, RadioCommand};
 use crate::grid::Grid;
@@ -83,7 +82,7 @@ use crate::metrics::Metrics;
 use crate::par;
 use crate::radio::{RadioState, Reception};
 use crate::rng::SimRng;
-use crate::shard::Partitioner;
+use crate::shard::{beyond_range, Partitioner};
 use crate::time::SimTime;
 use crate::trace::TraceEvent;
 
@@ -178,10 +177,8 @@ pub(super) struct WorkerScratch {
     pending: BinaryHeap<Pending>,
     commands: Vec<RadioCommand>,
     fanout: Vec<(usize, Link)>,
-    interferers: Vec<(FrameId, NodeId, Position)>,
-    active: Vec<(NodeId, Position)>,
+    roster: Vec<(FrameId, NodeId, Position)>,
     cands: Vec<usize>,
-    rx_view: Vec<usize>,
 }
 
 impl WorkerScratch {
@@ -197,9 +194,7 @@ impl WorkerScratch {
         self.events = 0;
         self.pending.clear();
         self.fanout.clear();
-        self.interferers.clear();
-        self.active.clear();
-        self.rx_view.clear();
+        self.roster.clear();
     }
 }
 
@@ -246,8 +241,6 @@ pub(super) struct CommitScratch {
     seq_maps: Vec<Vec<u64>>,
     /// Per worker: staging counter → real frame id (merge walk).
     frame_maps: Vec<Vec<FrameId>>,
-    /// Post-batch rx-node index rebuild buffer.
-    rx_rebuild: Vec<usize>,
 }
 
 /// The state every band worker reads *shared* during a batch. All of it
@@ -506,56 +499,21 @@ impl<F: Firmware> BandWorker<'_, F> {
         }
     }
 
-    fn rx_insert_w(&mut self, i: usize) {
-        if let Err(pos) = self.scratch.rx_view.binary_search(&i) {
-            self.scratch.rx_view.insert(pos, i);
-        }
-    }
-
-    fn rx_remove_w(&mut self, i: usize) {
-        if let Ok(pos) = self.scratch.rx_view.binary_search(&i) {
-            self.scratch.rx_view.remove(pos);
-        }
-    }
-
-    /// Whether `frame` is still on the air with its preamble running —
-    /// the worker view of `medium.get(..) + in_preamble(..)`, covering
-    /// frames staged this window and frames ended this window.
-    fn in_preamble_w(&self, frame: FrameId) -> bool {
-        if self.scratch.ended.contains(&frame) {
-            return false;
-        }
-        let start = if frame.0 & PROVISIONAL != 0 {
+    /// When `frame` went on the air, or `None` if it no longer is — the
+    /// worker view of `medium.get(..)`: frames staged this window
+    /// (which all outlive it) are on the air, frames this worker ended
+    /// this window are not, and the frozen registry answers for the
+    /// rest (an in-window end by *another* worker is more than `r_max`
+    /// away and in no reception here).
+    fn on_air_since(&self, frame: FrameId) -> Option<SimTime> {
+        if frame.0 & PROVISIONAL != 0 {
             debug_assert_eq!((frame.0 >> WORKER_SHIFT) & 0x7F_FFFF, u64::from(self.w));
-            self.scratch.staged[(frame.0 & COUNTER_MASK) as usize].start
-        } else {
-            match self.ctx.medium.get(frame) {
-                Some(tx) => tx.start,
-                None => return false,
-            }
-        };
-        self.now.since(start) < self.ctx.preamble
-    }
-
-    /// Sender and payload of an in-flight frame (staged or pre-batch).
-    fn tx_info(&self, frame: FrameId) -> (NodeId, Arc<[u8]>) {
-        if frame.0 & PROVISIONAL != 0 {
-            let s = &self.scratch.staged[(frame.0 & COUNTER_MASK) as usize];
-            (s.sender, s.payload.clone())
-        } else {
-            let tx = self.ctx.medium.get(frame).expect("frame just registered");
-            (tx.sender, tx.payload.clone())
+            return Some(self.scratch.staged[(frame.0 & COUNTER_MASK) as usize].start);
         }
-    }
-
-    /// Origin of an in-flight frame, `None` when it was aborted before
-    /// the window (pre-window kill).
-    fn tx_origin(&self, frame: FrameId) -> Option<Position> {
-        if frame.0 & PROVISIONAL != 0 {
-            Some(self.scratch.staged[(frame.0 & COUNTER_MASK) as usize].origin)
-        } else {
-            self.ctx.medium.get(frame).map(|tx| tx.origin)
+        if self.scratch.ended.contains(&frame) {
+            return None;
         }
+        self.ctx.medium.get(frame).map(|tx| tx.start)
     }
 
     /// Makes sure a row value for `i` exists: in the shared cache (from
@@ -638,36 +596,46 @@ impl<F: Firmware> BandWorker<'_, F> {
         FrameId(PROVISIONAL | (u64::from(self.w) << WORKER_SHIFT) | k as u64)
     }
 
-    /// [`Simulator::channel_busy`], worker edition. The frozen roster of
-    /// the node's band minus this worker's in-window removals, plus its
-    /// own staged overlay, yields the same audible set in the same scan
+    /// [`Simulator::in_flight_near`], worker edition. The frozen roster
+    /// of the band minus this worker's in-window removals, plus its own
+    /// staged overlay, yields the same audible set in the same scan
     /// order as the live sequential roster: remote groups' in-window
     /// frames (and their removed pre-window frames) all originate more
     /// than `r_max` away, so the audibility filter drops them either
     /// way, and this worker's own additions ascend in creation order —
     /// exactly their merged frame-id order.
-    fn channel_busy_w(&mut self, i: usize, except: Option<NodeId>) -> bool {
-        let mut active = std::mem::take(&mut self.scratch.active);
-        active.clear();
-        let band = self.ctx.parts.band_of(self.ctx.state[i].position.x);
-        active.extend(
-            self.ctx.active[band]
-                .iter()
-                .filter(|&&(f, _, _)| !self.scratch.ended.contains(&f))
-                .map(|&(_, s, origin)| (s, origin)),
-        );
-        active.extend(self.scratch.staged.iter().map(|s| (s.sender, s.origin)));
-        let mut busy = false;
-        for &(sender, origin) in &active {
-            if Some(sender) == except || sender.0 == i {
-                continue;
-            }
-            if self.active_tx_audible_w(sender.0, origin, i) {
-                busy = true;
-                break;
+    fn in_flight_near_w(
+        &self,
+        at: Position,
+        range: f64,
+        mut visit: impl FnMut(FrameId, NodeId, Position),
+    ) {
+        for &(f, s, origin) in &self.ctx.active[self.ctx.parts.band_of(at.x)] {
+            if !beyond_range(range, origin, at) && !self.scratch.ended.contains(&f) {
+                visit(f, s, origin);
             }
         }
-        self.scratch.active = active;
+        for (k, st) in self.scratch.staged.iter().enumerate() {
+            if !beyond_range(range, st.origin, at) {
+                visit(self.staged_id(k), st.sender, st.origin);
+            }
+        }
+    }
+
+    /// [`Simulator::channel_busy`], worker edition.
+    fn channel_busy_w(&mut self, i: usize, except: Option<NodeId>) -> bool {
+        let mut roster = std::mem::take(&mut self.scratch.roster);
+        roster.clear();
+        let (at, range) = (self.ctx.state[i].position, self.ctx.parts.r_max());
+        self.in_flight_near_w(at, range, |f, s, origin| {
+            if Some(s) != except && s.0 != i {
+                roster.push((f, s, origin));
+            }
+        });
+        let busy = roster
+            .iter()
+            .any(|&(_, s, origin)| self.active_tx_audible_w(s.0, origin, i));
+        self.scratch.roster = roster;
         busy
     }
 
@@ -689,7 +657,6 @@ impl<F: Firmware> BandWorker<'_, F> {
             RadioState::Rx { .. } => {
                 self.scratch.metrics.rx_aborted_by_tx += 1;
                 self.slot(i).radio.to_idle(now);
-                self.rx_remove_w(i);
             }
             RadioState::Tx { .. } | RadioState::Cad { .. } | RadioState::Off => {
                 self.scratch.metrics.tx_while_busy += 1;
@@ -700,16 +667,20 @@ impl<F: Firmware> BandWorker<'_, F> {
         let origin = self.ctx.state[i].position;
         let len = bytes.len();
         let airtime = self.ctx.medium.airtime(len);
-        let frame = FrameId(
-            PROVISIONAL | (u64::from(self.w) << WORKER_SHIFT) | self.scratch.staged.len() as u64,
-        );
+        let frame = self.staged_id(self.scratch.staged.len());
         let end = now + airtime;
         self.scratch.staged.push(Staged {
             sender,
             origin,
             start: now,
-            payload: bytes,
+            payload: bytes.clone(),
         });
+        let lock = Lock {
+            frame,
+            sender,
+            payload: &bytes,
+            end,
+        };
         self.slot(i).radio.begin_tx(now, frame, end);
         // airtime ≥ preamble = lookahead, so the TxEnd always lands at
         // or beyond the horizon: a creation, never a pending event.
@@ -756,21 +727,32 @@ impl<F: Firmware> BandWorker<'_, F> {
             match *self.slot(j).radio.state() {
                 RadioState::Idle => {
                     if link.audible {
-                        self.lock_receiver_w(j, frame, link.power, link.power_mw, end);
+                        self.lock_receiver_w(j, &lock, link);
                     }
                 }
                 RadioState::Rx { frame: current, .. } => {
                     let steal = link.audible && {
                         let capture = self.ctx.medium.capture_ratio_linear();
-                        let in_preamble = self.in_preamble_w(current);
-                        let rec = self
+                        let in_preamble = self
+                            .on_air_since(current)
+                            .is_some_and(|start| now.since(start) < self.ctx.preamble);
+                        let mut rec = self
                             .slot(j)
                             .radio
                             .reception
-                            .as_mut()
+                            .take()
                             .expect("Rx state implies a reception");
+                        rec.prune_interferers(|f| self.on_air_since(f).is_some());
+                        debug_assert!(
+                            rec.interferers.iter().all(|&(f, _)| f.0 & PROVISIONAL != 0
+                                || !self.scratch.ended.contains(&f)
+                                    && self.ctx.medium.active().any(|tx| tx.frame == f)),
+                            "an ended frame survived the prune at node {j}"
+                        );
                         rec.add_interferer(frame, link.power_mw);
-                        link.power_mw >= rec.signal_mw * capture && in_preamble
+                        let stronger = link.power_mw >= rec.signal_mw * capture;
+                        self.slot(j).radio.reception = Some(rec);
+                        stronger && in_preamble
                     };
                     if steal {
                         self.scratch
@@ -784,7 +766,7 @@ impl<F: Firmware> BandWorker<'_, F> {
                                 reason: crate::medium::LossReason::Truncated,
                             },
                         ));
-                        self.lock_receiver_w(j, frame, link.power, link.power_mw, end);
+                        self.lock_receiver_w(j, &lock, link);
                     }
                 }
                 RadioState::Cad { .. } => {
@@ -799,78 +781,71 @@ impl<F: Firmware> BandWorker<'_, F> {
     }
 
     /// [`Simulator::lock_receiver`], worker edition.
-    fn lock_receiver_w(
-        &mut self,
-        j: usize,
-        frame: FrameId,
-        power: Dbm,
-        power_mw: f64,
-        end: SimTime,
-    ) {
+    fn lock_receiver_w(&mut self, j: usize, lock: &Lock, link: Link) {
         let receiver = NodeId(j);
-        let quality = self.ctx.medium.quality(power);
-        let (sender, payload) = self.tx_info(frame);
-        let mut reception = Reception::new(frame, sender, quality, power_mw, payload);
-        let mut interferers = std::mem::take(&mut self.scratch.interferers);
-        interferers.clear();
-        // Frozen base minus own removals, then the own staged overlay
-        // (see `channel_busy_w` for why this equals the live roster's
-        // audible contents in id order — bit-identical float sums).
-        let band = self.ctx.parts.band_of(self.ctx.state[j].position.x);
-        interferers.extend(
-            self.ctx.active[band]
-                .iter()
-                .filter(|&&(f, s, _)| {
-                    f != frame && s != receiver && !self.scratch.ended.contains(&f)
-                })
-                .copied(),
+        let mut reception = Reception::new(
+            lock.frame,
+            lock.sender,
+            self.ctx.medium.quality(link.power),
+            link.power_mw,
+            lock.payload.clone(),
         );
-        interferers.extend(
-            self.scratch
-                .staged
-                .iter()
-                .enumerate()
-                .map(|(k, s)| (self.staged_id(k), s.sender, s.origin))
-                .filter(|&(f, s, _)| f != frame && s != receiver),
-        );
-        for &(f, s, origin) in &interferers {
+        let mut roster = std::mem::take(&mut self.scratch.roster);
+        roster.clear();
+        let (at, range) = (self.ctx.state[j].position, self.ctx.parts.r_max());
+        self.in_flight_near_w(at, range, |f, s, origin| {
+            if f != lock.frame && s != receiver {
+                roster.push((f, s, origin));
+            }
+        });
+        for &(f, s, origin) in &roster {
             if self.active_tx_audible_w(s.0, origin, j) {
                 let p = self.active_tx_power_mw_w(s.0, origin, j);
                 reception.add_interferer(f, p);
             }
         }
-        self.scratch.interferers = interferers;
+        self.scratch.roster = roster;
+        debug_assert!(
+            self.seeded_like_ungated_scan_w(j, &reception),
+            "range gate or link cache changed node {j}'s interferer set"
+        );
         let now = self.now;
-        self.slot(j).radio.begin_rx(now, reception, end);
-        self.rx_insert_w(j);
-        debug_assert!(end >= self.ctx.limit);
-        self.create(end, j, SimEvent::RxEnd(receiver, frame));
+        self.slot(j).radio.begin_rx(now, reception, lock.end);
+        debug_assert!(lock.end >= self.ctx.limit);
+        self.create(lock.end, j, SimEvent::RxEnd(receiver, lock.frame));
     }
 
-    /// [`Simulator::handle_tx_end`], worker edition: the medium removal
-    /// and the roster sweep are deferred to the merge walk (registry and
-    /// rosters are shared-read during the batch — the `ended` list makes
-    /// this worker's own readers skip the frame meanwhile); locked
-    /// receivers are ours to update.
+    /// [`Simulator::seeded_like_ungated_scan`], worker edition.
+    fn seeded_like_ungated_scan_w(&self, j: usize, reception: &Reception) -> bool {
+        let (receiver, at) = (NodeId(j), self.ctx.state[j].position);
+        let medium = self.ctx.medium;
+        let mut seeded = reception.interferers.iter().map(|&(f, _)| f);
+        let mut same = true;
+        self.in_flight_near_w(at, f64::INFINITY, |f, s, origin| {
+            if f != reception.frame
+                && s != receiver
+                && medium.audible(medium.received_power(&origin, &at, s, receiver))
+            {
+                same &= seeded.next() == Some(f);
+            }
+        });
+        same && seeded.next().is_none()
+    }
+
+    /// [`Simulator::handle_tx_end`], worker edition: the medium and
+    /// roster removals are deferred to the merge walk (both are
+    /// shared-read during the batch — the `ended` list makes this
+    /// worker's own readers, interferer pruning included, skip the
+    /// frame meanwhile).
     fn handle_tx_end_w(&mut self, node: NodeId, frame: FrameId) {
         // In-window TxEnds are always pre-batch frames (a staged frame's
         // end lands beyond the horizon), so a missing registry entry
         // means the sender was killed mid-frame before the window.
         debug_assert_eq!(frame.0 & PROVISIONAL, 0);
-        if self.tx_origin(frame).is_none() {
+        if self.on_air_since(frame).is_none() {
             return;
         }
         self.scratch.ended.push(frame);
-        // Locked receivers holding this frame as interference are all
-        // within audible range of its origin, hence owned: the sweep
-        // over our rx view covers every receiver the sequential sweep
-        // would have mutated.
-        for idx in 0..self.scratch.rx_view.len() {
-            let j = self.scratch.rx_view[idx];
-            if let Some(rec) = self.slot(j).radio.reception.as_mut() {
-                rec.remove_interferer(frame);
-            }
-        }
         let now = self.now;
         self.scratch
             .trace
@@ -900,7 +875,6 @@ impl<F: Firmware> BandWorker<'_, F> {
             .expect("Rx state implies a reception");
         let now = self.now;
         self.slot(node.0).radio.to_idle(now);
-        self.rx_remove_w(node.0);
         let ctx = self.ctx;
         let mut outcome = ctx.medium.judge(&reception, self.rng(node.0));
         if matches!(outcome, RxOutcome::Delivered(_)) {
@@ -1228,14 +1202,8 @@ impl<F: Firmware + Send> Simulator<F> {
                     owned_rngs[w as usize].push(rng);
                 }
             }
-            for (w, ws) in cs.workers.iter_mut().enumerate().take(nw) {
+            for ws in cs.workers.iter_mut().take(nw) {
                 ws.reset();
-                ws.rx_view.extend(
-                    self.rx_nodes
-                        .iter()
-                        .copied()
-                        .filter(|&j| usize::from(owner[j]) == w),
-                );
             }
             let ctx = Shared {
                 medium: &self.medium,
@@ -1358,8 +1326,7 @@ impl<F: Firmware + Send> Simulator<F> {
         // ---- Flush: unconsumed creations to their home queues (under
         // their walk-allocated seqs), per-band metrics, overlay link
         // rows, and the provisional→real frame rewrite in owned radios
-        // (rosters already carry real ids — the walk registered them);
-        // then rebuild the rx-node index.
+        // (rosters already carry real ids — the walk registered them).
         for w in 0..nw {
             let ws = &cs.workers[w];
             for (k, c) in ws.creations.iter().enumerate() {
@@ -1383,19 +1350,6 @@ impl<F: Firmware + Send> Simulator<F> {
                 slot.radio.remap_frames(|f| resolve(&cs.frame_maps, f));
             }
         }
-        cs.rx_rebuild.clear();
-        cs.rx_rebuild.extend(
-            self.rx_nodes
-                .iter()
-                .copied()
-                .filter(|&j| cs.owner[j] == NO_OWNER),
-        );
-        for ws in cs.workers.iter().take(nw) {
-            cs.rx_rebuild.extend(ws.rx_view.iter().copied());
-        }
-        cs.rx_rebuild.sort_unstable();
-        std::mem::swap(&mut self.rx_nodes, &mut cs.rx_rebuild);
-
         sh.commit = cs;
         self.shard = Some(sh);
         self.commit_batches += 1;

@@ -1,0 +1,330 @@
+//! Property tests for the arguments that bound the radio state
+//! machine's per-frame work by the audible neighbourhood (same style as
+//! `queue_model.rs` and `grid_model.rs`):
+//!
+//! 1. **Gate soundness** — over random RF configurations (path-loss
+//!    model, shadowing σ ∈ {0, 4, 8} dB) and placements, a pair
+//!    [`beyond_range`] skips is never [`Medium::audible`], including
+//!    placements a hair inside and outside `max_audible_range`; the
+//!    bound is tight (without shadowing a pair just inside it *is*
+//!    audible, so a narrower gate would be caught) and the gate is the
+//!    per-axis box it is documented to be (it keeps the corners).
+//! 2. **Pruning equivalence** — over random interleavings of frame
+//!    starts, ends, sender kills and re-locks, a [`Reception`] that
+//!    prunes ended frames immediately before each add reaches the same
+//!    `peak_interference_mw`, bit for bit, with the same live interferer
+//!    order, as one told about every end the moment it happens.
+//! 3. **Engine views agree** — the coordinator prunes against the
+//!    medium's registry, a band worker against its window view (its own
+//!    `ended` list, staged frames, the frozen registry). On random dense
+//!    ALOHA clusters with kills and revives, where receptions routinely
+//!    outlive several interferers, both yield the same traces and
+//!    metrics.
+
+use std::cell::Cell;
+use std::sync::Arc;
+use std::time::Duration;
+
+use lora_phy::link::SignalQuality;
+use lora_phy::propagation::{PathLossModel, Position, Shadowing};
+use radio_sim::event::FrameId;
+use radio_sim::firmware::{Context, Firmware};
+use radio_sim::medium::{Medium, RfConfig};
+use radio_sim::radio::Reception;
+use radio_sim::shard::{beyond_range, max_audible_range};
+use radio_sim::{NodeId, SimConfig, Simulator};
+use testkit::{forall, prop_assert, prop_assert_eq, Gen};
+
+fn gen_rf(g: &mut Gen) -> RfConfig {
+    RfConfig {
+        path_loss: g.choose(&[
+            PathLossModel::urban_868(),
+            PathLossModel::free_space_868(),
+            PathLossModel::indoor(),
+        ]),
+        shadowing: Shadowing::new(g.choose(&[0.0, 4.0, 8.0]), g.u64()),
+        ..RfConfig::default()
+    }
+}
+
+/// Offsets from the origin, in units of the audible range: random ones
+/// across and around the box, and the boundary placements — on an axis,
+/// on the diagonal and in the corner, each a hair inside and outside.
+fn gen_offsets(g: &mut Gen) -> Vec<(f64, f64)> {
+    const HAIR: f64 = 1e-9;
+    let mut offsets = g.vec_of(4, 24, |g| (g.f64() * 4.0 - 2.0, g.f64() * 4.0 - 2.0));
+    let diag = std::f64::consts::FRAC_1_SQRT_2;
+    for edge in [1.0 - HAIR, 1.0 + HAIR] {
+        for (ux, uy) in [(1.0, 0.0), (0.0, -1.0), (diag, diag), (-1.0, 1.0)] {
+            offsets.push((ux * edge, uy * edge));
+        }
+    }
+    offsets
+}
+
+#[test]
+fn gate_never_skips_an_audible_pair() {
+    forall(
+        "gate_never_skips_an_audible_pair",
+        |g| {
+            let origin = Position::new(g.f64() * 2.0e4 - 1.0e4, g.f64() * 2.0e4 - 1.0e4);
+            let ids = (usize::from(g.u16()), usize::from(g.u16()));
+            (gen_rf(g), origin, ids, gen_offsets(g))
+        },
+        |(rf, origin, (a, b), offsets)| {
+            let medium = Medium::new(rf.clone());
+            let r = max_audible_range(rf);
+            let audible_at = |p: &Position| {
+                medium.audible(medium.received_power(origin, p, NodeId(*a), NodeId(*b)))
+            };
+            for &(ux, uy) in offsets {
+                let p = Position::new(origin.x + ux * r, origin.y + uy * r);
+                let skipped = beyond_range(r, *origin, p);
+                prop_assert!(
+                    !(skipped && audible_at(&p)),
+                    "gate skipped an audible pair at offset ({ux}, {uy})·{r}"
+                );
+                prop_assert_eq!(skipped, beyond_range(r, p, *origin));
+            }
+            // The gate is the per-axis box: what it keeps includes the
+            // corners, well outside the audible disc.
+            let corner = 1.0 - 1e-9;
+            let p = Position::new(origin.x + corner * r, origin.y - corner * r);
+            prop_assert!(!beyond_range(r, *origin, p), "gate skipped inside its box");
+            // And the bound it gates at is tight: with no shadowing a
+            // pair a hair inside it is audible, so gating any closer
+            // would skip an audible pair.
+            if rf.shadowing.sigma_db == 0.0 {
+                let p = Position::new(origin.x + corner * r, origin.y);
+                prop_assert!(audible_at(&p), "range bound {r} is not tight");
+            }
+            Ok(())
+        },
+    );
+}
+
+/// One step of the pruning model.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    /// A new frame goes on the air with this received power (mW).
+    Start(f64),
+    /// The `k`-th frame on the air (mod count) ends — or its sender is
+    /// killed mid-frame, which an interferer set cannot tell apart.
+    End(usize),
+    /// The receiver re-locks (capture, or a fresh reception): a new
+    /// `Reception` seeded from everything on the air.
+    Relock,
+}
+
+fn gen_ops(g: &mut Gen) -> Vec<Op> {
+    g.vec_of(1, 80, |g| match g.usize_in(0, 9) {
+        0..=4 => Op::Start(g.f64() * 1.0e-9 + 1.0e-13),
+        5..=8 => Op::End(g.usize_in(0, 7)),
+        _ => Op::Relock,
+    })
+}
+
+fn fresh(on_air: &[(FrameId, f64)]) -> Reception {
+    let mut rec = Reception::new(
+        FrameId(u64::MAX),
+        NodeId(0),
+        SignalQuality::ideal(),
+        1.0e-9,
+        vec![],
+    );
+    for &(f, p) in on_air {
+        rec.add_interferer(f, p);
+    }
+    rec
+}
+
+#[test]
+fn pruning_at_add_equals_eager_removal() {
+    forall("pruning_at_add_equals_eager_removal", gen_ops, |ops| {
+        // Frames on the air, ascending by id, with their powers here.
+        let mut on_air: Vec<(FrameId, f64)> = Vec::new();
+        let mut next_id = 0u64;
+        // `eager` hears about every end at once; `lazy` never does and
+        // prunes against the on-air set before each add instead.
+        let (mut eager, mut lazy) = (fresh(&on_air), fresh(&on_air));
+        for (step, op) in ops.iter().enumerate() {
+            match *op {
+                Op::Start(power) => {
+                    let frame = FrameId(next_id);
+                    next_id += 1;
+                    on_air.push((frame, power));
+                    eager.add_interferer(frame, power);
+                    lazy.prune_interferers(|f| on_air.iter().any(|&(a, _)| a == f));
+                    lazy.add_interferer(frame, power);
+                    prop_assert_eq!(&lazy.interferers, &eager.interferers);
+                }
+                Op::End(k) if !on_air.is_empty() => {
+                    let (frame, _) = on_air.remove(k % on_air.len());
+                    eager.interferers.retain(|&(f, _)| f != frame);
+                }
+                Op::End(_) => {}
+                Op::Relock => {
+                    eager = fresh(&on_air);
+                    lazy = fresh(&on_air);
+                }
+            }
+            prop_assert!(
+                lazy.peak_interference_mw.to_bits() == eager.peak_interference_mw.to_bits(),
+                "step {step} ({op:?}): peak {} pruned at add vs {} removed eagerly",
+                lazy.peak_interference_mw,
+                eager.peak_interference_mw
+            );
+            // Between adds the lazy list may hold ended frames, but its
+            // live part is the eager list, in order.
+            let live: Vec<_> = lazy
+                .interferers
+                .iter()
+                .copied()
+                .filter(|&(f, _)| on_air.iter().any(|&(a, _)| a == f))
+                .collect();
+            prop_assert_eq!(&live, &eager.interferers);
+        }
+        Ok(())
+    });
+}
+
+/// ALOHA beacon: transmits on its own schedule whatever the radio is
+/// doing (aborting a reception if need be), frame lengths cycling from
+/// a few to a couple of hundred bytes — so long receptions sit through
+/// several short interferers that start and end while they last.
+struct Aloha {
+    next: Duration,
+    period: Duration,
+    frames: Vec<Arc<[u8]>>,
+    sent: usize,
+    heard: u64,
+}
+
+impl Firmware for Aloha {
+    fn on_timer(&mut self, ctx: &mut Context) {
+        if ctx.now() >= self.next {
+            self.next += self.period;
+            ctx.transmit(self.frames[self.sent % self.frames.len()].clone());
+            self.sent += 1;
+        }
+    }
+    fn on_frame(&mut self, _b: &[u8], _q: SignalQuality, _ctx: &mut Context) {
+        self.heard += 1;
+    }
+    fn next_wake(&self) -> Option<Duration> {
+        Some(self.next)
+    }
+}
+
+/// A world of two dense clusters far outside each other's range (so a
+/// threaded run commits them in parallel windows), described by value
+/// so both engines build the identical thing.
+#[derive(Clone, Debug)]
+struct World {
+    seed: u64,
+    nodes: Vec<Station>,
+    /// Kill and revive instants (ms) for a few nodes.
+    faults: Vec<(usize, u64, u64)>,
+}
+
+#[derive(Clone, Debug)]
+struct Station {
+    cluster: usize,
+    /// Position within the cluster (m).
+    at: (f64, f64),
+    phase_ms: u64,
+    period_ms: u64,
+    frame_lens: Vec<usize>,
+}
+
+fn gen_world(g: &mut Gen) -> World {
+    let n = g.usize_in(8, 20);
+    let nodes: Vec<_> = (0..n)
+        .map(|i| Station {
+            cluster: i % 2,
+            at: (g.f64() * 160.0, g.f64() * 160.0),
+            phase_ms: g.int_in(1, 400),
+            period_ms: g.int_in(90, 700),
+            frame_lens: g.vec_of(1, 3, |g| g.choose(&[6usize, 10, 16, 40, 120, 200])),
+        })
+        .collect();
+    let faults = g.vec_of(0, 3, |g| {
+        let at = g.int_in(200, 3_000);
+        (g.usize_in(0, n - 1), at, at + g.int_in(50, 1_500))
+    });
+    World {
+        seed: g.u64(),
+        nodes,
+        faults,
+    }
+}
+
+fn run_world(w: &World, shards: usize, threads: usize) -> Simulator<Aloha> {
+    let cfg = SimConfig {
+        trace_capacity: 1 << 16,
+        shards,
+        threads,
+        rng_streams: true,
+        // Every window with two busy clusters commits in parallel.
+        commit_batch_min_events: 1,
+        ..SimConfig::default()
+    };
+    let mut s = Simulator::new(cfg, w.seed);
+    for n in &w.nodes {
+        s.add_node(
+            Aloha {
+                next: Duration::from_millis(n.phase_ms),
+                period: Duration::from_millis(n.period_ms),
+                frames: n.frame_lens.iter().map(|&l| vec![0xA1; l].into()).collect(),
+                sent: 0,
+                heard: 0,
+            },
+            Position::new(n.cluster as f64 * 2.0e5 + n.at.0, n.at.1),
+        );
+    }
+    for &(node, kill, revive) in &w.faults {
+        s.schedule_kill(Duration::from_millis(kill), NodeId(node));
+        s.schedule_revive(Duration::from_millis(revive), NodeId(node));
+    }
+    s.run_for(Duration::from_secs(5));
+    s
+}
+
+#[test]
+fn coordinator_and_worker_prune_views_agree_on_dense_overlap() {
+    // Summed over all cases, so the property is not vacuous: frames
+    // collided, and band workers really committed windows.
+    let (collisions, batches) = (Cell::new(0u64), Cell::new(0u64));
+    forall(
+        "coordinator_and_worker_prune_views_agree_on_dense_overlap",
+        gen_world,
+        |w| {
+            let fingerprint = |s: &Simulator<Aloha>| {
+                let mut metrics = s.metrics().clone();
+                // The one engine-dependent counter (tests/shard_diff.rs).
+                metrics.stale_timers_dropped = 0;
+                let heard: Vec<u64> = (0..s.node_count())
+                    .map(|i| s.node(NodeId(i)).heard)
+                    .collect();
+                (
+                    s.trace().entries().cloned().collect::<Vec<_>>(),
+                    metrics,
+                    heard,
+                )
+            };
+            let reference = run_world(w, 1, 1);
+            collisions.set(collisions.get() + reference.metrics().lost_collision);
+            for (shards, threads) in [(4, 1), (4, 2)] {
+                let other = run_world(w, shards, threads);
+                batches.set(batches.get() + other.commit_batches());
+                prop_assert!(
+                    fingerprint(&other) == fingerprint(&reference),
+                    "shards={shards} threads={threads} diverged from the sequential engine"
+                );
+            }
+            Ok(())
+        },
+    );
+    assert!(collisions.get() > 0, "no case produced a collision");
+    assert!(batches.get() > 0, "no case committed a parallel batch");
+}

@@ -2,8 +2,8 @@
 //! equivalent to a deliberately naive reference model — a single global
 //! `BinaryHeap` keyed on `(time, seq)` with the same timer-generation
 //! rules. Random interleavings of schedules, timer reschedules,
-//! cancellations, pops and peeks must agree on every observable:
-//! popped events (FIFO within same-instant ties), peeked times, lengths
+//! cancellations, pops (plain and bounded) and peeks must agree on
+//! every observable: popped events (FIFO within same-instant ties), peeked times, lengths
 //! with and without tombstones, and the stale-drop counter. Times span
 //! the ring horizon, so near-ring placement, overflow migration and
 //! past-event clamping are all crossed repeatedly.
@@ -128,6 +128,10 @@ enum Op {
         at: SimTime,
     },
     Pop,
+    /// The run loop's bounded pop: only when the head is due by `until`.
+    PopUntil {
+        until: SimTime,
+    },
     Peek,
 }
 
@@ -162,7 +166,8 @@ fn gen_op(g: &mut Gen) -> Op {
             node,
             at: gen_time(g),
         },
-        7 | 8 => Op::Pop,
+        7 => Op::Pop,
+        8 => Op::PopUntil { until: gen_time(g) },
         _ => Op::Peek,
     }
 }
@@ -210,6 +215,16 @@ fn calendar_queue_matches_reference_model() {
                         let (got, want) = (q.pop(), m.pop());
                         if got != want {
                             return Err(format!("step {step}: pop {got:?}, model {want:?}"));
+                        }
+                    }
+                    Op::PopUntil { until } => {
+                        let due = m.peek_time().is_some_and(|at| at <= until);
+                        let want = if due { m.pop() } else { None };
+                        let got = q.pop_until(until);
+                        if got != want {
+                            return Err(format!(
+                                "step {step}: pop_until({until:?}) {got:?}, model {want:?}"
+                            ));
                         }
                     }
                     Op::Peek => {

@@ -29,7 +29,12 @@
 //! The firmware transmits a pre-built `Arc<[u8]>` frame each beacon,
 //! mirroring how `bench::scaling` exercises the simulator hot path.
 //!
-//! A fourth leg hosts the real LoRaMesher stack instead of the beacon:
+//! A dense-overlap static leg pins the one allocation the radio state
+//! machine does make — a reception's interferer list, once per
+//! reception that meets interference — and that pruning it at each add
+//! costs nothing on top.
+//!
+//! A last leg hosts the real LoRaMesher stack instead of the beacon:
 //! in a converged mesh with no application traffic the only recurring
 //! work is the hello round, and a node may allocate for the hello it
 //! *sends* (its queued `Packet` carries the entry list) but not for the
@@ -178,6 +183,59 @@ fn steady_state_event_processing_does_not_allocate() {
 #[test]
 fn sharded_steady_state_does_not_allocate() {
     assert_steady_state_alloc_free(SimConfig::default(), 4, 2);
+}
+
+/// Dense overlap: the same sixteen beacons, phases 15 ms apart against
+/// a ~46 ms airtime, so every burst keeps three or four frames on the
+/// air at once and receptions sit through interferers that start *and
+/// end* while they last. A reception allocates its interferer list once,
+/// on the first entry (the per-collision cost the mesh leg below also
+/// budgets for); nothing else may allocate — not the prune-at-add that
+/// replaced the per-`TxEnd` sweeps (`retain` shrinks in place), and not
+/// a list regrown because ended frames piled up in it: with at most
+/// three live interferers an unpruned list outgrows its first
+/// allocation, a pruned one never does.
+#[test]
+fn dense_overlap_allocates_one_interferer_list_per_reception_and_nothing_else() {
+    let window = |shards: usize| {
+        let config = SimConfig {
+            shards,
+            ..SimConfig::default()
+        };
+        let mut sim = Simulator::new(config, 42);
+        for k in 0..16u64 {
+            let phase = Duration::from_millis(200 + 15 * k);
+            let pos = Position::new((k % 4) as f64 * 60.0, (k / 4) as f64 * 60.0);
+            sim.add_node(Beacon::new(phase), pos);
+        }
+        // A long warm-up: the sharded engine's four calendars take
+        // longer to grow every bucket heap under bursty load.
+        sim.run_for(Duration::from_secs(3_000));
+        // Receptions concluded so far, however they ended.
+        let receptions = |sim: &Simulator<Beacon>| {
+            let m = sim.metrics();
+            m.frames_delivered + m.total_losses() + m.rx_aborted_by_tx
+        };
+        let (events_before, receptions_before) = (sim.events_processed(), receptions(&sim));
+        let collisions_before = sim.metrics().lost_collision;
+        let allocs_before = local_allocs();
+        sim.run_for(Duration::from_secs(300));
+        let allocs = local_allocs() - allocs_before;
+        let events = sim.events_processed() - events_before;
+        let collisions = sim.metrics().lost_collision - collisions_before;
+        assert!(events > 5_000, "only {events} events in the window");
+        // Or the interferer lists were empty and the leg proves nothing.
+        assert!(collisions > 1_000, "only {collisions} collisions");
+        let receptions = receptions(&sim) - receptions_before;
+        assert!(
+            allocs <= receptions,
+            "{shards} shards: {allocs} allocations for {receptions} receptions \
+             ({collisions} collided) over {events} events: more than one \
+             interferer list per reception"
+        );
+    };
+    window(1);
+    window(4);
 }
 
 /// Mobile workload (above the parallel region threshold so prefetch

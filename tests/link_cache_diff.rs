@@ -94,8 +94,8 @@ fn config_grid(link_cache: bool, spatial_grid: bool) -> SimConfig {
     cfg
 }
 
-/// Static line + churn: kills and revives hit the rx_nodes bookkeeping
-/// and the Off/Idle fan-out paths.
+/// Static line + churn: kills and revives hit the truncated-frame
+/// handling and the Off/Idle fan-out paths.
 fn run_static(seed: u64, link_cache: bool) -> Fingerprint {
     run_static_cfg(seed, config(link_cache))
 }
