@@ -77,8 +77,9 @@ impl RoleQueries for RoutingTable {
     }
 
     fn closest_gateway(&self) -> Option<Address> {
-        self.nodes_with_role(Role::GATEWAY)
-            .first()
+        self.routes()
+            .filter(|r| Role::from_bits(r.role).contains(Role::GATEWAY))
+            .min_by_key(|r| (r.metric, r.destination))
             .map(|r| r.destination)
     }
 }
@@ -123,6 +124,11 @@ mod tests {
         // ...then a direct neighbour that is itself a gateway.
         table.apply_hello(ME, Address::new(3), Role::GATEWAY.bits(), &[], 0.0, now);
         assert_eq!(table.closest_gateway(), Some(Address::new(3)));
+        // Equal metric: the lower address wins, whichever was learned first.
+        table.apply_hello(ME, Address::new(4), Role::GATEWAY.bits(), &[], 0.0, now);
+        assert_eq!(table.closest_gateway(), Some(Address::new(3)));
+        table.apply_hello(ME, Address::new(2), Role::GATEWAY.bits(), &[], 0.0, now);
+        assert_eq!(table.closest_gateway(), Some(Address::new(2)));
     }
 
     #[test]

@@ -17,9 +17,31 @@
 //! Metrics are capped at [`RoutingTable::INFINITY_METRIC`]; a route at or
 //! beyond the cap is treated as unreachable, which bounds count-to-infinity
 //! in the classic Bellman–Ford way.
+//!
+//! # Layout
+//!
+//! The table is one `Vec<Route>` sorted by destination, because its
+//! inner loop is applying a hello: up to 61 adverts from every
+//! neighbour, for ever, against a table of at most a few hundred
+//! 48-byte routes. Hellos are emitted in address order
+//! ([`RoutingTable::as_entries`]), so applying one is a merge of two
+//! sorted sequences: a cursor remembers how many routes sort at or
+//! before the previous advert, and the next advert is looked for in the
+//! slot right there — a sequential read of a table prefix, no search. The
+//! guess missing costs one binary search of the tail beyond it; an
+//! advert that is *not* ascending (a duplicate, or a hello no honest
+//! table produced) costs one binary search of the whole table and
+//! re-seats the cursor, so hostile order is slower per entry but never
+//! wrong and never worse than a lookup per advert. Point queries
+//! (`route`, `next_hop`, the direct-neighbour refresh) binary-search;
+//! `purge`/`drop_via` are one `retain` pass. What the flat layout gives
+//! up is O(log n) insertion: a new destination shifts the routes after it
+//! (at most 12 KiB for a full 256-node table) — paid once per route
+//! *learned*, during formation and after churn, against a lookup per
+//! advert *heard* in the steady state.
 
-use alloc::collections::BTreeMap;
 use alloc::vec::Vec;
+use core::cmp::Ordering;
 use core::time::Duration;
 
 use crate::addr::Address;
@@ -49,6 +71,18 @@ pub struct Route {
     /// How many times this route has been confirmed (direct routes:
     /// packets heard from the neighbour).
     pub heard_count: u64,
+}
+
+impl Route {
+    /// What a Hello advertises of this route.
+    #[must_use]
+    pub fn as_entry(&self) -> RouteEntry {
+        RouteEntry {
+            address: self.destination,
+            metric: self.metric,
+            role: self.role,
+        }
+    }
 }
 
 /// EWMA smoothing factor for link SNR.
@@ -146,7 +180,8 @@ impl RouteMetric for RoutingPolicy {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct RoutingTable<M: RouteMetric = RoutingPolicy> {
-    routes: BTreeMap<Address, Route>,
+    /// Sorted by `destination`, one route per destination.
+    routes: Vec<Route>,
     policy: M,
     /// Bumped whenever the Hello-visible content of the table — the set
     /// of `(destination, metric, role)` tuples — changes. Refreshes that
@@ -182,7 +217,7 @@ impl<M: RouteMetric> RoutingTable<M> {
     #[must_use]
     pub fn with_policy(policy: M) -> Self {
         RoutingTable {
-            routes: BTreeMap::new(),
+            routes: Vec::new(),
             policy,
             version: 0,
             earliest_seen: None,
@@ -223,45 +258,96 @@ impl<M: RouteMetric> RoutingTable<M> {
     /// The route to `dst`, if known.
     #[must_use]
     pub fn route(&self, dst: Address) -> Option<&Route> {
-        self.routes.get(&dst)
+        self.routes.get(self.find(dst).ok()?)
     }
 
     /// The next hop toward `dst`, if a usable route exists.
     #[must_use]
     pub fn next_hop(&self, dst: Address) -> Option<Address> {
-        self.routes
-            .get(&dst)
+        self.route(dst)
             .filter(|r| r.metric < RoutingTable::INFINITY_METRIC)
             .map(|r| r.via)
     }
 
     /// Iterates over all routes in address order (deterministic).
     pub fn routes(&self) -> impl Iterator<Item = &Route> {
-        self.routes.values()
+        self.routes.iter()
+    }
+
+    /// The slot `dst` occupies (`Ok`) or would be inserted at (`Err`).
+    fn find(&self, dst: Address) -> Result<usize, usize> {
+        self.routes.binary_search_by_key(&dst, |r| r.destination)
+    }
+
+    /// [`RoutingTable::find`] for the next advert of a hello, where
+    /// `below` routes sort at or before `last`, the advert looked up
+    /// before it: an ascending advert can only be at slot `below` or
+    /// beyond, and in a converged mesh it is exactly there.
+    fn seek(&self, dst: Address, last: Option<Address>, below: usize) -> Result<usize, usize> {
+        debug_assert_eq!(
+            below,
+            self.routes.partition_point(|r| Some(r.destination) <= last)
+        );
+        if Some(dst) <= last {
+            // Not ascending: the cursor says nothing about where `dst` is.
+            return self.find(dst);
+        }
+        let Some(next) = self.routes.get(below) else {
+            return Err(below);
+        };
+        match next.destination.cmp(&dst) {
+            Ordering::Equal => Ok(below),
+            Ordering::Greater => Err(below),
+            Ordering::Less => {
+                let from = below + 1;
+                let tail = self.routes.get(from..).unwrap_or_default();
+                tail.binary_search_by_key(&dst, |r| r.destination)
+                    .map(|i| from + i)
+                    .map_err(|i| from + i)
+            }
+        }
+    }
+
+    /// Inserts `route` at `slot`, which a search for its destination
+    /// just returned as `Err`.
+    fn insert_at(&mut self, slot: usize, route: Route) {
+        debug_assert_eq!(self.find(route.destination), Err(slot));
+        self.routes.insert(slot, route);
     }
 
     /// Records that a packet was heard directly from `neighbour`,
     /// creating or refreshing its metric-1 route.
     pub fn heard_from(&mut self, neighbour: Address, snr: f64, now: Duration) {
-        let stale = self.refresh_direct(neighbour, snr, now);
+        let (_, stale) = self.refresh_direct(neighbour, snr, now);
         self.settle_earliest(stale, now);
     }
 
     /// [`RoutingTable::heard_from`] minus the `earliest_seen` upkeep:
-    /// returns whether the refreshed route held the table minimum, for
-    /// the calling mutator to pass to [`RoutingTable::settle_earliest`].
-    fn refresh_direct(&mut self, neighbour: Address, snr: f64, now: Duration) -> bool {
+    /// returns the neighbour's slot and whether the refreshed route held
+    /// the table minimum, for the calling mutator to pass to
+    /// [`RoutingTable::settle_earliest`].
+    fn refresh_direct(&mut self, neighbour: Address, snr: f64, now: Duration) -> (usize, bool) {
         debug_assert!(!neighbour.is_broadcast());
-        let entry = self.routes.entry(neighbour).or_insert(Route {
-            destination: neighbour,
-            via: neighbour,
-            metric: 1,
-            role: 0,
-            last_seen: now,
-            snr,
-            snr_ewma: snr,
-            heard_count: 0,
+        let slot = self.find(neighbour).unwrap_or_else(|slot| {
+            self.insert_at(
+                slot,
+                Route {
+                    destination: neighbour,
+                    via: neighbour,
+                    metric: 1,
+                    role: 0,
+                    last_seen: now,
+                    snr,
+                    snr_ewma: snr,
+                    heard_count: 0,
+                },
+            );
+            slot
         });
+        let Some(entry) = self.routes.get_mut(slot) else {
+            debug_assert!(false, "slot {slot} was just found or filled");
+            return (slot, false);
+        };
         // Freshly inserted (heard_count still 0) or promoted from a
         // multi-hop metric: the Hello-visible tuple changed.
         let advertised_change = entry.heard_count == 0 || entry.metric != 1;
@@ -281,7 +367,7 @@ impl<M: RouteMetric> RoutingTable<M> {
         if advertised_change {
             self.touch();
         }
-        stale
+        (slot, stale)
     }
 
     /// Closes a mutator call that stamped `now` into at least one route:
@@ -298,12 +384,12 @@ impl<M: RouteMetric> RoutingTable<M> {
 
     /// The minimum `last_seen` by walking the table.
     fn scan_earliest(&self) -> Option<Duration> {
-        self.routes.values().map(|r| r.last_seen).min()
+        self.routes.iter().map(|r| r.last_seen).min()
     }
 
     /// The direct neighbours (metric-1 routes) with their link statistics.
     pub fn neighbours(&self) -> impl Iterator<Item = &Route> {
-        self.routes.values().filter(|r| r.metric == 1)
+        self.routes.iter().filter(|r| r.metric == 1)
     }
 
     /// Applies a Hello broadcast heard from `neighbour` advertising
@@ -334,32 +420,43 @@ impl<M: RouteMetric> RoutingTable<M> {
         now: Duration,
     ) -> usize {
         let mut changed = 0;
-        let mut stale = self.refresh_direct(neighbour, snr, now);
+        let (slot, mut stale) = self.refresh_direct(neighbour, snr, now);
         let earliest = self.earliest_seen;
-        let mut role_changed = false;
-        if let Some(r) = self.routes.get_mut(&neighbour) {
+        if let Some(r) = self.routes.get_mut(slot) {
             if r.role != role {
                 r.role = role;
                 changed += 1;
-                role_changed = true;
+                self.version = self.version.wrapping_add(1);
             }
         }
-        if role_changed {
-            self.touch();
-        }
+        // The merge cursor (see `seek`): `below` routes sort at or before
+        // `last`, the previous advert looked up.
+        let mut last = None;
+        let mut below = 0;
         for e in entries {
-            if e.address == me || e.address == neighbour || e.address.is_broadcast() {
+            // Nothing to learn about ourselves or the sender, and no
+            // table holds its owner, so metric 0 is no honest advert:
+            // adopted, it would be a metric-1 "neighbour" never heard.
+            if e.address == me
+                || e.address == neighbour
+                || e.address.is_broadcast()
+                || e.metric == 0
+            {
                 continue;
             }
             let candidate_metric = e
                 .metric
                 .saturating_add(1)
                 .min(RoutingTable::INFINITY_METRIC);
-            match self.routes.get_mut(&e.address) {
-                None => {
+            let found = self.seek(e.address, last, below);
+            last = Some(e.address);
+            let slot = match found {
+                Ok(slot) => slot,
+                Err(slot) => {
+                    below = slot;
                     if candidate_metric < RoutingTable::INFINITY_METRIC {
-                        self.routes.insert(
-                            e.address,
+                        self.insert_at(
+                            slot,
                             Route {
                                 destination: e.address,
                                 via: neighbour,
@@ -371,59 +468,64 @@ impl<M: RouteMetric> RoutingTable<M> {
                                 heard_count: 1,
                             },
                         );
+                        below = slot + 1;
                         changed += 1;
                         self.version = self.version.wrapping_add(1);
                     }
+                    continue;
                 }
-                Some(r) => {
-                    if self.policy.prefer(r, candidate_metric, neighbour, snr) {
-                        // Strictly better: adopt.
-                        if r.via != neighbour || r.metric != candidate_metric {
-                            changed += 1;
-                        }
-                        if r.metric != candidate_metric || r.role != e.role {
-                            self.version = self.version.wrapping_add(1);
-                        }
-                        if r.via != neighbour {
-                            r.snr_ewma = snr; // new link: restart stats
-                        } else {
-                            r.snr_ewma = ewma(r.snr_ewma, snr);
-                        }
-                        stale |= vacates(earliest, r.last_seen, now);
-                        r.via = neighbour;
-                        r.metric = candidate_metric;
-                        r.role = e.role;
-                        r.last_seen = now;
-                        r.snr = snr;
-                        r.heard_count += 1;
-                    } else if r.via == neighbour {
-                        // Same next hop: follow the (possibly worse)
-                        // metric so a degraded path is noticed. If our own
-                        // next hop now reports the destination
-                        // unreachable, the route is gone — remove it
-                        // rather than keeping infinity clutter that would
-                        // be re-advertised across the mesh.
-                        if candidate_metric >= RoutingTable::INFINITY_METRIC {
-                            stale |= earliest == Some(r.last_seen);
-                            self.routes.remove(&e.address);
-                            changed += 1;
-                            self.version = self.version.wrapping_add(1);
-                        } else {
-                            if r.metric != candidate_metric {
-                                changed += 1;
-                            }
-                            if r.metric != candidate_metric || r.role != e.role {
-                                self.version = self.version.wrapping_add(1);
-                            }
-                            stale |= vacates(earliest, r.last_seen, now);
-                            r.metric = candidate_metric;
-                            r.role = e.role;
-                            r.last_seen = now;
-                            r.snr_ewma = ewma(r.snr_ewma, snr);
-                            r.snr = snr;
-                            r.heard_count += 1;
-                        }
+            };
+            below = slot + 1;
+            let Some(r) = self.routes.get_mut(slot) else {
+                debug_assert!(false, "slot {slot} was just found");
+                continue;
+            };
+            if self.policy.prefer(r, candidate_metric, neighbour, snr) {
+                // Strictly better: adopt.
+                if r.via != neighbour || r.metric != candidate_metric {
+                    changed += 1;
+                }
+                if r.metric != candidate_metric || r.role != e.role {
+                    self.version = self.version.wrapping_add(1);
+                }
+                if r.via != neighbour {
+                    r.snr_ewma = snr; // new link: restart stats
+                } else {
+                    r.snr_ewma = ewma(r.snr_ewma, snr);
+                }
+                stale |= vacates(earliest, r.last_seen, now);
+                r.via = neighbour;
+                r.metric = candidate_metric;
+                r.role = e.role;
+                r.last_seen = now;
+                r.snr = snr;
+                r.heard_count += 1;
+            } else if r.via == neighbour {
+                // Same next hop: follow the (possibly worse) metric so a
+                // degraded path is noticed. If our own next hop now
+                // reports the destination unreachable, the route is
+                // gone — remove it rather than keeping infinity clutter
+                // that would be re-advertised across the mesh.
+                if candidate_metric >= RoutingTable::INFINITY_METRIC {
+                    stale |= earliest == Some(r.last_seen);
+                    self.routes.remove(slot);
+                    below = slot;
+                    changed += 1;
+                    self.version = self.version.wrapping_add(1);
+                } else {
+                    if r.metric != candidate_metric {
+                        changed += 1;
                     }
+                    if r.metric != candidate_metric || r.role != e.role {
+                        self.version = self.version.wrapping_add(1);
+                    }
+                    stale |= vacates(earliest, r.last_seen, now);
+                    r.metric = candidate_metric;
+                    r.role = e.role;
+                    r.last_seen = now;
+                    r.snr_ewma = ewma(r.snr_ewma, snr);
+                    r.snr = snr;
+                    r.heard_count += 1;
                 }
             }
         }
@@ -434,46 +536,38 @@ impl<M: RouteMetric> RoutingTable<M> {
     /// Removes routes not refreshed within `timeout` and unreachable
     /// (metric-capped) routes, returning the purged destinations.
     pub fn purge(&mut self, now: Duration, timeout: Duration) -> Vec<Address> {
-        let dead: Vec<Address> = self
-            .routes
-            .values()
-            .filter(|r| {
-                now.saturating_sub(r.last_seen) >= timeout
-                    || r.metric >= RoutingTable::INFINITY_METRIC
-            })
-            .map(|r| r.destination)
-            .collect();
-        self.remove_all(&dead);
-        dead
+        self.remove_where(|r| {
+            now.saturating_sub(r.last_seen) >= timeout || r.metric >= RoutingTable::INFINITY_METRIC
+        })
     }
 
     /// Removes every route through `via` (used when a neighbour is deemed
     /// lost), returning the affected destinations.
     pub fn drop_via(&mut self, via: Address) -> Vec<Address> {
-        let dead: Vec<Address> = self
-            .routes
-            .values()
-            .filter(|r| r.via == via)
-            .map(|r| r.destination)
-            .collect();
-        self.remove_all(&dead);
-        dead
+        self.remove_where(|r| r.via == via)
     }
 
-    /// The removal half of `purge` and `drop_via`.
-    fn remove_all(&mut self, dead: &[Address]) {
+    /// `purge` and `drop_via`: one pass that drops the `dead` routes and
+    /// returns their destinations (address order).
+    fn remove_where(&mut self, dead: impl Fn(&Route) -> bool) -> Vec<Address> {
+        let mut removed = Vec::new();
+        let earliest = self.earliest_seen;
         let mut stale = false;
-        for d in dead {
-            if let Some(r) = self.routes.remove(d) {
-                stale |= self.earliest_seen == Some(r.last_seen);
+        self.routes.retain(|r| {
+            let dead = dead(r);
+            if dead {
+                stale |= earliest == Some(r.last_seen);
+                removed.push(r.destination);
             }
-        }
+            !dead
+        });
         if stale {
             self.earliest_seen = self.scan_earliest();
         }
-        if !dead.is_empty() {
+        if !removed.is_empty() {
             self.touch();
         }
+        removed
     }
 
     /// The earliest instant at which some route will time out, given the
@@ -489,14 +583,7 @@ impl<M: RouteMetric> RoutingTable<M> {
     /// The table as Hello-broadcast entries (address order).
     #[must_use]
     pub fn as_entries(&self) -> Vec<RouteEntry> {
-        self.routes
-            .values()
-            .map(|r| RouteEntry {
-                address: r.destination,
-                metric: r.metric,
-                role: r.role,
-            })
-            .collect()
+        self.routes.iter().map(Route::as_entry).collect()
     }
 
     /// The bytes this table occupies in a Hello frame.
@@ -513,7 +600,7 @@ impl<M: RouteMetric> core::fmt::Display for RoutingTable<M> {
         if self.routes.is_empty() {
             return writeln!(f, "(no routes)");
         }
-        for r in self.routes.values() {
+        for r in &self.routes {
             writeln!(
                 f,
                 "{} via {}  metric={:<2} role={:#04x} snr={:+.1} seen@{:.0}s",
@@ -664,6 +751,22 @@ mod tests {
         assert!(t.route(Address::BROADCAST).is_none());
         // Only the neighbour itself was learned.
         assert_eq!(t.len(), 1);
+    }
+
+    /// No table holds its owner, so no honest hello carries metric 0;
+    /// adopting one would list a never-heard node as a direct neighbour.
+    #[test]
+    fn metric_zero_adverts_are_ignored() {
+        let mut t = RoutingTable::new();
+        assert_eq!(t.apply_hello(ME, N2, 0, &[entry(N3, 0)], 0.0, NOW), 0);
+        assert!(t.route(N3).is_none());
+        // Nor does one rewrite a route already held through the sender.
+        t.apply_hello(ME, N2, 0, &[entry(N3, 2)], 0.0, NOW);
+        let before = *t.route(N3).unwrap();
+        assert_eq!(t.apply_hello(ME, N2, 0, &[entry(N3, 0)], 0.0, NOW), 0);
+        assert_eq!(*t.route(N3).unwrap(), before);
+        let direct: Vec<Address> = t.neighbours().map(|r| r.destination).collect();
+        assert_eq!(direct, vec![N2]);
     }
 
     #[test]

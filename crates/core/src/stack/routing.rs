@@ -21,7 +21,7 @@ use crate::codec::{self, HelloView};
 use crate::config::MeshConfig;
 use crate::error::SendError;
 use crate::packet::{Packet, RouteEntry};
-use crate::routing::RoutingTable;
+use crate::routing::{Route, RoutingTable};
 use crate::stack::app::MeshEvent;
 use crate::stack::bus::Bus;
 use crate::stack::mac::WireCache;
@@ -136,8 +136,12 @@ impl RoutingLayer {
                 entries: self.hello_entries.clone(),
             }
         } else {
-            let mut entries = self.table.as_entries();
-            entries.truncate(codec::MAX_HELLO_ENTRIES);
+            let entries = self
+                .table
+                .routes()
+                .take(codec::MAX_HELLO_ENTRIES)
+                .map(Route::as_entry)
+                .collect();
             let hello = Packet::Hello {
                 src: config.address,
                 id,

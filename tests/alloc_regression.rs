@@ -39,7 +39,9 @@
 //! work is the hello round, and a node may allocate for the hello it
 //! *sends* (its queued `Packet` carries the entry list) but not for the
 //! several it *hears* — those are applied to the routing table straight
-//! from the frame bytes.
+//! from the frame bytes. Its formation counterpart pins what learning
+//! routes costs: the table is one vector, so 255 routes are a handful of
+//! doublings, not an allocation per few routes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -48,6 +50,8 @@ use std::time::Duration;
 
 use lora_phy::link::SignalQuality;
 use lora_phy::propagation::Position;
+use loramesher::packet::RouteEntry;
+use loramesher::{Address, RoutingTable};
 use radio_sim::firmware::{Context, Firmware};
 use radio_sim::mobility::Mobility;
 use radio_sim::{topology, SimConfig, Simulator};
@@ -369,5 +373,39 @@ fn mesh_steady_state_allocates_per_hello_sent_not_per_hello_heard() {
         allocs <= 2 * sent + sent / 8,
         "{allocs} allocations for {sent} hellos sent ({heard} heard): \
          the receive path allocates per hello heard"
+    );
+}
+
+/// Formation: a node learning a 256-node mesh from full hellos — the
+/// sender's own route plus 254 advertised ones, arriving interleaved so
+/// most land *between* routes already held — allocates only when the
+/// table's one vector doubles: at most ⌈log₂ 255⌉ + 1 times.
+#[test]
+fn learning_255_routes_allocates_only_to_double_the_table() {
+    let (me, neighbour) = (Address::new(1), Address::new(2));
+    let hello = |residue: u16| -> Vec<RouteEntry> {
+        (3..=256)
+            .filter(|a| a % 5 == residue)
+            .map(|a| RouteEntry {
+                address: Address::new(a),
+                metric: 2,
+                role: 0,
+            })
+            .collect()
+    };
+    let hellos: Vec<Vec<RouteEntry>> = (0..5).map(hello).collect();
+    let mut table = RoutingTable::new();
+    let allocs_before = local_allocs();
+    for (i, entries) in hellos.iter().enumerate() {
+        assert!(entries.len() <= 61, "{} entries", entries.len());
+        let now = Duration::from_secs(i as u64);
+        table.apply_hello(me, neighbour, 0, entries, 0.0, now);
+    }
+    let allocs = local_allocs() - allocs_before;
+    assert_eq!(table.len(), 255);
+    let doublings = 9; // ⌈log₂ 255⌉ + 1
+    assert!(
+        allocs <= doublings,
+        "{allocs} allocations to learn 255 routes: more than {doublings} vector doublings"
     );
 }

@@ -233,9 +233,8 @@ fn routing_invariants() {
                     "via {} not a neighbour",
                     route.via
                 );
-                if route.via == route.destination {
-                    prop_assert_eq!(route.metric, 1);
-                }
+                // Direct means heard: a metric-1 route is never hearsay.
+                prop_assert_eq!(route.via == route.destination, route.metric == 1);
             }
             prop_assert_eq!(table.wire_size(), table.len() * codec::ROUTE_ENTRY_LEN);
             Ok(())
