@@ -8,25 +8,23 @@
 //! **at least** `r_max`, so every node within `r_max` of a position `p`
 //! lies in the 3×3 block of cells around `p`'s cell — any point closer
 //! than one cell side can shift the cell index by at most one per axis.
-//! [`Grid::candidates_into`] therefore returns a *superset* of the
+//! [`Grid::for_each_candidate`] therefore visits a *superset* of the
 //! audible set by scanning at most nine cells instead of all n nodes.
 //!
-//! Two properties keep the grid behaviourally invisible:
+//! **Soundness** is the one property the engine relies on — candidates
+//! ⊇ every node within `r_max` (`tests/grid_model.rs` checks this
+//! against brute force). A node *outside* the candidate set is provably
+//! inaudible, so a link row never needs to look at it: rows hold the
+//! audible set only and *absent ≡ silent*
+//! ([`crate::link_cache`]). The visit order is unspecified (cell by
+//! cell); a row fill sorts the few audible survivors, so audible lists
+//! and float-sum orders are still byte-identical to a full ascending
+//! scan's. [`Grid::candidates_into`] is the same visit, sorted.
 //!
-//! * **Soundness** — candidates ⊇ every node within `r_max`
-//!   (`tests/grid_model.rs` checks this against brute force). A node
-//!   *outside* the candidate set is provably inaudible, so a link-cache
-//!   row may simply omit it: the omitted entry reads as silent, exactly
-//!   what the full computation would conclude for the audibility flag,
-//!   and sub-sensitivity powers are never read (interference sums are
-//!   audibility-gated — DESIGN.md, "Sharded engine").
-//! * **Determinism** — candidates are emitted in ascending node-index
-//!   order, so audible lists and float-sum orders are byte-identical to
-//!   the full scan's.
-//!
-//! The grid is value-only state, rebuilt from scratch (O(n)) on exactly
-//! the invalidation events the link cache already handles: mobility
-//! ticks, explicit `set_position` calls and node additions.
+//! The grid is value-only state, rebuilt from scratch (O(n), no
+//! allocation after the first build) on exactly the events that move a
+//! node: mobility ticks, explicit `set_position` calls and node
+//! additions.
 
 use lora_phy::propagation::Position;
 
@@ -55,6 +53,9 @@ pub struct Grid {
     starts: Vec<u32>,
     /// Node indices grouped by cell, ascending within each cell.
     items: Vec<u32>,
+    /// Per-cell write positions of the counting sort, kept between
+    /// rebuilds so a rebuild allocates nothing.
+    cursor: Vec<u32>,
 }
 
 impl Grid {
@@ -125,7 +126,9 @@ impl Grid {
         }
         self.items.clear();
         self.items.resize(n, 0);
-        let mut cursor = self.starts.clone();
+        let mut cursor = std::mem::take(&mut self.cursor);
+        cursor.clear();
+        cursor.extend_from_slice(&self.starts);
         for (i, p) in positions.enumerate() {
             let c = self.cell_of(p);
             if let Some(slot) = cursor.get_mut(c) {
@@ -137,6 +140,7 @@ impl Grid {
                 *slot += 1;
             }
         }
+        self.cursor = cursor;
     }
 
     /// Number of cells along one axis covering a span of `extent`.
@@ -170,26 +174,38 @@ impl Grid {
         }
     }
 
-    /// Appends to `out` every node index whose cell is within one cell
-    /// of `p`'s — a superset of all nodes within `r_max` of `p` — in
-    /// ascending index order. `out` is cleared first.
-    pub fn candidates_into(&self, p: Position, out: &mut Vec<usize>) {
-        out.clear();
+    /// The 3×3 block of cells around `p` as at most three slices of
+    /// node indices: the cells of one grid row are adjacent in the CSR
+    /// layout, so each row of the block is one contiguous run.
+    fn block(&self, p: Position) -> impl Iterator<Item = &[u32]> + '_ {
         let col = Self::axis_index(p.x - self.min_x, self.cell, self.cols);
         let row = Self::axis_index(p.y - self.min_y, self.cell, self.rows);
-        for r in row.saturating_sub(1)..(row + 2).min(self.rows) {
-            for c in col.saturating_sub(1)..(col + 2).min(self.cols) {
-                let cell = r * self.cols + c;
-                let lo = self.starts.get(cell).map_or(0, |&s| s as usize);
-                let hi = self.starts.get(cell + 1).map_or(0, |&s| s as usize);
-                if let Some(slice) = self.items.get(lo..hi) {
-                    out.extend(slice.iter().map(|&i| i as usize));
-                }
+        let (c0, c1) = (col.saturating_sub(1), (col + 2).min(self.cols));
+        (row.saturating_sub(1)..(row + 2).min(self.rows)).filter_map(move |r| {
+            let lo = *self.starts.get(r * self.cols + c0)? as usize;
+            let hi = *self.starts.get(r * self.cols + c1)? as usize;
+            self.items.get(lo..hi)
+        })
+    }
+
+    /// Calls `visit` with every node index whose cell is within one
+    /// cell of `p`'s — a superset of all nodes within `r_max` of `p` —
+    /// each exactly once, in no particular order.
+    pub fn for_each_candidate(&self, p: Position, mut visit: impl FnMut(usize)) {
+        for run in self.block(p) {
+            for &i in run {
+                visit(i as usize);
             }
         }
-        // Cells are disjoint and each slice is ascending, so a sort (no
-        // dedup) restores one global ascending order. The 3×3 block is
-        // small; sort_unstable on tens of entries is cheap.
+    }
+
+    /// [`Grid::for_each_candidate`] collected into `out` (cleared first)
+    /// in ascending index order.
+    pub fn candidates_into(&self, p: Position, out: &mut Vec<usize>) {
+        out.clear();
+        self.for_each_candidate(p, |i| out.push(i));
+        // Cells are disjoint, so a sort (no dedup) yields one global
+        // ascending order.
         out.sort_unstable();
     }
 
@@ -198,18 +214,7 @@ impl Grid {
     /// world into shard bands.
     #[must_use]
     pub fn degree(&self, p: Position) -> usize {
-        let col = Self::axis_index(p.x - self.min_x, self.cell, self.cols);
-        let row = Self::axis_index(p.y - self.min_y, self.cell, self.rows);
-        let mut total = 0usize;
-        for r in row.saturating_sub(1)..(row + 2).min(self.rows) {
-            for c in col.saturating_sub(1)..(col + 2).min(self.cols) {
-                let cell = r * self.cols + c;
-                let lo = self.starts.get(cell).map_or(0, |&s| s as usize);
-                let hi = self.starts.get(cell + 1).map_or(0, |&s| s as usize);
-                total += hi.saturating_sub(lo);
-            }
-        }
-        total
+        self.block(p).map(<[u32]>::len).sum()
     }
 
     /// The cell side the last rebuild settled on (test introspection).

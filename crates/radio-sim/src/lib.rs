@@ -24,8 +24,8 @@
 //! * [`rng`] — a seedable, forkable xoshiro256++ PRNG ([`SimRng`]).
 //! * [`event`] — the deterministic event queue.
 //! * [`medium`] — the shared channel: who hears whom, collisions, capture.
-//! * [`link_cache`] — per-topology-epoch cache of link budgets and
-//!   audible-neighbor lists (the hot-path accelerator).
+//! * [`link_cache`] — each node's audible set with its link budgets,
+//!   filled lazily and refilled in place (the hot-path accelerator).
 //! * [`grid`] — uniform spatial grid bounding each node's audibility
 //!   candidates (flattens link-row fills from O(n) to local density).
 //! * [`shard`] — spatial partitioning for the sharded event engine.

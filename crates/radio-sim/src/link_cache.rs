@@ -1,40 +1,43 @@
-//! Per-topology-epoch cache of link budgets and audible-neighbor lists.
+//! Per-node cache of **audible sets**: for each sender, the nodes that
+//! can hear it, ascending, with the link budget toward each.
 //!
 //! Path-loss and shadowing math is deterministic in the endpoint
-//! positions, so between position changes every `(a, b)` pair has a
-//! fixed received power. The uncached simulator nevertheless recomputes
-//! it (two `log10` calls and a `powf`) for every pair on every frame —
-//! the dominant cost of large simulations. [`LinkCache`] computes each
-//! link budget **once per topology epoch**:
+//! positions, so [`LinkCache`] computes a sender's links once per
+//! *fill* — lazily, on its first transmission (or CAD/interferer
+//! lookup) after something within its reach moved — and answers later
+//! frames from the row. A row holds what its two readers consume —
+//! fan-out walks [`LinkRow::audible`], interferer seeding and CAD ask
+//! [`LinkRow::heard`] about one pair — and nothing else.
 //!
-//! * Rows are filled lazily: the first transmission from node `i` in an
-//!   epoch computes row `i`; later frames are lookups.
-//! * Links are symmetric (equal antenna gains, per-pair shadowing), so a
-//!   row reuses entries already computed by other rows bit-for-bit.
-//! * Each row carries the node's **audible-neighbor list** — the sorted
-//!   indices of nodes that can hear it — so transmission fan-out,
-//!   interferer seeding and CAD scans iterate only nodes that matter
-//!   instead of all N.
+//! **Absent ≡ silent.** A node not in the row is inaudible, and an
+//! inaudible link's power is never read (interference sums are
+//! audibility-gated — DESIGN.md, "Sharded engine"), so a node no
+//! candidate scan ever visits reads exactly like one that was visited
+//! and found too weak.
 //!
-//! Rows are **sparse**: a row holds links only for the *candidate set*
-//! it was filled with — the 3×3-cell neighborhood from
-//! [`crate::grid::Grid`] when the spatial grid is on, or every node when
-//! it is off. A node absent from the candidate set is farther than
-//! `max_audible_range`, so [`LinkRow::get`] answers [`Link::silent`] for
-//! it: the audibility flag matches what a fresh computation would
-//! conclude, and sub-sensitivity powers are never read (interference
-//! sums are audibility-gated), so sparse and dense rows are
-//! behaviourally identical. This drops both the O(n) scan per row fill
-//! and the O(n²) memory of dense rows.
+//! [`LinkRow::fill`] is the one fill routine (coordinator, parallel
+//! prefetch and band workers all call it), and it makes a row a pure
+//! function of the positions: who fills it, in which order and on which
+//! thread cannot matter. Links are symmetric, but rows do not borrow
+//! entries from each other: the lookups cost more than the arithmetic
+//! they saved, and would make a row depend on which others are cached.
 //!
-//! The cache holds *values*, never decisions: the simulator invalidates
-//! it wholesale on every mobility tick, node addition and explicit
-//! position change, which keeps cached and uncached runs byte-identical
-//! (see `tests/link_cache_diff.rs`).
+//! Rows keep their buffers across invalidation, so a mobile world's
+//! refills allocate nothing. The cache holds *values*, never decisions:
+//! the simulator invalidates every row on a node addition or explicit
+//! position change, and on a mobility tick either every row or, on the
+//! sharded engine, exactly the rows of bands a mover could reach;
+//! cached and uncached runs stay byte-identical (see
+//! `tests/link_cache_diff.rs` and `crates/radio-sim/tests/row_model.rs`).
 
 use lora_phy::power::Dbm;
+use lora_phy::propagation::Position;
 
-/// The cached budget of one directed link (symmetric in practice).
+use crate::firmware::NodeId;
+use crate::grid::Grid;
+use crate::medium::Medium;
+
+/// The budget of one directed link (symmetric in practice).
 #[derive(Clone, Copy, Debug)]
 pub struct Link {
     /// Received power in dBm.
@@ -46,7 +49,7 @@ pub struct Link {
 }
 
 impl Link {
-    /// A self-link / beyond-range placeholder carrying no power.
+    /// A self-link / inaudible placeholder carrying no power.
     #[must_use]
     pub fn silent() -> Self {
         Link {
@@ -57,47 +60,134 @@ impl Link {
     }
 }
 
-/// One node's cached links to its audibility candidates.
-#[derive(Clone, Debug)]
+/// One audible neighbour of a row's node.
+#[derive(Clone, Copy, Debug)]
+pub struct Neighbour {
+    /// The neighbour's node index (node count < 2³² by construction).
+    pub node: u32,
+    /// Received power in dBm.
+    pub power: Dbm,
+    /// Received power in linear milliwatts.
+    pub power_mw: f64,
+}
+
+impl Neighbour {
+    /// The entry as an (audible) [`Link`].
+    #[must_use]
+    pub fn link(&self) -> Link {
+        Link {
+            power: self.power,
+            power_mw: self.power_mw,
+            audible: true,
+        }
+    }
+}
+
+/// Slack of the squared-distance gate in [`LinkRow::fill`]: a candidate
+/// is skipped only when `dx² + dy² > r_max² · GATE_SLACK`. The rounding
+/// of two squares, a sum and the bound is a few 10⁻¹⁶, so a skipped pair
+/// is farther than `r_max` in exact arithmetic and by `hypot` alike —
+/// the proof obligation [`crate::shard::beyond_range`] and the grid
+/// rest on, in a form that costs no square root.
+const GATE_SLACK: f64 = 1.0 + 1e-9;
+
+/// One node's audible set.
+#[derive(Clone, Debug, Default)]
 pub struct LinkRow {
-    /// Sorted node indices this row holds links for: the candidate set
-    /// at fill time (every node when the spatial grid is off).
-    cand: Vec<usize>,
-    /// Link budgets parallel to `cand`.
-    links: Vec<Link>,
-    /// Sorted indices of the nodes that can hear this node (⊆ `cand`).
-    pub audible: Vec<usize>,
+    /// The nodes that can hear this node, ascending by index.
+    pub audible: Vec<Neighbour>,
+    /// The [`LinkCache`] epoch this row was filled in; the row is valid
+    /// while the two match (0 = never filled or invalidated).
+    filled: u64,
 }
 
 impl LinkRow {
-    /// The link toward node `j`; [`Link::silent`] when `j` is not a
-    /// candidate (which proves `j` is beyond audible range).
+    /// The entry for node `j` if it can hear this node.
     #[must_use]
-    pub fn get(&self, j: usize) -> Link {
-        // Dense rows (grid off) have cand[k] == k: O(1) fast path.
-        if let (Some(&cj), Some(&link)) = (self.cand.get(j), self.links.get(j)) {
-            if cj == j {
-                return link;
-            }
-        }
-        match self.cand.binary_search(&j) {
-            Ok(k) => self.links.get(k).copied().unwrap_or_else(Link::silent),
-            Err(_) => Link::silent(),
-        }
+    pub fn heard(&self, j: usize) -> Option<&Neighbour> {
+        let j = u32::try_from(j).ok()?;
+        let k = self.audible.binary_search_by_key(&j, |n| n.node).ok()?;
+        self.audible.get(k)
     }
 
-    /// Iterates `(node index, link)` pairs in ascending index order.
-    pub fn entries(&self) -> impl Iterator<Item = (usize, Link)> + '_ {
-        self.cand.iter().copied().zip(self.links.iter().copied())
+    /// The link toward node `j`; [`Link::silent`] when `j` is not in the
+    /// audible set.
+    #[must_use]
+    pub fn get(&self, j: usize) -> Link {
+        self.heard(j).map_or_else(Link::silent, Neighbour::link)
+    }
+
+    /// Refills the row with node `i`'s audible set among `n` nodes at
+    /// positions `at(·)`, reusing the row's buffer. Candidates come from
+    /// `grid` (which must have been built over the same positions with
+    /// `r_max`) or, without one, are all of `0..n`; `r_max` is
+    /// [`crate::shard::max_audible_range`] of `medium`'s configuration.
+    ///
+    /// Everything the distance gate keeps goes through the exact
+    /// [`Medium::received_power`]/[`Medium::audible`] math, so the result
+    /// equals a brute-force scan of every node bit for bit (a non-finite
+    /// squared distance is never skipped; it takes the exact path).
+    pub fn fill(
+        &mut self,
+        i: usize,
+        n: usize,
+        at: impl Fn(usize) -> Position,
+        medium: &Medium,
+        grid: Option<&Grid>,
+        r_max: f64,
+    ) {
+        let (here, limit) = (at(i), r_max * r_max * GATE_SLACK);
+        let audible = &mut self.audible;
+        audible.clear();
+        let mut consider = |j: usize| {
+            let there = at(j);
+            let (dx, dy) = (here.x - there.x, here.y - there.y);
+            if j == i || dx * dx + dy * dy > limit {
+                return;
+            }
+            let power = medium.received_power(&here, &there, NodeId(i), NodeId(j));
+            if medium.audible(power) {
+                audible.push(Neighbour {
+                    node: j as u32,
+                    power,
+                    power_mw: power.to_milliwatts().value(),
+                });
+            }
+        };
+        match grid {
+            Some(grid) => grid.for_each_candidate(here, consider),
+            None => (0..n).for_each(&mut consider),
+        }
+        // Ascending order is what keeps fan-out and interferer-sum order
+        // — hence every float sum — independent of the visit order.
+        audible.sort_unstable_by_key(|n| n.node);
+    }
+
+    /// Refills the row from explicit candidates: the audible links among
+    /// `compute(j)` for `j` in `cands` (ascending), `i` itself excluded.
+    fn collect(&mut self, i: usize, cands: &[usize], mut compute: impl FnMut(usize) -> Link) {
+        self.audible.clear();
+        for &j in cands.iter().filter(|&&j| j != i) {
+            let link = compute(j);
+            if link.audible {
+                self.audible.push(Neighbour {
+                    node: j as u32,
+                    power: link.power,
+                    power_mw: link.power_mw,
+                });
+            }
+        }
     }
 }
 
-/// Lazily filled symmetric matrix of link budgets, invalidated wholesale
-/// whenever any position may have changed — or row-by-row by the sharded
-/// engine, which knows which spatial bands a mobility tick touched.
+/// Lazily filled audible sets, one row per node. Invalidation is O(1)
+/// for all rows (an epoch bump) or one row, and never frees a buffer.
 #[derive(Debug, Default)]
 pub struct LinkCache {
-    rows: Vec<Option<LinkRow>>,
+    rows: Vec<LinkRow>,
+    /// Rows filled in this epoch are valid. At least 1 once rows exist
+    /// ([`LinkCache::resize`] bumps it), so a row's 0 is never valid.
+    epoch: u64,
     /// Rows filled since construction (cache-rebuild accounting for the
     /// scoped-invalidation regression tests; not part of any metric).
     rebuilds: u64,
@@ -122,42 +212,40 @@ impl LinkCache {
         self.rows.is_empty()
     }
 
-    /// Resizes for `n` nodes, dropping every cached row (a new node
-    /// changes neighbor lists).
+    /// Resizes for `n` nodes and invalidates every row (a new node
+    /// changes neighbor lists). Growing by one is amortised O(1).
     pub fn resize(&mut self, n: usize) {
-        self.rows.clear();
-        self.rows.resize_with(n, || None);
+        self.rows.resize_with(n, LinkRow::default);
+        self.invalidate_all();
     }
 
-    /// Drops every cached row. Called on any event that may move a node
+    /// Invalidates every row. Called on any event that may move a node
     /// (mobility tick, explicit position change).
     pub fn invalidate_all(&mut self) {
-        for row in &mut self.rows {
-            *row = None;
-        }
+        self.epoch += 1;
     }
 
-    /// Drops one node's cached row, leaving the others in place. The
+    /// Invalidates one node's row, leaving the others in place. The
     /// sharded engine calls this for exactly the rows a mobility tick
-    /// could have changed; rows it leaves cached may retain stale
-    /// *sub-sensitivity* powers toward moved far-away nodes, which the
-    /// simulator provably never reads (interference is audibility-gated).
+    /// could have changed: a row it leaves valid belongs to a node no
+    /// mover came within reach of, so its audible set and every power
+    /// in it are still exact.
     pub fn invalidate_row(&mut self, i: usize) {
         if let Some(row) = self.rows.get_mut(i) {
-            *row = None;
+            row.filled = 0;
         }
     }
 
-    /// Whether row `i` is currently cached (prefetch planning).
+    /// Whether row `i` is currently valid (prefetch planning).
     #[must_use]
     pub fn has_row(&self, i: usize) -> bool {
-        self.rows.get(i).is_some_and(Option::is_some)
+        self.cached(i).is_some()
     }
 
-    /// The cached row for `i`, if one is filled this epoch.
+    /// Row `i`, if it is valid.
     #[must_use]
     pub fn cached(&self, i: usize) -> Option<&LinkRow> {
-        self.rows.get(i).and_then(Option::as_ref)
+        self.rows.get(i).filter(|row| row.filled == self.epoch)
     }
 
     /// Number of row fills since construction — how many times a
@@ -167,72 +255,53 @@ impl LinkCache {
         self.rebuilds
     }
 
-    /// Row `i`, computing it on first access this epoch over the given
-    /// sorted candidate set. `compute(j)` must return the link budget
-    /// between nodes `i` and `j`; it is only invoked for pairs no other
-    /// cached row already covers (links are symmetric, so entry `i` of a
-    /// cached row `j` is reused directly).
+    /// Row `i`, refilled in place by `fill` first unless it is valid.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache is not sized for node `i`.
+    pub fn ensure(&mut self, i: usize, fill: impl FnOnce(&mut LinkRow)) -> &LinkRow {
+        let row = &mut self.rows[i];
+        if row.filled != self.epoch {
+            fill(row);
+            row.filled = self.epoch;
+            self.rebuilds += 1;
+        }
+        row
+    }
+
+    /// Row `i`, computed on first access from explicit candidates: the
+    /// audible links among `compute(j)` for `j` in the ascending `cands`.
+    /// For callers that bring their own link function (the benchmark's
+    /// kernels, unit tests); the engine fills through [`LinkRow::fill`].
     pub fn row(
         &mut self,
         i: usize,
         cands: &[usize],
         compute: impl FnMut(usize) -> Link,
     ) -> &LinkRow {
-        if !self.has_row(i) {
-            let row = self.compute_row(i, cands, compute);
-            self.install(i, row);
-        }
-        self.rows
-            .get(i)
-            .and_then(Option::as_ref)
-            .expect("row just filled")
+        self.ensure(i, |row| row.collect(i, cands, compute))
     }
 
-    /// Installs a row computed elsewhere (the parallel prefetch path).
-    /// Counts as a rebuild; an already-cached row is left untouched so
-    /// prefetch can never clobber fresher lazy fills.
+    /// Installs a row filled elsewhere (parallel prefetch, a band
+    /// worker's overlay). Counts as a rebuild; a valid row is left
+    /// untouched, so an install can never clobber a fresher fill.
     pub fn install(&mut self, i: usize, row: LinkRow) {
-        if !self.has_row(i) {
-            self.rebuilds += 1;
-            if let Some(slot) = self.rows.get_mut(i) {
-                *slot = Some(row);
-            }
-        }
+        self.ensure(i, |slot| slot.audible = row.audible);
     }
 
-    /// Computes the row value for `i` over `cands` without touching the
-    /// cache — the pure function worker threads evaluate during parallel
-    /// prefetch. Symmetric reuse only consults rows already cached at
-    /// call time (deterministic: the cached set is fixed while workers
-    /// run), so an installed prefetched row is bit-identical to the row
-    /// a lazy fill would have produced.
+    /// [`LinkCache::row`]'s value as a free-standing row, without
+    /// touching the cache.
     #[must_use]
     pub fn compute_row(
         &self,
         i: usize,
         cands: &[usize],
-        mut compute: impl FnMut(usize) -> Link,
+        compute: impl FnMut(usize) -> Link,
     ) -> LinkRow {
-        let mut links = Vec::with_capacity(cands.len());
-        let mut audible = Vec::new();
-        for &j in cands {
-            let link = if j == i {
-                Link::silent()
-            } else if let Some(other) = self.rows.get(j).and_then(Option::as_ref) {
-                other.get(i)
-            } else {
-                compute(j)
-            };
-            if link.audible {
-                audible.push(j);
-            }
-            links.push(link);
-        }
-        LinkRow {
-            cand: cands.to_vec(),
-            links,
-            audible,
-        }
+        let mut row = LinkRow::default();
+        row.collect(i, cands, compute);
+        row
     }
 }
 
@@ -252,75 +321,51 @@ mod tests {
         (0..n).collect()
     }
 
+    fn nodes(row: &LinkRow) -> Vec<u32> {
+        row.audible.iter().map(|n| n.node).collect()
+    }
+
     #[test]
-    fn rows_fill_lazily_and_reuse_symmetry() {
+    fn rows_fill_lazily_and_independently() {
         let mut cache = LinkCache::new();
         cache.resize(4);
         let mut computed = Vec::new();
         let row0 = cache.row(0, &all(4), |j| {
-            computed.push((0, j));
+            computed.push(j);
             link(-80.0 - j as f64, true)
         });
-        assert_eq!(row0.audible, vec![1, 2, 3]);
-        assert_eq!(computed, vec![(0, 1), (0, 2), (0, 3)]);
+        assert_eq!(nodes(row0), vec![1, 2, 3]);
+        assert_eq!(computed, vec![1, 2, 3], "the self-link is never computed");
 
-        // Row 1 must reuse (0,1) from row 0 and only compute (1,2), (1,3).
+        // Row 1 is its own function of the candidates: nothing is
+        // borrowed from row 0.
         let mut computed = Vec::new();
         let row1 = cache.row(1, &all(4), |j| {
-            computed.push((1, j));
-            link(-90.0, false)
+            computed.push(j);
+            link(-90.0, j == 0)
         });
-        assert_eq!(computed, vec![(1, 2), (1, 3)]);
-        assert!((row1.get(0).power.value() - (-81.0)).abs() < 1e-12);
-        assert_eq!(row1.audible, vec![0]);
+        assert_eq!(computed, vec![0, 2, 3]);
+        assert_eq!(nodes(row1), vec![0]);
+        assert_eq!(row1.get(0).power.value().to_bits(), (-90.0f64).to_bits());
 
         // A second access computes nothing.
         let _ = cache.row(0, &all(4), |_| panic!("row 0 is cached"));
     }
 
     #[test]
-    fn sparse_rows_answer_silent_for_non_candidates() {
+    fn absent_nodes_read_silent() {
         let mut cache = LinkCache::new();
         cache.resize(5);
-        // Row 2's candidates are {1, 2, 3} only.
-        let row = cache.row(2, &[1, 2, 3], |_| link(-70.0, true));
-        assert_eq!(row.audible, vec![1, 3]);
+        // Row 2's candidates are {1, 2, 3}; 3 is too weak to hear it.
+        let row = cache.row(2, &[1, 2, 3], |j| link(-70.0, j == 1));
+        assert_eq!(nodes(row), vec![1]);
         assert!(row.get(1).audible);
-        assert!(!row.get(0).audible, "non-candidate must read silent");
-        assert!(!row.get(4).audible);
-        assert_eq!(row.get(4).power_mw, 0.0);
-        // Entries iterate the candidate set in order.
-        let idx: Vec<usize> = row.entries().map(|(j, _)| j).collect();
-        assert_eq!(idx, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn symmetric_reuse_across_sparse_rows() {
-        let mut cache = LinkCache::new();
-        cache.resize(4);
-        let _ = cache.row(0, &[0, 1], |_| link(-77.0, true));
-        // Row 1 reuses (0,1) from row 0; only (1,2) is fresh.
-        let mut computed = Vec::new();
-        let row1 = cache.row(1, &[0, 1, 2], |j| {
-            computed.push(j);
-            link(-95.0, false)
-        });
-        assert_eq!(computed, vec![2]);
-        assert!((row1.get(0).power.value() - (-77.0)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn invalidate_all_recomputes() {
-        let mut cache = LinkCache::new();
-        cache.resize(2);
-        let _ = cache.row(0, &all(2), |_| link(-80.0, true));
-        cache.invalidate_all();
-        let mut calls = 0;
-        let _ = cache.row(0, &all(2), |_| {
-            calls += 1;
-            link(-80.0, true)
-        });
-        assert_eq!(calls, 1);
+        assert!(row.heard(1).is_some());
+        for j in [0, 2, 3, 4, usize::MAX] {
+            assert!(row.heard(j).is_none());
+            assert!(!row.get(j).audible, "node {j} must read silent");
+            assert_eq!(row.get(j).power_mw, 0.0);
+        }
     }
 
     #[test]
@@ -331,19 +376,18 @@ mod tests {
         let _ = cache.row(1, &all(3), |_| link(-85.0, true));
         assert_eq!(cache.rebuilds(), 2);
         cache.invalidate_row(0);
-        // Row 1 must survive; row 0 must refill (one more rebuild).
+        assert!(!cache.has_row(0));
+        // Row 1 must survive; row 0 must refill (one more rebuild) with
+        // the new values, not what its retained buffer held.
         let _ = cache.row(1, &all(3), |_| panic!("row 1 was not invalidated"));
-        let mut calls = 0;
-        let _ = cache.row(0, &all(3), |_| {
-            calls += 1;
-            link(-80.0, true)
-        });
-        assert_eq!(calls, 1, "only the uncached pair (0,2) is recomputed");
+        let row0 = cache.row(0, &all(3), |j| link(-60.0, j == 2));
+        assert_eq!(nodes(row0), vec![2]);
+        assert_eq!(row0.get(2).power.value().to_bits(), (-60.0f64).to_bits());
         assert_eq!(cache.rebuilds(), 3);
     }
 
     #[test]
-    fn resize_clears_and_grows() {
+    fn resize_and_invalidate_all_drop_every_row() {
         let mut cache = LinkCache::new();
         cache.resize(2);
         let _ = cache.row(1, &all(2), |_| link(-80.0, true));
@@ -356,34 +400,30 @@ mod tests {
         });
         assert_eq!(calls, 2, "old rows must not survive a resize");
         assert!(row.audible.is_empty());
+        cache.invalidate_all();
+        assert!(cache.cached(1).is_none());
+        let _ = cache.row(1, &all(3), |_| link(-80.0, true));
+        assert_eq!(cache.rebuilds(), 3);
     }
 
     #[test]
     fn compute_row_matches_lazy_fill_bit_for_bit() {
-        let budget = |i: usize, j: usize| link(-70.0 - (i + j) as f64, !(i + j).is_multiple_of(3));
+        let budget = |j: usize| link(-70.0 - j as f64, !j.is_multiple_of(3));
+        let bits = |row: &LinkRow| -> Vec<(u32, u64, u64)> {
+            let entry = |n: &Neighbour| (n.node, n.power.value().to_bits(), n.power_mw.to_bits());
+            row.audible.iter().map(entry).collect()
+        };
         let mut lazy = LinkCache::new();
-        lazy.resize(4);
-        let _ = lazy.row(1, &all(4), |j| budget(1, j));
-        let expected = lazy.row(2, &all(4), |j| budget(2, j)).clone();
+        lazy.resize(5);
+        let expected = bits(lazy.row(2, &all(5), budget));
 
         let mut pre = LinkCache::new();
-        pre.resize(4);
-        let _ = pre.row(1, &all(4), |j| budget(1, j));
-        let computed = pre.compute_row(2, &all(4), |j| budget(2, j));
+        pre.resize(5);
+        let computed = pre.compute_row(2, &all(5), budget);
         pre.install(2, computed);
-        let row = pre.row(2, &all(4), |_| panic!("row 2 was installed"));
-        assert_eq!(row.audible, expected.audible);
-        for j in 0..4 {
-            assert_eq!(
-                row.get(j).power.value().to_bits(),
-                expected.get(j).power.value().to_bits()
-            );
-            assert_eq!(
-                row.get(j).power_mw.to_bits(),
-                expected.get(j).power_mw.to_bits()
-            );
-            assert_eq!(row.get(j).audible, expected.get(j).audible);
-        }
+        let row = pre.row(2, &all(5), |_| panic!("row 2 was installed"));
+        assert_eq!(bits(row), expected);
+        assert_eq!(nodes(row), vec![1, 4]);
         assert_eq!(pre.rebuilds(), lazy.rebuilds());
     }
 
@@ -395,5 +435,6 @@ mod tests {
         let stale = cache.compute_row(0, &all(2), |_| link(-120.0, false));
         cache.install(0, stale);
         assert!(cache.row(0, &all(2), |_| panic!("cached")).get(1).audible);
+        assert_eq!(cache.rebuilds(), 1);
     }
 }

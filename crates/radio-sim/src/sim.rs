@@ -274,7 +274,7 @@ pub struct Simulator<F: Firmware> {
     /// A `BTreeMap` (meshlint rule D1): deterministic iteration order,
     /// so no observable behaviour can ever depend on hasher state.
     link_loss: std::collections::BTreeMap<(usize, usize), f64>,
-    /// Cached link budgets for the current topology epoch.
+    /// Each node's audible set at the current positions, filled lazily.
     link_cache: LinkCache,
     /// Reused fan-out buffer: `(node index, link)` pairs a transmission
     /// must visit, ascending (avoids a per-transmission alloc).
@@ -302,8 +302,6 @@ pub struct Simulator<F: Firmware> {
     /// Whether `grid` must be rebuilt before its next use (positions
     /// changed: mobility tick, `set_position`, node addition).
     grid_dirty: bool,
-    /// Reused candidate-index buffer for link-row fills.
-    cand_scratch: Vec<usize>,
     /// Reused row-index buffer for parallel prefetch planning.
     prefetch_scratch: Vec<usize>,
     /// Reused old-x snapshot for mobility ticks.
@@ -341,7 +339,6 @@ impl<F: Firmware> Simulator<F> {
             audible_range,
             grid: Grid::new(),
             grid_dirty: true,
-            cand_scratch: Vec::new(),
             prefetch_scratch: Vec::new(),
             xs_scratch: Vec::new(),
         }
@@ -468,6 +465,13 @@ impl<F: Firmware> Simulator<F> {
     #[must_use]
     pub fn link_rebuilds(&self) -> u64 {
         self.link_cache.rebuilds()
+    }
+
+    /// Node `id`'s audible set, if its link row is currently valid
+    /// (introspection for `tests/row_model.rs`).
+    #[must_use]
+    pub fn cached_row(&self, id: NodeId) -> Option<&LinkRow> {
+        self.link_cache.cached(id.0)
     }
 
     /// The debug trace (empty unless [`SimConfig::trace_capacity`] > 0).
@@ -810,77 +814,29 @@ impl<F: Firmware> Simulator<F> {
         }
     }
 
-    /// Fills `out` with row `i`'s candidate set: the grid's 3×3
-    /// neighborhood when the grid is on (a superset of every audible
-    /// node — see [`crate::grid`]), else every node.
-    fn fill_candidates(&mut self, i: usize, out: &mut Vec<usize>) {
-        if self.config.spatial_grid {
-            self.ensure_grid();
-            self.grid.candidates_into(self.state[i].position, out);
-        } else {
-            out.clear();
-            out.extend(0..self.state.len());
-        }
-    }
-
-    /// Makes sure row `i` of the link cache is filled for this epoch.
+    /// Node `i`'s link row, filled first if something invalidated it.
     /// Only call when [`SimConfig::link_cache`] is on.
-    fn ensure_row(&mut self, i: usize) {
-        if self.link_cache.has_row(i) {
-            return;
+    fn ensure_row(&mut self, i: usize) -> &LinkRow {
+        if !self.link_cache.has_row(i) {
+            self.ensure_grid();
         }
-        let mut cands = std::mem::take(&mut self.cand_scratch);
-        self.fill_candidates(i, &mut cands);
-        let (medium, state) = (&self.medium, &self.state);
-        let _ = self
-            .link_cache
-            .row(i, &cands, |k| link_between(medium, state, i, k));
-        self.cand_scratch = cands;
-    }
-
-    /// The (cached) link budget between nodes `i` and `j` at their
-    /// current positions. Only call when [`SimConfig::link_cache`] is on.
-    fn link_for(&mut self, i: usize, j: usize) -> Link {
-        self.ensure_row(i);
+        let (state, medium, r_max) = (&self.state, &self.medium, self.audible_range);
+        let grid = self.config.spatial_grid.then_some(&self.grid);
+        let at = |k: usize| state[k].position;
         self.link_cache
-            .cached(i)
-            .map_or_else(Link::silent, |row| row.get(j))
+            .ensure(i, |row| row.fill(i, state.len(), at, medium, grid, r_max))
     }
 
     /// Received power (mW) at node `rx` of an active transmission by
-    /// `sender` that started at `origin`. Uses the cache only when the
-    /// sender has not moved since transmission start — after a mobility
-    /// tick the cached (current-position) power would be wrong for a
-    /// frame already on the air.
-    fn active_tx_power_mw(&mut self, sender: usize, origin: Position, rx: usize) -> f64 {
+    /// `sender` that started at `origin`, if it is audible there. Uses
+    /// the cache only when the sender has not moved since transmission
+    /// start — after a mobility tick the cached (current-position) power
+    /// would be wrong for a frame already on the air.
+    fn active_tx_mw(&mut self, sender: usize, origin: Position, rx: usize) -> Option<f64> {
         if self.config.link_cache && self.state[sender].position == origin {
-            self.link_for(sender, rx).power_mw
+            self.ensure_row(sender).heard(rx).map(|n| n.power_mw)
         } else {
-            self.medium
-                .received_power(
-                    &origin,
-                    &self.state[rx].position,
-                    NodeId(sender),
-                    NodeId(rx),
-                )
-                .to_milliwatts()
-                .value()
-        }
-    }
-
-    /// Like [`Self::active_tx_power_mw`] but answering the CAD question:
-    /// is the transmission audible at `rx`?
-    fn active_tx_audible(&mut self, sender: usize, origin: Position, rx: usize) -> bool {
-        if self.config.link_cache && self.state[sender].position == origin {
-            self.link_for(sender, rx).audible
-        } else {
-            let power = self.medium.received_power(
-                &origin,
-                &self.state[rx].position,
-                NodeId(sender),
-                NodeId(rx),
-            );
-            self.medium.audible(power)
+            audible_mw(&self.medium, origin, self.state[rx].position, sender, rx)
         }
     }
 
@@ -936,17 +892,15 @@ impl<F: Firmware> Simulator<F> {
         });
         let busy = roster
             .iter()
-            .any(|&(_, s, origin)| self.active_tx_audible(s.0, origin, i));
+            .any(|&(_, s, origin)| self.active_tx_mw(s.0, origin, i).is_some());
         self.roster_scratch = roster;
         busy
     }
 
     /// Builds the given link-cache rows on worker threads and installs
-    /// them in row order ([`crate::par`]). Purely a warm-up: every row is
-    /// a value the coordinator's lazy fill would compute bit-identically
-    /// anyway ([`LinkCache::compute_row`] reads only rows cached *before*
-    /// the region starts, and link budgets are symmetric bit-for-bit), so
-    /// thread count and scheduling stay invisible to the simulation.
+    /// them in row order ([`crate::par`]). Purely a warm-up: a row is a
+    /// pure function of the positions ([`LinkRow::fill`]), so thread
+    /// count and scheduling stay invisible to the simulation.
     fn prefetch_rows(&mut self, rows: &[usize]) {
         // Adaptive inline gate: prefetching is purely a warm-up, so the
         // only question is whether the fork-join is *profitable*. Cap
@@ -964,28 +918,15 @@ impl<F: Firmware> Simulator<F> {
             return;
         }
         self.ensure_grid();
-        let use_grid = self.config.spatial_grid;
-        let n = self.state.len();
-        let Self {
-            medium,
-            state,
-            link_cache,
-            grid,
-            ..
-        } = self;
-        let cache: &LinkCache = link_cache;
+        let (state, medium, r_max) = (&self.state, &self.medium, self.audible_range);
+        let grid = self.config.spatial_grid.then_some(&self.grid);
         let computed: Vec<(usize, LinkRow)> = par::map_chunks(threads, rows, |_, &i| {
-            let mut cands = Vec::new();
-            if use_grid {
-                grid.candidates_into(state[i].position, &mut cands);
-            } else {
-                cands.extend(0..n);
-            }
-            let row = cache.compute_row(i, &cands, |k| link_between(medium, state, i, k));
+            let mut row = LinkRow::default();
+            row.fill(i, state.len(), |k| state[k].position, medium, grid, r_max);
             (i, row)
         });
         for (i, row) in computed {
-            link_cache.install(i, row);
+            self.link_cache.install(i, row);
         }
     }
 
@@ -1050,10 +991,8 @@ impl<F: Firmware> Simulator<F> {
         let mut fanout = std::mem::take(&mut self.fanout_scratch);
         fanout.clear();
         if self.config.link_cache {
-            self.ensure_row(i);
-            if let Some(row) = self.link_cache.cached(i) {
-                fanout.extend(row.entries().filter(|&(_, link)| link.audible));
-            }
+            let row = self.ensure_row(i);
+            fanout.extend(row.audible.iter().map(|n| (n.node as usize, n.link())));
         } else {
             let (medium, state) = (&self.medium, &self.state);
             fanout.extend(
@@ -1152,8 +1091,7 @@ impl<F: Firmware> Simulator<F> {
             }
         });
         for &(f, s, origin) in &roster {
-            if self.active_tx_audible(s.0, origin, j) {
-                let p = self.active_tx_power_mw(s.0, origin, j);
+            if let Some(p) = self.active_tx_mw(s.0, origin, j) {
                 reception.add_interferer(f, p);
             }
         }
@@ -1394,11 +1332,10 @@ impl<F: Firmware> Simulator<F> {
         if let Some(mut sh) = self.shard.take() {
             // Scoped invalidation: a move can only change links touching
             // nodes within audible range of the mover's old or new
-            // position. Rows of nodes outside every such interval keep
-            // correct audibility flags and bit-fresh audible powers —
-            // their stale entries are all sub-sensitivity (distance
-            // > r_max before *and* after the move, and distance ≥ |Δx|),
-            // which gated interference never reads.
+            // position. A node outside every such interval was farther
+            // than r_max from each mover before *and* after the move
+            // (distance ≥ |Δx|), so no mover is or was in its audible
+            // set: its row is still exact.
             for t in &mut sh.touched {
                 *t = false;
             }
@@ -1570,11 +1507,23 @@ impl<F: Firmware + Send> Simulator<F> {
     }
 }
 
+/// Received power (mW) at `at` (node `rx`) of a transmission by `sender`
+/// from `origin`, if audible there — straight from the link budget.
+fn audible_mw(
+    medium: &Medium,
+    origin: Position,
+    at: Position,
+    sender: usize,
+    rx: usize,
+) -> Option<f64> {
+    let power = medium.received_power(&origin, &at, NodeId(sender), NodeId(rx));
+    medium.audible(power).then(|| power.to_milliwatts().value())
+}
+
 /// The link budget between nodes `i` and `j`, computed directly from
-/// their current positions — the cache's fill function, and the whole
-/// story when the cache is disabled. A free function over the
-/// worker-visible [`NodeState`] slice so parallel prefetch can evaluate
-/// it without the firmware type or the coordinator's `&mut` access.
+/// their current positions: the fan-out when the cache is disabled. A
+/// free function over the worker-visible [`NodeState`] slice so band
+/// workers can evaluate it without the firmware type.
 fn link_between(medium: &Medium, state: &[NodeState], i: usize, j: usize) -> Link {
     let power = medium.received_power(&state[i].position, &state[j].position, NodeId(i), NodeId(j));
     Link {

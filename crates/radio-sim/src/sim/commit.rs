@@ -72,7 +72,7 @@ use std::time::Duration;
 use lora_phy::modulation::LoRaModulation;
 use lora_phy::propagation::Position;
 
-use super::{link_between, Lock, NodeSlot, NodeState, SimConfig, Simulator};
+use super::{audible_mw, link_between, Lock, NodeSlot, NodeState, SimConfig, Simulator};
 use crate::event::{EventQueue, FrameId, SimEvent};
 use crate::firmware::{Context, Firmware, NodeId, RadioCommand};
 use crate::grid::Grid;
@@ -178,7 +178,6 @@ pub(super) struct WorkerScratch {
     commands: Vec<RadioCommand>,
     fanout: Vec<(usize, Link)>,
     roster: Vec<(FrameId, NodeId, Position)>,
-    cands: Vec<usize>,
 }
 
 impl WorkerScratch {
@@ -516,78 +515,40 @@ impl<F: Firmware> BandWorker<'_, F> {
         self.ctx.medium.get(frame).map(|tx| tx.start)
     }
 
-    /// Makes sure a row value for `i` exists: in the shared cache (from
-    /// before the batch) or in this worker's overlay. Overlay values are
-    /// bit-identical to what the sequential lazy fill would have
-    /// produced — [`LinkCache::compute_row`]'s symmetric reuse reads
-    /// only pre-batch rows, and link budgets are symmetric bit-for-bit.
-    fn ensure_row_w(&mut self, i: usize) {
-        if self.ctx.cache.has_row(i) || self.scratch.rows.iter().any(|&(k, _)| k == i) {
-            return;
+    /// Node `i`'s link row: from the shared cache when it was valid
+    /// before the batch, else from this worker's overlay, filled on
+    /// first use. A row is a pure function of the positions
+    /// ([`LinkRow::fill`]), which are frozen during the window, so an
+    /// overlay row is the value the sequential lazy fill would produce.
+    fn row_w(&mut self, i: usize) -> &LinkRow {
+        let ctx = self.ctx;
+        if let Some(row) = ctx.cache.cached(i) {
+            return row;
         }
-        let mut cands = std::mem::take(&mut self.scratch.cands);
-        if self.ctx.cfg.spatial_grid {
-            self.ctx
-                .grid
-                .candidates_into(self.ctx.state[i].position, &mut cands);
-        } else {
-            cands.clear();
-            cands.extend(0..self.ctx.state.len());
-        }
-        let (medium, state) = (self.ctx.medium, self.ctx.state);
-        let row = self
-            .ctx
-            .cache
-            .compute_row(i, &cands, |k| link_between(medium, state, i, k));
-        self.scratch.rows.push((i, row));
-        self.scratch.cands = cands;
+        let rows = &mut self.scratch.rows;
+        let k = rows.iter().position(|&(k, _)| k == i).unwrap_or_else(|| {
+            let mut row = LinkRow::default();
+            let (state, grid) = (ctx.state, ctx.cfg.spatial_grid.then_some(ctx.grid));
+            let at = |k: usize| state[k].position;
+            row.fill(i, state.len(), at, ctx.medium, grid, ctx.parts.r_max());
+            rows.push((i, row));
+            rows.len() - 1
+        });
+        &rows[k].1
     }
 
-    fn row_for(&self, i: usize) -> Option<&LinkRow> {
-        if let Some(row) = self.ctx.cache.cached(i) {
-            return Some(row);
-        }
-        self.scratch
-            .rows
-            .iter()
-            .find(|&&(k, _)| k == i)
-            .map(|(_, row)| row)
-    }
-
-    /// [`Simulator::link_for`], worker edition.
-    fn link_for_w(&mut self, i: usize, j: usize) -> Link {
-        self.ensure_row_w(i);
-        self.row_for(i).map_or_else(Link::silent, |row| row.get(j))
-    }
-
-    fn active_tx_power_mw_w(&mut self, sender: usize, origin: Position, rx: usize) -> f64 {
+    /// [`Simulator::active_tx_mw`], worker edition.
+    fn active_tx_mw_w(&mut self, sender: usize, origin: Position, rx: usize) -> Option<f64> {
         if self.ctx.cfg.link_cache && self.ctx.state[sender].position == origin {
-            self.link_for_w(sender, rx).power_mw
+            self.row_w(sender).heard(rx).map(|n| n.power_mw)
         } else {
-            self.ctx
-                .medium
-                .received_power(
-                    &origin,
-                    &self.ctx.state[rx].position,
-                    NodeId(sender),
-                    NodeId(rx),
-                )
-                .to_milliwatts()
-                .value()
-        }
-    }
-
-    fn active_tx_audible_w(&mut self, sender: usize, origin: Position, rx: usize) -> bool {
-        if self.ctx.cfg.link_cache && self.ctx.state[sender].position == origin {
-            self.link_for_w(sender, rx).audible
-        } else {
-            let power = self.ctx.medium.received_power(
-                &origin,
-                &self.ctx.state[rx].position,
-                NodeId(sender),
-                NodeId(rx),
-            );
-            self.ctx.medium.audible(power)
+            audible_mw(
+                self.ctx.medium,
+                origin,
+                self.ctx.state[rx].position,
+                sender,
+                rx,
+            )
         }
     }
 
@@ -634,7 +595,7 @@ impl<F: Firmware> BandWorker<'_, F> {
         });
         let busy = roster
             .iter()
-            .any(|&(_, s, origin)| self.active_tx_audible_w(s.0, origin, i));
+            .any(|&(_, s, origin)| self.active_tx_mw_w(s.0, origin, i).is_some());
         self.scratch.roster = roster;
         busy
     }
@@ -706,10 +667,8 @@ impl<F: Firmware> BandWorker<'_, F> {
         let mut fanout = std::mem::take(&mut self.scratch.fanout);
         fanout.clear();
         if self.ctx.cfg.link_cache {
-            self.ensure_row_w(i);
-            if let Some(row) = self.row_for(i) {
-                fanout.extend(row.entries().filter(|&(_, link)| link.audible));
-            }
+            let row = self.row_w(i);
+            fanout.extend(row.audible.iter().map(|n| (n.node as usize, n.link())));
         } else {
             let (medium, state) = (self.ctx.medium, self.ctx.state);
             fanout.extend(
@@ -799,8 +758,7 @@ impl<F: Firmware> BandWorker<'_, F> {
             }
         });
         for &(f, s, origin) in &roster {
-            if self.active_tx_audible_w(s.0, origin, j) {
-                let p = self.active_tx_power_mw_w(s.0, origin, j);
+            if let Some(p) = self.active_tx_mw_w(s.0, origin, j) {
                 reception.add_interferer(f, p);
             }
         }

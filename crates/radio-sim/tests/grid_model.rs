@@ -3,8 +3,10 @@
 //!
 //! 1. **Geometric soundness** — for random topologies and ranges, every
 //!    node within `r_max` of a position appears in that position's
-//!    candidate list, which stays ascending and duplicate-free, and
-//!    [`Grid::degree`] agrees with the candidate count.
+//!    candidate list, which stays ascending and duplicate-free;
+//!    [`Grid::degree`] agrees with the candidate count, and the
+//!    unordered visit [`Grid::for_each_candidate`] (what a link-row fill
+//!    walks) reaches exactly that list's nodes, each once.
 //! 2. **RF soundness** — with `r_max` taken from the engine's own
 //!    [`max_audible_range`], the candidate set covers every *audible*
 //!    node under random RF configs (shadowing included) — the exact
@@ -58,9 +60,17 @@ fn check_sound_at(
     r_max: f64,
     label: &str,
 ) -> Result<(), String> {
-    let mut cand = Vec::new();
+    let (mut cand, mut visited) = (Vec::new(), Vec::new());
     for (i, &pi) in positions.iter().enumerate() {
         grid.candidates_into(pi, &mut cand);
+        visited.clear();
+        grid.for_each_candidate(pi, |j| visited.push(j));
+        visited.sort_unstable();
+        if visited != cand {
+            return Err(format!(
+                "{label}: node {i}'s visit reached {visited:?}, candidates are {cand:?}"
+            ));
+        }
         if !cand.windows(2).all(|w| w[0] < w[1]) {
             return Err(format!(
                 "{label}: candidates of node {i} not strictly ascending: {cand:?}"

@@ -33,6 +33,12 @@ cargo test -q --offline -p meshlint
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 
+# Release is the build the benchmark measures, and debug assertions
+# double as oracles that can mask a broken gate: the gate-soundness
+# batteries run once without them as well.
+echo "==> cargo test -q --offline --release -p radio-sim --test row_model --test grid_model --test interference_model (gate soundness without debug assertions)"
+cargo test -q --offline --release -p radio-sim --test row_model --test grid_model --test interference_model
+
 echo "==> cargo test -q --offline -p loramesher --features crypto (AES-CTR flood payload encryption leg)"
 cargo test -q --offline -p loramesher --features crypto
 

@@ -14,17 +14,14 @@
 //!   static topology the parallel prefetch regions only run during
 //!   `start`, so worker threads never even spin up in the window.)
 //! * **Mobile steady state, single-threaded**: mobility ticks
-//!   invalidate and rebuild link-cache rows, and each rebuilt sparse
-//!   row costs a bounded handful of allocations (its candidate and
-//!   link vectors). Allocations must scale with *row rebuilds*, never
-//!   with events — this measured per-rebuild constant is the
-//!   documented per-worker bound, since workers run exactly this row
-//!   construction and nothing else.
-//! * **Mobile steady state, threaded**: with workers doing the row
-//!   prefetch, the coordinator's own allocation count must not exceed
-//!   the single-threaded engine's total — threads offload work, they
-//!   never add coordinator-side churn beyond the per-region fork-join
-//!   constants.
+//!   invalidate link-cache rows and transmissions refill them, into
+//!   the buffers the rows kept. A refill allocates only when a node's
+//!   audible set outgrows every set it held before, so allocations are
+//!   a small fraction of *row rebuilds* and independent of events.
+//! * **Mobile steady state, threaded**: the coordinator additionally
+//!   pays a few allocations per fork-join (thread spawns, chunk
+//!   handles) — a constant per parallel region, nothing per event or
+//!   per rebuild.
 //!
 //! The firmware transmits a pre-built `Arc<[u8]>` frame each beacon,
 //! mirroring how `bench::scaling` exercises the simulator hot path.
@@ -242,11 +239,23 @@ fn dense_overlap_allocates_one_interferer_list_per_reception_and_nothing_else() 
     window(4);
 }
 
-/// Mobile workload (above the parallel region threshold so prefetch
-/// regions genuinely fire when threaded): returns the coordinator's
-/// allocation count, the event count and the row-rebuild count over a
-/// measured steady-state window.
-fn mobile_window(threads: usize) -> (u64, u64, u64) {
+/// What the coordinator did over a measured steady-state window.
+struct Window {
+    allocs: u64,
+    events: u64,
+    rebuilds: u64,
+    /// Parallel regions entered: one per mobility tick when threaded
+    /// (the position step; 72 rows are below the prefetch gate) plus
+    /// one per committed batch.
+    fork_joins: u64,
+}
+
+/// Mobile workload, above the parallel region threshold so the position
+/// step genuinely forks when threaded. Frames are 4 bytes — 31 ms on
+/// the air against 40 ms between beacons — so no reception meets an
+/// interferer and the one allocation the radio state machine makes (an
+/// interferer list) stays out of the count.
+fn mobile_window(threads: usize) -> Window {
     // Both legs use the per-node stream family: the threaded leg needs
     // it (PR 9), and the sequential reference must share it so the two
     // event streams compare equal.
@@ -267,65 +276,83 @@ fn mobile_window(threads: usize) -> (u64, u64, u64) {
     for k in 0..72u64 {
         let phase = Duration::from_millis(40 * k + 11);
         let pos = Position::new((k % 12) as f64 * 100.0, (k / 12) as f64 * 100.0);
+        let beacon = Beacon {
+            frame: vec![0xB3; 4].into(),
+            ..Beacon::new(phase)
+        };
         if k % 3 == 0 {
-            sim.add_mobile_node(Beacon::new(phase), pos, walk.clone());
+            sim.add_mobile_node(beacon, pos, walk.clone());
         } else {
-            sim.add_node(Beacon::new(phase), pos);
+            sim.add_node(beacon, pos);
         }
     }
-    sim.run_for(Duration::from_secs(120));
+    let window = Duration::from_secs(120);
+    sim.run_for(window);
     let events_before = sim.events_processed();
     let rebuilds_before = sim.link_rebuilds();
+    let batches_before = sim.commit_batches();
     let allocs_before = local_allocs();
-    sim.run_for(Duration::from_secs(120));
-    (
-        local_allocs() - allocs_before,
-        sim.events_processed() - events_before,
-        sim.link_rebuilds() - rebuilds_before,
-    )
+    sim.run_for(window);
+    let ticks = if threads > 1 { window.as_secs() } else { 0 };
+    Window {
+        allocs: local_allocs() - allocs_before,
+        events: sim.events_processed() - events_before,
+        rebuilds: sim.link_rebuilds() - rebuilds_before,
+        fork_joins: ticks + sim.commit_batches() - batches_before,
+    }
 }
 
-/// A rebuilt sparse row allocates its candidate and link vectors and
-/// nothing more: a small measured constant per rebuild, independent of
-/// the event count. This is the documented per-worker allocation bound
-/// — a worker thread runs exactly this row construction.
+/// Allocations a steady-state window of `rebuilds` refills may make:
+/// rows refill in place, so only a row outgrowing its buffer allocates.
+/// (The grid reuses its buffers across rebuilds too.) Before rows kept
+/// their buffers this workload made 3–4 allocations *per rebuild*.
+fn refill_budget(rebuilds: u64) -> u64 {
+    rebuilds / 8 + 64
+}
+
+/// Refilling a row allocates nothing unless the row grew: allocation
+/// traffic is a small fraction of the rebuild count and independent of
+/// the event count.
 #[test]
 fn mobile_steady_state_allocations_scale_with_rebuilds_not_events() {
-    let (allocs, events, rebuilds) = mobile_window(1);
+    let w = mobile_window(1);
     assert!(
-        events > 10_000,
-        "only {events} events — not a steady-state workload"
+        w.events > 10_000,
+        "only {} events — not a steady-state workload",
+        w.events
     );
-    assert!(rebuilds > 0, "mobility produced no row rebuilds");
-    // Sparse row construction: candidate scratch + the row's two
-    // vectors, each possibly reallocated a few times while growing.
-    // 8 allocations per rebuild is the documented ceiling; the grid
-    // itself reuses its buffers across rebuilds.
+    assert!(w.rebuilds > 1_000, "only {} row rebuilds", w.rebuilds);
     assert!(
-        allocs <= 8 * rebuilds + 64,
-        "{allocs} allocations over {rebuilds} rebuilds ({events} events): \
-         allocation traffic no longer scales with row rebuilds"
+        w.allocs <= refill_budget(w.rebuilds),
+        "{} allocations over {} rebuilds ({} events): row refills no \
+         longer reuse their buffers",
+        w.allocs,
+        w.rebuilds,
+        w.events
     );
 }
 
-/// With worker threads doing the prefetch, the coordinator still runs
-/// chunk 0 of every region itself and pays a few allocations per
-/// fork-join (thread spawns, chunk handles, result buffers). That
-/// scaffolding must stay marginal: the coordinator's count is pinned
-/// to within 12.5% of the single-threaded engine's total — workers may
-/// shift row builds around, never multiply coordinator-side churn.
+/// With worker threads, the coordinator still runs chunk 0 of every
+/// region itself and pays a few allocations per fork-join (thread
+/// spawns, chunk handles, result buffers) — 8 to 10 measured, 16
+/// allowed. That scaffolding is all threads may add to the sequential
+/// engine's budget: nothing per event, nothing per rebuild. (The
+/// sequential count itself is now too close to zero to be the yardstick.)
 #[test]
 fn threaded_mobile_coordinator_allocates_no_more_than_sequential() {
-    let (serial_allocs, serial_events, _) = mobile_window(1);
-    let (threaded_allocs, threaded_events, _) = mobile_window(2);
+    let serial = mobile_window(1);
+    let threaded = mobile_window(2);
     assert_eq!(
-        serial_events, threaded_events,
+        serial.events, threaded.events,
         "thread count changed the event stream — determinism bug"
     );
+    assert!(threaded.fork_joins >= 100, "no parallel regions ran");
     assert!(
-        threaded_allocs <= serial_allocs + serial_allocs / 8 + 256,
-        "coordinator allocated {threaded_allocs} times with workers vs \
-         {serial_allocs} single-threaded"
+        threaded.allocs <= refill_budget(threaded.rebuilds) + 16 * threaded.fork_joins,
+        "coordinator allocated {} times over {} fork-joins and {} rebuilds",
+        threaded.allocs,
+        threaded.fork_joins,
+        threaded.rebuilds
     );
 }
 
