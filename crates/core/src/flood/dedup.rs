@@ -2,20 +2,25 @@
 //! `(origin, packet id)` keys.
 //!
 //! Managed flooding has no routing state; the only thing a node must
-//! remember is which floods it has already taken part in. The cache is
-//! a `BTreeSet` (meshlint rule D1: iteration order never leaks hasher
-//! state into traces) paired with a FIFO eviction queue so memory stays
-//! bounded no matter how long the node runs.
+//! remember is which floods it has already taken part in. Three of four
+//! overheard frames are duplicates, so the membership test is the hot
+//! operation: the keys, packed as `origin << 8 | id`, sit in one sorted
+//! `Vec<u32>` (a 7-step binary search over 512 bytes at the default
+//! capacity; no hashing — meshlint rule D1), paired with a FIFO eviction
+//! queue so memory stays bounded no matter how long the node runs.
 
-use alloc::collections::{BTreeSet, VecDeque};
+use alloc::collections::VecDeque;
+use alloc::vec::Vec;
 
 use crate::addr::Address;
 
 /// A bounded first-in-first-out set of flood keys.
 #[derive(Debug)]
 pub(crate) struct DedupCache {
-    seen: BTreeSet<(Address, u8)>,
-    order: VecDeque<(Address, u8)>,
+    /// The remembered keys, ascending.
+    seen: Vec<u32>,
+    /// The same keys in arrival order, oldest first.
+    order: VecDeque<u32>,
     capacity: usize,
 }
 
@@ -24,7 +29,7 @@ impl DedupCache {
     pub(crate) fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         DedupCache {
-            seen: BTreeSet::new(),
+            seen: Vec::new(),
             order: VecDeque::with_capacity(capacity),
             capacity,
         }
@@ -34,16 +39,21 @@ impl DedupCache {
     /// i.e. this node has not taken part in the flood yet — evicting
     /// the oldest remembered key if the cache is full.
     pub(crate) fn insert(&mut self, origin: Address, id: u8) -> bool {
-        if self.seen.contains(&(origin, id)) {
+        let key = u32::from(origin.value()) << 8 | u32::from(id);
+        let Err(mut at) = self.seen.binary_search(&key) else {
             return false;
-        }
+        };
         if self.order.len() == self.capacity {
-            if let Some(old) = self.order.pop_front() {
-                self.seen.remove(&old);
+            let evicted = self.order.pop_front();
+            if let Some(gone) = evicted.and_then(|old| self.seen.binary_search(&old).ok()) {
+                self.seen.remove(gone);
+                // Everything after the evicted key moved down one place,
+                // the new key's insertion point included.
+                at -= usize::from(gone < at);
             }
         }
-        self.seen.insert((origin, id));
-        self.order.push_back((origin, id));
+        self.seen.insert(at, key);
+        self.order.push_back(key);
         true
     }
 
@@ -61,6 +71,7 @@ impl DedupCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alloc::vec;
 
     const A: Address = Address::new(1);
     const B: Address = Address::new(2);
@@ -84,6 +95,29 @@ mod tests {
         assert_eq!(c.len(), 2);
         assert!(c.insert(A, 0), "evicted key must read as new again");
         assert_eq!(c.len(), 2);
+    }
+
+    #[test]
+    fn eviction_on_either_side_of_the_insertion_point_keeps_the_set_exact() {
+        // Evicted key sorts before the new one: the insertion index shifts.
+        let mut c = DedupCache::new(3);
+        assert!(c.insert(A, 1));
+        assert!(c.insert(A, 5));
+        assert!(c.insert(B, 0));
+        assert!(c.insert(A, 9)); // evicts (A, 1), lands between (A, 5) and (B, 0)
+        assert_eq!(c.seen, vec![0x0105, 0x0109, 0x0200]);
+        // Evicted key sorts after the new one: the index stands.
+        assert!(c.insert(A, 0)); // evicts (A, 5)
+        assert_eq!(c.seen, vec![0x0100, 0x0109, 0x0200]);
+        // Evicted key is the new key's immediate neighbour on either side.
+        assert!(c.insert(B, 1)); // evicts (B, 0), lands where it was
+        assert_eq!(c.seen, vec![0x0100, 0x0109, 0x0201]);
+        assert!(c.insert(A, 8)); // evicts (A, 9), lands where it was
+        assert_eq!(c.seen, vec![0x0100, 0x0108, 0x0201]);
+        for (origin, id, new) in [(A, 0, false), (A, 8, false), (B, 1, false), (A, 9, true)] {
+            assert_eq!(c.insert(origin, id), new, "{origin:?}/{id}");
+        }
+        assert_eq!(c.len(), 3);
     }
 
     #[test]

@@ -4,18 +4,26 @@
 //! broken by insertion order, never by container internals, so runs are
 //! exactly reproducible.
 //!
-//! # Calendar queue
+//! # Timing wheel
 //!
-//! The queue is a two-level bucketed calendar queue. Near-future events
-//! live in a ring of [`NUM_BUCKETS`] fixed-width time buckets (each
-//! `2^BUCKET_SHIFT` nanoseconds wide); far-future events wait in an
-//! overflow heap and migrate into the ring bucket-by-bucket as the
-//! cursor reaches them. Each bucket is a small binary heap ordered by
-//! `(time, seq)`, so draining the cursor bucket before advancing yields
-//! exactly the global `(time, seq)` order the old single-heap
-//! implementation produced. Events scheduled in the past (the simulator
-//! clamps wake-ups to `now`) are folded into the cursor bucket, which is
-//! always the global minimum, so ordering still holds.
+//! Pending events live in one slab (a `Vec` of nodes plus a free list);
+//! two levels of 4096 buckets thread intrusive lists through it.
+//! **Level 0** is a ring of `2^20` ns (≈ 1 ms) buckets covering ≈ 4.3 s
+//! from the cursor on, each a list kept ascending by `(time, seq)` with
+//! a tail index: in-order arrivals — the common case, and every
+//! same-instant burst — append in O(1), anything else walks the bucket's
+//! few entries. **Level 1** is a ring of `2^32` ns (≈ 4.3 s) buckets
+//! covering the ≈ 4.9 h after that. Its lists are unordered: when the
+//! cursor enters a bucket's span the bucket is re-filed through the same
+//! [`EventQueue::link`] routine, which sorts each entry into level 0.
+//! Instants beyond that window park in its last bucket and are re-filed
+//! again from there. A bitmap per level finds the next occupied bucket.
+//! Draining the cursor bucket before advancing yields exactly the global
+//! `(time, seq)` order; events in the past of the cursor fold into the
+//! cursor bucket, whose sorted list still pops them first. The queue
+//! caches the key of its earliest live event, dropped at the three points
+//! that can change it: a pop, an insert that sorts before it, and the
+//! invalidation of a node that has a live timer.
 //!
 //! # Timer tombstones
 //!
@@ -29,9 +37,6 @@
 //! queue slots, [`EventQueue::len`] includes them; use
 //! [`EventQueue::live_len`] for the number of events that will actually
 //! fire.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 use crate::firmware::NodeId;
 use crate::time::SimTime;
@@ -68,59 +73,109 @@ pub enum SimEvent {
     MobilityTick,
 }
 
+/// Width of a level-0 bucket as a power-of-two nanosecond count.
+const TICK_SHIFT: u32 = 20;
+/// Buckets per level as a power of two: a level-1 bucket spans one full
+/// level-0 ring, ≈ 4.3 s — wider than the 3 s hello/beacon cadence,
+/// keeping steady-state traffic out of level 1.
+const SLOT_BITS: u32 = 12;
+const SLOTS: usize = 1 << SLOT_BITS;
+/// The furthest a bucket can sit ahead of the cursor within its level.
+const REACH: u64 = SLOTS as u64 - 1;
+/// "No node": list terminator and empty free list.
+const NIL: u32 = u32::MAX;
+
+/// Ring slot of an absolute level-0 tick or level-1 span.
+fn slot_of(n: u64) -> usize {
+    (n & REACH) as usize
+}
+
+/// One pending event, linked into a bucket list (or the free list).
 #[derive(Debug)]
-struct Scheduled {
-    at: SimTime,
-    seq: u64,
+struct Node {
+    key: (SimTime, u64),
     event: SimEvent,
+    next: u32,
 }
 
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
+/// Sort key of slab node `idx`; `None` past the end of a list.
+fn key_of(slab: &[Node], idx: u32) -> Option<(SimTime, u64)> {
+    slab.get(idx as usize).map(|n| n.key)
 }
-impl Eq for Scheduled {}
 
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert to pop the earliest first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
+fn next_of(slab: &[Node], idx: u32) -> u32 {
+    slab.get(idx as usize).map_or(NIL, |n| n.next)
 }
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+
+fn set_next(slab: &mut [Node], idx: u32, next: u32) {
+    if let Some(node) = slab.get_mut(idx as usize) {
+        node.next = next;
     }
 }
 
-/// Width of one calendar bucket as a power-of-two nanosecond count:
-/// `2^25` ns ≈ 33.6 ms, so the 128-bucket ring spans ≈ 4.3 s — wider
-/// than the 3 s hello/beacon cadence, keeping steady-state traffic out
-/// of the overflow heap.
-const BUCKET_SHIFT: u32 = 25;
-/// Number of buckets in the near-future ring.
-const NUM_BUCKETS: u64 = 128;
+/// Which of a level's buckets are non-empty: one bit per bucket, plus a
+/// summary word with bit `w` set iff `words[w] != 0`.
+#[derive(Debug)]
+struct Occupancy {
+    words: [u64; SLOTS / 64],
+    summary: u64,
+}
+
+impl Occupancy {
+    fn mark(&mut self, slot: usize, occupied: bool) {
+        if let Some(word) = self.words.get_mut(slot / 64) {
+            *word = *word & !(1 << (slot % 64)) | u64::from(occupied) << (slot % 64);
+            self.summary =
+                self.summary & !(1 << (slot / 64)) | u64::from(*word != 0) << (slot / 64);
+        }
+    }
+
+    /// Cyclic distance (`0..SLOTS`) from slot `from` to the first
+    /// occupied slot at or after it, wrapping past the last slot.
+    fn distance_from(&self, from: usize) -> Option<u64> {
+        let (w, bit) = (from / 64, from % 64);
+        let here = self.words.get(w)? >> bit;
+        if here != 0 {
+            return Some(u64::from(here.trailing_zeros()));
+        }
+        // Rotated so that word w+1 is bit 0, the summary's first set bit is
+        // the next occupied word going round; word `w` itself comes last.
+        let rot = self.summary.rotate_right((w as u32 + 1) % 64);
+        if rot == 0 {
+            return None;
+        }
+        let w = (w + 1 + rot.trailing_zeros() as usize) % 64;
+        let slot = w * 64 + self.words.get(w)?.trailing_zeros() as usize;
+        Some(((slot + SLOTS - from) % SLOTS) as u64)
+    }
+}
+
+/// A level-0 list, ascending by `(time, seq)`; `tail` is stale while empty.
+#[derive(Clone, Copy, Debug)]
+struct Bucket {
+    head: u32,
+    tail: u32,
+}
 
 /// A time-ordered queue of [`SimEvent`]s with deterministic tie-breaking.
 ///
-/// See the module docs for the calendar-queue layout and the timer
-/// tombstone rules.
+/// See the module docs for the wheel's layout and the tombstone rules.
 #[derive(Debug)]
 pub struct EventQueue {
-    /// Ring of near-future buckets, indexed by `bucket % NUM_BUCKETS`.
-    buckets: Vec<BinaryHeap<Scheduled>>,
-    /// Bit `s` set iff ring slot `s` is non-empty.
-    occupied: u128,
-    /// Events currently held in the ring.
-    near_len: usize,
-    /// Far-future events (bucket beyond the ring horizon).
-    overflow: BinaryHeap<Scheduled>,
-    /// Absolute bucket index the ring is currently draining.
+    /// Every list below chains indices into it; `free` chains the vacant.
+    slab: Vec<Node>,
+    free: u32,
+    /// Level 0, indexed by `tick % SLOTS`: ticks `cursor..=cursor + REACH`.
+    near: Vec<Bucket>,
+    near_occupied: Occupancy,
+    /// Level 1 heads, indexed by `span % SLOTS`: the next [`REACH`] spans.
+    far: Vec<u32>,
+    far_occupied: Occupancy,
+    /// Absolute level-0 tick being drained.
     cursor: u64,
+    /// Key of the earliest live event while known: the queue is then
+    /// settled, with that event first in the cursor bucket.
+    head: Option<(SimTime, u64)>,
     next_seq: u64,
     /// Total pending events, including stale timer tombstones.
     len: usize,
@@ -144,12 +199,16 @@ impl EventQueue {
     /// Creates an empty queue.
     #[must_use]
     pub fn new() -> Self {
+        let (head, tail, words, summary) = (NIL, NIL, [0; SLOTS / 64], 0);
         EventQueue {
-            buckets: (0..NUM_BUCKETS).map(|_| BinaryHeap::new()).collect(),
-            occupied: 0,
-            near_len: 0,
-            overflow: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: NIL,
+            near: vec![Bucket { head, tail }; SLOTS],
+            near_occupied: Occupancy { words, summary },
+            far: vec![NIL; SLOTS],
+            far_occupied: Occupancy { words, summary },
             cursor: 0,
+            head: None,
             next_seq: 0,
             len: 0,
             timer_gen: Vec::new(),
@@ -159,120 +218,119 @@ impl EventQueue {
         }
     }
 
-    /// Absolute bucket index for an instant.
-    fn bucket_of(at: SimTime) -> u64 {
-        u64::try_from(at.as_duration().as_nanos() >> BUCKET_SHIFT).unwrap_or(u64::MAX)
+    /// Absolute level-0 tick of an instant.
+    fn tick_of(at: SimTime) -> u64 {
+        u64::try_from(at.as_duration().as_nanos() >> TICK_SHIFT).unwrap_or(u64::MAX)
     }
 
-    /// Ring slot for an absolute bucket index.
-    fn slot_of(bucket: u64) -> usize {
-        (bucket % NUM_BUCKETS) as usize
-    }
-
-    fn push_to_slot(&mut self, slot: usize, s: Scheduled) {
-        if let Some(heap) = self.buckets.get_mut(slot) {
-            heap.push(s);
-            self.occupied |= 1u128 << slot;
-            self.near_len += 1;
-        }
-    }
-
-    fn insert(&mut self, s: Scheduled) {
-        // Past events fold into the cursor bucket: it is the global
-        // minimum and its heap orders by (time, seq), so they still pop
-        // first.
-        let bucket = Self::bucket_of(s.at).max(self.cursor);
-        if bucket - self.cursor < NUM_BUCKETS {
-            self.push_to_slot(Self::slot_of(bucket), s);
-        } else {
-            self.overflow.push(s);
-        }
-        self.len += 1;
-    }
-
-    /// Moves overflow events whose bucket the cursor has reached into
-    /// the cursor bucket.
-    fn migrate_due(&mut self) {
-        while self
-            .overflow
-            .peek()
-            .is_some_and(|s| Self::bucket_of(s.at) <= self.cursor)
-        {
-            if let Some(s) = self.overflow.pop() {
-                self.push_to_slot(Self::slot_of(self.cursor), s);
+    /// Files slab node `idx` into the bucket its instant belongs to: the
+    /// one insert routine, for new events and re-filed level-1 entries.
+    fn link(&mut self, idx: u32, key: (SimTime, u64)) {
+        // Past instants fold into the cursor bucket: it holds the global
+        // minimum and is sorted by (time, seq), so they still pop first.
+        let tick = Self::tick_of(key.0).max(self.cursor);
+        let near = self.near.get_mut(slot_of(tick));
+        let Some(bucket) = near.filter(|_| tick - self.cursor <= REACH) else {
+            // Level 1 is unordered: re-filing sorts it later. Spans beyond
+            // its window park in the window's last bucket.
+            let span = (tick >> SLOT_BITS).min((self.cursor >> SLOT_BITS) + REACH);
+            if let Some(head) = self.far.get_mut(slot_of(span)) {
+                set_next(&mut self.slab, idx, std::mem::replace(head, idx));
+                self.far_occupied.mark(slot_of(span), true);
             }
+            return;
+        };
+        // An in-order arrival goes straight after the tail; anything else
+        // walks from the head to the first entry that sorts after it.
+        let (mut prev, mut cur) = (NIL, bucket.head);
+        if cur != NIL && key_of(&self.slab, bucket.tail) < Some(key) {
+            (prev, cur) = (bucket.tail, NIL);
         }
+        while key_of(&self.slab, cur).is_some_and(|k| k < key) {
+            (prev, cur) = (cur, next_of(&self.slab, cur));
+        }
+        set_next(&mut self.slab, idx, cur);
+        match prev {
+            NIL => bucket.head = idx,
+            _ => set_next(&mut self.slab, prev, idx),
+        }
+        if cur == NIL {
+            bucket.tail = idx;
+        }
+        self.near_occupied.mark(slot_of(tick), true);
     }
 
-    /// Advances the cursor to the next non-empty slot, stopping early at
-    /// the overflow heap's first bucket so far-future events migrate
-    /// before the ring wraps past them.
-    fn advance_cursor(&mut self) {
-        debug_assert!(self.occupied != 0);
-        let slot = Self::slot_of(self.cursor);
-        // Rotating so that slot+1 lands at bit 0 makes trailing_zeros
-        // the distance-minus-one to the next occupied slot; rotation is
-        // mod 128, so slot 127 works too.
-        let rot = (slot as u32 + 1) % 128;
-        let d = u64::from(self.occupied.rotate_right(rot).trailing_zeros()) + 1;
-        let mut next = self.cursor.saturating_add(d);
-        if let Some(s) = self.overflow.peek() {
-            next = next.min(Self::bucket_of(s.at).max(self.cursor));
+    /// Moves the cursor off its empty bucket to the next occupied level-0
+    /// bucket or, if it starts no later, the next occupied level-1 span,
+    /// whose bucket is re-filed through [`Self::link`] into level 0 (or, if
+    /// parked, a later level-1 bucket). `None` when both levels are empty.
+    fn advance(&mut self) -> Option<()> {
+        let near = self.near_occupied.distance_from(slot_of(self.cursor));
+        let near = near.map(|d| self.cursor + d);
+        let span = (self.cursor >> SLOT_BITS) + 1;
+        let far = self.far_occupied.distance_from(slot_of(span));
+        let Some(d) = far.filter(|d| near.is_none_or(|t| (span + d) << SLOT_BITS <= t)) else {
+            debug_assert!(near.is_some(), "pending events outside both levels");
+            return near.map(|tick| self.cursor = tick);
+        };
+        let slot = slot_of(span + d);
+        let head = self.far.get_mut(slot);
+        let head = head.map_or(NIL, |head| std::mem::replace(head, NIL));
+        self.far_occupied.mark(slot, false);
+        let (mut idx, mut earliest) = (head, u64::MAX);
+        while let Some((at, _)) = key_of(&self.slab, idx).filter(|_| near.is_none()) {
+            earliest = earliest.min(Self::tick_of(at));
+            idx = next_of(&self.slab, idx);
         }
-        self.cursor = next;
+        // With level 0 empty (all the scan is for), entries parked from afar
+        // are not worth a stop: they re-park from where the cursor is, so such
+        // groups merge in the window's last bucket — and from there, the only
+        // one left, the cursor jumps to the earliest, not a window at a time.
+        if near.is_some() || earliest >> SLOT_BITS == span + d {
+            self.cursor = (span + d) << SLOT_BITS;
+        } else if d == REACH - 1 {
+            self.cursor = earliest;
+        }
+        let mut idx = head;
+        while let Some(key) = key_of(&self.slab, idx) {
+            let next = next_of(&self.slab, idx);
+            self.link(idx, key);
+            idx = next;
+        }
+        Some(())
     }
 
     /// Positions the cursor on the bucket holding the earliest live
-    /// event and discards stale timer tombstones encountered on the
-    /// way. Returns `false` when no live event remains.
-    fn settle(&mut self) -> bool {
-        loop {
-            if self.len == 0 {
-                return false;
-            }
-            if self.near_len == 0 {
-                // Ring is empty: jump straight to the overflow's first
-                // bucket and pull it in.
-                if let Some(s) = self.overflow.peek() {
-                    self.cursor = self.cursor.max(Self::bucket_of(s.at));
-                }
-                self.migrate_due();
+    /// event, discarding stale timer tombstones encountered on the way,
+    /// and caches that event's key. `None` when no live event remains.
+    fn settle(&mut self) -> Option<(SimTime, u64)> {
+        while self.len != 0 {
+            let slot = slot_of(self.cursor);
+            let idx = self.near.get(slot).map_or(NIL, |b| b.head);
+            let Some(node) = self.slab.get(idx as usize) else {
+                self.advance()?;
                 continue;
+            };
+            if !matches!(node.event, SimEvent::Timer(n, gen) if !self.timer_is_live(n, gen)) {
+                self.head = Some(node.key);
+                return self.head;
             }
-            self.migrate_due();
-            let slot = Self::slot_of(self.cursor);
-            if self.occupied & (1u128 << slot) == 0 {
-                self.advance_cursor();
-                continue;
-            }
-            let head_is_stale = self
-                .buckets
-                .get(slot)
-                .and_then(|heap| heap.peek())
-                .is_some_and(|s| match s.event {
-                    SimEvent::Timer(node, gen) => !self.timer_is_live(node, gen),
-                    _ => false,
-                });
-            if head_is_stale {
-                if let Some(heap) = self.buckets.get_mut(slot) {
-                    heap.pop();
-                }
-                self.note_removed(slot);
-                self.stale_dropped += 1;
-                self.stale_pending = self.stale_pending.saturating_sub(1);
-                continue;
-            }
-            return true;
+            self.unlink_head(slot);
+            self.stale_dropped += 1;
+            self.stale_pending = self.stale_pending.saturating_sub(1);
         }
+        None
     }
 
-    /// Bookkeeping after removing one event from a ring slot.
-    fn note_removed(&mut self, slot: usize) {
-        self.near_len -= 1;
+    /// Unlinks the first entry of level-0 bucket `slot` and frees its node.
+    fn unlink_head(&mut self, slot: usize) -> Option<(SimTime, SimEvent)> {
+        let bucket = self.near.get_mut(slot)?;
+        let node = self.slab.get_mut(bucket.head as usize)?;
+        let next = std::mem::replace(&mut node.next, self.free);
+        self.free = std::mem::replace(&mut bucket.head, next);
+        self.near_occupied.mark(slot, next != NIL);
         self.len -= 1;
-        if self.buckets.get(slot).is_some_and(BinaryHeap::is_empty) {
-            self.occupied &= !(1u128 << slot);
-        }
+        Some((node.key.0, node.event.clone()))
     }
 
     fn ensure_node(&mut self, node: NodeId) {
@@ -295,31 +353,25 @@ impl EventQueue {
         self.timer_gen.get(node.0).copied().unwrap_or(0)
     }
 
-    /// Invalidates every queued timer for `node` by bumping its
-    /// generation; the orphaned entries become tombstones.
-    fn invalidate(&mut self, node: NodeId) {
+    /// Schedules a wake-up timer for `node` at `at`, invalidating any
+    /// timer previously queued for it (at most one live timer per node).
+    pub fn schedule_timer(&mut self, at: SimTime, node: NodeId) {
+        let seq = self.alloc_seq();
+        self.schedule_timer_seq(at, node, seq);
+    }
+
+    /// Invalidates every queued timer for `node` without scheduling a new
+    /// one: its generation is bumped and the entries become tombstones.
+    pub fn cancel_timer(&mut self, node: NodeId) {
         self.ensure_node(node);
-        if let Some(live) = self.live_timers.get_mut(node.0) {
-            self.stale_pending += *live as usize;
-            *live = 0;
+        if let Some(live) = self.live_timers.get_mut(node.0).filter(|live| **live != 0) {
+            self.stale_pending += std::mem::take(live) as usize;
+            // The cached head may be one of them.
+            self.head = None;
         }
         if let Some(gen) = self.timer_gen.get_mut(node.0) {
             *gen = gen.wrapping_add(1);
         }
-    }
-
-    /// Schedules a wake-up timer for `node` at `at`, invalidating any
-    /// timer previously queued for it (at most one live timer per node).
-    pub fn schedule_timer(&mut self, at: SimTime, node: NodeId) {
-        self.invalidate(node);
-        let gen = self.timer_gen.get(node.0).copied().unwrap_or(0);
-        self.schedule(at, SimEvent::Timer(node, gen));
-    }
-
-    /// Invalidates any queued timer for `node` without scheduling a new
-    /// one.
-    pub fn cancel_timer(&mut self, node: NodeId) {
-        self.invalidate(node);
     }
 
     /// Schedules `event` at time `at`.
@@ -354,79 +406,72 @@ impl EventQueue {
     pub fn schedule_at_seq(&mut self, at: SimTime, seq: u64, event: SimEvent) {
         if let SimEvent::Timer(node, gen) = event {
             self.ensure_node(node);
-            if self.timer_is_live(node, gen) {
-                if let Some(live) = self.live_timers.get_mut(node.0) {
-                    *live = live.saturating_add(1);
-                }
-            } else {
-                self.stale_pending += 1;
+            let live = self.timer_is_live(node, gen);
+            match self.live_timers.get_mut(node.0).filter(|_| live) {
+                Some(live) => *live = live.saturating_add(1),
+                None => self.stale_pending += 1,
             }
         }
-        self.insert(Scheduled { at, seq, event });
+        self.head = self.head.filter(|&head| head <= (at, seq));
+        let (key, next, mut idx) = ((at, seq), NIL, self.free);
+        let node = Node { key, event, next };
+        if let Some(vacant) = self.slab.get_mut(idx as usize) {
+            self.free = std::mem::replace(vacant, node).next;
+        } else {
+            idx = u32::try_from(self.slab.len()).unwrap_or(NIL);
+            debug_assert!(idx != NIL, "event slab outgrew its u32 indices");
+            self.slab.push(node);
+        }
+        self.link(idx, key);
+        self.len += 1;
     }
 
-    /// [`EventQueue::schedule_timer`] with an externally allocated
-    /// sequence number: invalidates the node's queued timers, restamps,
-    /// and enqueues under `seq`.
+    /// [`EventQueue::schedule_timer`] under an externally allocated
+    /// sequence number.
     pub fn schedule_timer_seq(&mut self, at: SimTime, node: NodeId, seq: u64) {
-        self.invalidate(node);
+        self.cancel_timer(node);
         let gen = self.timer_gen.get(node.0).copied().unwrap_or(0);
         self.schedule_at_seq(at, seq, SimEvent::Timer(node, gen));
     }
 
     /// Removes and returns the earliest live event, if any. Stale timer
     /// tombstones encountered on the way are discarded silently.
+    #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, SimEvent)> {
-        if !self.settle() {
-            return None;
-        }
-        self.take_head()
+        self.pop_until(SimTime::from(std::time::Duration::MAX))
     }
 
     /// [`EventQueue::pop`], but only when the earliest live event is due
-    /// at or before `until` — the run loop's peek-then-pop with one
-    /// settle instead of two.
+    /// at or before `until` — the run loop's peek-then-pop in one call.
+    #[inline]
     pub fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, SimEvent)> {
-        if self.peek_time()? > until {
-            return None;
-        }
-        self.take_head()
-    }
-
-    /// Removes the head of the cursor bucket; the queue must be settled.
-    fn take_head(&mut self) -> Option<(SimTime, SimEvent)> {
-        let slot = Self::slot_of(self.cursor);
-        let s = self.buckets.get_mut(slot).and_then(BinaryHeap::pop)?;
-        self.note_removed(slot);
-        if let SimEvent::Timer(node, _) = s.event {
+        self.peek_time().filter(|&at| at <= until)?;
+        // Settled: the head of the cursor bucket is the event peeked.
+        self.head = None;
+        let (at, event) = self.unlink_head(slot_of(self.cursor))?;
+        if let SimEvent::Timer(node, _) = event {
             if let Some(live) = self.live_timers.get_mut(node.0) {
                 *live = live.saturating_sub(1);
             }
         }
-        Some((s.at, s.event))
+        Some((at, event))
     }
 
     /// The time of the earliest live pending event. Takes `&mut self`
     /// because stale tombstones ahead of it are discarded.
     #[must_use]
+    #[inline]
     pub fn peek_time(&mut self) -> Option<SimTime> {
         self.peek_key().map(|(at, _)| at)
     }
 
-    /// The full `(time, seq)` key of the earliest live pending event —
-    /// what the sharded engine's k-way merge compares across queues.
-    /// Takes `&mut self` because stale tombstones ahead of it are
-    /// discarded.
+    /// The full `(time, seq)` key of the earliest live pending event, which
+    /// the sharded engine's k-way merge compares across queues. Takes
+    /// `&mut self` because stale tombstones ahead of it are discarded.
     #[must_use]
+    #[inline]
     pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        if !self.settle() {
-            return None;
-        }
-        let slot = Self::slot_of(self.cursor);
-        self.buckets
-            .get(slot)
-            .and_then(|heap| heap.peek())
-            .map(|s| (s.at, s.seq))
+        self.head.or_else(|| self.settle())
     }
 
     /// Number of pending events, including stale timer tombstones that
@@ -518,8 +563,8 @@ mod tests {
 
     #[test]
     fn events_far_beyond_the_ring_horizon_pop_in_order() {
-        // The ring spans ~4.3 s; these cross into the overflow heap and
-        // must migrate back without disturbing global order.
+        // Level 0 spans ~4.3 s; these wait in level 1 and must be
+        // re-filed without disturbing global order.
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(10), SimEvent::App(node(0), 0));
         q.schedule(SimTime::from_millis(1), SimEvent::App(node(1), 1));
@@ -540,16 +585,16 @@ mod tests {
     }
 
     #[test]
-    fn same_instant_ties_hold_across_the_overflow_boundary() {
+    fn same_instant_ties_hold_across_the_level_boundary() {
         // Two events at the same far-future instant, one scheduled while
-        // the instant is beyond the horizon (overflow) and one after the
-        // cursor advanced near it (ring): FIFO must still hold.
+        // the instant is beyond the horizon (level 1) and one after the
+        // cursor advanced near it (level 0): FIFO must still hold.
         let mut q = EventQueue::new();
         let far = SimTime::from_secs(30);
         q.schedule(far, SimEvent::App(node(0), 0));
         q.schedule(SimTime::from_secs(28), SimEvent::App(node(9), 9));
         assert_eq!(q.pop().unwrap().1, SimEvent::App(node(9), 9));
-        // Cursor is now within a ring's reach of `far`.
+        // Cursor is now within level 0's reach of `far`.
         q.schedule(far, SimEvent::App(node(1), 1));
         assert_eq!(q.pop().unwrap().1, SimEvent::App(node(0), 0));
         assert_eq!(q.pop().unwrap().1, SimEvent::App(node(1), 1));
@@ -711,5 +756,102 @@ mod tests {
         }
         assert_eq!(count, 32);
         assert_eq!(q.stale_timers_dropped(), 0);
+    }
+
+    fn at_tick(tick: u64, nanos: u64) -> SimTime {
+        SimTime::from(std::time::Duration::from_nanos(
+            (tick << TICK_SHIFT) + nanos,
+        ))
+    }
+
+    #[test]
+    fn occupancy_search_wraps_from_the_last_slot_to_the_first() {
+        let mut occupied = Occupancy {
+            words: [0; SLOTS / 64],
+            summary: 0,
+        };
+        assert_eq!(occupied.distance_from(17), None);
+        occupied.mark(0, true);
+        assert_eq!(occupied.distance_from(0), Some(0));
+        assert_eq!(occupied.distance_from(4095), Some(1));
+        // All the way round, back into the word the search started in.
+        assert_eq!(occupied.distance_from(1), Some(4095));
+        occupied.mark(4095, true);
+        assert_eq!(occupied.distance_from(1), Some(4094));
+        assert_eq!(occupied.distance_from(4095), Some(0));
+        occupied.mark(70, true);
+        assert_eq!(occupied.distance_from(64), Some(6));
+        assert_eq!(occupied.distance_from(71), Some(4024));
+        for slot in [0, 70, 4095] {
+            occupied.mark(slot, false);
+        }
+        assert_eq!((occupied.summary, occupied.distance_from(70)), (0, None));
+    }
+
+    #[test]
+    fn the_ring_wraps_under_a_moving_cursor() {
+        let mut q = EventQueue::new();
+        q.schedule(at_tick(4095, 0), SimEvent::App(node(0), 0));
+        assert_eq!(q.pop().unwrap().1, SimEvent::App(node(0), 0));
+        assert_eq!(q.cursor, 4095);
+        // Both within reach of the cursor, in slots 4094 and 5.
+        q.schedule(at_tick(4095 + 4095, 0), SimEvent::App(node(1), 1));
+        q.schedule(at_tick(4096 + 5, 0), SimEvent::App(node(2), 2));
+        assert_eq!(q.far_occupied.summary, 0);
+        assert_eq!(q.pop().unwrap().1, SimEvent::App(node(2), 2));
+        assert_eq!(q.pop().unwrap().1, SimEvent::App(node(1), 1));
+        assert_eq!(q.cursor, 4095 + 4095);
+    }
+
+    #[test]
+    fn a_refiled_entry_can_land_in_the_cursor_bucket() {
+        // Level 1 lists are unordered (and here reversed): re-filing at the
+        // span's first tick must sort them, same-instant ties included.
+        let mut q = EventQueue::new();
+        let first_tick = 2 << SLOT_BITS;
+        q.schedule(at_tick(first_tick, 1), SimEvent::App(node(2), 2));
+        q.schedule(at_tick(first_tick, 0), SimEvent::App(node(0), 0));
+        q.schedule(at_tick(first_tick, 0), SimEvent::App(node(1), 1));
+        q.schedule(at_tick(first_tick + 9, 0), SimEvent::App(node(3), 3));
+        assert_eq!(q.near_occupied.summary, 0);
+        assert_eq!(q.peek_time(), Some(at_tick(first_tick, 0)));
+        assert_eq!((q.cursor, q.far_occupied.summary), (first_tick, 0));
+        for i in [0, 1, 2, 3] {
+            assert_eq!(q.pop().unwrap().1, SimEvent::App(node(i), u64::from(i)));
+        }
+    }
+
+    #[test]
+    fn instants_beyond_the_level_one_window_park_and_bounce() {
+        let hours = |h: u64| SimTime::from_secs(h * 3600);
+        let span_of = |at: SimTime| EventQueue::tick_of(at) >> SLOT_BITS;
+        let mut q = EventQueue::new();
+        // The window ends after ≈ 4.9 h: 5 h and 6 h park in its last
+        // bucket, whatever their own spans.
+        for h in [6, 5, 1, 4] {
+            q.schedule(hours(h), SimEvent::App(node(0), h));
+        }
+        assert!(span_of(hours(5)) > REACH);
+        assert_eq!(q.far.get(slot_of(span_of(hours(5)))), Some(&NIL));
+        assert_ne!(q.far.get(slot_of(REACH)), Some(&NIL));
+        // Stopping at 4 h puts 5 h and 6 h inside the window; the cursor
+        // still has to stop at the bucket they were parked in and re-file
+        // them from there.
+        assert_eq!(q.pop().unwrap().1, SimEvent::App(node(0), 1));
+        assert_eq!(q.pop().unwrap().1, SimEvent::App(node(0), 4));
+        q.schedule(hours(400 * 24), SimEvent::App(node(0), 9_600));
+        assert_eq!(q.pop().unwrap().1, SimEvent::App(node(0), 5));
+        assert_eq!(q.pop().unwrap().1, SimEvent::App(node(0), 6));
+        // Alone and thousands of windows out: re-parked once, then reached
+        // in one jump, not a window at a time.
+        assert_eq!(q.peek_time(), Some(hours(9_600)));
+        assert_eq!(q.cursor, EventQueue::tick_of(hours(9_600)));
+        q.schedule(
+            SimTime::from(std::time::Duration::MAX),
+            SimEvent::MobilityTick,
+        );
+        assert_eq!(q.pop().unwrap().1, SimEvent::App(node(0), 9_600));
+        assert_eq!(q.pop().unwrap().1, SimEvent::MobilityTick);
+        assert!(q.is_empty() && q.pop().is_none());
     }
 }

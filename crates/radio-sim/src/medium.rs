@@ -31,6 +31,7 @@ use lora_phy::modulation::LoRaModulation;
 use lora_phy::power::Dbm;
 use lora_phy::propagation::{PathLossModel, Position, Shadowing};
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::event::FrameId;
@@ -147,8 +148,10 @@ pub struct Medium {
     /// In-flight transmissions, ascending by [`FrameId`]. Frame ids are
     /// assigned monotonically, so `begin_tx` appends in order and the
     /// iteration order matches the old `BTreeMap` exactly — without the
-    /// per-transmission node allocations.
-    active: Vec<ActiveTx>,
+    /// per-transmission node allocations. A deque, because frames mostly
+    /// end in start order: `end_tx` removes near the front and
+    /// `VecDeque::remove` shifts the shorter side.
+    active: VecDeque<ActiveTx>,
     next_frame: u64,
     /// [`RfConfig::capture_ratio_linear`], hoisted out of the hot loops.
     capture_ratio_linear: f64,
@@ -171,7 +174,7 @@ impl Medium {
             ),
             noise_floor: noise_floor(config.modulation.bandwidth),
             config,
-            active: Vec::new(),
+            active: VecDeque::new(),
             next_frame: 0,
         }
     }
@@ -248,7 +251,7 @@ impl Medium {
         let airtime = self.airtime(len);
         let frame = FrameId(self.next_frame);
         self.next_frame += 1;
-        self.active.push(ActiveTx {
+        self.active.push_back(ActiveTx {
             frame,
             sender,
             origin,
@@ -269,7 +272,7 @@ impl Medium {
         self.active
             .binary_search_by_key(&frame, |tx| tx.frame)
             .ok()
-            .map(|pos| self.active.remove(pos))
+            .and_then(|pos| self.active.remove(pos))
     }
 
     /// Looks up an in-flight transmission.

@@ -2,7 +2,7 @@
 //!
 //! The sharded engine splits the plane into contiguous *bands* along the
 //! x-axis (a degenerate grid of range-sized cells: one column per shard)
-//! and gives each band its own calendar queue. The partition is sound
+//! and gives each band its own event queue. The partition is sound
 //! because audibility is *distance-bounded*: with the shadowing offset
 //! truncated at ±[`Shadowing::MAX_OFFSET_SIGMA`]·σ, there is a finite
 //! [`max_audible_range`] beyond which no link can ever exceed the

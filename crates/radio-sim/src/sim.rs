@@ -86,7 +86,7 @@ pub struct SimConfig {
     pub timer_tombstones: bool,
     /// Number of spatial shards the event engine partitions the world
     /// into (see [`crate::shard`]). `1` (the default) runs the classic
-    /// sequential engine; `> 1` gives each spatial band its own calendar
+    /// sequential engine; `> 1` gives each spatial band its own event
     /// queue, range-scoped medium roster and range-scoped link-cache
     /// invalidation, merged under a conservative lookahead window.
     /// Behaviourally transparent — traces, metrics, RNG draws and
@@ -193,7 +193,7 @@ struct NodeState {
 /// Runtime state of the sharded engine, built at [`Simulator::start`]
 /// when [`SimConfig::shards`] > 1.
 ///
-/// Each spatial band owns a calendar queue holding the *internal* events
+/// Each spatial band owns an event queue holding the *internal* events
 /// (timers, `TxEnd`/`RxEnd`/CAD) of the nodes homed there; externally
 /// injected events (app traffic, faults, mobility ticks) stay on the
 /// coordinator queue ([`Simulator::queue`]), which also allocates every
@@ -211,7 +211,7 @@ struct ShardState {
     /// global), and a fixed home keeps each queue's timer-generation
     /// table authoritative for its nodes.
     home: Vec<usize>,
-    /// One calendar queue per band.
+    /// One event queue per band.
     queues: Vec<EventQueue>,
     /// δ: the conservative lookahead window (one preamble airtime).
     lookahead: Duration,
@@ -297,6 +297,9 @@ pub struct Simulator<F: Firmware> {
     seed: u64,
     /// Audibility bound the grid and partitioner are built with.
     audible_range: f64,
+    /// Length of a CAD scan: [`SimConfig::cad_symbols`] symbol times of
+    /// the shared modulation, fixed for the run.
+    cad_duration: Duration,
     /// Spatial candidate index ([`SimConfig::spatial_grid`]).
     grid: Grid,
     /// Whether `grid` must be rebuilt before its next use (positions
@@ -314,6 +317,8 @@ impl<F: Firmware> Simulator<F> {
     pub fn new(config: SimConfig, seed: u64) -> Self {
         let trace = Trace::new(config.trace_capacity);
         let audible_range = shard::max_audible_range(&config.rf);
+        let symbol_time = config.rf.modulation.symbol_time();
+        let cad_duration = symbol_time.mul_f64(f64::from(config.cad_symbols));
         Simulator {
             medium: Medium::new(config.rf.clone()),
             trace,
@@ -337,6 +342,7 @@ impl<F: Firmware> Simulator<F> {
             shard: None,
             seed,
             audible_range,
+            cad_duration,
             grid: Grid::new(),
             grid_dirty: true,
             prefetch_scratch: Vec::new(),
@@ -512,21 +518,27 @@ impl<F: Firmware> Simulator<F> {
         }
     }
 
-    /// Schedules an application (workload) event for `node` at `at`.
+    /// Schedules an application (workload) event for `node` at `at`, or
+    /// now if the clock has already passed `at`.
     pub fn schedule_app(&mut self, at: Duration, node: NodeId, tag: u64) {
-        self.queue
-            .schedule(SimTime::from(at), SimEvent::App(node, tag));
+        self.schedule_external(at, SimEvent::App(node, tag));
     }
 
-    /// Schedules `node` to fail at `at`.
+    /// Schedules `node` to fail at `at`, or now if `at` has passed.
     pub fn schedule_kill(&mut self, at: Duration, node: NodeId) {
-        self.queue.schedule(SimTime::from(at), SimEvent::Kill(node));
+        self.schedule_external(at, SimEvent::Kill(node));
     }
 
-    /// Schedules `node` to restart at `at`.
+    /// Schedules `node` to restart at `at`, or now if `at` has passed.
     pub fn schedule_revive(&mut self, at: Duration, node: NodeId) {
-        self.queue
-            .schedule(SimTime::from(at), SimEvent::Revive(node));
+        self.schedule_external(at, SimEvent::Revive(node));
+    }
+
+    /// Enqueues an externally injected event on the coordinator queue,
+    /// clamped to `now` like a wake-up: the queue pops a past event with
+    /// its own time, and `dispatch` would run the clock backwards.
+    fn schedule_external(&mut self, at: Duration, event: SimEvent) {
+        self.queue.schedule(SimTime::from(at).max(self.now), event);
     }
 
     /// Calls `on_start` on every node. Idempotent; run methods call this
@@ -1210,25 +1222,13 @@ impl<F: Firmware> Simulator<F> {
             // but the protocol still needs an answer — real CAD during
             // channel activity reports "busy". Keep the radio state
             // untouched and deliver the result after the scan duration.
-            let duration = self
-                .medium
-                .config()
-                .modulation
-                .symbol_time()
-                .mul_f64(f64::from(self.config.cad_symbols));
-            let at = self.now + duration;
+            let at = self.now + self.cad_duration;
             self.schedule_for(at, i, SimEvent::CadBusyReport(NodeId(i)));
             return;
         }
         let node = NodeId(i);
         let busy_now = self.channel_busy(i, None);
-        let duration = self
-            .medium
-            .config()
-            .modulation
-            .symbol_time()
-            .mul_f64(f64::from(self.config.cad_symbols));
-        let until = self.now + duration;
+        let until = self.now + self.cad_duration;
         self.nodes[i].radio.begin_cad(self.now, until, busy_now);
         self.schedule_for(until, i, SimEvent::CadEnd(node));
     }
@@ -1896,6 +1896,50 @@ mod tests {
         s.run_for(Duration::from_secs(20));
         assert_eq!(s.node(b).received.len(), 1);
         assert_eq!(s.node(a).tx_done, 1);
+    }
+
+    /// Records the clock at every `on_start` and `on_app`.
+    #[derive(Default)]
+    struct Clocked(Vec<Duration>);
+
+    impl Firmware for Clocked {
+        fn on_start(&mut self, ctx: &mut Context) {
+            self.0.push(ctx.now());
+        }
+        fn on_frame(&mut self, _: &[u8], _: SignalQuality, _: &mut Context) {}
+        fn on_app(&mut self, _tag: u64, ctx: &mut Context) {
+            self.0.push(ctx.now());
+        }
+        fn next_wake(&self) -> Option<Duration> {
+            None
+        }
+    }
+
+    /// An app event, kill or revive scheduled for an instant the clock
+    /// has already passed happens now; the clock never runs backwards.
+    #[test]
+    fn external_events_in_the_past_are_clamped_to_now() {
+        for shards in [1, 4] {
+            let config = SimConfig {
+                shards,
+                ..SimConfig::default()
+            };
+            let mut s: Simulator<Clocked> = Simulator::new(config, 1);
+            let n = s.add_node(Clocked::default(), Position::new(0.0, 0.0));
+            let (past, now) = (Duration::from_secs(5), Duration::from_secs(10));
+            s.run_until(now);
+            s.schedule_app(past, n, 7);
+            assert!(s.step());
+            assert_eq!(s.now(), now, "app, shards {shards}");
+            s.schedule_kill(past, n);
+            assert!(s.step());
+            assert_eq!(s.now(), now, "kill, shards {shards}");
+            assert!(!s.is_alive(n));
+            s.schedule_revive(past, n);
+            assert!(s.step());
+            assert_eq!(s.now(), now, "revive, shards {shards}");
+            assert_eq!(s.node(n).0, [Duration::ZERO, now, now], "shards {shards}");
+        }
     }
 
     #[test]

@@ -1120,12 +1120,7 @@ impl<F: Firmware + Send> Simulator<F> {
             cs.workers.push(WorkerScratch::default());
         }
         let preamble = self.medium.config().modulation.preamble_time();
-        let cad_duration = self
-            .medium
-            .config()
-            .modulation
-            .symbol_time()
-            .mul_f64(f64::from(self.config.cad_symbols));
+        let cad_duration = self.cad_duration;
 
         {
             // Split the mutable state between the workers: each gets its

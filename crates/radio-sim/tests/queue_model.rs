@@ -1,15 +1,20 @@
-//! Property test: the calendar [`EventQueue`] is observationally
+//! Property test: the timing-wheel [`EventQueue`] is observationally
 //! equivalent to a deliberately naive reference model — a single global
 //! `BinaryHeap` keyed on `(time, seq)` with the same timer-generation
 //! rules. Random interleavings of schedules, timer reschedules,
 //! cancellations, pops (plain and bounded) and peeks must agree on
-//! every observable: popped events (FIFO within same-instant ties), peeked times, lengths
-//! with and without tombstones, and the stale-drop counter. Times span
-//! the ring horizon, so near-ring placement, overflow migration and
-//! past-event clamping are all crossed repeatedly.
+//! every observable: popped events (FIFO within same-instant ties), peeked
+//! keys, lengths with and without tombstones, and the stale-drop counter.
+//! Times span several level-1 buckets and reach beyond the level-1 window
+//! (hours, centuries, `Duration::MAX`), cluster inside single level-0
+//! buckets in descending and shuffled arrival order, and arrive under
+//! externally allocated sequence numbers that are not ascending, so
+//! sorted inserts, re-filing, parking and past-event folding are all
+//! crossed repeatedly — with the cached head live across all of them.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::time::Duration;
 
 use radio_sim::event::{EventQueue, SimEvent};
 use radio_sim::time::SimTime;
@@ -133,22 +138,52 @@ enum Op {
         until: SimTime,
     },
     Peek,
+    /// Several events within a millisecond of `base`, handed over in the
+    /// order given (descending or shuffled, repeats allowed). With
+    /// `external`, their sequence numbers are reserved up front and
+    /// assigned in reverse arrival order through `schedule_at_seq`.
+    Burst {
+        node: usize,
+        base: SimTime,
+        offsets_us: Vec<u64>,
+        external: bool,
+    },
+    /// Peek (so the head is cached), then cancel the timer of the node
+    /// that owns the head, if the head is a timer.
+    CancelHead,
+    /// Several pops in a row.
+    Drain {
+        pops: usize,
+    },
 }
 
-/// Times cluster on shared instants (to force FIFO ties), span several
-/// ring-horizon multiples (≈4.3 s each) and occasionally jump a minute
-/// ahead, so every insert path (near ring / overflow / clamped past)
-/// gets traffic.
+/// Instants beyond the level-1 window (≈ 4.9 h): one re-file away, many
+/// windows away, past `u64` nanoseconds, and the largest there is.
+const BEYOND: [Duration; 4] = [
+    Duration::from_secs(6 * 3600),
+    Duration::from_secs(400 * 86_400),
+    Duration::from_secs(600 * 365 * 86_400),
+    Duration::MAX,
+];
+
+/// Times cluster on shared instants (to force FIFO ties) and on shared
+/// level-0 buckets (quarter-millisecond steps), span several level-1
+/// buckets (≈ 4.3 s each), occasionally jump a minute ahead and rarely
+/// beyond the level-1 window, so every insert path (level 0 / level 1 /
+/// parked / folded past) gets traffic.
 fn gen_time(g: &mut Gen) -> SimTime {
+    if g.bool(0.03) {
+        return SimTime::from(g.choose(&BEYOND));
+    }
     let base = g.int_in(0, 4) * 5_000;
     let jitter = g.int_in(0, 8) * 400;
     let far = if g.bool(0.1) { 60_000 } else { 0 };
-    SimTime::from_millis(base + jitter + far)
+    SimTime::from_micros((base + jitter + far) * 1_000 + g.int_in(0, 3) * 250)
 }
 
 fn gen_op(g: &mut Gen) -> Op {
     let node = g.usize_in(0, NODES - 1);
-    match g.int_in(0, 9) {
+    match g.int_in(0, 12) {
         0 | 1 => Op::App {
             node,
             at: gen_time(g),
@@ -168,7 +203,176 @@ fn gen_op(g: &mut Gen) -> Op {
         },
         7 => Op::Pop,
         8 => Op::PopUntil { until: gen_time(g) },
-        _ => Op::Peek,
+        9 => Op::Peek,
+        10 => {
+            let mut offsets_us = g.vec_of(2, 8, |g| g.int_in(0, 12) * 70);
+            if g.bool(0.5) {
+                offsets_us.sort_unstable_by(|a, b| b.cmp(a));
+            }
+            Op::Burst {
+                node,
+                base: gen_time(g),
+                offsets_us,
+                external: g.bool(0.5),
+            }
+        }
+        11 => Op::CancelHead,
+        _ => Op::Drain {
+            pops: g.usize_in(2, 12),
+        },
+    }
+}
+
+/// The queue and the model, driven in lockstep.
+#[derive(Default)]
+struct Pair {
+    q: EventQueue,
+    m: Model,
+}
+
+impl Pair {
+    fn schedule(&mut self, at: SimTime, event: SimEvent) {
+        self.q.schedule(at, event.clone());
+        self.m.schedule(at, event);
+    }
+
+    /// The model's head `(time, seq)`; its sequence numbers are the
+    /// queue's own, both counting schedules from zero.
+    fn model_head(&mut self) -> Option<(SimTime, u64)> {
+        self.m.peek_time()?;
+        self.m.heap.peek().map(|&Reverse(key)| key)
+    }
+
+    fn peek(&mut self, step: usize) -> Result<(), String> {
+        let (got, want) = (self.q.peek_key(), self.model_head());
+        if got != want {
+            return Err(format!("step {step}: peek {got:?}, model {want:?}"));
+        }
+        Ok(())
+    }
+
+    fn pop(&mut self, step: usize) -> Result<Option<(SimTime, SimEvent)>, String> {
+        let (got, want) = (self.q.pop(), self.m.pop());
+        if got != want {
+            return Err(format!("step {step}: pop {got:?}, model {want:?}"));
+        }
+        Ok(got)
+    }
+
+    fn apply(&mut self, step: usize, op: &Op) -> Result<(), String> {
+        match *op {
+            Op::App { node, at } => self.schedule(at, SimEvent::App(NodeId(node), step as u64)),
+            Op::ScheduleTimer { node, at } => {
+                self.q.schedule_timer(at, NodeId(node));
+                self.m.schedule_timer(at, NodeId(node));
+            }
+            Op::CancelTimer { node } => {
+                self.q.cancel_timer(NodeId(node));
+                self.m.cancel_timer(NodeId(node));
+            }
+            Op::RawLiveTimer { node, at } => {
+                let stamp = self.q.timer_generation(NodeId(node));
+                let model_stamp = self.m.gen.get(node).copied().unwrap_or(0);
+                if stamp != model_stamp {
+                    return Err(format!(
+                        "step {step}: generation skew {stamp} vs {model_stamp}"
+                    ));
+                }
+                self.schedule(at, SimEvent::Timer(NodeId(node), stamp));
+            }
+            Op::RawStaleTimer { node, at } => {
+                let stamp = self.q.timer_generation(NodeId(node)).wrapping_add(100_000);
+                self.schedule(at, SimEvent::Timer(NodeId(node), stamp));
+            }
+            Op::Pop => {
+                self.pop(step)?;
+            }
+            Op::PopUntil { until } => {
+                let due = self.m.peek_time().is_some_and(|at| at <= until);
+                let want = if due { self.m.pop() } else { None };
+                let got = self.q.pop_until(until);
+                if got != want {
+                    return Err(format!(
+                        "step {step}: pop_until({until:?}) {got:?}, model {want:?}"
+                    ));
+                }
+            }
+            Op::Peek => self.peek(step)?,
+            Op::Burst {
+                node,
+                base,
+                ref offsets_us,
+                external,
+            } => {
+                // Reserved up front, like the sharded engine's coordinator
+                // counter; the model indexes its events by the same numbers.
+                let first = self.m.events.len();
+                if external {
+                    for _ in offsets_us {
+                        let _ = self.q.alloc_seq();
+                        self.m.events.push((SimTime::ZERO, SimEvent::MobilityTick));
+                    }
+                }
+                for (arrival, &us) in offsets_us.iter().enumerate() {
+                    let offset = Duration::from_micros(us);
+                    let at = SimTime::from(base.as_duration().saturating_add(offset));
+                    let event = SimEvent::App(NodeId(node), (step * 100 + arrival) as u64);
+                    if external {
+                        let seq = first + offsets_us.len() - 1 - arrival;
+                        self.q.schedule_at_seq(at, seq as u64, event.clone());
+                        self.m.events[seq] = (at, event);
+                        self.m.heap.push(Reverse((at, seq as u64)));
+                    } else {
+                        self.schedule(at, event);
+                    }
+                }
+            }
+            Op::CancelHead => {
+                self.peek(step)?;
+                let head = self.model_head().map(|(_, seq)| self.m.event_at(seq).1);
+                if let Some(SimEvent::Timer(owner, _)) = head {
+                    self.q.cancel_timer(owner);
+                    self.m.cancel_timer(owner);
+                }
+            }
+            Op::Drain { pops } => {
+                for _ in 0..pops {
+                    self.pop(step)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Everything observable without disturbing either side.
+    fn check(&self, step: usize) -> Result<(), String> {
+        let (q, m) = (&self.q, &self.m);
+        if q.len() != m.len() || q.live_len() != m.live_len() {
+            return Err(format!(
+                "step {step}: len {}/{} vs model {}/{}",
+                q.len(),
+                q.live_len(),
+                m.len(),
+                m.live_len()
+            ));
+        }
+        if q.stale_timers_dropped() != m.dropped {
+            return Err(format!(
+                "step {step}: stale drops {} vs model {}",
+                q.stale_timers_dropped(),
+                m.dropped
+            ));
+        }
+        if q.is_empty() != (m.len() == 0) {
+            return Err(format!("step {step}: is_empty disagrees"));
+        }
+        Ok(())
+    }
+
+    /// Drains both to the end: the full remaining order must match.
+    fn drain(&mut self) -> Result<(), String> {
+        while self.pop(usize::MAX)?.is_some() {}
+        self.check(usize::MAX)
     }
 }
 
@@ -176,96 +380,80 @@ fn gen_op(g: &mut Gen) -> Op {
 fn calendar_queue_matches_reference_model() {
     forall(
         "calendar_queue_matches_reference_model",
-        |g| g.vec_of(1, 240, gen_op),
-        |ops| {
-            let mut q = EventQueue::new();
-            let mut m = Model::default();
+        // Peeking settles the queue and caches its head, so a run that
+        // peeks between every pair of operations is a regime of its own.
+        |g| (g.bool(0.5), g.vec_of(1, 240, gen_op)),
+        |(peek_between, ops)| {
+            let mut pair = Pair::default();
             for (step, op) in ops.iter().enumerate() {
-                match *op {
-                    Op::App { node, at } => {
-                        let ev = SimEvent::App(NodeId(node), step as u64);
-                        q.schedule(at, ev.clone());
-                        m.schedule(at, ev);
-                    }
-                    Op::ScheduleTimer { node, at } => {
-                        q.schedule_timer(at, NodeId(node));
-                        m.schedule_timer(at, NodeId(node));
-                    }
-                    Op::CancelTimer { node } => {
-                        q.cancel_timer(NodeId(node));
-                        m.cancel_timer(NodeId(node));
-                    }
-                    Op::RawLiveTimer { node, at } => {
-                        let stamp = q.timer_generation(NodeId(node));
-                        let model_stamp = m.gen.get(node).copied().unwrap_or(0);
-                        if stamp != model_stamp {
-                            return Err(format!(
-                                "step {step}: generation skew {stamp} vs {model_stamp}"
-                            ));
-                        }
-                        q.schedule(at, SimEvent::Timer(NodeId(node), stamp));
-                        m.schedule(at, SimEvent::Timer(NodeId(node), stamp));
-                    }
-                    Op::RawStaleTimer { node, at } => {
-                        let stamp = q.timer_generation(NodeId(node)).wrapping_add(100_000);
-                        q.schedule(at, SimEvent::Timer(NodeId(node), stamp));
-                        m.schedule(at, SimEvent::Timer(NodeId(node), stamp));
-                    }
-                    Op::Pop => {
-                        let (got, want) = (q.pop(), m.pop());
-                        if got != want {
-                            return Err(format!("step {step}: pop {got:?}, model {want:?}"));
-                        }
-                    }
-                    Op::PopUntil { until } => {
-                        let due = m.peek_time().is_some_and(|at| at <= until);
-                        let want = if due { m.pop() } else { None };
-                        let got = q.pop_until(until);
-                        if got != want {
-                            return Err(format!(
-                                "step {step}: pop_until({until:?}) {got:?}, model {want:?}"
-                            ));
-                        }
-                    }
-                    Op::Peek => {
-                        let (got, want) = (q.peek_time(), m.peek_time());
-                        if got != want {
-                            return Err(format!("step {step}: peek {got:?}, model {want:?}"));
-                        }
-                    }
-                }
-                if q.len() != m.len() || q.live_len() != m.live_len() {
-                    return Err(format!(
-                        "step {step}: len {}/{} vs model {}/{}",
-                        q.len(),
-                        q.live_len(),
-                        m.len(),
-                        m.live_len()
-                    ));
-                }
-                if q.stale_timers_dropped() != m.dropped {
-                    return Err(format!(
-                        "step {step}: stale drops {} vs model {}",
-                        q.stale_timers_dropped(),
-                        m.dropped
-                    ));
-                }
-                if q.is_empty() != (m.len() == 0) {
-                    return Err(format!("step {step}: is_empty disagrees"));
+                pair.apply(step, op)?;
+                pair.check(step)?;
+                if *peek_between {
+                    pair.peek(step)?;
+                    pair.check(step)?;
                 }
             }
-            // Drain both to the end: the full remaining order must match.
-            loop {
-                let (got, want) = (q.pop(), m.pop());
-                if got != want {
-                    return Err(format!("drain: pop {got:?}, model {want:?}"));
+            pair.drain()
+        },
+    );
+}
+
+/// A long drain with the cursor in motion: events spread over half a
+/// minute (seven level-1 spans) plus a few beyond the level-1 window are
+/// popped to the end while every third pop schedules a follow-up relative
+/// to the instant just popped — same tick, next tick, next span, past.
+#[test]
+fn drain_across_level_one_spans_matches_reference_model() {
+    const FOLLOW_UPS_US: [i64; 6] = [0, 300, 1_100, 4_400_000, 9_000_000, -2_000_000];
+    forall(
+        "drain_across_level_one_spans_matches_reference_model",
+        |g| {
+            let ops = g.vec_of(20, 200, |g| {
+                let node = g.usize_in(0, NODES - 1);
+                let at = if g.bool(0.02) {
+                    SimTime::from(g.choose(&BEYOND))
+                } else {
+                    SimTime::from_micros(g.int_in(0, 30_000_000))
+                };
+                if g.bool(0.3) {
+                    Op::ScheduleTimer { node, at }
+                } else {
+                    Op::App { node, at }
                 }
-                if got.is_none() {
+            });
+            let follow_ups = g.vec_of(1, 40, |g| g.choose(&FOLLOW_UPS_US));
+            (ops, follow_ups)
+        },
+        |(ops, follow_ups)| {
+            let mut pair = Pair::default();
+            // Anchors: the drain starts at zero and runs past 15 s.
+            pair.schedule(SimTime::ZERO, SimEvent::MobilityTick);
+            pair.schedule(SimTime::from_secs(15), SimEvent::MobilityTick);
+            for (step, op) in ops.iter().enumerate() {
+                pair.apply(step, op)?;
+            }
+            let mut follow_ups = follow_ups.iter();
+            let mut times = Vec::new();
+            for step in 0.. {
+                let Some((at, _)) = pair.pop(step)? else {
                     break;
+                };
+                times.push(at);
+                pair.check(step)?;
+                if step % 3 == 0 && at < SimTime::from_secs(3600) {
+                    if let Some(&us) = follow_ups.next() {
+                        let micros = i64::try_from(at.as_micros()).unwrap_or(i64::MAX);
+                        let then = SimTime::from_micros(micros.saturating_add(us).max(0) as u64);
+                        pair.schedule(then, SimEvent::App(NodeId(0), step as u64));
+                        pair.peek(step)?;
+                    }
                 }
             }
-            if q.stale_timers_dropped() != m.dropped {
-                return Err("drain: stale-drop counters disagree".into());
+            pair.check(usize::MAX)?;
+            let spans = |at: &SimTime| at.as_duration().as_nanos() >> 32;
+            let crossed = times.last().map_or(0, spans) - times.first().map_or(0, spans);
+            if crossed < 2 {
+                return Err(format!("drain crossed only {crossed} level-1 spans"));
             }
             Ok(())
         },

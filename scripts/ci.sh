@@ -35,9 +35,10 @@ cargo test -q --offline --workspace
 
 # Release is the build the benchmark measures, and debug assertions
 # double as oracles that can mask a broken gate: the gate-soundness
-# batteries run once without them as well.
-echo "==> cargo test -q --offline --release -p radio-sim --test row_model --test grid_model --test interference_model (gate soundness without debug assertions)"
-cargo test -q --offline --release -p radio-sim --test row_model --test grid_model --test interference_model
+# batteries run once without them as well — as do the event queue's
+# models, the only oracle its cached head has in release.
+echo "==> cargo test -q --offline --release -p radio-sim --test row_model --test grid_model --test interference_model --test queue_model --test shard_model --test commit_merge (model batteries without debug assertions)"
+cargo test -q --offline --release -p radio-sim --test row_model --test grid_model --test interference_model --test queue_model --test shard_model --test commit_merge
 
 echo "==> cargo test -q --offline -p loramesher --features crypto (AES-CTR flood payload encryption leg)"
 cargo test -q --offline -p loramesher --features crypto

@@ -39,6 +39,10 @@
 //! from the frame bytes. Its formation counterpart pins what learning
 //! routes costs: the table is one vector, so 255 routes are a handful of
 //! doublings, not an allocation per few routes.
+//!
+//! The event queue on its own gets the same treatment: its pending
+//! events live in one slab, so a second fill to the same depth reuses
+//! the nodes the first one freed.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -49,9 +53,11 @@ use lora_phy::link::SignalQuality;
 use lora_phy::propagation::Position;
 use loramesher::packet::RouteEntry;
 use loramesher::{Address, RoutingTable};
+use radio_sim::event::{EventQueue, SimEvent};
 use radio_sim::firmware::{Context, Firmware};
 use radio_sim::mobility::Mobility;
-use radio_sim::{topology, SimConfig, Simulator};
+use radio_sim::time::SimTime;
+use radio_sim::{topology, NodeId, SimConfig, Simulator};
 use scenario::experiments::default_spacing;
 use scenario::runner::{NetworkBuilder, Runner};
 
@@ -435,4 +441,35 @@ fn learning_255_routes_allocates_only_to_double_the_table() {
         allocs <= doublings,
         "{allocs} allocations to learn 255 routes: more than {doublings} vector doublings"
     );
+}
+
+/// The queue's memory follows its peak depth, not its traffic: filling
+/// it with 100 k events — most in level 0, a tail in level 1, timers that
+/// tombstone each other — and draining it grows the slab (and the timer
+/// table) once; a second, identical round allocates nothing.
+#[test]
+fn refilling_a_drained_queue_reuses_the_slab() {
+    let mut q = EventQueue::new();
+    let round = |q: &mut EventQueue, start_ms: u64| -> u64 {
+        let (before, dropped_before) = (local_allocs(), q.stale_timers_dropped());
+        for i in 0..100_000u64 {
+            let at = SimTime::from_micros(start_ms * 1_000 + (i * 7_919) % 9_000_000);
+            if i % 10 == 0 {
+                q.schedule_timer(at, NodeId((i % 64) as usize));
+            } else {
+                q.schedule(at, SimEvent::App(NodeId(0), i));
+            }
+        }
+        assert_eq!(q.len(), 100_000);
+        let mut popped = 0;
+        while q.pop().is_some() {
+            popped += 1;
+        }
+        assert_eq!(popped + q.stale_timers_dropped() - dropped_before, 100_000);
+        local_allocs() - before
+    };
+    let first = round(&mut q, 0);
+    assert!(first > 0, "the first fill must have grown the slab");
+    let second = round(&mut q, 10_000);
+    assert_eq!(second, 0, "{second} allocations refilling a drained queue");
 }
