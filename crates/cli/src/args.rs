@@ -86,8 +86,9 @@ pub struct Cli {
     pub seeds: usize,
     /// Worker threads for multi-seed runs.
     pub jobs: usize,
-    /// Spatial shards for the event engine (1 = sequential reference;
-    /// behaviourally transparent either way).
+    /// Spatial bands of the world (1 = no partition): scoped link-row
+    /// invalidation, and band queues for band workers when `threads`
+    /// > 1. Behaviourally transparent either way.
     pub shards: usize,
     /// Worker threads inside the simulator's parallel evaluate regions
     /// (1 = coordinator only; behaviourally transparent either way).
@@ -173,7 +174,10 @@ OPTIONS:
   --seed N                                master seed          [42]
   --seeds N                               replication seeds    [1]
   --jobs N                                worker threads for --seeds [1]
-  --shards N                              spatial event-engine shards [1]
+  --shards N                              spatial bands: scope link-row
+                                          invalidation on moves; with
+                                          --threads > 1 also one event
+                                          queue per band           [1]
   --threads N                             simulator worker threads [1]
   --rng-streams                           per-node RNG streams (needed
                                           for --threads > 1)

@@ -330,7 +330,7 @@ impl Config {
                 "crates/radio-sim/src/event.rs".into(),
                 "crates/radio-sim/src/metrics.rs".into(),
                 // Shard partitioning runs on every event-engine batch
-                // decision and every transmission's roster registration.
+                // decision and every mobility tick's scoped invalidation.
                 "crates/radio-sim/src/shard.rs".into(),
                 // The spatial grid sits under every link-cache row fill;
                 // the fork-join helper hosts every worker-thread region.

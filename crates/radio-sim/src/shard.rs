@@ -1,27 +1,34 @@
 //! Spatial partitioning for the sharded event engine.
 //!
 //! The sharded engine splits the plane into contiguous *bands* along the
-//! x-axis (a degenerate grid of range-sized cells: one column per shard)
-//! and gives each band its own event queue. The partition is sound
-//! because audibility is *distance-bounded*: with the shadowing offset
-//! truncated at ±[`Shadowing::MAX_OFFSET_SIGMA`]·σ, there is a finite
+//! x-axis (a degenerate grid of range-sized cells: one column per
+//! shard). The partition is sound because audibility is
+//! *distance-bounded*: with the shadowing offset truncated at
+//! ±[`Shadowing::MAX_OFFSET_SIGMA`]·σ, there is a finite
 //! [`max_audible_range`] beyond which no link can ever exceed the
-//! modulation's sensitivity. A transmission from `x` can therefore only
-//! be heard (or interfere audibly, or trip a CAD scan) inside
-//! `[x − r_max, x + r_max]`, so it only needs to be visible to the bands
-//! overlapping that interval ([`Partitioner::reach`]); everything else
-//! is provably shard-local.
+//! modulation's sensitivity. Whatever happens at `x` — a transmission,
+//! a node moving — can therefore only be heard (or interfere audibly,
+//! or trip a CAD scan, or change a link row) inside
+//! `[x − r_max, x + r_max]`, so it only concerns the bands overlapping
+//! that interval ([`Partitioner::reach`],
+//! [`Partitioner::reach_interval`]); everything else is provably
+//! band-local.
 //!
-//! The matching *temporal* bound is [`min_lookahead`]: every frame is on
-//! the air for at least one preamble, so an event processed at `t` can
-//! only create events in *other* shards (an `RxEnd` at a receiver homed
-//! elsewhere) at `t + preamble` or later. The engine's merge loop uses
-//! this window to drain one shard's queue in batches without consulting
-//! the others (see `sim.rs`).
+//! On one thread that is all the bands are for: a mobility tick
+//! invalidates link rows only in the bands its movers can reach. Band
+//! *queues* — one event queue per band, merged in `(time, seq)` order —
+//! exist only when band workers do (`threads > 1`), and the matching
+//! *temporal* bound is theirs: [`min_lookahead`]. Every frame is on the
+//! air for at least one preamble, so an event processed at `t` can only
+//! create events in *other* bands (an `RxEnd` at a receiver homed
+//! elsewhere) at `t + preamble` or later. The merge loop uses this
+//! window to drain one band's queue in batches without consulting the
+//! others, and the parallel commit to run several at once (see
+//! `sim.rs`).
 //!
 //! Band edges are chosen once — quantiles of the node x-coordinates at
 //! `start()` — and never move, so `band_of` is a pure function for the
-//! whole run and both engines agree on it forever.
+//! whole run and every engine shape agrees on it forever.
 
 use std::time::Duration;
 

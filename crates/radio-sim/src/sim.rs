@@ -8,7 +8,12 @@
 //! * **Transmission** — a `Transmit` command registers an [`ActiveTx`] on
 //!   the medium, schedules its end, and immediately decides which other
 //!   nodes lock onto it (listening + audible) or suffer it as
-//!   interference.
+//!   interference. The frames already on the air are gathered from the
+//!   medium's registry once per transmission, within twice the audible
+//!   range of its origin, and each locked receiver filters that list.
+//! * **Queues** — one event queue, popped in `(time, seq)` order. Only a
+//!   run with band workers (`shards > 1` and `threads > 1`) also builds
+//!   one queue per spatial band and merges them in the same order.
 //! * **Reception** — at the frame's end each locked receiver asks the
 //!   medium to judge the attempt against noise and the worst interference
 //!   overlap; winners get `on_frame`, losers are counted by reason.
@@ -58,6 +63,17 @@ const PAR_MIN_ITEMS: usize = 64;
 /// prefetch batches are usually far smaller than the node count.
 const PREFETCH_MIN_PER_WORKER: usize = 128;
 
+/// How far from its origin, per axis and in units of the audible range
+/// `r_max`, a starting transmission gathers the in-flight frames that
+/// can interfere at the receivers it locks. Two obligations make `2`
+/// enough: a receiver is locked only if the new frame is audible there,
+/// so it is within `r_max` of the origin; and a frame is seeded as an
+/// interferer only if audible at that receiver, so it originates within
+/// `r_max` of it ([`shard::max_audible_range`] bounds both, with the
+/// cache on or off). The slack covers the rounding of the coordinate
+/// differences, as in the row fill's gate.
+const GATHER_REACH: f64 = 2.0 * (1.0 + 1e-9);
+
 /// Simulation-wide configuration.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
@@ -84,22 +100,27 @@ pub struct SimConfig {
     /// stale-timer counters differ — so this stays on except when
     /// differential-testing the engine itself (tests/engine_diff.rs).
     pub timer_tombstones: bool,
-    /// Number of spatial shards the event engine partitions the world
-    /// into (see [`crate::shard`]). `1` (the default) runs the classic
-    /// sequential engine; `> 1` gives each spatial band its own event
-    /// queue, range-scoped medium roster and range-scoped link-cache
-    /// invalidation, merged under a conservative lookahead window.
-    /// Behaviourally transparent — traces, metrics, RNG draws and
-    /// firmware callbacks are byte-identical for every shard count; only
-    /// the stale-timer drop *timing* differs (tests/shard_diff.rs) — so
-    /// the sequential engine remains the differential reference.
+    /// Number of spatial bands the world is partitioned into along the
+    /// x-axis (see [`crate::shard`]). `1` (the default) has no partition.
+    /// More scope link-cache invalidation on mobility ticks to the bands
+    /// a mover can reach, and — only with more than one of
+    /// [`SimConfig::threads`] — give each band its own event queue for
+    /// a band worker to drain, merged under a conservative lookahead
+    /// window. On one thread every shard count runs the same loop over
+    /// the same single queue. Behaviourally transparent — traces,
+    /// metrics, RNG draws and firmware callbacks are byte-identical for
+    /// every shard count; with band queues only the stale-timer drop
+    /// *timing* differs (tests/shard_diff.rs) — so `shards = 1` remains
+    /// the differential reference.
     pub shards: usize,
     /// Number of worker threads for the parallel regions: the evaluate
     /// regions (mobility stepping and link-row prefetch; see
     /// [`crate::par`]) and — when [`SimConfig::shards`] > 1 — the
     /// parallel *commit* of per-band lookahead batches (see
-    /// [`crate::sim::commit`]). `1` (the default) runs everything on
-    /// the coordinator thread and never touches thread machinery.
+    /// [`crate::sim::commit`]), for which the band queues and their
+    /// k-way merge are built. `1` (the default) runs everything on the
+    /// coordinator thread, from one queue, and never touches thread
+    /// machinery.
     /// Behaviourally transparent for every value — a parallel batch
     /// replays exactly the global `(time, seq)` order through a
     /// deterministic merge, and evaluate results merge in item order —
@@ -193,15 +214,22 @@ struct NodeState {
 /// Runtime state of the sharded engine, built at [`Simulator::start`]
 /// when [`SimConfig::shards`] > 1.
 ///
-/// Each spatial band owns an event queue holding the *internal* events
-/// (timers, `TxEnd`/`RxEnd`/CAD) of the nodes homed there; externally
+/// What is spatial about it exists for every thread count: the fixed
+/// band partition, which scopes link-row invalidation on mobility ticks
+/// to the bands a mover can reach. Band *queues* exist only for band
+/// workers to drain, so they are built when [`SimConfig::threads`] > 1
+/// and `queues` is empty otherwise — the run then goes through the one
+/// coordinator queue and the loop `shards = 1` runs.
+///
+/// With band queues, each holds the *internal* events (timers,
+/// `TxEnd`/`RxEnd`/CAD) of the nodes homed in its band; externally
 /// injected events (app traffic, faults, mobility ticks) stay on the
 /// coordinator queue ([`Simulator::queue`]), which also allocates every
 /// sequence number so `(time, seq)` remains one global total order. The
 /// run loop merges all queues in exactly that order — which is why the
-/// sharded engine is byte-identical to the sequential one — and uses the
-/// lookahead window to drain one band's queue in batches (see
-/// [`crate::shard`] for the partitioning and lookahead arguments).
+/// merge is byte-identical to the single queue — and uses the lookahead
+/// window to drain one band's queue in batches (see [`crate::shard`]
+/// for the partitioning and lookahead arguments).
 struct ShardState {
     /// The fixed spatial partition (band edges never move).
     parts: Partitioner,
@@ -211,41 +239,16 @@ struct ShardState {
     /// global), and a fixed home keeps each queue's timer-generation
     /// table authoritative for its nodes.
     home: Vec<usize>,
-    /// One event queue per band.
+    /// One event queue per band when band workers exist
+    /// ([`SimConfig::threads`] > 1), none otherwise.
     queues: Vec<EventQueue>,
     /// δ: the conservative lookahead window (one preamble airtime).
     lookahead: Duration,
-    /// Per band: in-flight transmissions visible there (every tx whose
-    /// origin is within `r_max` of the band), ascending by frame id —
-    /// frame ids are allocated monotonically, so pushes keep it sorted.
-    active: Vec<Vec<(FrameId, NodeId, Position)>>,
     /// Scratch: bands touched by the current mobility tick.
     touched: Vec<bool>,
     /// Pooled scratch for the parallel commit planner and its band
     /// workers ([`commit`]), reused batch to batch.
     commit: commit::CommitScratch,
-}
-
-impl ShardState {
-    /// Registers a transmission in every band it can reach.
-    fn register(&mut self, frame: FrameId, sender: NodeId, origin: Position) {
-        let (lo, hi) = self.parts.reach(origin.x);
-        for band in lo..=hi {
-            self.active[band].push((frame, sender, origin));
-        }
-    }
-
-    /// Removes a transmission from every band it was registered in.
-    /// Reach is recomputed from the (immutable) origin, so registration
-    /// and removal always agree.
-    fn unregister(&mut self, frame: FrameId, origin: Position) {
-        let (lo, hi) = self.parts.reach(origin.x);
-        for band in lo..=hi {
-            if let Ok(pos) = self.active[band].binary_search_by_key(&frame, |e| e.0) {
-                self.active[band].remove(pos);
-            }
-        }
-    }
 }
 
 /// A deterministic discrete-event simulation of a LoRa network.
@@ -282,8 +285,8 @@ pub struct Simulator<F: Firmware> {
     /// Reused firmware-command buffer for [`Simulator::fire`] (avoids a
     /// per-callback alloc).
     command_scratch: Vec<RadioCommand>,
-    /// Reused in-flight-transmission snapshot for `lock_receiver` and
-    /// `channel_busy` (never nested).
+    /// Reused in-flight-transmission snapshot: `start_tx`'s gather for
+    /// the receivers it locks, and `channel_busy` (never nested).
     roster_scratch: Vec<(FrameId, NodeId, Position)>,
     /// Events processed so far (throughput accounting for benches).
     events_processed: u64,
@@ -313,8 +316,17 @@ pub struct Simulator<F: Firmware> {
 
 impl<F: Firmware> Simulator<F> {
     /// Creates an empty simulation with the given configuration and seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`SimConfig::mobility_tick`] is zero.
     #[must_use]
     pub fn new(config: SimConfig, seed: u64) -> Self {
+        assert!(
+            !config.mobility_tick.is_zero(),
+            "SimConfig::mobility_tick must be positive: a zero tick re-arms the \
+             mobility event at the same instant forever and the run never advances"
+        );
         let trace = Trace::new(config.trace_capacity);
         let audible_range = shard::max_audible_range(&config.rf);
         let symbol_time = config.rf.modulation.symbol_time();
@@ -575,26 +587,21 @@ impl<F: Firmware> Simulator<F> {
                 Partitioner::new(&xs, self.config.shards, r_max)
             };
             let bands = parts.bands();
-            let mut sh = ShardState {
+            // Band queues exist for band workers to drain; one thread
+            // has none and keeps the single coordinator queue.
+            let queues = if self.config.threads > 1 { bands } else { 0 };
+            self.shard = Some(ShardState {
                 home: self
                     .state
                     .iter()
                     .map(|s| parts.band_of(s.position.x))
                     .collect(),
-                queues: (0..bands).map(|_| EventQueue::new()).collect(),
+                queues: (0..queues).map(|_| EventQueue::new()).collect(),
                 lookahead: shard::min_lookahead(self.medium.config()),
-                active: vec![Vec::new(); bands],
                 touched: vec![false; bands],
                 commit: commit::CommitScratch::default(),
                 parts,
-            };
-            // Transmissions begun before start (tests driving `with_node`
-            // early) predate the rosters; enroll them now. `active()`
-            // iterates ascending by frame id, preserving sortedness.
-            for tx in self.medium.active() {
-                sh.register(tx.frame, tx.sender, tx.origin);
-            }
-            self.shard = Some(sh);
+            });
         }
         // Warm the link cache in parallel before the on_start storm:
         // every alive node's row is a pure function of positions, so
@@ -659,6 +666,11 @@ impl<F: Firmware> Simulator<F> {
         }
     }
 
+    /// Whether band queues exist, i.e. the run loop is the k-way merge.
+    fn has_band_queues(&self) -> bool {
+        self.shard.as_ref().is_some_and(|sh| !sh.queues.is_empty())
+    }
+
     /// Stale-timer tombstone drops across every queue.
     fn stale_dropped_total(&self) -> u64 {
         let mut total = self.queue.stale_timers_dropped();
@@ -704,46 +716,27 @@ impl<F: Firmware> Simulator<F> {
         result
     }
 
-    /// Schedules an internal event owned by `node` — on the node's home
-    /// shard queue when sharded (with a globally allocated sequence
-    /// number, so the k-way merge reproduces insertion order), else on
-    /// the global queue.
+    /// The queue holding `node`'s internal events: its home band's when
+    /// band queues exist ([`ShardState::queues`]), else the coordinator
+    /// queue. Sequence numbers always come from the coordinator queue,
+    /// so `(time, seq)` is one global order either way.
+    fn home_queue(&mut self, node: usize) -> &mut EventQueue {
+        match &mut self.shard {
+            Some(sh) if !sh.queues.is_empty() => &mut sh.queues[sh.home[node]],
+            _ => &mut self.queue,
+        }
+    }
+
+    /// Schedules an internal event owned by `node`.
     fn schedule_for(&mut self, at: SimTime, node: usize, event: SimEvent) {
-        match &mut self.shard {
-            Some(sh) => {
-                let seq = self.queue.alloc_seq();
-                sh.queues[sh.home[node]].schedule_at_seq(at, seq, event);
-            }
-            None => self.queue.schedule(at, event),
-        }
+        let seq = self.queue.alloc_seq();
+        self.home_queue(node).schedule_at_seq(at, seq, event);
     }
 
-    /// Tombstones any queued timer for `node` and schedules a fresh one
-    /// in whichever queue owns the node.
+    /// Tombstones any queued timer for `node` and schedules a fresh one.
     fn schedule_wake(&mut self, at: SimTime, node: NodeId) {
-        match &mut self.shard {
-            Some(sh) => {
-                let seq = self.queue.alloc_seq();
-                sh.queues[sh.home[node.0]].schedule_timer_seq(at, node, seq);
-            }
-            None => self.queue.schedule_timer(at, node),
-        }
-    }
-
-    /// Cancels `node`'s pending timer in whichever queue owns it.
-    fn cancel_wake(&mut self, node: NodeId) {
-        match &mut self.shard {
-            Some(sh) => sh.queues[sh.home[node.0]].cancel_timer(node),
-            None => self.queue.cancel_timer(node),
-        }
-    }
-
-    /// `node`'s timer generation in its owning queue (legacy engine).
-    fn wake_generation(&mut self, node: NodeId) -> u64 {
-        match &mut self.shard {
-            Some(sh) => sh.queues[sh.home[node.0]].timer_generation(node),
-            None => self.queue.timer_generation(node),
-        }
+        let seq = self.queue.alloc_seq();
+        self.home_queue(node.0).schedule_timer_seq(at, node, seq);
     }
 
     /// Keeps exactly one pending timer event aligned with the firmware's
@@ -769,13 +762,13 @@ impl<F: Firmware> Simulator<F> {
                     // with the current (never-bumped) generation keeps
                     // them all live.
                     let node = NodeId(i);
-                    let gen = self.wake_generation(node);
+                    let gen = self.home_queue(i).timer_generation(node);
                     self.schedule_for(at, node.0, SimEvent::Timer(node, gen));
                 }
             }
         } else {
             if self.config.timer_tombstones && slot.scheduled_wake.is_some() {
-                self.cancel_wake(NodeId(i));
+                self.home_queue(i).cancel_timer(NodeId(i));
             }
             self.nodes[i].scheduled_wake = None;
         }
@@ -852,36 +845,23 @@ impl<F: Firmware> Simulator<F> {
         }
     }
 
-    /// Visits, ascending by frame id, the in-flight transmissions that
-    /// can matter at `at`: the band roster when sharded (every audible
-    /// transmission is registered there — coverage ∈ reach of its
-    /// origin), else the medium's registry, minus whatever the range
-    /// gate ([`shard::beyond_range`]) proves inaudible before any link
-    /// cache lookup. Both sources ascend by frame id and the gate only
-    /// skips, so an audibility filter over the visited frames yields the
-    /// same set in the same order — bit-identical float sums — as a
-    /// scan of the whole registry. `range` is `self.audible_range`;
-    /// the debug cross-check passes infinity to see everything.
+    /// Visits, ascending by frame id, the medium's in-flight
+    /// transmissions minus whatever the range gate
+    /// ([`shard::beyond_range`]) proves farther than `range` from `at`.
+    /// The registry ascends by frame id and the gate only skips, so an
+    /// audibility filter over the visited frames yields the same set in
+    /// the same order — bit-identical float sums — as a scan of the
+    /// whole registry. The debug cross-check passes infinity to see
+    /// everything.
     fn in_flight_near(
         &self,
         at: Position,
         range: f64,
         mut visit: impl FnMut(FrameId, NodeId, Position),
     ) {
-        match &self.shard {
-            Some(sh) => {
-                for &(f, s, origin) in &sh.active[sh.parts.band_of(at.x)] {
-                    if !shard::beyond_range(range, origin, at) {
-                        visit(f, s, origin);
-                    }
-                }
-            }
-            None => {
-                for tx in self.medium.active() {
-                    if !shard::beyond_range(range, tx.origin, at) {
-                        visit(tx.frame, tx.sender, tx.origin);
-                    }
-                }
+        for tx in self.medium.active() {
+            if !shard::beyond_range(range, tx.origin, at) {
+                visit(tx.frame, tx.sender, tx.origin);
             }
         }
     }
@@ -980,9 +960,6 @@ impl<F: Firmware> Simulator<F> {
         };
         self.nodes[i].radio.begin_tx(self.now, frame, end);
         self.schedule_for(end, i, SimEvent::TxEnd(sender, frame));
-        if let Some(sh) = &mut self.shard {
-            sh.register(frame, sender, origin);
-        }
         self.metrics.record_tx(sender, tx.airtime);
         self.trace.push(
             self.now,
@@ -1013,6 +990,15 @@ impl<F: Firmware> Simulator<F> {
                     .map(|j| (j, link_between(medium, state, i, j))),
             );
         }
+        // One gather of the registry per transmission, which every
+        // receiver locked below filters ([`GATHER_REACH`]).
+        let mut near = std::mem::take(&mut self.roster_scratch);
+        near.clear();
+        self.in_flight_near(origin, GATHER_REACH * self.audible_range, |f, s, at| {
+            if f != frame {
+                near.push((f, s, at));
+            }
+        });
         for &(j, link) in &fanout {
             if j == i || !self.state[j].alive {
                 continue;
@@ -1022,7 +1008,7 @@ impl<F: Firmware> Simulator<F> {
             match *self.nodes[j].radio.state() {
                 RadioState::Idle => {
                     if link.audible {
-                        self.lock_receiver(j, &lock, link);
+                        self.lock_receiver(j, &lock, link, &near);
                     }
                 }
                 RadioState::Rx { frame: current, .. } => {
@@ -1031,9 +1017,9 @@ impl<F: Firmware> Simulator<F> {
                     // magnitude below both the noise floor already inside
                     // `judge` and any signal worth locking onto, so
                     // gating it out of the sum cannot move a judgement
-                    // that matters; it is what makes range-scoped rosters
-                    // and scoped cache invalidation exact (DESIGN.md,
-                    // "Sharded engine").
+                    // that matters; it is what makes the range-gated
+                    // gather and scoped cache invalidation exact
+                    // (DESIGN.md, "Sharded engine").
                     let steal = link.audible && {
                         let medium = &self.medium;
                         let rec = self.nodes[j]
@@ -1067,7 +1053,7 @@ impl<F: Firmware> Simulator<F> {
                                 reason: crate::medium::LossReason::Truncated,
                             },
                         );
-                        self.lock_receiver(j, &lock, link);
+                        self.lock_receiver(j, &lock, link, &near);
                     }
                 }
                 RadioState::Cad { .. } => {
@@ -1079,13 +1065,22 @@ impl<F: Firmware> Simulator<F> {
             }
         }
         self.fanout_scratch = fanout;
+        self.roster_scratch = near;
     }
 
     /// Locks receiver `j` onto the frame `start_tx` is fanning out,
     /// seeding its interference set with every other transmission
     /// already on the air and audible at `j`. `link` is the budget
-    /// `start_tx` already holds for this pair.
-    fn lock_receiver(&mut self, j: usize, lock: &Lock, link: Link) {
+    /// `start_tx` already holds for this pair and `near` its gather of
+    /// the registry, which the per-receiver range gate narrows before
+    /// any link-cache lookup.
+    fn lock_receiver(
+        &mut self,
+        j: usize,
+        lock: &Lock,
+        link: Link,
+        near: &[(FrameId, NodeId, Position)],
+    ) {
         let receiver = NodeId(j);
         let mut reception = Reception::new(
             lock.frame,
@@ -1094,20 +1089,14 @@ impl<F: Firmware> Simulator<F> {
             link.power_mw,
             lock.payload.clone(), // Arc bump, not a byte copy
         );
-        let mut roster = std::mem::take(&mut self.roster_scratch);
-        roster.clear();
         let (at, range) = (self.state[j].position, self.audible_range);
-        self.in_flight_near(at, range, |f, s, origin| {
-            if f != lock.frame && s != receiver {
-                roster.push((f, s, origin));
-            }
-        });
-        for &(f, s, origin) in &roster {
-            if let Some(p) = self.active_tx_mw(s.0, origin, j) {
-                reception.add_interferer(f, p);
+        for &(f, s, origin) in near {
+            if s != receiver && !shard::beyond_range(range, origin, at) {
+                if let Some(p) = self.active_tx_mw(s.0, origin, j) {
+                    reception.add_interferer(f, p);
+                }
             }
         }
-        self.roster_scratch = roster;
         debug_assert!(
             self.seeded_like_ungated_scan(j, &reception),
             "range gate or link cache changed node {j}'s interferer set"
@@ -1146,9 +1135,6 @@ impl<F: Firmware> Simulator<F> {
         // Nothing to tell the receivers: a reception drops interferers
         // that left the air the next time it sums them (see
         // `Reception::prune_interferers`).
-        if let Some(sh) = &mut self.shard {
-            sh.unregister(frame, tx.origin);
-        }
         self.trace.push(self.now, TraceEvent::TxEnd { node, frame });
         let slot = &self.nodes[node.0];
         if self.state[node.0].alive
@@ -1260,10 +1246,7 @@ impl<F: Firmware> Simulator<F> {
         // can no longer decode it, and it stops interfering (it leaves
         // the air here, so interferer sets prune it like any ended frame).
         if let RadioState::Tx { frame, .. } = *self.nodes[i].radio.state() {
-            let ended = self.medium.end_tx(frame);
-            if let (Some(sh), Some(tx)) = (&mut self.shard, ended) {
-                sh.unregister(frame, tx.origin);
-            }
+            self.medium.end_tx(frame);
             for slot in &mut self.nodes {
                 if let Some(rec) = slot.radio.reception.as_mut() {
                     rec.corrupted |= rec.frame == frame;
@@ -1276,7 +1259,7 @@ impl<F: Firmware> Simulator<F> {
             // The legacy engine leaves dead-node timers queued and
             // filters them in `handle_timer`; tombstoning drops them
             // inside the queue instead.
-            self.cancel_wake(node);
+            self.home_queue(i).cancel_timer(node);
         }
         self.trace.push(self.now, TraceEvent::Killed { node });
     }
@@ -1398,7 +1381,7 @@ impl<F: Firmware + Send> Simulator<F> {
     pub fn run_until(&mut self, until: Duration) {
         self.start();
         let until = SimTime::from(until);
-        if self.shard.is_some() {
+        if self.has_band_queues() {
             self.run_merged(until);
         } else {
             while let Some((at, event)) = self.queue.pop_until(until) {
@@ -1421,7 +1404,7 @@ impl<F: Firmware + Send> Simulator<F> {
     /// Processes a single event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
         self.start();
-        let popped = if self.shard.is_some() {
+        let popped = if self.has_band_queues() {
             self.pop_next_merged()
         } else {
             self.queue.pop()
@@ -1434,11 +1417,11 @@ impl<F: Firmware + Send> Simulator<F> {
         true
     }
 
-    /// The sharded run loop: a k-way merge of the coordinator queue and
-    /// every shard queue by `(time, seq)` — exactly the global order the
-    /// sequential engine processes, which is why both engines are
-    /// byte-identical. The winning shard queue is drained in a *batch*
-    /// while its head is provably still the global minimum:
+    /// The run loop when band queues exist ([`SimConfig::threads`] > 1):
+    /// a k-way merge of the coordinator queue and every band queue by
+    /// `(time, seq)` — exactly the order a single queue pops, which is
+    /// why both are byte-identical. The winning band queue is drained in
+    /// a *batch* while its head is provably still the global minimum:
     ///
     /// * internal events only create cross-queue work (an `RxEnd` at a
     ///   receiver homed elsewhere) at `now + airtime ≥ t0 + lookahead`
@@ -1454,13 +1437,12 @@ impl<F: Firmware + Send> Simulator<F> {
     /// * the pre-batch second-best head caps the batch from the side of
     ///   the *existing* contents of the other queues.
     ///
-    /// With [`SimConfig::threads`] > 1 the loop first offers the window
-    /// to the parallel commit planner ([`Self::commit_batch`]), which
-    /// executes several *zone-disjoint* band batches concurrently and
-    /// replays their buffered outputs in the same global `(time, seq)`
-    /// order. When the planner declines (conflicting zones, too little
-    /// queued work, a coordinator event up next) the sequential
-    /// single-band drain below is the unchanged fallback.
+    /// The loop first offers the window to the parallel commit planner
+    /// ([`Self::commit_batch`]), which executes several *zone-disjoint*
+    /// band batches concurrently and replays their buffered outputs in
+    /// the same global `(time, seq)` order. When the planner declines
+    /// (conflicting zones, too little queued work, a coordinator event
+    /// up next) the sequential single-band drain below is the fallback.
     fn run_merged(&mut self, until: SimTime) {
         loop {
             let mut best = self.queue.peek_key();
@@ -2142,6 +2124,19 @@ mod tests {
             ..SimConfig::default()
         };
         mobile_fingerprint(cfg);
+    }
+
+    /// A zero mobility tick would re-arm `MobilityTick` at the same
+    /// instant forever — with one mobile node `run_for` never returned —
+    /// so the configuration is refused where it enters.
+    #[test]
+    #[should_panic(expected = "SimConfig::mobility_tick must be positive")]
+    fn zero_mobility_tick_is_refused() {
+        let cfg = SimConfig {
+            mobility_tick: Duration::ZERO,
+            ..SimConfig::default()
+        };
+        let _ = Simulator::<Probe>::new(cfg, 1);
     }
 
     /// Spot check: the spatial grid is behaviourally invisible (the

@@ -30,11 +30,12 @@
 //! argument (see [`crate::shard`]), and span disjointness makes each
 //! worker's writes — radios, RNG streams, link rows — touch only nodes
 //! it owns (ownership is by current position: the group whose span
-//! contains the node's x-coordinate). Band rosters are *frozen* during
-//! the window: workers read them (plus their own staged overlay —
-//! remote groups' in-window frames would be filtered by the distance
-//! bound anyway) and the merge walk performs every registration and
-//! removal in global order, exactly like the sequential engine.
+//! contains the node's x-coordinate). The medium's in-flight registry
+//! is *frozen* during the window: workers read it (minus the frames
+//! they ended, plus their own staged overlay — remote groups' in-window
+//! frames would be filtered by the distance bound anyway) and the merge
+//! walk performs every begin and end in global order, exactly like the
+//! sequential engine.
 //!
 //! # Determinism
 //!
@@ -46,8 +47,8 @@
 //! * **Frame ids.** A worker registers transmissions under provisional
 //!   ids (bit 63 set, worker index + local counter below). The merge
 //!   walk calls [`Medium::begin_tx`] in global order, so real ids come
-//!   out identical to the sequential run; provisional ids in rosters,
-//!   radios, traces and flushed events are then rewritten. Provisional
+//!   out identical to the sequential run; provisional ids in radios,
+//!   traces and flushed events are then rewritten. Provisional
 //!   ids sort above all real ids and ascend per worker, so every
 //!   ordered structure stays ordered across the rewrite and interferer
 //!   float sums are bit-identical.
@@ -72,7 +73,9 @@ use std::time::Duration;
 use lora_phy::modulation::LoRaModulation;
 use lora_phy::propagation::Position;
 
-use super::{audible_mw, link_between, Lock, NodeSlot, NodeState, SimConfig, Simulator};
+use super::{
+    audible_mw, link_between, Lock, NodeSlot, NodeState, SimConfig, Simulator, GATHER_REACH,
+};
 use crate::event::{EventQueue, FrameId, SimEvent};
 use crate::firmware::{Context, Firmware, NodeId, RadioCommand};
 use crate::grid::Grid;
@@ -87,7 +90,8 @@ use crate::time::SimTime;
 use crate::trace::TraceEvent;
 
 /// Provisional frame ids set bit 63 — above every real id the medium
-/// will ever allocate, so rosters stay sorted when workers append them.
+/// will ever allocate, so a worker's view of the frames on the air (the
+/// registry, then its staged overlay) ascends by id like the registry.
 const PROVISIONAL: u64 = 1 << 63;
 /// Bits 40..63 carry the worker index, bits 0..40 the staging counter.
 const WORKER_SHIFT: u32 = 40;
@@ -255,9 +259,6 @@ struct Shared<'a> {
     cfg: &'a SimConfig,
     parts: &'a Partitioner,
     home: &'a [usize],
-    /// Band rosters, frozen for the whole window: registrations and
-    /// removals are buffered and replayed by the merge walk.
-    active: &'a [Vec<(FrameId, NodeId, Position)>],
     owner: &'a [u8],
     oslot: &'a [u32],
     /// The exclusive batch horizon `H`.
@@ -557,23 +558,25 @@ impl<F: Firmware> BandWorker<'_, F> {
         FrameId(PROVISIONAL | (u64::from(self.w) << WORKER_SHIFT) | k as u64)
     }
 
-    /// [`Simulator::in_flight_near`], worker edition. The frozen roster
-    /// of the band minus this worker's in-window removals, plus its own
-    /// staged overlay, yields the same audible set in the same scan
-    /// order as the live sequential roster: remote groups' in-window
-    /// frames (and their removed pre-window frames) all originate more
-    /// than `r_max` away, so the audibility filter drops them either
-    /// way, and this worker's own additions ascend in creation order —
-    /// exactly their merged frame-id order.
+    /// [`Simulator::in_flight_near`], worker edition. The medium's
+    /// registry is frozen for the whole window (the merge walk performs
+    /// every begin and end in global order afterwards), so the frozen
+    /// registry minus this worker's in-window ends, plus its own staged
+    /// overlay, yields the same audible set in the same scan order as
+    /// the live registry: remote groups' in-window frames (and their
+    /// ended pre-window frames) all originate more than `r_max` away,
+    /// so the audibility filter drops them either way, and this
+    /// worker's own additions ascend in creation order — exactly their
+    /// merged frame-id order.
     fn in_flight_near_w(
         &self,
         at: Position,
         range: f64,
         mut visit: impl FnMut(FrameId, NodeId, Position),
     ) {
-        for &(f, s, origin) in &self.ctx.active[self.ctx.parts.band_of(at.x)] {
-            if !beyond_range(range, origin, at) && !self.scratch.ended.contains(&f) {
-                visit(f, s, origin);
+        for tx in self.ctx.medium.active() {
+            if !beyond_range(range, tx.origin, at) && !self.scratch.ended.contains(&tx.frame) {
+                visit(tx.frame, tx.sender, tx.origin);
             }
         }
         for (k, st) in self.scratch.staged.iter().enumerate() {
@@ -647,7 +650,7 @@ impl<F: Firmware> BandWorker<'_, F> {
         // or beyond the horizon: a creation, never a pending event.
         debug_assert!(end >= self.ctx.limit);
         self.create(end, i, SimEvent::TxEnd(sender, frame));
-        // Roster registration happens in the merge walk (rosters are
+        // Registration happens in the merge walk (the registry is
         // frozen); until then the staged overlay stands in for it.
         self.scratch.metrics.record_tx(sender, airtime);
         self.scratch.trace.push((
@@ -678,6 +681,14 @@ impl<F: Firmware> BandWorker<'_, F> {
                     .filter(|&(_, link)| link.audible),
             );
         }
+        let mut near = std::mem::take(&mut self.scratch.roster);
+        near.clear();
+        let reach = GATHER_REACH * self.ctx.parts.r_max();
+        self.in_flight_near_w(origin, reach, |f, s, at| {
+            if f != frame {
+                near.push((f, s, at));
+            }
+        });
         for &(j, link) in &fanout {
             if j == i || !self.ctx.state[j].alive {
                 continue;
@@ -686,7 +697,7 @@ impl<F: Firmware> BandWorker<'_, F> {
             match *self.slot(j).radio.state() {
                 RadioState::Idle => {
                     if link.audible {
-                        self.lock_receiver_w(j, &lock, link);
+                        self.lock_receiver_w(j, &lock, link, &near);
                     }
                 }
                 RadioState::Rx { frame: current, .. } => {
@@ -725,7 +736,7 @@ impl<F: Firmware> BandWorker<'_, F> {
                                 reason: crate::medium::LossReason::Truncated,
                             },
                         ));
-                        self.lock_receiver_w(j, &lock, link);
+                        self.lock_receiver_w(j, &lock, link, &near);
                     }
                 }
                 RadioState::Cad { .. } => {
@@ -737,10 +748,17 @@ impl<F: Firmware> BandWorker<'_, F> {
             }
         }
         self.scratch.fanout = fanout;
+        self.scratch.roster = near;
     }
 
     /// [`Simulator::lock_receiver`], worker edition.
-    fn lock_receiver_w(&mut self, j: usize, lock: &Lock, link: Link) {
+    fn lock_receiver_w(
+        &mut self,
+        j: usize,
+        lock: &Lock,
+        link: Link,
+        near: &[(FrameId, NodeId, Position)],
+    ) {
         let receiver = NodeId(j);
         let mut reception = Reception::new(
             lock.frame,
@@ -749,20 +767,14 @@ impl<F: Firmware> BandWorker<'_, F> {
             link.power_mw,
             lock.payload.clone(),
         );
-        let mut roster = std::mem::take(&mut self.scratch.roster);
-        roster.clear();
         let (at, range) = (self.ctx.state[j].position, self.ctx.parts.r_max());
-        self.in_flight_near_w(at, range, |f, s, origin| {
-            if f != lock.frame && s != receiver {
-                roster.push((f, s, origin));
-            }
-        });
-        for &(f, s, origin) in &roster {
-            if let Some(p) = self.active_tx_mw_w(s.0, origin, j) {
-                reception.add_interferer(f, p);
+        for &(f, s, origin) in near {
+            if s != receiver && !beyond_range(range, origin, at) {
+                if let Some(p) = self.active_tx_mw_w(s.0, origin, j) {
+                    reception.add_interferer(f, p);
+                }
             }
         }
-        self.scratch.roster = roster;
         debug_assert!(
             self.seeded_like_ungated_scan_w(j, &reception),
             "range gate or link cache changed node {j}'s interferer set"
@@ -790,8 +802,8 @@ impl<F: Firmware> BandWorker<'_, F> {
         same && seeded.next().is_none()
     }
 
-    /// [`Simulator::handle_tx_end`], worker edition: the medium and
-    /// roster removals are deferred to the merge walk (both are
+    /// [`Simulator::handle_tx_end`], worker edition: the removal from
+    /// the medium is deferred to the merge walk (the registry is
     /// shared-read during the batch — the `ended` list makes this
     /// worker's own readers, interferer pruning included, skip the
     /// frame meanwhile).
@@ -1125,7 +1137,7 @@ impl<F: Firmware + Send> Simulator<F> {
         {
             // Split the mutable state between the workers: each gets its
             // group's member queues and its owned nodes' slots and RNG
-            // streams; everything else — rosters included — is shared `&`.
+            // streams; everything else — the registry included — is shared `&`.
             let owner = &cs.owner[..];
             let mut queues: Vec<Vec<(usize, &mut EventQueue)>> =
                 (0..nw).map(|_| Vec::new()).collect();
@@ -1167,7 +1179,6 @@ impl<F: Firmware + Send> Simulator<F> {
                 cfg: &self.config,
                 parts: &sh.parts,
                 home: &sh.home,
-                active: &sh.active,
                 owner,
                 oslot: &cs.oslot,
                 limit,
@@ -1241,9 +1252,6 @@ impl<F: Firmware + Send> Simulator<F> {
                 debug_assert_eq!(f.0 & PROVISIONAL, 0);
                 let ended = self.medium.end_tx(f);
                 debug_assert!(ended.is_some(), "worker ended a frame twice");
-                if let Some(tx) = ended {
-                    sh.unregister(f, tx.origin);
-                }
             }
             for _ in 0..r.staged_n {
                 let s = &cs.workers[w].staged[staged_i[w]];
@@ -1252,10 +1260,9 @@ impl<F: Firmware + Send> Simulator<F> {
                     .medium
                     .begin_tx(s.sender, s.origin, s.start, s.payload.clone())
                     .frame;
-                cs.frame_maps[w].push(frame);
                 // Registration in walk order is exactly the sequential
-                // engine's: ids ascend, so rosters stay sorted.
-                sh.register(frame, s.sender, s.origin);
+                // engine's, so real ids come out identical.
+                cs.frame_maps[w].push(frame);
             }
             for _ in 0..r.creat_n {
                 creat_i[w] += 1;
@@ -1279,7 +1286,7 @@ impl<F: Firmware + Send> Simulator<F> {
         // ---- Flush: unconsumed creations to their home queues (under
         // their walk-allocated seqs), per-band metrics, overlay link
         // rows, and the provisional→real frame rewrite in owned radios
-        // (rosters already carry real ids — the walk registered them).
+        // (the registry already carries real ids — the walk began them).
         for w in 0..nw {
             let ws = &cs.workers[w];
             for (k, c) in ws.creations.iter().enumerate() {

@@ -20,8 +20,21 @@
 //!    ALOHA clusters with kills and revives, where receptions routinely
 //!    outlive several interferers, both yield the same traces and
 //!    metrics.
+//! 4. **Gather soundness** — a transmission gathers the frames on the
+//!    air once, within `2·r_max` of its origin, and every receiver it
+//!    locks filters that list. Over RF configurations, random and
+//!    boundary placements (receiver a hair inside `r_max` of the sender
+//!    with an interferer a hair inside `r_max` beyond it: on an axis,
+//!    where the `2·r_max` box is tight, on the diagonal and round the
+//!    corner), co-located nodes and senders moved mid-frame, with the
+//!    link cache and the grid on and off, every lock seeds exactly the
+//!    list — ids, order, powers and `peak_interference_mw` by bits — a
+//!    scan of every frame on the air against the link budget seeds; and
+//!    band workers, which gather from their window view, leave every
+//!    reception as the single queue leaves it.
 
 use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -30,7 +43,7 @@ use lora_phy::propagation::{PathLossModel, Position, Shadowing};
 use radio_sim::event::FrameId;
 use radio_sim::firmware::{Context, Firmware};
 use radio_sim::medium::{Medium, RfConfig};
-use radio_sim::radio::Reception;
+use radio_sim::radio::{RadioState, Reception};
 use radio_sim::shard::{beyond_range, max_audible_range};
 use radio_sim::{NodeId, SimConfig, Simulator};
 use testkit::{forall, prop_assert, prop_assert_eq, Gen};
@@ -327,4 +340,308 @@ fn coordinator_and_worker_prune_views_agree_on_dense_overlap() {
     );
     assert!(collisions.get() > 0, "no case produced a collision");
     assert!(batches.get() > 0, "no case committed a parallel batch");
+}
+
+/// Transmits `sends` — `(instant, frame length)`, ascending — whatever
+/// the radio is doing.
+struct Script {
+    sends: Vec<(Duration, usize)>,
+    next: usize,
+}
+
+impl Firmware for Script {
+    fn on_timer(&mut self, ctx: &mut Context) {
+        if let Some(&(at, len)) = self.sends.get(self.next) {
+            if ctx.now() >= at {
+                self.next += 1;
+                ctx.transmit(vec![0xB7; len]);
+            }
+        }
+    }
+    fn on_frame(&mut self, _b: &[u8], _q: SignalQuality, _ctx: &mut Context) {}
+    fn next_wake(&self) -> Option<Duration> {
+        self.sends.get(self.next).map(|s| s.0)
+    }
+}
+
+/// Two far-apart clusters (so band workers commit them side by side),
+/// each a boundary trio in a quiet first half second, then random ALOHA
+/// traffic with senders teleported mid-frame.
+#[derive(Clone, Debug)]
+struct GatherWorld {
+    rf: RfConfig,
+    seed: u64,
+    /// `(position, sends)` per node.
+    nodes: Vec<(Position, Vec<(Duration, usize)>)>,
+    /// `(instant, node, new position)`, ascending by instant.
+    moves: Vec<(Duration, usize, Position)>,
+}
+
+const GATHER_RUN: Duration = Duration::from_millis(2_500);
+
+fn gen_gather_world(g: &mut Gen) -> GatherWorld {
+    const HAIR: f64 = 1e-9;
+    let ms = Duration::from_millis;
+    let rf = gen_rf(g);
+    let r = max_audible_range(&rf);
+    let rho = r * (1.0 - HAIR);
+    let short = rf.modulation.time_on_air(6);
+    let mut nodes: Vec<(Position, Vec<(Duration, usize)>)> = Vec::new();
+    let mut moves = Vec::new();
+    for cluster in 0..2 {
+        let base = Position::new(f64::from(cluster) * 60.0 * r, 0.0);
+        let within = |g: &mut Gen| {
+            Position::new(
+                base.x + (g.f64() * 2.4 - 1.2) * r,
+                base.y + (g.f64() * 2.4 - 1.2) * r,
+            )
+        };
+        // The boundary trio. The receiver transmits a short frame and
+        // so misses the start of the interferer's long one; once idle
+        // again it locks onto the sender's frame with the interferer —
+        // a hair inside its own range, up to two ranges from the
+        // sender — already on the air.
+        let diag = std::f64::consts::FRAC_1_SQRT_2;
+        let (u, v) = g.choose(&[
+            ((1.0, 0.0), (1.0, 0.0)),
+            ((0.0, -1.0), (0.0, -1.0)),
+            ((diag, diag), (diag, diag)),
+            ((1.0, 0.0), (0.0, 1.0)),
+        ]);
+        let sender = base;
+        let receiver = Position::new(sender.x + u.0 * rho, sender.y + u.1 * rho);
+        let interferer = Position::new(receiver.x + v.0 * rho, receiver.y + v.1 * rho);
+        let t0 = ms(50);
+        let first = nodes.len();
+        nodes.push((sender, vec![(t0 + short + ms(3), 24)]));
+        nodes.push((receiver, vec![(t0, 6)]));
+        nodes.push((interferer, vec![(t0 + ms(2), 200)]));
+        if g.bool(0.5) {
+            // Co-located with the interferer, and on the air as well.
+            nodes.push((interferer, vec![(t0 + ms(4), 200)]));
+        }
+        if g.bool(0.5) {
+            // Co-located with the receiver: a second lock, same list.
+            nodes.push((receiver, Vec::new()));
+        }
+        if g.bool(0.3) {
+            // The interferer leaves while its frame stays where it began.
+            moves.push((t0 + ms(3), first + 2, within(g)));
+        }
+        for _ in 0..g.usize_in(5, 9) {
+            let (phase, period) = (g.int_in(600, 1_000), g.int_in(90, 500));
+            let sends: Vec<_> = (0..)
+                .map(|k| ms(phase + k * period))
+                .take_while(|&at| at < GATHER_RUN)
+                .map(|at| (at, g.choose(&[6usize, 10, 16, 40, 120, 200])))
+                .collect();
+            if g.bool(0.4) {
+                let (at, _) = g.choose(&sends);
+                moves.push((at + ms(2), nodes.len(), within(g)));
+            }
+            nodes.push((within(g), sends));
+        }
+    }
+    moves.sort_by_key(|m| m.0);
+    GatherWorld {
+        rf,
+        seed: g.u64(),
+        nodes,
+        moves,
+    }
+}
+
+fn build_gather_world(w: &GatherWorld, cfg: SimConfig) -> Simulator<Script> {
+    let cfg = SimConfig {
+        rf: w.rf.clone(),
+        rng_streams: true,
+        ..cfg
+    };
+    let mut s = Simulator::new(cfg, w.seed);
+    for (at, sends) in &w.nodes {
+        let sends = sends.clone();
+        s.add_node(Script { sends, next: 0 }, *at);
+    }
+    s
+}
+
+/// What the leg saw, summed over all cases so it cannot pass vacuously.
+#[derive(Default)]
+struct GatherTally {
+    locks: Cell<u64>,
+    seeded: Cell<u64>,
+    /// Interferers more than `1.9·r_max` from the locked frame's origin
+    /// along an axis: a gather any tighter than `2·r_max` loses them.
+    tight: Cell<u64>,
+    /// Interferers whose sender had moved away from the frame's origin.
+    moved: Cell<u64>,
+    batches: Cell<u64>,
+}
+
+fn bump(cell: &Cell<u64>, by: u64) {
+    cell.set(cell.get() + by);
+}
+
+/// An interferer list with its powers by bits.
+fn power_bits(list: &[(FrameId, f64)]) -> Vec<(FrameId, u64)> {
+    list.iter().map(|&(f, p)| (f, p.to_bits())).collect()
+}
+
+/// Steps one engine shape through the world event by event, checking
+/// every fresh lock against a scan of everything on the air.
+fn check_locks_against_full_scan(
+    w: &GatherWorld,
+    cfg: SimConfig,
+    tally: &GatherTally,
+) -> Result<(), String> {
+    let medium = Medium::new(w.rf.clone());
+    let r = max_audible_range(&w.rf);
+    let mut s = build_gather_world(w, cfg);
+    let mut at: Vec<Position> = w.nodes.iter().map(|n| n.0).collect();
+    // Frames on the air, ascending: sender and where it stood at start.
+    let mut on_air: BTreeMap<FrameId, (usize, Position)> = BTreeMap::new();
+    let mut locked: Vec<Option<FrameId>> = vec![None; at.len()];
+    let mut moves = w.moves.iter().peekable();
+    while s.now() < GATHER_RUN && s.step() {
+        on_air.retain(|&f, &mut (i, _)| {
+            matches!(s.radio(NodeId(i)).state(), RadioState::Tx { frame, .. } if *frame == f)
+        });
+        for (i, origin) in at.iter().enumerate() {
+            if let RadioState::Tx { frame, .. } = s.radio(NodeId(i)).state() {
+                on_air.entry(*frame).or_insert((i, *origin));
+            }
+        }
+        for j in 0..at.len() {
+            let RadioState::Rx { frame, .. } = *s.radio(NodeId(j)).state() else {
+                locked[j] = None;
+                continue;
+            };
+            if locked[j].replace(frame) == Some(frame) {
+                continue;
+            }
+            let rec = s.radio(NodeId(j)).reception.as_ref().expect("Rx state");
+            let lock_origin = on_air[&frame].1;
+            let mut expected = Reception::new(frame, rec.sender, rec.quality, 0.0, vec![]);
+            for (&f, &(i, origin)) in &on_air {
+                let power = medium.received_power(&origin, &at[j], NodeId(i), NodeId(j));
+                if f != frame && i != j && medium.audible(power) {
+                    expected.add_interferer(f, power.to_milliwatts().value());
+                    bump(
+                        &tally.tight,
+                        u64::from(beyond_range(1.9 * r, origin, lock_origin)),
+                    );
+                    bump(&tally.moved, u64::from(origin != at[i]));
+                }
+            }
+            prop_assert_eq!(
+                power_bits(&rec.interferers),
+                power_bits(&expected.interferers)
+            );
+            prop_assert_eq!(
+                rec.peak_interference_mw.to_bits(),
+                expected.peak_interference_mw.to_bits()
+            );
+            bump(&tally.locks, 1);
+            bump(&tally.seeded, expected.interferers.len() as u64);
+        }
+        while let Some(&&(_, i, to)) = moves.peek().filter(|m| m.0 <= s.now()) {
+            s.set_position(NodeId(i), to);
+            at[i] = to;
+            moves.next();
+        }
+    }
+    Ok(())
+}
+
+/// Every reception as it stands at each pause of a run, with the final
+/// trace and metrics: what two engines must agree on.
+fn receptions_at_pauses(w: &GatherWorld, cfg: SimConfig) -> (Vec<String>, u64) {
+    let mut s = build_gather_world(
+        w,
+        SimConfig {
+            trace_capacity: 1 << 16,
+            ..cfg
+        },
+    );
+    let mut seen = Vec::new();
+    let mut moves = w.moves.iter().peekable();
+    let mut until = Duration::ZERO;
+    while until < GATHER_RUN {
+        // Longer than a lookahead window, so band workers stage, end
+        // and lock inside one window.
+        until += Duration::from_millis(25);
+        s.run_until(until);
+        while let Some(&&(_, i, to)) = moves.peek().filter(|m| m.0 <= until) {
+            s.set_position(NodeId(i), to);
+            moves.next();
+        }
+        for j in 0..s.node_count() {
+            if let Some(rec) = &s.radio(NodeId(j)).reception {
+                seen.push(format!(
+                    "{until:?} node {j}: {:?} {:?} peak {:x} corrupted {}",
+                    rec.frame,
+                    power_bits(&rec.interferers),
+                    rec.peak_interference_mw.to_bits(),
+                    rec.corrupted
+                ));
+            }
+        }
+    }
+    let mut metrics = s.metrics().clone();
+    metrics.stale_timers_dropped = 0;
+    seen.push(format!("{metrics:?}"));
+    seen.extend(s.trace().entries().map(|e| format!("{e:?}")));
+    (seen, s.commit_batches())
+}
+
+#[test]
+fn gather_then_filter_seeds_what_a_scan_of_every_frame_seeds() {
+    let tally = GatherTally::default();
+    forall(
+        "gather_then_filter_seeds_what_a_scan_of_every_frame_seeds",
+        gen_gather_world,
+        |w| {
+            for (link_cache, spatial_grid, shards) in [
+                (true, true, 1),
+                (true, true, 4),
+                (true, false, 1),
+                (false, true, 4),
+                (false, false, 1),
+            ] {
+                let cfg = SimConfig {
+                    link_cache,
+                    spatial_grid,
+                    shards,
+                    ..SimConfig::default()
+                };
+                check_locks_against_full_scan(w, cfg, &tally).map_err(|e| {
+                    format!(
+                        "link_cache={link_cache} spatial_grid={spatial_grid} shards={shards}: {e}"
+                    )
+                })?;
+            }
+            for link_cache in [true, false] {
+                let cfg = |shards, threads| SimConfig {
+                    link_cache,
+                    shards,
+                    threads,
+                    commit_batch_min_events: 1,
+                    ..SimConfig::default()
+                };
+                let (reference, _) = receptions_at_pauses(w, cfg(1, 1));
+                let (workers, batches) = receptions_at_pauses(w, cfg(4, 2));
+                bump(&tally.batches, batches);
+                prop_assert!(
+                    workers == reference,
+                    "link_cache={link_cache}: band workers left a reception the single queue did not"
+                );
+            }
+            Ok(())
+        },
+    );
+    assert!(tally.locks.get() > 0, "no lock was checked");
+    assert!(tally.seeded.get() > 0, "no lock seeded an interferer");
+    assert!(tally.tight.get() > 0, "no interferer near 2·r_max away");
+    assert!(tally.moved.get() > 0, "no interferer with a moved sender");
+    assert!(tally.batches.get() > 0, "no parallel batch committed");
 }

@@ -3,8 +3,8 @@
 //!
 //! 1. **Partition soundness** — for random topologies and RF configs,
 //!    no audible pair is ever split across bands without a boundary
-//!    channel: every node a transmission can reach lies in a band the
-//!    transmission's roster covers ([`Partitioner::reach`]).
+//!    channel: every node a transmission can reach lies in a band
+//!    within its reach ([`Partitioner::reach`]).
 //! 2. **Temporal soundness** — [`min_lookahead`] really is a lower
 //!    bound on every airtime, so an event can never create cross-shard
 //!    work earlier than one lookahead after itself.

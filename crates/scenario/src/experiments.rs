@@ -40,9 +40,9 @@ pub struct ExpOptions {
     /// Worker threads for the sweep engine. Runs are deterministic and
     /// independent, so any value yields identical tables.
     pub jobs: usize,
-    /// Spatial shards for the event engine inside each run. The sharded
-    /// engine is behaviourally transparent, so any value yields
-    /// identical tables; larger values batch range-isolated regions.
+    /// Spatial bands of the world inside each run (scoped link-row
+    /// invalidation; band queues for band workers when `threads > 1`).
+    /// Behaviourally transparent, so any value yields identical tables.
     pub shards: usize,
     /// Worker threads inside each simulator (parallel evaluate regions).
     /// Behaviourally transparent, so any value yields identical tables.

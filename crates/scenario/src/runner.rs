@@ -140,9 +140,10 @@ impl NetworkBuilder {
         self
     }
 
-    /// Number of spatial shards for the event engine (behaviourally
-    /// transparent; `1` — the default — is the sequential reference,
-    /// larger values batch-process range-isolated regions).
+    /// Number of spatial bands the world is partitioned into
+    /// (behaviourally transparent; `1` — the default — has no
+    /// partition, larger values scope link-row invalidation on moves
+    /// and, with `threads > 1`, give each band a queue to drain).
     #[must_use]
     pub fn shards(mut self, shards: usize) -> Self {
         self.sim.shards = shards;

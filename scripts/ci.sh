@@ -40,6 +40,12 @@ cargo test -q --offline --workspace
 echo "==> cargo test -q --offline --release -p radio-sim --test row_model --test grid_model --test interference_model --test queue_model --test shard_model --test commit_merge (model batteries without debug assertions)"
 cargo test -q --offline --release -p radio-sim --test row_model --test grid_model --test interference_model --test queue_model --test shard_model --test commit_merge
 
+# One thread runs one queue, so the k-way merge's sequential band
+# drain is entered only by threaded runs whose planner declines; in
+# release it has no debug assertion behind it, only this battery.
+echo "==> cargo test -q --offline --release --test shard_diff (shard/thread transparency, declined-planner merge drain, without debug assertions)"
+cargo test -q --offline --release --test shard_diff
+
 echo "==> cargo test -q --offline -p loramesher --features crypto (AES-CTR flood payload encryption leg)"
 cargo test -q --offline -p loramesher --features crypto
 

@@ -8,7 +8,7 @@
 //!
 //! * **Static steady state** (PR 4/PR 6 invariant, unchanged): after a
 //!   warm-up phase grows every buffer — calendar buckets, fan-out and
-//!   command scratch, dense metrics, medium roster, link-cache rows —
+//!   command scratch, dense metrics, medium registry, link-cache rows —
 //!   a long measured window performs **exactly zero** allocations on
 //!   the coordinator thread, at every shard and thread count. (With a
 //!   static topology the parallel prefetch regions only run during
@@ -30,6 +30,11 @@
 //! machine does make — a reception's interferer list, once per
 //! reception that meets interference — and that pruning it at each add
 //! costs nothing on top.
+//!
+//! A many-frames-in-flight leg pins the per-transmission gather of the
+//! registry: with hundreds of frames on the air it reuses one scratch
+//! list, and `shards = 4` on one thread allocates exactly what
+//! `shards = 1` does — they are the same loop over the same queue.
 //!
 //! A last leg hosts the real LoRaMesher stack instead of the beacon:
 //! in a converged mesh with no application traffic the only recurring
@@ -56,6 +61,7 @@ use loramesher::{Address, RoutingTable};
 use radio_sim::event::{EventQueue, SimEvent};
 use radio_sim::firmware::{Context, Firmware};
 use radio_sim::mobility::Mobility;
+use radio_sim::radio::RadioState;
 use radio_sim::time::SimTime;
 use radio_sim::{topology, NodeId, SimConfig, Simulator};
 use scenario::experiments::default_spacing;
@@ -153,9 +159,9 @@ fn assert_steady_state_alloc_free(mut config: SimConfig, shards: usize, threads:
 
     // Warm-up: every beacon slot cycles through the calendar ring many
     // times, growing each bucket heap, the scratch buffers and the
-    // per-node metrics to their steady-state capacities. (The sharded
-    // engine's per-band queues and rosters are built at `start` and
-    // grow through the same warm-up.)
+    // per-node metrics to their steady-state capacities. (A threaded
+    // sharded run's per-band queues are built at `start` and grow
+    // through the same warm-up.)
     sim.run_for(Duration::from_secs(500));
     let events_before = sim.events_processed();
 
@@ -184,9 +190,9 @@ fn steady_state_event_processing_does_not_allocate() {
     assert_steady_state_alloc_free(SimConfig::default(), 1, 1);
 }
 
-/// PR 6: the sharded engine's hot path — k-way merge, batch draining,
-/// roster registration and range-scoped sweeps — must be just as
-/// allocation-free as the sequential reference.
+/// The band-queue engine's hot path — k-way merge, batch draining and
+/// the range-gated gather — must be just as allocation-free as the
+/// sequential reference.
 #[test]
 fn sharded_steady_state_does_not_allocate() {
     assert_steady_state_alloc_free(SimConfig::default(), 4, 2);
@@ -243,6 +249,56 @@ fn dense_overlap_allocates_one_interferer_list_per_reception_and_nothing_else() 
     };
     window(1);
     window(4);
+}
+
+/// The gather a transmission makes of the frames already on the air
+/// reuses one scratch list: a 32×32 grid whose beacons go out in five
+/// slots, the senders of a slot a knight's move apart — so over two
+/// hundred frames are on the air together, each gather holds the four
+/// nearest of them, and no receiver hears two (no interferer list, the
+/// one allocation a reception may make) — allocates nothing at all per
+/// event. And since one thread runs one queue whatever the shard count,
+/// `shards = 4` counts exactly what `shards = 1` counts.
+#[test]
+fn gather_of_many_frames_in_flight_does_not_allocate_at_any_shard_count() {
+    let window = |shards: usize| {
+        let config = SimConfig {
+            shards,
+            ..SimConfig::default()
+        };
+        let spacing = topology::radio_range_m(&config.rf) * 0.8;
+        let mut sim = Simulator::new(config, 42);
+        for (k, pos) in topology::grid(32, 32, spacing).into_iter().enumerate() {
+            // Closed 4-neighbourhoods of the cells with equal
+            // `x + 2y mod 5` tile the grid: every other cell hears
+            // exactly one sender of the slot.
+            let slot = (k % 32 + 2 * (k / 32)) % 5;
+            let phase = Duration::from_millis(200 + 500 * slot as u64)
+                + Duration::from_micros(10 * k as u64);
+            sim.add_node(Beacon::new(phase), pos);
+        }
+        sim.run_for(Duration::from_secs(60));
+        let events_before = sim.events_processed();
+        let allocs_before = local_allocs();
+        sim.run_for(Duration::from_secs(60));
+        let allocs = local_allocs() - allocs_before;
+        let events = sim.events_processed() - events_before;
+        assert!(events > 100_000, "only {events} events in the window");
+        assert_eq!(sim.metrics().lost_collision, 0, "slots interfere");
+        // Into the next slot: its frames are all on the air.
+        sim.run_for(Duration::from_millis(230));
+        let in_flight = (0..sim.node_count())
+            .filter(|&i| matches!(sim.radio(NodeId(i)).state(), RadioState::Tx { .. }))
+            .count();
+        assert!(in_flight >= 20, "only {in_flight} frames in flight");
+        allocs
+    };
+    let (sharded, sequential) = (window(4), window(1));
+    assert_eq!(
+        sharded, sequential,
+        "shards = 4 on one thread is not the sequential loop"
+    );
+    assert_eq!(sequential, 0, "the gather allocates in steady state");
 }
 
 /// What the coordinator did over a measured steady-state window.

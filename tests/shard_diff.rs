@@ -1,10 +1,10 @@
-//! Differential tests proving the PR 6 sharded event engine and the
-//! PR 7 parallel evaluate regions are behaviourally transparent: with
-//! `SimConfig::shards` at 1 (the classic sequential engine) or any
-//! larger value (per-band calendar queues, range-scoped medium rosters,
-//! scoped link-cache invalidation, lookahead-batched k-way merge), and
-//! with `SimConfig::threads` at 1 (coordinator only) or any larger
-//! value (worker-thread mobility stepping and link-row prefetch), a
+//! Differential tests proving the spatial partition and the worker
+//! threads are behaviourally transparent: with `SimConfig::shards` at 1
+//! (no partition) or any larger value (scoped link-cache invalidation;
+//! with threads, per-band event queues under a lookahead-batched k-way
+//! merge), and with `SimConfig::threads` at 1 (coordinator only, one
+//! queue) or any larger value (worker-thread mobility stepping and
+//! link-row prefetch, band queues and parallel batch commit), a
 //! simulation produces byte-identical traces, identical metrics,
 //! identical firmware state and identical routing tables — across
 //! seeds, shard counts, thread counts, node churn, mobility and a full
@@ -14,11 +14,12 @@
 //! fork derivation.
 //!
 //! The only allowed difference is the bookkeeping counter
-//! `stale_timers_dropped`: the merge settles queue heads at slightly
-//! different moments, so a superseded timer may be discarded before or
-//! after the run's horizon depending on the engine. The fingerprint
-//! deliberately zeroes it, exactly as `tests/engine_diff.rs` does for
-//! the tombstone toggle.
+//! `stale_timers_dropped`, and only where band queues exist
+//! (`threads > 1`): the merge settles queue heads at slightly different
+//! moments, so a superseded timer may be discarded before or after the
+//! run's horizon. The fingerprint deliberately zeroes it, exactly as
+//! `tests/engine_diff.rs` does for the tombstone toggle; the last test
+//! asserts it unmasked where one thread makes it exact.
 
 use std::time::Duration;
 
@@ -35,7 +36,7 @@ use scenario::{seed_list, NetworkBuilder, Target};
 
 /// Shard counts every scenario is checked at. 1 is the sequential
 /// reference; 2/4/8 exercise narrow bands (including bands narrower
-/// than the audible range, where rosters overlap heavily).
+/// than the audible range, where reaches overlap heavily).
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// Worker-thread counts the parallel evaluate regions are checked at.
@@ -119,13 +120,19 @@ fn config_with(shards: usize, threads: usize, rng_streams: bool) -> SimConfig {
 }
 
 /// Static line + churn: the kill truncates a possibly-in-flight frame
-/// (roster unregistration), cancels timers in the victim's home queue,
-/// and the revive fires `on_start` from the coordinator queue mid-run.
+/// (it leaves the registry early), cancels timers in the victim's home
+/// queue, and the revive fires `on_start` from the coordinator queue
+/// mid-run.
 fn run_static(seed: u64, shards: usize) -> (Fingerprint, u64) {
     run_static_cfg(seed, config(shards))
 }
 
 fn run_static_cfg(seed: u64, cfg: SimConfig) -> (Fingerprint, u64) {
+    let s = sim_static(seed, cfg);
+    (fingerprint(&s), s.events_processed())
+}
+
+fn sim_static(seed: u64, cfg: SimConfig) -> Simulator<Chatty> {
     let mut s = Simulator::new(cfg, seed);
     for k in 0..10u64 {
         s.add_node(
@@ -136,8 +143,7 @@ fn run_static_cfg(seed: u64, cfg: SimConfig) -> (Fingerprint, u64) {
     s.schedule_kill(Duration::from_secs(3), radio_sim::NodeId(4));
     s.schedule_revive(Duration::from_secs(7), radio_sim::NodeId(4));
     s.run_for(Duration::from_secs(12));
-    let events = s.events_processed();
-    (fingerprint(&s), events)
+    s
 }
 
 /// Mobile scenario: nodes cross band edges (homes stay fixed), scoped
@@ -147,6 +153,11 @@ fn run_mobile(seed: u64, shards: usize) -> (Fingerprint, u64) {
 }
 
 fn run_mobile_cfg(seed: u64, cfg: SimConfig) -> (Fingerprint, u64) {
+    let s = sim_mobile(seed, cfg);
+    (fingerprint(&s), s.events_processed())
+}
+
+fn sim_mobile(seed: u64, cfg: SimConfig) -> Simulator<Chatty> {
     let mut s = Simulator::new(cfg, seed);
     let waypoint = Mobility::RandomWaypoint {
         width_m: 600.0,
@@ -165,15 +176,19 @@ fn run_mobile_cfg(seed: u64, cfg: SimConfig) -> (Fingerprint, u64) {
     s.run_for(Duration::from_secs(2));
     s.add_node(Chatty::new(11, 24), Position::new(300.0, 300.0));
     s.run_for(Duration::from_secs(10));
-    let events = s.events_processed();
-    (fingerprint(&s), events)
+    s
 }
 
 /// Dense cluster: every node hears every other, so each transmission
-/// lands in every band roster and interference sums have many terms —
+/// reaches every band and interference sums have many terms —
 /// any float-ordering difference between engines shows up here.
 fn run_full_mesh(seed: u64, shards: usize) -> (Fingerprint, u64) {
-    let mut s = Simulator::new(config(shards), seed);
+    let s = sim_full_mesh(seed, config(shards));
+    (fingerprint(&s), s.events_processed())
+}
+
+fn sim_full_mesh(seed: u64, cfg: SimConfig) -> Simulator<Chatty> {
+    let mut s = Simulator::new(cfg, seed);
     for k in 0..12u64 {
         s.add_node(
             Chatty::new(29 * k + 7, 20),
@@ -181,8 +196,7 @@ fn run_full_mesh(seed: u64, shards: usize) -> (Fingerprint, u64) {
         );
     }
     s.run_for(Duration::from_secs(8));
-    let events = s.events_processed();
-    (fingerprint(&s), events)
+    s
 }
 
 #[test]
@@ -369,6 +383,11 @@ fn sweep_aggregates_identical_across_jobs_and_shards() {
 /// start-of-run row prefetch, the mobility stepping and the wake-gated
 /// post-tick prefetch.
 fn run_wide(seed: u64, cfg: SimConfig) -> (Fingerprint, u64) {
+    let s = sim_wide(seed, cfg);
+    (fingerprint(&s), s.events_processed())
+}
+
+fn sim_wide(seed: u64, cfg: SimConfig) -> Simulator<Chatty> {
     let mut s = Simulator::new(cfg, seed);
     let walk = Mobility::RandomWaypoint {
         width_m: 900.0,
@@ -386,8 +405,7 @@ fn run_wide(seed: u64, cfg: SimConfig) -> (Fingerprint, u64) {
         }
     }
     s.run_for(Duration::from_secs(6));
-    let events = s.events_processed();
-    (fingerprint(&s), events)
+    s
 }
 
 /// The tentpole invariance, in two halves. The fork-chain RNG family is
@@ -485,4 +503,74 @@ fn rng_stream_runs_identical_across_engines() {
         reference.0, forked.0,
         "stream derivation must draw differently than fork"
     );
+}
+
+/// Two things only this pairing of runs can show. **One thread, any
+/// shard count, is the sequential engine:** `threads = 1` builds no band
+/// queues, so a sharded run pops the same single queue in the same loop
+/// and even the bookkeeping the fingerprint has to zero elsewhere —
+/// `stale_timers_dropped`, next to `events_processed` — is equal
+/// exactly. **The k-way merge and its lookahead drain, on their own:**
+/// they run only when band workers exist, where the planner takes every
+/// window it can; with `commit_batch_min_events = usize::MAX` it
+/// declines them all, so a `threads = 2` run is the pure coordinator
+/// merge — which must reproduce the single queue with no parallel batch
+/// to hide behind.
+#[test]
+fn one_thread_is_sequential_and_the_declined_planner_merge_drain_agrees() {
+    type Scenario = fn(u64, SimConfig) -> Simulator<Chatty>;
+    let scenarios: [(&str, Scenario, u64); 4] = [
+        ("static churn", sim_static, 2),
+        ("mobile", sim_mobile, 6),
+        ("full mesh", sim_full_mesh, 21),
+        ("wide", sim_wide, 11),
+    ];
+    for (name, scenario, seed) in scenarios {
+        let reference = scenario(seed, config_with(1, 1, true));
+        assert!(
+            reference.metrics().frames_transmitted > 0,
+            "{name} produced no traffic — the test proves nothing"
+        );
+        let expected = fingerprint(&reference);
+        for &shards in &SHARD_COUNTS[1..] {
+            let one = scenario(seed, config_with(shards, 1, true));
+            assert_eq!(
+                expected,
+                fingerprint(&one),
+                "{name}: divergence at shards={shards}, threads=1"
+            );
+            assert_eq!(
+                (
+                    reference.events_processed(),
+                    reference.metrics().stale_timers_dropped
+                ),
+                (one.events_processed(), one.metrics().stale_timers_dropped),
+                "{name}: shards={shards} on one thread is not the sequential loop"
+            );
+            assert_eq!(one.commit_batches(), 0);
+
+            let declined = scenario(
+                seed,
+                SimConfig {
+                    commit_batch_min_events: usize::MAX,
+                    ..config_with(shards, 2, true)
+                },
+            );
+            assert_eq!(
+                declined.commit_batches(),
+                0,
+                "{name}: the planner accepted a window at shards={shards}"
+            );
+            assert_eq!(
+                expected,
+                fingerprint(&declined),
+                "{name}: merge drain diverged at shards={shards}"
+            );
+            assert_eq!(
+                reference.events_processed(),
+                declined.events_processed(),
+                "{name}: merge drain event count drift at shards={shards}"
+            );
+        }
+    }
 }
