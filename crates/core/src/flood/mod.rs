@@ -66,7 +66,7 @@ use lora_phy::modulation::LoRaModulation;
 use lora_phy::region::Region;
 
 use crate::addr::Address;
-use crate::codec;
+use crate::codec::{self, FrameView, UnicastBody, UnicastView};
 use crate::config::MeshConfig;
 use crate::driver::{NodeProtocol, RadioIo};
 use crate::error::SendError;
@@ -181,11 +181,16 @@ pub struct FloodStats {
     pub hop_limit_drops: u64,
 }
 
-/// A pending (delayed) rebroadcast.
+/// A pending (delayed) rebroadcast: the fields of the `Data` packet it
+/// becomes when due (`ttl` already decremented).
 #[derive(Debug)]
 struct PendingRelay {
     at: Duration,
-    packet: Packet,
+    dst: Address,
+    src: Address,
+    id: u8,
+    ttl: u8,
+    payload: Vec<u8>,
 }
 
 /// A managed-flooding node. Sans-IO, `no_std`, hosted through the same
@@ -397,16 +402,27 @@ impl FloodNode {
     /// Steps 1 + 2 of the dispatch order (see the [module docs](self)).
     fn process_due(&mut self, now: Duration, io: &mut RadioIo) {
         // 1. Move due rebroadcasts into the transmit queue, preserving
-        //    arrival order.
-        let (due, later): (Vec<_>, Vec<_>) =
-            self.pending.drain(..).partition(|relay| relay.at <= now);
-        self.pending = later;
-        for relay in due {
-            if self.bus.enqueue(relay.packet) {
+        //    arrival order (one in-place pass; most timers find none due).
+        self.pending.retain_mut(|relay| {
+            if relay.at > now {
+                return true;
+            }
+            let packet = Packet::Data {
+                dst: relay.dst,
+                src: relay.src,
+                id: relay.id,
+                fwd: Forwarding {
+                    via: Address::BROADCAST,
+                    ttl: relay.ttl,
+                },
+                payload: core::mem::take(&mut relay.payload),
+            };
+            if self.bus.enqueue(packet) {
                 self.relayed += 1;
                 self.bus.stats.forwarded += 1;
             }
-        }
+            false
+        });
         // 2. Give the MAC a chance to move traffic.
         self.mac
             .pump(now, &self.mac_config, &mut self.bus, &mut NoWireCache, io);
@@ -424,20 +440,23 @@ impl NodeProtocol for FloodNode {
 
     fn on_frame(&mut self, frame: &[u8], quality: SignalQuality, io: &mut RadioIo) {
         let now = io.now();
-        let packet = match codec::decode(frame) {
-            Ok(p) => p,
+        // Validate the whole frame, then decide on the header alone:
+        // most frames heard are duplicates or echoes, and those are
+        // dropped before the payload is ever copied.
+        let view = match codec::parse(frame) {
+            Ok(v) => v,
             Err(_) => {
                 self.bus.stats.decode_errors += 1;
                 return;
             }
         };
-        let Packet::Data {
+        let FrameView::Unicast(UnicastView {
             dst,
             src,
             id,
             fwd,
-            payload,
-        } = packet
+            body: UnicastBody::Data { payload },
+        }) = view
         else {
             return; // flooding only speaks Data
         };
@@ -450,20 +469,17 @@ impl NodeProtocol for FloodNode {
             self.duplicates_suppressed += 1;
             return;
         }
-        let for_me = dst == self.config.address;
-        if for_me {
-            let clear = self.unseal(src, id, payload.clone());
+        if dst == self.config.address {
+            let clear = self.unseal(src, id, payload.to_vec());
             app::deliver_datagram(&mut self.bus, src, clear);
-        } else if dst.is_broadcast() {
-            let clear = self.unseal(src, id, payload.clone());
+            return; // the final destination does not relay
+        }
+        if dst.is_broadcast() {
+            let clear = self.unseal(src, id, payload.to_vec());
             app::deliver_broadcast(&mut self.bus, src, clear);
         }
-        // Relay unless we are the final destination or the hop limit is
-        // spent. The relayed payload is the received one verbatim —
-        // under `crypto` that is the ciphertext.
-        if for_me {
-            return;
-        }
+        // Relay unless the hop limit is spent. The relayed payload is the
+        // received one verbatim — under `crypto` that is the ciphertext.
         if fwd.ttl <= 1 {
             self.hop_limit_drops += 1;
             self.bus.stats.ttl_expired += 1;
@@ -472,16 +488,11 @@ impl NodeProtocol for FloodNode {
         let delay = self.relay_delay(quality.snr);
         self.pending.push(PendingRelay {
             at: now + delay,
-            packet: Packet::Data {
-                dst,
-                src,
-                id,
-                fwd: Forwarding {
-                    via: Address::BROADCAST,
-                    ttl: fwd.ttl - 1,
-                },
-                payload,
-            },
+            dst,
+            src,
+            id,
+            ttl: fwd.ttl - 1,
+            payload: payload.to_vec(),
         });
     }
 

@@ -129,7 +129,11 @@ impl Region {
 /// needs: *may I transmit a frame of this length now?* and *if not, when?*
 /// Time is supplied by the caller as an offset from an arbitrary epoch,
 /// which keeps the tracker usable both under the simulator's virtual clock
-/// and a real one.
+/// and a real one; it must not run backwards.
+///
+/// It holds one window of transmissions at most — every call first drops
+/// those older than `now − window` — and none when the duty cycle is 1.0:
+/// an *unregulated* tracker never refuses and only totals airtime.
 ///
 /// ```
 /// use std::time::Duration;
@@ -146,7 +150,7 @@ impl Region {
 pub struct DutyCycleTracker {
     duty_cycle: f64,
     window: Duration,
-    /// Past transmissions as (start, airtime), oldest first.
+    /// This window's transmissions as (start, airtime), oldest first.
     history: VecDeque<(Duration, Duration)>,
     /// Airtime spent inside the current window.
     spent: Duration,
@@ -195,26 +199,23 @@ impl DutyCycleTracker {
         self.window.mul_f64(self.duty_cycle)
     }
 
+    fn regulated(&self) -> bool {
+        self.duty_cycle < 1.0
+    }
+
     fn evict(&mut self, now: Duration) {
         let horizon = now.saturating_sub(self.window);
-        while let Some(&(start, airtime)) = self.history.front() {
-            if start < horizon {
-                self.history.pop_front();
-                self.spent = self.spent.saturating_sub(airtime);
-            } else {
-                break;
-            }
+        while let Some(&(_, airtime)) = self.history.front().filter(|e| e.0 < horizon) {
+            self.history.pop_front();
+            self.spent = self.spent.saturating_sub(airtime);
         }
     }
 
     /// Whether a transmission of `airtime` starting at `now` is allowed.
     #[must_use]
     pub fn would_allow(&mut self, now: Duration, airtime: Duration) -> bool {
-        if self.duty_cycle >= 1.0 {
-            return true;
-        }
         self.evict(now);
-        self.spent + airtime <= self.budget()
+        !self.regulated() || self.spent + airtime <= self.budget()
     }
 
     /// Records and permits a transmission if the budget allows it.
@@ -233,35 +234,44 @@ impl DutyCycleTracker {
     /// Unconditionally records a transmission (used when enforcement is the
     /// caller's responsibility).
     pub fn record(&mut self, now: Duration, airtime: Duration) {
-        self.history.push_back((now, airtime));
-        self.spent += airtime;
         self.total_spent += airtime;
+        if self.regulated() {
+            self.evict(now);
+            self.history.push_back((now, airtime));
+            self.spent += airtime;
+        }
     }
 
     /// Earliest time at or after `now` when a frame of `airtime` may be
     /// sent, or `None` when the frame can never fit the budget.
     #[must_use]
     pub fn next_allowed(&mut self, now: Duration, airtime: Duration) -> Option<Duration> {
-        if airtime > self.budget() && self.duty_cycle < 1.0 {
-            return None;
-        }
         if self.would_allow(now, airtime) {
             return Some(now);
         }
-        // Walk the history: after each oldest entry falls out of the
-        // window, re-check. The set of candidate times is exactly
-        // {entry.start + window + ε}.
-        let mut probe = self.clone();
+        let budget = self.budget();
+        if airtime > budget {
+            return None;
+        }
+        // Budget frees only when an entry leaves the window, so the
+        // candidate times are exactly {entry.start + window + ε}; `freed`
+        // sums the entries (a prefix, ending at `oldest`) gone by then.
+        let mut freed = Duration::ZERO;
+        let mut oldest = self.history.iter().peekable();
         for &(start, _) in &self.history {
             let t = start + self.window + Duration::from_micros(1);
-            if t >= now && probe.would_allow(t, airtime) {
+            while let Some(&(_, gone)) = oldest.next_if(|e| e.0 < t - self.window) {
+                freed += gone;
+            }
+            if t >= now && self.spent - freed + airtime <= budget {
                 return Some(t);
             }
         }
         None
     }
 
-    /// Airtime used within the window ending at `now`.
+    /// Airtime used within the window ending at `now` (always zero when
+    /// unregulated: nothing counts against a budget that does not exist).
     #[must_use]
     pub fn used(&mut self, now: Duration) -> Duration {
         self.evict(now);
@@ -272,6 +282,11 @@ impl DutyCycleTracker {
     #[must_use]
     pub fn total_airtime(&self) -> Duration {
         self.total_spent
+    }
+
+    #[doc(hidden)]
+    pub fn history_len(&self) -> usize {
+        self.history.len()
     }
 }
 

@@ -219,12 +219,14 @@ impl EventQueue {
     }
 
     /// Absolute level-0 tick of an instant.
+    #[inline]
     fn tick_of(at: SimTime) -> u64 {
         u64::try_from(at.as_duration().as_nanos() >> TICK_SHIFT).unwrap_or(u64::MAX)
     }
 
     /// Files slab node `idx` into the bucket its instant belongs to: the
     /// one insert routine, for new events and re-filed level-1 entries.
+    #[inline]
     fn link(&mut self, idx: u32, key: (SimTime, u64)) {
         // Past instants fold into the cursor bucket: it holds the global
         // minimum and is sorted by (time, seq), so they still pop first.
@@ -303,6 +305,7 @@ impl EventQueue {
     /// Positions the cursor on the bucket holding the earliest live
     /// event, discarding stale timer tombstones encountered on the way,
     /// and caches that event's key. `None` when no live event remains.
+    #[inline]
     fn settle(&mut self) -> Option<(SimTime, u64)> {
         while self.len != 0 {
             let slot = slot_of(self.cursor);
@@ -323,6 +326,7 @@ impl EventQueue {
     }
 
     /// Unlinks the first entry of level-0 bucket `slot` and frees its node.
+    #[inline]
     fn unlink_head(&mut self, slot: usize) -> Option<(SimTime, SimEvent)> {
         let bucket = self.near.get_mut(slot)?;
         let node = self.slab.get_mut(bucket.head as usize)?;
@@ -333,6 +337,7 @@ impl EventQueue {
         Some((node.key.0, node.event.clone()))
     }
 
+    #[inline]
     fn ensure_node(&mut self, node: NodeId) {
         if node.0 >= self.timer_gen.len() {
             self.timer_gen.resize(node.0 + 1, 0);
@@ -340,6 +345,7 @@ impl EventQueue {
         }
     }
 
+    #[inline]
     fn timer_is_live(&self, node: NodeId, gen: u64) -> bool {
         self.timer_gen.get(node.0).copied().unwrap_or(0) == gen
     }
@@ -355,6 +361,7 @@ impl EventQueue {
 
     /// Schedules a wake-up timer for `node` at `at`, invalidating any
     /// timer previously queued for it (at most one live timer per node).
+    #[inline]
     pub fn schedule_timer(&mut self, at: SimTime, node: NodeId) {
         let seq = self.alloc_seq();
         self.schedule_timer_seq(at, node, seq);
@@ -362,6 +369,7 @@ impl EventQueue {
 
     /// Invalidates every queued timer for `node` without scheduling a new
     /// one: its generation is bumped and the entries become tombstones.
+    #[inline]
     pub fn cancel_timer(&mut self, node: NodeId) {
         self.ensure_node(node);
         if let Some(live) = self.live_timers.get_mut(node.0).filter(|live| **live != 0) {
@@ -380,6 +388,7 @@ impl EventQueue {
     /// as-is: live if the stamp matches the node's current generation,
     /// a tombstone otherwise. Use [`EventQueue::schedule_timer`] for the
     /// invalidate-and-restamp flow.
+    #[inline]
     pub fn schedule(&mut self, at: SimTime, event: SimEvent) {
         let seq = self.alloc_seq();
         self.schedule_at_seq(at, seq, event);
@@ -392,6 +401,7 @@ impl EventQueue {
     /// from one designated coordinator queue and inserting into shard
     /// queues via [`EventQueue::schedule_at_seq`].
     #[must_use]
+    #[inline]
     pub fn alloc_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -403,6 +413,7 @@ impl EventQueue {
     /// exactly as in [`EventQueue::schedule`]. The caller must keep the
     /// supplied numbers unique and creation-ordered; this queue's own
     /// counter is not consulted or advanced.
+    #[inline]
     pub fn schedule_at_seq(&mut self, at: SimTime, seq: u64, event: SimEvent) {
         if let SimEvent::Timer(node, gen) = event {
             self.ensure_node(node);
@@ -428,6 +439,7 @@ impl EventQueue {
 
     /// [`EventQueue::schedule_timer`] under an externally allocated
     /// sequence number.
+    #[inline]
     pub fn schedule_timer_seq(&mut self, at: SimTime, node: NodeId, seq: u64) {
         self.cancel_timer(node);
         let gen = self.timer_gen.get(node.0).copied().unwrap_or(0);

@@ -238,12 +238,14 @@ impl LinkCache {
 
     /// Whether row `i` is currently valid (prefetch planning).
     #[must_use]
+    #[inline]
     pub fn has_row(&self, i: usize) -> bool {
         self.cached(i).is_some()
     }
 
     /// Row `i`, if it is valid.
     #[must_use]
+    #[inline]
     pub fn cached(&self, i: usize) -> Option<&LinkRow> {
         self.rows.get(i).filter(|row| row.filled == self.epoch)
     }
@@ -260,6 +262,7 @@ impl LinkCache {
     /// # Panics
     ///
     /// Panics if the cache is not sized for node `i`.
+    #[inline]
     pub fn ensure(&mut self, i: usize, fill: impl FnOnce(&mut LinkRow)) -> &LinkRow {
         let row = &mut self.rows[i];
         if row.filled != self.epoch {

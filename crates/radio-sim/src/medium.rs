@@ -239,6 +239,7 @@ impl Medium {
 
     /// Registers a new transmission, returning its frame id together with
     /// the airtime and payload length (so the caller needs no re-lookup).
+    #[inline]
     pub fn begin_tx(
         &mut self,
         sender: NodeId,
@@ -268,6 +269,7 @@ impl Medium {
 
     /// Removes a completed (or aborted) transmission, returning it.
     /// Order-preserving: the remaining transmissions stay ascending.
+    #[inline]
     pub fn end_tx(&mut self, frame: FrameId) -> Option<ActiveTx> {
         self.active
             .binary_search_by_key(&frame, |tx| tx.frame)
@@ -277,6 +279,7 @@ impl Medium {
 
     /// Looks up an in-flight transmission.
     #[must_use]
+    #[inline]
     pub fn get(&self, frame: FrameId) -> Option<&ActiveTx> {
         self.active
             .binary_search_by_key(&frame, |tx| tx.frame)

@@ -71,6 +71,7 @@ impl Metrics {
     }
 
     /// Mutable per-node counters, created (zeroed) on first access.
+    #[inline]
     pub fn node(&mut self, id: NodeId) -> &mut NodeCounters {
         if id.0 >= self.per_node.len() {
             self.per_node.resize(id.0 + 1, NodeCounters::default());
@@ -86,6 +87,7 @@ impl Metrics {
     }
 
     /// Records a frame transmission of the given airtime.
+    #[inline]
     pub fn record_tx(&mut self, sender: NodeId, airtime: Duration) {
         self.frames_transmitted += 1;
         self.total_airtime += airtime;
@@ -95,12 +97,14 @@ impl Metrics {
     }
 
     /// Records a successful delivery at `receiver`.
+    #[inline]
     pub fn record_delivery(&mut self, receiver: NodeId) {
         self.frames_delivered += 1;
         self.node(receiver).received += 1;
     }
 
     /// Records a failed reception at `receiver`.
+    #[inline]
     pub fn record_loss(&mut self, receiver: NodeId, reason: LossReason) {
         match reason {
             LossReason::BelowFloor => self.lost_below_floor += 1,
@@ -112,6 +116,7 @@ impl Metrics {
     }
 
     /// Records a CAD scan and its outcome.
+    #[inline]
     pub fn record_cad(&mut self, node: NodeId, busy: bool) {
         let n = self.node(node);
         n.cad_scans += 1;

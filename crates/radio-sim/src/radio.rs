@@ -180,6 +180,7 @@ impl Radio {
         matches!(self.state, RadioState::Off)
     }
 
+    #[inline]
     fn accumulate(&mut self, now: SimTime) {
         let elapsed = now.since(self.state_since);
         match self.state {
@@ -194,6 +195,7 @@ impl Radio {
 
     /// Transitions to a new state at `now`, accumulating time spent in the
     /// old one.
+    #[inline]
     pub fn set_state(&mut self, now: SimTime, state: RadioState) {
         self.accumulate(now);
         if !matches!(state, RadioState::Rx { .. }) {
@@ -203,12 +205,14 @@ impl Radio {
     }
 
     /// Begins a transmission of `frame` ending at `until`.
+    #[inline]
     pub fn begin_tx(&mut self, now: SimTime, frame: FrameId, until: SimTime) {
         debug_assert!(self.is_idle());
         self.set_state(now, RadioState::Tx { frame, until });
     }
 
     /// Locks onto incoming `frame`, tracking its reception.
+    #[inline]
     pub fn begin_rx(&mut self, now: SimTime, reception: Reception, until: SimTime) {
         let frame = reception.frame;
         self.set_state(now, RadioState::Rx { frame, until });
@@ -216,12 +220,14 @@ impl Radio {
     }
 
     /// Begins a CAD scan ending at `until`.
+    #[inline]
     pub fn begin_cad(&mut self, now: SimTime, until: SimTime, busy_seen: bool) {
         debug_assert!(self.is_idle());
         self.set_state(now, RadioState::Cad { until, busy_seen });
     }
 
     /// Returns to listening.
+    #[inline]
     pub fn to_idle(&mut self, now: SimTime) {
         self.set_state(now, RadioState::Idle);
     }

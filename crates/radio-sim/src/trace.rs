@@ -88,6 +88,7 @@ impl Trace {
     }
 
     /// Appends an event (dropping the oldest when at capacity).
+    #[inline]
     pub fn push(&mut self, at: SimTime, event: TraceEvent) {
         if !self.enabled {
             return;

@@ -46,6 +46,12 @@ cargo test -q --offline --release -p radio-sim --test row_model --test grid_mode
 echo "==> cargo test -q --offline --release --test shard_diff (shard/thread transparency, declined-planner merge drain, without debug assertions)"
 cargo test -q --offline --release --test shard_diff
 
+# Allocation behaviour is a property of the optimised build the
+# benchmark measures; the debug run above adds the MAC's wire-cache
+# cross-check encode to every count.
+echo "==> cargo test -q --offline --release --test alloc_regression (allocation bounds on the optimised build)"
+cargo test -q --offline --release --test alloc_regression
+
 echo "==> cargo test -q --offline -p loramesher --features crypto (AES-CTR flood payload encryption leg)"
 cargo test -q --offline -p loramesher --features crypto
 

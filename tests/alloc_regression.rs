@@ -48,6 +48,14 @@
 //! The event queue on its own gets the same treatment: its pending
 //! events live in one slab, so a second fill to the same depth reuses
 //! the nodes the first one freed.
+//!
+//! Counting allocations cannot see a buffer that doubles ever more
+//! rarely, so the last legs count *bytes*: a protocol node's memory is
+//! bounded by its configuration, not by how long it has run — hour 3
+//! of a converged mesh or a flood allocates what hour 1 did — and the
+//! duty-cycle tracker underneath holds one window (nothing at all when
+//! unregulated) and answers a saturated MAC without allocating. A
+//! flooding node copies a payload only for a frame it will act on.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -56,8 +64,10 @@ use std::time::Duration;
 
 use lora_phy::link::SignalQuality;
 use lora_phy::propagation::Position;
-use loramesher::packet::RouteEntry;
-use loramesher::{Address, RoutingTable};
+use lora_phy::region::{DutyCycleTracker, Region};
+use loramesher::packet::{Forwarding, RouteEntry};
+use loramesher::RoutingTable;
+use loramesher::{codec, Address, FloodConfig, FloodNode, NodeProtocol, Packet, RadioIo};
 use radio_sim::event::{EventQueue, SimEvent};
 use radio_sim::firmware::{Context, Firmware};
 use radio_sim::mobility::Mobility;
@@ -65,7 +75,8 @@ use radio_sim::radio::RadioState;
 use radio_sim::time::SimTime;
 use radio_sim::{topology, NodeId, SimConfig, Simulator};
 use scenario::experiments::default_spacing;
-use scenario::runner::{NetworkBuilder, Runner};
+use scenario::runner::{NetworkBuilder, ProtocolChoice, Runner};
+use scenario::workload;
 
 struct CountingAlloc;
 
@@ -74,10 +85,13 @@ thread_local! {
     /// itself allocation-free; `try_with` below tolerates TLS teardown
     /// (allocations during thread destruction are simply not counted).
     static LOCAL_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Per-thread bytes requested (a `realloc` counts its new size).
+    static LOCAL_BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-fn bump() {
+fn bump(bytes: usize) {
     let _ = LOCAL_ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = LOCAL_BYTES.try_with(|c| c.set(c.get() + bytes as u64));
 }
 
 /// Allocations performed by *the calling thread* so far.
@@ -85,20 +99,25 @@ fn local_allocs() -> u64 {
     LOCAL_ALLOCS.try_with(Cell::get).unwrap_or(0)
 }
 
+/// Bytes requested by *the calling thread* so far.
+fn local_bytes() -> u64 {
+    LOCAL_BYTES.try_with(Cell::get).unwrap_or(0)
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -528,4 +547,151 @@ fn refilling_a_drained_queue_reuses_the_slab() {
     assert!(first > 0, "the first fill must have grown the slab");
     let second = round(&mut q, 10_000);
     assert_eq!(second, 0, "{second} allocations refilling a drained queue");
+}
+
+/// Bytes the calling thread allocates while `net` runs each of three
+/// consecutive simulated hours. The adapter's delivery log is the
+/// host's to drain, so it is emptied (capacity kept) between hours.
+fn bytes_per_hour(net: &mut Runner) -> [u64; 3] {
+    std::array::from_fn(|_| {
+        for i in 0..net.len() {
+            let id = net.id(i);
+            net.sim_mut().with_node(id, |fw, _| fw.event_log.clear());
+        }
+        let before = local_bytes();
+        net.run_for(Duration::from_secs(3600));
+        local_bytes() - before
+    })
+}
+
+fn assert_hour_3_allocates_like_hour_1(what: &str, hours: [u64; 3]) {
+    let [first, _, third] = hours;
+    assert!(first > 0, "{what}: nothing allocated — not a live network");
+    assert!(
+        third <= first + first / 20,
+        "{what}: {third} bytes allocated in hour 3 against {first} in hour 1 \
+         ({hours:?}): something grows with the length of the run"
+    );
+}
+
+/// Converged 3×3 LoRaMesher grid, hellos only: the bytes a simulated
+/// hour allocates do not grow with the hours before it. (Every node
+/// runs `Region::Unlimited`; a duty-cycle history that kept every frame
+/// doubled to 32 KiB per node in hour 3.)
+#[test]
+fn mesh_hour_3_allocates_no_more_bytes_than_hour_1() {
+    let mut net = NetworkBuilder::mesh(topology::grid(3, 3, default_spacing()), 7).build();
+    net.run_until_converged(Duration::from_secs(2), Duration::from_secs(1200))
+        .expect("grid-9 converges");
+    let hours = bytes_per_hour(&mut net);
+    assert_hour_3_allocates_like_hour_1("mesh", hours);
+}
+
+/// The same for nine flooding nodes under a steady all-to-one load
+/// (scheduled up front, so the window sees the protocol and the engine
+/// only).
+#[test]
+fn flood_hour_3_allocates_no_more_bytes_than_hour_1() {
+    let mut net = NetworkBuilder::mesh(topology::grid(3, 3, default_spacing()), 7)
+        .protocol(ProtocolChoice::Flooding { ttl: 5 })
+        .build();
+    let interval = Duration::from_secs(120);
+    let start = Duration::from_secs(600);
+    net.apply(&workload::all_to_one(9, 0, 16, start, interval, 3 * 30));
+    net.run_until(start);
+    let hours = bytes_per_hour(&mut net);
+    assert_hour_3_allocates_like_hour_1("flood", hours);
+    let relayed: u64 = (0..net.len())
+        .filter_map(|i| net.flood_node(i))
+        .map(|n| n.stats().relayed)
+        .sum();
+    assert!(relayed > 1_000, "only {relayed} relays in three hours");
+}
+
+/// Under EU868 at E13's offered duty every attempt is deferred: a 1 %
+/// tracker driven at ~2.8 % answers 10 000 `try_transmit`/`next_allowed`
+/// pairs over ten windows, and once the first window has sized its
+/// history none of them allocates.
+#[test]
+fn saturated_tracker_defers_without_allocating() {
+    let mut tracker = DutyCycleTracker::eu868_one_percent();
+    let airtime = Duration::from_millis(100);
+    let (mut deferred, mut sent, mut allocs_before) = (0u64, 0u64, 0);
+    for i in 0..10_000u64 {
+        if i == 1_000 {
+            allocs_before = local_allocs(); // one window in
+        }
+        let now = Duration::from_millis(i * 3_600);
+        if tracker.try_transmit(now, airtime) {
+            sent += 1;
+        } else {
+            let when = tracker.next_allowed(now, airtime).expect("fits the budget");
+            assert!(when > now && when <= now + Duration::from_secs(3_601));
+            deferred += 1;
+        }
+    }
+    let allocs = local_allocs() - allocs_before;
+    assert!(
+        sent >= 3_600 && deferred > 5_000,
+        "{sent} sent, {deferred} deferred"
+    );
+    assert!(
+        tracker.history_len() <= 360,
+        "{} held",
+        tracker.history_len()
+    );
+    assert_eq!(allocs, 0, "{allocs} allocations answering a saturated MAC");
+}
+
+/// An unregulated tracker keeps no history: 100 000 frames, no
+/// allocation, and the total is still right.
+#[test]
+fn unregulated_tracker_records_without_allocating() {
+    let mut tracker = DutyCycleTracker::unlimited();
+    let allocs_before = local_allocs();
+    for i in 0..100_000u64 {
+        assert!(tracker.try_transmit(Duration::from_millis(i * 10), Duration::from_millis(5)));
+    }
+    let allocs = local_allocs() - allocs_before;
+    assert_eq!(
+        allocs, 0,
+        "{allocs} allocations recording unregulated frames"
+    );
+    assert_eq!(tracker.total_airtime(), Duration::from_secs(500));
+}
+
+/// A flooding node that hears the same frame 1 000 times allocates for
+/// the first — the payload it will relay — and for no duplicate.
+#[test]
+fn flood_duplicates_are_dropped_without_allocating() {
+    let mut cfg = FloodConfig::new(Address::new(2));
+    cfg.region = Region::Unlimited;
+    let mut node = FloodNode::new(cfg);
+    node.on_start(&mut RadioIo::new(Duration::ZERO));
+    let frame = codec::encode(&Packet::Data {
+        dst: Address::new(3),
+        src: Address::new(1),
+        id: 9,
+        fwd: Forwarding {
+            via: Address::BROADCAST,
+            ttl: 5,
+        },
+        payload: vec![0xA5; 24],
+    })
+    .expect("encodes");
+    let hear = |node: &mut FloodNode| {
+        let before = local_allocs();
+        let mut io = RadioIo::new(Duration::from_secs(1));
+        node.on_frame(&frame, SignalQuality::ideal(), &mut io);
+        local_allocs() - before
+    };
+    let first = hear(&mut node);
+    assert!(first > 0, "the first copy is kept for the relay");
+    let duplicates: u64 = (0..999).map(|_| hear(&mut node)).sum();
+    assert_eq!(
+        duplicates, 0,
+        "{duplicates} allocations over 999 duplicates"
+    );
+    assert_eq!(node.stats().duplicates_suppressed, 999);
+    assert_eq!(node.pending_relays(), 1);
 }

@@ -369,6 +369,137 @@ fn duty_cycle_never_exceeds_budget() {
     );
 }
 
+/// Reference model for [`DutyCycleTracker`]: keeps every record for ever
+/// and answers each question by filtering on `start >= now - window`.
+struct DutyModel {
+    duty: f64,
+    window: Duration,
+    records: Vec<(Duration, Duration)>,
+}
+
+impl DutyModel {
+    fn regulated(&self) -> bool {
+        self.duty < 1.0
+    }
+    fn budget(&self) -> Duration {
+        self.window.mul_f64(self.duty)
+    }
+    fn in_window(&self, now: Duration) -> impl Iterator<Item = &(Duration, Duration)> {
+        let horizon = now.saturating_sub(self.window);
+        self.records.iter().filter(move |r| r.0 >= horizon)
+    }
+    /// Nothing counts against a budget that does not exist.
+    fn used(&self, now: Duration) -> Duration {
+        if !self.regulated() {
+            return Duration::ZERO;
+        }
+        self.in_window(now).map(|r| r.1).sum()
+    }
+    fn would_allow(&self, now: Duration, airtime: Duration) -> bool {
+        !self.regulated() || self.used(now) + airtime <= self.budget()
+    }
+    fn next_allowed(&self, now: Duration, airtime: Duration) -> Option<Duration> {
+        if self.would_allow(now, airtime) {
+            return Some(now);
+        }
+        if airtime > self.budget() {
+            return None;
+        }
+        self.in_window(now)
+            .map(|r| r.0 + self.window + Duration::from_micros(1))
+            .find(|&t| self.would_allow(t, airtime))
+    }
+    fn total(&self) -> Duration {
+        self.records.iter().map(|r| r.1).sum()
+    }
+}
+
+/// The windowed tracker is indistinguishable from the keep-everything
+/// model under any monotone sequence of calls — including `record`
+/// without a preceding `would_allow`, several frames in one instant,
+/// frames larger than the budget, gaps of exactly one window and of many
+/// — while holding no more than the records of one window (none when
+/// unregulated).
+#[test]
+fn duty_tracker_matches_keep_everything_model() {
+    // (op, gap kind, gap, airtime as per-mille of the budget)
+    type Step = (u64, u64, u64, u64);
+    forall(
+        "duty_tracker_matches_keep_everything_model",
+        |g| {
+            let duty = g.choose(&[0.001, 0.01, 0.1, 1.0]);
+            let window_ms = g.choose(&[1_000u64, 60_000, 3_600_000]);
+            let steps: Vec<Step> = g.vec_of(1, 80, |g| {
+                (
+                    g.int_in(0, 4),
+                    g.int_in(0, 5),
+                    g.int_in(0, 2_000),
+                    g.int_in(1, 1_500),
+                )
+            });
+            (duty, window_ms, steps)
+        },
+        |(duty, window_ms, steps)| {
+            let window = Duration::from_millis(*window_ms);
+            let mut tracker = DutyCycleTracker::new(*duty, window);
+            let mut model = DutyModel {
+                duty: *duty,
+                window,
+                records: Vec::new(),
+            };
+            prop_assert_eq!(tracker.budget(), model.budget());
+            let mut now = Duration::ZERO;
+            for &(op, gap_kind, gap, permille) in steps {
+                now += match gap_kind {
+                    0 => Duration::ZERO,                       // same instant
+                    1 => Duration::from_nanos(gap),            // inside the 1 µs ε
+                    2 => window.mul_f64(gap as f64 / 4_000.0), // part of a window
+                    3 => window,                               // start == horizon
+                    4 => window + Duration::from_nanos(gap),   // just past it
+                    _ => window * (2 + gap as u32 % 7),        // many windows
+                };
+                let airtime = model.budget().mul_f64(permille as f64 / 1_000.0);
+                match op {
+                    0 => prop_assert_eq!(
+                        tracker.would_allow(now, airtime),
+                        model.would_allow(now, airtime)
+                    ),
+                    1 => {
+                        let allowed = model.would_allow(now, airtime);
+                        prop_assert_eq!(tracker.try_transmit(now, airtime), allowed);
+                        if allowed {
+                            model.records.push((now, airtime));
+                        }
+                    }
+                    2 => {
+                        tracker.record(now, airtime);
+                        model.records.push((now, airtime));
+                    }
+                    3 => prop_assert_eq!(
+                        tracker.next_allowed(now, airtime),
+                        model.next_allowed(now, airtime)
+                    ),
+                    _ => prop_assert_eq!(tracker.used(now), model.used(now)),
+                }
+                prop_assert_eq!(tracker.total_airtime(), model.total());
+                let bound = if model.regulated() {
+                    model.in_window(now).count()
+                } else {
+                    0
+                };
+                prop_assert!(
+                    tracker.history_len() <= bound,
+                    "holds {} transmissions, {} recorded within one window of {:?}",
+                    tracker.history_len(),
+                    bound,
+                    now
+                );
+            }
+            Ok(())
+        },
+    );
+}
+
 // ----------------------------------------------------------------------
 // MAC state machine
 // ----------------------------------------------------------------------
