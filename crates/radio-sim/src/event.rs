@@ -221,7 +221,7 @@ impl EventQueue {
     /// Absolute level-0 tick of an instant.
     #[inline]
     fn tick_of(at: SimTime) -> u64 {
-        u64::try_from(at.as_duration().as_nanos() >> TICK_SHIFT).unwrap_or(u64::MAX)
+        at.as_nanos() >> TICK_SHIFT
     }
 
     /// Files slab node `idx` into the bucket its instant belongs to: the
@@ -450,7 +450,7 @@ impl EventQueue {
     /// tombstones encountered on the way are discarded silently.
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, SimEvent)> {
-        self.pop_until(SimTime::from(std::time::Duration::MAX))
+        self.pop_until(SimTime::MAX)
     }
 
     /// [`EventQueue::pop`], but only when the earliest live event is due
@@ -519,6 +519,11 @@ mod tests {
 
     fn node(i: u32) -> NodeId {
         NodeId(i as usize)
+    }
+
+    #[test]
+    fn a_pending_event_fits_48_bytes() {
+        assert!(std::mem::size_of::<Node>() <= 48);
     }
 
     #[test]

@@ -160,6 +160,8 @@ pub struct Medium {
     /// compare against stored values instead of a `log10` per call.
     sensitivity: Dbm,
     noise_floor: Dbm,
+    /// Airtime in ns per payload length, memoised by `begin_tx`; 0 = not yet.
+    airtime_ns: [u64; LoRaModulation::MAX_PHY_PAYLOAD + 1],
 }
 
 impl Medium {
@@ -176,6 +178,7 @@ impl Medium {
             config,
             active: VecDeque::new(),
             next_frame: 0,
+            airtime_ns: [0; LoRaModulation::MAX_PHY_PAYLOAD + 1],
         }
     }
 
@@ -249,7 +252,14 @@ impl Medium {
     ) -> TxHandle {
         let payload: Arc<[u8]> = payload.into();
         let len = payload.len();
-        let airtime = self.airtime(len);
+        let memo = self.airtime_ns.get(len).copied().unwrap_or(0);
+        let mut airtime = std::time::Duration::from_nanos(memo);
+        if memo == 0 {
+            airtime = self.airtime(len);
+            if let Some(memo) = self.airtime_ns.get_mut(len) {
+                *memo = u64::try_from(airtime.as_nanos()).unwrap_or(0);
+            }
+        }
         let frame = FrameId(self.next_frame);
         self.next_frame += 1;
         self.active.push_back(ActiveTx {
@@ -358,6 +368,11 @@ mod tests {
 
     fn pos(x: f64) -> Position {
         Position::new(x, 0.0)
+    }
+
+    #[test]
+    fn a_transmission_on_the_air_fits_one_cache_line() {
+        assert!(std::mem::size_of::<ActiveTx>() <= 64);
     }
 
     #[test]

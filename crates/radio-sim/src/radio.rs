@@ -138,8 +138,8 @@ impl Reception {
 pub struct Radio {
     state: RadioState,
     state_since: SimTime,
-    /// Accumulated time per state (feeds [`lora_phy::power::EnergyModel`]).
-    pub durations: StateDurations,
+    /// Nanoseconds spent transmitting, receiving, scanning and off so far.
+    spent_ns: [u64; 4],
     /// The reception in progress when the state is [`RadioState::Rx`].
     pub reception: Option<Reception>,
 }
@@ -151,7 +151,7 @@ impl Radio {
         Radio {
             state: RadioState::Idle,
             state_since: SimTime::ZERO,
-            durations: StateDurations::default(),
+            spent_ns: [0; 4],
             reception: None,
         }
     }
@@ -180,24 +180,23 @@ impl Radio {
         matches!(self.state, RadioState::Off)
     }
 
-    #[inline]
-    fn accumulate(&mut self, now: SimTime) {
-        let elapsed = now.since(self.state_since);
-        match self.state {
-            RadioState::Off => self.durations.sleep += elapsed,
-            RadioState::Idle => self.durations.rx += elapsed, // receiver powered, listening
-            RadioState::Tx { .. } => self.durations.tx += elapsed,
-            RadioState::Rx { .. } => self.durations.rx += elapsed,
-            RadioState::Cad { .. } => self.durations.idle += elapsed,
+    /// Accumulated time per state (feeds [`lora_phy::power::EnergyModel`]).
+    #[must_use]
+    pub fn durations(&self) -> StateDurations {
+        let [tx, rx, idle, sleep] = self.spent_ns.map(std::time::Duration::from_nanos);
+        StateDurations {
+            tx,
+            rx,
+            idle,
+            sleep,
         }
-        self.state_since = now;
     }
 
     /// Transitions to a new state at `now`, accumulating time spent in the
     /// old one.
     #[inline]
     pub fn set_state(&mut self, now: SimTime, state: RadioState) {
-        self.accumulate(now);
+        self.finish(now);
         if !matches!(state, RadioState::Rx { .. }) {
             self.reception = None;
         }
@@ -250,10 +249,19 @@ impl Radio {
         }
     }
 
-    /// Finalises time accounting at the end of a run so that
-    /// [`Radio::durations`] covers the full simulated interval.
+    /// Books the time spent in the current state up to `now`: call it at
+    /// the end of a run so that [`Radio::durations`] covers all of it.
+    #[inline]
     pub fn finish(&mut self, now: SimTime) {
-        self.accumulate(now);
+        let [tx, rx, idle, sleep] = &mut self.spent_ns;
+        let bucket = match self.state {
+            RadioState::Off => sleep,
+            RadioState::Idle | RadioState::Rx { .. } => rx, // listening: receiver powered
+            RadioState::Tx { .. } => tx,
+            RadioState::Cad { .. } => idle,
+        };
+        *bucket += now.as_nanos().saturating_sub(self.state_since.as_nanos());
+        self.state_since = now;
     }
 
     /// Rewrites every frame id stored in the radio (the Tx/Rx state, the
@@ -292,6 +300,12 @@ mod tests {
     }
 
     #[test]
+    fn the_state_fits_24_bytes_and_the_radio_160() {
+        assert!(std::mem::size_of::<RadioState>() <= 24);
+        assert!(std::mem::size_of::<Radio>() <= 160);
+    }
+
+    #[test]
     fn new_radio_is_idle() {
         let r = Radio::new();
         assert!(r.is_idle());
@@ -311,10 +325,10 @@ mod tests {
         );
         r.to_idle(SimTime::from_secs(4));
         r.finish(SimTime::from_secs(5));
-        assert_eq!(r.durations.tx, Duration::from_secs(1));
+        assert_eq!(r.durations().tx, Duration::from_secs(1));
         // Idle counts as rx (receiver on): 0..1, 2..3, 4..5 plus the
         // actual reception 3..4.
-        assert_eq!(r.durations.rx, Duration::from_secs(4));
+        assert_eq!(r.durations().rx, Duration::from_secs(4));
     }
 
     #[test]
@@ -323,8 +337,8 @@ mod tests {
         r.power_off(SimTime::from_secs(10));
         r.power_on(SimTime::from_secs(25));
         r.finish(SimTime::from_secs(30));
-        assert_eq!(r.durations.sleep, Duration::from_secs(15));
-        assert_eq!(r.durations.rx, Duration::from_secs(15));
+        assert_eq!(r.durations().sleep, Duration::from_secs(15));
+        assert_eq!(r.durations().rx, Duration::from_secs(15));
     }
 
     #[test]

@@ -86,11 +86,13 @@ pub fn max_audible_range(config: &RfConfig) -> f64 {
 /// link between them can be audible. The same proof obligation the band
 /// partition and [`crate::grid`] rest on, in its cheapest conservative
 /// form (two subtractions, no squares to round), for hot loops that want
-/// to skip a far transmission before touching the link cache.
+/// to skip a far transmission before touching the link cache. `|`, not
+/// `||`: both tests are cheaper than the unpredictable branch between
+/// them, taken once per frame in flight per transmission.
 #[inline]
 #[must_use]
 pub fn beyond_range(r_max: f64, a: Position, b: Position) -> bool {
-    (a.x - b.x).abs() > r_max || (a.y - b.y).abs() > r_max
+    ((a.x - b.x).abs() > r_max) | ((a.y - b.y).abs() > r_max)
 }
 
 /// The conservative lookahead window of the sharded engine: the shortest

@@ -188,7 +188,7 @@ struct NodeSlot<F> {
     firmware: F,
     radio: Radio,
     /// The firmware wake time for which a timer event is pending.
-    scheduled_wake: Option<Duration>,
+    scheduled_wake: Option<SimTime>,
 }
 
 /// What `start_tx` knows about the frame it is fanning out, handed to
@@ -204,10 +204,12 @@ struct Lock<'a> {
 /// batch (positions for link math, liveness for dispatch gates), split
 /// out of [`NodeSlot`] so it can cross worker threads by `&` reference:
 /// kills, revives and mobility ticks are coordinator-only events, so
-/// nothing here changes inside a batch window.
+/// nothing here changes inside a batch window. The fan-out reads one of
+/// these per receiver, so a mover's state sits behind a pointer and a
+/// static node carries none: 32 bytes instead of 120.
 struct NodeState {
     position: Position,
-    mobility: MobilityState,
+    mobility: Option<Box<MobilityState>>,
     alive: bool,
 }
 
@@ -375,6 +377,11 @@ impl<F: Firmware> Simulator<F> {
         mobility: Mobility,
     ) -> NodeId {
         let id = NodeId(self.nodes.len());
+        let mobility = match mobility {
+            Mobility::Static => None,
+            model => Some(Box::new(MobilityState::new(model))),
+        };
+        let mobile = mobility.is_some();
         // Both derivations are pure in (seed, node id), so adding a node
         // never perturbs another's stream; see `SimConfig::rng_streams`
         // for why two exist.
@@ -390,7 +397,7 @@ impl<F: Firmware> Simulator<F> {
         });
         self.state.push(NodeState {
             position,
-            mobility: MobilityState::new(mobility),
+            mobility,
             alive: true,
         });
         self.rngs.push(rng);
@@ -403,7 +410,13 @@ impl<F: Firmware> Simulator<F> {
         if self.started {
             self.fire(id.0, |fw, ctx| fw.on_start(ctx));
         }
-        self.ensure_mobility_tick();
+        // Only the node being added can make the world mobile: the first
+        // mover arms the tick, and nothing scans the others.
+        if mobile && !self.mobility_scheduled {
+            self.mobility_scheduled = true;
+            self.queue
+                .schedule(self.now + self.config.mobility_tick, SimEvent::MobilityTick);
+        }
         id
     }
 
@@ -746,11 +759,11 @@ impl<F: Firmware> Simulator<F> {
             return;
         }
         let slot = &mut self.nodes[i];
-        let wake = slot.firmware.next_wake();
+        let wake = slot.firmware.next_wake().map(SimTime::from);
         if let Some(t) = wake {
             if slot.scheduled_wake != Some(t) {
                 slot.scheduled_wake = Some(t);
-                let at = SimTime::from(t).max(self.now);
+                let at = t.max(self.now);
                 if self.config.timer_tombstones {
                     // Tombstones any previously queued timer for this
                     // node and stamps the new one with a fresh
@@ -1275,17 +1288,6 @@ impl<F: Firmware> Simulator<F> {
         self.fire(i, |fw, ctx| fw.on_start(ctx));
     }
 
-    fn ensure_mobility_tick(&mut self) {
-        if self.mobility_scheduled {
-            return;
-        }
-        if self.state.iter().any(|s| s.mobility.is_mobile()) {
-            self.mobility_scheduled = true;
-            self.queue
-                .schedule(self.now + self.config.mobility_tick, SimEvent::MobilityTick);
-        }
-    }
-
     /// Advances every mobile node by `dt` — on worker threads when
     /// configured. Thread-count invisible: each node's step is a pure
     /// function of its own mobility state and its own RNG stream, and
@@ -1302,8 +1304,11 @@ impl<F: Firmware> Simulator<F> {
             &mut self.rngs,
             |_, chunk, rngs| {
                 for (s, rng) in chunk.iter_mut().zip(rngs) {
-                    if s.alive && s.mobility.is_mobile() {
-                        s.position = s.mobility.step(s.position, dt, rng);
+                    let Some(mobility) = &mut s.mobility else {
+                        continue;
+                    };
+                    if s.alive {
+                        s.position = mobility.step(s.position, dt, rng);
                     }
                 }
             },
@@ -1328,7 +1333,7 @@ impl<F: Firmware> Simulator<F> {
             self.step_positions(dt);
             for (i, &old_x) in xs.iter().enumerate() {
                 let s = &self.state[i];
-                if s.alive && s.mobility.is_mobile() {
+                if s.alive && s.mobility.is_some() {
                     let (lo, hi) = sh
                         .parts
                         .reach_interval(old_x.min(s.position.x), old_x.max(s.position.x));
@@ -1355,7 +1360,7 @@ impl<F: Firmware> Simulator<F> {
         // transmissions/CADs would fill those rows on the coordinator
         // otherwise). Purely a prefetch — see `prefetch_rows`.
         if self.config.threads > 1 && self.config.link_cache {
-            let horizon = self.now.as_duration() + dt;
+            let horizon = self.now + dt;
             let mut rows = std::mem::take(&mut self.prefetch_scratch);
             rows.clear();
             rows.extend((0..self.state.len()).filter(|&i| {
@@ -1396,9 +1401,10 @@ impl<F: Firmware + Send> Simulator<F> {
         }
     }
 
-    /// Runs for `d` more simulated time.
+    /// Runs for `d` more simulated time; `Duration::MAX` runs until the
+    /// queue drains (the end saturates at the clock's horizon).
     pub fn run_for(&mut self, d: Duration) {
-        self.run_until(self.now.as_duration() + d);
+        self.run_until(self.now.as_duration().saturating_add(d));
     }
 
     /// Processes a single event. Returns `false` when the queue is empty.
@@ -1543,6 +1549,12 @@ mod tests {
         assert_sync::<NodeState>();
         assert_send::<NodeState>();
         assert_send::<Metrics>();
+    }
+
+    /// What `start_tx` reads once per receiver stays two to a cache line.
+    #[test]
+    fn the_per_receiver_record_fits_32_bytes() {
+        assert!(std::mem::size_of::<NodeState>() <= 32);
     }
 
     /// Test firmware: transmits a configured frame at a scheduled time and
@@ -2183,11 +2195,47 @@ mod tests {
         s.run_for(Duration::from_secs(10));
         s.finish();
         let expected = s.modulation().time_on_air(100);
-        assert_eq!(s.radio(a).durations.tx, expected);
+        assert_eq!(s.radio(a).durations().tx, expected);
         assert_eq!(
-            s.radio(a).durations.tx + s.radio(a).durations.rx,
+            s.radio(a).durations().tx + s.radio(a).durations().rx,
             Duration::from_secs(10)
         );
+    }
+
+    /// "Run until the queue drains": the end of the run saturates at the
+    /// clock's horizon instead of overflowing `now + d`.
+    #[test]
+    fn run_for_the_rest_of_time_on_an_advanced_clock_completes() {
+        let mut s = sim();
+        s.add_node(
+            sender_at(Duration::from_secs(2), vec![1; 4]),
+            Position::new(0.0, 0.0),
+        );
+        let b = s.add_node(Probe::default(), Position::new(100.0, 0.0));
+        s.run_for(Duration::from_secs(1));
+        s.run_for(Duration::MAX);
+        assert_eq!(s.node(b).received.len(), 1);
+        assert_eq!(s.now(), Duration::MAX);
+    }
+
+    /// A wake at `Duration::MAX` is *never* for every finite run; run to
+    /// the end of time it fires with a clock that has reached it, and the
+    /// frame it sends ends there too instead of overflowing `now + airtime`.
+    #[test]
+    fn a_transmission_at_the_end_of_time_completes() {
+        let mut s = sim();
+        let a = s.add_node(
+            sender_at(Duration::MAX, vec![1; 4]),
+            Position::new(0.0, 0.0),
+        );
+        let b = s.add_node(Probe::default(), Position::new(100.0, 0.0));
+        s.run_until(Duration::from_secs(3600));
+        assert!(!s.node(a).sent);
+        s.run_until(Duration::MAX);
+        assert_eq!((s.node(a).sent, s.node(a).tx_done), (true, 1));
+        assert_eq!(s.node(b).received.len(), 1);
+        s.finish();
+        assert_eq!(s.radio(a).durations().tx, Duration::ZERO);
     }
 
     #[test]
@@ -2208,6 +2256,33 @@ mod tests {
         s.run_for(Duration::from_secs(30));
         let after = s.position(m);
         assert!(before.distance(&after) > 1.0, "node did not move");
+    }
+
+    /// Adding a node asks only that node whether the world became mobile:
+    /// static nodes arm nothing, the first mover arms the tick one
+    /// `mobility_tick` from now, later movers do not arm a second one.
+    #[test]
+    fn only_the_first_mobile_node_arms_the_mobility_tick() {
+        let mut s: Simulator<Clocked> = Simulator::new(SimConfig::default(), 1);
+        for k in 0..3 {
+            s.add_node(Clocked::default(), Position::new(f64::from(k), 0.0));
+        }
+        assert!(!s.step(), "a static world has nothing to do");
+        s.run_until(Duration::from_millis(1500));
+        for _ in 0..2 {
+            let walk = Mobility::RandomWaypoint {
+                width_m: 100.0,
+                height_m: 100.0,
+                min_speed: 1.0,
+                max_speed: 2.0,
+                pause: Duration::ZERO,
+            };
+            s.add_mobile_node(Clocked::default(), Position::new(5.0, 5.0), walk);
+        }
+        for tick in [2500, 3500, 4500] {
+            assert!(s.step());
+            assert_eq!(s.now(), Duration::from_millis(tick));
+        }
     }
 
     #[test]

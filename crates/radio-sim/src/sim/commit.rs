@@ -449,11 +449,11 @@ impl<F: Firmware> BandWorker<'_, F> {
         let tombstones = self.ctx.cfg.timer_tombstones;
         let home = self.ctx.home[i];
         let slot = self.slot(i);
-        let wake = slot.firmware.next_wake();
+        let wake = slot.firmware.next_wake().map(SimTime::from);
         if let Some(t) = wake {
             if slot.scheduled_wake != Some(t) {
                 slot.scheduled_wake = Some(t);
-                let at = SimTime::from(t).max(now);
+                let at = t.max(now);
                 let node = NodeId(i);
                 let q = self.queue_for(home);
                 if tombstones {

@@ -1,93 +1,108 @@
 //! The simulator's virtual clock.
 //!
-//! Simulated time is an offset from the start of the run, represented as a
-//! [`std::time::Duration`] wrapped in [`SimTime`]. Using an offset (rather
-//! than a wall-clock instant) lets protocol code that takes `now: Duration`
-//! run unchanged under the simulator and on real hardware, where the host
-//! supplies uptime instead.
+//! An instant ([`SimTime`]) is the offset from the start of the run in
+//! whole nanoseconds, one `u64`: an offset, so protocol code taking `now:
+//! Duration` runs unchanged on hardware, which supplies uptime; an integer,
+//! so an event-key compare or `now + airtime` is one instruction. Sums and
+//! conversions saturate at `u64::MAX` ns (≈ 584.5 years), where `Duration`
+//! panicked: [`SimTime::MAX`] is *never*, after every other instant, read
+//! back as [`Duration::MAX`] so a firmware waiting for that sees it come.
+//! `Debug` prints what the derive printed over a `Duration`: goldens hash it.
 
 use core::fmt;
 use core::ops::{Add, AddAssign, Sub};
 use std::time::Duration;
 
-/// An instant of simulated time, measured from the start of the run.
-///
-/// `SimTime` is totally ordered and supports the arithmetic a scheduler
-/// needs: adding a [`Duration`] yields a later instant, subtracting two
-/// instants yields the elapsed [`Duration`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct SimTime(Duration);
+/// An instant of simulated time: nanoseconds since the start of the run,
+/// totally ordered. Adding a [`Duration`] yields a later instant,
+/// subtracting two instants yields the elapsed [`Duration`].
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct SimTime(u64);
 
 impl SimTime {
     /// The start of the simulation.
-    pub const ZERO: SimTime = SimTime(Duration::ZERO);
+    pub const ZERO: SimTime = SimTime(0);
+
+    /// The horizon: *never* (see the module docs).
+    pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// An instant `micros` microseconds after the start.
     #[must_use]
     pub const fn from_micros(micros: u64) -> Self {
-        SimTime(Duration::from_micros(micros))
+        SimTime(micros.saturating_mul(1_000))
     }
 
     /// An instant `millis` milliseconds after the start.
     #[must_use]
     pub const fn from_millis(millis: u64) -> Self {
-        SimTime(Duration::from_millis(millis))
+        SimTime(millis.saturating_mul(1_000_000))
     }
 
     /// An instant `secs` seconds after the start.
     #[must_use]
     pub const fn from_secs(secs: u64) -> Self {
-        SimTime(Duration::from_secs(secs))
+        SimTime(secs.saturating_mul(1_000_000_000))
     }
 
-    /// The offset from the start of the run.
+    /// The offset from the start of the run in nanoseconds.
+    #[must_use]
+    pub const fn as_nanos(self) -> u64 {
+        self.0
+    }
+
+    /// The offset from the start of the run ([`Duration::MAX`] for never).
     #[must_use]
     pub const fn as_duration(self) -> Duration {
-        self.0
+        match self.0 {
+            u64::MAX => Duration::MAX,
+            ns => Duration::from_nanos(ns),
+        }
     }
 
     /// The offset in whole microseconds.
     #[must_use]
     pub const fn as_micros(self) -> u128 {
-        self.0.as_micros()
+        self.as_duration().as_micros()
     }
 
     /// The offset in seconds as a float (for reporting).
     #[must_use]
     pub fn as_secs_f64(self) -> f64 {
-        self.0.as_secs_f64()
+        self.as_duration().as_secs_f64()
     }
 
     /// Elapsed time since `earlier`, saturating to zero if `earlier` is
     /// actually later.
     #[must_use]
-    pub fn since(self, earlier: SimTime) -> Duration {
-        self.0.saturating_sub(earlier.0)
+    pub const fn since(self, earlier: SimTime) -> Duration {
+        Duration::from_nanos(self.0.saturating_sub(earlier.0))
     }
 }
 
 impl From<Duration> for SimTime {
+    #[inline]
     fn from(d: Duration) -> Self {
-        SimTime(d)
+        SimTime(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
     }
 }
 
 impl From<SimTime> for Duration {
     fn from(t: SimTime) -> Self {
-        t.0
+        t.as_duration()
     }
 }
 
 impl Add<Duration> for SimTime {
     type Output = SimTime;
+    #[inline]
     fn add(self, d: Duration) -> SimTime {
-        SimTime(self.0 + d)
+        SimTime(self.0.saturating_add(SimTime::from(d).0))
     }
 }
 
 impl AddAssign<Duration> for SimTime {
     fn add_assign(&mut self, d: Duration) {
-        self.0 += d;
+        *self = *self + d;
     }
 }
 
@@ -100,13 +115,20 @@ impl Sub for SimTime {
     /// Panics if `other` is later than `self`; use [`SimTime::since`] for
     /// a saturating version.
     fn sub(self, other: SimTime) -> Duration {
-        self.0 - other.0
+        let ns = self.0.checked_sub(other.0);
+        Duration::from_nanos(ns.expect("overflow when subtracting instants"))
+    }
+}
+
+impl fmt::Debug for SimTime {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("SimTime").field(&self.as_duration()).finish()
     }
 }
 
 impl fmt::Display for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "t+{:.6}s", self.0.as_secs_f64())
+        write!(f, "t+{:.6}s", self.as_secs_f64())
     }
 }
 
@@ -137,6 +159,11 @@ mod tests {
         let mut t = SimTime::ZERO;
         t += Duration::from_secs(2);
         assert_eq!(t, SimTime::from_secs(2));
+    }
+
+    #[test]
+    fn an_instant_is_one_word() {
+        assert_eq!(std::mem::size_of::<SimTime>(), 8);
     }
 
     #[test]

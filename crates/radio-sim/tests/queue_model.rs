@@ -459,3 +459,66 @@ fn drain_across_level_one_spans_matches_reference_model() {
         },
     );
 }
+
+/// Instants beyond `u64` nanoseconds saturate to one *never* that sorts
+/// after everything else. The reference here keeps the `Duration`s and
+/// saturates for itself: the pop order must be its stable sort by
+/// (`min(instant, 2^64 − 1 ns)`, arrival) over the entries still live —
+/// near events, events on both sides of the horizon and superseded
+/// timers (tombstones) mixed.
+#[test]
+fn instants_beyond_the_horizon_pop_last_in_arrival_order() {
+    const HORIZON: Duration = Duration::from_nanos(u64::MAX);
+    forall(
+        "instants_beyond_the_horizon_pop_last_in_arrival_order",
+        |g| {
+            g.vec_of(1, 120, |g| {
+                let at = match g.int_in(0, 3) {
+                    0 => Duration::from_micros(g.int_in(0, 20_000_000)),
+                    1 => HORIZON - Duration::from_nanos(g.int_in(0, 2)),
+                    2 => HORIZON + Duration::from_nanos(g.int_in(0, 2)),
+                    _ => g.choose(&BEYOND),
+                };
+                (at, g.bool(0.3).then(|| g.usize_in(0, NODES - 1)))
+            })
+        },
+        |entries| {
+            let mut q = EventQueue::new();
+            // (saturated instant, arrival, timer owner)
+            let mut model: Vec<(u128, usize, Option<usize>)> = Vec::new();
+            for (k, &(at, timer)) in entries.iter().enumerate() {
+                match timer {
+                    Some(node) => {
+                        q.schedule_timer(SimTime::from(at), NodeId(node));
+                        model.retain(|&(_, _, owner)| owner != Some(node));
+                    }
+                    None => q.schedule(SimTime::from(at), SimEvent::App(NodeId(0), k as u64)),
+                }
+                model.push((at.as_nanos().min(HORIZON.as_nanos()), k, timer));
+            }
+            if (q.len(), q.live_len()) != (entries.len(), model.len()) {
+                return Err(format!("len {}/{}", q.len(), q.live_len()));
+            }
+            model.sort();
+            for &(ns, k, timer) in &model {
+                let got = q.pop();
+                let same = match (&got, timer) {
+                    (Some((_, SimEvent::Timer(n, _))), Some(node)) => n.0 == node,
+                    (Some((_, SimEvent::App(_, tag))), None) => *tag == k as u64,
+                    _ => false,
+                };
+                if !same || got.as_ref().map(|(at, _)| u128::from(at.as_nanos())) != Some(ns) {
+                    return Err(format!("entry {k} due at {ns} ns: popped {got:?}"));
+                }
+            }
+            let tombstones = (entries.len() - model.len()) as u64;
+            if q.pop().is_some() || !q.is_empty() || q.stale_timers_dropped() != tombstones {
+                return Err(format!(
+                    "{} drops, not {tombstones}",
+                    q.stale_timers_dropped()
+                ));
+            }
+            Ok(())
+        },
+    );
+}

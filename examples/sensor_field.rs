@@ -91,7 +91,7 @@ fn main() {
     let mut worst = (0usize, 0.0f64);
     let mut total = 0.0;
     for i in 0..net.len() {
-        let durations = net.sim().radio(net.id(i)).durations;
+        let durations = net.sim().radio(net.id(i)).durations();
         let millijoules = model.energy_millijoules(&durations);
         total += millijoules;
         if millijoules > worst.1 {
@@ -103,7 +103,7 @@ fn main() {
     println!("  busiest node  : node {} at {:.0} mJ", worst.0, worst.1);
 
     // What does that mean for a battery-powered deployment?
-    let durations = net.sim().radio(net.id(worst.0)).durations;
+    let durations = net.sim().radio(net.id(worst.0)).durations();
     if let Some(profile) = ConsumptionProfile::from_durations(&model, &durations) {
         let life = profile.lifetime_on(&Battery::cell_18650());
         println!(
