@@ -10,8 +10,8 @@
 //! two levels of 4096 buckets thread intrusive lists through it.
 //! **Level 0** is a ring of `2^20` ns (≈ 1 ms) buckets covering ≈ 4.3 s
 //! from the cursor on, each a list kept ascending by `(time, seq)` with
-//! a tail index: in-order arrivals — the common case, and every
-//! same-instant burst — append in O(1), anything else walks the bucket's
+//! a tail index: in-order arrivals — the common case, and every run of
+//! same-instant schedules — append in O(1), anything else walks the bucket's
 //! few entries. **Level 1** is a ring of `2^32` ns (≈ 4.3 s) buckets
 //! covering the ≈ 4.9 h after that. Its lists are unordered: when the
 //! cursor enters a bucket's span the bucket is re-filed through the same
@@ -24,6 +24,21 @@
 //! caches the key of its earliest live event, dropped at the three points
 //! that can change it: a pop, an insert that sorts before it, and the
 //! invalidation of a node that has a live timer.
+//!
+//! # Bursts
+//!
+//! [`EventQueue::schedule_burst`] queues k events at one instant (a
+//! frame's `TxEnd` and its locked receivers' `RxEnd`s) under the next k
+//! sequence numbers as **one** wheel entry: the first event's node, whose
+//! padding holds the `u32` slab index of a chain of the other k − 1,
+//! linked in no bucket. Popping the head arms a drain cursor that
+//! `peek_key` and `pop_until` serve the followers from, one per call.
+//! Nothing can sort between them: an entry sorting before the head popped
+//! before it, a later one at the instant takes a larger sequence number.
+//! An insert that still would (a past instant, a reserved sequence
+//! number) first files the next follower as the head of the chain's rest.
+//! So a burst pops as its events scheduled one by one would, taking the
+//! same slab nodes; `len` counts each, and timers never join one.
 //!
 //! # Timer tombstones
 //!
@@ -96,6 +111,9 @@ struct Node {
     key: (SimTime, u64),
     event: SimEvent,
     next: u32,
+    /// First follower of the burst it heads, else [`NIL`]; the followers
+    /// chain through `next`, outside every bucket.
+    burst: u32,
 }
 
 /// Sort key of slab node `idx`; `None` past the end of a list.
@@ -176,6 +194,9 @@ pub struct EventQueue {
     /// Key of the earliest live event while known: the queue is then
     /// settled, with that event first in the cursor bucket.
     head: Option<(SimTime, u64)>,
+    /// The burst being served once its head has popped: the slab node of
+    /// its next follower and that follower's key.
+    drain: Option<(u32, (SimTime, u64))>,
     next_seq: u64,
     /// Total pending events, including stale timer tombstones.
     len: usize,
@@ -209,6 +230,7 @@ impl EventQueue {
             far_occupied: Occupancy { words, summary },
             cursor: 0,
             head: None,
+            drain: None,
             next_seq: 0,
             len: 0,
             timer_gen: Vec::new(),
@@ -325,16 +347,30 @@ impl EventQueue {
         None
     }
 
-    /// Unlinks the first entry of level-0 bucket `slot` and frees its node.
+    /// Unlinks the first entry of level-0 bucket `slot` and frees its
+    /// node, returning its key, event and first burst follower.
     #[inline]
-    fn unlink_head(&mut self, slot: usize) -> Option<(SimTime, SimEvent)> {
+    fn unlink_head(&mut self, slot: usize) -> Option<((SimTime, u64), SimEvent, u32)> {
         let bucket = self.near.get_mut(slot)?;
         let node = self.slab.get_mut(bucket.head as usize)?;
         let next = std::mem::replace(&mut node.next, self.free);
         self.free = std::mem::replace(&mut bucket.head, next);
         self.near_occupied.mark(slot, next != NIL);
         self.len -= 1;
-        Some((node.key.0, node.event.clone()))
+        Some((node.key, node.event.clone(), node.burst))
+    }
+
+    /// Unlinks the draining burst's next follower from its chain and
+    /// frees its node.
+    #[inline]
+    fn next_follower(&mut self) -> Option<(SimTime, SimEvent)> {
+        let (idx, (at, seq)) = self.drain.take()?;
+        let node = self.slab.get_mut(idx as usize)?;
+        let next = std::mem::replace(&mut node.next, self.free);
+        self.free = idx;
+        self.drain = (next != NIL).then_some((next, (at, seq + 1)));
+        self.len -= 1;
+        Some((at, node.event.clone()))
     }
 
     #[inline]
@@ -423,9 +459,46 @@ impl EventQueue {
                 None => self.stale_pending += 1,
             }
         }
-        self.head = self.head.filter(|&head| head <= (at, seq));
-        let (key, next, mut idx) = ((at, seq), NIL, self.free);
-        let node = Node { key, event, next };
+        let idx = self.take_node((at, seq), event);
+        self.file(idx, (at, seq));
+    }
+
+    /// Schedules `events` at `at` exactly as one [`EventQueue::schedule`]
+    /// each, in order, would, but as one wheel entry: the first event's,
+    /// with the rest chained to it (see "Bursts" in the module docs).
+    /// Timers never join a burst.
+    pub fn schedule_burst(&mut self, at: SimTime, events: impl IntoIterator<Item = SimEvent>) {
+        let (mut head, mut tail) = (NIL, NIL);
+        for event in events {
+            debug_assert!(
+                !matches!(event, SimEvent::Timer(..)),
+                "timers are booked singly"
+            );
+            let key = (at, self.alloc_seq());
+            let idx = self.take_node(key, event);
+            match self.slab.get_mut(tail as usize) {
+                Some(node) if tail == head => node.burst = idx,
+                Some(node) => node.next = idx,
+                None => head = idx,
+            }
+            tail = idx;
+        }
+        if let Some(node) = self.slab.get(head as usize) {
+            self.file(head, node.key);
+        }
+    }
+
+    /// Takes a vacant slab node (or a new one) for `event` at `key`.
+    #[inline]
+    fn take_node(&mut self, key: (SimTime, u64), event: SimEvent) -> u32 {
+        self.len += 1;
+        let (next, burst, mut idx) = (NIL, NIL, self.free);
+        let node = Node {
+            key,
+            event,
+            next,
+            burst,
+        };
         if let Some(vacant) = self.slab.get_mut(idx as usize) {
             self.free = std::mem::replace(vacant, node).next;
         } else {
@@ -433,8 +506,32 @@ impl EventQueue {
             debug_assert!(idx != NIL, "event slab outgrew its u32 indices");
             self.slab.push(node);
         }
+        idx
+    }
+
+    /// Files node `idx` into the wheel. An entry that sorts before the
+    /// draining burst's next follower first files that follower as the
+    /// head of the burst's rest, so a drain only serves the global minimum.
+    #[inline]
+    fn file(&mut self, idx: u32, key: (SimTime, u64)) {
+        if self.drain.is_some_and(|(_, next)| key < next) {
+            self.refile_drain();
+        }
+        self.head = self.head.filter(|&head| head <= key);
         self.link(idx, key);
-        self.len += 1;
+    }
+
+    /// Files the drain's next follower as the head of the chain's rest.
+    #[cold]
+    fn refile_drain(&mut self) {
+        let Some((idx, key)) = self.drain.take() else {
+            return;
+        };
+        if let Some(node) = self.slab.get_mut(idx as usize) {
+            node.burst = std::mem::replace(&mut node.next, NIL);
+            self.head = self.head.filter(|&head| head <= key);
+            self.link(idx, key);
+        }
     }
 
     /// [`EventQueue::schedule_timer`] under an externally allocated
@@ -458,9 +555,13 @@ impl EventQueue {
     #[inline]
     pub fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, SimEvent)> {
         self.peek_time().filter(|&at| at <= until)?;
+        if self.drain.is_some() {
+            return self.next_follower();
+        }
         // Settled: the head of the cursor bucket is the event peeked.
         self.head = None;
-        let (at, event) = self.unlink_head(slot_of(self.cursor))?;
+        let ((at, seq), event, burst) = self.unlink_head(slot_of(self.cursor))?;
+        self.drain = (burst != NIL).then_some((burst, (at, seq + 1)));
         if let SimEvent::Timer(node, _) = event {
             if let Some(live) = self.live_timers.get_mut(node.0) {
                 *live = live.saturating_sub(1);
@@ -483,7 +584,10 @@ impl EventQueue {
     #[must_use]
     #[inline]
     pub fn peek_key(&mut self) -> Option<(SimTime, u64)> {
-        self.head.or_else(|| self.settle())
+        match self.drain {
+            Some((_, next)) => Some(next),
+            None => self.head.or_else(|| self.settle()),
+        }
     }
 
     /// Number of pending events, including stale timer tombstones that

@@ -31,6 +31,30 @@ pub enum Mobility {
     },
 }
 
+impl Mobility {
+    /// Whether every parameter is finite and every speed non-negative: a
+    /// negative speed walks the node away from its waypoint forever.
+    #[must_use]
+    pub(crate) fn is_valid(&self) -> bool {
+        match *self {
+            Mobility::Static => true,
+            Mobility::RandomWaypoint {
+                width_m,
+                height_m,
+                min_speed,
+                max_speed,
+                ..
+            } => {
+                [width_m, height_m, min_speed, max_speed]
+                    .iter()
+                    .all(|v| v.is_finite())
+                    && min_speed >= 0.0
+                    && max_speed >= 0.0
+            }
+        }
+    }
+}
+
 /// Per-node mobility state advanced on each tick.
 #[derive(Clone, Debug)]
 pub struct MobilityState {

@@ -6,9 +6,11 @@
 //! model; this module implements the mechanics:
 //!
 //! * **Transmission** — a `Transmit` command registers an [`ActiveTx`] on
-//!   the medium, schedules its end, and immediately decides which other
-//!   nodes lock onto it (listening + audible) or suffer it as
-//!   interference. The frames already on the air are gathered from the
+//!   the medium and immediately decides which other nodes lock onto it
+//!   (listening + audible) or suffer it as interference; its end and
+//!   every locked receiver's are then queued as one burst
+//!   ([`EventQueue::schedule_burst`]) and still dispatched one by one.
+//!   The frames already on the air are gathered from the
 //!   medium's registry once per transmission, within twice the audible
 //!   range of its origin, and each locked receiver filters that list.
 //! * **Queues** — one event queue, popped in `(time, seq)` order. Only a
@@ -365,17 +367,32 @@ impl<F: Firmware> Simulator<F> {
     }
 
     /// Adds a stationary node running `firmware` at `position`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a coordinate of `position` is not finite.
     pub fn add_node(&mut self, firmware: F, position: Position) -> NodeId {
         self.add_mobile_node(firmware, position, Mobility::Static)
     }
 
     /// Adds a node with the given mobility model.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a coordinate of `position` is not finite, or if a
+    /// [`Mobility::RandomWaypoint`] has a non-finite parameter or a
+    /// negative speed.
     pub fn add_mobile_node(
         &mut self,
         firmware: F,
         position: Position,
         mobility: Mobility,
     ) -> NodeId {
+        assert_finite(position);
+        assert!(
+            mobility.is_valid(),
+            "RandomWaypoint needs finite parameters and non-negative speeds, got {mobility:?}"
+        );
         let id = NodeId(self.nodes.len());
         let mobility = match mobility {
             Mobility::Static => None,
@@ -446,7 +463,12 @@ impl<F: Firmware> Simulator<F> {
     }
 
     /// Moves a node instantly (tests and custom scenarios).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a coordinate of `position` is not finite.
     pub fn set_position(&mut self, id: NodeId, position: Position) {
+        assert_finite(position);
         self.state[id.0].position = position;
         self.link_cache.invalidate_all();
         self.grid_dirty = true;
@@ -972,7 +994,6 @@ impl<F: Firmware> Simulator<F> {
             end,
         };
         self.nodes[i].radio.begin_tx(self.now, frame, end);
-        self.schedule_for(end, i, SimEvent::TxEnd(sender, frame));
         self.metrics.record_tx(sender, tx.airtime);
         self.trace.push(
             self.now,
@@ -1012,18 +1033,17 @@ impl<F: Firmware> Simulator<F> {
                 near.push((f, s, at));
             }
         });
-        for &(j, link) in &fanout {
+        // Receivers that lock on are compacted into `fanout[..locked]`.
+        let mut locked = 0;
+        for n in 0..fanout.len() {
+            let (j, link) = fanout[n];
             if j == i || !self.state[j].alive {
                 continue;
             }
             let receiver = NodeId(j);
 
-            match *self.nodes[j].radio.state() {
-                RadioState::Idle => {
-                    if link.audible {
-                        self.lock_receiver(j, &lock, link, &near);
-                    }
-                }
+            let lock_on = match *self.nodes[j].radio.state() {
+                RadioState::Idle => link.audible,
                 RadioState::Rx { frame: current, .. } => {
                     // The new frame interferes with the ongoing reception
                     // — when audible. Sub-sensitivity power is orders of
@@ -1066,16 +1086,37 @@ impl<F: Firmware> Simulator<F> {
                                 reason: crate::medium::LossReason::Truncated,
                             },
                         );
-                        self.lock_receiver(j, &lock, link, &near);
                     }
+                    steal
                 }
                 RadioState::Cad { .. } => {
                     if link.audible {
                         self.nodes[j].radio.note_cad_activity();
                     }
+                    false
                 }
-                RadioState::Tx { .. } | RadioState::Off => {}
+                RadioState::Tx { .. } | RadioState::Off => false,
+            };
+            if lock_on {
+                self.lock_receiver(j, &lock, link, &near);
+                fanout[locked] = (j, link);
+                locked += 1;
             }
+        }
+        // Nothing above draws a seq, so the frame's ends take the next ones
+        // in fan-out order: as one burst, or singly into band queues.
+        let rx_ends = fanout[..locked]
+            .iter()
+            .map(|&(j, _)| SimEvent::RxEnd(NodeId(j), frame));
+        let ends = std::iter::once(SimEvent::TxEnd(sender, frame)).chain(rx_ends);
+        if self.has_band_queues() {
+            for event in ends {
+                if let SimEvent::TxEnd(node, _) | SimEvent::RxEnd(node, _) = event {
+                    self.schedule_for(end, node.0, event);
+                }
+            }
+        } else {
+            self.queue.schedule_burst(end, ends);
         }
         self.fanout_scratch = fanout;
         self.roster_scratch = near;
@@ -1115,7 +1156,6 @@ impl<F: Firmware> Simulator<F> {
             "range gate or link cache changed node {j}'s interferer set"
         );
         self.nodes[j].radio.begin_rx(self.now, reception, lock.end);
-        self.schedule_for(lock.end, j, SimEvent::RxEnd(receiver, lock.frame));
     }
 
     /// Debug cross-check making the whole suite the gate's oracle: the
@@ -1493,6 +1533,15 @@ impl<F: Firmware + Send> Simulator<F> {
             }
         }
     }
+}
+
+/// Refuses what the link math cannot place: `NaN.max(d0)` is `d0`, so a
+/// NaN coordinate would hear every sender at the reference distance.
+fn assert_finite(p: Position) {
+    assert!(
+        p.x.is_finite() && p.y.is_finite(),
+        "node position must be finite, got {p:?}"
+    );
 }
 
 /// Received power (mW) at `at` (node `rx`) of a transmission by `sender`
@@ -2283,6 +2332,93 @@ mod tests {
             assert!(s.step());
             assert_eq!(s.now(), Duration::from_millis(tick));
         }
+    }
+
+    /// A frame's end and its three receivers' are one queue entry, but
+    /// `step()` still hands out one event per call: four steps at the
+    /// frame's end instant, each counted.
+    #[test]
+    fn step_serves_a_frame_end_burst_one_event_per_call() {
+        let mut s = sim();
+        s.add_node(
+            sender_at(Duration::from_millis(10), vec![7; 8]),
+            Position::new(0.0, 0.0),
+        );
+        for k in 1..=3 {
+            s.add_node(Probe::default(), Position::new(40.0 * f64::from(k), 0.0));
+        }
+        while s.metrics().frames_transmitted == 0 {
+            assert!(s.step());
+        }
+        let end = s.queue.peek_time().expect("the frame's end is queued");
+        assert_eq!(s.queue.len(), 4);
+        for k in 0..4 {
+            let before = s.events_processed();
+            assert!(s.step());
+            assert_eq!(s.events_processed(), before + 1);
+            assert_eq!((s.now, s.queue.len()), (end, 3 - k));
+        }
+        assert_eq!(s.node(NodeId(0)).tx_done, 1);
+        assert!((1..=3).all(|k| s.node(NodeId(k)).received.len() == 1));
+        assert!(!s.step(), "nothing but the frame was queued");
+    }
+
+    /// A NaN coordinate heard every sender at the reference distance
+    /// (`NaN.max(d0)` is `d0`) and sat in grid cell (0, 0): a node at
+    /// `(NaN, 5)` decoded beacons from senders 2 000 km apart, one with
+    /// the link cache and two without. Every way a position enters
+    /// refuses it instead.
+    #[test]
+    #[should_panic(expected = "node position must be finite")]
+    fn a_nan_position_is_refused() {
+        sim().add_node(Probe::default(), Position::new(f64::NAN, 5.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "node position must be finite")]
+    fn an_infinite_mobile_start_is_refused() {
+        let at = Position::new(0.0, f64::INFINITY);
+        sim().add_mobile_node(Probe::default(), at, Mobility::Static);
+    }
+
+    #[test]
+    #[should_panic(expected = "node position must be finite")]
+    fn moving_a_node_to_nan_is_refused() {
+        let mut s = sim();
+        let a = s.add_node(Probe::default(), Position::new(0.0, 0.0));
+        s.set_position(a, Position::new(1.0, f64::NAN));
+    }
+
+    fn waypoint(width_m: f64, min_speed: f64, max_speed: f64) -> Mobility {
+        Mobility::RandomWaypoint {
+            width_m,
+            height_m: 100.0,
+            min_speed,
+            max_speed,
+            pause: Duration::ZERO,
+        }
+    }
+
+    /// A negative speed walks the node away from its waypoint forever.
+    #[test]
+    #[should_panic(expected = "RandomWaypoint needs finite parameters")]
+    fn a_negative_waypoint_speed_is_refused() {
+        let walk = waypoint(100.0, -3.0, 2.0);
+        sim().add_mobile_node(Probe::default(), Position::new(0.0, 0.0), walk);
+    }
+
+    #[test]
+    #[should_panic(expected = "RandomWaypoint needs finite parameters")]
+    fn a_non_finite_waypoint_parameter_is_refused() {
+        let walk = waypoint(f64::NAN, 1.0, 2.0);
+        sim().add_mobile_node(Probe::default(), Position::new(0.0, 0.0), walk);
+    }
+
+    #[test]
+    #[should_panic(expected = "RandomWaypoint needs finite parameters")]
+    fn an_infinite_waypoint_speed_is_refused() {
+        let walk = waypoint(100.0, 1.0, f64::INFINITY);
+        sim().add_mobile_node(Probe::default(), Position::new(0.0, 0.0), walk);
     }
 
     #[test]

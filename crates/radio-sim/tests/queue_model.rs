@@ -11,12 +11,15 @@
 //! externally allocated sequence numbers that are not ascending, so
 //! sorted inserts, re-filing, parking and past-event folding are all
 //! crossed repeatedly — with the cached head live across all of them.
+//! Frame-end bursts (`schedule_burst`), which the model schedules one
+//! event at a time, are filed on every one of those paths and drained
+//! under bounded pops, peeks and inserts that sort before them.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::time::Duration;
 
-use radio_sim::event::{EventQueue, SimEvent};
+use radio_sim::event::{EventQueue, FrameId, SimEvent};
 use radio_sim::time::SimTime;
 use radio_sim::NodeId;
 use testkit::{forall, Gen};
@@ -142,11 +145,23 @@ enum Op {
     /// order given (descending or shuffled, repeats allowed). With
     /// `external`, their sequence numbers are reserved up front and
     /// assigned in reverse arrival order through `schedule_at_seq`.
-    Burst {
+    Cluster {
         node: usize,
         base: SimTime,
         offsets_us: Vec<u64>,
         external: bool,
+    },
+    /// A frame's end: one `TxEnd` and `len - 1` `RxEnd`s through
+    /// `schedule_burst`, which the model schedules one by one.
+    Burst {
+        at: BurstAt,
+        len: usize,
+    },
+    /// `pop_until` at the instant last popped (`of_burst`: of the last
+    /// burst scheduled), or 1 ns before it.
+    PopUntilNear {
+        of_burst: bool,
+        early: bool,
     },
     /// Peek (so the head is cached), then cancel the timer of the node
     /// that owns the head, if the head is a timer.
@@ -181,9 +196,52 @@ fn gen_time(g: &mut Gen) -> SimTime {
     SimTime::from_micros((base + jitter + far) * 1_000 + g.int_in(0, 3) * 250)
 }
 
+/// Where a burst lands: every place its one wheel entry can be filed.
+#[derive(Clone, Copy, Debug)]
+enum BurstAt {
+    /// The instant last popped, or a few µs after it: the cursor bucket,
+    /// possibly mid-drain of another burst at the same instant.
+    Cursor { after_us: u64 },
+    /// This long after the instant last popped: past level 0's ≈ 4.3 s,
+    /// so the entry is re-filed from level 1 — a frame that long is an
+    /// SF12 frame of a hundred bytes or more.
+    Later { ms: u64 },
+    /// The instant of a pending event (singles and timers alike).
+    Pending { pick: usize },
+    /// Anywhere [`gen_time`] reaches, beyond the level-1 window included.
+    At(SimTime),
+}
+
+fn gen_burst(g: &mut Gen) -> Op {
+    let at = match g.int_in(0, 4) {
+        0 => BurstAt::Cursor {
+            after_us: g.choose(&[0, 0, 3, 700]),
+        },
+        1 => BurstAt::Later {
+            ms: g.choose(&[4_400, 6_100, 9_000, 20_000]),
+        },
+        2 => BurstAt::Pending {
+            pick: g.usize_in(0, 1_000),
+        },
+        3 => BurstAt::At(SimTime::from(g.choose(&BEYOND))),
+        _ => BurstAt::At(gen_time(g)),
+    };
+    Op::Burst {
+        at,
+        len: g.usize_in(1, 8),
+    }
+}
+
+fn gen_pop_near(g: &mut Gen) -> Op {
+    Op::PopUntilNear {
+        of_burst: g.bool(0.5),
+        early: g.bool(0.5),
+    }
+}
+
 fn gen_op(g: &mut Gen) -> Op {
     let node = g.usize_in(0, NODES - 1);
-    match g.int_in(0, 12) {
+    match g.int_in(0, 14) {
         0 | 1 => Op::App {
             node,
             at: gen_time(g),
@@ -209,7 +267,7 @@ fn gen_op(g: &mut Gen) -> Op {
             if g.bool(0.5) {
                 offsets_us.sort_unstable_by(|a, b| b.cmp(a));
             }
-            Op::Burst {
+            Op::Cluster {
                 node,
                 base: gen_time(g),
                 offsets_us,
@@ -217,6 +275,8 @@ fn gen_op(g: &mut Gen) -> Op {
             }
         }
         11 => Op::CancelHead,
+        13 => gen_burst(g),
+        14 => gen_pop_near(g),
         _ => Op::Drain {
             pops: g.usize_in(2, 12),
         },
@@ -228,6 +288,9 @@ fn gen_op(g: &mut Gen) -> Op {
 struct Pair {
     q: EventQueue,
     m: Model,
+    /// The instant last popped and that of the last burst scheduled.
+    last: SimTime,
+    burst_at: SimTime,
 }
 
 impl Pair {
@@ -256,7 +319,36 @@ impl Pair {
         if got != want {
             return Err(format!("step {step}: pop {got:?}, model {want:?}"));
         }
+        self.last = got.as_ref().map_or(self.last, |&(at, _)| at);
         Ok(got)
+    }
+
+    fn pop_until(&mut self, step: usize, until: SimTime) -> Result<(), String> {
+        let due = self.m.peek_time().is_some_and(|at| at <= until);
+        let want = if due { self.m.pop() } else { None };
+        let got = self.q.pop_until(until);
+        if got != want {
+            return Err(format!(
+                "step {step}: pop_until({until:?}) {got:?}, model {want:?}"
+            ));
+        }
+        self.last = got.map_or(self.last, |(at, _)| at);
+        Ok(())
+    }
+
+    /// Resolves where a burst lands against the current state.
+    fn burst_instant(&self, at: BurstAt) -> SimTime {
+        let after = |d: Duration| SimTime::from(self.last.as_duration().saturating_add(d));
+        match at {
+            BurstAt::Cursor { after_us } => after(Duration::from_micros(after_us)),
+            BurstAt::Later { ms } => after(Duration::from_millis(ms)),
+            BurstAt::Pending { pick } => {
+                let pending = self.m.heap.len().max(1);
+                let nth = self.m.heap.iter().nth(pick % pending);
+                nth.map_or(self.last, |&Reverse((at, _))| at)
+            }
+            BurstAt::At(at) => at,
+        }
     }
 
     fn apply(&mut self, step: usize, op: &Op) -> Result<(), String> {
@@ -287,18 +379,29 @@ impl Pair {
             Op::Pop => {
                 self.pop(step)?;
             }
-            Op::PopUntil { until } => {
-                let due = self.m.peek_time().is_some_and(|at| at <= until);
-                let want = if due { self.m.pop() } else { None };
-                let got = self.q.pop_until(until);
-                if got != want {
-                    return Err(format!(
-                        "step {step}: pop_until({until:?}) {got:?}, model {want:?}"
-                    ));
-                }
-            }
+            Op::PopUntil { until } => self.pop_until(step, until)?,
             Op::Peek => self.peek(step)?,
-            Op::Burst {
+            Op::Burst { at, len } => {
+                let at = self.burst_instant(at);
+                let frame = FrameId(step as u64);
+                let events: Vec<SimEvent> = (0..len)
+                    .map(|k| match k {
+                        0 => SimEvent::TxEnd(NodeId(0), frame),
+                        _ => SimEvent::RxEnd(NodeId(k), frame),
+                    })
+                    .collect();
+                for event in &events {
+                    self.m.schedule(at, event.clone());
+                }
+                self.q.schedule_burst(at, events);
+                self.burst_at = at;
+            }
+            Op::PopUntilNear { of_burst, early } => {
+                let at = if of_burst { self.burst_at } else { self.last };
+                let before = at.as_duration().saturating_sub(Duration::from_nanos(1));
+                self.pop_until(step, if early { SimTime::from(before) } else { at })?;
+            }
+            Op::Cluster {
                 node,
                 base,
                 ref offsets_us,
@@ -376,6 +479,21 @@ impl Pair {
     }
 }
 
+/// Applies `ops` to a fresh pair, checking after each (and peeking
+/// between each when asked), then drains both to the end.
+fn run_ops(peek_between: bool, ops: &[Op]) -> Result<(), String> {
+    let mut pair = Pair::default();
+    for (step, op) in ops.iter().enumerate() {
+        pair.apply(step, op)?;
+        pair.check(step)?;
+        if peek_between {
+            pair.peek(step)?;
+            pair.check(step)?;
+        }
+    }
+    pair.drain()
+}
+
 #[test]
 fn calendar_queue_matches_reference_model() {
     forall(
@@ -383,18 +501,31 @@ fn calendar_queue_matches_reference_model() {
         // Peeking settles the queue and caches its head, so a run that
         // peeks between every pair of operations is a regime of its own.
         |g| (g.bool(0.5), g.vec_of(1, 240, gen_op)),
-        |(peek_between, ops)| {
-            let mut pair = Pair::default();
-            for (step, op) in ops.iter().enumerate() {
-                pair.apply(step, op)?;
-                pair.check(step)?;
-                if *peek_between {
-                    pair.peek(step)?;
-                    pair.check(step)?;
-                }
-            }
-            pair.drain()
+        |(peek_between, ops)| run_ops(*peek_between, ops),
+    );
+}
+
+/// Frame ends as bursts, densely: in the cursor bucket (mid-drain of an
+/// earlier burst included), re-filed from level 1, beyond the level-1
+/// window and on the instants of pending singles and timers — against
+/// pops bounded at the burst's instant and 1 ns before it, peeks while
+/// a burst drains, and inserts that sort before a draining burst's next
+/// follower (past instants, reserved sequence numbers).
+#[test]
+fn frame_end_bursts_match_reference_model() {
+    forall(
+        "frame_end_bursts_match_reference_model",
+        |g| {
+            let ops = g.vec_of(1, 160, |g| match g.int_in(0, 9) {
+                0..=2 => gen_burst(g),
+                3 | 4 => gen_pop_near(g),
+                5 => Op::Pop,
+                6 => Op::Peek,
+                _ => gen_op(g),
+            });
+            (g.bool(0.5), ops)
         },
+        |(peek_between, ops)| run_ops(*peek_between, ops),
     );
 }
 

@@ -66,6 +66,15 @@ cargo run -q --release --offline -p meshsim -- --nodes 12 --duration 120 --shard
 echo "==> meshsim --shards 4 --threads 2 --rng-streams smoke (parallel batch commit through the CLI)"
 cargo run -q --release --offline -p meshsim -- --nodes 12 --duration 120 --shards 4 --threads 2 --rng-streams >/dev/null
 
+# One thread queues a frame's ends as one burst; band queues file them
+# singly. SF12 frames outlast the event wheel's level 0, so the bursts
+# are re-filed from level 1 too: both runs must print the same bytes.
+echo "==> meshsim --sf 12 bulk --shards 4 --rng-streams at --threads 1 and 2 (bursts vs per-receiver events, cmp)"
+sf12=(--nodes 6 --duration 1800 --sf 12 --traffic bulk:0:5:2048 --shards 4 --rng-streams)
+cargo run -q --release --offline -p meshsim -- "${sf12[@]}" --threads 1 >target/ci_sf12_t1.txt
+cargo run -q --release --offline -p meshsim -- "${sf12[@]}" --threads 2 >target/ci_sf12_t2.txt
+cmp target/ci_sf12_t1.txt target/ci_sf12_t2.txt
+
 echo "==> meshsim --protocol flooding --shards 4 --threads 2 --rng-streams smoke (flooding stack on the parallel engine)"
 cargo run -q --release --offline -p meshsim -- --protocol flooding --nodes 12 --duration 120 --shards 4 --threads 2 --rng-streams >/dev/null
 

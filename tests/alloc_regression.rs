@@ -24,7 +24,9 @@
 //!   per rebuild.
 //!
 //! The firmware transmits a pre-built `Arc<[u8]>` frame each beacon,
-//! mirroring how `bench::scaling` exercises the simulator hot path.
+//! mirroring how `bench::scaling` exercises the simulator hot path. A
+//! long-frame leg repeats the static steady state at SF12, where each
+//! frame's ends are one queued burst re-filed from the wheel's level 1.
 //!
 //! A dense-overlap static leg pins the one allocation the radio state
 //! machine does make — a reception's interferer list, once per
@@ -63,6 +65,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use lora_phy::link::SignalQuality;
+use lora_phy::modulation::LoRaModulation;
 use lora_phy::propagation::Position;
 use lora_phy::region::{DutyCycleTracker, Region};
 use loramesher::packet::{Forwarding, RouteEntry};
@@ -125,11 +128,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Beacons a cached frame every 3 s; the `Arc` clone bumps a refcount
-/// instead of copying, so steady-state transmission is allocation-free
-/// end to end.
+/// Beacons a cached frame every `period` (3 s unless set); the `Arc`
+/// clone bumps a refcount instead of copying, so steady-state
+/// transmission is allocation-free end to end.
 struct Beacon {
     next: Duration,
+    period: Duration,
     frame: Arc<[u8]>,
     heard: u64,
 }
@@ -138,6 +142,7 @@ impl Beacon {
     fn new(phase: Duration) -> Self {
         Beacon {
             next: phase,
+            period: Duration::from_secs(3),
             frame: vec![0xB3; 16].into(),
             heard: 0,
         }
@@ -147,7 +152,7 @@ impl Beacon {
 impl Firmware for Beacon {
     fn on_timer(&mut self, ctx: &mut Context) {
         if ctx.now() >= self.next {
-            self.next += Duration::from_secs(3);
+            self.next += self.period;
             ctx.transmit(self.frame.clone());
         }
     }
@@ -215,6 +220,52 @@ fn steady_state_event_processing_does_not_allocate() {
 #[test]
 fn sharded_steady_state_does_not_allocate() {
     assert_steady_state_alloc_free(SimConfig::default(), 4, 2);
+}
+
+/// Long-range frames: sixteen beacons of 120–165 bytes at SF12 / 125 kHz
+/// stay on the air 7–9 s, past the event wheel's ≈ 4.3 s level 0, so a
+/// frame's end and its fifteen receivers' — one burst on one thread,
+/// single events in band queues on two — are re-filed from level 1
+/// before they pop. Spaced 10 s apart, no two overlap. A burst's ends
+/// take the slab nodes single events would, so nothing allocates.
+#[test]
+fn long_frame_steady_state_does_not_allocate() {
+    for (shards, threads) in [(1, 1), (4, 2)] {
+        let mut config = SimConfig {
+            shards,
+            threads,
+            rng_streams: threads > 1,
+            ..SimConfig::default()
+        };
+        config.rf.modulation = LoRaModulation::long_slow();
+        let mut sim = Simulator::new(config, 42);
+        for k in 0..16u64 {
+            let beacon = Beacon {
+                period: Duration::from_secs(160),
+                frame: vec![0xB3; 120 + 3 * k as usize].into(),
+                ..Beacon::new(Duration::from_secs(1 + 10 * k))
+            };
+            let pos = Position::new((k % 4) as f64 * 60.0, (k / 4) as f64 * 60.0);
+            sim.add_node(beacon, pos);
+        }
+        sim.run_for(Duration::from_secs(3 * 160));
+        let (events_before, delivered_before) =
+            (sim.events_processed(), sim.metrics().frames_delivered);
+        let allocs_before = local_allocs();
+        sim.run_for(Duration::from_secs(5 * 160));
+        let allocs = local_allocs() - allocs_before;
+        let events = sim.events_processed() - events_before;
+        let delivered = sim.metrics().frames_delivered - delivered_before;
+        assert!(
+            events > 1_000 && delivered > 1_000,
+            "{events} events, {delivered} delivered"
+        );
+        assert_eq!(
+            allocs, 0,
+            "long frames ({shards} shards, {threads} threads) allocated {allocs} \
+             times on the coordinator over {events} events"
+        );
+    }
 }
 
 /// Dense overlap: the same sixteen beacons, phases 15 ms apart against

@@ -24,6 +24,7 @@
 use std::time::Duration;
 
 use lora_phy::link::SignalQuality;
+use lora_phy::modulation::LoRaModulation;
 use lora_phy::propagation::{Position, Shadowing};
 use radio_sim::firmware::{Context, Firmware};
 use radio_sim::metrics::Metrics;
@@ -503,6 +504,70 @@ fn rng_stream_runs_identical_across_engines() {
         reference.0, forked.0,
         "stream derivation must draw differently than fork"
     );
+}
+
+/// Long-range frames: SF12 at 125 kHz (Meshtastic's LongSlow) keeps a
+/// 120–165-byte frame on the air 7–9 s, longer than the event wheel's
+/// ≈ 4.3 s level 0, so every frame's end and its receivers' — one burst
+/// on one thread — waits in level 1 and is re-filed before it pops. Node
+/// 3 is killed 3 s into its first frame and revived later; one transmits
+/// every 9 s after a CAD, so frames overlap and collide too.
+fn sim_long_frames(seed: u64, mut cfg: SimConfig) -> Simulator<Chatty> {
+    cfg.rf.modulation = LoRaModulation::long_slow();
+    let mut s = Simulator::new(cfg, seed);
+    for k in 0..8u64 {
+        let chatty = Chatty {
+            interval: Duration::from_secs(9),
+            ..Chatty::new(4_000 * k + 100, 120 + 6 * k as usize)
+        };
+        s.add_node(
+            chatty,
+            Position::new(k as f64 * 250.0, (k % 2) as f64 * 150.0),
+        );
+    }
+    s.schedule_kill(Duration::from_millis(15_100), radio_sim::NodeId(3));
+    s.schedule_revive(Duration::from_secs(40), radio_sim::NodeId(3));
+    s.run_for(Duration::from_secs(240));
+    s
+}
+
+/// One thread queues each frame's ends as one burst in one queue; band
+/// queues (`threads = 2, 4`) file every end singly in its node's home
+/// queue. Across level-1 re-filing and a sender killed mid-frame the two
+/// agree byte for byte — trace, metrics, firmware state and
+/// `events_processed`.
+#[test]
+fn long_frames_end_alike_as_bursts_and_as_band_queue_events() {
+    let airtime = LoRaModulation::long_slow().time_on_air(120);
+    assert!(
+        airtime > Duration::from_millis(4_400),
+        "{airtime:?} fits level 0"
+    );
+    for seed in [3u64, 4] {
+        let reference = sim_long_frames(seed, config_with(1, 1, true));
+        let trace: Vec<_> = reference
+            .trace()
+            .entries()
+            .map(|(_, e)| e.clone())
+            .collect();
+        let truncated = trace.iter().any(|e| match *e {
+            TraceEvent::TxStart { node, frame, .. } => {
+                node.0 == 3 && !trace.contains(&TraceEvent::TxEnd { node, frame })
+            }
+            _ => false,
+        });
+        assert!(truncated, "seed {seed}: the kill did not cut a frame short");
+        assert!(reference.metrics().frames_delivered > 20, "seed {seed}");
+        let expected = (fingerprint(&reference), reference.events_processed());
+        for (shards, threads) in [(4, 1), (4, 2), (4, 4), (2, 2)] {
+            let other = sim_long_frames(seed, config_with(shards, threads, true));
+            assert_eq!(
+                expected,
+                (fingerprint(&other), other.events_processed()),
+                "seed {seed}: divergence at shards={shards}, threads={threads}"
+            );
+        }
+    }
 }
 
 /// Two things only this pairing of runs can show. **One thread, any
