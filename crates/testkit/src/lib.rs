@@ -174,7 +174,7 @@ pub fn forall<T: Debug>(
         run_case(name, seed, &mut gen, &mut prop);
         return;
     }
-    let mut master = SimRng::new(stable_hash(name));
+    let mut master = SimRng::new(fnv1a(name.as_bytes()));
     for _ in 0..case_count() {
         let case_seed = master.next_u64();
         run_case(name, case_seed, &mut gen, &mut prop);
@@ -218,10 +218,13 @@ pub fn run_case<T: Debug>(
     );
 }
 
-/// FNV-1a of the property name: a stable, dependency-free master seed.
-fn stable_hash(name: &str) -> u64 {
+/// FNV-1a 64-bit: a stable, dependency-free digest. Seeds each
+/// property from its name, and hashes the canonical dumps the golden
+/// suites pin.
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.bytes() {
+    for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }

@@ -18,16 +18,7 @@ use loramesher_repro::radio_sim::sim::SimConfig;
 use loramesher_repro::radio_sim::topology;
 use loramesher_repro::scenario::runner::{NetworkBuilder, ProtocolChoice, Runner};
 use loramesher_repro::scenario::workload::{self, Target};
-
-/// FNV-1a: a stable, dependency-free 64-bit digest.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use testkit::fnv1a;
 
 /// Serialises everything observable about a finished run into one
 /// string: the full event trace, global and per-node PHY metrics (in

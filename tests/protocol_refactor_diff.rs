@@ -35,16 +35,7 @@ use radio_sim::{topology, NodeId, SimConfig};
 use scenario::runner::ProtocolChoice;
 use scenario::workload::{self, Target, TrafficEvent};
 use scenario::{seed_list, NetworkBuilder, Runner};
-
-/// FNV-1a 64-bit over the canonical dump.
-fn fnv1a(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+use testkit::fnv1a;
 
 /// Serialises everything observable about a finished run: the
 /// wire-level timeline, the PHY metrics, and each node's full
@@ -262,7 +253,7 @@ fn mesh_fork_family_matches_golden() {
                 !report.reliable_latencies.is_empty(),
                 "seed {seed}: reliable transfer never completed"
             );
-            hashes.push((shards, fnv1a(&text)));
+            hashes.push((shards, fnv1a(text.as_bytes())));
         }
         let (_, reference) = hashes[0];
         for (shards, h) in &hashes {
@@ -289,7 +280,7 @@ fn mesh_stream_family_matches_golden() {
                     runner.report().delivered > 0,
                     "seed {seed}: nothing delivered"
                 );
-                hashes.push((shards, threads, fnv1a(&text)));
+                hashes.push((shards, threads, fnv1a(text.as_bytes())));
             }
         }
         let (_, _, reference) = hashes[0];
@@ -316,7 +307,7 @@ fn flood_fork_family_matches_golden() {
             let text = dump_flood(&mut runner);
             let report = runner.report();
             assert!(report.delivered > 0, "seed {seed}: nothing delivered");
-            hashes.push((shards, fnv1a(&text)));
+            hashes.push((shards, fnv1a(text.as_bytes())));
         }
         let (_, reference) = hashes[0];
         for (shards, h) in &hashes {
@@ -344,7 +335,7 @@ fn flood_stream_family_matches_golden() {
                     runner.report().delivered > 0,
                     "seed {seed}: nothing delivered"
                 );
-                hashes.push((shards, threads, fnv1a(&text)));
+                hashes.push((shards, threads, fnv1a(text.as_bytes())));
             }
         }
         let (_, _, reference) = hashes[0];
@@ -366,7 +357,10 @@ fn sweep_aggregates_match_golden() {
         let seeds = seed_list(41, 3);
         scenario::run_parallel(&seeds, jobs, |&seed| {
             let mut runner = run_mesh(seed, 4, 2, true);
-            (fnv1a(&dump(&mut runner)), runner.report().delivered)
+            (
+                fnv1a(dump(&mut runner).as_bytes()),
+                runner.report().delivered,
+            )
         })
     };
     let serial = aggregate(1);
@@ -379,5 +373,5 @@ fn sweep_aggregates_match_golden() {
     for (hash, delivered) in &serial {
         let _ = writeln!(text, "{hash:#018x} {delivered}");
     }
-    check("sweep", 41, fnv1a(&text));
+    check("sweep", 41, fnv1a(text.as_bytes()));
 }
