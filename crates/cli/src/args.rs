@@ -100,9 +100,6 @@ pub struct Cli {
     pub sf: SpreadingFactor,
     /// Probabilistic reception near the SNR floor.
     pub grey_zone: bool,
-    /// Per-topology-epoch link-budget caching in the simulator (on by
-    /// default; `--no-link-cache` forces the reference path).
-    pub link_cache: bool,
     /// Enforce the EU868 1 % duty cycle.
     pub eu868: bool,
     /// Scheduled failures: `(node, at)`.
@@ -134,7 +131,6 @@ impl Default for Cli {
             rng_streams: false,
             sf: SpreadingFactor::Sf7,
             grey_zone: false,
-            link_cache: true,
             eu868: false,
             kills: Vec::new(),
             revives: Vec::new(),
@@ -183,7 +179,6 @@ OPTIONS:
                                           for --threads > 1)
   --sf 7..12                              spreading factor     [7]
   --grey-zone                             probabilistic reception
-  --no-link-cache                         disable link-budget caching
   --eu868                                 enforce the 1 % duty cycle
   --kill NODE@SECS                        fail a node (repeatable)
   --revive NODE@SECS                      recover a node (repeatable)
@@ -329,7 +324,6 @@ impl Cli {
                 }
                 "--rng-streams" => cli.rng_streams = true,
                 "--grey-zone" => cli.grey_zone = true,
-                "--no-link-cache" => cli.link_cache = false,
                 "--eu868" => cli.eu868 = true,
                 "--per-node" => cli.per_node = true,
                 "--snr-tiebreak" => cli.snr_tiebreak = true,
@@ -572,12 +566,6 @@ mod tests {
             err.0.contains("loramesher") && err.0.contains("flooding"),
             "error should list the valid protocols: {err}"
         );
-    }
-
-    #[test]
-    fn link_cache_flag() {
-        assert!(parse(&[]).unwrap().link_cache, "cache on by default");
-        assert!(!parse(&["--no-link-cache"]).unwrap().link_cache);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //!
 //! Every protocol stack is a sans-IO [`NodeProtocol`] state machine and
 //! must preserve the properties the simulator's determinism proofs
-//! (`tests/engine_diff.rs`, `tests/protocol_refactor_diff.rs`) rest on:
+//! (`tests/shard_diff.rs`, `tests/protocol_refactor_diff.rs`) rest on:
 //!
 //! 1. **Shared channel access.** All frame emission goes through
 //!    [`crate::stack::mac::MacLayer`] — CAD/backoff/duty-cycle behaviour

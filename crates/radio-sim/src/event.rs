@@ -735,7 +735,7 @@ mod tests {
     }
 
     #[test]
-    fn rescheduling_a_timer_tombstones_the_old_one() {
+    fn rescheduling_a_timer_turns_the_old_one_into_a_tombstone() {
         let mut q = EventQueue::new();
         q.schedule_timer(SimTime::from_millis(10), node(0));
         q.schedule_timer(SimTime::from_millis(20), node(0));
@@ -751,7 +751,7 @@ mod tests {
     }
 
     #[test]
-    fn cancel_timer_tombstones_without_rescheduling() {
+    fn cancelling_a_timer_leaves_a_tombstone_without_rescheduling() {
         let mut q = EventQueue::new();
         q.schedule_timer(SimTime::from_millis(10), node(0));
         q.schedule(SimTime::from_millis(30), SimEvent::MobilityTick);

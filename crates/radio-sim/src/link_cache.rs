@@ -26,9 +26,9 @@
 //! refills allocate nothing. The cache holds *values*, never decisions:
 //! the simulator invalidates every row on a node addition or explicit
 //! position change, and on a mobility tick either every row or, on the
-//! sharded engine, exactly the rows of bands a mover could reach;
-//! cached and uncached runs stay byte-identical (see
-//! `tests/link_cache_diff.rs` and `crates/radio-sim/tests/row_model.rs`).
+//! sharded engine, exactly the rows of bands a mover could reach. Every
+//! valid row equals a brute-force scan of the link budget
+//! (`crates/radio-sim/tests/row_model.rs`).
 
 use lora_phy::power::Dbm;
 use lora_phy::propagation::Position;

@@ -55,8 +55,8 @@ mod commit;
 const PAR_MIN_ITEMS: usize = 64;
 
 /// Minimum link-row prefetch items *per worker* before the fork-join
-/// pays for itself. A compile-time constant measured offline with
-/// `scripts/bench.sh` (runtime timing is banned in this crate — lint
+/// pays for itself. A compile-time constant measured offline on the
+/// 4 096-node mobile grid (runtime timing is banned in this crate — lint
 /// `d2` — and would make the gate nondeterministic across hosts): row
 /// fills are ~1 µs each, thread park/unpark costs tens of µs, so a
 /// worker needs on the order of a hundred rows to win. Below the
@@ -71,9 +71,9 @@ const PREFETCH_MIN_PER_WORKER: usize = 128;
 /// enough: a receiver is locked only if the new frame is audible there,
 /// so it is within `r_max` of the origin; and a frame is seeded as an
 /// interferer only if audible at that receiver, so it originates within
-/// `r_max` of it ([`shard::max_audible_range`] bounds both, with the
-/// cache on or off). The slack covers the rounding of the coordinate
-/// differences, as in the row fill's gate.
+/// `r_max` of it ([`shard::max_audible_range`] bounds both). The slack
+/// covers the rounding of the coordinate differences, as in the row
+/// fill's gate.
 const GATHER_REACH: f64 = 2.0 * (1.0 + 1e-9);
 
 /// Simulation-wide configuration.
@@ -87,21 +87,6 @@ pub struct SimConfig {
     pub trace_capacity: usize,
     /// Interval between mobility position updates.
     pub mobility_tick: Duration,
-    /// Cache per-pair link budgets between topology changes and cull
-    /// transmission fan-out to audible neighbors (see
-    /// [`crate::link_cache`]). Behaviourally transparent — cached and
-    /// uncached runs produce identical traces, metrics and RNG draws —
-    /// so this stays on except when differential-testing the cache
-    /// itself.
-    pub link_cache: bool,
-    /// Drop superseded wake-up timers inside the event queue as O(1)
-    /// generation tombstones instead of re-querying
-    /// [`Firmware::next_wake`] on every stale pop. Behaviourally
-    /// transparent — firmware observes identical callbacks, RNG draws,
-    /// traces and metrics either way; only `events_processed` and the
-    /// stale-timer counters differ — so this stays on except when
-    /// differential-testing the engine itself (tests/engine_diff.rs).
-    pub timer_tombstones: bool,
     /// Number of spatial bands the world is partitioned into along the
     /// x-axis (see [`crate::shard`]). `1` (the default) has no partition.
     /// More scope link-cache invalidation on mobility ticks to the bands
@@ -142,24 +127,15 @@ pub struct SimConfig {
     /// coordinator invariant for small simulations
     /// (tests/alloc_regression.rs).
     pub commit_batch_min_events: usize,
-    /// Index audibility candidates with a uniform spatial grid
-    /// ([`crate::grid`]) so a link-cache row fill visits only the 3×3
-    /// cell neighborhood instead of all n nodes. Behaviourally
-    /// transparent — a node outside the candidate set is provably
-    /// beyond `max_audible_range`, so its omitted (silent) entry matches
-    /// what the full computation would conclude — and differential-tested
-    /// in tests/link_cache_diff.rs, so this stays on except when testing
-    /// the grid itself.
-    pub spatial_grid: bool,
     /// Derive per-node RNG streams with the counter-keyed
     /// [`SimRng::stream`] derivation (pure in `(master seed, node id)`,
     /// mintable on any worker without a shared root generator) instead
     /// of the classic [`SimRng::fork`] from the root generator's state.
     /// Both derivations are engine-invariant — per-*node* streams are
     /// untouched by shard or thread counts — but they produce different
-    /// draws, so the fork derivation stays the default as the pinned
-    /// differential reference (the same pattern as `timer_tombstones`);
-    /// tests/shard_diff.rs runs the whole battery under both.
+    /// draws. The fork derivation stays the default because every golden
+    /// fingerprint is pinned on it; tests/shard_diff.rs runs the whole
+    /// battery under both and pins one reference run of each.
     pub rng_streams: bool,
 }
 
@@ -170,11 +146,8 @@ impl Default for SimConfig {
             cad_symbols: 2,
             trace_capacity: 0,
             mobility_tick: Duration::from_secs(1),
-            link_cache: true,
-            timer_tombstones: true,
             shards: 1,
             threads: 1,
-            spatial_grid: true,
             rng_streams: false,
             commit_batch_min_events: 256,
         }
@@ -307,7 +280,8 @@ pub struct Simulator<F: Firmware> {
     /// Length of a CAD scan: [`SimConfig::cad_symbols`] symbol times of
     /// the shared modulation, fixed for the run.
     cad_duration: Duration,
-    /// Spatial candidate index ([`SimConfig::spatial_grid`]).
+    /// Spatial candidate index for row fills and band weights
+    /// ([`crate::grid`]).
     grid: Grid,
     /// Whether `grid` must be rebuilt before its next use (positions
     /// changed: mobility tick, `set_position`, node addition).
@@ -605,22 +579,18 @@ impl<F: Firmware> Simulator<F> {
         if self.config.shards > 1 && self.shard.is_none() {
             let xs: Vec<f64> = self.state.iter().map(|s| s.position.x).collect();
             let r_max = self.audible_range;
-            // Band edges balance expected *work*, not node count: with
-            // the grid available, a node's weight is its audible-degree
-            // bound (fan-out, interferer sums and row fills all scale
-            // with it). Edge placement is pure load balancing — the
-            // merge stays in global (time, seq) order either way.
-            let parts = if self.config.spatial_grid {
-                self.ensure_grid();
-                let weights: Vec<usize> = self
-                    .state
-                    .iter()
-                    .map(|s| self.grid.degree(s.position))
-                    .collect();
-                Partitioner::weighted(&xs, &weights, self.config.shards, r_max)
-            } else {
-                Partitioner::new(&xs, self.config.shards, r_max)
-            };
+            // Band edges balance expected *work*, not node count: a
+            // node's weight is its audible-degree bound from the grid
+            // (fan-out, interferer sums and row fills all scale with
+            // it). Edge placement is pure load balancing — the merge
+            // stays in global (time, seq) order either way.
+            self.ensure_grid();
+            let weights: Vec<usize> = self
+                .state
+                .iter()
+                .map(|s| self.grid.degree(s.position))
+                .collect();
+            let parts = Partitioner::weighted(&xs, &weights, self.config.shards, r_max);
             let bands = parts.bands();
             // Band queues exist for band workers to drain; one thread
             // has none and keeps the single coordinator queue.
@@ -641,7 +611,7 @@ impl<F: Firmware> Simulator<F> {
         // Warm the link cache in parallel before the on_start storm:
         // every alive node's row is a pure function of positions, so
         // workers can build them all while the coordinator waits.
-        if self.config.threads > 1 && self.config.link_cache {
+        if self.config.threads > 1 {
             let mut rows = std::mem::take(&mut self.prefetch_scratch);
             rows.clear();
             rows.extend((0..self.state.len()).filter(|&i| self.state[i].alive));
@@ -785,24 +755,12 @@ impl<F: Firmware> Simulator<F> {
         if let Some(t) = wake {
             if slot.scheduled_wake != Some(t) {
                 slot.scheduled_wake = Some(t);
-                let at = t.max(self.now);
-                if self.config.timer_tombstones {
-                    // Tombstones any previously queued timer for this
-                    // node and stamps the new one with a fresh
-                    // generation.
-                    self.schedule_wake(at, NodeId(i));
-                } else {
-                    // Legacy engine behaviour: pile up timer events and
-                    // sort out staleness in `handle_timer`. Stamping
-                    // with the current (never-bumped) generation keeps
-                    // them all live.
-                    let node = NodeId(i);
-                    let gen = self.home_queue(i).timer_generation(node);
-                    self.schedule_for(at, node.0, SimEvent::Timer(node, gen));
-                }
+                // Tombstones any previously queued timer for this node
+                // and stamps the new one with a fresh generation.
+                self.schedule_wake(t.max(self.now), NodeId(i));
             }
         } else {
-            if self.config.timer_tombstones && slot.scheduled_wake.is_some() {
+            if slot.scheduled_wake.is_some() {
                 self.home_queue(i).cancel_timer(NodeId(i));
             }
             self.nodes[i].scheduled_wake = None;
@@ -813,40 +771,25 @@ impl<F: Firmware> Simulator<F> {
         if !self.state[node.0].alive {
             return;
         }
-        let slot = &self.nodes[node.0];
-        if self.config.timer_tombstones {
-            // Every firmware mutation funnels through `fire` →
-            // `sync_wake` (or `kill` → `cancel_timer`), so a timer that
-            // survived tombstoning still matches the firmware's latest
-            // wake request and is due by construction.
-            debug_assert!(
-                slot.firmware
-                    .next_wake()
-                    .is_some_and(|t| SimTime::from(t) <= self.now),
-                "live timer fired before its firmware wake time"
-            );
-            self.nodes[node.0].scheduled_wake = None;
-            self.fire(node.0, |fw, ctx| fw.on_timer(ctx));
-            return;
-        }
-        match slot.firmware.next_wake() {
-            Some(t) if SimTime::from(t) <= self.now => {
-                self.nodes[node.0].scheduled_wake = None;
-                self.fire(node.0, |fw, ctx| fw.on_timer(ctx));
-            }
-            // Stale timer: the firmware moved its wake. Re-sync in case
-            // the new target has no pending event.
-            _ => {
-                self.nodes[node.0].scheduled_wake = None;
-                self.sync_wake(node.0);
-            }
-        }
+        // Every firmware mutation funnels through `fire` → `sync_wake`
+        // (or `kill` → `cancel_timer`), so a timer that survived
+        // tombstoning still matches the firmware's latest wake request
+        // and is due by construction.
+        debug_assert!(
+            self.nodes[node.0]
+                .firmware
+                .next_wake()
+                .is_some_and(|t| SimTime::from(t) <= self.now),
+            "live timer fired before its firmware wake time"
+        );
+        self.nodes[node.0].scheduled_wake = None;
+        self.fire(node.0, |fw, ctx| fw.on_timer(ctx));
     }
 
     /// Rebuilds the spatial grid over the current positions if any have
-    /// changed since the last build. No-op when the grid is disabled.
+    /// changed since the last build.
     fn ensure_grid(&mut self) {
-        if self.config.spatial_grid && self.grid_dirty {
+        if self.grid_dirty {
             self.grid_dirty = false;
             let r_max = self.audible_range;
             let Self { grid, state, .. } = self;
@@ -855,13 +798,12 @@ impl<F: Firmware> Simulator<F> {
     }
 
     /// Node `i`'s link row, filled first if something invalidated it.
-    /// Only call when [`SimConfig::link_cache`] is on.
     fn ensure_row(&mut self, i: usize) -> &LinkRow {
         if !self.link_cache.has_row(i) {
             self.ensure_grid();
         }
         let (state, medium, r_max) = (&self.state, &self.medium, self.audible_range);
-        let grid = self.config.spatial_grid.then_some(&self.grid);
+        let grid = Some(&self.grid);
         let at = |k: usize| state[k].position;
         self.link_cache
             .ensure(i, |row| row.fill(i, state.len(), at, medium, grid, r_max))
@@ -873,7 +815,7 @@ impl<F: Firmware> Simulator<F> {
     /// start — after a mobility tick the cached (current-position) power
     /// would be wrong for a frame already on the air.
     fn active_tx_mw(&mut self, sender: usize, origin: Position, rx: usize) -> Option<f64> {
-        if self.config.link_cache && self.state[sender].position == origin {
+        if self.state[sender].position == origin {
             self.ensure_row(sender).heard(rx).map(|n| n.power_mw)
         } else {
             audible_mw(&self.medium, origin, self.state[rx].position, sender, rx)
@@ -904,11 +846,6 @@ impl<F: Firmware> Simulator<F> {
     /// The CAD predicate: any in-flight transmission (other than
     /// `except`) audible at node `i`?
     fn channel_busy(&mut self, i: usize, except: Option<NodeId>) -> bool {
-        if self.shard.is_none() && !self.config.link_cache {
-            return self
-                .medium
-                .channel_busy_at(&self.state[i].position, NodeId(i), except);
-        }
         let mut roster = std::mem::take(&mut self.roster_scratch);
         roster.clear();
         let (at, range) = (self.state[i].position, self.audible_range);
@@ -940,13 +877,12 @@ impl<F: Firmware> Simulator<F> {
             .config
             .threads
             .min(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get));
-        if threads <= 1 || !self.config.link_cache || rows.len() < PREFETCH_MIN_PER_WORKER * threads
-        {
+        if threads <= 1 || rows.len() < PREFETCH_MIN_PER_WORKER * threads {
             return;
         }
         self.ensure_grid();
         let (state, medium, r_max) = (&self.state, &self.medium, self.audible_range);
-        let grid = self.config.spatial_grid.then_some(&self.grid);
+        let grid = Some(&self.grid);
         let computed: Vec<(usize, LinkRow)> = par::map_chunks(threads, rows, |_, &i| {
             let mut row = LinkRow::default();
             row.fill(i, state.len(), |k| state[k].position, medium, grid, r_max);
@@ -1004,26 +940,15 @@ impl<F: Firmware> Simulator<F> {
             },
         );
 
-        // Decide how every other node experiences this frame. With the
-        // cache on, the fan-out is `i`'s audible-neighbor list: every
-        // skipped index is provably a no-op in the uncached loop
-        // (inaudible ⇒ no lock, no CAD note, and — since interference
-        // sums are audibility-gated — no interference entry either).
-        // With the cache off it is simply every node, preserving the
-        // historical iteration exactly.
+        // Decide how every other node experiences this frame. The
+        // fan-out is `i`'s audible-neighbour row: a node outside it
+        // would be a no-op (inaudible ⇒ no lock, no CAD note, and —
+        // since interference sums are audibility-gated — no
+        // interference entry either).
         let mut fanout = std::mem::take(&mut self.fanout_scratch);
         fanout.clear();
-        if self.config.link_cache {
-            let row = self.ensure_row(i);
-            fanout.extend(row.audible.iter().map(|n| (n.node as usize, n.link())));
-        } else {
-            let (medium, state) = (&self.medium, &self.state);
-            fanout.extend(
-                (0..state.len())
-                    .filter(|&j| j != i && state[j].alive)
-                    .map(|j| (j, link_between(medium, state, i, j))),
-            );
-        }
+        let row = self.ensure_row(i);
+        fanout.extend(row.audible.iter().map(|n| (n.node as usize, n.link())));
         // One gather of the registry per transmission, which every
         // receiver locked below filters ([`GATHER_REACH`]).
         let mut near = std::mem::take(&mut self.roster_scratch);
@@ -1308,12 +1233,7 @@ impl<F: Firmware> Simulator<F> {
         }
         self.nodes[i].radio.power_off(self.now);
         self.nodes[i].scheduled_wake = None;
-        if self.config.timer_tombstones {
-            // The legacy engine leaves dead-node timers queued and
-            // filters them in `handle_timer`; tombstoning drops them
-            // inside the queue instead.
-            self.home_queue(i).cancel_timer(node);
-        }
+        self.home_queue(i).cancel_timer(node);
         self.trace.push(self.now, TraceEvent::Killed { node });
     }
 
@@ -1399,7 +1319,7 @@ impl<F: Firmware> Simulator<F> {
         // nodes whose firmware will act before the next tick (their
         // transmissions/CADs would fill those rows on the coordinator
         // otherwise). Purely a prefetch — see `prefetch_rows`.
-        if self.config.threads > 1 && self.config.link_cache {
+        if self.config.threads > 1 {
             let horizon = self.now + dt;
             let mut rows = std::mem::take(&mut self.prefetch_scratch);
             rows.clear();
@@ -1555,19 +1475,6 @@ fn audible_mw(
 ) -> Option<f64> {
     let power = medium.received_power(&origin, &at, NodeId(sender), NodeId(rx));
     medium.audible(power).then(|| power.to_milliwatts().value())
-}
-
-/// The link budget between nodes `i` and `j`, computed directly from
-/// their current positions: the fan-out when the cache is disabled. A
-/// free function over the worker-visible [`NodeState`] slice so band
-/// workers can evaluate it without the firmware type.
-fn link_between(medium: &Medium, state: &[NodeState], i: usize, j: usize) -> Link {
-    let power = medium.received_power(&state[i].position, &state[j].position, NodeId(i), NodeId(j));
-    Link {
-        power,
-        power_mw: power.to_milliwatts().value(),
-        audible: medium.audible(power),
-    }
 }
 
 #[cfg(test)]
@@ -2097,32 +2004,6 @@ mod tests {
         assert!(s.events_processed() >= 3, "{}", s.events_processed());
     }
 
-    /// A spot check that disabling the cache leaves outcomes unchanged
-    /// (the exhaustive differential test lives in tests/link_cache_diff.rs).
-    #[test]
-    fn link_cache_off_matches_on() {
-        let run = |link_cache: bool| {
-            let mut cfg = SimConfig::default();
-            cfg.rf.grey_zone = true;
-            cfg.trace_capacity = 4096;
-            cfg.link_cache = link_cache;
-            let mut s = Simulator::new(cfg, 99);
-            for k in 0..8 {
-                s.add_node(
-                    sender_at(Duration::from_millis(7 * k as u64), vec![k; 12]),
-                    Position::new(f64::from(k) * 90.0, 0.0),
-                );
-            }
-            s.run_for(Duration::from_secs(2));
-            let trace: Vec<_> = s.trace().entries().cloned().collect();
-            (s.metrics().clone(), trace)
-        };
-        let cached = run(true);
-        let uncached = run(false);
-        assert_eq!(cached.0, uncached.0);
-        assert_eq!(cached.1, uncached.1);
-    }
-
     /// A mobile, chatty 80-node run — large enough (> `PAR_MIN_ITEMS`)
     /// that the parallel stepping and prefetch regions genuinely fire.
     fn mobile_fingerprint(mut cfg: SimConfig) -> (Metrics, Vec<(SimTime, TraceEvent)>) {
@@ -2198,18 +2079,6 @@ mod tests {
             ..SimConfig::default()
         };
         let _ = Simulator::<Probe>::new(cfg, 1);
-    }
-
-    /// Spot check: the spatial grid is behaviourally invisible (the
-    /// exhaustive battery lives in tests/link_cache_diff.rs).
-    #[test]
-    fn spatial_grid_off_matches_on() {
-        let on = mobile_fingerprint(SimConfig::default());
-        let cfg = SimConfig {
-            spatial_grid: false,
-            ..SimConfig::default()
-        };
-        assert_eq!(mobile_fingerprint(cfg), on);
     }
 
     /// Per-node stream derivation is engine-invariant — shard and thread

@@ -52,7 +52,7 @@
 //!   ids sort above all real ids and ascend per worker, so every
 //!   ordered structure stays ordered across the rewrite and interferer
 //!   float sums are bit-identical.
-//! * **RNG.** Parallel commit requires [`SimConfig::rng_streams`]
+//! * **RNG.** Parallel commit requires [`super::SimConfig::rng_streams`]
 //!   (enforced at [`Simulator::start`]): per-node generators are
 //!   pre-minted, each worker gets `&mut` access to exactly its owned
 //!   nodes' streams, and draw order per stream is band-local.
@@ -73,9 +73,7 @@ use std::time::Duration;
 use lora_phy::modulation::LoRaModulation;
 use lora_phy::propagation::Position;
 
-use super::{
-    audible_mw, link_between, Lock, NodeSlot, NodeState, SimConfig, Simulator, GATHER_REACH,
-};
+use super::{audible_mw, Lock, NodeSlot, NodeState, Simulator, GATHER_REACH};
 use crate::event::{EventQueue, FrameId, SimEvent};
 use crate::firmware::{Context, Firmware, NodeId, RadioCommand};
 use crate::grid::Grid;
@@ -256,7 +254,6 @@ struct Shared<'a> {
     grid: &'a Grid,
     state: &'a [NodeState],
     link_loss: &'a std::collections::BTreeMap<(usize, usize), f64>,
-    cfg: &'a SimConfig,
     parts: &'a Partitioner,
     home: &'a [usize],
     owner: &'a [u8],
@@ -446,7 +443,6 @@ impl<F: Firmware> BandWorker<'_, F> {
             return;
         }
         let now = self.now;
-        let tombstones = self.ctx.cfg.timer_tombstones;
         let home = self.ctx.home[i];
         let slot = self.slot(i);
         let wake = slot.firmware.next_wake().map(SimTime::from);
@@ -456,14 +452,12 @@ impl<F: Firmware> BandWorker<'_, F> {
                 let at = t.max(now);
                 let node = NodeId(i);
                 let q = self.queue_for(home);
-                if tombstones {
-                    q.cancel_timer(node);
-                }
+                q.cancel_timer(node);
                 let gen = q.timer_generation(node);
                 self.create(at, i, SimEvent::Timer(node, gen));
             }
         } else {
-            if tombstones && self.slot(i).scheduled_wake.is_some() {
+            if self.slot(i).scheduled_wake.is_some() {
                 self.queue_for(home).cancel_timer(NodeId(i));
             }
             self.slot(i).scheduled_wake = None;
@@ -475,28 +469,15 @@ impl<F: Firmware> BandWorker<'_, F> {
             return;
         }
         let now = self.now;
-        if self.ctx.cfg.timer_tombstones {
-            debug_assert!(
-                self.slot(node.0)
-                    .firmware
-                    .next_wake()
-                    .is_some_and(|t| SimTime::from(t) <= now),
-                "live timer fired before its firmware wake time"
-            );
-            self.slot(node.0).scheduled_wake = None;
-            self.fire_w(node.0, |fw, ctx| fw.on_timer(ctx));
-            return;
-        }
-        match self.slot(node.0).firmware.next_wake() {
-            Some(t) if SimTime::from(t) <= now => {
-                self.slot(node.0).scheduled_wake = None;
-                self.fire_w(node.0, |fw, ctx| fw.on_timer(ctx));
-            }
-            _ => {
-                self.slot(node.0).scheduled_wake = None;
-                self.sync_wake_w(node.0);
-            }
-        }
+        debug_assert!(
+            self.slot(node.0)
+                .firmware
+                .next_wake()
+                .is_some_and(|t| SimTime::from(t) <= now),
+            "live timer fired before its firmware wake time"
+        );
+        self.slot(node.0).scheduled_wake = None;
+        self.fire_w(node.0, |fw, ctx| fw.on_timer(ctx));
     }
 
     /// When `frame` went on the air, or `None` if it no longer is — the
@@ -529,7 +510,7 @@ impl<F: Firmware> BandWorker<'_, F> {
         let rows = &mut self.scratch.rows;
         let k = rows.iter().position(|&(k, _)| k == i).unwrap_or_else(|| {
             let mut row = LinkRow::default();
-            let (state, grid) = (ctx.state, ctx.cfg.spatial_grid.then_some(ctx.grid));
+            let (state, grid) = (ctx.state, Some(ctx.grid));
             let at = |k: usize| state[k].position;
             row.fill(i, state.len(), at, ctx.medium, grid, ctx.parts.r_max());
             rows.push((i, row));
@@ -540,7 +521,7 @@ impl<F: Firmware> BandWorker<'_, F> {
 
     /// [`Simulator::active_tx_mw`], worker edition.
     fn active_tx_mw_w(&mut self, sender: usize, origin: Position, rx: usize) -> Option<f64> {
-        if self.ctx.cfg.link_cache && self.ctx.state[sender].position == origin {
+        if self.ctx.state[sender].position == origin {
             self.row_w(sender).heard(rx).map(|n| n.power_mw)
         } else {
             audible_mw(
@@ -662,25 +643,13 @@ impl<F: Firmware> BandWorker<'_, F> {
             },
         ));
 
-        // Fan-out, audible receivers only. The sequential uncached loop
-        // visits inaudible nodes too, but provably mutates nothing
-        // there (every branch is audibility-gated), so the filter keeps
-        // the worker's writes inside its zone without changing any
-        // outcome: audible ⇒ within r_max of the origin ⇒ owned.
+        // Fan-out, audible receivers only, which keeps the worker's
+        // writes inside its zone: audible ⇒ within r_max of the origin
+        // ⇒ owned.
         let mut fanout = std::mem::take(&mut self.scratch.fanout);
         fanout.clear();
-        if self.ctx.cfg.link_cache {
-            let row = self.row_w(i);
-            fanout.extend(row.audible.iter().map(|n| (n.node as usize, n.link())));
-        } else {
-            let (medium, state) = (self.ctx.medium, self.ctx.state);
-            fanout.extend(
-                (0..state.len())
-                    .filter(|&j| j != i && state[j].alive)
-                    .map(|j| (j, link_between(medium, state, i, j)))
-                    .filter(|&(_, link)| link.audible),
-            );
-        }
+        let row = self.row_w(i);
+        fanout.extend(row.audible.iter().map(|n| (n.node as usize, n.link())));
         let mut near = std::mem::take(&mut self.scratch.roster);
         near.clear();
         let reach = GATHER_REACH * self.ctx.parts.r_max();
@@ -1176,7 +1145,6 @@ impl<F: Firmware + Send> Simulator<F> {
                 grid: &self.grid,
                 state: &self.state,
                 link_loss: &self.link_loss,
-                cfg: &self.config,
                 parts: &sh.parts,
                 home: &sh.home,
                 owner,

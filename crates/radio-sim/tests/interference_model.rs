@@ -26,12 +26,13 @@
 //!    boundary placements (receiver a hair inside `r_max` of the sender
 //!    with an interferer a hair inside `r_max` beyond it: on an axis,
 //!    where the `2·r_max` box is tight, on the diagonal and round the
-//!    corner), co-located nodes and senders moved mid-frame, with the
-//!    link cache and the grid on and off, every lock seeds exactly the
-//!    list — ids, order, powers and `peak_interference_mw` by bits — a
-//!    scan of every frame on the air against the link budget seeds; and
-//!    band workers, which gather from their window view, leave every
-//!    reception as the single queue leaves it.
+//!    corner), co-located nodes and senders moved mid-frame, on one band
+//!    and on four, every lock seeds exactly the list — ids, order, powers
+//!    and `peak_interference_mw` by bits — a scan of every frame on the
+//!    air against the link budget seeds; every CAD scan starts busy
+//!    exactly when that scan finds a frame from another sender audible at
+//!    the scanner; and band workers, which gather from their window view,
+//!    leave every reception as the single queue leaves it.
 
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -45,6 +46,7 @@ use radio_sim::firmware::{Context, Firmware};
 use radio_sim::medium::{Medium, RfConfig};
 use radio_sim::radio::{RadioState, Reception};
 use radio_sim::shard::{beyond_range, max_audible_range};
+use radio_sim::time::SimTime;
 use radio_sim::{NodeId, SimConfig, Simulator};
 use testkit::{forall, prop_assert, prop_assert_eq, Gen};
 
@@ -343,15 +345,25 @@ fn coordinator_and_worker_prune_views_agree_on_dense_overlap() {
 }
 
 /// Transmits `sends` — `(instant, frame length)`, ascending — whatever
-/// the radio is doing.
+/// the radio is doing, and starts a CAD scan at each of `scans`
+/// (ascending; a scan due with a send goes first).
 struct Script {
     sends: Vec<(Duration, usize)>,
     next: usize,
+    scans: Vec<Duration>,
+    next_scan: usize,
 }
 
 impl Firmware for Script {
     fn on_timer(&mut self, ctx: &mut Context) {
-        if let Some(&(at, len)) = self.sends.get(self.next) {
+        if self
+            .scans
+            .get(self.next_scan)
+            .is_some_and(|&at| ctx.now() >= at)
+        {
+            self.next_scan += 1;
+            ctx.start_cad();
+        } else if let Some(&(at, len)) = self.sends.get(self.next) {
             if ctx.now() >= at {
                 self.next += 1;
                 ctx.transmit(vec![0xB7; len]);
@@ -360,19 +372,23 @@ impl Firmware for Script {
     }
     fn on_frame(&mut self, _b: &[u8], _q: SignalQuality, _ctx: &mut Context) {}
     fn next_wake(&self) -> Option<Duration> {
-        self.sends.get(self.next).map(|s| s.0)
+        let send = self.sends.get(self.next).map(|s| s.0);
+        let scan = self.scans.get(self.next_scan).copied();
+        send.into_iter().chain(scan).min()
     }
 }
 
+/// A node's position, `(instant, frame length)` sends and scan instants.
+type ScriptNode = (Position, Vec<(Duration, usize)>, Vec<Duration>);
+
 /// Two far-apart clusters (so band workers commit them side by side),
 /// each a boundary trio in a quiet first half second, then random ALOHA
-/// traffic with senders teleported mid-frame.
+/// traffic with senders teleported mid-frame and CAD scans among it.
 #[derive(Clone, Debug)]
 struct GatherWorld {
     rf: RfConfig,
     seed: u64,
-    /// `(position, sends)` per node.
-    nodes: Vec<(Position, Vec<(Duration, usize)>)>,
+    nodes: Vec<ScriptNode>,
     /// `(instant, node, new position)`, ascending by instant.
     moves: Vec<(Duration, usize, Position)>,
 }
@@ -386,7 +402,7 @@ fn gen_gather_world(g: &mut Gen) -> GatherWorld {
     let r = max_audible_range(&rf);
     let rho = r * (1.0 - HAIR);
     let short = rf.modulation.time_on_air(6);
-    let mut nodes: Vec<(Position, Vec<(Duration, usize)>)> = Vec::new();
+    let mut nodes: Vec<ScriptNode> = Vec::new();
     let mut moves = Vec::new();
     for cluster in 0..2 {
         let base = Position::new(f64::from(cluster) * 60.0 * r, 0.0);
@@ -413,16 +429,23 @@ fn gen_gather_world(g: &mut Gen) -> GatherWorld {
         let interferer = Position::new(receiver.x + v.0 * rho, receiver.y + v.1 * rho);
         let t0 = ms(50);
         let first = nodes.len();
-        nodes.push((sender, vec![(t0 + short + ms(3), 24)]));
-        nodes.push((receiver, vec![(t0, 6)]));
-        nodes.push((interferer, vec![(t0 + ms(2), 200)]));
+        nodes.push((sender, vec![(t0 + short + ms(3), 24)], Vec::new()));
+        nodes.push((receiver, vec![(t0, 6)], Vec::new()));
+        nodes.push((interferer, vec![(t0 + ms(2), 200)], Vec::new()));
         if g.bool(0.5) {
             // Co-located with the interferer, and on the air as well.
-            nodes.push((interferer, vec![(t0 + ms(4), 200)]));
+            nodes.push((interferer, vec![(t0 + ms(4), 200)], Vec::new()));
         }
         if g.bool(0.5) {
             // Co-located with the receiver: a second lock, same list.
-            nodes.push((receiver, Vec::new()));
+            nodes.push((receiver, Vec::new(), Vec::new()));
+        }
+        if g.bool(0.5) {
+            // A scanner beside the receiver: a scan before anything is on
+            // the air, then the receiver's short frame, then a scan with
+            // the interferer's frame — a hair inside range — on the air.
+            let scans = vec![t0 - ms(20), t0 + short + ms(1)];
+            nodes.push((receiver, vec![(t0, 6)], scans));
         }
         if g.bool(0.3) {
             // The interferer leaves while its frame stays where it began.
@@ -439,7 +462,9 @@ fn gen_gather_world(g: &mut Gen) -> GatherWorld {
                 let (at, _) = g.choose(&sends);
                 moves.push((at + ms(2), nodes.len(), within(g)));
             }
-            nodes.push((within(g), sends));
+            let mut scans = g.vec_of(0, 4, |g| ms(g.int_in(500, 2_400)));
+            scans.sort();
+            nodes.push((within(g), sends, scans));
         }
     }
     moves.sort_by_key(|m| m.0);
@@ -458,9 +483,14 @@ fn build_gather_world(w: &GatherWorld, cfg: SimConfig) -> Simulator<Script> {
         ..cfg
     };
     let mut s = Simulator::new(cfg, w.seed);
-    for (at, sends) in &w.nodes {
-        let sends = sends.clone();
-        s.add_node(Script { sends, next: 0 }, *at);
+    for (at, sends, scans) in &w.nodes {
+        let script = Script {
+            sends: sends.clone(),
+            next: 0,
+            scans: scans.clone(),
+            next_scan: 0,
+        };
+        s.add_node(script, *at);
     }
     s
 }
@@ -476,6 +506,9 @@ struct GatherTally {
     /// Interferers whose sender had moved away from the frame's origin.
     moved: Cell<u64>,
     batches: Cell<u64>,
+    /// CAD scans entered with the channel busy, and idle.
+    busy_scans: Cell<u64>,
+    idle_scans: Cell<u64>,
 }
 
 fn bump(cell: &Cell<u64>, by: u64) {
@@ -488,7 +521,10 @@ fn power_bits(list: &[(FrameId, f64)]) -> Vec<(FrameId, u64)> {
 }
 
 /// Steps one engine shape through the world event by event, checking
-/// every fresh lock against a scan of everything on the air.
+/// every fresh lock against a scan of everything on the air — and every
+/// CAD scan, as it starts, against the same scan: busy exactly when a
+/// frame from another sender is audible at the scanner from where that
+/// frame began.
 fn check_locks_against_full_scan(
     w: &GatherWorld,
     cfg: SimConfig,
@@ -501,6 +537,7 @@ fn check_locks_against_full_scan(
     // Frames on the air, ascending: sender and where it stood at start.
     let mut on_air: BTreeMap<FrameId, (usize, Position)> = BTreeMap::new();
     let mut locked: Vec<Option<FrameId>> = vec![None; at.len()];
+    let mut scanning: Vec<Option<SimTime>> = vec![None; at.len()];
     let mut moves = w.moves.iter().peekable();
     while s.now() < GATHER_RUN && s.step() {
         on_air.retain(|&f, &mut (i, _)| {
@@ -510,6 +547,32 @@ fn check_locks_against_full_scan(
             if let RadioState::Tx { frame, .. } = s.radio(NodeId(i)).state() {
                 on_air.entry(*frame).or_insert((i, *origin));
             }
+        }
+        for j in 0..at.len() {
+            let RadioState::Cad { until, busy_seen } = *s.radio(NodeId(j)).state() else {
+                scanning[j] = None;
+                continue;
+            };
+            if scanning[j].replace(until) == Some(until) {
+                continue;
+            }
+            let busy = on_air.values().any(|&(i, origin)| {
+                i != j
+                    && medium.audible(medium.received_power(&origin, &at[j], NodeId(i), NodeId(j)))
+            });
+            prop_assert!(
+                busy_seen == busy,
+                "node {j} began a scan at {:?} reading busy={busy_seen}, the air says {busy}",
+                s.now()
+            );
+            bump(
+                if busy {
+                    &tally.busy_scans
+                } else {
+                    &tally.idle_scans
+                },
+                1,
+            );
         }
         for j in 0..at.len() {
             let RadioState::Rx { frame, .. } = *s.radio(NodeId(j)).state() else {
@@ -601,41 +664,27 @@ fn gather_then_filter_seeds_what_a_scan_of_every_frame_seeds() {
         "gather_then_filter_seeds_what_a_scan_of_every_frame_seeds",
         gen_gather_world,
         |w| {
-            for (link_cache, spatial_grid, shards) in [
-                (true, true, 1),
-                (true, true, 4),
-                (true, false, 1),
-                (false, true, 4),
-                (false, false, 1),
-            ] {
+            for shards in [1, 4] {
                 let cfg = SimConfig {
-                    link_cache,
-                    spatial_grid,
                     shards,
                     ..SimConfig::default()
                 };
-                check_locks_against_full_scan(w, cfg, &tally).map_err(|e| {
-                    format!(
-                        "link_cache={link_cache} spatial_grid={spatial_grid} shards={shards}: {e}"
-                    )
-                })?;
+                check_locks_against_full_scan(w, cfg, &tally)
+                    .map_err(|e| format!("shards={shards}: {e}"))?;
             }
-            for link_cache in [true, false] {
-                let cfg = |shards, threads| SimConfig {
-                    link_cache,
-                    shards,
-                    threads,
-                    commit_batch_min_events: 1,
-                    ..SimConfig::default()
-                };
-                let (reference, _) = receptions_at_pauses(w, cfg(1, 1));
-                let (workers, batches) = receptions_at_pauses(w, cfg(4, 2));
-                bump(&tally.batches, batches);
-                prop_assert!(
-                    workers == reference,
-                    "link_cache={link_cache}: band workers left a reception the single queue did not"
-                );
-            }
+            let cfg = |shards, threads| SimConfig {
+                shards,
+                threads,
+                commit_batch_min_events: 1,
+                ..SimConfig::default()
+            };
+            let (reference, _) = receptions_at_pauses(w, cfg(1, 1));
+            let (workers, batches) = receptions_at_pauses(w, cfg(4, 2));
+            bump(&tally.batches, batches);
+            prop_assert!(
+                workers == reference,
+                "band workers left a reception the single queue did not"
+            );
             Ok(())
         },
     );
@@ -644,4 +693,12 @@ fn gather_then_filter_seeds_what_a_scan_of_every_frame_seeds() {
     assert!(tally.tight.get() > 0, "no interferer near 2·r_max away");
     assert!(tally.moved.get() > 0, "no interferer with a moved sender");
     assert!(tally.batches.get() > 0, "no parallel batch committed");
+    assert!(
+        tally.busy_scans.get() > 0,
+        "no scan began on a busy channel"
+    );
+    assert!(
+        tally.idle_scans.get() > 0,
+        "no scan began on an idle channel"
+    );
 }

@@ -132,14 +132,6 @@ impl NetworkBuilder {
         self
     }
 
-    /// Enables or disables the simulator's link-budget cache
-    /// (behaviourally transparent; off only for differential testing).
-    #[must_use]
-    pub fn link_cache(mut self, on: bool) -> Self {
-        self.sim.link_cache = on;
-        self
-    }
-
     /// Number of spatial bands the world is partitioned into
     /// (behaviourally transparent; `1` — the default — has no
     /// partition, larger values scope link-row invalidation on moves

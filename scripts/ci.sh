@@ -57,9 +57,6 @@ cargo test -q --offline --release --test alloc_regression
 echo "==> cargo test -q --offline -p loramesher --features crypto (AES-CTR flood payload encryption leg)"
 cargo test -q --offline -p loramesher --features crypto
 
-echo "==> bench_scaling --smoke (link-cache + sharded-engine transparency smoke)"
-cargo run --release --offline -p bench --bin bench_scaling -- --smoke
-
 echo "==> meshsim --shards 4 smoke (sharded engine through the CLI)"
 cargo run -q --release --offline -p meshsim -- --nodes 12 --duration 120 --shards 4 >/dev/null
 

@@ -18,6 +18,7 @@ use loramesher_repro::loramesher::reliable::{
     InboundTransfer, OutboundTransfer, ReceiverAction, SenderAction,
 };
 use loramesher_repro::loramesher::routing::RoutingTable;
+use loramesher_repro::loramesher::FloodMessage;
 use loramesher_repro::radio_sim::rng::SimRng;
 
 // ----------------------------------------------------------------------
@@ -126,28 +127,63 @@ fn decoder_is_total() {
         "decoder_is_total",
         |g| g.bytes(0, 300),
         |bytes| {
-            let _ = codec::decode(bytes);
+            decode_every_way(bytes);
             Ok(())
         },
     );
 }
 
-/// Corrupting any single byte of a valid frame never panics.
+/// Feeds `bytes` to every wire decoder of both stacks: the mesh frame
+/// codec (validating view and owned copy) and the flood payload codec.
+fn decode_every_way(bytes: &[u8]) {
+    let _ = codec::parse(bytes).map(|view| (view.src(), view.kind()));
+    let _ = codec::decode(bytes);
+    let _ = FloodMessage::decode(bytes);
+}
+
+fn gen_flood_message(g: &mut Gen) -> FloodMessage {
+    let text = |g: &mut Gen| String::from_utf8_lossy(&g.bytes(0, 40)).into_owned();
+    match g.usize_in(0, 3) {
+        0 => FloodMessage::Text(text(g)),
+        1 => FloodMessage::Position {
+            latitude_i: g.u32() as i32,
+            longitude_i: g.u32() as i32,
+            altitude_m: g.u32() as i32,
+        },
+        2 => FloodMessage::NodeInfo {
+            id: g.u32(),
+            long_name: text(g),
+            short_name: text(g),
+            hw_model: g.u8(),
+        },
+        _ => FloodMessage::Telemetry {
+            battery_pct: g.u8(),
+            voltage_mv: g.u16(),
+            channel_util_pct: g.u8(),
+            uptime_s: g.u32(),
+        },
+    }
+}
+
+/// Corrupting any single byte of a valid mesh frame or flood payload
+/// never panics.
 #[test]
 fn single_byte_corruption_is_safe() {
     forall(
         "single_byte_corruption_is_safe",
         |g| {
             let packet = gen_packet(g);
+            let message = gen_flood_message(g);
             let pos = g.f64();
             let xor = g.int_in(1, 255) as u8;
-            (packet, pos, xor)
+            (packet, message, pos, xor)
         },
-        |(packet, pos, xor)| {
-            let mut wire = codec::encode(packet).unwrap();
-            let i = ((pos * wire.len() as f64) as usize).min(wire.len() - 1);
-            wire[i] ^= xor;
-            let _ = codec::decode(&wire);
+        |(packet, message, pos, xor)| {
+            for mut wire in [codec::encode(packet).unwrap(), message.encode()] {
+                let i = ((pos * wire.len() as f64) as usize).min(wire.len() - 1);
+                wire[i] ^= xor;
+                decode_every_way(&wire);
+            }
             Ok(())
         },
     );
