@@ -33,6 +33,8 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 
+use lora_phy::modulation::LoRaModulation;
+use lora_phy::region::Region;
 use radio_sim::mobility::Mobility;
 use radio_sim::{topology, NodeId, SimConfig};
 use scenario::workload::{self, Target, TrafficEvent};
@@ -206,11 +208,13 @@ fn run_full_mesh(seed: u64) -> Runner {
 
 /// Scenario 4 — the same full-mesh layout on the baseline protocols,
 /// pinning the flooding and star reimplementations on the unified
-/// host trait.
-fn run_baseline(seed: u64, protocol: ProtocolChoice) -> Runner {
+/// host trait. With `csma` off the nodes transmit without a CAD scan
+/// (the ALOHA ablation), subject only to the duty cycle.
+fn run_baseline(seed: u64, protocol: ProtocolChoice, csma: bool) -> Runner {
     let spacing = topology::radio_range_m(&SimConfig::default().rf) * 0.2;
     let mut runner = NetworkBuilder::mesh(topology::line(4, spacing), seed)
         .protocol(protocol)
+        .csma(csma)
         .sim_config(traced_config())
         .build();
     runner.apply(&workload::periodic(
@@ -233,6 +237,29 @@ fn run_baseline(seed: u64, protocol: ProtocolChoice) -> Runner {
     runner
 }
 
+/// Scenario 5 — regulated airtime: a three-node mesh on the slow modem
+/// preset under EU868's 1 % duty cycle, loaded past its 36 s hourly
+/// budget so the MAC defers frames until the window frees airtime.
+fn run_duty_limited(seed: u64) -> Runner {
+    let spacing = topology::radio_range_m(&SimConfig::default().rf) * 0.2;
+    let mut sim = traced_config();
+    sim.rf.modulation = LoRaModulation::long_slow();
+    let mut runner = NetworkBuilder::mesh(topology::line(3, spacing), seed)
+        .region(Region::Eu868)
+        .sim_config(sim)
+        .build();
+    runner.apply(&workload::periodic(
+        0,
+        Target::Node(2),
+        20,
+        Duration::from_secs(60),
+        Duration::from_secs(10),
+        30,
+    ));
+    runner.run_until(Duration::from_secs(600));
+    runner
+}
+
 /// Golden hashes captured on the pre-split `MeshNode` monolith.
 ///
 /// Regen history: the "flooding" row was re-pinned when the
@@ -240,7 +267,9 @@ fn run_baseline(seed: u64, protocol: ProtocolChoice) -> Runner {
 /// `loramesher::flood` stack (SNR/contention-weighted rebroadcast delay
 /// and the shared-bus MAC make the traces intentionally different); all
 /// mesh/star/sweep rows are the original monolith recordings and must
-/// never move.
+/// never move. The "aloha-*" and "duty" rows were recorded before the
+/// channel-access code of the three stacks became one `Mac`, and pin
+/// that fold.
 const GOLDEN: &[(&str, u64, u64)] = &[
     ("static", 11, 0x1ac234958047f884),
     ("static", 12, 0x0dfa3239f693301b),
@@ -254,6 +283,9 @@ const GOLDEN: &[(&str, u64, u64)] = &[
     ("flooding", 11, 0x0035e4932ff05a73),
     ("star", 11, 0xc7fd375da09ac3d3),
     ("sweep", 29, 0x967778a70f116a33),
+    ("aloha-mesh", 11, 0xdcd37b4ce85455da),
+    ("aloha-flooding", 11, 0xbc4e00e383b200ee),
+    ("duty", 11, 0xc91335478acc7fe2),
 ];
 
 fn check(scenario: &str, seed: u64, actual: u64) {
@@ -326,7 +358,7 @@ fn full_mesh_matches_golden() {
 
 #[test]
 fn baselines_match_golden() {
-    let mut flooding = run_baseline(11, ProtocolChoice::Flooding { ttl: 3 });
+    let mut flooding = run_baseline(11, ProtocolChoice::Flooding { ttl: 3 }, true);
     let text = dump(&mut flooding);
     assert!(
         flooding.report().delivered > 0,
@@ -334,10 +366,47 @@ fn baselines_match_golden() {
     );
     check("flooding", 11, fnv1a(text.as_bytes()));
 
-    let mut star = run_baseline(11, ProtocolChoice::Star { gateway: 0 });
+    let mut star = run_baseline(11, ProtocolChoice::Star { gateway: 0 }, true);
     let text = dump(&mut star);
     assert!(star.report().delivered > 0, "star delivered nothing");
     check("star", 11, fnv1a(text.as_bytes()));
+}
+
+/// Total CAD scans the medium performed over a run.
+fn cad_scans(runner: &Runner) -> u64 {
+    runner
+        .phy_metrics()
+        .per_node
+        .iter()
+        .map(|n| n.cad_scans)
+        .sum()
+}
+
+#[test]
+fn aloha_matches_golden() {
+    for (name, protocol) in [
+        ("aloha-mesh", ProtocolChoice::mesh_fast()),
+        ("aloha-flooding", ProtocolChoice::Flooding { ttl: 3 }),
+    ] {
+        let mut runner = run_baseline(11, protocol, false);
+        let text = dump(&mut runner);
+        assert!(runner.report().delivered > 0, "{name} delivered nothing");
+        assert_eq!(cad_scans(&runner), 0, "{name}: ALOHA must never scan");
+        check(name, 11, fnv1a(text.as_bytes()));
+    }
+}
+
+#[test]
+fn duty_limited_matches_golden() {
+    let mut runner = run_duty_limited(11);
+    let text = dump(&mut runner);
+    let deferrals: u64 = (0..runner.len())
+        .filter_map(|i| runner.mesh_node(i))
+        .map(|m| m.stats().duty_cycle_deferrals)
+        .sum();
+    assert!(deferrals > 0, "the duty budget never ran out");
+    assert!(runner.report().delivered > 0, "nothing delivered");
+    check("duty", 11, fnv1a(text.as_bytes()));
 }
 
 /// PR 1's parallel sweep on top of scenario 1: per-seed hashes and the
