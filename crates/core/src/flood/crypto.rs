@@ -96,17 +96,14 @@ fn shift_rows(s: &mut [u8; 16]) {
 
 fn mix_columns(state: &mut [u8; 16]) {
     for col in state.chunks_exact_mut(4) {
-        match *col {
-            [a, b, c, d] => {
-                let t = a ^ b ^ c ^ d;
-                let na = a ^ t ^ xtime(a ^ b);
-                let nb = b ^ t ^ xtime(b ^ c);
-                let nc = c ^ t ^ xtime(c ^ d);
-                let nd = d ^ t ^ xtime(d ^ a);
-                col.copy_from_slice(&[na, nb, nc, nd]);
-            }
-            // chunks_exact_mut(4) yields only 4-byte slices.
-            _ => {}
+        // chunks_exact_mut(4) yields only 4-byte slices.
+        if let [a, b, c, d] = *col {
+            let t = a ^ b ^ c ^ d;
+            let na = a ^ t ^ xtime(a ^ b);
+            let nb = b ^ t ^ xtime(b ^ c);
+            let nc = c ^ t ^ xtime(c ^ d);
+            let nd = d ^ t ^ xtime(d ^ a);
+            col.copy_from_slice(&[na, nb, nc, nd]);
         }
     }
 }

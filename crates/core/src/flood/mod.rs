@@ -12,8 +12,8 @@
 //! The stack reuses the shared LoRaMesher plumbing wholesale — the
 //! [`crate::stack::bus::Bus`] (one deterministic RNG per node, the
 //! transmit queue, the [`MeshEvent`] queue, the stats counters) and the
-//! [`crate::stack::mac::MacLayer`] (CAD/backoff/duty-cycle channel
-//! access) — so the two protocols differ *only* above the MAC, and
+//! [`Mac`] (CAD/backoff/duty-cycle channel access and frame emission)
+//! — so the two protocols differ *only* above the MAC, and
 //! airtime comparisons between them measure protocol overhead, not
 //! implementation drift. The wire format reuses the LoRaMesher `Data`
 //! packet with `via` set to broadcast (there is no designated next
@@ -67,13 +67,12 @@ use lora_phy::region::Region;
 
 use crate::addr::Address;
 use crate::codec::{self, FrameView, UnicastBody, UnicastView};
-use crate::config::MeshConfig;
 use crate::driver::{NodeProtocol, RadioIo};
 use crate::error::SendError;
+use crate::mac::{Mac, NoWireCache};
 use crate::packet::{Forwarding, Packet};
 use crate::stack::app;
 use crate::stack::bus::Bus;
-use crate::stack::mac::{MacLayer, NoWireCache};
 
 pub use crate::stack::app::MeshEvent;
 use dedup::DedupCache;
@@ -134,23 +133,6 @@ impl FloodConfig {
             key: None,
         }
     }
-
-    /// The shared-MAC view of this configuration: the [`MacLayer`] and
-    /// the frame codec read radio and channel-access parameters through
-    /// [`MeshConfig`], so the flood stack derives one with matching
-    /// fields (the routing/transport fields it carries are never read).
-    fn mac_config(&self) -> MeshConfig {
-        MeshConfig::builder(self.address)
-            .modulation(self.modulation)
-            .region(self.region)
-            .tx_queue_capacity(self.tx_queue_capacity)
-            .backoff_slot(self.backoff_slot)
-            .max_backoff_exponent(self.max_backoff_exponent)
-            .max_cad_retries(self.max_cad_retries)
-            .csma(self.csma)
-            .seed(self.seed)
-            .build()
-    }
 }
 
 /// A snapshot of a flooding node's counters: the shared MAC/channel
@@ -198,11 +180,8 @@ struct PendingRelay {
 #[derive(Debug)]
 pub struct FloodNode {
     config: FloodConfig,
-    /// The MAC's view of the radio parameters (see
-    /// [`FloodConfig::mac_config`]).
-    mac_config: MeshConfig,
     bus: Bus,
-    mac: MacLayer,
+    mac: Mac,
     seen: DedupCache,
     pending: Vec<PendingRelay>,
     #[cfg(feature = "crypto")]
@@ -218,10 +197,16 @@ impl FloodNode {
     /// Creates a node from its configuration.
     #[must_use]
     pub fn new(config: FloodConfig) -> Self {
-        let mac_config = config.mac_config();
         FloodNode {
             bus: Bus::new(config.seed, config.tx_queue_capacity),
-            mac: MacLayer::new(&mac_config),
+            mac: Mac::new(
+                config.region,
+                config.modulation,
+                config.backoff_slot,
+                config.max_backoff_exponent,
+                config.max_cad_retries,
+                config.csma,
+            ),
             seen: DedupCache::new(config.seen_cache),
             pending: Vec::new(),
             #[cfg(feature = "crypto")]
@@ -231,7 +216,6 @@ impl FloodNode {
             relayed: 0,
             duplicates_suppressed: 0,
             hop_limit_drops: 0,
-            mac_config,
             config,
         }
     }
@@ -257,8 +241,8 @@ impl FloodNode {
             decode_errors: self.bus.stats.decode_errors,
             queue_refusals: self.bus.stats.queue_refusals,
             data_delivered: self.bus.stats.data_delivered,
-            duty_cycle_deferrals: self.mac.mac.duty_deferrals,
-            cad_exhausted: self.mac.mac.cad_drops,
+            duty_cycle_deferrals: self.mac.duty_deferrals,
+            cad_exhausted: self.mac.cad_drops,
             originated: self.originated,
             relayed: self.relayed,
             duplicates_suppressed: self.duplicates_suppressed,
@@ -424,8 +408,8 @@ impl FloodNode {
             false
         });
         // 2. Give the MAC a chance to move traffic.
-        self.mac
-            .pump(now, &self.mac_config, &mut self.bus, &mut NoWireCache, io);
+        let outcome = self.mac.kick(&mut self.bus.txq, &mut NoWireCache, io);
+        self.bus.book(outcome);
     }
 }
 
@@ -501,32 +485,22 @@ impl NodeProtocol for FloodNode {
     }
 
     fn on_cad_done(&mut self, busy: bool, io: &mut RadioIo) {
-        self.mac.on_cad_done(
-            busy,
-            io.now(),
-            &self.mac_config,
-            &mut self.bus,
-            &mut NoWireCache,
-            io,
-        );
+        let bus = &mut self.bus;
+        let outcome = self
+            .mac
+            .on_cad_done(busy, &mut bus.txq, &mut bus.rng, &mut NoWireCache, io);
+        bus.book(outcome);
     }
 
     fn next_wake(&self) -> Option<Duration> {
         if !self.started {
             return None;
         }
-        let mut wake: Option<Duration> = None;
-        let mut consider = |t: Option<Duration>| {
-            if let Some(t) = t {
-                wake = Some(wake.map_or(t, |w| w.min(t)));
-            }
-        };
-        if self.mac.is_ready() && !self.bus.txq.is_empty() {
-            consider(Some(Duration::ZERO)); // immediate
-        }
-        consider(self.mac.next_wake());
-        consider(self.pending.iter().map(|p| p.at).min());
-        wake
+        let relay = self.pending.iter().map(|p| p.at).min();
+        [self.mac.next_wake(&self.bus.txq), relay]
+            .into_iter()
+            .flatten()
+            .min()
     }
 }
 

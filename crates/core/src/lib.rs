@@ -28,8 +28,9 @@
 //!   [`routing::RouteMetric`] route-preference policy.
 //! * [`config`] — [`MeshConfig`] and its builder.
 //! * [`queue`] — the prioritised transmit queue.
-//! * [`mac`] — CAD-based listen-before-talk with exponential backoff and
-//!   duty-cycle gating.
+//! * [`mac`] — CAD-based listen-before-talk with exponential backoff,
+//!   duty-cycle and dwell gating, and frame emission: the one
+//!   channel-access type every stack owns.
 //! * [`reliable`] — the large-payload transfer state machines.
 //! * [`stack`] — [`MeshNode`]: the MAC/routing/transport/app layers tied
 //!   together over the intra-node bus.

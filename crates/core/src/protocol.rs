@@ -23,9 +23,10 @@
 //! (`tests/shard_diff.rs`, `tests/protocol_refactor_diff.rs`) rest on:
 //!
 //! 1. **Shared channel access.** All frame emission goes through
-//!    [`crate::stack::mac::MacLayer`] — CAD/backoff/duty-cycle behaviour
-//!    is identical across protocols, so cross-protocol experiments
-//!    measure protocol overhead, not MAC drift.
+//!    [`crate::mac::Mac`], built from the region by one constructor —
+//!    CAD/backoff/duty-cycle/dwell behaviour is identical across
+//!    protocols (the star baseline included), so cross-protocol
+//!    experiments measure protocol overhead, not MAC drift.
 //! 2. **One RNG per node.** Every random draw comes from the node's
 //!    single [`crate::rng::ProtocolRng`] (owned by the bus), in an
 //!    order fixed by the dispatch rules below — a seed fully determines

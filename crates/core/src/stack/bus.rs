@@ -6,7 +6,7 @@
 //! interaction goes through one of the bus's typed channels:
 //!
 //! * **commands to the MAC** — [`Bus::enqueue`] feeds the prioritised
-//!   transmit queue the MAC layer drains;
+//!   transmit queue the [`crate::mac::Mac`] drains;
 //! * **events to the app** — [`Bus::emit`] appends to the application
 //!   event queue drained by `MeshNode::take_events`;
 //! * **shared protocol resources** — the single deterministic RNG
@@ -20,6 +20,7 @@
 use alloc::collections::VecDeque;
 use core::time::Duration;
 
+use crate::mac::TxOutcome;
 use crate::packet::Packet;
 use crate::queue::TxQueue;
 use crate::rng::ProtocolRng;
@@ -38,7 +39,7 @@ pub(crate) struct Bus {
     pub(crate) stats: NodeStats,
     /// Events queued for the application (the app layer's receive side).
     pub(crate) events: VecDeque<MeshEvent>,
-    /// Outbound packets awaiting the MAC (the MAC layer's feed).
+    /// Outbound packets awaiting the MAC.
     pub(crate) txq: TxQueue,
     next_packet_id: u8,
 }
@@ -75,6 +76,20 @@ impl Bus {
     /// Publishes an event to the application queue.
     pub(crate) fn emit(&mut self, event: MeshEvent) {
         self.events.push_back(event);
+    }
+
+    /// Books what a MAC call did: a sent frame into the airtime
+    /// counters, a dropped one as an app event.
+    pub(crate) fn book(&mut self, outcome: TxOutcome) {
+        match outcome {
+            TxOutcome::Idle => {}
+            TxOutcome::Sent { airtime } => {
+                self.stats.frames_sent += 1;
+                self.stats.airtime += airtime;
+            }
+            TxOutcome::Dropped { kind } => self.emit(MeshEvent::FrameDropped { kind }),
+            TxOutcome::EncodeFailed => self.stats.decode_errors += 1,
+        }
     }
 
     /// Random extra delay added to every reliable-transfer deadline:

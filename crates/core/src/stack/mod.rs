@@ -12,7 +12,8 @@
 //! * `transport` — reliable SYNC/fragment/ACK/LOST transfers.
 //! * `routing` — the hello daemon, the distance-vector table (generic
 //!   over [`crate::routing::RouteMetric`]) and unicast forwarding.
-//! * `mac` — CAD/backoff/duty-cycle channel access and frame emission.
+//! * [`crate::mac`] — CAD/backoff/duty-cycle channel access and frame
+//!   emission, the same [`Mac`] the other stacks own.
 //!
 //! Layers never call each other directly; they exchange packets and
 //! events over the `bus` (the transmit queue feeding the MAC, the event
@@ -38,7 +39,6 @@
 
 pub mod app;
 pub(crate) mod bus;
-pub(crate) mod mac;
 mod routing;
 mod transport;
 
@@ -52,6 +52,7 @@ use crate::codec::{self, FrameView, UnicastBody};
 use crate::config::MeshConfig;
 use crate::driver::{NodeProtocol, RadioIo};
 use crate::error::SendError;
+use crate::mac::Mac;
 use crate::packet::Packet;
 use crate::reliable::TransferPhase;
 use crate::routing::RoutingTable;
@@ -59,7 +60,6 @@ use crate::stats::NodeStats;
 
 pub use app::MeshEvent;
 use bus::Bus;
-use mac::MacLayer;
 use routing::RoutingLayer;
 use transport::TransportLayer;
 
@@ -72,7 +72,7 @@ use transport::TransportLayer;
 pub struct MeshNode {
     config: MeshConfig,
     bus: Bus,
-    mac: MacLayer,
+    mac: Mac,
     routing: RoutingLayer,
     transport: TransportLayer,
     started: bool,
@@ -84,7 +84,14 @@ impl MeshNode {
     pub fn new(config: MeshConfig) -> Self {
         MeshNode {
             bus: Bus::new(config.seed, config.tx_queue_capacity),
-            mac: MacLayer::new(&config),
+            mac: Mac::new(
+                config.region,
+                config.modulation,
+                config.backoff_slot,
+                config.max_backoff_exponent,
+                config.max_cad_retries,
+                config.csma,
+            ),
             routing: RoutingLayer::new(&config),
             transport: TransportLayer::new(),
             started: false,
@@ -114,8 +121,8 @@ impl MeshNode {
     #[must_use]
     pub fn stats(&self) -> NodeStats {
         let mut s = self.bus.stats;
-        s.duty_cycle_deferrals = self.mac.mac.duty_deferrals;
-        s.cad_exhausted = self.mac.mac.cad_drops;
+        s.duty_cycle_deferrals = self.mac.duty_deferrals;
+        s.cad_exhausted = self.mac.cad_drops;
         // Include retransmissions of transfers still in flight.
         s.reliable_retransmits += self.transport.in_flight_retransmits();
         s
@@ -232,8 +239,8 @@ impl MeshNode {
         self.transport
             .process_due(now, &self.config, &mut self.bus, &self.routing);
         // 5. Give the MAC a chance to move traffic.
-        self.mac
-            .pump(now, &self.config, &mut self.bus, &mut self.routing, io);
+        let outcome = self.mac.kick(&mut self.bus.txq, &mut self.routing, io);
+        self.bus.book(outcome);
     }
 }
 
@@ -305,14 +312,11 @@ impl NodeProtocol for MeshNode {
     }
 
     fn on_cad_done(&mut self, busy: bool, io: &mut RadioIo) {
-        self.mac.on_cad_done(
-            busy,
-            io.now(),
-            &self.config,
-            &mut self.bus,
-            &mut self.routing,
-            io,
-        );
+        let bus = &mut self.bus;
+        let outcome = self
+            .mac
+            .on_cad_done(busy, &mut bus.txq, &mut bus.rng, &mut self.routing, io);
+        bus.book(outcome);
     }
 
     fn next_wake(&self) -> Option<Duration> {
@@ -325,10 +329,7 @@ impl NodeProtocol for MeshNode {
                 wake = Some(wake.map_or(t, |w| w.min(t)));
             }
         };
-        if self.mac.is_ready() && !self.bus.txq.is_empty() {
-            consider(Some(Duration::ZERO)); // immediate
-        }
-        consider(self.mac.next_wake());
+        consider(self.mac.next_wake(&self.bus.txq));
         // A field read: the table keeps its earliest `last_seen` current
         // in its mutators, so the wake costs the same at any table size.
         consider(self.routing.table.next_expiry(self.config.route_timeout));
@@ -340,6 +341,8 @@ impl NodeProtocol for MeshNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::RadioRequest;
+    use alloc::sync::Arc;
     use lora_phy::region::Region;
 
     /// Multi-seed sweeps host protocol nodes on worker threads, so the
@@ -411,6 +414,55 @@ mod tests {
         n.on_timer(&mut io);
         assert_eq!(n.routing_table().len(), 2);
         assert!(n.next_wake().is_some());
+    }
+
+    /// Fires the hello due at `at` into a clear channel and returns the
+    /// frame handed to the radio.
+    fn beacon(n: &mut MeshNode, at: Duration) -> Arc<[u8]> {
+        let mut io = RadioIo::new(at);
+        n.on_timer(&mut io);
+        assert_eq!(io.take_requests(), alloc::vec![RadioRequest::StartCad]);
+        let mut io = RadioIo::new(at);
+        n.on_cad_done(false, &mut io);
+        let frame = match io.take_requests().pop() {
+            Some(RadioRequest::Transmit(frame)) => frame,
+            r => panic!("unexpected {r:?}"),
+        };
+        n.on_tx_done(&mut RadioIo::new(at));
+        frame
+    }
+
+    /// A beacon goes out as the routing layer's cached wire image, and
+    /// once the host releases it the next beacon transmits the same
+    /// shared allocation — the zero-copy steady state.
+    #[test]
+    fn beacons_transmit_the_cached_hello_wire() {
+        let mut n = MeshNode::new(
+            MeshConfig::builder(Address::new(1))
+                .region(Region::Unlimited)
+                .hello_interval(Duration::from_secs(30))
+                .hello_jitter(false)
+                .build(),
+        );
+        n.on_start(&mut RadioIo::new(Duration::ZERO));
+        n.routing
+            .table
+            .heard_from(Address::new(2), 0.0, Duration::ZERO);
+        let first = beacon(&mut n, Duration::from_secs(1));
+        assert_eq!(&first[..], &n.routing.hello_wire[..]);
+        match codec::decode(&first).unwrap() {
+            Packet::Hello { src, .. } => assert_eq!(src, Address::new(1)),
+            p => panic!("unexpected {p:?}"),
+        }
+        assert_eq!(n.stats().frames_sent, 1);
+        assert_eq!(
+            n.stats().airtime,
+            n.config.modulation.time_on_air(first.len())
+        );
+        let first_ptr = first.as_ptr();
+        drop(first); // host done with the frame
+        let second = beacon(&mut n, Duration::from_secs(31));
+        assert_eq!(second.as_ptr(), first_ptr);
     }
 
     /// A frame whose source is the broadcast address is malformed: it is

@@ -20,11 +20,11 @@ use crate::addr::Address;
 use crate::codec::{self, HelloView};
 use crate::config::MeshConfig;
 use crate::error::SendError;
+use crate::mac::WireCache;
 use crate::packet::{Packet, RouteEntry};
 use crate::routing::{Route, RoutingTable};
 use crate::stack::app::MeshEvent;
 use crate::stack::bus::Bus;
-use crate::stack::mac::WireCache;
 
 /// Routing state; see the module docs.
 #[derive(Debug)]

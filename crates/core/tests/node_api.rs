@@ -678,6 +678,38 @@ fn cad_exhaustion_drops_frame_with_event() {
     assert_eq!(n.tx_queue_len(), 0);
 }
 
+/// With a backoff exponent cap past 63 and a channel that is always
+/// busy, the backoff window stops widening at 2^63 slots: the wait
+/// saturates instead of overflowing the shift (a panic in debug builds,
+/// a wrap back to one slot in release).
+#[test]
+fn backoff_exponent_beyond_63_saturates_the_wait() {
+    let slot = Duration::from_millis(100);
+    let mut n = MeshNode::new(
+        MeshConfig::builder(A1)
+            .region(Region::Unlimited)
+            .hello_interval(Duration::from_secs(1 << 40))
+            .hello_jitter(false)
+            .backoff_slot(slot)
+            .max_backoff_exponent(70)
+            .max_cad_retries(100)
+            .build(),
+    );
+    start(&mut n, Duration::ZERO);
+    let mut now = Duration::from_secs(1);
+    assert_eq!(timer(&mut n, now), vec![RadioRequest::StartCad]);
+    for attempt in 1..=70u32 {
+        assert!(cad_done(&mut n, true, now).is_empty());
+        let wake = n.next_wake().expect("backoff deadline");
+        if attempt >= 61 {
+            assert_eq!(wake - now, slot * u32::MAX, "attempt {attempt}");
+        }
+        now = wake;
+        assert_eq!(timer(&mut n, now), vec![RadioRequest::StartCad]);
+    }
+    assert_eq!(n.tx_queue_len(), 1, "the hello is still waiting");
+}
+
 #[test]
 fn zero_fragment_sync_is_rejected() {
     let mut n = node(A2);

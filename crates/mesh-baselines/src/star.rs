@@ -7,20 +7,22 @@
 //! the property experiment E5 quantifies.
 //!
 //! Frames reuse the LoRaMesher `Data` packet with TTL 1 (never relayed),
-//! keeping airtime comparable across protocols.
+//! and go out through the same [`Mac`] as the mesh and flooding stacks
+//! (always listen-before-talk), keeping airtime comparable across
+//! protocols.
 
 use std::collections::VecDeque;
 use std::time::Duration;
 
 use lora_phy::link::SignalQuality;
 use lora_phy::modulation::LoRaModulation;
-use lora_phy::region::{DutyCycleTracker, Region};
+use lora_phy::region::Region;
 
 use loramesher::addr::Address;
 use loramesher::codec;
 use loramesher::driver::{NodeProtocol, RadioIo};
 use loramesher::error::SendError;
-use loramesher::mac::{Mac, MacAction};
+use loramesher::mac::{Mac, NoWireCache, TxOutcome};
 use loramesher::packet::{Forwarding, Packet};
 use loramesher::queue::TxQueue;
 use loramesher::rng::ProtocolRng;
@@ -98,20 +100,15 @@ impl StarNode {
     /// Creates a node from its configuration.
     #[must_use]
     pub fn new(config: StarConfig) -> Self {
-        let duty = config
-            .region
-            .sub_band_for(config.region.default_frequency_hz())
-            .map_or_else(DutyCycleTracker::unlimited, |b| {
-                DutyCycleTracker::new(b.duty_cycle, Duration::from_secs(3600))
-            });
-        let mac = Mac::new(
-            duty,
-            config.backoff_slot,
-            config.max_backoff_exponent,
-            config.max_cad_retries,
-        );
         StarNode {
-            mac,
+            mac: Mac::new(
+                config.region,
+                config.modulation,
+                config.backoff_slot,
+                config.max_backoff_exponent,
+                config.max_cad_retries,
+                true,
+            ),
             txq: TxQueue::new(config.tx_queue_capacity),
             rng: ProtocolRng::new(config.seed),
             events: VecDeque::new(),
@@ -185,6 +182,14 @@ impl StarNode {
         }
         Ok(id)
     }
+
+    /// Books what a MAC call did into the airtime counters.
+    fn book(&mut self, outcome: TxOutcome) {
+        if let TxOutcome::Sent { airtime } = outcome {
+            self.frames_sent += 1;
+            self.airtime += airtime;
+        }
+    }
 }
 
 impl NodeProtocol for StarNode {
@@ -193,11 +198,8 @@ impl NodeProtocol for StarNode {
     }
 
     fn on_timer(&mut self, io: &mut RadioIo) {
-        if !self.txq.is_empty() {
-            if let MacAction::StartCad = self.mac.kick(io.now()) {
-                io.start_cad();
-            }
-        }
+        let outcome = self.mac.kick(&mut self.txq, &mut NoWireCache, io);
+        self.book(outcome);
     }
 
     fn on_frame(&mut self, frame: &[u8], _quality: SignalQuality, _io: &mut RadioIo) {
@@ -217,47 +219,17 @@ impl NodeProtocol for StarNode {
     }
 
     fn on_cad_done(&mut self, busy: bool, io: &mut RadioIo) {
-        let now = io.now();
-        let Some(front) = self.txq.peek() else {
-            return;
-        };
-        let airtime = self
-            .config
-            .modulation
-            .time_on_air(codec::encoded_len(front));
-        match self.mac.on_cad_done(busy, airtime, now, &mut self.rng) {
-            MacAction::Transmit => {
-                // Peeked non-empty above, but stay panic-free anyway.
-                let Some(packet) = self.txq.pop() else {
-                    return;
-                };
-                match codec::encode(&packet) {
-                    Ok(frame) => {
-                        self.frames_sent += 1;
-                        self.airtime += airtime;
-                        io.transmit(frame);
-                    }
-                    Err(_) => {
-                        self.mac.on_tx_done();
-                    }
-                }
-            }
-            MacAction::DropFrame => {
-                let _ = self.txq.pop();
-            }
-            MacAction::StartCad => io.start_cad(),
-            MacAction::None => {}
-        }
+        let outcome =
+            self.mac
+                .on_cad_done(busy, &mut self.txq, &mut self.rng, &mut NoWireCache, io);
+        self.book(outcome);
     }
 
     fn next_wake(&self) -> Option<Duration> {
         if !self.started {
             return None;
         }
-        if self.mac.is_ready() && !self.txq.is_empty() {
-            return Some(Duration::ZERO);
-        }
-        self.mac.next_wake()
+        self.mac.next_wake(&self.txq)
     }
 }
 
@@ -362,6 +334,30 @@ mod tests {
         frame_in(&mut n, &frame, Duration::ZERO);
         assert!(n.take_events().is_empty());
         assert!(drain(&mut n, Duration::from_secs(1)).is_empty());
+    }
+
+    /// The region's dwell limit binds the star as it binds the other
+    /// stacks: under US915 a 20-byte LongSlow frame (~2.8 s on air,
+    /// against 400 ms) is dropped and never transmitted, while the same
+    /// payload at SF7 still goes out.
+    #[test]
+    fn us915_dwell_limit_drops_long_frames() {
+        let us915 = |modulation| {
+            let mut cfg = StarConfig::new(N1, GW);
+            cfg.region = Region::Us915;
+            cfg.modulation = modulation;
+            let mut n = StarNode::new(cfg);
+            start(&mut n);
+            n.send(GW, vec![0; 20]).unwrap();
+            n
+        };
+        let mut slow = us915(LoRaModulation::long_slow());
+        assert!(drain(&mut slow, Duration::ZERO).is_empty());
+        assert_eq!(slow.frames_sent, 0);
+        assert_eq!(slow.next_wake(), None, "the frame left the queue");
+        let mut fast = us915(LoRaModulation::default());
+        assert_eq!(drain(&mut fast, Duration::ZERO).len(), 1);
+        assert_eq!(fast.frames_sent, 1);
     }
 
     #[test]

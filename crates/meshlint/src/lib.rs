@@ -316,8 +316,9 @@ impl Config {
                 "crates/core/src/stack/mod.rs".into(),
                 "crates/core/src/stack/app.rs".into(),
                 "crates/core/src/stack/bus.rs".into(),
-                "crates/core/src/stack/mac.rs".into(),
                 "crates/core/src/stack/routing.rs".into(),
+                // Every stack's channel access and frame emission.
+                "crates/core/src/mac.rs".into(),
                 "crates/core/src/stack/transport.rs".into(),
                 // The flooding stack (protocol refactor PR) receives
                 // over-the-air frames just like the mesh stack: its
@@ -1733,8 +1734,8 @@ fn index_expr_cols(line: &str) -> Vec<usize> {
         }
         // `&'a [u8]`: an identifier that is really a lifetime name — walk
         // to its start and check for a leading tick. Keywords (`&mut
-        // [T]`, `dyn [..]`) are slice-type syntax too: a keyword can
-        // never be the receiver of an index expression.
+        // [T]`, `dyn [..]`, the slice pattern of `if let [a, b] = ..`)
+        // are never the receiver of an index expression.
         if is_ident_byte(p) {
             let mut s = j;
             while s > 0 && is_ident_byte(bytes[s - 1]) {
@@ -1743,7 +1744,7 @@ fn index_expr_cols(line: &str) -> Vec<usize> {
             if s > 0 && bytes[s - 1] == b'\'' {
                 continue;
             }
-            if matches!(&bytes[s..=j], b"mut" | b"dyn" | b"in") {
+            if matches!(&bytes[s..=j], b"mut" | b"dyn" | b"in" | b"let") {
                 continue;
             }
         }
@@ -1995,6 +1996,7 @@ mod tests {
         assert!(index_expr_cols("pub fn run_chunks<T>(items: &mut [T]) {").is_empty());
         assert!(index_expr_cols("F: Fn(usize, &mut [T]) + Sync,").is_empty());
         assert!(index_expr_cols("for x in [1, 2, 3] {").is_empty());
+        assert!(index_expr_cols("if let [a, b, c, d] = *col {").is_empty());
         // A real index after `mut` binding still fires on the receiver.
         assert_eq!(index_expr_cols("let mut y = frame[0];"), vec![18]);
     }

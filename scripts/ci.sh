@@ -54,6 +54,9 @@ cargo test -q --offline --release --test shard_diff
 echo "==> cargo test -q --offline --release --test alloc_regression (allocation bounds on the optimised build)"
 cargo test -q --offline --release --test alloc_regression
 
+echo "==> cargo clippy --offline -p loramesher --features crypto --all-targets -- -D warnings (crypto feature lint leg)"
+cargo clippy --offline -p loramesher --features crypto --all-targets -- -D warnings
+
 echo "==> cargo test -q --offline -p loramesher --features crypto (AES-CTR flood payload encryption leg)"
 cargo test -q --offline -p loramesher --features crypto
 

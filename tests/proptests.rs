@@ -10,13 +10,17 @@ use testkit::{prop_assert, prop_assert_eq, prop_assert_ne};
 use loramesher_repro::lora_phy::modulation::{
     Bandwidth, CodingRate, LoRaModulation, SpreadingFactor,
 };
-use loramesher_repro::lora_phy::region::DutyCycleTracker;
+use loramesher_repro::lora_phy::region::{DutyCycleTracker, Region};
 use loramesher_repro::loramesher::addr::Address;
 use loramesher_repro::loramesher::codec;
+use loramesher_repro::loramesher::driver::{RadioIo, RadioRequest};
+use loramesher_repro::loramesher::mac::{Mac, NoWireCache, TxOutcome};
 use loramesher_repro::loramesher::packet::{Forwarding, Packet, RouteEntry};
+use loramesher_repro::loramesher::queue::TxQueue;
 use loramesher_repro::loramesher::reliable::{
     InboundTransfer, OutboundTransfer, ReceiverAction, SenderAction,
 };
+use loramesher_repro::loramesher::rng::ProtocolRng;
 use loramesher_repro::loramesher::routing::RoutingTable;
 use loramesher_repro::loramesher::FloodMessage;
 use loramesher_repro::radio_sim::rng::SimRng;
@@ -541,70 +545,115 @@ fn duty_tracker_matches_keep_everything_model() {
 // ----------------------------------------------------------------------
 
 /// Shared body of the MAC property: whatever sequence of channel
-/// outcomes the MAC sees, it never issues overlapping transmissions,
-/// never transmits more windowed airtime than the duty budget allows,
-/// and every DropFrame leaves it ready for new work.
-fn check_mac_invariants(events: &[(bool, u64)], seed: u64) -> Result<(), String> {
-    use loramesher_repro::loramesher::mac::{Mac, MacAction};
-    use loramesher_repro::loramesher::rng::ProtocolRng;
-
-    let mut mac = Mac::new(
-        DutyCycleTracker::new(0.01, Duration::from_secs(3600)),
-        Duration::from_millis(100),
-        6,
-        4,
-    );
+/// outcomes and frame lengths the MAC sees, in any region and with CSMA
+/// on or off (ALOHA), it never starts a transmission while one is on
+/// the air, never transmits more windowed airtime than the duty budget
+/// allows, never transmits a frame longer than the region's dwell
+/// limit, and every drop leaves it ready for new work.
+fn check_mac_invariants(
+    region: Region,
+    csma: bool,
+    events: &[(bool, usize)],
+    seed: u64,
+) -> Result<(), String> {
+    let modulation = mac_modulation();
+    let mut mac = Mac::new(region, modulation, Duration::from_millis(100), 6, 4, csma);
+    let dwell = region
+        .sub_band_for(region.default_frequency_hz())
+        .and_then(|b| b.max_dwell);
+    let mut txq = TxQueue::new(4);
     let mut rng = ProtocolRng::new(seed);
     let mut now = Duration::ZERO;
-    let mut transmitting = false;
+    let mut on_air: Option<Duration> = None;
     let mut history: Vec<(Duration, Duration)> = Vec::new();
     let budget = mac.duty().budget();
     let window = Duration::from_secs(3600);
 
-    for &(busy, airtime_ms) in events {
-        let airtime = Duration::from_millis(airtime_ms);
-        // Advance time a little and finish any transmission.
-        if transmitting {
-            now += airtime;
+    for &(busy, len) in events {
+        let _ = txq.push(mac_frame(len)); // refused while the queue is full
+        if let Some(end) = on_air.take() {
+            // A kick in mid-frame must leave the radio alone.
+            let mut io = RadioIo::new(now);
+            let outcome = mac.kick(&mut txq, &mut NoWireCache, &mut io);
+            prop_assert_eq!(outcome, TxOutcome::Idle);
+            prop_assert!(io.take_requests().is_empty(), "overlapping transmissions");
+            now = now.max(end);
             mac.on_tx_done();
-            transmitting = false;
         }
-        match mac.kick(now) {
-            MacAction::StartCad => match mac.on_cad_done(busy, airtime, now, &mut rng) {
-                MacAction::Transmit => {
-                    prop_assert!(!transmitting, "overlapping transmissions");
-                    transmitting = true;
-                    history.push((now, airtime));
-                    // Airtime within the sliding regulatory window.
-                    let horizon = now.saturating_sub(window);
-                    let windowed: Duration = history
-                        .iter()
-                        .filter(|(start, _)| *start >= horizon)
-                        .map(|(_, a)| *a)
-                        .sum();
-                    prop_assert!(
-                        windowed <= budget,
-                        "duty budget exceeded: {windowed:?} > {budget:?}"
-                    );
-                }
-                MacAction::DropFrame => {
-                    prop_assert!(mac.is_ready(), "drop must leave the MAC ready");
-                }
-                MacAction::None | MacAction::StartCad => {}
-            },
-            MacAction::Transmit | MacAction::DropFrame => {
-                prop_assert!(false, "kick never transmits or drops directly");
+        let mut io = RadioIo::new(now);
+        let mut outcome = mac.kick(&mut txq, &mut NoWireCache, &mut io);
+        let mut requests = io.take_requests();
+        if requests == [RadioRequest::StartCad] {
+            prop_assert!(csma, "ALOHA never scans the channel");
+            prop_assert_eq!(outcome, TxOutcome::Idle);
+            let mut io = RadioIo::new(now);
+            outcome = mac.on_cad_done(busy, &mut txq, &mut rng, &mut NoWireCache, &mut io);
+            requests = io.take_requests();
+        }
+        match outcome {
+            TxOutcome::Sent { airtime } => {
+                prop_assert!(
+                    matches!(requests.as_slice(), [RadioRequest::Transmit(f)]
+                        if modulation.time_on_air(f.len()) == airtime),
+                    "a sent frame is one transmit request: {requests:?}"
+                );
+                prop_assert!(
+                    dwell.is_none_or(|d| airtime <= d),
+                    "dwell limit exceeded: {airtime:?} > {dwell:?}"
+                );
+                on_air = Some(now + airtime);
+                history.push((now, airtime));
+                // Airtime within the sliding regulatory window.
+                let horizon = now.saturating_sub(window);
+                let windowed: Duration = history
+                    .iter()
+                    .filter(|(start, _)| *start >= horizon)
+                    .map(|(_, a)| *a)
+                    .sum();
+                prop_assert!(
+                    windowed <= budget,
+                    "duty budget exceeded: {windowed:?} > {budget:?}"
+                );
             }
-            MacAction::None => {}
+            TxOutcome::Dropped { .. } => {
+                prop_assert!(mac.is_ready(), "drop must leave the MAC ready");
+                prop_assert!(
+                    requests.is_empty(),
+                    "a dropped frame never reaches the radio"
+                );
+            }
+            TxOutcome::Idle => prop_assert!(
+                requests.iter().all(|r| *r == RadioRequest::StartCad),
+                "no transmission without a Sent outcome: {requests:?}"
+            ),
+            TxOutcome::EncodeFailed => prop_assert!(false, "queued frames always encode"),
         }
         // Jump to any pending deadline so the machine can progress.
-        if let Some(wake) = mac.next_wake() {
-            now = now.max(wake);
-        } else {
-            now += Duration::from_millis(50);
+        match mac.next_wake(&txq) {
+            Some(wake) => now = now.max(wake),
+            None => now += Duration::from_millis(50),
         }
     }
     Ok(())
+}
+
+/// SF10 at 125 kHz: data frames from ~0.3 s to ~2.3 s on air, either
+/// side of US915's 400 ms dwell limit.
+fn mac_modulation() -> LoRaModulation {
+    LoRaModulation::new(SpreadingFactor::Sf10, Bandwidth::Khz125, CodingRate::Cr4_5)
+}
+
+fn mac_frame(len: usize) -> Packet {
+    Packet::Data {
+        dst: Address::BROADCAST,
+        src: Address::new(1),
+        id: 0,
+        fwd: Forwarding {
+            via: Address::BROADCAST,
+            ttl: 1,
+        },
+        payload: vec![0; len],
+    }
 }
 
 /// Historical counterexample once recorded by the property runner (a
@@ -645,7 +694,21 @@ fn mac_regression_idle_channel_duty_overdraw() {
         (false, 711),
         (false, 711),
     ];
-    check_mac_invariants(&events, 0).unwrap();
+    // Each pinned airtime becomes the shortest frame lasting at least as
+    // long under the property's modulation.
+    let lens: Vec<(bool, usize)> = events
+        .iter()
+        .map(|&(busy, ms)| {
+            let len = (1..=codec::MAX_DATA_PAYLOAD)
+                .find(|&len| {
+                    mac_modulation().time_on_air(codec::encoded_len(&mac_frame(len)))
+                        >= Duration::from_millis(ms)
+                })
+                .unwrap();
+            (busy, len)
+        })
+        .collect();
+    check_mac_invariants(Region::Eu868, true, &lens, 0).unwrap();
 }
 
 #[test]
@@ -654,11 +717,15 @@ fn mac_invariants_under_random_channel() {
         "mac_invariants_under_random_channel",
         |g| {
             (
-                g.vec_of(1, 200, |g| (g.bool(0.5), g.int_in(1, 1999))),
+                g.choose(&[Region::Eu868, Region::Us915, Region::Unlimited]),
+                g.bool(0.5),
+                g.vec_of(1, 200, |g| {
+                    (g.bool(0.5), g.usize_in(1, codec::MAX_DATA_PAYLOAD))
+                }),
                 g.u64(),
             )
         },
-        |(events, seed)| check_mac_invariants(events, *seed),
+        |(region, csma, events, seed)| check_mac_invariants(*region, *csma, events, *seed),
     );
 }
 
