@@ -396,6 +396,16 @@ impl Cli {
                 Ok(())
             }
         };
+        // A node has no route to itself: it would refuse every send.
+        let distinct = |from: usize, to: usize| {
+            if from == to {
+                Err(ParseError(format!(
+                    "--traffic sender and receiver are both node {from}"
+                )))
+            } else {
+                Ok(())
+            }
+        };
         match self.traffic {
             Traffic::Pair {
                 from,
@@ -404,6 +414,7 @@ impl Cli {
             } => {
                 check(from, "--traffic sender")?;
                 check(to, "--traffic receiver")?;
+                distinct(from, to)?;
                 if interval_secs == 0 {
                     return Err(ParseError("traffic interval must be positive".into()));
                 }
@@ -411,6 +422,7 @@ impl Cli {
             Traffic::Bulk { from, to, bytes } => {
                 check(from, "--traffic sender")?;
                 check(to, "--traffic receiver")?;
+                distinct(from, to)?;
                 if bytes == 0 {
                     return Err(ParseError("bulk size must be positive".into()));
                 }
@@ -527,6 +539,14 @@ mod tests {
             "receiver out of range"
         );
         assert!(parse(&["--traffic", "pair:0:1"]).is_err());
+        assert!(
+            parse(&["--traffic", "pair:2:2:10"]).is_err(),
+            "sender is the receiver"
+        );
+        assert!(
+            parse(&["--traffic", "bulk:3:3:4096"]).is_err(),
+            "sender is the receiver"
+        );
         assert!(parse(&["--kill", "7@10"]).is_err(), "node out of range");
         assert!(parse(&["--kill", "1-10"]).is_err());
         assert!(parse(&["--spacing-frac", "5.0"]).is_err());

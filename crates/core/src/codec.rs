@@ -303,7 +303,7 @@ pub enum UnicastBody<'a> {
 
 impl<'a> HelloView<'a> {
     /// The advertised routes, in wire order.
-    pub fn entries(&self) -> impl ExactSizeIterator<Item = RouteEntry> + 'a {
+    pub fn entries(&self) -> impl ExactSizeIterator<Item = RouteEntry> + Clone + 'a {
         self.entries
             .iter()
             .map(|&[lo, hi, metric, role]| RouteEntry {

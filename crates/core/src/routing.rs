@@ -39,6 +39,51 @@
 //! (at most 12 KiB for a full 256-node table) — paid once per route
 //! *learned*, during formation and after churn, against a lookup per
 //! advert *heard* in the steady state.
+//!
+//! # Repeats
+//!
+//! The hello is periodic, so in a converged mesh almost every hello is a
+//! byte-for-byte copy of what the same neighbour said one interval
+//! earlier, and applying it changes nothing but timestamps and link
+//! statistics. The table remembers, per neighbour, the last hello whose
+//! apply was such a no-op and applies an exact repeat of it in one pass
+//! over its routes instead of the advert-by-advert merge. A record is
+//! stored at the end of a full apply only when all of these hold:
+//!
+//! * the policy does not read link state
+//!   ([`RouteMetric::reads_link_state`]), so `prefer` is a function of
+//!   the route's next hop and metric and the candidate's metric and
+//!   neighbour alone;
+//! * the adverts were strictly ascending, so no route is refreshed twice;
+//! * the advert loop left the table's *shape* unchanged — a private
+//!   counter bumped with every `version` bump and on every next-hop
+//!   change, also the equal-metric switches a custom policy may make
+//!   without one;
+//! * the hello refreshed every route through the neighbour, except the
+//!   neighbour's own route.
+//!
+//! A later hello from that neighbour is a repeat when its role, the
+//! table's shape and its digest all match the record. The full apply
+//! would then find every advertised route in place; a route through
+//! the neighbour already has the candidate metric and the advertised
+//! role, so it would only refresh its statistics; `prefer` was false for
+//! every route through another node at record time, and none of its
+//! inputs has changed; and the completeness condition makes "routes
+//! through the neighbour" the same set as "routes this hello
+//! refreshes". So the repeat sets `last_seen`, `snr`, `snr_ewma` and
+//! `heard_count` on exactly those routes, with the expressions the full
+//! apply uses, re-derives `earliest_seen` as the exact minimum in the
+//! same pass, and changes nothing else.
+//!
+//! The record keeps a 128-bit digest of the hello rather than a copy:
+//! two independent 64-bit multiply–rotate lanes over every advert's four
+//! wire bytes in wire order, closed with the advert count. A false hit
+//! needs two hellos from the same neighbour, at the same table shape,
+//! to collide in both lanes; and its effect is exactly that of the
+//! recorded hello arriving again, which any node that can send under the
+//! neighbour's address can already cause.
+//! Records are sorted by neighbour, hold no heap data, and are dropped
+//! with their neighbour's route.
 
 use alloc::vec::Vec;
 use core::cmp::Ordering;
@@ -139,9 +184,23 @@ pub trait RouteMetric {
     /// the current next hop is always followed (so worsening paths are
     /// noticed), and this method is only consulted for competing routes.
     fn prefer(&self, current: &Route, candidate_metric: u8, neighbour: Address, snr: f64) -> bool;
+
+    /// Whether [`RouteMetric::prefer`] may read link state: the
+    /// candidate's `snr`, or any of `current`'s fields other than `via`,
+    /// `metric`, `destination` and `role`. Only a policy that answers
+    /// `false` lets the table apply a repeated hello in one pass (see
+    /// "Repeats" in the [module docs](self)); the default is the safe
+    /// answer.
+    fn reads_link_state(&self) -> bool {
+        true
+    }
 }
 
 impl RouteMetric for RoutingPolicy {
+    fn reads_link_state(&self) -> bool {
+        self.snr_tiebreak
+    }
+
     fn prefer(&self, current: &Route, candidate_metric: u8, neighbour: Address, snr: f64) -> bool {
         let better_metric = candidate_metric < current.metric;
         // Optional SNR tie-break: same hop count, audibly stronger
@@ -152,6 +211,63 @@ impl RouteMetric for RoutingPolicy {
             && snr > current.snr + self.snr_hysteresis_db;
         better_metric || better_snr
     }
+}
+
+/// Per digest lane: seed, odd multiplier, rotation.
+const DIGEST_LANES: [(u64, u64, u32); 2] = [
+    (0x243F_6A88_85A3_08D3, 0x9E37_79B9_7F4A_7C15, 27),
+    (0x1319_8A2E_0370_7344, 0xC2B2_AE3D_27D4_EB4F, 31),
+];
+
+/// A 128-bit fingerprint of a hello's adverts (see "Repeats" in the
+/// module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Digest([u64; 2]);
+
+impl Digest {
+    fn new() -> Self {
+        Digest(DIGEST_LANES.map(|(seed, ..)| seed))
+    }
+
+    fn push(&mut self, word: u64) {
+        for (lane, (_, mul, rot)) in self.0.iter_mut().zip(DIGEST_LANES) {
+            *lane = (*lane ^ word).wrapping_mul(mul).rotate_left(rot);
+        }
+    }
+
+    /// Mixes in one advert's four wire bytes.
+    fn advert(&mut self, e: &RouteEntry) {
+        let [lo, hi] = e.address.value().to_le_bytes();
+        self.push(u64::from(u32::from_le_bytes([lo, hi, e.metric, e.role])));
+    }
+
+    /// Closes the digest of `count` adverts. The count word has its high
+    /// half set, so it is no advert's word.
+    fn finish(mut self, count: u64) -> Self {
+        self.push(!count);
+        self
+    }
+
+    /// The digest of a whole hello.
+    fn of(entries: impl Iterator<Item = RouteEntry>) -> Self {
+        let mut digest = Digest::new();
+        let mut count = 0;
+        for e in entries {
+            digest.advert(&e);
+            count += 1;
+        }
+        digest.finish(count)
+    }
+}
+
+/// A neighbour's last hello whose apply was a no-op: a repeat of it at
+/// the same table `shape` is applied in one pass.
+#[derive(Clone, Copy, Debug)]
+struct Repeat {
+    neighbour: Address,
+    role: u8,
+    shape: u64,
+    digest: Digest,
 }
 
 /// The LoRaMesher routing table.
@@ -189,6 +305,12 @@ pub struct RoutingTable<M: RouteMetric = RoutingPolicy> {
     /// unchanged `version` guarantees [`RoutingTable::as_entries`]
     /// returns the same list and lets callers cache its encoding.
     version: u64,
+    /// Bumped with `version` and on every next-hop change: unchanged, no
+    /// route was added, removed, or rewritten in next hop, metric or
+    /// role. What a [`Repeat`] is valid for.
+    shape: u64,
+    /// At most one record per neighbour, sorted by neighbour.
+    repeats: Vec<Repeat>,
     /// The smallest `last_seen` over `routes` (`None` when empty): the
     /// state behind [`RoutingTable::next_expiry`]. Exact, not a bound —
     /// hosts schedule timers from it. Owned by the four mutators
@@ -220,6 +342,8 @@ impl<M: RouteMetric> RoutingTable<M> {
             routes: Vec::new(),
             policy,
             version: 0,
+            shape: 0,
+            repeats: Vec::new(),
             earliest_seen: None,
         }
     }
@@ -235,6 +359,12 @@ impl<M: RouteMetric> RoutingTable<M> {
     /// Marks the Hello-visible content as changed.
     fn touch(&mut self) {
         self.version = self.version.wrapping_add(1);
+        self.reroute();
+    }
+
+    /// Marks a next-hop change (implied by every [`RoutingTable::touch`]).
+    fn reroute(&mut self) {
+        self.shape = self.shape.wrapping_add(1);
     }
 
     /// The active selection policy.
@@ -352,7 +482,8 @@ impl<M: RouteMetric> RoutingTable<M> {
         // multi-hop metric: the Hello-visible tuple changed.
         let advertised_change = entry.heard_count == 0 || entry.metric != 1;
         // A direct observation always beats any multi-hop route.
-        if entry.via != neighbour {
+        let rerouted = entry.via != neighbour;
+        if rerouted {
             // Switching from a multi-hop route: restart link statistics.
             entry.snr_ewma = snr;
         } else {
@@ -366,6 +497,8 @@ impl<M: RouteMetric> RoutingTable<M> {
         entry.heard_count += 1;
         if advertised_change {
             self.touch();
+        } else if rerouted {
+            self.reroute();
         }
         (slot, stale)
     }
@@ -415,10 +548,13 @@ impl<M: RouteMetric> RoutingTable<M> {
         me: Address,
         neighbour: Address,
         role: u8,
-        entries: impl Iterator<Item = RouteEntry>,
+        entries: impl Iterator<Item = RouteEntry> + Clone,
         snr: f64,
         now: Duration,
     ) -> usize {
+        if self.replay(neighbour, role, entries.clone(), snr, now) {
+            return 0;
+        }
         let mut changed = 0;
         let (slot, mut stale) = self.refresh_direct(neighbour, snr, now);
         let earliest = self.earliest_seen;
@@ -426,14 +562,24 @@ impl<M: RouteMetric> RoutingTable<M> {
             if r.role != role {
                 r.role = role;
                 changed += 1;
-                self.version = self.version.wrapping_add(1);
+                self.touch();
             }
         }
+        // What a record of this hello needs (see "Repeats"): the shape
+        // the loop must leave alone, strict ascent, the routes through
+        // `neighbour` it refreshed, and the digest.
+        let shape = self.shape;
+        let mut ascending = true;
+        let mut followed = 0;
+        let mut digest = Digest::new();
+        let mut count = 0;
         // The merge cursor (see `seek`): `below` routes sort at or before
         // `last`, the previous advert looked up.
         let mut last = None;
         let mut below = 0;
         for e in entries {
+            digest.advert(&e);
+            count += 1;
             // Nothing to learn about ourselves or the sender, and no
             // table holds its owner, so metric 0 is no honest advert:
             // adopted, it would be a metric-1 "neighbour" never heard.
@@ -449,6 +595,7 @@ impl<M: RouteMetric> RoutingTable<M> {
                 .saturating_add(1)
                 .min(RoutingTable::INFINITY_METRIC);
             let found = self.seek(e.address, last, below);
+            ascending &= Some(e.address) > last;
             last = Some(e.address);
             let slot = match found {
                 Ok(slot) => slot,
@@ -470,7 +617,7 @@ impl<M: RouteMetric> RoutingTable<M> {
                         );
                         below = slot + 1;
                         changed += 1;
-                        self.version = self.version.wrapping_add(1);
+                        self.touch();
                     }
                     continue;
                 }
@@ -480,57 +627,123 @@ impl<M: RouteMetric> RoutingTable<M> {
                 debug_assert!(false, "slot {slot} was just found");
                 continue;
             };
-            if self.policy.prefer(r, candidate_metric, neighbour, snr) {
-                // Strictly better: adopt.
-                if r.via != neighbour || r.metric != candidate_metric {
-                    changed += 1;
-                }
-                if r.metric != candidate_metric || r.role != e.role {
-                    self.version = self.version.wrapping_add(1);
-                }
-                if r.via != neighbour {
-                    r.snr_ewma = snr; // new link: restart stats
-                } else {
-                    r.snr_ewma = ewma(r.snr_ewma, snr);
-                }
-                stale |= vacates(earliest, r.last_seen, now);
-                r.via = neighbour;
-                r.metric = candidate_metric;
-                r.role = e.role;
-                r.last_seen = now;
-                r.snr = snr;
-                r.heard_count += 1;
-            } else if r.via == neighbour {
-                // Same next hop: follow the (possibly worse) metric so a
-                // degraded path is noticed. If our own next hop now
-                // reports the destination unreachable, the route is
-                // gone — remove it rather than keeping infinity clutter
-                // that would be re-advertised across the mesh.
-                if candidate_metric >= RoutingTable::INFINITY_METRIC {
-                    stale |= earliest == Some(r.last_seen);
-                    self.routes.remove(slot);
-                    below = slot;
-                    changed += 1;
-                    self.version = self.version.wrapping_add(1);
-                } else {
-                    if r.metric != candidate_metric {
-                        changed += 1;
-                    }
-                    if r.metric != candidate_metric || r.role != e.role {
-                        self.version = self.version.wrapping_add(1);
-                    }
-                    stale |= vacates(earliest, r.last_seen, now);
-                    r.metric = candidate_metric;
-                    r.role = e.role;
-                    r.last_seen = now;
-                    r.snr_ewma = ewma(r.snr_ewma, snr);
-                    r.snr = snr;
-                    r.heard_count += 1;
-                }
+            // Strictly better: adopt. Otherwise a candidate from the same
+            // next hop is followed, so a degraded path is noticed.
+            let adopt = self.policy.prefer(r, candidate_metric, neighbour, snr);
+            if !adopt && r.via != neighbour {
+                continue; // a competing route that is no better
+            }
+            if !adopt && candidate_metric >= RoutingTable::INFINITY_METRIC {
+                // Our own next hop reports the destination unreachable:
+                // the route is gone — remove it rather than keeping
+                // infinity clutter that would be re-advertised.
+                stale |= earliest == Some(r.last_seen);
+                self.routes.remove(slot);
+                below = slot;
+                changed += 1;
+                self.touch();
+                continue;
+            }
+            let rerouted = r.via != neighbour;
+            let visible = r.metric != candidate_metric || r.role != e.role;
+            if rerouted || r.metric != candidate_metric {
+                changed += 1;
+            }
+            if rerouted {
+                r.snr_ewma = snr; // new link: restart stats
+            } else {
+                r.snr_ewma = ewma(r.snr_ewma, snr);
+            }
+            stale |= vacates(earliest, r.last_seen, now);
+            r.via = neighbour;
+            r.metric = candidate_metric;
+            r.role = e.role;
+            r.last_seen = now;
+            r.snr = snr;
+            r.heard_count += 1;
+            if visible {
+                self.touch();
+            } else if rerouted {
+                self.reroute();
+            } else {
+                followed += 1;
             }
         }
         self.settle_earliest(stale, now);
+        if self.shape == shape
+            && ascending
+            && !self.policy.reads_link_state()
+            && followed == self.routes_via(neighbour)
+        {
+            self.remember(Repeat {
+                neighbour,
+                role,
+                shape,
+                digest: digest.finish(count),
+            });
+        }
         changed
+    }
+
+    /// The routes through `neighbour` other than its own.
+    fn routes_via(&self, neighbour: Address) -> usize {
+        self.routes
+            .iter()
+            .filter(|r| r.via == neighbour && r.destination != neighbour)
+            .count()
+    }
+
+    /// Stores `memo` as its neighbour's record, replacing any older one.
+    fn remember(&mut self, memo: Repeat) {
+        match self
+            .repeats
+            .binary_search_by_key(&memo.neighbour, |m| m.neighbour)
+        {
+            Ok(k) => {
+                if let Some(old) = self.repeats.get_mut(k) {
+                    *old = memo;
+                }
+            }
+            Err(k) => self.repeats.insert(k, memo),
+        }
+    }
+
+    /// The repeat path: when this hello repeats `neighbour`'s recorded
+    /// one at the recorded shape, refreshes every route through
+    /// `neighbour` — all the full apply would do — and re-derives
+    /// `earliest_seen` in the same pass. Returns whether it was a repeat.
+    fn replay(
+        &mut self,
+        neighbour: Address,
+        role: u8,
+        entries: impl Iterator<Item = RouteEntry>,
+        snr: f64,
+        now: Duration,
+    ) -> bool {
+        let found = self
+            .repeats
+            .binary_search_by_key(&neighbour, |m| m.neighbour);
+        let Some(memo) = found.ok().and_then(|k| self.repeats.get(k)) else {
+            return false;
+        };
+        if memo.shape != self.shape || memo.role != role || memo.digest != Digest::of(entries) {
+            return false;
+        }
+        // The neighbour's own route is among those refreshed, so `now`
+        // bounds the new minimum from above.
+        let mut earliest = now;
+        for r in &mut self.routes {
+            if r.via == neighbour {
+                r.last_seen = now;
+                r.snr_ewma = ewma(r.snr_ewma, snr);
+                r.snr = snr;
+                r.heard_count += 1;
+            } else {
+                earliest = earliest.min(r.last_seen);
+            }
+        }
+        self.earliest_seen = Some(earliest);
+        true
     }
 
     /// Removes routes not refreshed within `timeout` and unreachable
@@ -566,6 +779,8 @@ impl<M: RouteMetric> RoutingTable<M> {
         }
         if !removed.is_empty() {
             self.touch();
+            self.repeats
+                .retain(|m| removed.binary_search(&m.neighbour).is_err());
         }
         removed
     }

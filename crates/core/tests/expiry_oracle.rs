@@ -5,13 +5,16 @@
 //! it has to be *exact*, not a bound. This property drives random
 //! sequences of the mutators — clocks that jump backwards, INFINITY
 //! adverts that remove routes, adverts for ourselves and for broadcast,
-//! purges and `drop_via`s that empty the table — and after every step
+//! purges and `drop_via`s that empty the table, and repeats of a
+//! neighbour's last hello, which the table may apply in one pass that
+//! re-derives the minimum itself — and after every step
 //! compares the cached answer with the brute-force minimum over
 //! `routes()`. A mutator that forgets the cache fails it.
 //!
 //! Uses the in-repo `testkit` harness: failures print a replayable
 //! `TESTKIT_SEED` and a shrunk counterexample.
 
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use loramesher::packet::RouteEntry;
@@ -30,6 +33,11 @@ enum Op {
         neighbour: Address,
         role: u8,
         entries: Vec<RouteEntry>,
+        now: Duration,
+    },
+    /// The neighbour's last hello again (an empty one if none yet).
+    Repeat {
+        neighbour: Address,
         now: Duration,
     },
     Purge {
@@ -72,7 +80,7 @@ fn arb_entry(g: &mut Gen) -> RouteEntry {
 }
 
 fn arb_op(g: &mut Gen) -> Op {
-    match g.usize_in(0, 9) {
+    match g.usize_in(0, 11) {
         0..=2 => Op::Heard {
             neighbour: arb_neighbour(g),
             now: arb_instant(g),
@@ -83,9 +91,13 @@ fn arb_op(g: &mut Gen) -> Op {
             entries: g.vec_of(0, 5, arb_entry),
             now: arb_instant(g),
         },
+        7..=8 => Op::Repeat {
+            neighbour: arb_neighbour(g),
+            now: arb_instant(g),
+        },
         // Timeouts as short as the clock range, so purges bite — down to
         // zero, which empties the table.
-        7..=8 => Op::Purge {
+        9..=10 => Op::Purge {
             now: arb_instant(g),
             timeout: Duration::from_secs(g.int_in(0, 30)),
         },
@@ -100,6 +112,7 @@ fn next_expiry_is_the_brute_force_minimum_after_every_mutation() {
         |g| g.vec_of(1, 60, arb_op),
         |ops| {
             let mut table = RoutingTable::new();
+            let mut last: BTreeMap<Address, (u8, &[RouteEntry])> = BTreeMap::new();
             for (step, op) in ops.iter().enumerate() {
                 match op {
                     Op::Heard { neighbour, now } => table.heard_from(*neighbour, 0.0, *now),
@@ -109,7 +122,12 @@ fn next_expiry_is_the_brute_force_minimum_after_every_mutation() {
                         entries,
                         now,
                     } => {
+                        last.insert(*neighbour, (*role, entries));
                         table.apply_hello(ME, *neighbour, *role, entries, 0.0, *now);
+                    }
+                    Op::Repeat { neighbour, now } => {
+                        let (role, entries) = last.get(neighbour).copied().unwrap_or((0, &[]));
+                        table.apply_hello(ME, *neighbour, role, entries, 0.0, *now);
                     }
                     Op::Purge { now, timeout } => {
                         table.purge(*now, *timeout);

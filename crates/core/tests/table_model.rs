@@ -23,11 +23,29 @@
 //! advert — so a cursor left behind after an insert, which costs a
 //! search per advert but no wrong answer, fails here too.
 //!
+//! Repeats: about a third of the hellos replay the sender's last hello
+//! (`Op::Repeat`), and the other hellos are often one of the sender's
+//! recent hellos or its last one moved by one advert, so the table's
+//! repeat memo is recorded, hit, and missed by a digest that differs in
+//! one byte, all between the other mutators. The reference has no memo:
+//! every repeat is a full apply there. A third policy leg, ties to the
+//! lower-address next hop, is a custom policy that reads no link state
+//! and switches next hop at equal metric without a `version` bump.
+//!
 //! Hand mutants of `routing.rs`, each applied and run against this file,
 //! each failing: `below` not advanced after an insert (the cursor
 //! assertion); `below` not pulled back after the in-hello remove (wrong
 //! table); `seek` without the not-ascending fallback (wrong table);
 //! `remove_where` without the `earliest_seen` re-scan (`next_expiry`).
+//! Of the repeat memo: the hit path skipping `heard_count += 1`, a
+//! record stored without the completeness check, the hit path keeping
+//! the old `earliest_seen` (each a wrong table under hop count and
+//! lower-address ties; the last also `next_expiry` in
+//! `expiry_oracle.rs`); the memo used under `snr_tiebreak`, and the
+//! digest leaving out the role byte (wrong table); an equal-metric
+//! next-hop switch not bumping `shape` (wrong table in
+//! `an_equal_metric_switch_retires_older_records`, which pins the one
+//! sequence that exposes it; the random leg needs thousands of cases).
 //!
 //! Uses the in-repo `testkit` harness: failures print a replayable
 //! `TESTKIT_SEED` and a shrunk counterexample.
@@ -49,16 +67,32 @@ fn ewma(old: f64, new: f64) -> f64 {
     0.75 * old + 0.25 * new
 }
 
+/// Hop count, ties to the lower-address next hop: a policy that reads
+/// no link state yet moves routes between next hops at equal metric.
+#[derive(Clone, Copy, Debug)]
+struct LowerAddress;
+
+impl RouteMetric for LowerAddress {
+    fn prefer(&self, current: &Route, candidate_metric: u8, neighbour: Address, _snr: f64) -> bool {
+        candidate_metric < current.metric
+            || (candidate_metric == current.metric && neighbour < current.via)
+    }
+
+    fn reads_link_state(&self) -> bool {
+        false
+    }
+}
+
 /// The reference: one map lookup per rule application, minimum by
 /// brute force.
-struct Model {
+struct Model<P> {
     routes: BTreeMap<Address, Route>,
-    policy: RoutingPolicy,
+    policy: P,
     version: u64,
 }
 
-impl Model {
-    fn new(policy: RoutingPolicy) -> Self {
+impl<P: RouteMetric> Model<P> {
+    fn new(policy: P) -> Self {
         Model {
             routes: BTreeMap::new(),
             policy,
@@ -225,6 +259,13 @@ enum Op {
         snr: f64,
         now: Duration,
     },
+    /// The neighbour's last hello again, same role and entries (an empty
+    /// role-0 hello if it sent none yet).
+    Repeat {
+        neighbour: Address,
+        snr: f64,
+        now: Duration,
+    },
     Purge {
         now: Duration,
         timeout: Duration,
@@ -295,26 +336,103 @@ fn arb_entries(g: &mut Gen) -> Vec<RouteEntry> {
     entries
 }
 
-fn arb_op(g: &mut Gen) -> Op {
-    match g.usize_in(0, 11) {
-        0..=1 => Op::Heard {
-            neighbour: arb_neighbour(g),
-            snr: arb_snr(g),
-            now: arb_instant(g),
-        },
-        2..=8 => Op::Hello {
-            neighbour: arb_neighbour(g),
-            role: g.int_in(0, 1) as u8,
-            entries: arb_entries(g),
-            snr: arb_snr(g),
-            now: arb_instant(g),
-        },
-        9..=10 => Op::Purge {
-            now: arb_instant(g),
-            timeout: Duration::from_secs(g.int_in(0, 45)),
-        },
-        _ => Op::DropVia(arb_neighbour(g)),
+/// A neighbour's last hello moved by one advert: one metric or role
+/// changed, one advert dropped, or one added anywhere — a table that
+/// changed by one route.
+fn arb_variant(g: &mut Gen, last: &[RouteEntry]) -> Vec<RouteEntry> {
+    let mut entries = last.to_vec();
+    let k = g.usize_in(0, entries.len());
+    match (g.usize_in(0, 3), entries.get_mut(k)) {
+        (0, Some(e)) => e.metric = g.int_in(1, 4) as u8,
+        (1, Some(e)) => e.role ^= 1,
+        (2, Some(_)) => {
+            entries.remove(k);
+        }
+        _ => entries.insert(k, arb_entry(g)),
     }
+    entries
+}
+
+/// Who sends the next hello: the latest sender three times in four, so one
+/// neighbour's hellos come in runs.
+fn arb_sender(g: &mut Gen, latest: Option<Address>) -> Address {
+    match latest {
+        Some(n) if g.bool(0.75) => n,
+        _ => arb_neighbour(g),
+    }
+}
+
+/// The operations of one case. A hello is drawn fresh (in any order, or
+/// ascending as an honest table sends it), or is one of the sender's
+/// last few hellos (a flapping table), its last one moved by one
+/// advert, or the last hello of another neighbour (a shared table:
+/// under lower-address ties, a wave of equal-metric next-hop switches).
+/// About a third of hellos are [`Op::Repeat`]s, in bursts of up to three
+/// from one sender, so that runs reach a record and then hit it.
+fn arb_ops(g: &mut Gen) -> Vec<Op> {
+    let mut sent: BTreeMap<Address, Vec<(u8, Vec<RouteEntry>)>> = BTreeMap::new();
+    let mut latest = None;
+    // Repeats the latest sender still owes its burst.
+    let mut burst = 0;
+    g.vec_of(1, 40, |g| {
+        if let (Some(neighbour), 1..) = (latest, burst) {
+            burst -= 1;
+            return Op::Repeat {
+                neighbour,
+                snr: arb_snr(g),
+                now: arb_instant(g),
+            };
+        }
+        match g.usize_in(0, 13) {
+            0..=1 => Op::Heard {
+                neighbour: arb_neighbour(g),
+                snr: arb_snr(g),
+                now: arb_instant(g),
+            },
+            2..=8 => {
+                let neighbour = arb_sender(g, latest);
+                let other = sent.get(&arb_neighbour(g)).and_then(|h| h.last()).cloned();
+                let history = sent.entry(neighbour).or_default();
+                let recent = &history[history.len().saturating_sub(3)..];
+                let (role, entries) = match (g.usize_in(0, 9), history.last()) {
+                    (0..=1, _) => (g.int_in(0, 1) as u8, arb_entries(g)),
+                    (4..=6, Some((role, last))) => (*role, arb_variant(g, last)),
+                    (7..=8, Some(_)) => g.choose(recent),
+                    (9, _) if other.is_some() => other.unwrap_or_default(),
+                    _ => {
+                        let mut entries = g.vec_of(0, 61, arb_entry);
+                        entries.sort_by_key(|e| e.address);
+                        entries.dedup_by_key(|e| e.address);
+                        (g.int_in(0, 1) as u8, entries)
+                    }
+                };
+                history.push((role, entries.clone()));
+                latest = Some(neighbour);
+                Op::Hello {
+                    neighbour,
+                    role,
+                    entries,
+                    snr: arb_snr(g),
+                    now: arb_instant(g),
+                }
+            }
+            9..=10 => {
+                let neighbour = arb_sender(g, latest);
+                latest = Some(neighbour);
+                burst = g.usize_in(0, 2);
+                Op::Repeat {
+                    neighbour,
+                    snr: arb_snr(g),
+                    now: arb_instant(g),
+                }
+            }
+            11..=12 => Op::Purge {
+                now: arb_instant(g),
+                timeout: Duration::from_secs(g.int_in(0, 45)),
+            },
+            _ => Op::DropVia(arb_neighbour(g)),
+        }
+    })
 }
 
 /// Every field, floats by bit pattern.
@@ -334,7 +452,11 @@ fn agree<T: PartialEq + Debug>(table: T, model: T, what: impl Display) -> Result
     Ok(())
 }
 
-fn compare(table: &RoutingTable, model: &Model, at: &str) -> Result<(), String> {
+fn compare<P: RouteMetric>(
+    table: &RoutingTable<P>,
+    model: &Model<P>,
+    at: &str,
+) -> Result<(), String> {
     agree(table.len(), model.routes.len(), format_args!("{at}: len"))?;
     for (t, m) in table.routes().zip(model.routes.values()) {
         prop_assert!(same(t, m), "{at}: table has {t:?}, reference {m:?}");
@@ -367,9 +489,11 @@ fn compare(table: &RoutingTable, model: &Model, at: &str) -> Result<(), String> 
     Ok(())
 }
 
-fn run(policy: RoutingPolicy, ops: &[Op]) -> Result<(), String> {
+fn run<P: RouteMetric + Copy>(policy: P, ops: &[Op]) -> Result<(), String> {
     let mut table = RoutingTable::with_policy(policy);
     let mut model = Model::new(policy);
+    // Each neighbour's last hello, for `Op::Repeat`.
+    let mut last: BTreeMap<Address, (u8, Vec<RouteEntry>)> = BTreeMap::new();
     for (step, op) in ops.iter().enumerate() {
         let at = format!("step {step} ({op:?})");
         match op {
@@ -387,11 +511,26 @@ fn run(policy: RoutingPolicy, ops: &[Op]) -> Result<(), String> {
                 entries,
                 snr,
                 now,
-            } => agree(
-                table.apply_hello(ME, *neighbour, *role, entries, *snr, *now),
-                model.apply_hello(*neighbour, *role, entries, *snr, *now),
-                format_args!("{at}: changed"),
-            )?,
+            } => {
+                last.insert(*neighbour, (*role, entries.clone()));
+                agree(
+                    table.apply_hello(ME, *neighbour, *role, entries, *snr, *now),
+                    model.apply_hello(*neighbour, *role, entries, *snr, *now),
+                    format_args!("{at}: changed"),
+                )?;
+            }
+            Op::Repeat {
+                neighbour,
+                snr,
+                now,
+            } => {
+                let (role, entries) = last.entry(*neighbour).or_default();
+                agree(
+                    table.apply_hello(ME, *neighbour, *role, entries, *snr, *now),
+                    model.apply_hello(*neighbour, *role, entries, *snr, *now),
+                    format_args!("{at}: changed"),
+                )?;
+            }
             Op::Purge { now, timeout } => agree(
                 table.purge(*now, *timeout),
                 model.purge(*now, *timeout),
@@ -410,11 +549,9 @@ fn run(policy: RoutingPolicy, ops: &[Op]) -> Result<(), String> {
 
 #[test]
 fn table_equals_the_map_reference_under_hop_count() {
-    forall(
-        "table_model_hop_count",
-        |g| g.vec_of(1, 40, arb_op),
-        |ops| run(RoutingPolicy::default(), ops),
-    );
+    forall("table_model_hop_count", arb_ops, |ops| {
+        run(RoutingPolicy::default(), ops)
+    });
 }
 
 #[test]
@@ -423,11 +560,52 @@ fn table_equals_the_map_reference_under_snr_tiebreak() {
         snr_tiebreak: true,
         snr_hysteresis_db: 3.0,
     };
-    forall(
-        "table_model_snr_tiebreak",
-        |g| g.vec_of(1, 40, arb_op),
-        move |ops| run(policy, ops),
-    );
+    forall("table_model_snr_tiebreak", arb_ops, move |ops| {
+        run(policy, ops)
+    });
+}
+
+/// A custom policy that reads no link state, so the repeat memo is on,
+/// and that moves routes between next hops at equal metric.
+#[test]
+fn table_equals_the_map_reference_under_lower_address_ties() {
+    forall("table_model_lower_address", arb_ops, |ops| {
+        run(LowerAddress, ops)
+    });
+}
+
+/// The case the lower-address leg reaches only rarely at random: a
+/// record of Y's hello, then a hello from Y that moves a route from Z to
+/// Y at equal metric without changing `version` and that is itself no
+/// record (not ascending), then Y's recorded hello again. The moved
+/// route is through Y now but not in that hello: a hit would refresh it.
+#[test]
+fn an_equal_metric_switch_retires_older_records() {
+    let (y, z) = (Address::new(2), Address::new(3));
+    let advert = |a: u16| RouteEntry {
+        address: Address::new(a),
+        metric: 1,
+        role: 0,
+    };
+    let hello = |neighbour, entries: &[RouteEntry], secs| Op::Hello {
+        neighbour,
+        role: 0,
+        entries: entries.to_vec(),
+        snr: 1.0,
+        now: Duration::from_secs(secs),
+    };
+    let ops = [
+        hello(z, &[advert(10)], 1),
+        hello(y, &[advert(11)], 2),
+        Op::Repeat {
+            neighbour: y,
+            snr: 2.0,
+            now: Duration::from_secs(3),
+        },
+        hello(y, &[advert(11), advert(10)], 4),
+        hello(y, &[advert(11)], 5),
+    ];
+    assert_eq!(run(LowerAddress, &ops), Ok(()));
 }
 
 /// Full 61-entry hellos against a table several times their size, in

@@ -843,14 +843,14 @@ impl<F: Firmware> Simulator<F> {
         }
     }
 
-    /// The CAD predicate: any in-flight transmission (other than
-    /// `except`) audible at node `i`?
-    fn channel_busy(&mut self, i: usize, except: Option<NodeId>) -> bool {
+    /// The CAD predicate: any other node's in-flight transmission
+    /// audible at node `i`?
+    fn channel_busy(&mut self, i: usize) -> bool {
         let mut roster = std::mem::take(&mut self.roster_scratch);
         roster.clear();
         let (at, range) = (self.state[i].position, self.audible_range);
         self.in_flight_near(at, range, |f, s, origin| {
-            if Some(s) != except && s.0 != i {
+            if s.0 != i {
                 roster.push((f, s, origin));
             }
         });
@@ -1191,7 +1191,7 @@ impl<F: Firmware> Simulator<F> {
             return;
         }
         let node = NodeId(i);
-        let busy_now = self.channel_busy(i, None);
+        let busy_now = self.channel_busy(i);
         let until = self.now + self.cad_duration;
         self.nodes[i].radio.begin_cad(self.now, until, busy_now);
         self.schedule_for(until, i, SimEvent::CadEnd(node));
@@ -1208,7 +1208,7 @@ impl<F: Firmware> Simulator<F> {
         if until != self.now {
             return;
         }
-        let busy = busy_seen || self.channel_busy(node.0, None);
+        let busy = busy_seen || self.channel_busy(node.0);
         self.nodes[node.0].radio.to_idle(self.now);
         self.metrics.record_cad(node, busy);
         self.fire(node.0, |fw, ctx| fw.on_cad_done(busy, ctx));

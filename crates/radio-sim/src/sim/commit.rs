@@ -568,12 +568,12 @@ impl<F: Firmware> BandWorker<'_, F> {
     }
 
     /// [`Simulator::channel_busy`], worker edition.
-    fn channel_busy_w(&mut self, i: usize, except: Option<NodeId>) -> bool {
+    fn channel_busy_w(&mut self, i: usize) -> bool {
         let mut roster = std::mem::take(&mut self.scratch.roster);
         roster.clear();
         let (at, range) = (self.ctx.state[i].position, self.ctx.parts.r_max());
         self.in_flight_near_w(at, range, |f, s, origin| {
-            if Some(s) != except && s.0 != i {
+            if s.0 != i {
                 roster.push((f, s, origin));
             }
         });
@@ -863,7 +863,7 @@ impl<F: Firmware> BandWorker<'_, F> {
             return;
         }
         let node = NodeId(i);
-        let busy_now = self.channel_busy_w(i, None);
+        let busy_now = self.channel_busy_w(i);
         let until = now + duration;
         self.slot(i).radio.begin_cad(now, until, busy_now);
         self.create(until, i, SimEvent::CadEnd(node));
@@ -881,7 +881,7 @@ impl<F: Firmware> BandWorker<'_, F> {
         if until != now {
             return;
         }
-        let busy = busy_seen || self.channel_busy_w(node.0, None);
+        let busy = busy_seen || self.channel_busy_w(node.0);
         self.slot(node.0).radio.to_idle(now);
         self.scratch.metrics.record_cad(node, busy);
         self.fire_w(node.0, |fw, ctx| fw.on_cad_done(busy, ctx));

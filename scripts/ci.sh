@@ -42,6 +42,12 @@ cargo test -q --offline --workspace
 echo "==> cargo test -q --offline --release -p radio-sim --test row_model --test grid_model --test interference_model --test queue_model --test clock_model --test shard_model --test commit_merge (model batteries without debug assertions)"
 cargo test -q --offline --release -p radio-sim --test row_model --test grid_model --test interference_model --test queue_model --test clock_model --test shard_model --test commit_merge
 
+# The routing table's repeat memo answers most hellos in a converged
+# mesh; its exactness against the map reference and the expiry oracle
+# holds on the optimised build too, where no debug assertion backs it.
+echo "==> cargo test -q --offline --release -p loramesher --test table_model --test expiry_oracle (routing-table models without debug assertions)"
+cargo test -q --offline --release -p loramesher --test table_model --test expiry_oracle
+
 # One thread runs one queue, so the k-way merge's sequential band
 # drain is entered only by threaded runs whose planner declines; in
 # release it has no debug assertion behind it, only this battery.

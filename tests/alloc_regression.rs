@@ -569,6 +569,46 @@ fn learning_255_routes_allocates_only_to_double_the_table() {
     );
 }
 
+/// Steady state: a neighbour's full hello, heard again and again, is a
+/// repeat the table applies in one pass. The second hearing stores the
+/// record (the first learned routes, so it was no repeat to remember);
+/// from then on 1 000 repeats, heard at varying SNR and times beside a
+/// second neighbour's, allocate nothing.
+#[test]
+fn repeated_hellos_apply_without_allocating() {
+    let me = Address::new(1);
+    let (n2, n3) = (Address::new(2), Address::new(3));
+    let hello = |first: u16| -> Vec<RouteEntry> {
+        (first..first + 61)
+            .map(|a| RouteEntry {
+                address: Address::new(a),
+                metric: 1 + (a % 3) as u8,
+                role: (a % 2) as u8,
+            })
+            .collect()
+    };
+    let (from_n2, from_n3) = (hello(10), hello(40));
+    let mut table = RoutingTable::new();
+    for s in 0..2 {
+        let now = Duration::from_secs(s);
+        table.apply_hello(me, n2, 0, &from_n2, 1.0, now);
+        table.apply_hello(me, n3, 0, &from_n3, 2.0, now);
+    }
+    let allocs_before = local_allocs();
+    for s in 2..1_002u64 {
+        let now = Duration::from_secs(s);
+        let snr = (s % 7) as f64 - 3.0;
+        assert_eq!(table.apply_hello(me, n2, 0, &from_n2, snr, now), 0);
+        assert_eq!(table.apply_hello(me, n3, 0, &from_n3, snr, now), 0);
+    }
+    let allocs = local_allocs() - allocs_before;
+    assert_eq!(allocs, 0, "{allocs} allocations over 2 000 repeated hellos");
+    assert_eq!(
+        table.route(Address::new(10)).map(|r| r.heard_count),
+        Some(1_002)
+    );
+}
+
 /// The queue's memory follows its peak depth, not its traffic: filling
 /// it with 100 k events — most in level 0, a tail in level 1, timers that
 /// tombstone each other — and draining it grows the slab (and the timer
