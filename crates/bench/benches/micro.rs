@@ -1,6 +1,6 @@
 //! Micro-benchmarks for the hot paths of the stack: wire codec,
-//! routing-table updates, time-on-air math, the simulation PRNG, and
-//! end-to-end simulator throughput.
+//! routing-table updates, time-on-air math, the simulation PRNG, random
+//! placements' connectivity checks, and end-to-end simulator throughput.
 //!
 //! Self-contained: a [`std::time::Instant`] harness that calibrates a
 //! batch size, times a handful of batches and reports the median
@@ -226,6 +226,27 @@ fn bench_queue(filter: &str) {
     });
 }
 
+fn bench_topology(filter: &str) {
+    // Connectivity checks of uniform random placements at the density
+    // of E13 and `sweep_small` (mean degree ln n + 3), and at
+    // `flood_random`'s 256 nodes (side 7.7 × range, linked at 0.8 ×).
+    let range = topology::radio_range_m(&radio_sim::sim::SimConfig::default().rf);
+    for n in [16usize, 64] {
+        let spacing = range * 0.8;
+        let degree = (n as f64).ln() + 3.0;
+        let side = spacing * (n as f64 * std::f64::consts::PI / degree).sqrt();
+        let placement = topology::random(n, side, side, &mut SimRng::new(1));
+        bench(filter, &format!("topology/is_connected_{n}"), || {
+            topology::is_connected(std::hint::black_box(&placement), spacing)
+        });
+    }
+    let side = 7.7 * range;
+    let placement = topology::random(256, side, side, &mut SimRng::new(1));
+    bench(filter, "topology/is_connected_256", || {
+        topology::is_connected(std::hint::black_box(&placement), range * 0.8)
+    });
+}
+
 fn bench_link_cache(filter: &str) {
     // The PHY-only beacon workload on the start_tx / lock_receiver hot
     // path, sequential and with four bands.
@@ -251,5 +272,6 @@ fn main() {
     bench_simulator(&filter);
     bench_medium(&filter);
     bench_queue(&filter);
+    bench_topology(&filter);
     bench_link_cache(&filter);
 }

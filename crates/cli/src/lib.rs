@@ -17,4 +17,4 @@ pub mod args;
 pub mod run;
 
 pub use args::{Cli, ParseError, Protocol, Topology, Traffic};
-pub use run::execute;
+pub use run::{execute, RunError};

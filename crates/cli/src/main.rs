@@ -15,5 +15,11 @@ fn main() {
             std::process::exit(2);
         }
     };
-    print!("{}", meshsim::execute(&cli));
+    match meshsim::execute(&cli) {
+        Ok(report) => print!("{report}"),
+        Err(e) => {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
+    }
 }

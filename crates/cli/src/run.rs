@@ -14,6 +14,23 @@ use scenario::Summary;
 
 use crate::args::{Cli, Protocol, Topology, Traffic};
 
+/// Random placements drawn before `--topology random` gives up.
+const RANDOM_DRAWS: usize = 2000;
+
+/// A scenario that parses but cannot be built, such as a random
+/// placement that never comes out connected. `main` prints it as
+/// `error: …` and exits with status 1.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct RunError(pub String);
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for RunError {}
+
 /// Builds, runs and renders the scenario described by `cli`. Returns the
 /// report text (printed by `main`, asserted by tests).
 ///
@@ -22,13 +39,21 @@ use crate::args::{Cli, Protocol, Topology, Traffic};
 /// sharded over `--jobs` worker threads — and the report becomes a table
 /// of mean ± sd / min / max / 95 % CI per metric. The aggregate is
 /// identical for every `--jobs` value.
-#[must_use]
-pub fn execute(cli: &Cli) -> String {
+///
+/// # Errors
+///
+/// [`RunError`] when a seed's scenario cannot be built (the first such
+/// seed in seed order).
+pub fn execute(cli: &Cli) -> Result<String, RunError> {
     if cli.seeds <= 1 {
-        return run_scenario(cli, cli.seed).0;
+        return Ok(run_scenario(cli, cli.seed)?.0);
     }
     let seeds = scenario::seed_list(cli.seed, cli.seeds);
-    let reports = scenario::run_parallel(&seeds, cli.jobs, |&seed| run_scenario(cli, seed).1);
+    let reports = scenario::run_parallel(&seeds, cli.jobs, |&seed| {
+        run_scenario(cli, seed).map(|(_, report)| report)
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
     // The thread count is deliberately absent: output depends only on
     // the scenario, so any --jobs value prints byte-identical text.
     let mut out = format!(
@@ -117,12 +142,12 @@ pub fn execute(cli: &Cli) -> String {
         reports.iter().map(|r| r.collisions as f64).collect(),
     );
     out.push_str(&table.to_string());
-    out
+    Ok(out)
 }
 
 /// One simulation run: the narrated report text plus the raw traffic
 /// report the multi-seed path aggregates.
-fn run_scenario(cli: &Cli, seed: u64) -> (String, TrafficReport) {
+fn run_scenario(cli: &Cli, seed: u64) -> Result<(String, TrafficReport), RunError> {
     let mut out = String::new();
     let mut sim = SimConfig::default();
     sim.rf.modulation = LoRaModulation::new(cli.sf, Bandwidth::Khz125, CodingRate::Cr4_7);
@@ -153,8 +178,13 @@ fn run_scenario(cli: &Cli, seed: u64) -> (String, TrafficReport) {
         Topology::Random => {
             let side = spacing * (cli.nodes as f64).sqrt() * 0.85;
             let mut rng = SimRng::new(seed);
-            topology::connected_random(cli.nodes, side, side, spacing, &mut rng, 2000)
-                .expect("no connected random placement found; try a larger --spacing-frac")
+            topology::connected_random(cli.nodes, side, side, spacing, &mut rng, RANDOM_DRAWS)
+                .ok_or_else(|| {
+                    RunError(format!(
+                        "no connected random placement of {} nodes in {RANDOM_DRAWS} draws",
+                        cli.nodes
+                    ))
+                })?
         }
     };
 
@@ -333,7 +363,7 @@ fn run_scenario(cli: &Cli, seed: u64) -> (String, TrafficReport) {
             }
         }
     }
-    (out, report)
+    Ok((out, report))
 }
 
 #[cfg(test)]
@@ -342,7 +372,27 @@ mod tests {
     use crate::args::Cli;
 
     fn run(args: &[&str]) -> String {
-        execute(&Cli::parse(args.iter().copied()).unwrap())
+        execute(&Cli::parse(args.iter().copied()).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn unconnectable_random_placement_is_an_error() {
+        // Mean degree ≈ 4.3 at any size: 300 nodes never come out
+        // connected, on the single-run path or the multi-seed one.
+        for seeds in ["1", "2"] {
+            let cli = Cli::parse(
+                ["--topology", "random", "--nodes", "300", "--seeds", seeds]
+                    .iter()
+                    .copied(),
+            )
+            .unwrap();
+            assert_eq!(
+                execute(&cli),
+                Err(RunError(
+                    "no connected random placement of 300 nodes in 2000 draws".into()
+                ))
+            );
+        }
     }
 
     #[test]

@@ -165,13 +165,10 @@ impl Grid {
         if cell == f64::INFINITY || cells <= 1 {
             return 0;
         }
-        let idx = (offset / cell).floor();
-        if idx <= 0.0 {
-            0
-        } else {
-            // Clamped to the cell count right after the cast.
-            (idx as usize).min(cells - 1)
-        }
+        // The cast truncates toward zero and saturates (NaN → 0), so it
+        // floors every non-negative quotient and maps the rest to cell
+        // 0; clamped to the cell count right after.
+        ((offset / cell) as usize).min(cells - 1)
     }
 
     /// The 3×3 block of cells around `p` as at most three slices of

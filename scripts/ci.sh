@@ -38,9 +38,11 @@ cargo test -q --offline --workspace
 # batteries run once without them as well — as do the event queue's
 # models, the only oracle its cached head has in release, and the
 # clock's: integer overflow traps in debug and wraps in release, so the
-# clock's saturation is only proved explicit on this build.
-echo "==> cargo test -q --offline --release -p radio-sim --test row_model --test grid_model --test interference_model --test queue_model --test clock_model --test shard_model --test commit_merge (model batteries without debug assertions)"
-cargo test -q --offline --release -p radio-sim --test row_model --test grid_model --test interference_model --test queue_model --test clock_model --test shard_model --test commit_merge
+# clock's saturation is only proved explicit on this build. The
+# connectivity check's squared-distance gate is float arithmetic the
+# optimiser may schedule differently, so its model runs here too.
+echo "==> cargo test -q --offline --release -p radio-sim --test row_model --test grid_model --test interference_model --test queue_model --test clock_model --test shard_model --test commit_merge --test topology_model (model batteries without debug assertions)"
+cargo test -q --offline --release -p radio-sim --test row_model --test grid_model --test interference_model --test queue_model --test clock_model --test shard_model --test commit_merge --test topology_model
 
 # The routing table's repeat memo answers most hellos in a converged
 # mesh; its exactness against the map reference and the expiry oracle
@@ -83,6 +85,14 @@ cmp target/ci_sf12_t1.txt target/ci_sf12_t2.txt
 
 echo "==> meshsim --protocol flooding --shards 4 --threads 2 --rng-streams smoke (flooding stack on the parallel engine)"
 cargo run -q --release --offline -p meshsim -- --protocol flooding --nodes 12 --duration 120 --shards 4 --threads 2 --rng-streams >/dev/null
+
+# At the CLI's density (mean degree ≈ 4.3) 300 random nodes never come
+# out connected: meshsim must say so and exit 1, not panic (101).
+echo "==> meshsim --topology random --nodes 300 (refused with an error, not a panic)"
+status=0
+cargo run -q --release --offline -p meshsim -- --topology random --nodes 300 2>target/ci_random300.txt >/dev/null || status=$?
+test "$status" -eq 1
+grep -qx "error: no connected random placement of 300 nodes in 2000 draws" target/ci_random300.txt
 
 # The benchmark is a package of its own outside the workspace, so none
 # of the legs above compile it: these two catch a public-API break it
