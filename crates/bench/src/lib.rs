@@ -23,9 +23,9 @@ use scenario::runner::ProtocolChoice;
 /// Parses the common CLI of the experiment binaries: `--quick` shrinks
 /// sweeps, `--seed N` overrides the master seed, `--seeds N` replicates
 /// every cell across N spread seeds, `--jobs N` spreads the runs over N
-/// worker threads, and `--shards N` / `--threads N` configure each
-/// simulator's sharded engine and parallel evaluate regions (the tables
-/// are identical for every jobs, shards and threads count).
+/// worker threads, and `--shards N` partitions each simulator's world
+/// into spatial bands (the tables are identical for every jobs and
+/// shards count).
 /// `--protocol NAME` restricts the protocol-comparison experiments to a
 /// single stack (`loramesher`, `flooding` or `star`).
 #[must_use]
@@ -42,7 +42,7 @@ pub fn options_from_args() -> ExpOptions {
                     _ => eprintln!("unknown argument: {arg}"),
                 }
                 eprintln!(
-                    "usage: exp_eN [--quick] [--seed N] [--seeds N] [--jobs N] [--shards N] [--threads N] [--protocol NAME]"
+                    "usage: exp_eN [--quick] [--seed N] [--seeds N] [--jobs N] [--shards N] [--protocol NAME]"
                 );
                 std::process::exit(2);
             }
@@ -84,23 +84,11 @@ pub fn apply_common_flag(
         "--shards" => {
             opt.shards = int("--shards")?.max(1) as usize;
         }
-        "--threads" => {
-            opt.threads = int("--threads")?.max(1) as usize;
-        }
         "--protocol" => {
             let name = rest
                 .next()
                 .ok_or_else(|| String::from("--protocol requires a name"))?;
-            opt.protocol = Some(match name.as_str() {
-                "mesh" | "loramesher" => ProtocolChoice::mesh_fast(),
-                "flooding" => ProtocolChoice::Flooding { ttl: 7 },
-                "star" => ProtocolChoice::Star { gateway: 0 },
-                other => {
-                    return Err(format!(
-                        "unknown protocol '{other}' (try loramesher, flooding or star)"
-                    ))
-                }
-            });
+            opt.protocol = Some(ProtocolChoice::from_name(&name)?);
         }
         _ => return Ok(false),
     }
@@ -137,9 +125,10 @@ mod tests {
         let mut rest = ["2"].iter().map(ToString::to_string);
         assert_eq!(
             apply_common_flag(&mut opt, "--threads", &mut rest),
-            Ok(true)
+            Ok(false),
+            "threads > 1 needs rng_streams, which no exp_* flag selects"
         );
-        assert_eq!(opt.threads, 2);
+        assert_eq!(opt.threads, 1);
         let mut rest = std::iter::empty::<String>();
         assert_eq!(
             apply_common_flag(&mut opt, "--markdown", &mut rest),

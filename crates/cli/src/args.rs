@@ -8,6 +8,7 @@ use core::fmt;
 use std::time::Duration;
 
 use lora_phy::modulation::SpreadingFactor;
+use scenario::runner::ProtocolChoice;
 
 /// Network shape.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -22,17 +23,6 @@ pub enum Topology {
     Star,
     /// Connected uniform-random placement.
     Random,
-}
-
-/// Protocol selection.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Protocol {
-    /// LoRaMesher distance-vector mesh (`loramesher`, alias `mesh`).
-    Mesh,
-    /// Managed flooding — the Meshtastic-style first-class stack.
-    Flooding,
-    /// Single-gateway star baseline (gateway = node 0).
-    Star,
 }
 
 /// Traffic pattern.
@@ -75,7 +65,7 @@ pub struct Cli {
     /// Node spacing as a fraction of the radio range.
     pub spacing_frac: f64,
     /// Protocol to run.
-    pub protocol: Protocol,
+    pub protocol: ProtocolChoice,
     /// Traffic pattern.
     pub traffic: Traffic,
     /// Simulated duration.
@@ -120,7 +110,7 @@ impl Default for Cli {
             topology: Topology::Line,
             nodes: 3,
             spacing_frac: 0.8,
-            protocol: Protocol::Mesh,
+            protocol: ProtocolChoice::mesh_fast(),
             traffic: Traffic::None,
             duration: Duration::from_secs(600),
             seed: 42,
@@ -252,16 +242,8 @@ impl Cli {
                     }
                 }
                 "--protocol" => {
-                    cli.protocol = match value_of("--protocol", &mut it)?.as_str() {
-                        "mesh" | "loramesher" => Protocol::Mesh,
-                        "flooding" => Protocol::Flooding,
-                        "star" => Protocol::Star,
-                        other => {
-                            return Err(ParseError(format!(
-                                "unknown protocol '{other}' (try loramesher, flooding or star)"
-                            )))
-                        }
-                    };
+                    cli.protocol = ProtocolChoice::from_name(&value_of("--protocol", &mut it)?)
+                        .map_err(ParseError)?;
                 }
                 "--traffic" => {
                     let v = value_of("--traffic", &mut it)?;
@@ -488,7 +470,7 @@ mod tests {
         .unwrap();
         assert_eq!(cli.topology, Topology::Grid);
         assert_eq!(cli.nodes, 9);
-        assert_eq!(cli.protocol, Protocol::Flooding);
+        assert_eq!(cli.protocol, ProtocolChoice::Flooding { ttl: 7 });
         assert_eq!(
             cli.traffic,
             Traffic::Pair {
@@ -555,23 +537,23 @@ mod tests {
 
     #[test]
     fn protocol_names_and_alias_parse() {
-        assert_eq!(parse(&[]).unwrap().protocol, Protocol::Mesh);
+        assert_eq!(parse(&[]).unwrap().protocol, ProtocolChoice::mesh_fast());
         assert_eq!(
             parse(&["--protocol", "loramesher"]).unwrap().protocol,
-            Protocol::Mesh
+            ProtocolChoice::mesh_fast()
         );
         assert_eq!(
             parse(&["--protocol", "mesh"]).unwrap().protocol,
-            Protocol::Mesh,
+            ProtocolChoice::mesh_fast(),
             "historic alias keeps working"
         );
         assert_eq!(
             parse(&["--protocol", "flooding"]).unwrap().protocol,
-            Protocol::Flooding
+            ProtocolChoice::Flooding { ttl: 7 }
         );
         assert_eq!(
             parse(&["--protocol", "star"]).unwrap().protocol,
-            Protocol::Star
+            ProtocolChoice::Star { gateway: 0 }
         );
     }
 

@@ -16,5 +16,5 @@
 pub mod args;
 pub mod run;
 
-pub use args::{Cli, ParseError, Protocol, Topology, Traffic};
+pub use args::{Cli, ParseError, Topology, Traffic};
 pub use run::{execute, RunError};

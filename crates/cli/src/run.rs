@@ -12,7 +12,7 @@ use scenario::runner::{NetworkBuilder, ProtocolChoice, Runner, TrafficReport};
 use scenario::workload::{self, Target};
 use scenario::Summary;
 
-use crate::args::{Cli, Protocol, Topology, Traffic};
+use crate::args::{Cli, Topology, Traffic};
 
 /// Random placements drawn before `--topology random` gives up.
 const RANDOM_DRAWS: usize = 2000;
@@ -56,9 +56,14 @@ pub fn execute(cli: &Cli) -> Result<String, RunError> {
     .collect::<Result<Vec<_>, _>>()?;
     // The thread count is deliberately absent: output depends only on
     // the scenario, so any --jobs value prints byte-identical text.
+    let protocol = match cli.protocol {
+        ProtocolChoice::Mesh { .. } => "Mesh",
+        ProtocolChoice::Flooding { .. } => "Flooding",
+        ProtocolChoice::Star { .. } => "Star",
+    };
     let mut out = format!(
-        "{} nodes, {:?} topology, {:?} protocol — {} seeds (base {})\n\n",
-        cli.nodes, cli.topology, cli.protocol, cli.seeds, cli.seed
+        "{} nodes, {:?} topology, {protocol} protocol — {} seeds (base {})\n\n",
+        cli.nodes, cli.topology, cli.seeds, cli.seed
     );
     let mut table = ExpTable::new(
         "aggregate over seeds",
@@ -193,11 +198,6 @@ fn run_scenario(cli: &Cli, seed: u64) -> Result<(String, TrafficReport), RunErro
         cli.nodes, cli.topology, sim.rf.modulation, range, spacing
     ));
 
-    let protocol = match cli.protocol {
-        Protocol::Mesh => ProtocolChoice::mesh_fast(),
-        Protocol::Flooding => ProtocolChoice::Flooding { ttl: 7 },
-        Protocol::Star => ProtocolChoice::Star { gateway: 0 },
-    };
     let region = if cli.eu868 {
         Region::Eu868
     } else {
@@ -208,7 +208,7 @@ fn run_scenario(cli: &Cli, seed: u64) -> Result<(String, TrafficReport), RunErro
         roles[g] = loramesher::Role::GATEWAY.bits();
     }
     let mut net = NetworkBuilder::mesh(positions, seed)
-        .protocol(protocol)
+        .protocol(cli.protocol)
         .region(region)
         .snr_tiebreak(cli.snr_tiebreak)
         .roles(roles)
@@ -226,7 +226,7 @@ fn run_scenario(cli: &Cli, seed: u64) -> Result<(String, TrafficReport), RunErro
     }
 
     // Mesh warm-up: converge (bounded by half the duration) before traffic.
-    let traffic_start = if matches!(cli.protocol, Protocol::Mesh) {
+    let traffic_start = if matches!(cli.protocol, ProtocolChoice::Mesh { .. }) {
         let deadline = cli.duration / 2;
         match net.run_until_converged(Duration::from_secs(2), deadline) {
             Some(t) => {

@@ -13,6 +13,41 @@
 //! callbacks from DIO interrupts and a hardware timer. Frames travel as
 //! `Arc<[u8]>` end to end, so handing a cached frame to the host bumps a
 //! refcount instead of copying the bytes.
+//!
+//! Three stacks implement it: the LoRaMesher distance-vector stack
+//! ([`crate::stack`]), Meshtastic-style managed flooding
+//! ([`crate::flood`]) and the `mesh-baselines` single-gateway star. They
+//! differ in which routing daemon (or none), forwarding policy,
+//! transport and application codec run above the shared MAC; what they
+//! may NOT vary is the substrate contract.
+//!
+//! # The substrate contract
+//!
+//! Every stack is a sans-IO [`NodeProtocol`] state machine and must
+//! preserve the properties the simulator's determinism proofs
+//! (`tests/shard_diff.rs`, `tests/protocol_refactor_diff.rs`) rest on:
+//!
+//! 1. **Shared channel access.** All frame emission goes through
+//!    [`crate::mac::Mac`], built from the region by one constructor —
+//!    CAD/backoff/duty-cycle/dwell behaviour is identical across
+//!    stacks, so cross-protocol experiments measure protocol overhead,
+//!    not MAC drift.
+//! 2. **One RNG per node.** Every random draw comes from the node's
+//!    single [`crate::rng::ProtocolRng`], in an order fixed by the
+//!    dispatch rules below — a seed fully determines a node's
+//!    behaviour.
+//! 3. **Frozen dispatch order.** Each stack documents a fixed
+//!    `process_due` order (see the [`crate::stack`] and [`crate::flood`]
+//!    module docs) and dispatches host callbacks the same way every
+//!    time. No ambient time, no ambient randomness (meshlint rule D2),
+//!    no iteration over hashed collections (rule D1).
+//! 4. **Panic-free on hostile input.** `on_frame` consumes
+//!    over-the-air bytes; decode failures are counted, never unwrapped
+//!    (rule R1).
+//!
+//! Every stack reports to its application through the same
+//! [`crate::MeshEvent`] queue (`has_events`/`take_events`), so a host
+//! maps one event type whichever stack it runs.
 
 use alloc::sync::Arc;
 use alloc::vec::Vec;

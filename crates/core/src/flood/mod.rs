@@ -7,10 +7,10 @@
 //! packet is a broadcast, and (b) schedules a rebroadcast with the hop
 //! limit decremented, after a randomised delay that decorrelates
 //! simultaneous relays. Duplicate suppression uses the bounded
-//! `(origin, id)` [`dedup::DedupCache`].
+//! `(origin, id)` `DedupCache`.
 //!
 //! The stack reuses the shared LoRaMesher plumbing wholesale — the
-//! [`crate::stack::bus::Bus`] (one deterministic RNG per node, the
+//! stack's private bus (one deterministic RNG per node, the
 //! transmit queue, the [`MeshEvent`] queue, the stats counters) and the
 //! [`Mac`] (CAD/backoff/duty-cycle channel access and frame emission)
 //! — so the two protocols differ *only* above the MAC, and
@@ -50,7 +50,7 @@
 //! With the `crypto` feature enabled and a key configured, application
 //! payloads are AES-128-CTR encrypted end to end: the originator
 //! encrypts, relays forward the ciphertext verbatim, and only nodes
-//! holding the channel key decrypt on delivery (see [`crypto`]).
+//! holding the channel key decrypt on delivery (see the `crypto` module).
 
 pub(crate) mod dedup;
 pub mod message;

@@ -36,9 +36,8 @@
 //!   together over the intra-node bus.
 //! * [`flood`] — [`FloodNode`]: Meshtastic-style managed flooding as a
 //!   second first-class stack over the same bus and MAC.
-//! * [`protocol`] — the [`Protocol`] abstraction hosts use to pick a
-//!   stack by name.
-//! * [`driver`] — the sans-IO host interface.
+//! * [`driver`] — the sans-IO host interface every stack implements,
+//!   and the substrate contract they share.
 //! * [`stats`] — per-node protocol counters.
 //! * [`error`] — error types.
 //!
@@ -73,9 +72,7 @@ pub mod driver;
 pub mod error;
 pub mod flood;
 pub mod mac;
-pub mod node;
 pub mod packet;
-pub mod protocol;
 pub mod queue;
 pub mod reliable;
 pub mod rng;
@@ -90,7 +87,6 @@ pub use driver::{NodeProtocol, RadioIo, RadioRequest};
 pub use error::{CodecError, SendError};
 pub use flood::{FloodConfig, FloodMessage, FloodNode, FloodStats};
 pub use packet::{Packet, PacketKind};
-pub use protocol::Protocol;
 pub use role::{Role, RoleQueries};
 pub use routing::{Route, RoutingTable};
 pub use stack::{MeshEvent, MeshNode};

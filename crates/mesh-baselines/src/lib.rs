@@ -12,12 +12,12 @@
 //!   unreachable.
 //!
 //! The managed-flooding baseline that used to live here graduated into
-//! a first-class stack: see [`loramesher::flood`] and the
-//! [`loramesher::protocol::Protocol`] abstraction.
+//! a first-class stack: see [`loramesher::flood`]. All three stacks
+//! share the substrate contract of [`loramesher::driver`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod star;
 
-pub use star::{StarConfig, StarEvent, StarNode};
+pub use star::{StarConfig, StarNode};

@@ -26,6 +26,7 @@ use loramesher::mac::{Mac, NoWireCache, TxOutcome};
 use loramesher::packet::{Forwarding, Packet};
 use loramesher::queue::TxQueue;
 use loramesher::rng::ProtocolRng;
+use loramesher::MeshEvent;
 
 /// Configuration of a [`StarNode`].
 #[derive(Clone, Debug)]
@@ -68,18 +69,6 @@ impl StarConfig {
     }
 }
 
-/// Application events reported by a star node.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum StarEvent {
-    /// A packet addressed to this node arrived.
-    Received {
-        /// Originating node.
-        src: Address,
-        /// Application payload.
-        payload: Vec<u8>,
-    },
-}
-
 /// A node in a single-gateway star network.
 #[derive(Debug)]
 pub struct StarNode {
@@ -87,7 +76,7 @@ pub struct StarNode {
     mac: Mac,
     txq: TxQueue,
     rng: ProtocolRng,
-    events: VecDeque<StarEvent>,
+    events: VecDeque<MeshEvent>,
     next_id: u8,
     started: bool,
     /// Frames transmitted.
@@ -139,8 +128,9 @@ impl StarNode {
         !self.events.is_empty()
     }
 
-    /// Drains pending application events.
-    pub fn take_events(&mut self) -> Vec<StarEvent> {
+    /// Drains pending application events: a [`MeshEvent::Datagram`]
+    /// for every packet addressed to this node.
+    pub fn take_events(&mut self) -> Vec<MeshEvent> {
         self.events.drain(..).collect()
     }
 
@@ -155,7 +145,7 @@ impl StarNode {
     ///   [`SendError::QueueFull`] — as for the mesh.
     /// * [`SendError::NoRoute`] — an end node tried to reach something
     ///   other than the gateway (stars have no peer-to-peer path).
-    pub fn send(&mut self, dst: Address, payload: Vec<u8>) -> Result<u8, SendError> {
+    pub fn send_datagram(&mut self, dst: Address, payload: Vec<u8>) -> Result<u8, SendError> {
         if payload.is_empty() {
             return Err(SendError::EmptyPayload);
         }
@@ -210,7 +200,7 @@ impl NodeProtocol for StarNode {
             return;
         };
         if dst == self.config.address && src != self.config.address {
-            self.events.push_back(StarEvent::Received { src, payload });
+            self.events.push_back(MeshEvent::Datagram { src, payload });
         }
     }
 
@@ -285,13 +275,13 @@ mod tests {
         let mut gw = node(GW);
         start(&mut n);
         start(&mut gw);
-        n.send(GW, b"up".to_vec()).unwrap();
+        n.send_datagram(GW, b"up".to_vec()).unwrap();
         let frames = drain(&mut n, Duration::ZERO);
         assert_eq!(frames.len(), 1);
         frame_in(&mut gw, &frames[0], Duration::ZERO);
         assert_eq!(
             gw.take_events(),
-            vec![StarEvent::Received {
+            vec![MeshEvent::Datagram {
                 src: N1,
                 payload: b"up".to_vec()
             }]
@@ -305,7 +295,7 @@ mod tests {
         start(&mut gw);
         start(&mut n);
         assert!(gw.is_gateway());
-        gw.send(N2, b"down".to_vec()).unwrap();
+        gw.send_datagram(N2, b"down".to_vec()).unwrap();
         let frames = drain(&mut gw, Duration::ZERO);
         frame_in(&mut n, &frames[0], Duration::ZERO);
         assert_eq!(n.take_events().len(), 1);
@@ -315,7 +305,10 @@ mod tests {
     fn end_node_cannot_address_peer() {
         let mut n = node(N1);
         start(&mut n);
-        assert_eq!(n.send(N2, b"p2p".to_vec()), Err(SendError::NoRoute(N2)));
+        assert_eq!(
+            n.send_datagram(N2, b"p2p".to_vec()),
+            Err(SendError::NoRoute(N2))
+        );
     }
 
     #[test]
@@ -348,7 +341,7 @@ mod tests {
             cfg.modulation = modulation;
             let mut n = StarNode::new(cfg);
             start(&mut n);
-            n.send(GW, vec![0; 20]).unwrap();
+            n.send_datagram(GW, vec![0; 20]).unwrap();
             n
         };
         let mut slow = us915(LoRaModulation::long_slow());
@@ -364,9 +357,9 @@ mod tests {
     fn send_validations() {
         let mut n = node(N1);
         start(&mut n);
-        assert_eq!(n.send(GW, vec![]), Err(SendError::EmptyPayload));
+        assert_eq!(n.send_datagram(GW, vec![]), Err(SendError::EmptyPayload));
         assert!(matches!(
-            n.send(GW, vec![0; 4000]),
+            n.send_datagram(GW, vec![0; 4000]),
             Err(SendError::PayloadTooLarge { .. })
         ));
     }

@@ -352,12 +352,14 @@ impl Config {
                 "crates/radio-sim/src/event.rs".into(),
                 "crates/radio-sim/src/shard.rs".into(),
                 // Protocol stacks never mint engine seqs themselves —
-                // the substrate contract (`loramesher::protocol`) says
-                // timers and transmissions go through the bus/MAC. If a
-                // protocol module ever grows a direct event-insertion
-                // call, its seq must still be coordinator-issued.
+                // the substrate contract (`loramesher::driver`) says
+                // timers and transmissions go through the MAC. If a
+                // stack ever grows a direct event-insertion call, its
+                // seq must still be coordinator-issued. One entry per
+                // stack the contract names: mesh, flooding, star.
+                "crates/core/src/stack/mod.rs".into(),
                 "crates/core/src/flood/mod.rs".into(),
-                "crates/core/src/protocol.rs".into(),
+                "crates/mesh-baselines/src/star.rs".into(),
             ],
         }
     }

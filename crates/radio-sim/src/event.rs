@@ -15,7 +15,7 @@
 //! few entries. **Level 1** is a ring of `2^32` ns (≈ 4.3 s) buckets
 //! covering the ≈ 4.9 h after that. Its lists are unordered: when the
 //! cursor enters a bucket's span the bucket is re-filed through the same
-//! [`EventQueue::link`] routine, which sorts each entry into level 0.
+//! `EventQueue::link` routine, which sorts each entry into level 0.
 //! Instants beyond that window park in its last bucket and are re-filed
 //! again from there. A bitmap per level finds the next occupied bucket.
 //! Draining the cursor bucket before advancing yields exactly the global

@@ -183,7 +183,7 @@ impl Partitioner {
     /// x-coordinates. With no nodes (or `shards <= 1`) the partition
     /// degenerates to a single band, which is always sound. Cuts start
     /// at count quantiles and snap to the widest nearby inter-node gap
-    /// (see [`gap_snapped_edges`]).
+    /// (see `gap_snapped_edges`).
     #[must_use]
     pub fn new(xs: &[f64], shards: usize, r_max: f64) -> Self {
         let mut edges = Vec::new();

@@ -104,7 +104,7 @@ pub struct SimConfig {
     /// regions (mobility stepping and link-row prefetch; see
     /// [`crate::par`]) and — when [`SimConfig::shards`] > 1 — the
     /// parallel *commit* of per-band lookahead batches (see
-    /// [`crate::sim::commit`]), for which the band queues and their
+    /// the `sim::commit` module), for which the band queues and their
     /// k-way merge are built. `1` (the default) runs everything on the
     /// coordinator thread, from one queue, and never touches thread
     /// machinery.
@@ -1336,7 +1336,7 @@ impl<F: Firmware> Simulator<F> {
 }
 
 /// The run methods live in an `F: Send` impl because a parallel commit
-/// batch ([`commit`]) moves each band worker's `&mut NodeSlot<F>` onto a
+/// batch (the `commit` module) moves each band worker's `&mut NodeSlot<F>` onto a
 /// scoped worker thread. Every real firmware is `Send` (they own plain
 /// data), so the bound costs callers nothing; it simply makes "firmware
 /// crosses threads" part of the run-loop contract.

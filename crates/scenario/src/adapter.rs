@@ -1,17 +1,20 @@
 //! Hosting protocol stacks inside the simulator.
 //!
-//! The simulator hosts [`NodeProtocol`] implementations natively (its
-//! `Firmware` trait is the same trait), so no adaptation layer exists
-//! any more. [`ProtocolFirmware`] wraps a protocol purely to add the
-//! experiment bookkeeping:
+//! A host meets a stack through two traits. The simulator drives the
+//! radio side, [`NodeProtocol`], natively (its `Firmware` trait is the
+//! same trait). [`HostedProtocol`] adds the application side: draining
+//! events and submitting traffic. [`ProtocolFirmware`] wraps a
+//! [`HostedProtocol`] purely to add the experiment bookkeeping:
 //!
 //! * it drains the protocol's application events after every callback
 //!   and timestamps them into an event log the experiment runner reads;
 //! * it executes workload actions (scheduled via
-//!   `Simulator::schedule_app`) by calling the protocol's send methods.
+//!   `Simulator::schedule_app`) through the protocol's `submit_*` calls.
 //!
 //! [`ProtocolNode`] is the concrete protocol enum the experiments use, so
-//! one simulation type hosts LoRaMesher and both baselines.
+//! one simulation type hosts LoRaMesher, flooding and the star. Each of
+//! its trait methods is one delegation per stack, and one
+//! [`MeshEvent`] → [`AppEvent`] mapping serves all three.
 
 use std::time::Duration;
 
@@ -22,8 +25,8 @@ use loramesher::codec::FrameView;
 use loramesher::driver::NodeProtocol;
 use loramesher::error::SendError;
 use loramesher::flood::FloodNode;
-use loramesher::node::{MeshEvent, MeshNode};
-use mesh_baselines::star::{StarEvent, StarNode};
+use loramesher::stack::{MeshEvent, MeshNode};
+use mesh_baselines::star::StarNode;
 use radio_sim::firmware::{Context, Firmware};
 
 /// A protocol-agnostic application event with its delivery time.
@@ -55,6 +58,33 @@ pub enum AppEvent {
         /// Destination node.
         dst: Address,
     },
+}
+
+impl AppEvent {
+    /// The experiment-facing view of a stack's [`MeshEvent`], the one
+    /// event type all three stacks report through. Events no experiment
+    /// logs (route expiries, MAC drops, address conflicts) map to
+    /// nothing.
+    fn from_mesh(event: MeshEvent) -> Option<AppEvent> {
+        match event {
+            MeshEvent::Datagram { src, payload } => Some(AppEvent::Received {
+                src,
+                payload,
+                broadcast: false,
+            }),
+            MeshEvent::Broadcast { src, payload } => Some(AppEvent::Received {
+                src,
+                payload,
+                broadcast: true,
+            }),
+            MeshEvent::ReliableReceived { src, payload } => {
+                Some(AppEvent::ReliableReceived { src, payload })
+            }
+            MeshEvent::ReliableDelivered { dst, .. } => Some(AppEvent::ReliableDelivered { dst }),
+            MeshEvent::ReliableFailed { dst, .. } => Some(AppEvent::ReliableFailed { dst }),
+            _ => None,
+        }
+    }
 }
 
 /// Decoded header summary of a frame a node heard (when frame logging is
@@ -111,16 +141,6 @@ pub enum ProtocolNode {
 }
 
 impl ProtocolNode {
-    /// This node's protocol address.
-    #[must_use]
-    pub fn address(&self) -> Address {
-        match self {
-            ProtocolNode::Mesh(n) => n.address(),
-            ProtocolNode::Flooding(n) => n.address(),
-            ProtocolNode::Star(n) => n.address(),
-        }
-    }
-
     /// The wrapped [`MeshNode`], when this is the mesh protocol.
     #[must_use]
     pub fn as_mesh(&self) -> Option<&MeshNode> {
@@ -136,89 +156,6 @@ impl ProtocolNode {
         match self {
             ProtocolNode::Flooding(n) => Some(n),
             _ => None,
-        }
-    }
-
-    /// Submits a datagram through whichever protocol is wrapped.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the protocol's [`SendError`].
-    pub fn send_datagram(
-        &mut self,
-        dst: Address,
-        payload: Vec<u8>,
-        now: Duration,
-    ) -> Result<u8, SendError> {
-        match self {
-            ProtocolNode::Mesh(n) => n.send_datagram(dst, payload, now),
-            ProtocolNode::Flooding(n) => n.send_datagram(dst, payload),
-            ProtocolNode::Star(n) => n.send(dst, payload),
-        }
-    }
-
-    /// Starts a reliable transfer (mesh only).
-    ///
-    /// # Errors
-    ///
-    /// [`SendError::BroadcastUnsupported`] on the baselines (they have no
-    /// reliable service), or the mesh's own errors.
-    pub fn send_reliable(
-        &mut self,
-        dst: Address,
-        payload: Vec<u8>,
-        now: Duration,
-    ) -> Result<u8, SendError> {
-        match self {
-            ProtocolNode::Mesh(n) => n.send_reliable(dst, payload, now),
-            _ => Err(SendError::BroadcastUnsupported),
-        }
-    }
-
-    /// Maps the shared [`MeshEvent`] stream (emitted by both the mesh
-    /// and flooding stacks) onto the experiment-facing [`AppEvent`].
-    fn map_mesh_events(events: Vec<MeshEvent>) -> Vec<AppEvent> {
-        events
-            .into_iter()
-            .filter_map(|e| match e {
-                MeshEvent::Datagram { src, payload } => Some(AppEvent::Received {
-                    src,
-                    payload,
-                    broadcast: false,
-                }),
-                MeshEvent::Broadcast { src, payload } => Some(AppEvent::Received {
-                    src,
-                    payload,
-                    broadcast: true,
-                }),
-                MeshEvent::ReliableReceived { src, payload } => {
-                    Some(AppEvent::ReliableReceived { src, payload })
-                }
-                MeshEvent::ReliableDelivered { dst, .. } => {
-                    Some(AppEvent::ReliableDelivered { dst })
-                }
-                MeshEvent::ReliableFailed { dst, .. } => Some(AppEvent::ReliableFailed { dst }),
-                _ => None,
-            })
-            .collect()
-    }
-
-    fn drain_events(&mut self) -> Vec<AppEvent> {
-        match self {
-            ProtocolNode::Mesh(n) if n.has_events() => Self::map_mesh_events(n.take_events()),
-            ProtocolNode::Flooding(n) if n.has_events() => Self::map_mesh_events(n.take_events()),
-            ProtocolNode::Star(n) if n.has_events() => n
-                .take_events()
-                .into_iter()
-                .map(|StarEvent::Received { src, payload }| AppEvent::Received {
-                    src,
-                    payload,
-                    broadcast: false,
-                })
-                .collect(),
-            // This runs after every callback and almost none emits an
-            // event: no drain, no collect, no allocation.
-            _ => Vec::new(),
         }
     }
 }
@@ -321,7 +258,15 @@ pub trait HostedProtocol: NodeProtocol {
 
 impl HostedProtocol for ProtocolNode {
     fn drain(&mut self) -> Vec<AppEvent> {
-        self.drain_events()
+        let events = match self {
+            ProtocolNode::Mesh(n) if n.has_events() => n.take_events(),
+            ProtocolNode::Flooding(n) if n.has_events() => n.take_events(),
+            ProtocolNode::Star(n) if n.has_events() => n.take_events(),
+            // This runs after every callback and almost none emits an
+            // event: no drain, no collect, no allocation.
+            _ => return Vec::new(),
+        };
+        events.into_iter().filter_map(AppEvent::from_mesh).collect()
     }
     fn submit_datagram(
         &mut self,
@@ -329,15 +274,24 @@ impl HostedProtocol for ProtocolNode {
         payload: Vec<u8>,
         now: Duration,
     ) -> Result<u8, SendError> {
-        self.send_datagram(dst, payload, now)
+        match self {
+            ProtocolNode::Mesh(n) => n.send_datagram(dst, payload, now),
+            ProtocolNode::Flooding(n) => n.send_datagram(dst, payload),
+            ProtocolNode::Star(n) => n.send_datagram(dst, payload),
+        }
     }
+    /// Reliable transfer is a mesh-only service: the baselines answer
+    /// [`SendError::BroadcastUnsupported`].
     fn submit_reliable(
         &mut self,
         dst: Address,
         payload: Vec<u8>,
         now: Duration,
     ) -> Result<u8, SendError> {
-        self.send_reliable(dst, payload, now)
+        match self {
+            ProtocolNode::Mesh(n) => n.send_reliable(dst, payload, now),
+            _ => Err(SendError::BroadcastUnsupported),
+        }
     }
 }
 
@@ -444,36 +398,6 @@ impl<P: HostedProtocol> Firmware for ProtocolFirmware<P> {
     }
 }
 
-impl ProtocolFirmware<ProtocolNode> {
-    /// Submits a datagram through the wrapped protocol.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the protocol's [`SendError`].
-    pub fn send_datagram(
-        &mut self,
-        dst: Address,
-        payload: Vec<u8>,
-        now: Duration,
-    ) -> Result<u8, SendError> {
-        self.node.send_datagram(dst, payload, now)
-    }
-
-    /// Starts a reliable transfer through the wrapped protocol.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the protocol's [`SendError`].
-    pub fn send_reliable(
-        &mut self,
-        dst: Address,
-        payload: Vec<u8>,
-        now: Duration,
-    ) -> Result<u8, SendError> {
-        self.node.send_reliable(dst, payload, now)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -515,7 +439,8 @@ mod tests {
         let b = sim.add_node(mesh_fw(2), Position::new(80.0, 0.0));
         sim.run_for(Duration::from_secs(30));
         sim.with_node(a, |fw, ctx| {
-            fw.send_datagram(Address::new(2), b"sim".to_vec(), ctx.now())
+            fw.node
+                .submit_datagram(Address::new(2), b"sim".to_vec(), ctx.now())
                 .expect("route exists after 30 s of hellos")
         });
         sim.run_for(Duration::from_secs(10));
@@ -608,7 +533,15 @@ mod tests {
                 .unwrap()
         });
         sim.run_for(Duration::from_secs(5));
-        assert_eq!(sim.node(gw).event_log.len(), 1);
+        let log: Vec<&AppEvent> = sim.node(gw).event_log.iter().map(|(_, e)| e).collect();
+        assert_eq!(
+            log,
+            [&AppEvent::Received {
+                src: Address::new(2),
+                payload: b"uplink".to_vec(),
+                broadcast: false,
+            }]
+        );
         assert!(sim.node(n).node.as_mesh().is_none());
     }
 

@@ -94,6 +94,16 @@ impl ExpOptions {
         crate::sweep::seed_list(self.seed, self.seeds)
     }
 
+    /// `sim` with this run's engine options (`shards`, `threads`,
+    /// `rng_streams`) applied.
+    #[must_use]
+    pub fn engine(&self, mut sim: SimConfig) -> SimConfig {
+        sim.shards = self.shards;
+        sim.threads = self.threads;
+        sim.rng_streams = self.rng_streams;
+        sim
+    }
+
     /// Like [`ExpOptions::seed_set`], but an experiment that always
     /// replicates (grey-zone losses need a distribution to mean
     /// anything) supplies its own default count, used unless the user
@@ -476,10 +486,8 @@ pub fn e5_protocol_comparison(opt: &ExpOptions) -> ExpTable {
         // the comparison is paired per replication.
         let positions = random_positions(n, spacing, seed ^ (n as u64) << 8);
         let mut runner = NetworkBuilder::mesh(positions, seed)
+            .sim_config(opt.engine(SimConfig::default()))
             .protocol(*protocol)
-            .shards(opt.shards)
-            .threads(opt.threads)
-            .rng_streams(opt.rng_streams)
             .build();
         // Identical warm-up for all protocols (mesh uses it to
         // converge; the baselines are simply idle).
@@ -995,10 +1003,8 @@ pub fn e12_fairness(opt: &ExpOptions) -> ExpTable {
         let n = *n;
         let positions = random_positions(n, spacing, seed ^ (n as u64) << 40);
         let mut runner = NetworkBuilder::mesh(positions, seed)
+            .sim_config(opt.engine(SimConfig::default()))
             .protocol(*protocol)
-            .shards(opt.shards)
-            .threads(opt.threads)
-            .rng_streams(opt.rng_streams)
             .build();
         let start = Duration::from_secs(300);
         runner.run_until(start);
@@ -1339,11 +1345,8 @@ pub fn e13_stack_head_to_head(opt: &ExpOptions) -> ExpTable {
         let spacing = topology::radio_range_m(&sim.rf) * 0.8;
         let positions = scaled_positions(n, spacing, seed ^ (n as u64) << 8);
         let mut runner = NetworkBuilder::mesh(positions, seed)
-            .sim_config(sim)
+            .sim_config(opt.engine(sim))
             .protocol(protocol)
-            .shards(opt.shards)
-            .threads(opt.threads)
-            .rng_streams(opt.rng_streams)
             .build();
         // Identical warm-up for both stacks: LoRaMesher distributes
         // routes, flooding is purely reactive and idles.

@@ -15,7 +15,7 @@ use lora_phy::region::Region;
 use loramesher::addr::Address;
 use loramesher::config::MeshConfig;
 use loramesher::flood::{FloodConfig, FloodNode};
-use loramesher::node::MeshNode;
+use loramesher::stack::MeshNode;
 use mesh_baselines::star::{StarConfig, StarNode};
 use radio_sim::firmware::NodeId;
 use radio_sim::metrics::Metrics;
@@ -57,6 +57,25 @@ impl ProtocolChoice {
         ProtocolChoice::Mesh {
             hello_interval: Duration::from_secs(20),
             route_timeout: Duration::from_secs(120),
+        }
+    }
+
+    /// The stack a command-line name selects, with the defaults
+    /// `meshsim` and the experiment binaries run it at: `loramesher`
+    /// (alias `mesh`) is [`ProtocolChoice::mesh_fast`], `flooding` has
+    /// TTL 7 and `star` has node 0 as its gateway.
+    ///
+    /// # Errors
+    ///
+    /// An unknown name, with a message listing the valid ones.
+    pub fn from_name(name: &str) -> Result<Self, String> {
+        match name {
+            "mesh" | "loramesher" => Ok(ProtocolChoice::mesh_fast()),
+            "flooding" => Ok(ProtocolChoice::Flooding { ttl: 7 }),
+            "star" => Ok(ProtocolChoice::Star { gateway: 0 }),
+            other => Err(format!(
+                "unknown protocol '{other}' (try loramesher, flooding or star)"
+            )),
         }
     }
 }
@@ -129,39 +148,6 @@ impl NetworkBuilder {
     #[must_use]
     pub fn sim_config(mut self, sim: SimConfig) -> Self {
         self.sim = sim;
-        self
-    }
-
-    /// Number of spatial bands the world is partitioned into
-    /// (behaviourally transparent; `1` — the default — has no
-    /// partition, larger values scope link-row invalidation on moves
-    /// and, with `threads > 1`, give each band a queue to drain).
-    #[must_use]
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.sim.shards = shards;
-        self
-    }
-
-    /// Number of worker threads for the simulator's parallel evaluate
-    /// regions (behaviourally transparent; `1` — the default — never
-    /// touches thread machinery).
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.sim.threads = threads;
-        self
-    }
-
-    /// Selects the per-node RNG stream family (PR 9). Required whenever
-    /// `threads > 1`: band workers mint node streams independently, so
-    /// the fork-chain derivation of the default family cannot serve
-    /// them. Changing the family changes individual run trajectories
-    /// (every stochastic draw comes from a different stream) but not
-    /// the statistics — and it is deterministic for a given seed, so
-    /// sweeps stay reproducible and engine-invariant as long as every
-    /// leg of a comparison uses the same setting.
-    #[must_use]
-    pub fn rng_streams(mut self, on: bool) -> Self {
-        self.sim.rng_streams = on;
         self
     }
 

@@ -24,6 +24,11 @@ cargo build -p loramesher -p lora-phy --no-default-features --offline
 echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# Intra-doc links are checked too: a link to a deleted or private item
+# is an error, not a silently dead reference.
+echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --offline --workspace --no-deps (rustdoc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
+
 echo "==> meshlint (determinism & robustness rules, ratcheted)"
 cargo run -q --release --offline -p meshlint -- --root . --baseline meshlint.baseline
 
