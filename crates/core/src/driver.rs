@@ -7,10 +7,10 @@
 //! the [`RadioIo`] sink it was handed. Nothing here touches a clock, a
 //! radio or a thread; time is whatever the host says it is.
 //!
-//! This is the *only* host trait in the workspace: the `radio-sim`
-//! simulator consumes it directly (re-exported there as `Firmware` /
-//! `Context` for continuity), and a hardware shim would drive the same
-//! callbacks from DIO interrupts and a hardware timer. Frames travel as
+//! This is the radio side of every host: `radio-sim` consumes it
+//! directly as `Firmware` / `Context` (`scenario`'s `HostedProtocol`
+//! adds the application calls), and a hardware shim would drive the
+//! same callbacks from DIO interrupts and a hardware timer. Frames travel as
 //! `Arc<[u8]>` end to end, so handing a cached frame to the host bumps a
 //! refcount instead of copying the bytes.
 //!
