@@ -4,18 +4,15 @@ use std::time::Duration;
 
 use lora_phy::modulation::{Bandwidth, CodingRate, LoRaModulation};
 use lora_phy::region::Region;
-use radio_sim::rng::SimRng;
 use radio_sim::sim::SimConfig;
 use radio_sim::topology;
+use scenario::experiments::{self, RANDOM_DRAWS};
 use scenario::report::{fmt_ms, fmt_pct, fmt_secs, ExpTable};
 use scenario::runner::{NetworkBuilder, ProtocolChoice, Runner, TrafficReport};
 use scenario::workload::{self, Target};
 use scenario::Summary;
 
 use crate::args::{Cli, Topology, Traffic};
-
-/// Random placements drawn before `--topology random` gives up.
-const RANDOM_DRAWS: usize = 2000;
 
 /// A scenario that parses but cannot be built, such as a random
 /// placement that never comes out connected. `main` prints it as
@@ -165,12 +162,7 @@ fn run_scenario(cli: &Cli, seed: u64) -> Result<(String, TrafficReport), RunErro
 
     let positions = match cli.topology {
         Topology::Line => topology::line(cli.nodes, spacing),
-        Topology::Grid => {
-            let side = (cli.nodes as f64).sqrt().ceil() as usize;
-            let mut g = topology::grid(side, side, spacing);
-            g.truncate(cli.nodes);
-            g
-        }
+        Topology::Grid => experiments::square_grid(cli.nodes, spacing),
         Topology::Ring => {
             let radius = if cli.nodes > 1 {
                 spacing / (2.0 * (std::f64::consts::PI / cli.nodes as f64).sin())
@@ -181,15 +173,12 @@ fn run_scenario(cli: &Cli, seed: u64) -> Result<(String, TrafficReport), RunErro
         }
         Topology::Star => topology::star(cli.nodes, spacing),
         Topology::Random => {
-            let side = spacing * (cli.nodes as f64).sqrt() * 0.85;
-            let mut rng = SimRng::new(seed);
-            topology::connected_random(cli.nodes, side, side, spacing, &mut rng, RANDOM_DRAWS)
-                .ok_or_else(|| {
-                    RunError(format!(
-                        "no connected random placement of {} nodes in {RANDOM_DRAWS} draws",
-                        cli.nodes
-                    ))
-                })?
+            experiments::random_placement(cli.nodes, spacing, seed).ok_or_else(|| {
+                RunError(format!(
+                    "no connected random placement of {} nodes in {RANDOM_DRAWS} draws",
+                    cli.nodes
+                ))
+            })?
         }
     };
 

@@ -3,8 +3,8 @@
 //!
 //! Each function reproduces one table or figure from DESIGN.md's
 //! per-experiment index and returns a printable [`ExpTable`]. The
-//! `quick` option shrinks sweeps to seconds of wall-clock for tests; the
-//! benchmark binaries run the full versions.
+//! `quick` option shrinks sweeps to seconds of wall-clock for tests;
+//! `exp_all` runs the full versions. [`ALL`] names every experiment.
 //!
 //! All experiments share the urban RF profile (SF7/125 kHz, log-distance
 //! path loss) unless the sweep itself varies it; nodes are spaced
@@ -14,6 +14,7 @@
 use std::time::Duration;
 
 use lora_phy::modulation::{Bandwidth, CodingRate, LoRaModulation, SpreadingFactor};
+use lora_phy::propagation::Position;
 use lora_phy::region::Region;
 
 use loramesher::addr::Address;
@@ -145,15 +146,36 @@ pub fn default_spacing() -> f64 {
     topology::radio_range_m(&cfg.rf) * 0.8
 }
 
-/// A connected random placement of `n` nodes. The square's side grows as
-/// `0.85 · spacing · √n`, which keeps the average node degree a little
-/// above the `log n` connectivity threshold of random geometric graphs,
-/// so resampling finds a connected instance quickly at every size.
-fn random_positions(n: usize, spacing: f64, seed: u64) -> Vec<lora_phy::propagation::Position> {
+/// Random placements drawn before [`random_placement`] gives up.
+pub const RANDOM_DRAWS: usize = 2000;
+
+/// `n` nodes on the smallest square grid that holds them, filled row by
+/// row from the origin; `meshsim --topology grid` and E1 place this way.
+#[must_use]
+pub fn square_grid(n: usize, spacing: f64) -> Vec<Position> {
+    let side = (n as f64).sqrt().ceil() as usize;
+    let mut g = topology::grid(side, side, spacing);
+    g.truncate(n);
+    g
+}
+
+/// A connected random placement of `n` nodes, the one
+/// `meshsim --topology random` and the experiments draw. The square's
+/// side grows as `0.85 · spacing · √n`, which keeps the average node
+/// degree a little above the `log n` connectivity threshold of random
+/// geometric graphs, so resampling finds a connected instance quickly
+/// at small sizes. `None` when none of [`RANDOM_DRAWS`] draws is
+/// connected.
+#[must_use]
+pub fn random_placement(n: usize, spacing: f64, seed: u64) -> Option<Vec<Position>> {
     let area = spacing * (n as f64).sqrt() * 0.85;
     let mut rng = SimRng::new(seed);
-    topology::connected_random(n, area, area, spacing, &mut rng, 2000)
-        .expect("connected placement within attempt budget")
+    topology::connected_random(n, area, area, spacing, &mut rng, RANDOM_DRAWS)
+}
+
+/// [`random_placement`] at the experiments' sizes, which always connect.
+fn random_positions(n: usize, spacing: f64, seed: u64) -> Vec<Position> {
+    random_placement(n, spacing, seed).expect("connected placement within attempt budget")
 }
 
 /// A connected random placement that stays connected at *hundreds* of
@@ -163,11 +185,11 @@ fn random_positions(n: usize, spacing: f64, seed: u64) -> Vec<lora_phy::propagat
 /// 50 nodes. Here the square is sized for a target degree of
 /// `ln n + 3`, so the E13 scale sweep finds connected instances at
 /// every size while the density grows only logarithmically.
-fn scaled_positions(n: usize, spacing: f64, seed: u64) -> Vec<lora_phy::propagation::Position> {
+fn scaled_positions(n: usize, spacing: f64, seed: u64) -> Vec<Position> {
     let degree = (n as f64).ln() + 3.0;
     let area = spacing * (n as f64 * core::f64::consts::PI / degree).sqrt();
     let mut rng = SimRng::new(seed);
-    topology::connected_random(n, area, area, spacing, &mut rng, 2000)
+    topology::connected_random(n, area, area, spacing, &mut rng, RANDOM_DRAWS)
         .expect("connected placement within attempt budget")
 }
 
@@ -205,12 +227,7 @@ pub fn e1_convergence(opt: &ExpOptions) -> ExpTable {
     let stats = crate::sweep::sweep(&cells, &seeds, opt.jobs, |&(n, topo), seed| {
         let positions = match topo {
             "line" => topology::line(n, spacing),
-            "grid" => {
-                let side = (n as f64).sqrt().ceil() as usize;
-                let mut g = topology::grid(side, side.max(1), spacing);
-                g.truncate(n);
-                g
-            }
+            "grid" => square_grid(n, spacing),
             _ => random_positions(n, spacing, seed ^ n as u64),
         };
         let diameter = graph_diameter(&positions, spacing * 1.05);
@@ -251,7 +268,7 @@ pub fn e1_convergence(opt: &ExpOptions) -> ExpTable {
 }
 
 /// Hop diameter of the geometric graph (longest shortest path).
-fn graph_diameter(positions: &[lora_phy::propagation::Position], range: f64) -> usize {
+fn graph_diameter(positions: &[Position], range: f64) -> usize {
     let n = positions.len();
     let mut best = 0;
     for s in 0..n {
@@ -596,10 +613,10 @@ pub fn e7_route_repair(opt: &ExpOptions) -> ExpTable {
         // Diamond: 0 -(1|2)- 3, with 1 and 2 both reaching 0 and 3.
         let d = spacing * 0.9;
         let positions = vec![
-            lora_phy::propagation::Position::new(0.0, 0.0),
-            lora_phy::propagation::Position::new(d * 0.85, d * 0.5),
-            lora_phy::propagation::Position::new(d * 0.85, -d * 0.5),
-            lora_phy::propagation::Position::new(d * 1.7, 0.0),
+            Position::new(0.0, 0.0),
+            Position::new(d * 0.85, d * 0.5),
+            Position::new(d * 0.85, -d * 0.5),
+            Position::new(d * 1.7, 0.0),
         ];
         let route_timeout = Duration::from_secs(secs * 6);
         let mut runner = NetworkBuilder::mesh(positions, opt.seed)
@@ -894,7 +911,7 @@ pub fn e11_mobility(opt: &ExpOptions) -> ExpTable {
         // Static 3×3 grid plus one mobile node starting at the centre.
         let mut positions = topology::grid(3, 3, spacing);
         let centre = positions[4];
-        positions.push(lora_phy::propagation::Position::new(
+        positions.push(Position::new(
             centre.x + spacing * 0.3,
             centre.y + spacing * 0.3,
         ));
@@ -1224,10 +1241,10 @@ pub fn a4_snr_tiebreak(opt: &ExpOptions) -> ExpTable {
     // Endpoints 1.2 R apart; relay A at the midpoint (0.6 R links,
     // solid), relay B equidistant at 0.95 R links (grey zone).
     let positions = vec![
-        lora_phy::propagation::Position::new(0.0, 0.0), // 0: source
-        lora_phy::propagation::Position::new(0.6 * range, 0.0), // 1: strong relay
-        lora_phy::propagation::Position::new(0.6 * range, 0.7365 * range), // 2: weak relay
-        lora_phy::propagation::Position::new(1.2 * range, 0.0), // 3: sink
+        Position::new(0.0, 0.0),                    // 0: source
+        Position::new(0.6 * range, 0.0),            // 1: strong relay
+        Position::new(0.6 * range, 0.7365 * range), // 2: weak relay
+        Position::new(1.2 * range, 0.0),            // 3: sink
     ];
     let cells = [("hop count only", false), ("SNR tie-break", true)];
     let stats = crate::sweep::sweep(&cells, &seeds, opt.jobs, |&(_, tiebreak), seed| {
@@ -1277,6 +1294,14 @@ pub fn a4_snr_tiebreak(opt: &ExpOptions) -> ExpTable {
 // E13 — stack head-to-head at scale: LoRaMesher vs. managed flooding
 // ----------------------------------------------------------------------
 
+/// The stacks E13 compares, in table order.
+fn e13_stacks() -> [(&'static str, ProtocolChoice); 2] {
+    [
+        ("loramesher", ProtocolChoice::mesh_fast()),
+        ("flooding", ProtocolChoice::Flooding { ttl: 7 }),
+    ]
+}
+
 /// E13: the two first-class stacks of the protocol abstraction compared
 /// on identical placements, workloads and seeds — PDR, mean latency and
 /// airtime cost as the network grows from 64 to 1024 nodes, under the
@@ -1303,13 +1328,10 @@ pub fn e13_stack_head_to_head(opt: &ExpOptions) -> ExpTable {
         ("LongFast", LoRaModulation::long_fast()),
         ("LongSlow", LoRaModulation::long_slow()),
     ];
-    let protocols: Vec<(&str, ProtocolChoice)> = [
-        ("loramesher", ProtocolChoice::mesh_fast()),
-        ("flooding", ProtocolChoice::Flooding { ttl: 7 }),
-    ]
-    .into_iter()
-    .filter(|(_, p)| protocol_selected(opt, p))
-    .collect();
+    let protocols: Vec<(&str, ProtocolChoice)> = e13_stacks()
+        .into_iter()
+        .filter(|(_, p)| protocol_selected(opt, p))
+        .collect();
     let mut table = ExpTable::new(
         "E13 — stack head-to-head (8 sampled unicast flows on random topologies)",
         &[
@@ -1392,28 +1414,46 @@ pub fn e13_stack_head_to_head(opt: &ExpOptions) -> ExpTable {
     table
 }
 
+/// One experiment: its options in, its table out.
+pub type Experiment = fn(&ExpOptions) -> ExpTable;
+
+/// Every experiment in table order, under the id `exp_all` selects it by
+/// (the table title's prefix, in lower case).
+pub const ALL: [(&str, Experiment); 17] = [
+    ("e1", e1_convergence),
+    ("e2", e2_overhead),
+    ("e3", e3_pdr_vs_hops),
+    ("e4", e4_latency),
+    ("e5", e5_protocol_comparison),
+    ("e6", e6_reliable_goodput),
+    ("e7", e7_route_repair),
+    ("e8", e8_duty_cycle),
+    ("e9", e9_state_size),
+    ("e10", |_| e10_wire_format()),
+    ("e11", e11_mobility),
+    ("e12", e12_fairness),
+    ("e13", e13_stack_head_to_head),
+    ("a1", a1_csma_ablation),
+    ("a2", a2_capture_ablation),
+    ("a3", a3_jitter_ablation),
+    ("a4", a4_snr_tiebreak),
+];
+
 /// Runs every experiment, returning the tables in order.
 #[must_use]
 pub fn all(opt: &ExpOptions) -> Vec<ExpTable> {
-    vec![
-        e1_convergence(opt),
-        e2_overhead(opt),
-        e3_pdr_vs_hops(opt),
-        e4_latency(opt),
-        e5_protocol_comparison(opt),
-        e6_reliable_goodput(opt),
-        e7_route_repair(opt),
-        e8_duty_cycle(opt),
-        e9_state_size(opt),
-        e10_wire_format(),
-        e11_mobility(opt),
-        e12_fairness(opt),
-        e13_stack_head_to_head(opt),
-        a1_csma_ablation(opt),
-        a2_capture_ablation(opt),
-        a3_jitter_ablation(opt),
-        a4_snr_tiebreak(opt),
-    ]
+    ALL.iter().map(|(_, run)| run(opt)).collect()
+}
+
+/// Why [`ExpOptions::protocol`] would leave experiment `id`'s table
+/// empty, or `None` when it would not. Only E13 compares a subset of
+/// the stacks the option names: E5 compares all three, and the other
+/// experiments ignore the option.
+#[must_use]
+pub fn protocol_conflict(id: &str, opt: &ExpOptions) -> Option<String> {
+    let [(a, pa), (b, pb)] = e13_stacks();
+    (id == "e13" && !protocol_selected(opt, &pa) && !protocol_selected(opt, &pb))
+        .then(|| format!("e13 compares only {a} and {b}, so --protocol leaves its table empty"))
 }
 
 #[cfg(test)]

@@ -14,8 +14,8 @@
 //! * [`experiments`] — the parameter sweeps E1–E13 and ablations A1–A4
 //!   from DESIGN.md, each
 //!   returning a printable [`report::ExpTable`].
-//! * [`report`] — plain-text table formatting shared by the benchmark
-//!   binaries and EXPERIMENTS.md.
+//! * [`report`] — table formatting (text, markdown, CSV) shared by
+//!   `exp_all` and EXPERIMENTS.md.
 //! * [`sweep`] — the parallel multi-seed sweep engine: shards a
 //!   parameter grid × seed set across a worker pool and reduces each
 //!   cell to mean / stddev / min / max / 95 % CI, independent of the

@@ -1,8 +1,8 @@
 //! Result-table formatting.
 //!
-//! Every experiment produces an [`ExpTable`]; the benchmark binaries
-//! print it and EXPERIMENTS.md embeds it, so the numbers the repository
-//! reports always come from one code path.
+//! Every experiment produces an [`ExpTable`]; `exp_all` prints it and
+//! EXPERIMENTS.md embeds it, so the numbers the repository reports
+//! always come from one code path.
 
 use core::fmt;
 use std::time::Duration;

@@ -61,9 +61,9 @@ impl ProtocolChoice {
     }
 
     /// The stack a command-line name selects, with the defaults
-    /// `meshsim` and the experiment binaries run it at: `loramesher`
-    /// (alias `mesh`) is [`ProtocolChoice::mesh_fast`], `flooding` has
-    /// TTL 7 and `star` has node 0 as its gateway.
+    /// `meshsim` and `exp_all` run it at: `loramesher` (alias `mesh`) is
+    /// [`ProtocolChoice::mesh_fast`], `flooding` has TTL 7 and `star`
+    /// has node 0 as its gateway.
     ///
     /// # Errors
     ///

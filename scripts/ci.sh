@@ -15,6 +15,11 @@ cargo fmt --check
 echo "==> cargo build --release --offline --workspace"
 cargo build --release --offline --workspace
 
+# The E13 publication path: exp_all's id selection through the script
+# that regenerates the head-to-head table.
+echo "==> scripts/head_to_head.sh --quick (E13 through exp_all's id selection)"
+scripts/head_to_head.sh --quick >/dev/null
+
 echo "==> cargo build --offline --examples (host-integration examples)"
 cargo build --offline --examples
 

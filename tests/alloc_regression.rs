@@ -24,7 +24,7 @@
 //!   per rebuild.
 //!
 //! The firmware transmits a pre-built `Arc<[u8]>` frame each beacon,
-//! mirroring how `bench::scaling` exercises the simulator hot path. A
+//! as the benchmark's beacon workloads exercise the simulator hot path. A
 //! long-frame leg repeats the static steady state at SF12, where each
 //! frame's ends are one queued burst re-filed from the wheel's level 1.
 //!

@@ -1,7 +1,7 @@
 //! Smoke test for the complete evaluation harness: every experiment
 //! (E1–E13 and the ablations) runs end to end in quick mode and produces
 //! a well-formed, non-empty table. This is the regression net under
-//! `cargo bench` — if a protocol change breaks an experiment, it fails
+//! `exp_all` — if a protocol change breaks an experiment, it fails
 //! here first, in `cargo test`.
 
 use loramesher_repro::scenario::experiments::{self, ExpOptions};
@@ -10,8 +10,10 @@ use loramesher_repro::scenario::experiments::{self, ExpOptions};
 fn every_experiment_produces_a_table() {
     let tables = experiments::all(&ExpOptions::quick());
     assert_eq!(tables.len(), 17, "E1–E13 + A1–A4");
-    for table in &tables {
-        assert!(!table.title.is_empty());
+    for ((id, _), table) in experiments::ALL.iter().zip(&tables) {
+        // Each id names its table: the title starts with it in upper case.
+        let prefix = format!("{} ", id.to_uppercase());
+        assert!(table.title.starts_with(&prefix), "{id}: {}", table.title);
         assert!(!table.columns.is_empty(), "{}", table.title);
         assert!(!table.rows.is_empty(), "{} produced no rows", table.title);
         for row in &table.rows {
@@ -22,6 +24,17 @@ fn every_experiment_produces_a_table() {
         assert!(!table.to_string().is_empty());
         assert!(table.to_markdown().starts_with("### "));
         assert!(table.to_csv().lines().count() == table.rows.len() + 1);
+    }
+}
+
+/// The ids `exp_all` selects tables by are unique.
+#[test]
+fn experiment_ids_are_unique() {
+    for (i, (id, _)) in experiments::ALL.iter().enumerate() {
+        assert!(
+            experiments::ALL[..i].iter().all(|(other, _)| other != id),
+            "duplicate id {id}"
+        );
     }
 }
 
