@@ -1,4 +1,5 @@
-//! Checked narrowing conversions (meshlint rule C1).
+//! Checked narrowing conversions (the crate denies
+//! `clippy::cast_possible_truncation`).
 //!
 //! Addresses, lengths, fragment counts and sequence numbers travel the
 //! wire as `u8`/`u16`; a bare `as` cast silently wraps when the value

@@ -21,12 +21,11 @@
 //! `plen` counts every byte after the common header, so a frame is always
 //! `7 + plen ≤ 255` bytes and the length is verifiable on receipt.
 
-// This file is a meshlint R1 hot path: decoding operates on untrusted
-// over-the-air bytes and must return `Err`, never panic. No indexing,
-// no `unwrap`/`expect`, no `unreachable!` — all reads go through the
-// bounds-checked [`Reader`] cursor. `clippy::indexing_slicing` backs
-// this up at compile time.
-#![deny(clippy::indexing_slicing)]
+// Decoding operates on untrusted over-the-air bytes and must return
+// `Err`, never panic: all reads go through the bounds-checked
+// [`Reader`] cursor. The crate root denies indexing, `unwrap`, `expect`
+// and `panic!`; meshlint's r1 adds the assertion macros and follows
+// calls out of this file.
 
 use alloc::vec::Vec;
 
@@ -276,7 +275,10 @@ pub struct UnicastView<'a> {
 /// The kind-specific body of a [`UnicastView`]; fields as in the
 /// [`Packet`] variant of the same name.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[allow(missing_docs)]
+#[expect(
+    missing_docs,
+    reason = "fields as in the `Packet` variant of the same name"
+)]
 pub enum UnicastBody<'a> {
     Data {
         payload: &'a [u8],
@@ -531,9 +533,6 @@ pub fn encoded_len(packet: &Packet) -> usize {
 }
 
 #[cfg(test)]
-// Tests index into frames they just built; a panic here is a test
-// failure, not a protocol crash.
-#[allow(clippy::indexing_slicing)]
 mod tests {
     use super::*;
     use crate::packet::SYNC_ACK_INDEX;

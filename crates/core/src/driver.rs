@@ -39,8 +39,9 @@
 //! 3. **Frozen dispatch order.** Each stack documents a fixed
 //!    `process_due` order (see the [`crate::stack`] and [`crate::flood`]
 //!    module docs) and dispatches host callbacks the same way every
-//!    time. No ambient time, no ambient randomness (meshlint rule D2),
-//!    no iteration over hashed collections (rule D1).
+//!    time. No ambient time or randomness, and no iteration over
+//!    hashed collections (`clippy.toml` disallows the wall clock and
+//!    the hashed collections workspace-wide).
 //! 4. **Panic-free on hostile input.** `on_frame` consumes
 //!    over-the-air bytes; decode failures are counted, never unwrapped
 //!    (rule R1).

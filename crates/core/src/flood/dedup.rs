@@ -6,8 +6,9 @@
 //! overheard frames are duplicates, so the membership test is the hot
 //! operation: the keys, packed as `origin << 8 | id`, sit in one sorted
 //! `Vec<u32>` (a 7-step binary search over 512 bytes at the default
-//! capacity; no hashing — meshlint rule D1), paired with a FIFO eviction
-//! queue so memory stays bounded no matter how long the node runs.
+//! capacity; no hashing — `clippy.toml` disallows it), paired with a
+//! FIFO eviction queue so memory stays bounded no matter how long the
+//! node runs.
 
 use alloc::collections::VecDeque;
 use alloc::vec::Vec;

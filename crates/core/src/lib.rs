@@ -21,7 +21,7 @@
 //! # Module map
 //!
 //! * [`addr`] — 16-bit node addresses.
-//! * [`cast`] — checked narrowing conversions (meshlint rule C1).
+//! * [`cast`] — checked narrowing conversions (no truncating `as`).
 //! * [`packet`] — the packet types of the protocol.
 //! * [`codec`] — the compact wire format (7–12 byte headers).
 //! * [`routing`] — the distance-vector routing table, generic over the
@@ -61,6 +61,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
+// A narrowing `as` cast wraps silently; addresses, lengths, seqs and
+// trace values go through `try_from` or checked helpers instead.
+#![deny(clippy::cast_possible_truncation)]
+// Over-the-air input must never panic the node: decode and dispatch
+// return `Err` or drop the frame instead.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic
+)]
 
 extern crate alloc;
 

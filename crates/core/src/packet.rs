@@ -358,9 +358,9 @@ mod tests {
                 missing: vec![3],
             },
         ];
-        for (i, p) in packets.iter().enumerate() {
+        for (id, p) in (1u8..).zip(&packets) {
             assert_eq!(p.src(), src);
-            assert_eq!(p.id(), i as u8 + 1);
+            assert_eq!(p.id(), id);
             if matches!(p, Packet::Hello { .. }) {
                 assert_eq!(p.dst(), Address::BROADCAST);
                 assert!(p.forwarding().is_none());

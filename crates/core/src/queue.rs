@@ -66,6 +66,16 @@ impl TxQueue {
         }
     }
 
+    /// The FIFO of one priority class.
+    fn level_mut(&mut self, p: Priority) -> &mut VecDeque<Packet> {
+        let [control, routing, data] = &mut self.levels;
+        match p {
+            Priority::Control => control,
+            Priority::Routing => routing,
+            Priority::Data => data,
+        }
+    }
+
     /// Total queued packets.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -91,13 +101,12 @@ impl TxQueue {
     #[must_use]
     pub fn push(&mut self, packet: Packet) -> bool {
         let prio = Priority::of(packet.kind());
-        let idx = Self::level(prio);
         if self.len() >= self.capacity {
             // Try to evict the newest strictly-lower-priority packet.
-            let victim = (idx + 1..3).rev().find(|&l| !self.levels[l].is_empty());
-            match victim {
-                Some(l) => {
-                    self.levels[l].pop_back();
+            let lower = self.levels.iter_mut().skip(Self::level(prio) + 1);
+            match lower.rev().find(|l| !l.is_empty()) {
+                Some(victim) => {
+                    victim.pop_back();
                     self.dropped += 1;
                 }
                 None => {
@@ -106,7 +115,7 @@ impl TxQueue {
                 }
             }
         }
-        self.levels[idx].push_back(packet);
+        self.level_mut(prio).push_back(packet);
         true
     }
 

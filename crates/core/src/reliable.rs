@@ -101,11 +101,16 @@ impl OutboundTransfer {
         } else {
             payload.chunks(max_frag).map(<[u8]>::to_vec).collect()
         };
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the Sync header's 32-bit length field: a payload past 4 GiB wraps, as on the wire"
+        )]
+        let total_len = payload.len() as u32;
         OutboundTransfer {
             dst,
             seq,
             fragments,
-            total_len: payload.len() as u32,
+            total_len,
             state: OutState::AwaitSyncAck,
             retries: 0,
             max_retries,
@@ -399,7 +404,7 @@ mod tests {
     const TIMEOUT: Duration = Duration::from_secs(8);
 
     fn outbound(payload_len: usize, max_frag: usize) -> OutboundTransfer {
-        let payload: Vec<u8> = (0..payload_len).map(|i| i as u8).collect();
+        let payload: Vec<u8> = (0..=u8::MAX).cycle().take(payload_len).collect();
         OutboundTransfer::new(DST, 1, &payload, max_frag, TIMEOUT, 3)
     }
 

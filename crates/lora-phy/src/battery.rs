@@ -95,9 +95,10 @@ impl ConsumptionProfile {
 }
 
 #[cfg(test)]
-// Exact float equality is the point of these tests: both sides run the
-// identical deterministic computation.
-#[allow(clippy::float_cmp)]
+#[expect(
+    clippy::float_cmp,
+    reason = "both sides of each comparison run the identical deterministic computation"
+)]
 mod tests {
     use super::*;
 

@@ -123,7 +123,6 @@ pub mod portable {
     /// Largest integer ≤ `x`, for arguments within `i64` range (all the
     /// range reductions here are).
     fn floor(x: f64) -> f64 {
-        #[allow(clippy::cast_possible_truncation)]
         let truncated = x as i64 as f64;
         if truncated > x {
             truncated - 1.0
@@ -158,7 +157,6 @@ pub mod portable {
             sum += term;
             n += 1.0;
         }
-        #[allow(clippy::cast_possible_truncation)]
         let k = k as i64;
         let scale = f64::from_bits((u64::wrapping_add(1023, k as u64)) << 52);
         sum * scale
@@ -202,7 +200,6 @@ pub mod portable {
             power *= t2;
             n += 2.0;
         }
-        #[allow(clippy::cast_precision_loss)]
         let k = exponent as f64;
         2.0 * sum + k * core::f64::consts::LN_2
     }
@@ -280,9 +277,10 @@ pub mod portable {
 }
 
 #[cfg(all(test, feature = "std"))]
-// Exact comparisons against sentinel values (0.0, 1.0, infinities) are
-// the point of these differential tests.
-#[allow(clippy::float_cmp)]
+#[expect(
+    clippy::float_cmp,
+    reason = "exact comparisons against sentinel values (0.0, 1.0, infinities) are the point"
+)]
 mod tests {
     use super::portable;
 

@@ -17,6 +17,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// A narrowing `as` cast wraps silently; addresses, lengths, seqs and
+// trace values go through `try_from` or checked helpers instead.
+#![deny(clippy::cast_possible_truncation)]
 
 pub mod star;
 

@@ -1,27 +1,27 @@
 //! Project-specific static analysis for the loramesher-repro workspace.
 //!
-//! The whole evaluation methodology of this reproduction rests on the
-//! simulator being strictly deterministic (byte-identical traces for
-//! equal seeds, jobs-invariant sweep aggregates) and on the protocol
-//! core never panicking on over-the-air input. Nothing in the language
-//! enforces either property, so this crate does: a small, dependency-
-//! free analyzer that walks the workspace's `.rs` sources with a
-//! hand-rolled comment/string-aware lexer and reports violations of
-//! five project rules:
+//! The evaluation rests on the simulator being strictly deterministic
+//! and on the protocol core never panicking on over-the-air input. The
+//! token-level halves of those properties are compiler and clippy
+//! configuration (`clippy.toml`, the workspace lint table and the
+//! crate-root `#![deny]`s). This crate keeps the rules that need a call
+//! graph or a parse tree, which no stock lint has: a small,
+//! dependency-free analyzer that walks the workspace's `.rs` sources
+//! with a comment/string-aware lexer and reports violations of:
 //!
 //! | rule | invariant |
 //! |------|-----------|
-//! | `d1` | no `HashMap`/`HashSet` in determinism-critical crates — iteration order feeds traces and RNG draws |
-//! | `d2` | no `Instant::now`/`SystemTime`/`thread_rng` outside `bench`/`testkit` — simulated time only |
-//! | `r1` | no `unwrap`/`expect`/`panic!`/`[]`-indexing in `core`'s packet/codec/routing/stack hot paths — frame decode returns `Err`, never panics |
-//! | `c1` | no bare `as` narrowing casts to `u8`/`u16`/`i8`/`i16` in determinism-critical crates — addresses, lengths and sequence numbers use `try_from` or checked helpers |
-//! | `n1` | no `std::` paths in the `no_std`-capable crates (`core`, `lora-phy`) outside `#[cfg(feature = "std")]` items and test code — `--no-default-features` must keep building |
+//! | `r1` | no `unwrap`/`expect`/`panic!`/`assert!`/`[]`-indexing in the protocol hot files, nor in any helper they reach across crates — frame decode returns `Err`, never panics |
+//! | `p1` | no shared-state machinery reachable from a worker-evaluated `par::` region |
+//! | `s1` | no locally fabricated seq passed to a shard event-insertion method |
+//! | `f1` | no order-sensitive accumulation into captured state inside a worker region |
+//! | `e1` | no `meshlint::allow` directive that suppresses nothing |
 //!
 //! Individual sites can be exempted with a written justification:
 //!
 //! ```text
-//! // meshlint::allow(d1): keyed lookups only; never iterated.
-//! use std::collections::HashMap;
+//! // meshlint::allow(r1): slot just created by the resize above
+//! let slot = &mut self.slots[i];
 //! ```
 //!
 //! The directive suppresses findings of that rule on the same line and
@@ -31,10 +31,9 @@
 //! Test code is out of scope: `tests/`, `benches/`, `examples/` and
 //! `fixtures/` directories are skipped wholesale, and `#[cfg(test)]`
 //! modules inside source files are excised before matching.
-//!
-//! [`Baseline`] supports ratcheting: grandfathered findings recorded in
-//! a baseline file are tolerated (and tracked for burn-down) while any
-//! *new* finding fails the run.
+
+// Line and column arithmetic stays in `usize`; nothing narrows.
+#![deny(clippy::cast_possible_truncation)]
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -48,16 +47,8 @@ pub mod parser;
 /// The project rules.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Rule {
-    /// No `HashMap`/`HashSet` in determinism-critical crates.
-    D1,
-    /// No wall-clock or OS entropy outside `bench`/`testkit`.
-    D2,
     /// No panic paths in (or reachable from) the protocol hot files.
     R1,
-    /// No bare narrowing `as` casts in determinism-critical crates.
-    C1,
-    /// No ungated `std::` paths in `no_std`-capable crates.
-    N1,
     /// No shared-state machinery reachable from worker-evaluated
     /// regions (parallel purity).
     P1,
@@ -72,29 +63,11 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// Every rule, in report order.
-    pub const ALL: [Rule; 9] = [
-        Rule::D1,
-        Rule::D2,
-        Rule::R1,
-        Rule::C1,
-        Rule::N1,
-        Rule::P1,
-        Rule::S1,
-        Rule::F1,
-        Rule::E1,
-    ];
-
-    /// The identifier used in `meshlint::allow(<id>)` directives and
-    /// baseline entries.
+    /// The identifier used in `meshlint::allow(<id>)` directives.
     #[must_use]
     pub fn id(self) -> &'static str {
         match self {
-            Rule::D1 => "d1",
-            Rule::D2 => "d2",
             Rule::R1 => "r1",
-            Rule::C1 => "c1",
-            Rule::N1 => "n1",
             Rule::P1 => "p1",
             Rule::S1 => "s1",
             Rule::F1 => "f1",
@@ -106,11 +79,7 @@ impl Rule {
     #[must_use]
     pub fn from_id(id: &str) -> Option<Rule> {
         match id.trim() {
-            "d1" => Some(Rule::D1),
-            "d2" => Some(Rule::D2),
             "r1" => Some(Rule::R1),
-            "c1" => Some(Rule::C1),
-            "n1" => Some(Rule::N1),
             "p1" => Some(Rule::P1),
             "s1" => Some(Rule::S1),
             "f1" => Some(Rule::F1),
@@ -123,11 +92,7 @@ impl Rule {
     #[must_use]
     pub fn summary(self) -> &'static str {
         match self {
-            Rule::D1 => "hashed collection in a determinism-critical crate",
-            Rule::D2 => "wall clock or OS entropy outside bench/testkit",
             Rule::R1 => "panic path in (or reachable from) a protocol hot file",
-            Rule::C1 => "bare narrowing `as` cast in a determinism-critical crate",
-            Rule::N1 => "ungated `std::` path in a no_std-capable crate",
             Rule::P1 => "shared-state machinery reachable from a worker-evaluated region",
             Rule::S1 => "locally fabricated seq passed to a shard event-insertion method",
             Rule::F1 => "order-sensitive accumulation into captured state in a worker region",
@@ -139,25 +104,9 @@ impl Rule {
     #[must_use]
     pub fn hint(self) -> &'static str {
         match self {
-            Rule::D1 => {
-                "use BTreeMap/BTreeSet (deterministic iteration), or justify with \
-                 // meshlint::allow(d1): <why iteration order cannot leak>"
-            }
-            Rule::D2 => {
-                "thread simulated time (Duration/SimTime) and the seeded SimRng through \
-                 instead; wall clock and OS entropy break replayability"
-            }
             Rule::R1 => {
                 "decode of untrusted input must return Err, never panic: use get()/try_from \
                  and propagate a CodecError"
-            }
-            Rule::C1 => {
-                "use u16::try_from(..) / u8::try_from(..) or the checked helpers in \
-                 loramesher::cast; a silent wrap corrupts addresses, lengths and seqs"
-            }
-            Rule::N1 => {
-                "use core::/alloc:: equivalents, or gate the item behind \
-                 #[cfg(feature = \"std\")] so --no-default-features keeps building"
             }
             Rule::P1 => {
                 "workers must be pure evaluators: move the shared state behind the \
@@ -200,19 +149,7 @@ pub struct Finding {
     pub snippet: String,
     /// Extra context for call-graph findings (the witness path, the
     /// fabricated expression, …). Empty for plain token findings.
-    /// Deliberately excluded from [`Finding::baseline_key`]: the
-    /// witness path may shift while the violation stays the same.
     pub detail: String,
-}
-
-impl Finding {
-    /// The key under which this finding is tracked in a [`Baseline`].
-    /// Line numbers are deliberately excluded so unrelated edits above a
-    /// grandfathered site do not turn it into a "new" finding.
-    #[must_use]
-    pub fn baseline_key(&self) -> String {
-        format!("{}|{}|{}", self.rule.id(), self.file, self.snippet)
-    }
 }
 
 impl fmt::Display for Finding {
@@ -264,19 +201,12 @@ pub struct Config {
     pub root: PathBuf,
     /// Directories under the root to walk (default: `crates`, `src`).
     pub scan_roots: Vec<String>,
-    /// Path prefixes (relative, forward slashes) excluded entirely.
-    pub skip_prefixes: Vec<String>,
     /// Crate names (the directory under `crates/`) whose sources are
-    /// determinism-critical: rules `d1` and `c1` apply.
+    /// determinism-critical: their worker regions are held to rules
+    /// `p1` and `f1`.
     pub deterministic_crates: Vec<String>,
-    /// Crate names exempt from rule `d2` (they legitimately measure
-    /// wall time or host entropy).
-    pub wallclock_crates: Vec<String>,
     /// Files (relative paths) forming the protocol hot path: rule `r1`.
     pub hot_path_files: Vec<String>,
-    /// Crate names that must keep building with `--no-default-features`
-    /// (`no_std` + `alloc`): rule `n1`.
-    pub no_std_crates: Vec<String>,
     /// Names of the fork-join entry points whose final argument is a
     /// worker-evaluated region: rules `p1` and `f1` (applied in
     /// determinism-critical crates).
@@ -294,19 +224,12 @@ impl Config {
         Config {
             root: root.into(),
             scan_roots: vec!["crates".into(), "src".into()],
-            skip_prefixes: Vec::new(),
-            // meshlint self-lints: the analyzer is held to d1/d2/c1
-            // like the code it polices. Its rule tables spell the
-            // forbidden tokens inside string literals, which the lexer
-            // masks, so self-scanning is exact rather than noisy.
             deterministic_crates: vec![
                 "radio-sim".into(),
                 "core".into(),
                 "scenario".into(),
                 "mesh-baselines".into(),
-                "meshlint".into(),
             ],
-            wallclock_crates: vec!["bench".into(), "testkit".into()],
             hot_path_files: vec![
                 "crates/core/src/codec.rs".into(),
                 "crates/core/src/packet.rs".into(),
@@ -338,7 +261,6 @@ impl Config {
                 "crates/radio-sim/src/grid.rs".into(),
                 "crates/radio-sim/src/par.rs".into(),
             ],
-            no_std_crates: vec!["core".into(), "lora-phy".into()],
             par_entries: vec![
                 "run_chunks".into(),
                 "map_chunks".into(),
@@ -369,28 +291,6 @@ impl Config {
     fn crate_of(rel: &str) -> Option<&str> {
         rel.strip_prefix("crates/")?.split('/').next()
     }
-
-    fn rules_for(&self, rel: &str) -> Vec<Rule> {
-        let mut rules = Vec::new();
-        let krate = Self::crate_of(rel);
-        let deterministic = krate.is_some_and(|c| self.deterministic_crates.iter().any(|d| d == c));
-        if deterministic {
-            rules.push(Rule::D1);
-            rules.push(Rule::C1);
-        }
-        let wallclock_ok = krate.is_some_and(|c| self.wallclock_crates.iter().any(|w| w == c));
-        if !wallclock_ok {
-            rules.push(Rule::D2);
-        }
-        if self.hot_path_files.iter().any(|f| f == rel) {
-            rules.push(Rule::R1);
-        }
-        if krate.is_some_and(|c| self.no_std_crates.iter().any(|n| n == c)) {
-            rules.push(Rule::N1);
-        }
-        rules.sort_unstable();
-        rules
-    }
 }
 
 /// Result of analysing one source tree.
@@ -406,7 +306,7 @@ pub struct Analysis {
     pub files_scanned: usize,
 }
 
-/// One scanned file: everything the line rules and graph rules need.
+/// One scanned file: everything the hot-line pass and graph rules need.
 struct FileScan {
     rel: String,
     krate: String,
@@ -415,9 +315,7 @@ struct FileScan {
     masked: Masked,
     masked_lines: Vec<String>,
     lines_index: parser::Lines,
-    test_lines: std::collections::BTreeSet<usize>,
-    std_gated: std::collections::BTreeSet<usize>,
-    rules: Vec<Rule>,
+    test_lines: BTreeSet<usize>,
     parsed: parser::ParsedFile,
     /// Parallel to `masked.allows`: whether each directive suppressed
     /// anything. Stale ones become `e1` findings.
@@ -427,16 +325,8 @@ struct FileScan {
 
 impl FileScan {
     fn new(cfg: &Config, rel: &str, source: &str) -> FileScan {
-        let rules = cfg.rules_for(rel);
         let masked = mask(source);
         let test_lines = test_region_lines(&masked.text);
-        // Gated regions are found on the raw source: masking blanks
-        // the `"std"` literal inside the attribute.
-        let std_gated = if rules.contains(&Rule::N1) {
-            cfg_std_region_lines(source)
-        } else {
-            std::collections::BTreeSet::new()
-        };
         let parsed = parser::parse(&masked.text, &cfg.par_entries);
         let allow_used = vec![false; masked.allows.len()];
         let stem = file_stem(rel);
@@ -449,8 +339,6 @@ impl FileScan {
             lines_index: parser::Lines::new(&masked.text),
             masked,
             test_lines,
-            std_gated,
-            rules,
             parsed,
             allow_used,
             hot: cfg.hot_path_files.iter().any(|f| f == rel),
@@ -504,8 +392,8 @@ fn file_stem(rel: &str) -> String {
     }
 }
 
-/// Walks the configured tree and applies every rule: the per-line
-/// token rules first, then the call-graph rules (`r1`-transitive,
+/// Walks the configured tree and applies every rule: `r1` on the hot
+/// files' own lines first, then the call-graph rules (`r1`-transitive,
 /// `p1`, `s1`, `f1`), then stale-escape detection (`e1`).
 ///
 /// # Errors
@@ -524,13 +412,6 @@ pub fn analyze(cfg: &Config) -> io::Result<Analysis> {
     let mut scans = Vec::new();
     for path in files {
         let rel = relative_slash_path(&cfg.root, &path);
-        if cfg
-            .skip_prefixes
-            .iter()
-            .any(|p| rel.starts_with(p.as_str()))
-        {
-            continue;
-        }
         let source = fs::read_to_string(&path)?;
         let scan = FileScan::new(cfg, &rel, &source);
         for err in &scan.masked.directive_errors {
@@ -543,8 +424,8 @@ pub fn analyze(cfg: &Config) -> io::Result<Analysis> {
         scans.push(scan);
         analysis.files_scanned += 1;
     }
-    for scan in &mut scans {
-        line_rules(scan, &mut analysis);
+    for scan in scans.iter_mut().filter(|s| s.hot) {
+        hot_lines(scan, &mut analysis);
     }
     graph_rules(cfg, &mut scans, &mut analysis);
     stale_escapes(&scans, &mut analysis);
@@ -554,50 +435,26 @@ pub fn analyze(cfg: &Config) -> io::Result<Analysis> {
     Ok(analysis)
 }
 
-/// Analyses a single file's source text with the per-line token rules
-/// (the pure core, used directly by the fixture tests). Call-graph
-/// rules need the whole workspace and only run under [`analyze`].
-/// Appends to `out`.
-pub fn analyze_source(cfg: &Config, rel: &str, source: &str, out: &mut Analysis) {
-    let mut scan = FileScan::new(cfg, rel, source);
-    for err in &scan.masked.directive_errors {
-        out.directive_errors.push(DirectiveError {
-            file: rel.to_string(),
-            line: err.0,
-            message: err.1.clone(),
-        });
-    }
-    line_rules(&mut scan, out);
-}
-
-/// Applies the per-line token rules to one file.
-fn line_rules(scan: &mut FileScan, out: &mut Analysis) {
-    if scan.rules.is_empty() {
-        return;
-    }
+/// `r1` on a hot file's own lines: every panic site outside test code.
+fn hot_lines(scan: &mut FileScan, out: &mut Analysis) {
     for idx in 0..scan.masked_lines.len() {
         let line_no = idx + 1;
         if scan.test_lines.contains(&line_no) {
             continue;
         }
-        for rule in scan.rules.clone() {
-            if rule == Rule::N1 && scan.std_gated.contains(&line_no) {
+        for col in panic_cols(&scan.masked_lines[idx]) {
+            if scan.use_allow(Rule::R1, line_no) {
+                out.allowed += 1;
                 continue;
             }
-            for col in match_rule(rule, &scan.masked_lines[idx]) {
-                if scan.use_allow(rule, line_no) {
-                    out.allowed += 1;
-                    continue;
-                }
-                out.findings.push(Finding {
-                    rule,
-                    file: scan.rel.clone(),
-                    line: line_no,
-                    col,
-                    snippet: snippet_of(&scan.source_lines[idx]),
-                    detail: String::new(),
-                });
-            }
+            out.findings.push(Finding {
+                rule: Rule::R1,
+                file: scan.rel.clone(),
+                line: line_no,
+                col,
+                snippet: snippet_of(&scan.source_lines[idx]),
+                detail: String::new(),
+            });
         }
     }
 }
@@ -665,7 +522,7 @@ fn body_sites(
 
 /// `r1`-transitive: a hot-file fn must not reach a panicking helper,
 /// however many crates away. Panic sites *in* hot files are reported
-/// directly by the line rules; this pass only chases calls that leave
+/// directly by [`hot_lines`]; this pass only chases calls that leave
 /// the hot set, anchoring each finding at the call site where they do.
 fn rule_r1_transitive(scans: &mut [FileScan], graph: &callgraph::Graph, out: &mut Analysis) {
     let mut panicky: BTreeMap<callgraph::FnId, (usize, usize)> = BTreeMap::new();
@@ -680,7 +537,7 @@ fn rule_r1_transitive(scans: &mut [FileScan], graph: &callgraph::Graph, out: &mu
                 roots.push((fi, ni));
                 continue;
             }
-            let (sites, allows) = body_sites(scan, f, Rule::R1, &|l| match_rule(Rule::R1, l));
+            let (sites, allows) = body_sites(scan, f, Rule::R1, &panic_cols);
             if let Some(&site) = sites.first() {
                 panicky.insert((fi, ni), site);
             }
@@ -1549,65 +1406,6 @@ fn test_region_lines(masked: &str) -> std::collections::BTreeSet<usize> {
     lines
 }
 
-/// Lines (1-based) covered by items gated behind `#[cfg(feature =
-/// "std")]` in the *raw* source (masking would blank the `"std"`
-/// literal). Covers the attribute through the end of the item: the
-/// matching `}` of its first brace block, or the terminating `;` for
-/// brace-less items (`use`, type aliases, gated re-exports).
-fn cfg_std_region_lines(source: &str) -> std::collections::BTreeSet<usize> {
-    const ATTR: &str = "#[cfg(feature = \"std\")]";
-    let bytes = source.as_bytes();
-    let mut lines = std::collections::BTreeSet::new();
-    let mut search_from = 0usize;
-    while let Some(found) = find_from(source, ATTR, search_from) {
-        search_from = found + ATTR.len();
-        // Skip whitespace and further attributes to the item itself.
-        let mut j = search_from;
-        loop {
-            while j < bytes.len() && bytes[j].is_ascii_whitespace() {
-                j += 1;
-            }
-            if bytes.get(j) == Some(&b'#') {
-                while j < bytes.len() && bytes[j] != b']' {
-                    j += 1;
-                }
-                j += 1;
-            } else {
-                break;
-            }
-        }
-        // Find the end of the item: a `;` before any `{`, or the
-        // matching close of the first brace block.
-        let mut k = j;
-        let mut depth = 0i64;
-        let mut entered = false;
-        while k < bytes.len() {
-            match bytes[k] {
-                b';' if !entered => break,
-                b'{' => {
-                    depth += 1;
-                    entered = true;
-                }
-                b'}' => {
-                    depth -= 1;
-                    if entered && depth == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            k += 1;
-        }
-        let first_line = line_of(bytes, found);
-        let last_line = line_of(bytes, k.min(bytes.len().saturating_sub(1)));
-        for l in first_line..=last_line {
-            lines.insert(l);
-        }
-        search_from = k.max(search_from);
-    }
-    lines
-}
-
 fn find_from(haystack: &str, needle: &str, from: usize) -> Option<usize> {
     haystack.get(from..)?.find(needle).map(|p| from + p)
 }
@@ -1646,72 +1444,32 @@ fn word_matches(line: &str, needle: &str) -> Vec<usize> {
     cols
 }
 
-/// Columns (1-based) where `rule` fires on one masked line.
-fn match_rule(rule: Rule, line: &str) -> Vec<usize> {
+/// Columns (1-based) of the `r1` panic sites on one masked line.
+fn panic_cols(line: &str) -> Vec<usize> {
     let mut cols = Vec::new();
-    match rule {
-        Rule::D1 => {
-            cols.extend(word_matches(line, "HashMap"));
-            cols.extend(word_matches(line, "HashSet"));
+    // Method-call forms: the char before `.` is part of the receiver,
+    // so plain substring search is exact.
+    for needle in [".unwrap()", ".expect("] {
+        let mut from = 0usize;
+        while let Some(pos) = find_from(line, needle, from) {
+            cols.push(pos + 1);
+            from = pos + needle.len();
         }
-        Rule::D2 => {
-            cols.extend(word_matches(line, "Instant"));
-            cols.extend(word_matches(line, "SystemTime"));
-            cols.extend(word_matches(line, "thread_rng"));
-        }
-        Rule::R1 => {
-            // Method-call forms: the char before `.` is part of the
-            // receiver, so plain substring search is exact.
-            for needle in [".unwrap()", ".expect("] {
-                let mut from = 0usize;
-                while let Some(pos) = find_from(line, needle, from) {
-                    cols.push(pos + 1);
-                    from = pos + needle.len();
-                }
-            }
-            // Macro forms need identifier boundaries so `debug_assert!`
-            // (compiled out in release, permitted) does not match
-            // `assert!`.
-            for needle in [
-                "panic!",
-                "unreachable!",
-                "todo!",
-                "unimplemented!",
-                "assert!",
-                "assert_eq!",
-                "assert_ne!",
-            ] {
-                cols.extend(word_matches(line, needle));
-            }
-            cols.extend(index_expr_cols(line));
-        }
-        Rule::C1 => {
-            for needle in ["as u8", "as u16", "as i8", "as i16"] {
-                for col in word_matches(line, needle) {
-                    // Require the keyword form ` as u16`, not an
-                    // identifier that happens to end with "as".
-                    let before = line.as_bytes().get(col.wrapping_sub(2)).copied();
-                    if before.is_none() || before == Some(b' ') || before == Some(b'(') {
-                        cols.push(col);
-                    }
-                }
-            }
-        }
-        Rule::N1 => {
-            // `std::` as a path segment: `use std::…`, `std::vec::Vec`,
-            // `::std::…` — but not `my_std::`.
-            let mut from = 0usize;
-            while let Some(pos) = find_from(line, "std::", from) {
-                if pos == 0 || !is_ident_byte(line.as_bytes()[pos - 1]) {
-                    cols.push(pos + 1);
-                }
-                from = pos + "std::".len();
-            }
-        }
-        // These rules are semantic, not per-line: `p1`/`s1`/`f1` run on
-        // the call graph and the parse tree, `e1` on directive usage.
-        Rule::P1 | Rule::S1 | Rule::F1 | Rule::E1 => {}
     }
+    // Macro forms need identifier boundaries so `debug_assert!`
+    // (compiled out in release, permitted) does not match `assert!`.
+    for needle in [
+        "panic!",
+        "unreachable!",
+        "todo!",
+        "unimplemented!",
+        "assert!",
+        "assert_eq!",
+        "assert_ne!",
+    ] {
+        cols.extend(word_matches(line, needle));
+    }
+    cols.extend(index_expr_cols(line));
     cols.sort_unstable();
     cols
 }
@@ -1755,187 +1513,6 @@ fn index_expr_cols(line: &str) -> Vec<usize> {
     cols
 }
 
-// ---------------------------------------------------------------------
-// Baseline ratcheting
-// ---------------------------------------------------------------------
-
-/// Grandfathered findings: a multiset of [`Finding::baseline_key`]s.
-///
-/// New findings (beyond the baselined count per key) fail the run;
-/// baselined ones are tracked so the debt is visible and can only burn
-/// down (stale entries are reported for removal).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct Baseline {
-    counts: BTreeMap<String, usize>,
-}
-
-/// How an analysis compares against a baseline.
-#[derive(Clone, Debug, Default)]
-pub struct Ratchet {
-    /// Findings not covered by the baseline — these fail the run.
-    pub new: Vec<Finding>,
-    /// Findings tolerated because the baseline grandfathers them.
-    pub grandfathered: Vec<Finding>,
-    /// Baseline entries no longer observed: `(key, count)` pairs that
-    /// should be deleted to lock in the progress.
-    pub stale: Vec<(String, usize)>,
-}
-
-impl Baseline {
-    /// An empty baseline: every finding is new.
-    #[must_use]
-    pub fn empty() -> Self {
-        Baseline::default()
-    }
-
-    /// Builds a baseline grandfathering exactly the given findings.
-    #[must_use]
-    pub fn from_findings(findings: &[Finding]) -> Self {
-        let mut counts = BTreeMap::new();
-        for f in findings {
-            *counts.entry(f.baseline_key()).or_insert(0) += 1;
-        }
-        Baseline { counts }
-    }
-
-    /// Parses the baseline file format: one `rule|file|snippet` key per
-    /// line (repeated keys grandfather multiple identical sites); `#`
-    /// lines and blank lines are ignored.
-    #[must_use]
-    pub fn parse(text: &str) -> Self {
-        let mut counts = BTreeMap::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.is_empty() || line.starts_with('#') {
-                continue;
-            }
-            *counts.entry(line.to_string()).or_insert(0) += 1;
-        }
-        Baseline { counts }
-    }
-
-    /// Loads a baseline file; a missing file is an empty baseline.
-    ///
-    /// # Errors
-    ///
-    /// Propagates read errors other than `NotFound`.
-    pub fn load(path: &Path) -> io::Result<Self> {
-        match fs::read_to_string(path) {
-            Ok(text) => Ok(Self::parse(&text)),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Self::empty()),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Serialises to the line-per-key format, sorted.
-    #[must_use]
-    pub fn serialize(&self) -> String {
-        let mut out = String::from(
-            "# meshlint baseline: grandfathered findings (burn these down; never add).\n\
-             # One `rule|file|snippet` key per line; regenerate with `meshlint --write-baseline`.\n",
-        );
-        for (key, count) in &self.counts {
-            for _ in 0..*count {
-                out.push_str(key);
-                out.push('\n');
-            }
-        }
-        out
-    }
-
-    /// Number of grandfathered keys.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.counts.values().sum()
-    }
-
-    /// Whether nothing is grandfathered.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
-    }
-
-    /// Splits findings into new vs grandfathered and reports stale
-    /// baseline entries.
-    #[must_use]
-    pub fn ratchet(&self, findings: &[Finding]) -> Ratchet {
-        let mut remaining = self.counts.clone();
-        let mut result = Ratchet::default();
-        for f in findings {
-            let key = f.baseline_key();
-            match remaining.get_mut(&key) {
-                Some(n) if *n > 0 => {
-                    *n -= 1;
-                    result.grandfathered.push(f.clone());
-                }
-                _ => result.new.push(f.clone()),
-            }
-        }
-        result.stale = remaining.into_iter().filter(|&(_, n)| n > 0).collect();
-        result
-    }
-}
-
-// ---------------------------------------------------------------------
-// JSON output (hand-rolled: the crate must stay dependency-free)
-// ---------------------------------------------------------------------
-
-/// Escapes a string for inclusion in JSON output.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders machine-readable results: every finding plus the ratchet
-/// summary.
-#[must_use]
-pub fn to_json(ratchet: &Ratchet, analysis: &Analysis) -> String {
-    let mut out = String::from("{\n  \"findings\": [\n");
-    let render = |f: &Finding, is_new: bool| {
-        format!(
-            "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"col\": {}, \
-             \"snippet\": \"{}\", \"detail\": \"{}\", \"hint\": \"{}\", \"new\": {}}}",
-            f.rule.id(),
-            json_escape(&f.file),
-            f.line,
-            f.col,
-            json_escape(&f.snippet),
-            json_escape(&f.detail),
-            json_escape(f.rule.hint()),
-            is_new
-        )
-    };
-    let rows: Vec<String> = ratchet
-        .new
-        .iter()
-        .map(|f| render(f, true))
-        .chain(ratchet.grandfathered.iter().map(|f| render(f, false)))
-        .collect();
-    out.push_str(&rows.join(",\n"));
-    out.push_str(&format!(
-        "\n  ],\n  \"new\": {},\n  \"grandfathered\": {},\n  \"stale_baseline_entries\": {},\n  \
-         \"allowed\": {},\n  \"directive_errors\": {},\n  \"files_scanned\": {}\n}}\n",
-        ratchet.new.len(),
-        ratchet.grandfathered.len(),
-        ratchet.stale.len(),
-        analysis.allowed,
-        analysis.directive_errors.len(),
-        analysis.files_scanned
-    ));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1960,22 +1537,25 @@ mod tests {
 
     #[test]
     fn directive_parsing() {
-        let src = "// meshlint::allow(d1): keyed lookups only\nuse std::collections::HashMap;\n";
+        let src = "// meshlint::allow(r1): length checked above\nlet b = frame[0];\n";
         let m = mask(src);
-        assert_eq!(m.allows, vec![(1, Rule::D1)]);
-        assert!(m.is_allowed(Rule::D1, 1));
-        assert!(m.is_allowed(Rule::D1, 2));
-        assert!(!m.is_allowed(Rule::D1, 3));
-        assert!(!m.is_allowed(Rule::D2, 2));
+        assert_eq!(m.allows, vec![(1, Rule::R1)]);
+        assert!(m.is_allowed(Rule::R1, 1));
+        assert!(m.is_allowed(Rule::R1, 2));
+        assert!(!m.is_allowed(Rule::R1, 3));
+        assert!(!m.is_allowed(Rule::P1, 2));
     }
 
     #[test]
     fn directive_without_reason_is_an_error() {
-        let m = mask("// meshlint::allow(d1)\nuse std::collections::HashMap;\n");
+        let m = mask("// meshlint::allow(r1)\nlet b = frame[0];\n");
         assert!(m.allows.is_empty());
         assert_eq!(m.directive_errors.len(), 1);
-        let m2 = mask("// meshlint::allow(bogus): because\n");
-        assert_eq!(m2.directive_errors.len(), 1);
+        // The retired token rules are unknown names now.
+        for id in ["bogus", "d1", "c1"] {
+            let m2 = mask(&format!("// meshlint::allow({id}): because\n"));
+            assert_eq!(m2.directive_errors.len(), 1, "{id}");
+        }
     }
 
     #[test]
@@ -2004,89 +1584,8 @@ mod tests {
     }
 
     #[test]
-    fn c1_requires_keyword_position() {
-        assert!(match_rule(Rule::C1, "let atlas u8 = 1;").is_empty());
-        assert_eq!(match_rule(Rule::C1, "let x = n as u16;").len(), 1);
-        assert!(match_rule(Rule::C1, "let x = n as u64;").is_empty());
-        assert!(match_rule(Rule::C1, "let x = alias u8;").is_empty());
-    }
-
-    #[test]
-    fn n1_matches_std_path_segments_only() {
-        assert_eq!(match_rule(Rule::N1, "use std::time::Duration;"), vec![5]);
-        assert_eq!(match_rule(Rule::N1, "let e: ::std::fmt::Error;"), vec![10]);
-        assert!(match_rule(Rule::N1, "use my_std::helpers;").is_empty());
-        assert!(match_rule(Rule::N1, "use alloc::vec::Vec;").is_empty());
-        assert!(match_rule(Rule::N1, "use core::time::Duration;").is_empty());
-    }
-
-    #[test]
-    fn n1_respects_std_feature_gates_and_test_code() {
-        let cfg = Config::workspace("/nonexistent");
-        let src = "\
-use alloc::vec::Vec;\n\
-#[cfg(feature = \"std\")]\n\
-impl std::error::Error for E {}\n\
-#[cfg(feature = \"std\")]\n\
-pub use std::time::Duration;\n\
-fn ungated() { let _ = std::mem::take(&mut 0); }\n\
-#[cfg(test)]\n\
-mod tests {\n\
-    use std::time::Duration;\n\
-}\n";
-        let mut out = Analysis::default();
-        analyze_source(&cfg, "crates/core/src/error.rs", src, &mut out);
-        let n1: Vec<&Finding> = out.findings.iter().filter(|f| f.rule == Rule::N1).collect();
-        assert_eq!(n1.len(), 1, "findings: {n1:?}");
-        assert_eq!(n1[0].line, 6);
-        // The same source in a std-only crate raises no n1 findings.
-        let mut std_ok = Analysis::default();
-        analyze_source(&cfg, "crates/radio-sim/src/lib.rs", src, &mut std_ok);
-        assert!(std_ok.findings.iter().all(|f| f.rule != Rule::N1));
-    }
-
-    #[test]
-    fn cfg_std_region_covers_braced_and_braceless_items() {
-        let src = "\
-#[cfg(feature = \"std\")]\n\
-#[derive(Debug)]\n\
-impl Thing {\n\
-    fn f(&self) {}\n\
-}\n\
-fn open() {}\n\
-#[cfg(feature = \"std\")]\n\
-use std::io;\n\
-fn also_open() {}\n";
-        let lines = cfg_std_region_lines(src);
-        for l in 1..=5 {
-            assert!(lines.contains(&l), "line {l} should be gated");
-        }
-        assert!(!lines.contains(&6));
-        assert!(lines.contains(&7) && lines.contains(&8));
-        assert!(!lines.contains(&9));
-    }
-
-    #[test]
-    fn baseline_ratchet_counts_multiset() {
-        let f = |line: usize| Finding {
-            rule: Rule::D1,
-            file: "a.rs".into(),
-            line,
-            col: 1,
-            snippet: "use std::collections::HashMap;".into(),
-            detail: String::new(),
-        };
-        let base = Baseline::from_findings(&[f(1)]);
-        // Same key at a different line: still grandfathered (keys are
-        // line-independent); a second occurrence is new.
-        let r = base.ratchet(&[f(9), f(12)]);
-        assert_eq!(r.grandfathered.len(), 1);
-        assert_eq!(r.new.len(), 1);
-        assert!(r.stale.is_empty());
-        // Burned-down finding leaves a stale entry.
-        let r2 = base.ratchet(&[]);
-        assert_eq!(r2.stale.len(), 1);
-        // Round-trip through the file format.
-        assert_eq!(Baseline::parse(&base.serialize()), base);
+    fn panic_cols_skip_debug_assertions() {
+        assert_eq!(panic_cols("assert!(ok); x.unwrap();"), vec![1, 15]);
+        assert!(panic_cols("debug_assert!(ok); debug_assert_eq!(a, b);").is_empty());
     }
 }

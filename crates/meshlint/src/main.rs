@@ -1,55 +1,30 @@
-//! `meshlint` — determinism & robustness lints for this workspace.
+//! `meshlint` — call-graph robustness and determinism rules for this
+//! workspace.
 //!
 //! ```text
-//! meshlint [--root DIR] [--json] [--baseline FILE] [--write-baseline FILE]
+//! meshlint [--root DIR]
 //! ```
 //!
-//! Exit codes: `0` clean, `1` new findings (or malformed directives),
+//! Exit codes: `0` clean, `1` findings (or malformed directives),
 //! `2` usage / IO error.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use meshlint::{analyze, to_json, Analysis, Baseline, Config, Ratchet};
+use meshlint::{analyze, Config};
 
-struct Args {
-    root: PathBuf,
-    json: bool,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        root: PathBuf::from("."),
-        json: false,
-        baseline: None,
-        write_baseline: None,
-    };
+fn parse_args() -> Result<PathBuf, String> {
+    let mut root = PathBuf::from(".");
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--root" => {
-                args.root = PathBuf::from(it.next().ok_or("--root needs a directory")?);
-            }
-            "--json" => args.json = true,
-            "--baseline" => {
-                args.baseline = Some(PathBuf::from(it.next().ok_or("--baseline needs a file")?));
-            }
-            "--write-baseline" => {
-                args.write_baseline = Some(PathBuf::from(
-                    it.next().ok_or("--write-baseline needs a file")?,
-                ));
-            }
+            "--root" => root = PathBuf::from(it.next().ok_or("--root needs a directory")?),
             "--help" | "-h" => {
                 println!(
-                    "meshlint [--root DIR] [--json] [--baseline FILE] [--write-baseline FILE]\n\
+                    "meshlint [--root DIR]\n\
                      \n\
-                     Line rules: d1 hashed collections, d2 wall clock/OS entropy,\n\
                      r1 panic paths in protocol hot files (transitively, through\n\
-                     the call graph), c1 bare narrowing casts, n1 ungated std::\n\
-                     paths in no_std-capable crates.\n\
-                     Graph rules: p1 shared-state machinery reachable from a\n\
+                     the call graph), p1 shared-state machinery reachable from a\n\
                      worker-evaluated `par::` region, s1 locally fabricated seq\n\
                      passed to a shard event-insertion method, f1 order-sensitive\n\
                      accumulation into captured state inside a worker region,\n\
@@ -62,88 +37,33 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown argument '{other}'")),
         }
     }
-    Ok(args)
+    Ok(root)
 }
 
-fn report_text(ratchet: &Ratchet, analysis: &Analysis) {
-    for f in &ratchet.new {
-        println!("{f}");
-    }
-    if !ratchet.grandfathered.is_empty() {
-        println!(
-            "note: {} baselined finding(s) tolerated (burn them down):",
-            ratchet.grandfathered.len()
-        );
-        for f in &ratchet.grandfathered {
-            println!("  {}:{}: [{}] {}", f.file, f.line, f.rule, f.snippet);
+fn main() -> ExitCode {
+    let analysis = match parse_args()
+        .and_then(|root| analyze(&Config::workspace(root)).map_err(|e| e.to_string()))
+    {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("meshlint: {e}");
+            return ExitCode::from(2);
         }
-    }
-    for (key, count) in &ratchet.stale {
-        println!("stale baseline entry (fixed — remove it): {key} (x{count})");
+    };
+    for f in &analysis.findings {
+        println!("{f}");
     }
     for e in &analysis.directive_errors {
         println!("{e}");
     }
     println!(
-        "meshlint: {} file(s), {} new, {} baselined, {} allowed, {} directive error(s)",
+        "meshlint: {} file(s), {} finding(s), {} allowed, {} directive error(s)",
         analysis.files_scanned,
-        ratchet.new.len(),
-        ratchet.grandfathered.len(),
+        analysis.findings.len(),
         analysis.allowed,
         analysis.directive_errors.len()
     );
-}
-
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("meshlint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let cfg = Config::workspace(&args.root);
-    let analysis = match analyze(&cfg) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("meshlint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-
-    if let Some(path) = &args.write_baseline {
-        let baseline = Baseline::from_findings(&analysis.findings);
-        if let Err(e) = std::fs::write(path, baseline.serialize()) {
-            eprintln!("meshlint: writing {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "meshlint: wrote baseline with {} finding(s) to {}",
-            baseline.len(),
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = match &args.baseline {
-        Some(path) => match Baseline::load(path) {
-            Ok(b) => b,
-            Err(e) => {
-                eprintln!("meshlint: reading {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        },
-        None => Baseline::empty(),
-    };
-    let ratchet = baseline.ratchet(&analysis.findings);
-
-    if args.json {
-        print!("{}", to_json(&ratchet, &analysis));
-    } else {
-        report_text(&ratchet, &analysis);
-    }
-
-    if ratchet.new.is_empty() && analysis.directive_errors.is_empty() {
+    if analysis.findings.is_empty() && analysis.directive_errors.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)

@@ -472,7 +472,6 @@ fn skip_macro_rules(masked: &str, from: usize) -> usize {
 /// Handles a non-keyword identifier at `[s, e)`: records a call site if
 /// it is one, plus the worker region when the call is a par entry
 /// point. Returns the position to resume the main scan from.
-#[allow(clippy::too_many_arguments)]
 fn scan_possible_call(
     masked: &str,
     lines: &Lines,

@@ -1,8 +1,10 @@
 //! Fixture: malformed directives must fail the run, not silently
 //! stop suppressing.
 
-// meshlint::allow(d1)
-use std::collections::HashMap;
+pub fn first(frame: &[u8]) -> u8 {
+    // meshlint::allow(r1)
+    frame[0]
+}
 
 // meshlint::allow(bogus): the rule name does not exist
 pub fn nothing() {}

@@ -8,7 +8,7 @@ pub struct LinkState {
 }
 
 pub fn rebuild(rows: u32) -> LinkState {
-    // meshlint::allow(d1): this import was dropped in the rewrite
+    // meshlint::allow(p1): the lock this guarded was dropped in the rewrite
     let state = LinkState { rows };
     // meshlint::allow(r1): the indexing below was replaced by get()
     let rows = state.rows;

@@ -1,17 +1,22 @@
-//! Fixture: a hot-path file seeded with one violation of every class
-//! meshlint must catch (this file is never compiled).
+//! Fixture: a hot-path file seeded with one panic site of every class
+//! r1 must catch (this file is never compiled).
 
-use std::collections::HashMap; // d1: hashed collection + n1: ungated std:: in core
+// Decoys: panic! frame[0] x.unwrap() in a comment never fire.
+pub const DOC: &str = "frame[0] x.unwrap() panic!(\"no\")";
+pub const RAW: &str = r#"unreachable!() assert!(x)"#;
 
 pub fn decode(frame: &[u8]) -> u8 {
     let first = frame[0]; // r1: unchecked indexing
-    let len = frame.len() as u8; // c1: bare narrowing cast
     let v: Option<u8> = None;
     v.unwrap(); // r1: unwrap
     v.expect("boom"); // r1: expect
     if first == 0 {
         panic!("zero"); // r1: panic
     }
+    // meshlint::allow(r1): the caller checked the length.
+    let second = frame[1];
+    let _lit = [1u8, 2, 3]; // array literal: not an index expression
+    debug_assert!(second > 0); // compiled out in release: permitted
     unreachable!() // r1: unreachable
 }
 
@@ -23,17 +28,6 @@ mod tests {
         v.unwrap();
         let frame = [0u8; 4];
         let _ = frame[0];
-        let _ = frame.len() as u8;
+        assert!(frame.len() == 4);
     }
 }
-
-#[cfg(feature = "std")]
-impl std::fmt::Display for Wrapper {
-    // n1 decoy: std:: behind the std feature gate is fine.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "wrapped")
-    }
-}
-
-#[cfg(feature = "std")]
-pub use std::time::Duration; // n1 decoy: gated brace-less item

@@ -158,6 +158,10 @@ impl Occupancy {
         }
         // Rotated so that word w+1 is bit 0, the summary's first set bit is
         // the next occupied word going round; word `w` itself comes last.
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "w < 64: a word of the 64-word occupancy bitmap"
+        )]
         let rot = self.summary.rotate_right((w as u32 + 1) % 64);
         if rot == 0 {
             return None;

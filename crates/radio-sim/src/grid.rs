@@ -134,8 +134,12 @@ impl Grid {
             if let Some(slot) = cursor.get_mut(c) {
                 let at = *slot as usize;
                 if let Some(item) = self.items.get_mut(at) {
-                    // Node count < 2^32 by construction.
-                    *item = i as u32;
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "node count < 2^32 by construction"
+                    )]
+                    let i = i as u32;
+                    *item = i;
                 }
                 *slot += 1;
             }
@@ -148,8 +152,12 @@ impl Grid {
         if !extent.is_finite() || extent <= 0.0 || cell == f64::INFINITY {
             return 1;
         }
-        // The quotient is clamped to MAX_CELLS_PER_AXIS right away.
-        (((extent / cell).floor() as usize) + 1).min(MAX_CELLS_PER_AXIS)
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the float cast saturates, and the quotient is clamped to MAX_CELLS_PER_AXIS right away"
+        )]
+        let cells = (extent / cell).floor() as usize;
+        (cells + 1).min(MAX_CELLS_PER_AXIS)
     }
 
     /// The flat cell index containing `p` (clamped into range, so
@@ -165,10 +173,13 @@ impl Grid {
         if cell == f64::INFINITY || cells <= 1 {
             return 0;
         }
-        // The cast truncates toward zero and saturates (NaN → 0), so it
-        // floors every non-negative quotient and maps the rest to cell
-        // 0; clamped to the cell count right after.
-        ((offset / cell) as usize).min(cells - 1)
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the cast truncates toward zero and saturates (NaN → 0), so it floors every \
+                      non-negative quotient and maps the rest to cell 0; clamped right after"
+        )]
+        let index = (offset / cell) as usize;
+        index.min(cells - 1)
     }
 
     /// The 3×3 block of cells around `p` as at most three slices of

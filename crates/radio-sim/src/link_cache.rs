@@ -147,6 +147,10 @@ impl LinkRow {
             }
             let power = medium.received_power(&here, &there, NodeId(i), NodeId(j));
             if medium.audible(power) {
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "node count < 2^32 by construction"
+                )]
                 audible.push(Neighbour {
                     node: j as u32,
                     power,
@@ -170,6 +174,10 @@ impl LinkRow {
         for &j in cands.iter().filter(|&&j| j != i) {
             let link = compute(j);
             if link.audible {
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "node count < 2^32 by construction"
+                )]
                 self.audible.push(Neighbour {
                     node: j as u32,
                     power: link.power,

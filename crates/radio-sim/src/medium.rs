@@ -212,9 +212,13 @@ impl Medium {
         a: NodeId,
         b: NodeId,
     ) -> Dbm {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "shadowing hash-mix input: node-id wraparound is deterministic and harmless"
+        )]
+        let (a, b) = (a.0 as u16, b.0 as u16);
         let loss = self.config.path_loss.loss_db(tx_pos.distance(rx_pos))
-            // meshlint::allow(c1): shadowing hash-mix input — node-id wraparound is deterministic and harmless.
-            + self.config.shadowing.offset_db(a.0 as u16, b.0 as u16);
+            + self.config.shadowing.offset_db(a, b);
         LinkBudget {
             tx_power: self.config.tx_power,
             tx_antenna_gain_db: self.config.antenna_gain_db,

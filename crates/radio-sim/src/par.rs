@@ -228,7 +228,7 @@ mod tests {
             let mut items = vec![0u32; 61];
             run_chunks(threads, &mut items, |start, chunk| {
                 for (k, v) in chunk.iter_mut().enumerate() {
-                    *v += (start + k) as u32 + 1;
+                    *v += u32::try_from(start + k).unwrap() + 1;
                 }
             });
             let expected: Vec<u32> = (1..=61).collect();
@@ -255,7 +255,7 @@ mod tests {
                 for (k, (x, y)) in ca.iter_mut().zip(cb.iter_mut()).enumerate() {
                     assert_eq!(*y, *x * 10, "pairing broke at {}", start + k);
                     *x += *y;
-                    *y = (start + k) as u32;
+                    *y = u32::try_from(start + k).unwrap();
                 }
             });
             let expected_a: Vec<u32> = (0..53).map(|x| x + x * 10).collect();

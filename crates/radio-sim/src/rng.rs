@@ -101,7 +101,7 @@ impl SimRng {
         loop {
             let x = self.next_u64();
             let m = u128::from(x) * u128::from(bound);
-            let low = m as u64;
+            let low = x.wrapping_mul(bound);
             if low >= bound {
                 return (m >> 64) as u64;
             }
@@ -155,8 +155,9 @@ impl SimRng {
     /// Shuffles a slice (Fisher–Yates).
     pub fn shuffle<T>(&mut self, slice: &mut [T]) {
         for i in (1..slice.len()).rev() {
-            let j = self.gen_range(i as u64 + 1) as usize;
-            slice.swap(i, j);
+            // j <= i, so it converts back to an index losslessly.
+            let j = self.gen_range(i as u64 + 1);
+            slice.swap(i, usize::try_from(j).unwrap_or(i));
         }
     }
 }
@@ -245,7 +246,7 @@ mod tests {
         let mut rng = SimRng::new(5);
         let mut counts = [0u32; 10];
         for _ in 0..10_000 {
-            counts[rng.gen_range(10) as usize] += 1;
+            counts[usize::try_from(rng.gen_range(10)).unwrap()] += 1;
         }
         for c in counts {
             assert!((800..1200).contains(&c), "bucket count {c}");

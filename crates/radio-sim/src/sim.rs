@@ -251,8 +251,9 @@ pub struct Simulator<F: Firmware> {
     started: bool,
     mobility_scheduled: bool,
     /// Injected per-link loss probabilities, keyed by unordered pair.
-    /// A `BTreeMap` (meshlint rule D1): deterministic iteration order,
-    /// so no observable behaviour can ever depend on hasher state.
+    /// A `BTreeMap` (`clippy.toml` disallows `HashMap`): deterministic
+    /// iteration order, so no observable behaviour can ever depend on
+    /// hasher state.
     link_loss: std::collections::BTreeMap<(usize, usize), f64>,
     /// Each node's audible set at the current positions, filled lazily.
     link_cache: LinkCache,
@@ -1780,9 +1781,9 @@ mod tests {
         let b = s.add_node(Probe::default(), Position::new(100.0, 0.0));
         s.set_link_loss(a, b, 0.5);
         s.start();
-        for k in 0..200u64 {
-            s.run_until(Duration::from_secs(k));
-            s.with_node(a, |_fw, ctx| ctx.transmit(vec![k as u8; 4]));
+        for k in 0..200u8 {
+            s.run_until(Duration::from_secs(k.into()));
+            s.with_node(a, |_fw, ctx| ctx.transmit(vec![k; 4]));
         }
         s.run_for(Duration::from_secs(2));
         let delivered = s.node(b).received.len();
@@ -1791,9 +1792,9 @@ mod tests {
         // Clearing restores full delivery.
         s.set_link_loss(a, b, 0.0);
         let before = s.node(b).received.len();
-        for k in 0..20u64 {
-            s.run_until(Duration::from_secs(300 + k));
-            s.with_node(a, |_fw, ctx| ctx.transmit(vec![k as u8; 4]));
+        for k in 0..20u8 {
+            s.run_until(Duration::from_secs(300 + u64::from(k)));
+            s.with_node(a, |_fw, ctx| ctx.transmit(vec![k; 4]));
         }
         s.run_for(Duration::from_secs(2));
         assert_eq!(s.node(b).received.len(), before + 20);

@@ -98,6 +98,16 @@ const COUNTER_MASK: u64 = (1 << WORKER_SHIFT) - 1;
 /// No owner: the node's band is outside every accepted zone this batch.
 const NO_OWNER: u8 = u8::MAX;
 
+/// A batch-local count, or a node, slot or worker index, as the `u32`
+/// the batch records store it in.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "batch-local counts and indices stay far below 2^32"
+)]
+fn u32_of(n: usize) -> u32 {
+    n as u32
+}
+
 /// Where a buffered record's sequence number comes from.
 #[derive(Clone, Copy, Debug)]
 enum SeqSrc {
@@ -380,10 +390,10 @@ impl<F: Firmware> BandWorker<'_, F> {
         let rec = Rec {
             at,
             src,
-            trace_n: (self.scratch.trace.len() - t0) as u32,
-            creat_n: (self.scratch.creations.len() - c0) as u32,
-            staged_n: (self.scratch.staged.len() - s0) as u32,
-            ended_n: (self.scratch.ended.len() - e0) as u32,
+            trace_n: u32_of(self.scratch.trace.len() - t0),
+            creat_n: u32_of(self.scratch.creations.len() - c0),
+            staged_n: u32_of(self.scratch.staged.len() - s0),
+            ended_n: u32_of(self.scratch.ended.len() - e0),
         };
         self.scratch.records.push(rec);
     }
@@ -392,7 +402,7 @@ impl<F: Firmware> BandWorker<'_, F> {
     /// to the local pending heap (they are always group-local: the only
     /// sub-lookahead creations are a node's own timers and CAD endings).
     fn create(&mut self, at: SimTime, node: usize, ev: SimEvent) {
-        let k = self.scratch.creations.len() as u32;
+        let k = u32_of(self.scratch.creations.len());
         let in_window = at < self.ctx.limit;
         if in_window {
             debug_assert!(
@@ -407,7 +417,7 @@ impl<F: Firmware> BandWorker<'_, F> {
         }
         self.scratch.creations.push(Creation {
             at,
-            node: node as u32,
+            node: u32_of(node),
             ev,
         });
         self.scratch.consumed.push(false);
@@ -1131,7 +1141,7 @@ impl<F: Firmware + Send> Simulator<F> {
             for ((i, slot), rng) in self.nodes.iter_mut().enumerate().zip(self.rngs.iter_mut()) {
                 let w = owner[i];
                 if w != NO_OWNER {
-                    cs.oslot[i] = owned_slots[w as usize].len() as u32;
+                    cs.oslot[i] = u32_of(owned_slots[w as usize].len());
                     owned_slots[w as usize].push(slot);
                     owned_rngs[w as usize].push(rng);
                 }
@@ -1161,7 +1171,7 @@ impl<F: Firmware + Send> Simulator<F> {
                 let mut rngs_it = owned_rngs.into_iter();
                 for w in 0..nw {
                     band_workers.push(BandWorker {
-                        w: w as u32,
+                        w: u32_of(w),
                         queues: queues_it.next().expect("one queue set per worker"),
                         owned_slots: slots_it.next().expect("one slot set per worker"),
                         owned_rngs: rngs_it.next().expect("one rng set per worker"),

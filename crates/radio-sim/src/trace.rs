@@ -150,10 +150,8 @@ mod tests {
         let mut t = Trace::new(3);
         for i in 0..5 {
             t.push(
-                SimTime::from_millis(i),
-                TraceEvent::Killed {
-                    node: NodeId(i as usize),
-                },
+                SimTime::from_millis(i as u64),
+                TraceEvent::Killed { node: NodeId(i) },
             );
         }
         assert_eq!(t.len(), 3);

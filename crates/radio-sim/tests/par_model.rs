@@ -43,7 +43,6 @@ fn reverse_staircase_durations_cannot_reorder_results() {
             let rank = threads.saturating_sub(chunk_index);
             // Sleep once per chunk, on its first item.
             if i % chunk == 0 {
-                // meshlint::allow(c1): rank <= threads <= 8
                 thread::sleep(Duration::from_millis(3 * rank as u64));
             }
             x.wrapping_mul(31) ^ 7
@@ -64,7 +63,6 @@ fn run_chunks_with_reverse_staircase_matches_serial() {
         let chunk = items.len().div_ceil(threads);
         run_chunks(threads, &mut items, |start, slice| {
             let rank = threads.saturating_sub(start / chunk);
-            // meshlint::allow(c1): rank <= threads <= 6
             thread::sleep(Duration::from_millis(2 * rank as u64));
             for v in slice.iter_mut() {
                 *v = v.wrapping_mul(13) + 5;

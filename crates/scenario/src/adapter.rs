@@ -130,7 +130,10 @@ pub enum AppAction {
 /// so the size skew between a full mesh node and the thin baselines is
 /// irrelevant — boxing would only add pointer chasing to the hot loop.
 #[derive(Debug)]
-#[allow(clippy::large_enum_variant)]
+#[expect(
+    clippy::large_enum_variant,
+    reason = "one long-lived instance per node; boxing would add a pointer chase to the hot loop"
+)]
 pub enum ProtocolNode {
     /// The LoRaMesher distance-vector mesh.
     Mesh(MeshNode),
@@ -375,7 +378,8 @@ impl<P: HostedProtocol> Firmware for ProtocolFirmware<P> {
     }
 
     fn on_app(&mut self, tag: u64, ctx: &mut Context) {
-        let Some(action) = self.actions.get(tag as usize).cloned() else {
+        let action = usize::try_from(tag).ok().and_then(|i| self.actions.get(i));
+        let Some(action) = action.cloned() else {
             return;
         };
         let now = ctx.now();

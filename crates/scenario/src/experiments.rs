@@ -153,6 +153,10 @@ pub const RANDOM_DRAWS: usize = 2000;
 /// row from the origin; `meshsim --topology grid` and E1 place this way.
 #[must_use]
 pub fn square_grid(n: usize, spacing: f64) -> Vec<Position> {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the float cast saturates; n is a node count, so its root is small"
+    )]
     let side = (n as f64).sqrt().ceil() as usize;
     let mut g = topology::grid(side, side, spacing);
     g.truncate(n);
@@ -708,6 +712,10 @@ pub fn e8_duty_cycle(opt: &ExpOptions) -> ExpTable {
             .run_until_converged(Duration::from_secs(5), Duration::from_secs(1800))
             .expect("pair converges");
         let start = runner.now() + Duration::from_secs(5);
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the float cast floors a non-negative packet count and saturates"
+        )]
         let count = ((horizon.as_secs_f64() - start.as_secs_f64()) / secs) as usize;
         runner.apply(&workload::periodic(
             0,
@@ -759,6 +767,10 @@ pub fn e9_state_size(opt: &ExpOptions) -> ExpTable {
             .map(|i| runner.mesh_node(i).unwrap().routing_table().len())
             .sum();
         let mean_entries = entries as f64 / n as f64;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the float cast saturates; a mean table size is at most the node count"
+        )]
         let hello_len =
             codec::COMMON_HEADER_LEN + 1 + mean_entries.round() as usize * codec::ROUTE_ENTRY_LEN;
         let modulation = LoRaModulation::default();

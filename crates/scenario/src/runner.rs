@@ -468,8 +468,9 @@ impl Runner {
     pub fn report(&self) -> TrafficReport {
         let now = self.now();
         let mut latencies = Vec::new();
-        // BTreeSet (meshlint rule D1): membership-only today, but a
-        // deterministic order keeps any future iteration replay-safe.
+        // BTreeSet (`clippy.toml` disallows HashSet): membership-only
+        // today, but a deterministic order keeps any future iteration
+        // replay-safe.
         let mut delivered_keys: BTreeSet<(u32, usize)> = BTreeSet::new();
         let mut duplicates = 0u64;
         let mut send_errors = 0u64;
@@ -592,7 +593,12 @@ impl TrafficReport {
             return None;
         }
         let total: Duration = self.latencies.iter().sum();
-        Some(total / self.latencies.len() as u32)
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "`Duration` divides by `u32`; a run records far fewer than 2^32 deliveries"
+        )]
+        let count = self.latencies.len() as u32;
+        Some(total / count)
     }
 
     /// A latency percentile (0.0–1.0).
@@ -603,6 +609,10 @@ impl TrafficReport {
         }
         let mut v = self.latencies.clone();
         v.sort_unstable();
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the float cast saturates; the rounded rank lies in 0..len"
+        )]
         let idx = ((v.len() - 1) as f64 * p.clamp(0.0, 1.0)).round() as usize;
         Some(v[idx])
     }

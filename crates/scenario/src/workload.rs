@@ -45,12 +45,19 @@ pub fn periodic(
     count: usize,
 ) -> Vec<TrafficEvent> {
     (0..count)
-        .map(|k| TrafficEvent {
-            at: start + interval * k as u32,
-            from,
-            to,
-            payload_len,
-            reliable: false,
+        .map(|k| {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "`Duration` multiplies by `u32`; a workload is far shorter than 2^32 packets"
+            )]
+            let k = k as u32;
+            TrafficEvent {
+                at: start + interval * k,
+                from,
+                to,
+                payload_len,
+                reliable: false,
+            }
         })
         .collect()
 }

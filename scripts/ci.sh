@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate for the repository: formatting, the static-analysis wall
-# (clippy -D warnings + meshlint), a fully offline release build, and
+# (clippy -D warnings with `clippy.toml`'s determinism rules, plus
+# meshlint's call-graph rules), a fully offline release build, and
 # the fully offline test suite, then the out-of-workspace benchmark
 # package (smoke run + its unit tests). Run from anywhere; no network
 # access is required (the workspace has no registry dependencies).
@@ -26,6 +27,11 @@ cargo build --offline --examples
 echo "==> cargo build -p loramesher -p lora-phy --no-default-features --offline (no_std feature leg)"
 cargo build -p loramesher -p lora-phy --no-default-features --offline
 
+# The AES-CTR sealer and the flooding stack's crypto paths compile
+# without std too.
+echo "==> cargo build -p loramesher --no-default-features --features crypto --offline (no_std crypto leg)"
+cargo build -p loramesher --no-default-features --features crypto --offline
+
 echo "==> cargo clippy --offline --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
@@ -34,8 +40,8 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "==> RUSTDOCFLAGS=\"-D warnings\" cargo doc --offline --workspace --no-deps (rustdoc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 
-echo "==> meshlint (determinism & robustness rules, ratcheted)"
-cargo run -q --release --offline -p meshlint -- --root . --baseline meshlint.baseline
+echo "==> meshlint (call-graph rules: r1 panic reach, p1/s1/f1 worker regions, e1 stale escapes)"
+cargo run -q --release --offline -p meshlint -- --root .
 
 echo "==> cargo test -q --offline -p meshlint (analyzer unit + fixture suite)"
 cargo test -q --offline -p meshlint
