@@ -8,6 +8,7 @@ use core::fmt;
 use std::time::Duration;
 
 use lora_phy::modulation::SpreadingFactor;
+use loramesher::codec::MAX_RELIABLE_PAYLOAD;
 use scenario::runner::ProtocolChoice;
 
 /// Network shape.
@@ -352,7 +353,8 @@ impl Cli {
             ["bulk", from, to, bytes] => Ok(Traffic::Bulk {
                 from: int(from)? as usize,
                 to: int(to)? as usize,
-                bytes: int(bytes)? as usize,
+                // Saturate: `validate` refuses anything past the bound.
+                bytes: usize::try_from(int(bytes)?).unwrap_or(usize::MAX),
             }),
             _ => Err(ParseError(format!(
                 "bad --traffic '{value}' (try pair:0:2:10, all-to-one:30, bulk:0:1:4096 or none)"
@@ -407,6 +409,12 @@ impl Cli {
                 distinct(from, to)?;
                 if bytes == 0 {
                     return Err(ParseError("bulk size must be positive".into()));
+                }
+                if bytes > MAX_RELIABLE_PAYLOAD {
+                    return Err(ParseError(format!(
+                        "bulk size {bytes} exceeds the {MAX_RELIABLE_PAYLOAD}-byte \
+                         reliable-transfer limit"
+                    )));
                 }
             }
             Traffic::AllToOne { interval_secs } => {
@@ -625,5 +633,15 @@ mod tests {
     fn traffic_interval_must_be_positive() {
         assert!(parse(&["--nodes", "3", "--traffic", "all-to-one:0"]).is_err());
         assert!(parse(&["--nodes", "3", "--traffic", "bulk:0:1:0"]).is_err());
+    }
+
+    #[test]
+    fn bulk_size_is_bounded_by_what_a_sync_can_count() {
+        let bulk = |bytes: usize| parse(&["--traffic", &format!("bulk:0:1:{bytes}")]);
+        assert!(bulk(MAX_RELIABLE_PAYLOAD).is_ok());
+        let err = bulk(MAX_RELIABLE_PAYLOAD + 1).unwrap_err();
+        assert!(err.0.contains("reliable-transfer limit"), "{err}");
+        assert!(bulk(usize::MAX).is_err());
+        assert!(parse(&["--traffic", "bulk:0:1:18446744073709551615"]).is_err());
     }
 }

@@ -54,6 +54,11 @@ pub const MAX_DATA_PAYLOAD: usize = MAX_FRAME_LEN - DATA_OVERHEAD;
 pub const FRAG_OVERHEAD: usize = DATA_OVERHEAD + 3;
 /// Largest fragment body of a reliable transfer.
 pub const MAX_FRAG_PAYLOAD: usize = MAX_FRAME_LEN - FRAG_OVERHEAD;
+/// Largest payload of a reliable transfer: the Sync header counts its
+/// fragments in 16 bits (its 32-bit byte count is never the limit).
+pub const MAX_RELIABLE_PAYLOAD: usize = u16::MAX as usize * MAX_FRAG_PAYLOAD;
+/// Largest number of fragment indices a single Lost frame can carry.
+pub const MAX_LOST_INDICES: usize = (MAX_PAYLOAD_LEN - FORWARDING_LEN - 1) / 2;
 /// Largest number of routing entries a single Hello frame can carry.
 pub const MAX_HELLO_ENTRIES: usize = (MAX_PAYLOAD_LEN - 1) / ROUTE_ENTRY_LEN;
 

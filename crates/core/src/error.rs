@@ -63,12 +63,14 @@ impl std::error::Error for CodecError {}
 pub enum SendError {
     /// No route to the destination is known.
     NoRoute(Address),
-    /// The payload exceeds the single-frame limit (use the reliable
-    /// large-payload service instead).
+    /// The payload exceeds the limit of the service it was sent with:
+    /// one frame for a datagram (use the reliable large-payload service
+    /// instead), [`crate::codec::MAX_RELIABLE_PAYLOAD`] for a reliable
+    /// transfer.
     PayloadTooLarge {
         /// Bytes submitted.
         len: usize,
-        /// Maximum datagram payload.
+        /// The service's maximum payload.
         max: usize,
     },
     /// The transmit queue is full.
@@ -86,10 +88,7 @@ impl fmt::Display for SendError {
         match self {
             SendError::NoRoute(a) => write!(f, "no route to {a}"),
             SendError::PayloadTooLarge { len, max } => {
-                write!(
-                    f,
-                    "payload of {len} bytes exceeds the {max}-byte datagram limit"
-                )
+                write!(f, "payload of {len} bytes exceeds the {max}-byte limit")
             }
             SendError::QueueFull => write!(f, "transmit queue full"),
             SendError::EmptyPayload => write!(f, "payload is empty"),

@@ -86,6 +86,10 @@ impl OutboundTransfer {
     /// An empty payload travels as one empty fragment, and a zero
     /// `max_frag` is clamped to one byte — degenerate inputs make a
     /// slow transfer, not a crash.
+    ///
+    /// `None` when the Sync header cannot describe the payload: more
+    /// than `u16::MAX` fragments (index `u16::MAX` is the Sync's own
+    /// acknowledgement), or more than `u32::MAX` bytes.
     #[must_use]
     pub fn new(
         dst: Address,
@@ -94,19 +98,18 @@ impl OutboundTransfer {
         max_frag: usize,
         timeout: Duration,
         max_retries: u32,
-    ) -> Self {
+    ) -> Option<Self> {
         let max_frag = max_frag.max(1);
+        let total_len = u32::try_from(payload.len()).ok()?;
+        if payload.len().div_ceil(max_frag) > usize::from(u16::MAX) {
+            return None;
+        }
         let fragments = if payload.is_empty() {
             vec![Vec::new()]
         } else {
             payload.chunks(max_frag).map(<[u8]>::to_vec).collect()
         };
-        #[expect(
-            clippy::cast_possible_truncation,
-            reason = "the Sync header's 32-bit length field: a payload past 4 GiB wraps, as on the wire"
-        )]
-        let total_len = payload.len() as u32;
-        OutboundTransfer {
+        Some(OutboundTransfer {
             dst,
             seq,
             fragments,
@@ -117,7 +120,7 @@ impl OutboundTransfer {
             timeout,
             deadline: None,
             retransmits: 0,
-        }
+        })
     }
 
     /// Number of fragments.
@@ -405,7 +408,24 @@ mod tests {
 
     fn outbound(payload_len: usize, max_frag: usize) -> OutboundTransfer {
         let payload: Vec<u8> = (0..=u8::MAX).cycle().take(payload_len).collect();
-        OutboundTransfer::new(DST, 1, &payload, max_frag, TIMEOUT, 3)
+        OutboundTransfer::new(DST, 1, &payload, max_frag, TIMEOUT, 3).expect("payload fits a Sync")
+    }
+
+    #[test]
+    fn a_payload_past_the_sync_fragment_count_is_refused() {
+        // `u16::MAX` fragments are the most a Sync can count, and the
+        // transfer completes only on the last one's acknowledgement.
+        let mut t = outbound(usize::from(u16::MAX), 1);
+        assert_eq!(t.frag_count(), u16::MAX);
+        assert_eq!(t.start(T0), SenderAction::SendSync);
+        assert_eq!(t.on_ack(SYNC_ACK_INDEX, T0), SenderAction::SendFrag(0));
+        for i in 0..u16::MAX - 1 {
+            assert_eq!(t.on_ack(i, T0), SenderAction::SendFrag(i + 1));
+        }
+        assert_eq!(t.on_ack(u16::MAX - 1, T0), SenderAction::Completed);
+        // One byte more needs fragment 65 536: refused, not truncated.
+        let payload = vec![0; usize::from(u16::MAX) + 1];
+        assert!(OutboundTransfer::new(DST, 1, &payload, 1, TIMEOUT, 3).is_none());
     }
 
     #[test]
@@ -506,7 +526,8 @@ mod tests {
 
     #[test]
     fn empty_payload_is_one_empty_fragment() {
-        let mut t = OutboundTransfer::new(DST, 0, &[], 100, TIMEOUT, 3);
+        let mut t =
+            OutboundTransfer::new(DST, 0, &[], 100, TIMEOUT, 3).expect("payload fits a Sync");
         assert_eq!(t.frag_count(), 1);
         assert_eq!(t.fragment(0), &[] as &[u8]);
         assert_eq!(t.total_len(), 0);

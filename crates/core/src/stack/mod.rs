@@ -204,6 +204,9 @@ impl MeshNode {
     /// # Errors
     ///
     /// * [`SendError::EmptyPayload`] — nothing to send.
+    /// * [`SendError::PayloadTooLarge`] — longer than
+    ///   [`codec::MAX_RELIABLE_PAYLOAD`]: more fragments than the Sync
+    ///   header can count.
     /// * [`SendError::BroadcastUnsupported`] — reliable transfers are
     ///   unicast only.
     /// * [`SendError::NoRoute`] — the destination is unknown.

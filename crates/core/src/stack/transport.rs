@@ -13,7 +13,7 @@ use alloc::vec::Vec;
 use core::time::Duration;
 
 use crate::addr::Address;
-use crate::codec::MAX_FRAG_PAYLOAD;
+use crate::codec::{MAX_FRAG_PAYLOAD, MAX_LOST_INDICES, MAX_RELIABLE_PAYLOAD};
 use crate::config::MeshConfig;
 use crate::error::SendError;
 use crate::packet::{Forwarding, Packet, SYNC_ACK_INDEX};
@@ -71,15 +71,20 @@ impl TransportLayer {
             return Err(SendError::TransferInProgress(dst));
         }
         let seq = self.next_seq;
-        self.next_seq = self.next_seq.wrapping_add(1);
-        let mut transfer = OutboundTransfer::new(
+        let Some(mut transfer) = OutboundTransfer::new(
             dst,
             seq,
             &payload,
             MAX_FRAG_PAYLOAD,
             config.reliable_timeout,
             config.reliable_max_retries,
-        );
+        ) else {
+            return Err(SendError::PayloadTooLarge {
+                len: payload.len(),
+                max: MAX_RELIABLE_PAYLOAD,
+            });
+        };
+        self.next_seq = self.next_seq.wrapping_add(1);
         let action = transfer.start(now);
         transfer.defer_deadline(bus.ack_jitter(config.reliable_timeout));
         self.outbound.insert(dst, transfer);
@@ -356,7 +361,13 @@ impl TransportLayer {
                     && t.lost_requests() < config.reliable_max_retries
                     && !t.missing().is_empty()
             })
-            .map(|(k, t)| (k.0, k.1, t.missing()))
+            .map(|(k, t)| {
+                // The earliest indices that fit one frame: the sender
+                // rewinds to the first, and a later request names the rest.
+                let mut missing = t.missing();
+                missing.truncate(MAX_LOST_INDICES);
+                (k.0, k.1, missing)
+            })
             .collect();
         for (src, seq, missing) in stalled {
             if let Some(t) = self.inbound.get_mut(&(src, seq)) {
@@ -576,6 +587,40 @@ mod tests {
             Some(Packet::Lost { missing, .. }) => assert_eq!(missing, vec![0, 1]),
             p => panic!("unexpected {p:?}"),
         }
+    }
+
+    /// A stall with more fragments missing than one frame can list asks
+    /// for the earliest ones, in a Lost that still encodes.
+    #[test]
+    fn lost_request_lists_what_fits_one_frame() {
+        let (config, routing, mut t, mut bus) = parts();
+        t.consume(
+            Packet::Sync {
+                dst: ME,
+                src: PEER,
+                id: 1,
+                fwd: Forwarding { via: ME, ttl: 5 },
+                seq: 3,
+                frag_count: 300,
+                total_len: 30_000,
+            },
+            Duration::ZERO,
+            &config,
+            &mut bus,
+            &routing,
+        );
+        assert!(matches!(bus.txq.pop(), Some(Packet::Ack { .. })));
+        let stall_at = config.reliable_timeout + Duration::from_secs(1);
+        t.process_due(stall_at, &config, &mut bus, &routing);
+        let lost = bus.txq.pop().expect("a Lost request");
+        match &lost {
+            Packet::Lost { missing, .. } => {
+                let first: Vec<u16> = (0..).take(MAX_LOST_INDICES).collect();
+                assert_eq!(*missing, first);
+            }
+            p => panic!("unexpected {p:?}"),
+        }
+        assert!(crate::codec::encode(&lost).is_ok());
     }
 
     /// An abandoned inbound transfer expires into an app event.

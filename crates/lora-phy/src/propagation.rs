@@ -118,6 +118,34 @@ impl PathLossModel {
             }
         }
     }
+
+    /// The distance in metres at which [`loss_db`](Self::loss_db) reaches
+    /// `loss_db`: the closed-form inverse of the model's logarithmic law,
+    /// one `powf`.
+    ///
+    /// It inverts the formula, not its rounding: `loss_db` of the result
+    /// lands within a few ulps of `loss_db`, so a caller that needs the
+    /// exact float at which a `loss_db` predicate flips steps from here
+    /// one float at a time. The clamp is not inverted either: a loss
+    /// below the model's floor maps to a distance under the clamp
+    /// distance, where `loss_db` is flat.
+    #[must_use]
+    pub fn distance_at_loss_db(&self, loss_db: f64) -> f64 {
+        match *self {
+            PathLossModel::FreeSpace { frequency_hz } => {
+                // 20 log10(d) + 20 log10(f) = L + 147.55, so d·f = 10^((L + 147.55) / 20).
+                crate::math::powf(10.0, (loss_db + 147.55) / 20.0) / frequency_hz
+            }
+            PathLossModel::LogDistance {
+                reference_loss_db,
+                reference_distance_m,
+                exponent,
+            } => {
+                reference_distance_m
+                    * crate::math::powf(10.0, (loss_db - reference_loss_db) / (10.0 * exponent))
+            }
+        }
+    }
 }
 
 /// Log-normal shadowing that is *deterministic per link*.
@@ -234,6 +262,20 @@ mod tests {
                 let l = model.loss_db(d);
                 assert!(l >= last, "{model:?} at {d}");
                 last = l;
+            }
+        }
+    }
+
+    #[test]
+    fn distance_at_loss_inverts_loss() {
+        for model in [
+            PathLossModel::free_space_868(),
+            PathLossModel::urban_868(),
+            PathLossModel::indoor(),
+        ] {
+            for d in [50.0, 333.0, 1000.0, 12_345.0, 2.0e6] {
+                let back = model.distance_at_loss_db(model.loss_db(d));
+                assert!((back - d).abs() <= d * 1e-12, "{model:?}: {d} -> {back}");
             }
         }
     }

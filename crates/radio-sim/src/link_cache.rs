@@ -227,6 +227,11 @@ impl LinkCache {
         self.invalidate_all();
     }
 
+    /// Reserves room for `additional` more rows.
+    pub fn reserve(&mut self, additional: usize) {
+        self.rows.reserve(additional);
+    }
+
     /// Invalidates every row. Called on any event that may move a node
     /// (mobility tick, explicit position change).
     pub fn invalidate_all(&mut self) {

@@ -42,12 +42,31 @@ use crate::medium::RfConfig;
 ///
 /// A link is audible when `tx_power + 2·antenna_gain − loss(d) + shadow`
 /// reaches the SF/BW sensitivity; the best case is the maximum shadowing
-/// offset `+MAX_OFFSET_SIGMA·σ`. Path loss is monotone in distance, so
-/// the bound is found by bisection. Returns `0.0` when even adjacent
-/// nodes can never hear each other (a degenerate but safe partition:
-/// every audibility claim is then vacuous).
+/// offset `+MAX_OFFSET_SIGMA·σ`. The result is the first distance at
+/// which even that best case is inaudible, so every audible distance is
+/// strictly below it. The path-loss inverse
+/// ([`PathLossModel::distance_at_loss_db`]) puts it within a few floats,
+/// and a walk one float at a time against `loss(d) ≤ margin` finds the
+/// exact one — the float a bisection converges to, because path loss is
+/// monotone in distance over floats
+/// (`crates/radio-sim/tests/topology_model.rs` checks it against the
+/// bisection bit for bit).
+///
+/// Returns `0.0` when even adjacent nodes can never hear each other (a
+/// degenerate but safe partition: every audibility claim is then
+/// vacuous), and `2^40` when `2^39` m is still audible — a cap that only
+/// pathological configs reach.
+///
+/// [`PathLossModel::distance_at_loss_db`]: lora_phy::propagation::PathLossModel::distance_at_loss_db
 #[must_use]
 pub fn max_audible_range(config: &RfConfig) -> f64 {
+    /// The farthest probe: the range is capped at twice this (≥ 1e12).
+    const LAST_PROBE: f64 = 549_755_813_888.0; // 2^39
+    /// Below 1 m the range is a multiple of this, rounded up: the
+    /// resolution of the 64-halving bisection that defines the bound
+    /// there (a boundary under 2^-12 m needs a sub-millimetre
+    /// reference distance).
+    const GRID: f64 = 1.0 / 18_446_744_073_709_551_616.0; // 2^-64
     let sens = sensitivity(
         config.modulation.spreading_factor,
         config.modulation.bandwidth,
@@ -58,26 +77,30 @@ pub fn max_audible_range(config: &RfConfig) -> f64 {
     if config.path_loss.loss_db(0.0) > margin {
         return 0.0;
     }
-    // Exponential search for an inaudible distance, then bisect. The cap
-    // only guards pathological configs (margin so large the model never
-    // crosses it within 10^12 m); real LoRa budgets converge in ~40 steps.
-    let mut hi = 1.0;
-    while config.path_loss.loss_db(hi) <= margin {
-        hi *= 2.0;
-        if hi >= 1.0e12 {
-            return hi;
-        }
+    let audible = |d: f64| config.path_loss.loss_db(d) <= margin;
+    if audible(LAST_PROBE) {
+        return 2.0 * LAST_PROBE;
     }
-    let mut lo = 0.0;
-    for _ in 0..64 {
-        let mid = 0.5 * (lo + hi);
-        if config.path_loss.loss_db(mid) <= margin {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
+    #[expect(
+        clippy::manual_clamp,
+        reason = "`max` first maps a NaN estimate to the grid; `clamp` would keep the NaN"
+    )]
+    let mut hi = config
+        .path_loss
+        .distance_at_loss_db(margin)
+        .max(GRID)
+        .min(LAST_PROBE);
+    // Up to the first inaudible float (LAST_PROBE is one), then down
+    // while the float below is inaudible too.
+    while audible(hi) {
+        hi = hi.next_up();
     }
-    // `hi` is inaudible, so every audible distance is strictly below it.
+    while hi > GRID && !audible(hi.next_down()) {
+        hi = hi.next_down();
+    }
+    if hi < 1.0 {
+        hi = (hi / GRID).ceil() * GRID;
+    }
     hi
 }
 
@@ -304,15 +327,15 @@ mod tests {
         let config = RfConfig::default();
         let r = max_audible_range(&config);
         assert!(r.is_finite() && r > 0.0, "r_max = {r}");
-        // Just inside must be at most the margin; just outside must
-        // exceed it (monotone loss ⇒ the bisection bracketed the edge).
+        // The float below is audible and the bound itself is not: the
+        // walk stopped at the edge.
         let sens = sensitivity(
             config.modulation.spreading_factor,
             config.modulation.bandwidth,
         );
         let margin = config.tx_power.value() + 2.0 * config.antenna_gain_db - sens.value();
-        assert!(config.path_loss.loss_db(r * 0.999) <= margin + 1e-6);
-        assert!(config.path_loss.loss_db(r * 1.001) > margin - 1e-6);
+        assert!(config.path_loss.loss_db(r.next_down()) <= margin);
+        assert!(config.path_loss.loss_db(r) > margin);
     }
 
     #[test]

@@ -341,6 +341,19 @@ impl<F: Firmware> Simulator<F> {
         }
     }
 
+    /// Reserves room for `additional` more nodes in every per-node
+    /// vector — firmware slots, worker-visible state, RNG streams,
+    /// link-cache rows and per-node metrics — so adding them moves no
+    /// node already stored. A capacity hint: it changes no behaviour.
+    pub fn reserve(&mut self, additional: usize) {
+        self.nodes.reserve(additional);
+        self.state.reserve(additional);
+        self.rngs.reserve(additional);
+        self.link_cache.reserve(additional);
+        let per_node = &mut self.metrics.per_node;
+        per_node.reserve((self.nodes.len() + additional).saturating_sub(per_node.len()));
+    }
+
     /// Adds a stationary node running `firmware` at `position`.
     ///
     /// # Panics

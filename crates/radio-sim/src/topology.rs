@@ -15,13 +15,26 @@ use crate::medium::RfConfig;
 use crate::rng::SimRng;
 
 /// The distance at which a link under `config` stops closing (ignoring
-/// shadowing), found by bisection on the path-loss model.
+/// shadowing): the last float in `[1 m, 1e7 m)` at which it still
+/// closes, `0.0` when it fails at 1 m, and `1e7` when it still closes
+/// there.
+///
+/// The path-loss inverse ([`PathLossModel::distance_at_loss_db`]) puts
+/// the boundary within a few floats, and a walk one float at a time
+/// against the link budget itself finds the exact one. That is the
+/// float a bisection on the same predicate converges to, because the
+/// loss — hence whether the link closes — is monotone in distance over
+/// floats (`crates/radio-sim/tests/topology_model.rs` checks it
+/// against a bisection bit for bit).
 ///
 /// Topology builders use this to space nodes as "k × range" so that a
 /// 100 m-range urban profile and a 10 km free-space profile produce the
 /// same connectivity graph.
+///
+/// [`PathLossModel::distance_at_loss_db`]: lora_phy::propagation::PathLossModel::distance_at_loss_db
 #[must_use]
 pub fn radio_range_m(config: &RfConfig) -> f64 {
+    const CAP: f64 = 1.0e7;
     let sens = sensitivity(
         config.modulation.spreading_factor,
         config.modulation.bandwidth,
@@ -38,24 +51,24 @@ pub fn radio_range_m(config: &RfConfig) -> f64 {
     if !closes(1.0) {
         return 0.0;
     }
-    let (mut lo, mut hi) = (1.0, 1.0e7);
-    if closes(hi) {
-        return hi;
+    if closes(CAP) {
+        return CAP;
     }
-    for _ in 0..200 {
-        let mid = (lo + hi) / 2.0;
-        // `lo` and `hi` are adjacent floats, so `mid` rounds to one of
-        // them and every further step would reassign it: done.
-        if mid == lo || mid == hi {
-            break;
-        }
-        if closes(mid) {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
+    let max_loss = config.tx_power.value() + 2.0 * config.antenna_gain_db - sens.value();
+    // `max` first: it maps a NaN estimate to 1 m.
+    let mut r = config
+        .path_loss
+        .distance_at_loss_db(max_loss)
+        .max(1.0)
+        .min(CAP.next_down());
+    // Both walks stay in [1, CAP): the link closes at 1 m and not at CAP.
+    while closes(r.next_up()) {
+        r = r.next_up();
     }
-    lo
+    while !closes(r) {
+        r = r.next_down();
+    }
+    r
 }
 
 /// `n` nodes on a straight line with the given spacing.
@@ -350,8 +363,8 @@ mod tests {
         use lora_phy::modulation::{Bandwidth, CodingRate, LoRaModulation, SpreadingFactor};
         use lora_phy::power::Dbm;
         use lora_phy::propagation::PathLossModel;
-        // All 200 halvings, as the bisection ran before it stopped at
-        // its fixed point.
+        // All 200 halvings of [1, 1e7], plus whether the link closes at
+        // each end: the definition the inverse-and-walk must reproduce.
         let full = |config: &RfConfig| {
             let m = &config.modulation;
             let sens = sensitivity(m.spreading_factor, m.bandwidth);
@@ -373,25 +386,34 @@ mod tests {
                     hi = mid;
                 }
             }
-            lo
+            if !closes(1.0) {
+                0.0
+            } else if closes(1.0e7) {
+                1.0e7
+            } else {
+                lo
+            }
         };
         for sf in SpreadingFactor::ALL {
             for bw in Bandwidth::ALL {
-                for tx in [-4.0, 2.0, 14.0, 20.0] {
+                // −200 dBm fails at 1 m and 500 dBm closes past 1e7 m.
+                for tx in [-200.0, -4.0, 2.0, 14.0, 20.0, 500.0] {
                     for path_loss in [
                         PathLossModel::urban_868(),
+                        PathLossModel::indoor(),
                         PathLossModel::FreeSpace {
                             frequency_hz: 868_100_000.0,
                         },
                     ] {
-                        let config = RfConfig {
-                            modulation: LoRaModulation::new(sf, bw, CodingRate::Cr4_5),
-                            path_loss,
-                            tx_power: Dbm::new(tx),
-                            ..RfConfig::default()
-                        };
-                        let r = radio_range_m(&config);
-                        if r > 1.0 && r < 1.0e7 {
+                        for antenna_gain_db in [0.0, 2.15] {
+                            let config = RfConfig {
+                                modulation: LoRaModulation::new(sf, bw, CodingRate::Cr4_5),
+                                path_loss,
+                                tx_power: Dbm::new(tx),
+                                antenna_gain_db,
+                                ..RfConfig::default()
+                            };
+                            let r = radio_range_m(&config);
                             assert_eq!(r.to_bits(), full(&config).to_bits(), "{config:?}");
                         }
                     }

@@ -21,6 +21,18 @@
 //! `connected_random` is checked to accept the draw a plain
 //! `random` + brute-force loop accepts.
 //!
+//! The two range functions, `topology::radio_range_m` and
+//! `shard::max_audible_range`, start from the path-loss inverse and walk
+//! one float at a time to the boundary. They are checked bit for bit
+//! against the bisections that define them (kept here as
+//! `bisected_radio_range` and `bisected_audible_range`) over a grid of
+//! SF × bandwidth × path-loss model × tx power × antenna gain × σ, and
+//! on every degenerate branch: a link that fails at 1 m, a range past
+//! the caps, NaN budgets and sub-metre boundaries. Equality rests on
+//! `loss_db` being monotone over floats on this host's libm; the
+//! battery is what shows it. `ci.sh` runs it in `--release` too, where
+//! the optimiser may reorder the float code.
+//!
 //! Hand mutants of `topology.rs` this file kills (each fails at least
 //! one property at the default case count):
 //!
@@ -32,10 +44,23 @@
 //!   (random placements, boundary chains);
 //! - the gate applied to a range that is not positive (co-located
 //!   nodes) or whose square is not a normal float (boundary chains).
+//!
+//! and of the range functions:
+//!
+//! - `radio_range_m` without its upward walk (preset grid, random
+//!   budgets);
+//! - `max_audible_range` without its downward walk (preset grid, random
+//!   budgets), or without rounding sub-metre bounds up to its 2^-64 m
+//!   grid (degenerate budgets, random budgets).
 
-use lora_phy::propagation::Position;
+use lora_phy::link::{sensitivity, LinkBudget};
+use lora_phy::modulation::{Bandwidth, CodingRate, LoRaModulation, SpreadingFactor};
+use lora_phy::power::Dbm;
+use lora_phy::propagation::{PathLossModel, Position, Shadowing};
+use radio_sim::medium::RfConfig;
 use radio_sim::rng::SimRng;
-use radio_sim::topology::{connected_random, is_connected, random};
+use radio_sim::shard::max_audible_range;
+use radio_sim::topology::{connected_random, is_connected, radio_range_m, random};
 use testkit::{forall, Gen};
 
 /// The definition: DFS over every pair, linked iff `distance <= range_m`.
@@ -227,4 +252,236 @@ fn connected_random_accepts_the_brute_force_draw() {
             }
         },
     );
+}
+
+/// `radio_range_m` as a bisection on `[1, 1e7]` that stops when its
+/// ends are adjacent floats.
+fn bisected_radio_range(config: &RfConfig) -> f64 {
+    let sens = sensitivity(
+        config.modulation.spreading_factor,
+        config.modulation.bandwidth,
+    );
+    let closes = |d: f64| {
+        let budget = LinkBudget {
+            tx_power: config.tx_power,
+            tx_antenna_gain_db: config.antenna_gain_db,
+            rx_antenna_gain_db: config.antenna_gain_db,
+            path_loss_db: config.path_loss.loss_db(d),
+        };
+        budget.received_power() >= sens
+    };
+    if !closes(1.0) {
+        return 0.0;
+    }
+    let (mut lo, mut hi) = (1.0, 1.0e7);
+    if closes(hi) {
+        return hi;
+    }
+    for _ in 0..200 {
+        let mid = (lo + hi) / 2.0;
+        if mid == lo || mid == hi {
+            break;
+        }
+        if closes(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// `max_audible_range` as an exponential search from 1 m, capped at
+/// 2^40, then 64 halvings of `[0, hi]`.
+fn bisected_audible_range(config: &RfConfig) -> f64 {
+    let sens = sensitivity(
+        config.modulation.spreading_factor,
+        config.modulation.bandwidth,
+    );
+    let margin = config.tx_power.value() + 2.0 * config.antenna_gain_db - sens.value()
+        + Shadowing::MAX_OFFSET_SIGMA * config.shadowing.sigma_db;
+    if config.path_loss.loss_db(0.0) > margin {
+        return 0.0;
+    }
+    let mut hi = 1.0;
+    while config.path_loss.loss_db(hi) <= margin {
+        hi *= 2.0;
+        if hi >= 1.0e12 {
+            return hi;
+        }
+    }
+    let mut lo = 0.0;
+    for _ in 0..64 {
+        let mid = 0.5 * (lo + hi);
+        if config.path_loss.loss_db(mid) <= margin {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    hi
+}
+
+fn rf(
+    sf: SpreadingFactor,
+    bw: Bandwidth,
+    path_loss: PathLossModel,
+    tx_dbm: f64,
+    gain_db: f64,
+    sigma_db: f64,
+) -> RfConfig {
+    RfConfig {
+        modulation: LoRaModulation::new(sf, bw, CodingRate::Cr4_5),
+        path_loss,
+        shadowing: Shadowing::new(sigma_db, 1),
+        tx_power: Dbm::new(tx_dbm),
+        antenna_gain_db: gain_db,
+        ..RfConfig::default()
+    }
+}
+
+/// Both range functions against their bisections, bit for bit.
+fn ranges_match_bisection(config: &RfConfig) -> Result<(), String> {
+    let (got, want) = (radio_range_m(config), bisected_radio_range(config));
+    if got.to_bits() != want.to_bits() {
+        return Err(format!(
+            "radio_range_m {got:e}, bisection {want:e}: {config:?}"
+        ));
+    }
+    let (got, want) = (max_audible_range(config), bisected_audible_range(config));
+    if got.to_bits() != want.to_bits() {
+        return Err(format!(
+            "max_audible_range {got:e}, bisection {want:e}: {config:?}"
+        ));
+    }
+    Ok(())
+}
+
+/// Urban, indoor and free-space presets, a steeper urban fit and a
+/// sub-metre reference distance.
+fn path_loss_models() -> [PathLossModel; 5] {
+    [
+        PathLossModel::free_space_868(),
+        PathLossModel::urban_868(),
+        PathLossModel::indoor(),
+        PathLossModel::LogDistance {
+            reference_loss_db: 120.0,
+            reference_distance_m: 40.0,
+            exponent: 2.7,
+        },
+        PathLossModel::LogDistance {
+            reference_loss_db: 25.0,
+            reference_distance_m: 0.25,
+            exponent: 3.1,
+        },
+    ]
+}
+
+#[test]
+fn range_functions_match_their_bisections_on_the_preset_grid() {
+    let mut checked = 0;
+    for sf in SpreadingFactor::ALL {
+        for bw in Bandwidth::ALL {
+            for path_loss in path_loss_models() {
+                // −4 to 30 dBm in 0.2 dB steps; the products are off
+                // the decimal grid, so the last bits of the budget vary.
+                for step in 0..=170 {
+                    let tx = -4.0 + 0.2 * f64::from(step);
+                    for gain in [0.0, 2.15, 5.0] {
+                        for sigma in [0.0, 4.0] {
+                            let config = rf(sf, bw, path_loss, tx, gain, sigma);
+                            if let Err(e) = ranges_match_bisection(&config) {
+                                panic!("{e}");
+                            }
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(checked, 92_340);
+}
+
+#[test]
+fn range_functions_match_their_bisections_on_random_budgets() {
+    forall(
+        "range_functions_match_their_bisections_on_random_budgets",
+        |g| {
+            let path_loss = if g.bool(0.3) {
+                PathLossModel::FreeSpace {
+                    frequency_hz: 1e8 + 3e9 * g.f64(),
+                }
+            } else {
+                PathLossModel::LogDistance {
+                    reference_loss_db: 150.0 * g.f64(),
+                    reference_distance_m: g.choose(&[1e-6, 0.25, 1.0, 40.0, 1e3]),
+                    exponent: 1.5 + 4.0 * g.f64(),
+                }
+            };
+            rf(
+                g.choose(&SpreadingFactor::ALL),
+                g.choose(&Bandwidth::ALL),
+                path_loss,
+                -150.0 + 300.0 * g.f64(),
+                6.0 * g.f64(),
+                g.choose(&[0.0, 2.0, 6.0]),
+            )
+        },
+        ranges_match_bisection,
+    );
+}
+
+#[test]
+fn range_functions_match_their_bisections_on_degenerate_budgets() {
+    let (sf, bw) = (SpreadingFactor::Sf7, Bandwidth::Khz125);
+    let sf7 = |path_loss, tx| rf(sf, bw, path_loss, tx, 0.0, 0.0);
+    let urban = PathLossModel::urban_868();
+    let cases = [
+        // Fails at 1 m: both ranges are 0.
+        (sf7(urban, -200.0), 0.0_f64, 0.0_f64),
+        // Closes past the caps: 1e7 m and the 2^40 m power of two.
+        (sf7(urban, 500.0), 1.0e7, 1_099_511_627_776.0),
+        (sf7(urban, f64::INFINITY), 1.0e7, 1_099_511_627_776.0),
+        // A NaN budget closes nowhere; the audible bound then halves
+        // down to 2^-64 m.
+        (
+            sf7(urban, f64::NAN),
+            0.0,
+            1.0 / 18_446_744_073_709_551_616.0,
+        ),
+        (sf7(urban, f64::NEG_INFINITY), 0.0, 0.0),
+    ];
+    for (config, range, audible) in cases {
+        ranges_match_bisection(&config).unwrap();
+        assert_eq!(
+            radio_range_m(&config).to_bits(),
+            range.to_bits(),
+            "{config:?}"
+        );
+        assert_eq!(
+            max_audible_range(&config).to_bits(),
+            audible.to_bits(),
+            "{config:?}"
+        );
+    }
+    // A 1 µm reference distance walks the audible bound from the 0
+    // branch through boundaries under 2^-12 m (coarser than the floats
+    // there), under 1 m and past it, and the radio range from 0 to
+    // metres.
+    let micro = PathLossModel::LogDistance {
+        reference_loss_db: 0.0,
+        reference_distance_m: 1e-6,
+        exponent: 2.0,
+    };
+    let mut below_grid = 0;
+    for step in 0..=400 {
+        let config = sf7(micro, -130.0 + 0.25 * f64::from(step));
+        ranges_match_bisection(&config).unwrap();
+        let r = max_audible_range(&config);
+        if r > 0.0 && r < 1.0 / 4096.0 {
+            below_grid += 1;
+        }
+    }
+    assert!(below_grid > 10, "only {below_grid} bounds under 2^-12 m");
 }

@@ -222,6 +222,7 @@ impl NetworkBuilder {
         );
         let modulation = self.sim.rf.modulation;
         let mut sim = Simulator::new(self.sim, self.seed);
+        sim.reserve(self.positions.len());
         let mut ids = Vec::with_capacity(self.positions.len());
         for (i, pos) in self.positions.iter().enumerate() {
             let address = Runner::address_of(i);

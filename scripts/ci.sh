@@ -110,6 +110,14 @@ cargo run -q --release --offline -p meshsim -- --topology random --nodes 300 2>t
 test "$status" -eq 1
 grep -qx "error: no connected random placement of 300 nodes in 2000 draws" target/ci_random300.txt
 
+# A Sync counts at most 65 535 fragments of 242 bytes: one byte more is
+# refused while parsing (exit 2), before the payload is allocated.
+echo "==> meshsim --traffic bulk:0:1:15859471 (one byte past the reliable-transfer bound, refused at parse time)"
+status=0
+cargo run -q --release --offline -p meshsim -- --traffic bulk:0:1:15859471 2>target/ci_bulk_bound.txt >/dev/null || status=$?
+test "$status" -eq 2
+grep -qx "error: bulk size 15859471 exceeds the 15859470-byte reliable-transfer limit" target/ci_bulk_bound.txt
+
 # The benchmark is a package of its own outside the workspace, so none
 # of the legs above compile it: these two catch a public-API break it
 # depends on here instead of in the bench driver.

@@ -94,6 +94,9 @@ thread_local! {
     static LOCAL_ALLOCS: Cell<u64> = const { Cell::new(0) };
     /// Per-thread bytes requested (a `realloc` counts its new size).
     static LOCAL_BYTES: Cell<u64> = const { Cell::new(0) };
+    /// Per-thread `realloc` calls: buffers grown by moving their contents
+    /// (also counted in `LOCAL_ALLOCS`).
+    static LOCAL_REALLOCS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn bump(bytes: usize) {
@@ -111,6 +114,11 @@ fn local_bytes() -> u64 {
     LOCAL_BYTES.try_with(Cell::get).unwrap_or(0)
 }
 
+/// `realloc` calls by *the calling thread* so far.
+fn local_reallocs() -> u64 {
+    LOCAL_REALLOCS.try_with(Cell::get).unwrap_or(0)
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         bump(layout.size());
@@ -121,6 +129,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         bump(new_size);
+        let _ = LOCAL_REALLOCS.try_with(|c| c.set(c.get() + 1));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
@@ -610,6 +619,24 @@ fn repeated_hellos_apply_without_allocating() {
     assert_eq!(
         table.route(Address::new(10)).map(|r| r.heard_count),
         Some(1_002)
+    );
+}
+
+/// Set-up sizes every per-node vector once: `NetworkBuilder::build`
+/// reserves them for the whole placement before the first node arrives,
+/// so building 64 mesh nodes grows no buffer by moving it — not the
+/// ~1.2 KB firmware slots, node states, RNG streams, link-cache rows or
+/// per-node metrics, and nothing the protocol nodes build either.
+#[test]
+fn building_64_nodes_reallocates_no_per_node_vector() {
+    let builder = NetworkBuilder::mesh(topology::grid(8, 8, default_spacing()), 7);
+    let before = local_reallocs();
+    let net = builder.build();
+    let reallocs = local_reallocs() - before;
+    assert_eq!(net.len(), 64);
+    assert_eq!(
+        reallocs, 0,
+        "building 64 nodes reallocated {reallocs} times"
     );
 }
 

@@ -320,7 +320,8 @@ fn fragmentation_reassembles_exactly() {
             let src = Address::new(1);
             let now = Duration::from_secs(1);
             let mut tx =
-                OutboundTransfer::new(dst, 0, payload, *max_frag, Duration::from_secs(8), 3);
+                OutboundTransfer::new(dst, 0, payload, *max_frag, Duration::from_secs(8), 3)
+                    .expect("at most 5 000 bytes fit a Sync");
             let mut rx = InboundTransfer::new(src, 0, tx.frag_count(), tx.total_len(), now);
 
             prop_assert_eq!(tx.start(now), SenderAction::SendSync);
@@ -354,7 +355,8 @@ fn lost_recovery_reassembles() {
             let src = Address::new(1);
             let now = Duration::from_secs(1);
             let tx =
-                OutboundTransfer::new(Address::new(2), 0, payload, 100, Duration::from_secs(8), 3);
+                OutboundTransfer::new(Address::new(2), 0, payload, 100, Duration::from_secs(8), 3)
+                    .expect("at most 3 000 bytes fit a Sync");
             let mut rx = InboundTransfer::new(src, 0, tx.frag_count(), tx.total_len(), now);
             // First pass: deliver only the fragments whose mask bit is set.
             let mut delivered = None;
