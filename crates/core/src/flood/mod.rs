@@ -29,6 +29,12 @@
 //!    arrival order);
 //! 2. **mac** — one chance to move queued traffic to the radio.
 //!
+//! The node keeps the earliest relay deadline beside `pending`: a push
+//! lowers it, and the due pass — which walks `pending` only when that
+//! deadline has come — recomputes it from the relays left. So
+//! [`NodeProtocol::next_wake`], asked after every callback, reads one
+//! field instead of scanning the pending relays.
+//!
 //! The node draws from its single RNG stream only on relay scheduling
 //! (one draw per accepted flood) and inside the MAC backoff — the same
 //! discipline the LoRaMesher stack follows, so both protocols replay
@@ -184,6 +190,8 @@ pub struct FloodNode {
     mac: Mac,
     seen: DedupCache,
     pending: Vec<PendingRelay>,
+    /// The earliest `at` in `pending`, `None` when it is empty.
+    next_relay: Option<Duration>,
     #[cfg(feature = "crypto")]
     cipher: Option<crypto::Aes128Ctr>,
     started: bool,
@@ -209,6 +217,7 @@ impl FloodNode {
             ),
             seen: DedupCache::new(config.seen_cache),
             pending: Vec::new(),
+            next_relay: None,
             #[cfg(feature = "crypto")]
             cipher: config.key.as_ref().map(crypto::Aes128Ctr::new),
             started: false,
@@ -386,9 +395,23 @@ impl FloodNode {
     /// Steps 1 + 2 of the dispatch order (see the [module docs](self)).
     fn process_due(&mut self, now: Duration, io: &mut RadioIo) {
         // 1. Move due rebroadcasts into the transmit queue, preserving
-        //    arrival order (one in-place pass; most timers find none due).
+        //    arrival order (one in-place pass, taken only when the
+        //    earliest relay is due; most timers find none due).
+        if self.next_relay.is_some_and(|at| at <= now) {
+            self.release_due(now);
+        }
+        // 2. Give the MAC a chance to move traffic.
+        let outcome = self.mac.kick(&mut self.bus.txq, &mut NoWireCache, io);
+        self.bus.book(outcome);
+    }
+
+    /// Moves every relay due at `now` into the transmit queue, in
+    /// arrival order, and recomputes the kept deadline from the rest.
+    fn release_due(&mut self, now: Duration) {
+        let mut next_relay: Option<Duration> = None;
         self.pending.retain_mut(|relay| {
             if relay.at > now {
+                next_relay = Some(next_relay.map_or(relay.at, |at| at.min(relay.at)));
                 return true;
             }
             let packet = Packet::Data {
@@ -407,9 +430,7 @@ impl FloodNode {
             }
             false
         });
-        // 2. Give the MAC a chance to move traffic.
-        let outcome = self.mac.kick(&mut self.bus.txq, &mut NoWireCache, io);
-        self.bus.book(outcome);
+        self.next_relay = next_relay;
     }
 }
 
@@ -434,6 +455,12 @@ impl NodeProtocol for FloodNode {
                 return;
             }
         };
+        if view.src().is_broadcast() {
+            // Nobody owns the broadcast address: a frame claiming to come
+            // from it is malformed, and must not be delivered or flooded.
+            self.bus.stats.decode_errors += 1;
+            return;
+        }
         let FrameView::Unicast(UnicastView {
             dst,
             src,
@@ -469,9 +496,10 @@ impl NodeProtocol for FloodNode {
             self.bus.stats.ttl_expired += 1;
             return;
         }
-        let delay = self.relay_delay(quality.snr);
+        let at = now + self.relay_delay(quality.snr);
+        self.next_relay = Some(self.next_relay.map_or(at, |next| next.min(at)));
         self.pending.push(PendingRelay {
-            at: now + delay,
+            at,
             dst,
             src,
             id,
@@ -496,8 +524,12 @@ impl NodeProtocol for FloodNode {
         if !self.started {
             return None;
         }
-        let relay = self.pending.iter().map(|p| p.at).min();
-        [self.mac.next_wake(&self.bus.txq), relay]
+        debug_assert_eq!(
+            self.next_relay,
+            self.pending.iter().map(|p| p.at).min(),
+            "kept relay deadline out of step with the pending relays"
+        );
+        [self.mac.next_wake(&self.bus.txq), self.next_relay]
             .into_iter()
             .flatten()
             .min()
@@ -737,6 +769,31 @@ mod tests {
         start(&mut n);
         frame_in(&mut n, &[0xFF, 0x01], Duration::ZERO);
         assert_eq!(n.stats().decode_errors, 1);
+        assert!(n.next_wake().is_none());
+    }
+
+    /// Nobody owns the broadcast address: a frame claiming to come from
+    /// it is malformed — counted, neither delivered nor relayed.
+    #[test]
+    fn a_frame_from_the_broadcast_address_is_a_decode_error() {
+        let mut n = node(A2);
+        start(&mut n);
+        let frame = codec::encode(&Packet::Data {
+            dst: Address::BROADCAST,
+            src: Address::BROADCAST,
+            id: 0,
+            fwd: Forwarding {
+                via: Address::BROADCAST,
+                ttl: 3,
+            },
+            payload: vec![1],
+        })
+        .unwrap();
+        frame_in(&mut n, &frame, Duration::ZERO);
+        assert_eq!(n.stats().decode_errors, 1);
+        assert!(n.take_events().is_empty());
+        assert_eq!(n.pending_relays(), 0);
+        assert_eq!(n.seen_len(), 0);
         assert!(n.next_wake().is_none());
     }
 

@@ -19,8 +19,17 @@
 //! (or takes the stack's cached wire image, see [`WireCache`]) and hands
 //! it to the radio; it reports what happened as a [`TxOutcome`], which
 //! the stack books into its own counters.
+//!
+//! A frame is priced on every CAD verdict (and on every ALOHA kick), so
+//! the MAC remembers the last `(encoded length, time on air)` pair:
+//! `time_on_air` depends only on the length and the modulation, which a
+//! `Mac` never changes, so a frame that backs off is priced once. A frame
+//! the stack holds no wire image for is encoded into a buffer the MAC
+//! keeps and copied from there into the `Arc` the radio shares: one
+//! allocation per frame.
 
 use alloc::sync::Arc;
+use alloc::vec::Vec;
 use core::time::Duration;
 
 use lora_phy::modulation::LoRaModulation;
@@ -104,6 +113,10 @@ pub struct Mac {
     csma: bool,
     /// Maximum single-transmission duration (regulatory dwell), if any.
     max_dwell: Option<Duration>,
+    /// The last frame length priced and its time on air.
+    priced: Option<(usize, Duration)>,
+    /// Reused encode buffer for frames without a cached wire image.
+    wire: Vec<u8>,
     /// Duty-cycle deferrals observed (for statistics).
     pub duty_deferrals: u64,
     /// Frames dropped after exhausting CAD retries.
@@ -138,6 +151,8 @@ impl Mac {
             max_retries,
             csma,
             max_dwell: band.and_then(|b| b.max_dwell),
+            priced: None,
+            wire: Vec::new(),
             duty_deferrals: 0,
             cad_drops: 0,
             dwell_drops: 0,
@@ -239,10 +254,23 @@ impl Mac {
         }
     }
 
-    /// The on-air duration of the front frame.
-    fn front_airtime(&self, txq: &TxQueue) -> Option<Duration> {
-        txq.peek()
-            .map(|p| self.modulation.time_on_air(codec::encoded_len(p)))
+    /// The on-air duration of the front frame, priced once per length.
+    fn front_airtime(&mut self, txq: &TxQueue) -> Option<Duration> {
+        let len = codec::encoded_len(txq.peek()?);
+        let airtime = match self.priced {
+            Some((priced_len, airtime)) if priced_len == len => airtime,
+            _ => {
+                let airtime = self.modulation.time_on_air(len);
+                self.priced = Some((len, airtime));
+                airtime
+            }
+        };
+        debug_assert_eq!(
+            airtime,
+            self.modulation.time_on_air(len),
+            "airtime memo out of step with the modulation"
+        );
+        Some(airtime)
     }
 
     fn violates_dwell(&self, airtime: Duration) -> bool {
@@ -305,9 +333,9 @@ impl Mac {
             io.transmit(wire);
             return TxOutcome::Sent { airtime };
         }
-        match codec::encode(&packet) {
-            Ok(frame) => {
-                io.transmit(frame);
+        match codec::encode_into(&packet, &mut self.wire) {
+            Ok(()) => {
+                io.transmit(self.wire.as_slice());
                 TxOutcome::Sent { airtime }
             }
             Err(_) => {
@@ -412,6 +440,25 @@ mod tests {
         assert!(q.is_empty());
         m.on_tx_done();
         assert!(m.is_ready());
+    }
+
+    /// The airtime memo is keyed by length: a frame priced after one of
+    /// another length gets its own time on air.
+    #[test]
+    fn frames_of_different_lengths_are_priced_apart() {
+        let mut m = mac(Region::Unlimited, LoRaModulation::default(), false);
+        let mut q = queue(10);
+        assert!(q.push(data(200)));
+        assert!(q.push(data(10)));
+        for len in [10, 200, 10] {
+            assert_eq!(
+                kick(&mut m, &mut q, Duration::ZERO).0,
+                TxOutcome::Sent {
+                    airtime: airtime(&m, len)
+                }
+            );
+            m.on_tx_done();
+        }
     }
 
     #[test]

@@ -331,6 +331,9 @@ impl TransportLayer {
         bus: &mut Bus,
         routing: &RoutingLayer,
     ) {
+        if self.is_idle() {
+            return;
+        }
         // 3. Outbound reliable deadlines.
         let due: Vec<Address> = self
             .outbound
@@ -397,6 +400,9 @@ impl TransportLayer {
 
     /// The earliest transport deadline, for `next_wake`.
     pub(crate) fn next_wake(&self, config: &MeshConfig) -> Option<Duration> {
+        if self.is_idle() {
+            return None;
+        }
         let outbound = self
             .outbound
             .values()
@@ -414,6 +420,12 @@ impl TransportLayer {
             .filter_map(|t| t.stall_deadline(config.reliable_timeout))
             .min();
         [outbound, reassembly, stall].into_iter().flatten().min()
+    }
+
+    /// No transfer in either direction: nothing can fall due, so the
+    /// dispatch steps and the wake-up scan return at once.
+    fn is_idle(&self) -> bool {
+        self.outbound.is_empty() && self.inbound.is_empty()
     }
 
     /// Retransmissions of transfers still in flight (stats snapshots).

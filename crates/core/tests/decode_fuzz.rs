@@ -10,6 +10,10 @@
 //! good, corrupt and overheard frames accounts for them exactly like a
 //! reference that decodes every frame in full.
 //!
+//! The flooding stack's application payloads get the same two checks:
+//! `FloodMessage::decode` never panics on random or mutated payloads,
+//! and decode∘encode is the identity on every message type.
+//!
 //! Uses the in-repo `testkit` harness: failures print a replayable
 //! `TESTKIT_SEED` and a shrunk counterexample.
 
@@ -18,6 +22,7 @@ use std::time::Duration;
 use lora_phy::link::SignalQuality;
 use loramesher::codec::{decode, encode, encoded_len, parse, FrameView, MAX_FRAME_LEN};
 use loramesher::driver::{NodeProtocol, RadioIo};
+use loramesher::flood::FloodMessage;
 use loramesher::packet::{Forwarding, Packet, RouteEntry};
 use loramesher::{Address, MeshConfig, MeshNode, RoutingTable};
 use testkit::{forall, prop_assert, prop_assert_eq, Gen};
@@ -327,4 +332,82 @@ fn mesh_node_accounts_for_frames_like_a_full_decode() {
             Ok(())
         },
     );
+}
+
+/// A string of at most `max` UTF-8 bytes mixing one-, two-, three- and
+/// four-byte characters, so truncation points and lossy decoding meet
+/// multi-byte boundaries.
+fn arb_string(g: &mut Gen, max: usize) -> String {
+    let budget = g.usize_in(0, max);
+    let mut s = String::new();
+    loop {
+        let c = g.choose(&['a', 'Z', '0', ' ', 'é', 'ß', '€', '中', '😀']);
+        if s.len() + c.len_utf8() > budget {
+            return s;
+        }
+        s.push(c);
+    }
+}
+
+/// A random flood message of a random type; names fit the 255-byte
+/// wire cap, so every message encodes without truncation.
+fn arb_flood_message(g: &mut Gen) -> FloodMessage {
+    match g.usize_in(0, 3) {
+        0 => FloodMessage::Text(arb_string(g, 300)),
+        1 => FloodMessage::Position {
+            latitude_i: g.u32() as i32,
+            longitude_i: g.u32() as i32,
+            altitude_m: g.u32() as i32,
+        },
+        2 => FloodMessage::NodeInfo {
+            id: g.u32(),
+            long_name: arb_string(g, 255),
+            short_name: arb_string(g, 255),
+            hw_model: g.u8(),
+        },
+        _ => FloodMessage::Telemetry {
+            battery_pct: g.u8(),
+            voltage_mv: g.u16(),
+            channel_util_pct: g.u8(),
+            uptime_s: g.u32(),
+        },
+    }
+}
+
+#[test]
+fn flood_message_decode_never_panics_on_random_or_mutated_payloads() {
+    forall(
+        "flood_message_decode_random_or_mutated",
+        |g| {
+            if g.bool(0.5) {
+                return g.bytes(0, 300);
+            }
+            // A real payload with one byte corrupted and, one time in
+            // four, its tail cut off: reaches each port's body parser.
+            let mut payload = arb_flood_message(g).encode();
+            let at = g.usize_in(0, payload.len() - 1);
+            payload[at] ^= g.u8();
+            if g.usize_in(0, 3) == 0 {
+                let keep = g.usize_in(0, payload.len());
+                payload.truncate(keep);
+            }
+            payload
+        },
+        |payload| {
+            let _ = FloodMessage::decode(payload);
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn flood_message_round_trips_every_type() {
+    forall("flood_message_round_trip", arb_flood_message, |message| {
+        let payload = message.encode();
+        prop_assert_eq!(payload.first().copied(), Some(message.port()));
+        let back = FloodMessage::decode(&payload).map_err(|e| format!("decode failed: {e}"))?;
+        prop_assert_eq!(&back, message);
+        prop_assert_eq!(back.encode(), payload);
+        Ok(())
+    });
 }

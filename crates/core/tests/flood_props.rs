@@ -6,14 +6,19 @@
 //!   once, however the duplicates are interleaved;
 //! * the seen-cache never holds more entries than its configured
 //!   capacity, whatever traffic pattern it absorbs;
-//! * a frame whose hop limit is spent is never forwarded.
+//! * a frame whose hop limit is spent is never forwarded;
+//! * the cache forgets in arrival order: the relay forwards exactly the
+//!   frames a reference FIFO set of the same capacity calls new, however
+//!   its relays are released.
 //!
 //! Uses the in-repo `testkit` harness: failures print a replayable
 //! `TESTKIT_SEED` and a shrunk counterexample.
 
+use std::collections::VecDeque;
 use std::time::Duration;
 
 use lora_phy::link::SignalQuality;
+use lora_phy::region::Region;
 use loramesher::codec;
 use loramesher::driver::{NodeProtocol, RadioIo, RadioRequest};
 use loramesher::flood::{FloodConfig, FloodNode};
@@ -223,6 +228,123 @@ fn spent_hop_limit_is_never_forwarded() {
                 node.stats().hop_limit_drops,
                 distinct_keys(floods).len() as u64
             );
+            Ok(())
+        },
+    );
+}
+
+/// The reference seen-cache: a sorted key set plus the same keys in
+/// arrival order, evicting the oldest new key once `capacity` are held.
+struct ReferenceFifo {
+    seen: Vec<u32>,
+    order: VecDeque<u32>,
+    capacity: usize,
+}
+
+impl ReferenceFifo {
+    fn new(capacity: usize) -> Self {
+        ReferenceFifo {
+            seen: Vec::new(),
+            order: VecDeque::new(),
+            capacity: capacity.max(1),
+        }
+    }
+
+    /// Records `(origin, id)`; `true` when the key was not held.
+    fn insert(&mut self, origin: Address, id: u8) -> bool {
+        let key = u32::from(origin.value()) << 8 | u32::from(id);
+        let Err(mut at) = self.seen.binary_search(&key) else {
+            return false;
+        };
+        if self.order.len() == self.capacity {
+            let evicted = self.order.pop_front();
+            if let Some(gone) = evicted.and_then(|old| self.seen.binary_search(&old).ok()) {
+                self.seen.remove(gone);
+                at -= usize::from(gone < at);
+            }
+        }
+        self.seen.insert(at, key);
+        self.order.push_back(key);
+        true
+    }
+}
+
+#[test]
+fn relay_forwards_exactly_what_a_fifo_set_calls_new() {
+    forall(
+        "relay_forwards_exactly_what_a_fifo_set_calls_new",
+        |g: &mut Gen| {
+            let capacity = g.usize_in(1, 200);
+            let origins = g.usize_in(1, 4);
+            // Each origin counts its ids up from a random start, so they
+            // wrap past 255; half the frames repeat an id up to 64 back,
+            // which the cache may or may not still hold. After one frame
+            // in twenty the relay drains what it has pending.
+            let mut next: Vec<u8> = (0..origins).map(|_| g.u8()).collect();
+            let frames = g.vec_of(1, 400, |g| {
+                let o = g.usize_in(0, origins - 1);
+                let id = if g.bool(0.5) {
+                    let id = next[o];
+                    next[o] = id.wrapping_add(1);
+                    id
+                } else {
+                    next[o].wrapping_sub(g.int_in(1, 64) as u8)
+                };
+                (Address::new(2 + o as u16), id, g.bool(0.05))
+            });
+            (capacity, frames)
+        },
+        |(capacity, frames)| {
+            let mut config = FloodConfig::new(RELAY);
+            config.region = Region::Unlimited;
+            config.seen_cache = *capacity;
+            // Room for every relay at once: nothing is refused on release.
+            config.tx_queue_capacity = frames.len();
+            let mut node = FloodNode::new(config);
+            let mut io = RadioIo::new(Duration::ZERO);
+            node.on_start(&mut io);
+            let mut reference = ReferenceFifo::new(*capacity);
+            let (mut expected, mut forwarded) = (Vec::new(), Vec::new());
+            let mut now = Duration::ZERO;
+            for (i, &(origin, id, drain_after)) in frames.iter().enumerate() {
+                let flood = ArbFlood {
+                    origin,
+                    id,
+                    dst: Address::new(9),
+                    ttl: 3,
+                    snr: 10.0,
+                    payload: (i as u16).to_le_bytes().to_vec(),
+                };
+                let suppressed = node.stats().duplicates_suppressed;
+                now += Duration::from_millis(1);
+                receive(&mut node, &flood, now);
+                let new = reference.insert(origin, id);
+                prop_assert!(
+                    node.stats().duplicates_suppressed - suppressed == u64::from(!new),
+                    "frame {i} ({origin:?}, {id}) should read as {}",
+                    if new { "new" } else { "a duplicate" }
+                );
+                if new {
+                    expected.push(flood.payload);
+                }
+                if drain_after || i + 1 == frames.len() {
+                    forwarded.extend(drain(&mut node, now));
+                    now += LATER;
+                }
+            }
+            // Relays leave in deadline order, not arrival order: compare
+            // the frames' indices as sets.
+            let mut forwarded: Vec<Vec<u8>> = forwarded
+                .iter()
+                .map(|wire| match codec::decode(wire) {
+                    Ok(Packet::Data { payload, .. }) => payload,
+                    other => panic!("relay sent {other:?}"),
+                })
+                .collect();
+            forwarded.sort_unstable();
+            expected.sort_unstable();
+            prop_assert_eq!(forwarded, expected);
+            prop_assert_eq!(node.seen_len(), reference.order.len());
             Ok(())
         },
     );

@@ -199,7 +199,9 @@ impl NodeProtocol for StarNode {
         else {
             return;
         };
-        if dst == self.config.address && src != self.config.address {
+        // Nobody owns the broadcast address: a datagram claiming to come
+        // from it is malformed.
+        if dst == self.config.address && src != self.config.address && !src.is_broadcast() {
             self.events.push_back(MeshEvent::Datagram { src, payload });
         }
     }
@@ -309,6 +311,24 @@ mod tests {
             n.send_datagram(N2, b"p2p".to_vec()),
             Err(SendError::NoRoute(N2))
         );
+    }
+
+    /// Nobody owns the broadcast address: a datagram claiming to come
+    /// from it is malformed and is dropped, not delivered.
+    #[test]
+    fn a_datagram_from_the_broadcast_address_is_dropped() {
+        let mut gw = node(GW);
+        start(&mut gw);
+        let frame = codec::encode(&Packet::Data {
+            dst: GW,
+            src: Address::BROADCAST,
+            id: 0,
+            fwd: Forwarding { via: GW, ttl: 1 },
+            payload: vec![9],
+        })
+        .unwrap();
+        frame_in(&mut gw, &frame, Duration::ZERO);
+        assert!(gw.take_events().is_empty());
     }
 
     #[test]

@@ -63,8 +63,10 @@ cargo test -q --offline --release -p radio-sim --test row_model --test grid_mode
 # The routing table's repeat memo answers most hellos in a converged
 # mesh; its exactness against the map reference and the expiry oracle
 # holds on the optimised build too, where no debug assertion backs it.
-echo "==> cargo test -q --offline --release -p loramesher --test table_model --test expiry_oracle (routing-table models without debug assertions)"
-cargo test -q --offline --release -p loramesher --test table_model --test expiry_oracle
+# So does the flooding seen-cache's FIFO contract against its reference
+# set.
+echo "==> cargo test -q --offline --release -p loramesher --test table_model --test expiry_oracle --test flood_props (routing-table and seen-cache models without debug assertions)"
+cargo test -q --offline --release -p loramesher --test table_model --test expiry_oracle --test flood_props
 
 # One thread runs one queue, so the k-way merge's sequential band
 # drain is entered only by threaded runs whose planner declines; in
