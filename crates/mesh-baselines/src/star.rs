@@ -19,7 +19,7 @@ use lora_phy::modulation::LoRaModulation;
 use lora_phy::region::Region;
 
 use loramesher::addr::Address;
-use loramesher::codec;
+use loramesher::codec::{self, FrameView, UnicastBody, UnicastView};
 use loramesher::driver::{NodeProtocol, RadioIo};
 use loramesher::error::SendError;
 use loramesher::mac::{Mac, NoWireCache, TxOutcome};
@@ -83,6 +83,9 @@ pub struct StarNode {
     pub frames_sent: u64,
     /// Total airtime transmitted.
     pub airtime: Duration,
+    /// Frames heard that failed validation or claimed the broadcast
+    /// address as their source.
+    pub decode_errors: u64,
 }
 
 impl StarNode {
@@ -105,6 +108,7 @@ impl StarNode {
             started: false,
             frames_sent: 0,
             airtime: Duration::ZERO,
+            decode_errors: 0,
             config,
         }
     }
@@ -193,16 +197,31 @@ impl NodeProtocol for StarNode {
     }
 
     fn on_frame(&mut self, frame: &[u8], _quality: SignalQuality, _io: &mut RadioIo) {
-        let Ok(Packet::Data {
-            dst, src, payload, ..
-        }) = codec::decode(frame)
-        else {
+        // Validate the whole frame, then decide on the header alone: only
+        // a datagram for this node has its payload copied.
+        let Ok(view) = codec::parse(frame) else {
+            self.decode_errors += 1;
             return;
         };
-        // Nobody owns the broadcast address: a datagram claiming to come
+        // Nobody owns the broadcast address: a frame claiming to come
         // from it is malformed.
-        if dst == self.config.address && src != self.config.address && !src.is_broadcast() {
-            self.events.push_back(MeshEvent::Datagram { src, payload });
+        if view.src().is_broadcast() {
+            self.decode_errors += 1;
+            return;
+        }
+        if let FrameView::Unicast(UnicastView {
+            dst,
+            src,
+            body: UnicastBody::Data { payload },
+            ..
+        }) = view
+        {
+            if dst == self.config.address && src != self.config.address {
+                self.events.push_back(MeshEvent::Datagram {
+                    src,
+                    payload: payload.to_vec(),
+                });
+            }
         }
     }
 
@@ -328,6 +347,25 @@ mod tests {
         })
         .unwrap();
         frame_in(&mut gw, &frame, Duration::ZERO);
+        assert!(gw.take_events().is_empty());
+    }
+
+    #[test]
+    fn malformed_frames_count_as_decode_errors() {
+        let mut gw = node(GW);
+        start(&mut gw);
+        frame_in(&mut gw, &[0xFF; 3], Duration::ZERO);
+        assert_eq!(gw.decode_errors, 1);
+        let spoofed = codec::encode(&Packet::Data {
+            dst: GW,
+            src: Address::BROADCAST,
+            id: 0,
+            fwd: Forwarding { via: GW, ttl: 1 },
+            payload: vec![9],
+        })
+        .unwrap();
+        frame_in(&mut gw, &spoofed, Duration::ZERO);
+        assert_eq!(gw.decode_errors, 2);
         assert!(gw.take_events().is_empty());
     }
 

@@ -10,6 +10,14 @@
 //!   and timestamps them into an event log the experiment runner reads;
 //! * it executes workload actions (scheduled via
 //!   `Simulator::schedule_app`) through the protocol's `submit_*` calls.
+//!   An action runs once: its `App` event takes it out of its slot, so
+//!   the send copies nothing and a second event with the same tag does
+//!   nothing.
+//!
+//! Scheduled traffic is marked so a delivery can be traced back to its
+//! send. The format lives here and only here: [`marked_payload`] writes
+//! it (an [`AppAction::SendMarked`] builds its bytes only when its event
+//! fires) and [`payload_marker`] reads it back for the runner's report.
 //!
 //! [`ProtocolNode`] is the concrete protocol enum the experiments use, so
 //! one simulation type hosts LoRaMesher, flooding and the star. Each of
@@ -122,6 +130,39 @@ pub enum AppAction {
         /// The exact payload bytes.
         payload: Vec<u8>,
     },
+    /// Send the [`marked_payload`] of `marker` and `len` to `dst`, built
+    /// when the action runs.
+    SendMarked {
+        /// Destination address.
+        dst: Address,
+        /// The marker the payload starts with.
+        marker: u32,
+        /// Payload length in bytes (at least the marker's four).
+        len: usize,
+        /// A reliable transfer when set, else a datagram.
+        reliable: bool,
+    },
+}
+
+/// Bytes of the marker at the head of a [`marked_payload`].
+const MARKER_LEN: usize = 4;
+
+/// The payload of marked traffic: `marker` as four little-endian bytes,
+/// then `0xA5` padding up to `len` bytes (never fewer than four).
+#[must_use]
+pub fn marked_payload(marker: u32, len: usize) -> Vec<u8> {
+    let mut payload = vec![0xA5; len.max(MARKER_LEN)];
+    payload[..MARKER_LEN].copy_from_slice(&marker.to_le_bytes());
+    payload
+}
+
+/// The marker at the head of a [`marked_payload`]; `None` for a payload
+/// too short to carry one.
+#[must_use]
+pub fn payload_marker(payload: &[u8]) -> Option<u32> {
+    payload
+        .first_chunk::<MARKER_LEN>()
+        .map(|head| u32::from_le_bytes(*head))
 }
 
 /// The protocols the experiments can host.
@@ -212,6 +253,9 @@ impl NodeProtocol for ProtocolNode {
 ///
 /// Workload actions are registered with [`ProtocolFirmware::add_action`]
 /// and executed when the matching `App` event (tag = action index) fires.
+/// Each runs once: the event takes the action out of its slot, so a
+/// second `App` event with the same tag does nothing, like an unknown
+/// tag.
 #[derive(Debug)]
 pub struct ProtocolFirmware<P: NodeProtocol = ProtocolNode> {
     /// The hosted protocol stack.
@@ -223,7 +267,8 @@ pub struct ProtocolFirmware<P: NodeProtocol = ProtocolNode> {
     pub frame_log: Vec<(Duration, FrameMeta)>,
     /// Whether to populate [`ProtocolFirmware::frame_log`].
     pub log_frames: bool,
-    actions: Vec<AppAction>,
+    /// Registered actions by tag; `None` once run.
+    actions: Vec<Option<AppAction>>,
     /// Send attempts refused by the protocol (no route, queue full, …).
     pub send_errors: u64,
 }
@@ -315,7 +360,7 @@ impl<P: NodeProtocol> ProtocolFirmware<P> {
     /// Registers a workload action, returning its tag for
     /// [`radio_sim::Simulator::schedule_app`].
     pub fn add_action(&mut self, action: AppAction) -> u64 {
-        self.actions.push(action);
+        self.actions.push(Some(action));
         (self.actions.len() - 1) as u64
     }
 }
@@ -378,8 +423,10 @@ impl<P: HostedProtocol> Firmware for ProtocolFirmware<P> {
     }
 
     fn on_app(&mut self, tag: u64, ctx: &mut Context) {
-        let action = usize::try_from(tag).ok().and_then(|i| self.actions.get(i));
-        let Some(action) = action.cloned() else {
+        let slot = usize::try_from(tag)
+            .ok()
+            .and_then(|i| self.actions.get_mut(i));
+        let Some(action) = slot.and_then(Option::take) else {
             return;
         };
         let now = ctx.now();
@@ -389,6 +436,19 @@ impl<P: HostedProtocol> Firmware for ProtocolFirmware<P> {
             }
             AppAction::SendReliable { dst, payload } => {
                 self.node.submit_reliable(dst, payload, now)
+            }
+            AppAction::SendMarked {
+                dst,
+                marker,
+                len,
+                reliable,
+            } => {
+                let payload = marked_payload(marker, len);
+                if reliable {
+                    self.node.submit_reliable(dst, payload, now)
+                } else {
+                    self.node.submit_datagram(dst, payload, now)
+                }
             }
         };
         if result.is_err() {
@@ -556,6 +616,71 @@ mod tests {
         sim.schedule_app(Duration::from_secs(1), a, 42);
         sim.run_for(Duration::from_secs(2));
         assert_eq!(sim.node(a).send_errors, 0);
+    }
+
+    #[test]
+    fn marked_payload_is_the_marker_then_padding() {
+        for marker in [0, 1, 0x0102_0304, u32::MAX] {
+            for len in 0..=300 {
+                let mut expected = marker.to_le_bytes().to_vec();
+                expected.resize(len.max(4), 0xA5);
+                let payload = marked_payload(marker, len);
+                assert_eq!(payload, expected, "marker {marker}, len {len}");
+                assert_eq!(payload_marker(&payload), Some(marker));
+            }
+        }
+        assert_eq!(payload_marker(&[1, 2, 3]), None);
+    }
+
+    #[test]
+    fn an_action_runs_once() {
+        let mut sim = Simulator::new(SimConfig::default(), 3);
+        let a = sim.add_node(mesh_fw(1), Position::new(0.0, 0.0));
+        let b = sim.add_node(mesh_fw(2), Position::new(80.0, 0.0));
+        let tag = sim.with_node(a, |fw, _| {
+            fw.add_action(AppAction::SendMarked {
+                dst: Address::new(2),
+                marker: 7,
+                len: 16,
+                reliable: false,
+            })
+        });
+        sim.schedule_app(Duration::from_secs(30), a, tag);
+        sim.schedule_app(Duration::from_secs(35), a, tag);
+        sim.run_for(Duration::from_secs(45));
+        let expected = marked_payload(7, 16);
+        let received = sim
+            .node(b)
+            .event_log
+            .iter()
+            .filter(
+                |(_, e)| matches!(e, AppEvent::Received { payload, .. } if *payload == expected),
+            )
+            .count();
+        assert_eq!(received, 1);
+        assert_eq!(sim.node(a).send_errors, 0);
+    }
+
+    #[test]
+    fn unknown_tags_leave_registered_actions_alone() {
+        let mut sim = Simulator::new(SimConfig::default(), 4);
+        let a = sim.add_node(mesh_fw(1), Position::new(0.0, 0.0));
+        let tag = sim.with_node(a, |fw, _| {
+            fw.add_action(AppAction::SendMarked {
+                dst: Address::new(99), // no route will ever exist
+                marker: 0,
+                len: 8,
+                reliable: false,
+            })
+        });
+        for unknown in [tag + 1, 42, u64::MAX] {
+            sim.schedule_app(Duration::from_secs(1), a, unknown);
+        }
+        sim.run_for(Duration::from_secs(2));
+        assert_eq!(sim.node(a).send_errors, 0);
+        sim.schedule_app(Duration::from_secs(3), a, tag);
+        sim.run_for(Duration::from_secs(2));
+        assert_eq!(sim.node(a).send_errors, 1);
     }
 
     #[test]

@@ -2,9 +2,16 @@
 //!
 //! [`NetworkBuilder`] assembles a simulated network running one of the
 //! three protocols; [`Runner`] drives it, schedules [`TrafficEvent`]s and
-//! matches every delivered payload back to its send record (a 4-byte
-//! marker embedded in each payload), yielding a [`TrafficReport`] with
-//! packet-delivery ratio, end-to-end latencies and airtime cost.
+//! matches every delivered payload back to its send record, yielding a
+//! [`TrafficReport`] with packet-delivery ratio, end-to-end latencies and
+//! airtime cost.
+//!
+//! Every send, datagram or reliable transfer, draws the next marker from
+//! one counter. It keeps a 24-byte record and registers an
+//! [`AppAction::SendMarked`], which builds the payload
+//! ([`crate::adapter::marked_payload`]) only when the send fires. A
+//! delivery is traced back by the marker its payload carries: each kind's
+//! records ascend by marker, so the report finds one by binary search.
 
 use std::collections::BTreeSet;
 use std::time::Duration;
@@ -21,8 +28,9 @@ use radio_sim::firmware::NodeId;
 use radio_sim::metrics::Metrics;
 use radio_sim::mobility::Mobility;
 use radio_sim::sim::{SimConfig, Simulator};
+use radio_sim::time::SimTime;
 
-use crate::adapter::{AppAction, AppEvent, ProtocolFirmware, ProtocolNode};
+use crate::adapter::{payload_marker, AppAction, AppEvent, ProtocolFirmware, ProtocolNode};
 use crate::workload::{Target, TrafficEvent};
 
 /// Which protocol a network runs.
@@ -279,30 +287,48 @@ impl NetworkBuilder {
     }
 }
 
-/// A datagram send record awaiting its deliveries.
+/// A send awaiting its deliveries, datagram or reliable transfer.
 #[derive(Clone, Copy, Debug)]
-struct SentRecord {
+struct SendRecord {
+    /// The marker its payload carries.
     marker: u32,
-    from: usize,
-    to: Target,
-    at: Duration,
+    /// Sender index.
+    from: u32,
+    /// Receiver index, or [`SendRecord::BROADCAST`].
+    to: u32,
+    /// When the application submits it.
+    at: SimTime,
 }
 
-/// A reliable-transfer send record.
-#[derive(Clone, Copy, Debug)]
-struct ReliableRecord {
-    from: usize,
-    to: usize,
-    len: usize,
-    at: Duration,
+const _: () = assert!(std::mem::size_of::<SendRecord>() <= 24);
+
+impl SendRecord {
+    /// The receiver of a broadcast: every node but the sender.
+    const BROADCAST: u32 = u32::MAX;
+
+    /// The record of `marker` in `records`, which ascend by marker.
+    fn find(records: &[SendRecord], marker: u32) -> Option<&SendRecord> {
+        let i = records.binary_search_by_key(&marker, |r| r.marker).ok()?;
+        Some(&records[i])
+    }
+
+    /// Whether a delivery from `src` at node index `receiver` is one of
+    /// this send's.
+    fn matches(&self, src: Address, receiver: usize) -> bool {
+        Runner::address_of(self.from as usize) == src
+            && (self.to == Self::BROADCAST || self.to as usize == receiver)
+    }
 }
 
 /// A running simulated network with traffic accounting.
 pub struct Runner {
     sim: Simulator<ProtocolFirmware<ProtocolNode>>,
     ids: Vec<NodeId>,
-    sent: Vec<SentRecord>,
-    reliable: Vec<ReliableRecord>,
+    /// Datagram sends, ascending by marker.
+    sent: Vec<SendRecord>,
+    /// Reliable sends, ascending by marker.
+    reliable: Vec<SendRecord>,
+    /// The marker of the next send of either kind.
     next_marker: u32,
 }
 
@@ -370,15 +396,6 @@ impl Runner {
         self.sim.run_for(d);
     }
 
-    fn marker_payload(&mut self, len: usize) -> (u32, Vec<u8>) {
-        let marker = self.next_marker;
-        self.next_marker += 1;
-        let len = len.max(4);
-        let mut payload = vec![0xA5; len];
-        payload[..4].copy_from_slice(&marker.to_le_bytes());
-        (marker, payload)
-    }
-
     fn resolve(&self, to: Target) -> Address {
         match to {
             Target::Node(i) => Self::address_of(i),
@@ -388,44 +405,50 @@ impl Runner {
 
     /// Schedules a whole workload.
     pub fn apply(&mut self, events: &[TrafficEvent]) {
+        let reliable = events.iter().filter(|e| e.reliable).count();
+        self.sent.reserve(events.len() - reliable);
+        self.reliable.reserve(reliable);
         for e in events {
             self.schedule(*e);
         }
     }
 
     /// Schedules one traffic event.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a reliable transfer to [`Target::Broadcast`].
     pub fn schedule(&mut self, e: TrafficEvent) {
-        let dst = self.resolve(e.to);
+        let index = |i: usize| u32::try_from(i).expect("node index fits u32");
+        let to = match e.to {
+            Target::Node(i) => index(i),
+            Target::Broadcast => {
+                assert!(!e.reliable, "reliable transfers cannot be broadcast");
+                SendRecord::BROADCAST
+            }
+        };
+        let marker = self.next_marker;
+        self.next_marker += 1;
+        let record = SendRecord {
+            marker,
+            from: index(e.from),
+            to,
+            at: SimTime::from(e.at),
+        };
         if e.reliable {
-            let Target::Node(to) = e.to else {
-                panic!("reliable transfers cannot be broadcast");
-            };
-            let (_, payload) = self.marker_payload(e.payload_len);
-            self.reliable.push(ReliableRecord {
-                from: e.from,
-                to,
-                len: payload.len(),
-                at: e.at,
-            });
-            let id = self.ids[e.from];
-            let tag = self.sim.with_node(id, |fw, _| {
-                fw.add_action(AppAction::SendReliable { dst, payload })
-            });
-            self.sim.schedule_app(e.at, id, tag);
+            self.reliable.push(record);
         } else {
-            let (marker, payload) = self.marker_payload(e.payload_len);
-            self.sent.push(SentRecord {
-                marker,
-                from: e.from,
-                to: e.to,
-                at: e.at,
-            });
-            let id = self.ids[e.from];
-            let tag = self.sim.with_node(id, |fw, _| {
-                fw.add_action(AppAction::SendDatagram { dst, payload })
-            });
-            self.sim.schedule_app(e.at, id, tag);
+            self.sent.push(record);
         }
+        let action = AppAction::SendMarked {
+            dst: self.resolve(e.to),
+            marker,
+            len: e.payload_len,
+            reliable: e.reliable,
+        };
+        let id = self.ids[e.from];
+        let tag = self.sim.with_node(id, |fw, _| fw.add_action(action));
+        self.sim.schedule_app(e.at, id, tag);
     }
 
     /// Whether every mesh node has a usable route to every other node.
@@ -485,36 +508,27 @@ impl Runner {
             for (t, event) in &fw.event_log {
                 match event {
                     AppEvent::Received { src, payload, .. } => {
-                        if payload.len() < 4 {
-                            continue;
-                        }
-                        let marker =
-                            u32::from_le_bytes([payload[0], payload[1], payload[2], payload[3]]);
-                        let Some(rec) = self.sent.get(marker as usize) else {
+                        let Some(marker) = payload_marker(payload) else {
                             continue;
                         };
-                        if rec.marker != marker || Self::address_of(rec.from) != *src {
+                        let Some(rec) = SendRecord::find(&self.sent, marker) else {
                             continue;
-                        }
-                        let counted = match rec.to {
-                            Target::Node(k) => k == j,
-                            Target::Broadcast => true,
                         };
-                        if !counted {
+                        if !rec.matches(*src, j) {
                             continue;
                         }
                         if delivered_keys.insert((marker, j)) {
-                            latencies.push(t.saturating_sub(rec.at));
+                            latencies.push(SimTime::from(*t).since(rec.at));
                         } else {
                             duplicates += 1;
                         }
                     }
                     AppEvent::ReliableReceived { src, payload } => {
-                        if let Some(rec) = self.reliable.iter().find(|r| {
-                            Self::address_of(r.from) == *src && r.to == j && r.len == payload.len()
-                        }) {
+                        let rec = payload_marker(payload)
+                            .and_then(|marker| SendRecord::find(&self.reliable, marker));
+                        if let Some(rec) = rec.filter(|r| r.matches(*src, j)) {
                             reliable_completed += 1;
-                            reliable_latencies.push(t.saturating_sub(rec.at));
+                            reliable_latencies.push(SimTime::from(*t).since(rec.at));
                         }
                     }
                     AppEvent::ReliableFailed { .. } => reliable_failed += 1,
@@ -524,15 +538,16 @@ impl Runner {
         }
 
         // Only sends whose time has passed count as attempted.
-        let attempted = self.sent.iter().filter(|r| r.at <= now).count();
+        let due_by = SimTime::from(now);
+        let due = |records: &[SendRecord]| records.iter().filter(|r| r.at <= due_by).count();
         let metrics = self.sim.metrics();
         TrafficReport {
-            sent: attempted,
+            sent: due(&self.sent),
             delivered: delivered_keys.len(),
             duplicates,
             send_errors,
             latencies,
-            reliable_attempted: self.reliable.iter().filter(|r| r.at <= now).count(),
+            reliable_attempted: due(&self.reliable),
             reliable_completed,
             reliable_failed,
             reliable_latencies,

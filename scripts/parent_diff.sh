@@ -1,0 +1,63 @@
+#!/usr/bin/env bash
+# Byte-identity check of a refactor: builds `exp_all` and `meshsim` from
+# the working tree and from a git revision (default HEAD), runs the same
+# outputs on both and `cmp`s each one. Exits 1 naming every output that
+# differs, 0 when all are identical.
+#
+#   ./scripts/parent_diff.sh            # working tree vs HEAD
+#   ./scripts/parent_diff.sh HEAD~1     # working tree vs its parent
+#
+# The revision is unpacked under target/parent_diff/tree and built with
+# its own CARGO_TARGET_DIR (target/parent_diff/target); outputs go to
+# target/parent_diff/out. Everything builds offline and nothing is
+# written outside target/. Not part of ci.sh: it needs a second build.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+rev="${1:-HEAD}"
+work="target/parent_diff"
+tree="$work/tree"
+out="$work/out"
+
+git rev-parse --verify --quiet "$rev^{commit}" >/dev/null || {
+  echo "error: unknown revision '$rev'" >&2
+  exit 2
+}
+
+rm -rf "$tree" "$out"
+mkdir -p "$tree" "$out/rev" "$out/tree"
+# Fresh mtimes (-m): cargo fingerprints sources by mtime, and a previous
+# revision's objects in the shared target dir must not pass for this one's.
+git archive "$rev" | tar -x -m -C "$tree"
+
+echo "==> building exp_all and meshsim at $rev"
+CARGO_TARGET_DIR="$PWD/$work/target" cargo build -q --release --offline \
+  --manifest-path "$tree/Cargo.toml" -p bench --bin exp_all -p meshsim --bin meshsim
+echo "==> building exp_all and meshsim from the working tree"
+cargo build -q --release --offline -p bench --bin exp_all -p meshsim --bin meshsim
+
+# name|binary|arguments
+runs=(
+  "exp_all.md|exp_all|--markdown --seed 42"
+  "meshsim_all_to_one.txt|meshsim|--nodes 16 --duration 600 --traffic all-to-one:30"
+  "meshsim_bulk.txt|meshsim|--nodes 6 --duration 1800 --traffic bulk:0:5:2048"
+)
+
+differ=0
+for run in "${runs[@]}"; do
+  IFS='|' read -r name bin args <<<"$run"
+  echo "==> $bin $args"
+  # shellcheck disable=SC2086 # the arguments are split on purpose
+  "$work/target/release/$bin" $args >"$out/rev/$name"
+  # shellcheck disable=SC2086
+  "target/release/$bin" $args >"$out/tree/$name"
+  if ! cmp -s "$out/rev/$name" "$out/tree/$name"; then
+    echo "DIFFERS: $name ($bin $args): $out/rev/$name vs $out/tree/$name"
+    differ=1
+  fi
+done
+
+if [ "$differ" -ne 0 ]; then
+  exit 1
+fi
+echo "all outputs identical to $rev"

@@ -279,3 +279,43 @@ fn reliable_transfer_respects_duty_cycle() {
         );
     }
 }
+
+#[test]
+fn datagram_after_a_reliable_transfer_is_counted() {
+    // Markers are drawn from one counter across both kinds, so the
+    // datagram's marker is 1 while it is the first datagram record.
+    let mut net = converged_line(2, 22);
+    let at = net.now() + Duration::from_secs(1);
+    net.schedule(workload::bulk(0, 1, 200, at));
+    net.schedule(TrafficEvent {
+        at: at + Duration::from_secs(60),
+        from: 0,
+        to: Target::Node(1),
+        payload_len: 16,
+        reliable: false,
+    });
+    net.run_until(at + Duration::from_secs(120));
+    let report = net.report();
+    assert_eq!(report.reliable_completed, 1, "{report:?}");
+    assert_eq!(report.sent, 1, "{report:?}");
+    assert_eq!(report.delivered, 1, "{report:?}");
+    assert_eq!(report.latencies.len(), 1);
+}
+
+#[test]
+fn equal_reliable_transfers_are_credited_to_their_own_sends() {
+    let mut net = converged_line(2, 23);
+    let at = net.now() + Duration::from_secs(1);
+    let gap = Duration::from_secs(299);
+    net.schedule(workload::bulk(0, 1, 1000, at));
+    net.schedule(workload::bulk(0, 1, 1000, at + gap));
+    net.run_until(at + gap + Duration::from_secs(120));
+    let report = net.report();
+    assert_eq!(report.reliable_attempted, 2, "{report:?}");
+    assert_eq!(report.reliable_completed, 2, "{report:?}");
+    // Each transfer takes seconds; crediting the second to the first
+    // send would read the 299 s gap on top.
+    for latency in &report.reliable_latencies {
+        assert!(*latency < Duration::from_secs(60), "{report:?}");
+    }
+}
