@@ -10,9 +10,6 @@
 //!   and timestamps them into an event log the experiment runner reads;
 //! * it executes workload actions (scheduled via
 //!   `Simulator::schedule_app`) through the protocol's `submit_*` calls.
-//!   An action runs once: its `App` event takes it out of its slot, so
-//!   the send copies nothing and a second event with the same tag does
-//!   nothing.
 //!
 //! Scheduled traffic is marked so a delivery can be traced back to its
 //! send. The format lives here and only here: [`marked_payload`] writes
@@ -118,13 +115,6 @@ pub struct FrameMeta {
 pub enum AppAction {
     /// Send a datagram of `payload` to `dst`.
     SendDatagram {
-        /// Destination address.
-        dst: Address,
-        /// The exact payload bytes.
-        payload: Vec<u8>,
-    },
-    /// Start a reliable transfer of `payload` to `dst`.
-    SendReliable {
         /// Destination address.
         dst: Address,
         /// The exact payload bytes.
@@ -253,9 +243,6 @@ impl NodeProtocol for ProtocolNode {
 ///
 /// Workload actions are registered with [`ProtocolFirmware::add_action`]
 /// and executed when the matching `App` event (tag = action index) fires.
-/// Each runs once: the event takes the action out of its slot, so a
-/// second `App` event with the same tag does nothing, like an unknown
-/// tag.
 #[derive(Debug)]
 pub struct ProtocolFirmware<P: NodeProtocol = ProtocolNode> {
     /// The hosted protocol stack.
@@ -267,8 +254,8 @@ pub struct ProtocolFirmware<P: NodeProtocol = ProtocolNode> {
     pub frame_log: Vec<(Duration, FrameMeta)>,
     /// Whether to populate [`ProtocolFirmware::frame_log`].
     pub log_frames: bool,
-    /// Registered actions by tag; `None` once run.
-    actions: Vec<Option<AppAction>>,
+    /// Registered actions, indexed by tag.
+    actions: Vec<AppAction>,
     /// Send attempts refused by the protocol (no route, queue full, …).
     pub send_errors: u64,
 }
@@ -360,7 +347,7 @@ impl<P: NodeProtocol> ProtocolFirmware<P> {
     /// Registers a workload action, returning its tag for
     /// [`radio_sim::Simulator::schedule_app`].
     pub fn add_action(&mut self, action: AppAction) -> u64 {
-        self.actions.push(Some(action));
+        self.actions.push(action);
         (self.actions.len() - 1) as u64
     }
 }
@@ -423,19 +410,14 @@ impl<P: HostedProtocol> Firmware for ProtocolFirmware<P> {
     }
 
     fn on_app(&mut self, tag: u64, ctx: &mut Context) {
-        let slot = usize::try_from(tag)
-            .ok()
-            .and_then(|i| self.actions.get_mut(i));
-        let Some(action) = slot.and_then(Option::take) else {
+        let action = usize::try_from(tag).ok().and_then(|i| self.actions.get(i));
+        let Some(action) = action.cloned() else {
             return;
         };
         let now = ctx.now();
         let result = match action {
             AppAction::SendDatagram { dst, payload } => {
                 self.node.submit_datagram(dst, payload, now)
-            }
-            AppAction::SendReliable { dst, payload } => {
-                self.node.submit_reliable(dst, payload, now)
             }
             AppAction::SendMarked {
                 dst,
@@ -633,7 +615,7 @@ mod tests {
     }
 
     #[test]
-    fn an_action_runs_once() {
+    fn an_action_runs_on_every_event_with_its_tag() {
         let mut sim = Simulator::new(SimConfig::default(), 3);
         let a = sim.add_node(mesh_fw(1), Position::new(0.0, 0.0));
         let b = sim.add_node(mesh_fw(2), Position::new(80.0, 0.0));
@@ -657,7 +639,7 @@ mod tests {
                 |(_, e)| matches!(e, AppEvent::Received { payload, .. } if *payload == expected),
             )
             .count();
-        assert_eq!(received, 1);
+        assert_eq!(received, 2);
         assert_eq!(sim.node(a).send_errors, 0);
     }
 
