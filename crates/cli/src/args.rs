@@ -1,15 +1,23 @@
-//! Argument parsing for `meshsim`.
+//! Argument parsing for `meshsim` and `exp_all`.
 //!
 //! Hand-rolled (the workspace stays dependency-light); every flag is
-//! `--name value`. [`Cli::parse`] is pure and unit-tested; errors carry
-//! the offending token so the shell can print something actionable.
+//! `--name value`. [`SharedFlag::parse`] reads the flags both binaries
+//! take, [`Cli::parse`] the rest of `meshsim`'s. Both are pure and
+//! unit-tested; errors carry the offending token so the shell can print
+//! something actionable.
 
 use core::fmt;
 use std::time::Duration;
 
 use lora_phy::modulation::SpreadingFactor;
 use loramesher::codec::MAX_RELIABLE_PAYLOAD;
-use scenario::runner::ProtocolChoice;
+use scenario::runner::{ProtocolChoice, MAX_NODES};
+
+/// The most replication seeds `--seeds` takes. Every seed is one more
+/// simulation of every sweep cell, so 65 536 of them is days of compute
+/// for the smallest experiment; a larger count is a typo, and refusing
+/// it here beats aborting in the seed list's allocation.
+pub const MAX_SEEDS: usize = 65_536;
 
 /// Network shape.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -179,6 +187,77 @@ OPTIONS:
   --help                                  this text
 ";
 
+/// A flag that `meshsim` and `exp_all` both take, with its value.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum SharedFlag {
+    /// `--seed N`: the master seed.
+    Seed(u64),
+    /// `--seeds N`: replication seeds, `1..=`[`MAX_SEEDS`].
+    Seeds(usize),
+    /// `--jobs N`: worker threads across seeds, at least 1.
+    Jobs(usize),
+    /// `--protocol NAME`: a stack, by [`ProtocolChoice::from_name`].
+    Protocol(ProtocolChoice),
+}
+
+impl SharedFlag {
+    /// Parses `flag` if both binaries take it, pulling its value from
+    /// `rest`; `Ok(None)` when `flag` is not one of them.
+    ///
+    /// # Errors
+    ///
+    /// A [`ParseError`] when the value is missing or malformed.
+    pub fn parse<S: AsRef<str>>(
+        flag: &str,
+        rest: &mut impl Iterator<Item = S>,
+    ) -> Result<Option<SharedFlag>, ParseError> {
+        Ok(Some(match flag {
+            "--seed" => {
+                let v = value_of(flag, rest)?;
+                SharedFlag::Seed(
+                    v.parse()
+                        .map_err(|_| ParseError(format!("bad seed '{v}'")))?,
+                )
+            }
+            "--seeds" => SharedFlag::Seeds(count(flag, rest, MAX_SEEDS)?),
+            "--jobs" => SharedFlag::Jobs(count(flag, rest, usize::MAX)?),
+            "--protocol" => SharedFlag::Protocol(
+                ProtocolChoice::from_name(&value_of(flag, rest)?).map_err(ParseError)?,
+            ),
+            _ => return Ok(None),
+        }))
+    }
+}
+
+/// The value that follows `flag`.
+fn value_of<S: AsRef<str>>(
+    flag: &str,
+    rest: &mut impl Iterator<Item = S>,
+) -> Result<String, ParseError> {
+    rest.next()
+        .map(|v| v.as_ref().to_string())
+        .ok_or_else(|| ParseError(format!("{flag} requires a value")))
+}
+
+/// The count that follows `flag`: an integer in `1..=max`.
+fn count<S: AsRef<str>>(
+    flag: &str,
+    rest: &mut impl Iterator<Item = S>,
+    max: usize,
+) -> Result<usize, ParseError> {
+    let v = value_of(flag, rest)?;
+    let n: usize = v
+        .parse()
+        .map_err(|_| ParseError(format!("{flag} takes a count, got '{v}'")))?;
+    if n == 0 {
+        Err(ParseError(format!("{flag} must be at least 1")))
+    } else if n > max {
+        Err(ParseError(format!("{flag} must be at most {max}")))
+    } else {
+        Ok(n)
+    }
+}
+
 fn parse_at(value: &str) -> Result<(usize, Duration), ParseError> {
     let (node, at) = value
         .split_once('@')
@@ -206,11 +285,6 @@ impl Cli {
     {
         let mut cli = Cli::default();
         let mut it = args.into_iter();
-        let value_of = |flag: &str, it: &mut dyn Iterator<Item = S>| {
-            it.next()
-                .map(|v| v.as_ref().to_string())
-                .ok_or_else(|| ParseError(format!("{flag} requires a value")))
-        };
         while let Some(arg) = it.next() {
             match arg.as_ref() {
                 "--help" | "-h" => return Err(ParseError("help".into())),
@@ -224,15 +298,7 @@ impl Cli {
                         other => return Err(ParseError(format!("unknown topology '{other}'"))),
                     };
                 }
-                "--nodes" => {
-                    let v = value_of("--nodes", &mut it)?;
-                    cli.nodes = v
-                        .parse()
-                        .map_err(|_| ParseError(format!("bad node count '{v}'")))?;
-                    if cli.nodes == 0 {
-                        return Err(ParseError("--nodes must be at least 1".into()));
-                    }
-                }
+                "--nodes" => cli.nodes = count("--nodes", &mut it, MAX_NODES)?,
                 "--spacing-frac" => {
                     let v = value_of("--spacing-frac", &mut it)?;
                     cli.spacing_frac = v
@@ -241,10 +307,6 @@ impl Cli {
                     if !(0.01..=2.0).contains(&cli.spacing_frac) {
                         return Err(ParseError("--spacing-frac must be in 0.01..=2.0".into()));
                     }
-                }
-                "--protocol" => {
-                    cli.protocol = ProtocolChoice::from_name(&value_of("--protocol", &mut it)?)
-                        .map_err(ParseError)?;
                 }
                 "--traffic" => {
                     let v = value_of("--traffic", &mut it)?;
@@ -257,48 +319,8 @@ impl Cli {
                         .map_err(|_| ParseError(format!("bad duration '{v}'")))?;
                     cli.duration = Duration::from_secs(secs);
                 }
-                "--seed" => {
-                    let v = value_of("--seed", &mut it)?;
-                    cli.seed = v
-                        .parse()
-                        .map_err(|_| ParseError(format!("bad seed '{v}'")))?;
-                }
-                "--seeds" => {
-                    let v = value_of("--seeds", &mut it)?;
-                    cli.seeds = v
-                        .parse()
-                        .map_err(|_| ParseError(format!("bad seed count '{v}'")))?;
-                    if cli.seeds == 0 {
-                        return Err(ParseError("--seeds must be at least 1".into()));
-                    }
-                }
-                "--jobs" => {
-                    let v = value_of("--jobs", &mut it)?;
-                    cli.jobs = v
-                        .parse()
-                        .map_err(|_| ParseError(format!("bad job count '{v}'")))?;
-                    if cli.jobs == 0 {
-                        return Err(ParseError("--jobs must be at least 1".into()));
-                    }
-                }
-                "--shards" => {
-                    let v = value_of("--shards", &mut it)?;
-                    cli.shards = v
-                        .parse()
-                        .map_err(|_| ParseError(format!("bad shard count '{v}'")))?;
-                    if cli.shards == 0 {
-                        return Err(ParseError("--shards must be at least 1".into()));
-                    }
-                }
-                "--threads" => {
-                    let v = value_of("--threads", &mut it)?;
-                    cli.threads = v
-                        .parse()
-                        .map_err(|_| ParseError(format!("bad thread count '{v}'")))?;
-                    if cli.threads == 0 {
-                        return Err(ParseError("--threads must be at least 1".into()));
-                    }
-                }
+                "--shards" => cli.shards = count("--shards", &mut it, usize::MAX)?,
+                "--threads" => cli.threads = count("--threads", &mut it, usize::MAX)?,
                 "--sf" => {
                     let v = value_of("--sf", &mut it)?;
                     let n: u8 = v.parse().map_err(|_| ParseError(format!("bad SF '{v}'")))?;
@@ -325,7 +347,13 @@ impl Cli {
                     let v = value_of("--revive", &mut it)?;
                     cli.revives.push(parse_at(&v)?);
                 }
-                other => return Err(ParseError(format!("unknown argument '{other}'"))),
+                other => match SharedFlag::parse(other, &mut it)? {
+                    Some(SharedFlag::Seed(seed)) => cli.seed = seed,
+                    Some(SharedFlag::Seeds(n)) => cli.seeds = n,
+                    Some(SharedFlag::Jobs(n)) => cli.jobs = n,
+                    Some(SharedFlag::Protocol(p)) => cli.protocol = p,
+                    None => return Err(ParseError(format!("unknown argument '{other}'"))),
+                },
             }
         }
         cli.validate()?;
@@ -579,40 +607,6 @@ mod tests {
     }
 
     #[test]
-    fn seeds_and_jobs_parse() {
-        let cli = parse(&["--seeds", "16", "--jobs", "4"]).unwrap();
-        assert_eq!(cli.seeds, 16);
-        assert_eq!(cli.jobs, 4);
-        assert_eq!(parse(&[]).unwrap().seeds, 1, "single run by default");
-        assert!(parse(&["--seeds", "0"]).is_err());
-        assert!(parse(&["--jobs", "0"]).is_err());
-        assert!(parse(&["--seeds", "many"]).is_err());
-    }
-
-    #[test]
-    fn shards_parse() {
-        assert_eq!(parse(&[]).unwrap().shards, 1, "sequential by default");
-        assert_eq!(parse(&["--shards", "4"]).unwrap().shards, 4);
-        assert!(parse(&["--shards", "0"]).is_err());
-        assert!(parse(&["--shards", "lots"]).is_err());
-    }
-
-    #[test]
-    fn threads_parse() {
-        assert_eq!(
-            parse(&[]).unwrap().threads,
-            1,
-            "coordinator only by default"
-        );
-        assert_eq!(
-            parse(&["--threads", "2", "--rng-streams"]).unwrap().threads,
-            2
-        );
-        assert!(parse(&["--threads", "0"]).is_err());
-        assert!(parse(&["--threads", "lots"]).is_err());
-    }
-
-    #[test]
     fn rng_streams_parse_and_threads_guard() {
         assert!(!parse(&[]).unwrap().rng_streams, "fork-chain by default");
         assert!(parse(&["--rng-streams"]).unwrap().rng_streams);
@@ -622,6 +616,56 @@ mod tests {
         let err = parse(&["--threads", "2"]).unwrap_err();
         assert!(err.0.contains("--rng-streams"), "unhelpful error: {err}");
         assert!(parse(&["--threads", "2", "--rng-streams"]).is_ok());
+    }
+
+    /// Every count flag takes an integer in `1..=max`; only parsed
+    /// here, so no oversized network or thread pool is ever started.
+    #[test]
+    fn counts_are_positive_and_bounded() {
+        for (flag, max) in [
+            ("--nodes", MAX_NODES),
+            ("--seeds", MAX_SEEDS),
+            ("--jobs", usize::MAX),
+            ("--shards", usize::MAX),
+            ("--threads", usize::MAX),
+        ] {
+            let count_of = |v: &str| count(flag, &mut [v].iter(), max);
+            assert_eq!(count_of("4"), Ok(4), "{flag}");
+            assert_eq!(count_of(&max.to_string()), Ok(max), "{flag}");
+            for bad in ["0", "-1", "lots", "18446744073709551616"] {
+                assert!(
+                    parse(&[flag, bad, "--rng-streams"]).is_err(),
+                    "{flag} {bad}"
+                );
+            }
+        }
+        let err = parse(&["--seeds", &(MAX_SEEDS + 1).to_string()]).unwrap_err();
+        assert_eq!(err.0, "--seeds must be at most 65536");
+        let err = parse(&["--nodes", &(MAX_NODES + 1).to_string()]).unwrap_err();
+        assert_eq!(err.0, "--nodes must be at most 65534");
+        let cli = parse(&["--seeds", "16", "--jobs", "4", "--shards", "2"]).unwrap();
+        assert_eq!((cli.seeds, cli.jobs, cli.shards), (16, 4, 2));
+    }
+
+    #[test]
+    fn shared_flags_parse_and_leave_the_rest_of_the_line() {
+        let shared = |flag: &str, rest: &[&str]| SharedFlag::parse(flag, &mut rest.iter());
+        assert_eq!(shared("--seed", &["7"]), Ok(Some(SharedFlag::Seed(7))));
+        assert_eq!(shared("--seeds", &["8"]), Ok(Some(SharedFlag::Seeds(8))));
+        assert_eq!(shared("--jobs", &["4"]), Ok(Some(SharedFlag::Jobs(4))));
+        let flooding = SharedFlag::Protocol(ProtocolChoice::Flooding { ttl: 7 });
+        assert_eq!(shared("--protocol", &["flooding"]), Ok(Some(flooding)));
+        assert!(shared("--seeds", &[]).is_err(), "missing value");
+        assert!(shared("--seed", &["x"]).is_err());
+        let mut rest = ["3", "e5"].iter();
+        let jobs = SharedFlag::parse("--jobs", &mut rest);
+        assert_eq!(jobs, Ok(Some(SharedFlag::Jobs(3))));
+        assert_eq!(SharedFlag::parse("--csv", &mut rest), Ok(None));
+        assert_eq!(
+            rest.next(),
+            Some(&"e5"),
+            "--jobs took one value, --csv none"
+        );
     }
 
     #[test]

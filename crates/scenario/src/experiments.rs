@@ -41,18 +41,6 @@ pub struct ExpOptions {
     /// Worker threads for the sweep engine. Runs are deterministic and
     /// independent, so any value yields identical tables.
     pub jobs: usize,
-    /// Spatial bands of the world inside each run (scoped link-row
-    /// invalidation; band queues for band workers when `threads > 1`).
-    /// Behaviourally transparent, so any value yields identical tables.
-    pub shards: usize,
-    /// Worker threads inside each simulator (parallel evaluate regions).
-    /// Behaviourally transparent, so any value yields identical tables.
-    pub threads: usize,
-    /// Per-node RNG stream family (PR 9). Required when `threads > 1`.
-    /// NOT behaviourally transparent — it selects a different (equally
-    /// valid) sequence of stochastic draws — so every leg of a
-    /// comparison must use the same setting.
-    pub rng_streams: bool,
     /// Restrict the protocol-comparison experiments (E5 and the E13
     /// head-to-head) to a single stack; `None` runs every protocol in
     /// the comparison. Mirrors `meshsim --protocol` so one leg of a
@@ -70,9 +58,6 @@ impl Default for ExpOptions {
             seed: 42,
             seeds: 1,
             jobs: 1,
-            shards: 1,
-            threads: 1,
-            rng_streams: false,
             protocol: None,
         }
     }
@@ -93,16 +78,6 @@ impl ExpOptions {
     #[must_use]
     pub fn seed_set(&self) -> Vec<u64> {
         crate::sweep::seed_list(self.seed, self.seeds)
-    }
-
-    /// `sim` with this run's engine options (`shards`, `threads`,
-    /// `rng_streams`) applied.
-    #[must_use]
-    pub fn engine(&self, mut sim: SimConfig) -> SimConfig {
-        sim.shards = self.shards;
-        sim.threads = self.threads;
-        sim.rng_streams = self.rng_streams;
-        sim
     }
 
     /// Like [`ExpOptions::seed_set`], but an experiment that always
@@ -507,7 +482,6 @@ pub fn e5_protocol_comparison(opt: &ExpOptions) -> ExpTable {
         // the comparison is paired per replication.
         let positions = random_positions(n, spacing, seed ^ (n as u64) << 8);
         let mut runner = NetworkBuilder::mesh(positions, seed)
-            .sim_config(opt.engine(SimConfig::default()))
             .protocol(*protocol)
             .build();
         // Identical warm-up for all protocols (mesh uses it to
@@ -1032,7 +1006,6 @@ pub fn e12_fairness(opt: &ExpOptions) -> ExpTable {
         let n = *n;
         let positions = random_positions(n, spacing, seed ^ (n as u64) << 40);
         let mut runner = NetworkBuilder::mesh(positions, seed)
-            .sim_config(opt.engine(SimConfig::default()))
             .protocol(*protocol)
             .build();
         let start = Duration::from_secs(300);
@@ -1379,7 +1352,7 @@ pub fn e13_stack_head_to_head(opt: &ExpOptions) -> ExpTable {
         let spacing = topology::radio_range_m(&sim.rf) * 0.8;
         let positions = scaled_positions(n, spacing, seed ^ (n as u64) << 8);
         let mut runner = NetworkBuilder::mesh(positions, seed)
-            .sim_config(opt.engine(sim))
+            .sim_config(sim)
             .protocol(protocol)
             .build();
         // Identical warm-up for both stacks: LoRaMesher distributes
@@ -1474,6 +1447,16 @@ mod tests {
 
     fn opt() -> ExpOptions {
         ExpOptions::quick()
+    }
+
+    #[test]
+    fn default_options_are_full() {
+        let opt = ExpOptions::default();
+        assert!(!opt.quick);
+        assert_eq!(opt.seed, 42);
+        assert_eq!(opt.seeds, 1);
+        assert_eq!(opt.jobs, 1);
+        assert_eq!(opt.protocol, None);
     }
 
     #[test]

@@ -33,6 +33,10 @@ use radio_sim::time::SimTime;
 use crate::adapter::{payload_marker, AppAction, AppEvent, ProtocolFirmware, ProtocolNode};
 use crate::workload::{Target, TrafficEvent};
 
+/// The most nodes one network can address: node `i` has address
+/// `i + 1`, and `0xFFFF` is [`Address::BROADCAST`].
+pub const MAX_NODES: usize = 0xFFFE;
+
 /// Which protocol a network runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProtocolChoice {
@@ -333,10 +337,19 @@ pub struct Runner {
 }
 
 impl Runner {
-    /// The protocol address of node index `i`.
+    /// The protocol address of node index `i`, which is `i + 1`.
+    ///
+    /// # Panics
+    ///
+    /// If `i` is [`MAX_NODES`] or more: its address would be the
+    /// broadcast address or would not fit in 16 bits.
     #[must_use]
     pub fn address_of(i: usize) -> Address {
-        Address::new(u16::try_from(i + 1).expect("too many nodes"))
+        u16::try_from(i + 1)
+            .ok()
+            .map(Address::new)
+            .filter(|a| !a.is_broadcast())
+            .expect("too many nodes: every unicast address is taken")
     }
 
     /// Number of nodes.
@@ -661,6 +674,18 @@ mod tests {
         fn assert_send<T: Send>() {}
         assert_send::<Runner>();
         assert_send::<TrafficReport>();
+    }
+
+    #[test]
+    fn the_last_node_gets_the_last_unicast_address() {
+        assert_eq!(Runner::address_of(0), Address::new(1));
+        assert_eq!(Runner::address_of(MAX_NODES - 1), Address::new(0xFFFE));
+    }
+
+    #[test]
+    #[should_panic(expected = "too many nodes")]
+    fn no_node_gets_the_broadcast_address() {
+        let _ = Runner::address_of(MAX_NODES);
     }
 
     #[test]

@@ -12,8 +12,8 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "==> cargo build --release --offline -p bench --bin exp_all"
-cargo build --release --offline -p bench --bin exp_all
+echo "==> cargo build --release --offline -p meshsim --bin exp_all"
+cargo build --release --offline -p meshsim --bin exp_all
 
 echo "==> exp_all e13 $*"
 ./target/release/exp_all e13 "$@"

@@ -30,11 +30,13 @@ mkdir -p "$tree" "$out/rev" "$out/tree"
 # revision's objects in the shared target dir must not pass for this one's.
 git archive "$rev" | tar -x -m -C "$tree"
 
+# Every binary of the workspace: one command that builds `exp_all` and
+# `meshsim` whichever package holds them at the revision.
 echo "==> building exp_all and meshsim at $rev"
 CARGO_TARGET_DIR="$PWD/$work/target" cargo build -q --release --offline \
-  --manifest-path "$tree/Cargo.toml" -p bench --bin exp_all -p meshsim --bin meshsim
+  --manifest-path "$tree/Cargo.toml" --workspace --bins
 echo "==> building exp_all and meshsim from the working tree"
-cargo build -q --release --offline -p bench --bin exp_all -p meshsim --bin meshsim
+cargo build -q --release --offline --workspace --bins
 
 # name|binary|arguments
 runs=(

@@ -16,25 +16,6 @@ fn opts(seeds: usize, jobs: usize) -> ExpOptions {
     }
 }
 
-fn opts_sharded(seeds: usize, jobs: usize, shards: usize) -> ExpOptions {
-    ExpOptions {
-        shards,
-        ..opts(seeds, jobs)
-    }
-}
-
-fn opts_threaded(seeds: usize, jobs: usize, shards: usize, threads: usize) -> ExpOptions {
-    ExpOptions {
-        threads,
-        // Every leg — including the threads=1 reference — uses the
-        // per-node stream family: threads > 1 requires it (PR 9), and
-        // the family must match across legs for the tables to compare
-        // byte-identical.
-        rng_streams: true,
-        ..opts_sharded(seeds, jobs, shards)
-    }
-}
-
 /// E5 (the headline protocol comparison) replicated over 4 seeds must
 /// render byte-identical tables whether the runs are sharded over 1 or
 /// 4 worker threads.
@@ -63,37 +44,6 @@ fn single_seed_table_matches_legacy_output() {
         !legacy.to_string().contains('±'),
         "single runs have no dispersion"
     );
-}
-
-/// Worker threads parallelise *across* runs; spatial shards batch
-/// events *inside* each run. Both are behaviourally transparent, so any
-/// (jobs, shards) pair must render the same E5 table byte for byte.
-#[test]
-fn e5_tables_are_invariant_across_jobs_and_shards() {
-    let reference = experiments::e5_protocol_comparison(&opts_sharded(3, 1, 1));
-    for (jobs, shards) in [(1, 4), (4, 1), (4, 4), (2, 8)] {
-        assert_eq!(
-            reference,
-            experiments::e5_protocol_comparison(&opts_sharded(3, jobs, shards)),
-            "table drift at jobs={jobs}, shards={shards}"
-        );
-    }
-}
-
-/// Three orthogonal axes of parallelism — sweep jobs across seeds,
-/// spatial shards inside a run, and worker threads inside the evaluate
-/// regions of a run — must compose without changing a single table
-/// byte.
-#[test]
-fn e5_tables_are_invariant_across_jobs_shards_and_threads() {
-    let reference = experiments::e5_protocol_comparison(&opts_threaded(2, 1, 1, 1));
-    for (jobs, shards, threads) in [(1, 1, 4), (4, 4, 2), (2, 8, 4), (4, 1, 2)] {
-        assert_eq!(
-            reference,
-            experiments::e5_protocol_comparison(&opts_threaded(2, jobs, shards, threads)),
-            "table drift at jobs={jobs}, shards={shards}, threads={threads}"
-        );
-    }
 }
 
 /// The raw pool primitive returns results in work order for any mix of
