@@ -29,15 +29,14 @@
 mod scenarios;
 
 use std::collections::BTreeMap;
-use std::fmt;
 use std::fmt::Write as _;
 use std::time::Duration;
 
 use radio_sim::time::SimTime;
 use radio_sim::trace::TraceEvent;
-use radio_sim::SimConfig;
-use scenario::{run_parallel, seed_list, ProtocolChoice};
-use scenarios::{grey_config, traced_config, Facts, Net, Script};
+use radio_sim::{SimConfig, Simulator};
+use scenario::{run_parallel, seed_list, ProtocolChoice, Runner};
+use scenarios::{grey_config, traced_config, Chatty, Facts, Net, Script};
 use testkit::fnv1a;
 
 /// Checkpoints per run, at equal fractions of the scenario's length.
@@ -46,9 +45,6 @@ const CHECKPOINTS: u32 = 4;
 /// What each checkpoint keeps a digest of, in the order they are
 /// compared.
 const SECTIONS: [&str; 4] = ["trace", "phy", "nodes", "report"];
-
-/// The pinned digests.
-const PINS: &str = include_str!("goldens.txt");
 
 /// An engine configuration a row must hold under.
 #[derive(Clone, Copy, Debug)]
@@ -60,138 +56,65 @@ struct Engine {
     jobs: usize,
 }
 
-impl Engine {
-    const fn shards(self, shards: usize) -> Self {
-        Engine { shards, ..self }
-    }
-
-    const fn threads(self, threads: usize) -> Self {
-        Engine { threads, ..self }
-    }
-
-    const fn jobs(self, jobs: usize) -> Self {
-        Engine { jobs, ..self }
-    }
-
-    fn config(self, base: SimConfig) -> SimConfig {
-        SimConfig {
-            shards: self.shards,
-            threads: self.threads,
-            rng_streams: self.rng_streams,
-            ..base
-        }
+const fn engine(shards: usize, threads: usize, rng_streams: bool, jobs: usize) -> Engine {
+    Engine {
+        shards,
+        threads,
+        rng_streams,
+        jobs,
     }
 }
 
-impl fmt::Display for Engine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let family = if self.rng_streams { "streams" } else { "fork" };
-        write!(
-            f,
-            "shards {}, threads {}, {family} RNG, jobs {}",
-            self.shards, self.threads, self.jobs
-        )
-    }
-}
-
-const SEQ: Engine = Engine {
-    shards: 1,
-    threads: 1,
-    rng_streams: false,
-    jobs: 1,
-};
-const STREAMS: Engine = Engine {
-    rng_streams: true,
-    ..SEQ
-};
-
-const SEQUENTIAL: &[Engine] = &[SEQ];
+const SEQUENTIAL: &[Engine] = &[engine(1, 1, false, 1)];
 /// The fork-chain RNG family is sequential by construction: shards only.
-const FORK: &[Engine] = &[SEQ, SEQ.shards(4)];
+const FORK: &[Engine] = &[engine(1, 1, false, 1), engine(4, 1, false, 1)];
 /// The per-node stream family: shards × threads.
-const STREAM_MATRIX: &[Engine] = &[
-    STREAMS,
-    STREAMS.threads(2),
-    STREAMS.shards(4),
-    STREAMS.shards(4).threads(2),
+const STREAMS: &[Engine] = &[
+    engine(1, 1, true, 1),
+    engine(1, 2, true, 1),
+    engine(4, 1, true, 1),
+    engine(4, 2, true, 1),
 ];
-const ONE_STREAM: &[Engine] = &[STREAMS];
-const SWEEP_JOBS: &[Engine] = &[SEQ, SEQ.jobs(3)];
-const SWEEP_STREAMS: &[Engine] = &[
-    STREAMS.shards(4).threads(2),
-    STREAMS.shards(4).threads(2).jobs(2),
-];
+const ONE_STREAM: &[Engine] = &[engine(1, 1, true, 1)];
+const SWEEP: &[Engine] = &[engine(1, 1, false, 1), engine(1, 1, false, 3)];
+const SWEEP_STREAMS: &[Engine] = &[engine(4, 2, true, 1), engine(4, 2, true, 2)];
 
-/// The [`scenarios::Chatty`] RNG salt of the tombstone-timer and
-/// link-cache pins.
-const SALT_C4A7: u64 = 0xC4A7;
-/// The salt of the shard reference pins.
-const SALT_54A8: u64 = 0x54A8;
+type ChattyScript = fn(u64, SimConfig, u64) -> Script<Simulator<Chatty>>;
+type NetworkScript = fn(u64, SimConfig) -> Script<Runner>;
 
-#[derive(Clone, Copy, Debug)]
+/// What a row runs.
+#[derive(Clone, Copy)]
 enum Scenario {
-    Churn(u64),
-    Walk(u64),
-    Dense(u64),
-    Wide(u64),
-    LineChurn,
-    Waypoint,
-    FullLine,
-    SharedLine(ProtocolChoice, bool),
-    Duty,
-    GridChurn,
-    GridFlood,
-    LateTraffic,
-    FloodLine,
+    /// An engine-level scenario and its [`Chatty`] RNG salt.
+    Chatty(&'static str, ChattyScript, u64),
+    /// A `Runner`-level scenario, on the grey-zone RF profile or not.
+    Network(&'static str, NetworkScript, bool),
 }
 
 impl Scenario {
     fn name(self) -> String {
         match self {
-            Scenario::Churn(salt) => format!("churn-{salt:x}"),
-            Scenario::Walk(salt) => format!("walk-{salt:x}"),
-            Scenario::Dense(salt) => format!("dense-{salt:x}"),
-            Scenario::Wide(salt) => format!("wide-{salt:x}"),
-            Scenario::LineChurn => "line-churn".into(),
-            Scenario::Waypoint => "waypoint".into(),
-            Scenario::FullLine => "full-line".into(),
-            Scenario::SharedLine(protocol, csma) => {
-                let stack = match protocol {
-                    ProtocolChoice::Mesh { .. } => "mesh",
-                    ProtocolChoice::Flooding { .. } => "flooding",
-                    ProtocolChoice::Star { .. } => "star",
-                };
-                let access = if csma { "" } else { "-aloha" };
-                format!("shared-line-{stack}{access}")
-            }
-            Scenario::Duty => "duty".into(),
-            Scenario::GridChurn => "grid-churn".into(),
-            Scenario::GridFlood => "grid-flood".into(),
-            Scenario::LateTraffic => "late-traffic".into(),
-            Scenario::FloodLine => "flood-line".into(),
+            Scenario::Chatty(name, _, salt) => format!("{name}-{salt:x}"),
+            Scenario::Network(name, ..) => name.to_string(),
         }
     }
 
     /// Runs the scenario at `seed` under `engine`, in `slices` slices.
     fn record(self, seed: u64, engine: Engine, slices: u32) -> Run {
-        let grey = engine.config(grey_config());
-        let quiet = engine.config(traced_config());
+        let config = |base: SimConfig| SimConfig {
+            shards: engine.shards,
+            threads: engine.threads,
+            rng_streams: engine.rng_streams,
+            ..base
+        };
         match self {
-            Scenario::Churn(salt) => record(scenarios::churn(seed, grey, salt), slices),
-            Scenario::Walk(salt) => record(scenarios::walk(seed, grey, salt), slices),
-            Scenario::Dense(salt) => record(scenarios::dense(seed, grey, salt), slices),
-            Scenario::Wide(salt) => record(scenarios::wide(seed, grey, salt), slices),
-            Scenario::LineChurn => record(scenarios::line_churn(seed, quiet), slices),
-            Scenario::Waypoint => record(scenarios::waypoint(seed, quiet), slices),
-            Scenario::FullLine => record(scenarios::full_line(seed, quiet), slices),
-            Scenario::SharedLine(protocol, csma) => {
-                record(scenarios::shared_line(seed, quiet, protocol, csma), slices)
+            Scenario::Chatty(_, script, salt) => {
+                record(script(seed, config(grey_config()), salt), slices)
             }
-            Scenario::Duty => record(scenarios::duty(seed, quiet), slices),
-            Scenario::GridChurn => record(scenarios::grid_churn(seed, grey), slices),
-            Scenario::GridFlood => record(scenarios::grid_flood(seed, grey), slices),
-            Scenario::LateTraffic => record(scenarios::late_traffic(seed, grey), slices),
-            Scenario::FloodLine => record(scenarios::flood_line(seed, grey), slices),
+            Scenario::Network(_, script, grey) => {
+                let base = if grey { grey_config() } else { traced_config() };
+                record(script(seed, config(base)), slices)
+            }
         }
     }
 }
@@ -222,8 +145,6 @@ impl Guard {
     }
 }
 
-use Guard::{CompletesReliable, Defers, Delivers, DropsStale, Forwards, NeverScans, Transmits};
-
 struct Row {
     scenario: Scenario,
     seed: u64,
@@ -251,95 +172,110 @@ impl Row {
     }
 }
 
-fn row(scenario: Scenario, seed: u64, engines: &'static [Engine], guards: &'static [Guard]) -> Row {
-    Row {
+fn rows() -> Vec<Row> {
+    use scenarios as s;
+    use Guard::*;
+    use ProtocolChoice::{Flooding, Star};
+    let row = |scenario, seed, engines, guards| Row {
         scenario,
         seed,
         seeds: 1,
         engines,
         guards,
-    }
-}
-
-fn sweep(scenario: Scenario, seed: u64, engines: &'static [Engine]) -> Row {
-    Row {
+    };
+    let sweep = |scenario, seed, engines| Row {
         seeds: 3,
-        guards: &[Delivers],
-        ..row(scenario, seed, engines, &[])
-    }
-}
-
-fn rows() -> Vec<Row> {
-    use Scenario::*;
-    let flooding = ProtocolChoice::Flooding { ttl: 3 };
-    let star = ProtocolChoice::Star { gateway: 0 };
-    let mesh = ProtocolChoice::mesh_fast();
-    let engine_timers: &[Guard] = &[Transmits, Delivers, DropsStale];
+        ..row(scenario, seed, engines, &[Delivers])
+    };
+    let churn = |salt| Scenario::Chatty("churn", s::churn, salt);
+    let walk = |salt| Scenario::Chatty("walk", s::walk, salt);
+    let dense = Scenario::Chatty("dense", s::dense, 0x54A8);
+    let wide = Scenario::Chatty("wide", s::wide, 0x54A8);
+    let network = |name, script: NetworkScript, grey| Scenario::Network(name, script, grey);
+    let line_churn = network("line-churn", s::line_churn, false);
+    let waypoint = network("waypoint", s::waypoint, false);
+    let full_line = network("full-line", s::full_line, false);
+    let flooding = network(
+        "shared-line-flooding",
+        |seed, cfg| s::shared_line(seed, cfg, Flooding { ttl: 3 }, true),
+        false,
+    );
+    let star = network(
+        "shared-line-star",
+        |seed, cfg| s::shared_line(seed, cfg, Star { gateway: 0 }, true),
+        false,
+    );
+    let mesh_aloha = network(
+        "shared-line-mesh-aloha",
+        |seed, cfg| s::shared_line(seed, cfg, ProtocolChoice::mesh_fast(), false),
+        false,
+    );
+    let flooding_aloha = network(
+        "shared-line-flooding-aloha",
+        |seed, cfg| s::shared_line(seed, cfg, Flooding { ttl: 3 }, false),
+        false,
+    );
+    let duty = network("duty", s::duty, false);
+    let grid_churn = network("grid-churn", s::grid_churn, true);
+    let grid_flood = network("grid-flood", s::grid_flood, true);
+    let late_traffic = network("late-traffic", s::late_traffic, true);
+    let flood_line = network("flood-line", s::flood_line, true);
+    let timers: &[Guard] = &[Transmits, Delivers, DropsStale];
     let mesh_run: &[Guard] = &[Delivers, CompletesReliable, Forwards];
     vec![
         // Engine level: the tombstone-timer and link-cache pins ...
-        row(Churn(SALT_C4A7), 1, SEQUENTIAL, engine_timers),
-        row(Churn(SALT_C4A7), 2, SEQUENTIAL, engine_timers),
-        row(Churn(SALT_C4A7), 3, SEQUENTIAL, engine_timers),
-        row(Churn(SALT_C4A7), 999, SEQUENTIAL, engine_timers),
-        row(Walk(SALT_C4A7), 5, SEQUENTIAL, engine_timers),
-        row(Walk(SALT_C4A7), 6, SEQUENTIAL, engine_timers),
-        row(Walk(SALT_C4A7), 7, SEQUENTIAL, engine_timers),
+        row(churn(0xC4A7), 1, SEQUENTIAL, timers),
+        row(churn(0xC4A7), 2, SEQUENTIAL, timers),
+        row(churn(0xC4A7), 3, SEQUENTIAL, timers),
+        row(churn(0xC4A7), 999, SEQUENTIAL, timers),
+        row(walk(0xC4A7), 5, SEQUENTIAL, timers),
+        row(walk(0xC4A7), 6, SEQUENTIAL, timers),
+        row(walk(0xC4A7), 7, SEQUENTIAL, timers),
         // ... and the shard reference pins.
-        row(Churn(SALT_54A8), 1, SEQUENTIAL, engine_timers),
-        row(Churn(SALT_54A8), 2, SEQUENTIAL, engine_timers),
-        row(Churn(SALT_54A8), 3, SEQUENTIAL, engine_timers),
-        row(Churn(SALT_54A8), 999, SEQUENTIAL, engine_timers),
-        row(Walk(SALT_54A8), 5, SEQUENTIAL, engine_timers),
-        row(Walk(SALT_54A8), 6, SEQUENTIAL, engine_timers),
-        row(Walk(SALT_54A8), 7, SEQUENTIAL, engine_timers),
-        row(Dense(SALT_54A8), 21, SEQUENTIAL, engine_timers),
-        row(Dense(SALT_54A8), 22, SEQUENTIAL, engine_timers),
-        row(Wide(SALT_54A8), 11, SEQUENTIAL, engine_timers),
-        row(Wide(SALT_54A8), 11, ONE_STREAM, engine_timers),
+        row(churn(0x54A8), 1, SEQUENTIAL, timers),
+        row(churn(0x54A8), 2, SEQUENTIAL, timers),
+        row(churn(0x54A8), 3, SEQUENTIAL, timers),
+        row(churn(0x54A8), 999, SEQUENTIAL, timers),
+        row(walk(0x54A8), 5, SEQUENTIAL, timers),
+        row(walk(0x54A8), 6, SEQUENTIAL, timers),
+        row(walk(0x54A8), 7, SEQUENTIAL, timers),
+        row(dense, 21, SEQUENTIAL, timers),
+        row(dense, 22, SEQUENTIAL, timers),
+        row(wide, 11, SEQUENTIAL, timers),
+        row(wide, 11, ONE_STREAM, timers),
         // The layered-stack pins.
-        row(LineChurn, 11, SEQUENTIAL, mesh_run),
-        row(LineChurn, 12, SEQUENTIAL, mesh_run),
-        row(LineChurn, 13, SEQUENTIAL, mesh_run),
-        sweep(LineChurn, 29, SWEEP_JOBS),
-        row(Waypoint, 11, SEQUENTIAL, &[Transmits]),
-        row(Waypoint, 12, SEQUENTIAL, &[Transmits]),
-        row(Waypoint, 13, SEQUENTIAL, &[Transmits]),
-        row(FullLine, 11, SEQUENTIAL, &[Delivers, CompletesReliable]),
-        row(FullLine, 12, SEQUENTIAL, &[Delivers, CompletesReliable]),
-        row(FullLine, 13, SEQUENTIAL, &[Delivers, CompletesReliable]),
-        row(SharedLine(flooding, true), 11, SEQUENTIAL, &[Delivers]),
-        row(SharedLine(star, true), 11, SEQUENTIAL, &[Delivers]),
-        row(
-            SharedLine(mesh, false),
-            11,
-            SEQUENTIAL,
-            &[Delivers, NeverScans],
-        ),
-        row(
-            SharedLine(flooding, false),
-            11,
-            SEQUENTIAL,
-            &[Delivers, NeverScans],
-        ),
-        row(Duty, 11, SEQUENTIAL, &[Delivers, Defers]),
+        row(line_churn, 11, SEQUENTIAL, mesh_run),
+        row(line_churn, 12, SEQUENTIAL, mesh_run),
+        row(line_churn, 13, SEQUENTIAL, mesh_run),
+        sweep(line_churn, 29, SWEEP),
+        row(waypoint, 11, SEQUENTIAL, &[Transmits]),
+        row(waypoint, 12, SEQUENTIAL, &[Transmits]),
+        row(waypoint, 13, SEQUENTIAL, &[Transmits]),
+        row(full_line, 11, SEQUENTIAL, &[Delivers, CompletesReliable]),
+        row(full_line, 12, SEQUENTIAL, &[Delivers, CompletesReliable]),
+        row(full_line, 13, SEQUENTIAL, &[Delivers, CompletesReliable]),
+        row(flooding, 11, SEQUENTIAL, &[Delivers]),
+        row(star, 11, SEQUENTIAL, &[Delivers]),
+        row(mesh_aloha, 11, SEQUENTIAL, &[Delivers, NeverScans]),
+        row(flooding_aloha, 11, SEQUENTIAL, &[Delivers, NeverScans]),
+        row(duty, 11, SEQUENTIAL, &[Delivers, Defers]),
         // The protocol-refactor pins, across the engine matrix.
-        row(GridChurn, 21, FORK, &[Delivers, CompletesReliable]),
-        row(GridChurn, 22, FORK, &[Delivers, CompletesReliable]),
-        row(GridChurn, 23, FORK, &[Delivers, CompletesReliable]),
-        row(GridChurn, 21, STREAM_MATRIX, &[Delivers]),
-        row(GridChurn, 22, STREAM_MATRIX, &[Delivers]),
-        row(GridChurn, 23, STREAM_MATRIX, &[Delivers]),
-        sweep(GridChurn, 41, SWEEP_STREAMS),
-        row(GridFlood, 21, FORK, &[Delivers]),
-        row(GridFlood, 22, FORK, &[Delivers]),
-        row(GridFlood, 21, STREAM_MATRIX, &[Delivers]),
-        row(GridFlood, 22, STREAM_MATRIX, &[Delivers]),
+        row(grid_churn, 21, FORK, &[Delivers, CompletesReliable]),
+        row(grid_churn, 22, FORK, &[Delivers, CompletesReliable]),
+        row(grid_churn, 23, FORK, &[Delivers, CompletesReliable]),
+        row(grid_churn, 21, STREAMS, &[Delivers]),
+        row(grid_churn, 22, STREAMS, &[Delivers]),
+        row(grid_churn, 23, STREAMS, &[Delivers]),
+        sweep(grid_churn, 41, SWEEP_STREAMS),
+        row(grid_flood, 21, FORK, &[Delivers]),
+        row(grid_flood, 22, FORK, &[Delivers]),
+        row(grid_flood, 21, STREAMS, &[Delivers]),
+        row(grid_flood, 22, STREAMS, &[Delivers]),
         // The collection-swap pins.
-        row(LateTraffic, 11, SEQUENTIAL, &[Delivers]),
-        row(LateTraffic, 31, SEQUENTIAL, &[Delivers]),
-        row(FloodLine, 11, SEQUENTIAL, &[Delivers]),
-        row(FloodLine, 31, SEQUENTIAL, &[Delivers]),
+        row(late_traffic, 11, SEQUENTIAL, &[Delivers]),
+        row(late_traffic, 31, SEQUENTIAL, &[Delivers]),
+        row(flood_line, 11, SEQUENTIAL, &[Delivers]),
+        row(flood_line, 31, SEQUENTIAL, &[Delivers]),
     ]
 }
 
@@ -406,85 +342,65 @@ fn run_row(row: &Row, engine: Engine) -> Vec<(u64, Run)> {
     })
 }
 
-/// A checkpoint time as pins and messages write it: `105s`, `131.25s`.
-fn secs(d: Duration) -> String {
-    format!("{}s", d.as_secs_f64())
-}
-
-/// `(row label, seed, checkpoint)` → digests, as `tests/goldens.txt`
-/// lists them: one line per checkpoint, `#` starts a comment.
-type Pins = BTreeMap<(String, u64, String), [u64; 4]>;
+/// `(row label, seed)` → each checkpoint's digests. `tests/goldens.txt`
+/// has one line per run: the label, the seed, then the four section
+/// digests of every checkpoint in turn; `#` starts a comment.
+type Pins = BTreeMap<(String, u64), Vec<[u64; 4]>>;
 
 fn parse_pins(text: &str) -> Pins {
     let mut pins = Pins::new();
-    for line in text
-        .lines()
-        .filter(|l| !l.is_empty() && !l.starts_with('#'))
-    {
-        let f: Vec<&str> = line.split_whitespace().collect();
-        assert_eq!(f.len(), 7, "malformed pin line: {line}");
-        let hex = |s: &str| u64::from_str_radix(s, 16).expect("hex digest");
-        let key = (
-            f[0].to_string(),
-            f[1].parse().expect("seed"),
-            f[2].to_string(),
-        );
-        pins.insert(key, [hex(f[3]), hex(f[4]), hex(f[5]), hex(f[6])]);
+    for line in text.lines().filter(|l| !l.starts_with('#')) {
+        let mut fields = line.split_whitespace();
+        let (Some(label), Some(seed)) = (fields.next(), fields.next()) else {
+            panic!("malformed pin line: {line}");
+        };
+        let digests: Vec<u64> = fields
+            .map(|d| u64::from_str_radix(d, 16).expect("hex digest"))
+            .collect();
+        let checkpoints = digests.chunks(4).map(|c| c.try_into().unwrap()).collect();
+        pins.insert((label.to_string(), seed.parse().unwrap()), checkpoints);
     }
     pins
 }
 
-fn pin_lines(label: &str, seed: u64, run: &Run, out: &mut String) {
-    for c in &run.checkpoints {
-        let [t, p, n, r] = c.digests;
-        let at = secs(c.at);
-        let _ = writeln!(
-            out,
-            "{label} {seed} {at} {t:016x} {p:016x} {n:016x} {r:016x}"
-        );
+fn pin_line(label: &str, seed: u64, run: &Run, out: &mut String) {
+    let _ = write!(out, "{label} {seed}");
+    for d in run.checkpoints.iter().flat_map(|c| c.digests) {
+        let _ = write!(out, " {d:016x}");
     }
+    out.push('\n');
 }
 
-/// The node and kind of a trace event.
-fn node_and_kind(event: &TraceEvent) -> (usize, &'static str) {
-    match *event {
-        TraceEvent::TxStart { node, .. } => (node.0, "TxStart"),
-        TraceEvent::TxEnd { node, .. } => (node.0, "TxEnd"),
-        TraceEvent::Delivered { node, .. } => (node.0, "Delivered"),
-        TraceEvent::Lost { node, .. } => (node.0, "Lost"),
-        TraceEvent::Killed { node } => (node.0, "Killed"),
-        TraceEvent::Revived { node } => (node.0, "Revived"),
-    }
+/// A checkpoint time as messages write it: `105s`, `131.25s`.
+fn secs(d: Duration) -> String {
+    format!("{}s", d.as_secs_f64())
 }
 
-/// Where `run` first leaves `pins`, if it does: the checkpoint and
+/// Where `run` first leaves its pin, if it does: the checkpoint and
 /// section, then that checkpoint's trace window, one entry a line.
 fn divergence(label: &str, seed: u64, run: &Run, pins: &Pins) -> Option<(String, String)> {
+    let Some(pin) = pins.get(&(label.to_string(), seed)) else {
+        return Some(("no pin".into(), String::new()));
+    };
     let mut from = Duration::ZERO;
-    for c in &run.checkpoints {
-        let at = secs(c.at);
-        let what = match pins.get(&(label.to_string(), seed, at.clone())) {
-            None => "no pin".to_string(),
-            Some(pin) => match (0..SECTIONS.len()).find(|&s| pin[s] != c.digests[s]) {
-                None => {
-                    from = c.at;
-                    continue;
-                }
-                Some(s) => format!(
-                    "section `{}` (pinned {:016x}, got {:016x})",
-                    SECTIONS[s], pin[s], c.digests[s]
-                ),
-            },
+    for (k, c) in run.checkpoints.iter().enumerate() {
+        let pinned = pin.get(k).copied().unwrap_or_default();
+        let Some(s) = (0..SECTIONS.len()).find(|&s| pinned[s] != c.digests[s]) else {
+            from = c.at;
+            continue;
         };
-        let head = format!("first divergence at the {at} checkpoint, {what}");
+        let at = secs(c.at);
+        let head = format!(
+            "first divergence at the {at} checkpoint, section `{}` (pinned {:016x}, got {:016x})",
+            SECTIONS[s], pinned[s], c.digests[s]
+        );
         let mut window = format!(
-            "\n  trace window ({}, {at}], {} entries (time, node, kind):",
+            "\n  trace window ({}, {at}], {} entries:",
             secs(from),
             c.window.len()
         );
         for (t, event) in &c.window {
-            let (node, kind) = node_and_kind(event);
-            let _ = write!(window, "\n  {t} n{node} {kind}");
+            let _ = write!(window, "\n  {t} {event:?}");
         }
         return Some((head, window));
     }
@@ -494,11 +410,11 @@ fn divergence(label: &str, seed: u64, run: &Run, pins: &Pins) -> Option<(String,
 #[test]
 fn every_row_matches_its_golden() {
     let repin = std::env::var_os("GOLDENS_REPIN").is_some();
-    let pinned = parse_pins(PINS);
+    let pinned = parse_pins(include_str!("goldens.txt"));
     let mut fresh = String::from(
-        "# Golden digests of tests/goldens.rs: row, seed, checkpoint, then\n\
-         # the trace-window, phy, nodes and report digests. Rewritten by\n\
-         # `GOLDENS_REPIN=1 cargo test --test goldens`.\n",
+        "# Golden digests of tests/goldens.rs, one run a line: row, seed, then\n\
+         # the trace-window, phy, nodes and report digests of each checkpoint.\n\
+         # Rewritten by `GOLDENS_REPIN=1 cargo test --test goldens`.\n",
     );
     let mut failures = Vec::new();
     for row in rows() {
@@ -506,7 +422,7 @@ fn every_row_matches_its_golden() {
         let first = run_row(&row, row.engines[0]);
         let mut row_pins = String::new();
         for (seed, run) in &first {
-            pin_lines(&label, *seed, run, &mut row_pins);
+            pin_line(&label, *seed, run, &mut row_pins);
         }
         fresh.push_str(&row_pins);
         let repinned;
@@ -526,13 +442,9 @@ fn every_row_matches_its_golden() {
         // row's other engines and seeds only say where they diverge.
         let mut window_shown = false;
         for (k, &engine) in row.engines.iter().enumerate() {
-            let runs = if k == 0 {
-                None
-            } else {
-                Some(run_row(&row, engine))
-            };
+            let runs = (k > 0).then(|| run_row(&row, engine));
             for (seed, run) in runs.as_ref().unwrap_or(&first) {
-                let at = format!("{label} (seed {seed}) under {engine}");
+                let at = format!("{label} (seed {seed}) under {engine:?}");
                 if let Some((head, window)) = divergence(&label, *seed, run, expected) {
                     let window = if window_shown { "" } else { &window };
                     failures.push(format!("{at}: {head}{window}"));
@@ -560,26 +472,26 @@ fn every_row_matches_its_golden() {
 /// once, after the last slice, either way.
 #[test]
 fn checkpoints_do_not_change_the_run() {
+    let trace = |run: &Run| -> Vec<(SimTime, TraceEvent)> {
+        run.checkpoints
+            .iter()
+            .flat_map(|c| c.window.iter().cloned())
+            .collect()
+    };
+    let last = |run: &Run| run.checkpoints.last().unwrap().digests[1..].to_vec();
     for row in rows() {
         for &engine in row.engines {
             let sliced = row.scenario.record(row.seed, engine, CHECKPOINTS);
             let whole = row.scenario.record(row.seed, engine, 1);
-            let trace = |run: &Run| -> Vec<(SimTime, TraceEvent)> {
-                run.checkpoints
-                    .iter()
-                    .flat_map(|c| c.window.iter().cloned())
-                    .collect()
-            };
-            let last = |run: &Run| run.checkpoints.last().unwrap().digests[1..].to_vec();
-            let label = row.label();
+            let at = format!("{} under {engine:?}", row.label());
             assert!(
                 trace(&sliced) == trace(&whole),
-                "{label} under {engine}: slicing changed the trace"
+                "{at}: slicing changed the trace"
             );
             assert_eq!(
                 last(&sliced),
                 last(&whole),
-                "{label} under {engine}: slicing changed the final phy, nodes or report"
+                "{at}: slicing changed the final phy, nodes or report"
             );
         }
     }

@@ -389,22 +389,8 @@ pub fn line_churn(seed: u64, cfg: SimConfig) -> Script<Runner> {
     let mut runner = NetworkBuilder::mesh(topology::line(6, spacing(0.8)), seed)
         .sim_config(cfg)
         .build();
-    runner.apply(&workload::periodic(
-        0,
-        Target::Node(5),
-        12,
-        secs(60),
-        secs(15),
-        12,
-    ));
-    runner.apply(&workload::periodic(
-        5,
-        Target::Node(0),
-        16,
-        secs(75),
-        secs(30),
-        5,
-    ));
+    runner.apply(&periodic(0, Target::Node(5), 12, 60, 15, 12));
+    runner.apply(&periodic(5, Target::Node(0), 16, 75, 30, 5));
     runner.schedule(reliable(90, 1, 4, 200));
     runner.sim_mut().schedule_kill(secs(150), NodeId(2));
     runner.sim_mut().schedule_revive(secs(260), NodeId(2));
@@ -425,22 +411,8 @@ pub fn waypoint(seed: u64, cfg: SimConfig) -> Script<Runner> {
         .sim_config(cfg)
         .mobility(vec![waypoint; 6])
         .build();
-    runner.apply(&workload::periodic(
-        0,
-        Target::Node(5),
-        12,
-        secs(50),
-        secs(25),
-        8,
-    ));
-    runner.apply(&workload::periodic(
-        3,
-        Target::Broadcast,
-        10,
-        secs(70),
-        secs(40),
-        4,
-    ));
+    runner.apply(&periodic(0, Target::Node(5), 12, 50, 25, 8));
+    runner.apply(&periodic(3, Target::Broadcast, 10, 70, 40, 4));
     Script::new(runner, secs(300))
 }
 
@@ -451,22 +423,8 @@ pub fn full_line(seed: u64, cfg: SimConfig) -> Script<Runner> {
     let mut runner = NetworkBuilder::mesh(topology::line(5, spacing(0.2)), seed)
         .sim_config(cfg)
         .build();
-    runner.apply(&workload::periodic(
-        0,
-        Target::Node(4),
-        12,
-        secs(45),
-        secs(20),
-        8,
-    ));
-    runner.apply(&workload::periodic(
-        2,
-        Target::Node(1),
-        14,
-        secs(55),
-        secs(35),
-        4,
-    ));
+    runner.apply(&periodic(0, Target::Node(4), 12, 45, 20, 8));
+    runner.apply(&periodic(2, Target::Node(1), 14, 55, 35, 4));
     runner.schedule(reliable(80, 4, 0, 150));
     Script::new(runner, secs(300))
 }
@@ -485,22 +443,8 @@ pub fn shared_line(
         .csma(csma)
         .sim_config(cfg)
         .build();
-    runner.apply(&workload::periodic(
-        1,
-        Target::Node(0),
-        12,
-        secs(30),
-        secs(20),
-        6,
-    ));
-    runner.apply(&workload::periodic(
-        3,
-        Target::Broadcast,
-        10,
-        secs(40),
-        secs(45),
-        3,
-    ));
+    runner.apply(&periodic(1, Target::Node(0), 12, 30, 20, 6));
+    runner.apply(&periodic(3, Target::Broadcast, 10, 40, 45, 3));
     Script::new(runner, secs(200))
 }
 
@@ -512,14 +456,7 @@ pub fn duty(seed: u64, mut cfg: SimConfig) -> Script<Runner> {
         .region(Region::Eu868)
         .sim_config(cfg)
         .build();
-    runner.apply(&workload::periodic(
-        0,
-        Target::Node(2),
-        20,
-        secs(60),
-        secs(10),
-        30,
-    ));
+    runner.apply(&periodic(0, Target::Node(2), 20, 60, 10, 30));
     Script::new(runner, secs(600))
 }
 
@@ -531,22 +468,8 @@ pub fn grid_churn(seed: u64, cfg: SimConfig) -> Script<Runner> {
     let mut runner = NetworkBuilder::mesh(topology::grid(3, 2, spacing(0.8)), seed)
         .sim_config(cfg)
         .build();
-    runner.apply(&workload::periodic(
-        0,
-        Target::Node(5),
-        12,
-        secs(60),
-        secs(15),
-        10,
-    ));
-    runner.apply(&workload::periodic(
-        5,
-        Target::Broadcast,
-        10,
-        secs(75),
-        secs(30),
-        4,
-    ));
+    runner.apply(&periodic(0, Target::Node(5), 12, 60, 15, 10));
+    runner.apply(&periodic(5, Target::Broadcast, 10, 75, 30, 4));
     runner.schedule(reliable(90, 1, 4, 200));
     runner.sim_mut().schedule_kill(secs(150), NodeId(2));
     runner.sim_mut().schedule_revive(secs(230), NodeId(2));
@@ -561,22 +484,8 @@ pub fn grid_flood(seed: u64, cfg: SimConfig) -> Script<Runner> {
         .protocol(ProtocolChoice::Flooding { ttl: 5 })
         .sim_config(cfg)
         .build();
-    runner.apply(&workload::periodic(
-        0,
-        Target::Node(5),
-        12,
-        secs(10),
-        secs(15),
-        10,
-    ));
-    runner.apply(&workload::periodic(
-        5,
-        Target::Broadcast,
-        10,
-        secs(18),
-        secs(30),
-        4,
-    ));
+    runner.apply(&periodic(0, Target::Node(5), 12, 10, 15, 10));
+    runner.apply(&periodic(5, Target::Broadcast, 10, 18, 30, 4));
     runner.sim_mut().schedule_kill(secs(80), NodeId(2));
     runner.sim_mut().schedule_revive(secs(160), NodeId(2));
     Script::new(runner, secs(280))
@@ -606,23 +515,22 @@ pub fn flood_line(seed: u64, cfg: SimConfig) -> Script<Runner> {
         .protocol(ProtocolChoice::Flooding { ttl: 5 })
         .sim_config(cfg)
         .build();
-    runner.apply(&workload::periodic(
-        0,
-        Target::Node(3),
-        16,
-        secs(5),
-        secs(10),
-        6,
-    ));
-    runner.apply(&workload::periodic(
-        3,
-        Target::Broadcast,
-        12,
-        secs(8),
-        secs(15),
-        4,
-    ));
+    runner.apply(&periodic(0, Target::Node(3), 16, 5, 10, 6));
+    runner.apply(&periodic(3, Target::Broadcast, 12, 8, 15, 4));
     Script::new(runner, secs(180))
+}
+
+/// `count` datagrams of `len` bytes, the first at `start` seconds, then
+/// one every `every` seconds.
+fn periodic(
+    from: usize,
+    to: Target,
+    len: usize,
+    start: u64,
+    every: u64,
+    count: usize,
+) -> Vec<TrafficEvent> {
+    workload::periodic(from, to, len, secs(start), secs(every), count)
 }
 
 fn reliable(at: u64, from: usize, to: usize, payload_len: usize) -> TrafficEvent {

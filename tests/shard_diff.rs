@@ -12,21 +12,27 @@
 //! same battery: engine-invariant under every (shards, threads) pair,
 //! while remaining a genuinely different stream family than the pinned
 //! fork derivation. The `shards = 1, threads = 1` reference runs are
-//! themselves pinned as golden digests ([`GOLDEN`]).
+//! themselves pinned in the golden table (`tests/goldens.rs`), which
+//! shares this battery's scenarios and `Chatty` firmware
+//! (`tests/scenarios/mod.rs`).
 //!
 //! The only allowed difference is the bookkeeping counter
 //! `stale_timers_dropped`, and only where band queues exist
 //! (`threads > 1`): the merge settles queue heads at slightly different
 //! moments, so a superseded timer may be discarded before or after the
 //! run's horizon. The fingerprint deliberately zeroes it; the golden
-//! digests and the last test keep it, where one thread makes it exact.
+//! table and the last test keep it, where one thread makes it exact.
+
+#[expect(
+    dead_code,
+    reason = "this battery runs only the engine-level scenarios"
+)]
+mod scenarios;
 
 use std::time::Duration;
 
-use lora_phy::link::SignalQuality;
 use lora_phy::modulation::LoRaModulation;
-use lora_phy::propagation::{Position, Shadowing};
-use radio_sim::firmware::{Context, Firmware};
+use lora_phy::propagation::Position;
 use radio_sim::metrics::Metrics;
 use radio_sim::mobility::Mobility;
 use radio_sim::time::SimTime;
@@ -34,7 +40,7 @@ use radio_sim::trace::TraceEvent;
 use radio_sim::{SimConfig, Simulator};
 use scenario::workload;
 use scenario::{seed_list, NetworkBuilder, Target};
-use testkit::fnv1a;
+use scenarios::{grey_config, Chatty, Net, Script};
 
 /// Shard counts every scenario is checked at. 1 is the sequential
 /// reference; 2/4/8 exercise narrow bands (including bands narrower
@@ -44,136 +50,17 @@ const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Worker-thread counts the parallel evaluate regions are checked at.
 const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
-/// Timer- and channel-churning firmware: CAD-busy verdicts move the next
-/// wake by an RNG-jittered delay, so every engine divergence — event
-/// order, CAD verdicts, interference sums — snowballs into a different
-/// timeline.
-struct Chatty {
-    next: Duration,
-    interval: Duration,
-    len: usize,
-    heard: u64,
-    rng: radio_sim::SimRng,
-}
-
-impl Chatty {
-    fn new(phase_ms: u64, len: usize) -> Self {
-        Chatty {
-            next: Duration::from_millis(phase_ms),
-            interval: Duration::from_millis(800),
-            len,
-            heard: 0,
-            rng: radio_sim::SimRng::new(phase_ms ^ 0x54A8),
-        }
-    }
-}
-
-impl Firmware for Chatty {
-    fn on_timer(&mut self, ctx: &mut Context) {
-        if ctx.now() >= self.next {
-            self.next += self.interval;
-            ctx.start_cad();
-        }
-    }
-    fn on_cad_done(&mut self, busy: bool, ctx: &mut Context) {
-        if busy {
-            self.next = ctx.now() + Duration::from_millis(20 + self.rng.gen_range(60));
-        } else {
-            ctx.transmit(vec![0x6D; self.len]);
-        }
-    }
-    fn on_frame(&mut self, _b: &[u8], _q: SignalQuality, _ctx: &mut Context) {
-        self.heard += 1;
-    }
-    fn next_wake(&self) -> Option<Duration> {
-        Some(self.next)
-    }
-}
+/// The shard reference runs' [`Chatty`] RNG salt.
+const SALT: u64 = 0x54A8;
 
 /// Everything observable about a finished run, minus the one counter
 /// the sharded engine is allowed to time differently.
-type Fingerprint = (Vec<(SimTime, TraceEvent)>, Metrics, Vec<u64>);
+type Fingerprint = (Vec<(SimTime, TraceEvent)>, Metrics, String);
 
 fn fingerprint(s: &Simulator<Chatty>) -> Fingerprint {
     let mut metrics = s.metrics().clone();
     metrics.stale_timers_dropped = 0;
-    (s.trace().entries().cloned().collect(), metrics, heard(s))
-}
-
-fn heard(s: &Simulator<Chatty>) -> Vec<u64> {
-    (0..s.node_count())
-        .map(|i| s.node(radio_sim::NodeId(i)).heard)
-        .collect()
-}
-
-/// FNV-1a of a run's fingerprint plus `events_processed`, with
-/// `stale_timers_dropped` left in: one thread makes it exact.
-fn digest(s: &Simulator<Chatty>) -> u64 {
-    let trace: Vec<_> = s.trace().entries().collect();
-    let text = format!("{:?}", (trace, s.metrics(), heard(s), s.events_processed()));
-    fnv1a(text.as_bytes())
-}
-
-/// Golden digests of the `shards = 1, threads = 1` reference runs,
-/// recorded while the engine still carried the uncached fan-out, the
-/// `0..n` row fill and the resync timer engine, with every differential
-/// suite against them green. They carry that proof forward as
-/// constants. To regenerate after an *intentional* behaviour change:
-///
-/// ```text
-/// SHARD_DIFF_REGEN=1 cargo test --test shard_diff reference_runs_match_golden -- --nocapture
-/// ```
-///
-/// and paste the printed table, with a review of why the behaviour
-/// moved. Regen history: none.
-const GOLDEN: &[(&str, u64, u64)] = &[
-    ("static churn", 1, 0x7d7acf0e6aca9290),
-    ("static churn", 2, 0xe61fe0c8b0622bf3),
-    ("static churn", 3, 0xe209c15a16759f14),
-    ("static churn", 999, 0x69962943714a0128),
-    ("mobile", 5, 0xad11bf31299d7350),
-    ("mobile", 6, 0x0f81287711ba261c),
-    ("mobile", 7, 0xaf38dafad3875d42),
-    ("full mesh", 21, 0xe0fb74bd50793ae8),
-    ("full mesh", 22, 0xe77cd56fd8ff1ea5),
-    ("wide fork", 11, 0x93b5a99aaf2e54ea),
-    ("wide streams", 11, 0x5ed7d6b1c5313e9a),
-];
-
-#[test]
-fn reference_runs_match_golden() {
-    type Scenario = fn(u64, SimConfig) -> Simulator<Chatty>;
-    let runs: [(&str, Scenario, &[u64], bool); 5] = [
-        ("static churn", sim_static, &[1, 2, 3, 999], false),
-        ("mobile", sim_mobile, &[5, 6, 7], false),
-        ("full mesh", sim_full_mesh, &[21, 22], false),
-        ("wide fork", sim_wide, &[11], false),
-        ("wide streams", sim_wide, &[11], true),
-    ];
-    let regen = std::env::var_os("SHARD_DIFF_REGEN").is_some();
-    for (name, scenario, seeds, rng_streams) in runs {
-        for &seed in seeds {
-            let s = scenario(seed, config_with(1, 1, rng_streams));
-            assert!(
-                s.metrics().frames_delivered > 0,
-                "{name}/{seed} delivered nothing — the pin proves nothing"
-            );
-            let actual = digest(&s);
-            if regen {
-                println!("    (\"{name}\", {seed}, {actual:#018x}),");
-                continue;
-            }
-            let expected = GOLDEN
-                .iter()
-                .find(|&&(n, k, _)| n == name && k == seed)
-                .map(|&(_, _, h)| h)
-                .unwrap_or_else(|| panic!("no golden entry for {name}/{seed}"));
-            assert_eq!(
-                actual, expected,
-                "reference run diverged from its golden digest ({name}, seed {seed})"
-            );
-        }
-    }
+    (s.trace().entries().cloned().collect(), metrics, s.nodes())
 }
 
 fn config(shards: usize) -> SimConfig {
@@ -181,106 +68,54 @@ fn config(shards: usize) -> SimConfig {
 }
 
 fn config_with(shards: usize, threads: usize, rng_streams: bool) -> SimConfig {
-    let mut cfg = SimConfig::default();
-    cfg.rf.grey_zone = true;
-    cfg.rf.shadowing = Shadowing::new(4.0, 7);
-    cfg.trace_capacity = 1 << 16;
-    cfg.shards = shards;
-    cfg.threads = threads;
-    cfg.rng_streams = rng_streams;
-    cfg
+    SimConfig {
+        shards,
+        threads,
+        rng_streams,
+        ..grey_config()
+    }
 }
 
-/// Static line + churn: the kill truncates a possibly-in-flight frame
-/// (it leaves the registry early), cancels timers in the victim's home
-/// queue, and the revive fires `on_start` from the coordinator queue
-/// mid-run.
-fn run_static(seed: u64, shards: usize) -> (Fingerprint, u64) {
-    run_static_cfg(seed, config(shards))
+/// Runs a scenario to its end.
+fn finished(mut script: Script<Simulator<Chatty>>) -> Simulator<Chatty> {
+    script.run_to(script.end);
+    script.net
 }
 
-fn run_static_cfg(seed: u64, cfg: SimConfig) -> (Fingerprint, u64) {
-    let s = sim_static(seed, cfg);
+type Scenario = fn(u64, SimConfig) -> Simulator<Chatty>;
+
+/// A scenario's fingerprint and event count.
+fn run(scenario: Scenario, seed: u64, cfg: SimConfig) -> (Fingerprint, u64) {
+    let s = scenario(seed, cfg);
     (fingerprint(&s), s.events_processed())
 }
 
 fn sim_static(seed: u64, cfg: SimConfig) -> Simulator<Chatty> {
-    let mut s = Simulator::new(cfg, seed);
-    for k in 0..10u64 {
-        s.add_node(
-            Chatty::new(40 * k + 5, 10 + k as usize),
-            Position::new(k as f64 * 95.0, (k % 3) as f64 * 40.0),
-        );
-    }
-    s.schedule_kill(Duration::from_secs(3), radio_sim::NodeId(4));
-    s.schedule_revive(Duration::from_secs(7), radio_sim::NodeId(4));
-    s.run_for(Duration::from_secs(12));
-    s
-}
-
-/// Mobile scenario: nodes cross band edges (homes stay fixed), scoped
-/// invalidation runs every tick, and a late joiner grows the home table.
-fn run_mobile(seed: u64, shards: usize) -> (Fingerprint, u64) {
-    run_mobile_cfg(seed, config(shards))
-}
-
-fn run_mobile_cfg(seed: u64, cfg: SimConfig) -> (Fingerprint, u64) {
-    let s = sim_mobile(seed, cfg);
-    (fingerprint(&s), s.events_processed())
+    finished(scenarios::churn(seed, cfg, SALT))
 }
 
 fn sim_mobile(seed: u64, cfg: SimConfig) -> Simulator<Chatty> {
-    let mut s = Simulator::new(cfg, seed);
-    let waypoint = Mobility::RandomWaypoint {
-        width_m: 600.0,
-        height_m: 600.0,
-        min_speed: 10.0,
-        max_speed: 30.0,
-        pause: Duration::ZERO,
-    };
-    for k in 0..8u64 {
-        s.add_mobile_node(
-            Chatty::new(37 * k + 3, 60),
-            Position::new(k as f64 * 70.0, k as f64 * 50.0),
-            waypoint.clone(),
-        );
-    }
-    s.run_for(Duration::from_secs(2));
-    s.add_node(Chatty::new(11, 24), Position::new(300.0, 300.0));
-    s.run_for(Duration::from_secs(10));
-    s
-}
-
-/// Dense cluster: every node hears every other, so each transmission
-/// reaches every band and interference sums have many terms —
-/// any float-ordering difference between engines shows up here.
-fn run_full_mesh(seed: u64, shards: usize) -> (Fingerprint, u64) {
-    let s = sim_full_mesh(seed, config(shards));
-    (fingerprint(&s), s.events_processed())
+    finished(scenarios::walk(seed, cfg, SALT))
 }
 
 fn sim_full_mesh(seed: u64, cfg: SimConfig) -> Simulator<Chatty> {
-    let mut s = Simulator::new(cfg, seed);
-    for k in 0..12u64 {
-        s.add_node(
-            Chatty::new(29 * k + 7, 20),
-            Position::new((k % 4) as f64 * 30.0, (k / 4) as f64 * 30.0),
-        );
-    }
-    s.run_for(Duration::from_secs(8));
-    s
+    finished(scenarios::dense(seed, cfg, SALT))
+}
+
+fn sim_wide(seed: u64, cfg: SimConfig) -> Simulator<Chatty> {
+    finished(scenarios::wide(seed, cfg, SALT))
 }
 
 #[test]
 fn static_churn_runs_identical_for_every_shard_count() {
     for seed in [1u64, 2, 3, 999] {
-        let (reference, ref_events) = run_static(seed, 1);
+        let (reference, ref_events) = run(sim_static, seed, config(1));
         assert!(
             reference.1.frames_transmitted > 0 && reference.1.frames_delivered > 0,
             "seed {seed} produced no traffic — the test proves nothing"
         );
         for shards in &SHARD_COUNTS[1..] {
-            let (sharded, events) = run_static(seed, *shards);
+            let (sharded, events) = run(sim_static, seed, config(*shards));
             assert_eq!(
                 reference, sharded,
                 "divergence at seed {seed}, {shards} shards"
@@ -296,13 +131,13 @@ fn static_churn_runs_identical_for_every_shard_count() {
 #[test]
 fn mobile_runs_identical_for_every_shard_count() {
     for seed in [5u64, 6, 7] {
-        let (reference, ref_events) = run_mobile(seed, 1);
+        let (reference, ref_events) = run(sim_mobile, seed, config(1));
         assert!(
             reference.1.frames_transmitted > 0,
             "seed {seed} produced no traffic"
         );
         for shards in &SHARD_COUNTS[1..] {
-            let (sharded, events) = run_mobile(seed, *shards);
+            let (sharded, events) = run(sim_mobile, seed, config(*shards));
             assert_eq!(
                 reference, sharded,
                 "divergence at seed {seed}, {shards} shards"
@@ -315,13 +150,13 @@ fn mobile_runs_identical_for_every_shard_count() {
 #[test]
 fn full_mesh_runs_identical_for_every_shard_count() {
     for seed in [21u64, 22] {
-        let (reference, ref_events) = run_full_mesh(seed, 1);
+        let (reference, ref_events) = run(sim_full_mesh, seed, config(1));
         assert!(
             reference.1.frames_delivered > 0,
             "seed {seed} delivered nothing"
         );
         for shards in &SHARD_COUNTS[1..] {
-            let (sharded, events) = run_full_mesh(seed, *shards);
+            let (sharded, events) = run(sim_full_mesh, seed, config(*shards));
             assert_eq!(
                 reference, sharded,
                 "divergence at seed {seed}, {shards} shards"
@@ -350,14 +185,14 @@ fn scoped_invalidation_rebuilds_fewer_rows() {
         // one cluster must not invalidate the other's rows.
         for k in 0..6u64 {
             s.add_mobile_node(
-                Chatty::new(31 * k + 3, 16),
+                Chatty::new(31 * k + 3, 16, SALT),
                 Position::new(k as f64 * 20.0, k as f64 * 15.0),
                 walk.clone(),
             );
         }
         for k in 0..6u64 {
             s.add_node(
-                Chatty::new(41 * k + 9, 16),
+                Chatty::new(41 * k + 9, 16, SALT),
                 Position::new(1.0e6 + k as f64 * 20.0, k as f64 * 15.0),
             );
         }
@@ -431,12 +266,12 @@ fn sweep_aggregates_identical_across_jobs_and_shards() {
     let aggregate = |shards: usize, jobs: usize| {
         let seeds = seed_list(42, 4);
         scenario::run_parallel(&seeds, jobs, |&seed| {
-            let (f, _) = run_static(seed, shards);
+            let (f, _) = run(sim_static, seed, config(shards));
             (
                 f.1.frames_delivered,
                 f.1.total_losses(),
                 f.1.frames_transmitted,
-                f.2.iter().sum::<u64>(),
+                f.2,
             )
         })
     };
@@ -450,36 +285,6 @@ fn sweep_aggregates_identical_across_jobs_and_shards() {
     }
 }
 
-/// Wide mixed scenario: enough nodes (above the simulator's parallel
-/// region threshold) that worker threads genuinely spin up for the
-/// start-of-run row prefetch, the mobility stepping and the wake-gated
-/// post-tick prefetch.
-fn run_wide(seed: u64, cfg: SimConfig) -> (Fingerprint, u64) {
-    let s = sim_wide(seed, cfg);
-    (fingerprint(&s), s.events_processed())
-}
-
-fn sim_wide(seed: u64, cfg: SimConfig) -> Simulator<Chatty> {
-    let mut s = Simulator::new(cfg, seed);
-    let walk = Mobility::RandomWaypoint {
-        width_m: 900.0,
-        height_m: 500.0,
-        min_speed: 5.0,
-        max_speed: 20.0,
-        pause: Duration::ZERO,
-    };
-    for k in 0..72u64 {
-        let pos = Position::new((k % 12) as f64 * 80.0, (k / 12) as f64 * 70.0);
-        if k % 3 == 0 {
-            s.add_mobile_node(Chatty::new(23 * k + 5, 14), pos, walk.clone());
-        } else {
-            s.add_node(Chatty::new(23 * k + 5, 14), pos);
-        }
-    }
-    s.run_for(Duration::from_secs(6));
-    s
-}
-
 /// The tentpole invariance, in two halves. The fork-chain RNG family is
 /// inherently sequential (each node's generator is split off a shared
 /// root), so threaded commit refuses it at startup; its battery covers
@@ -491,18 +296,18 @@ fn sim_wide(seed: u64, cfg: SimConfig) -> Simulator<Chatty> {
 #[test]
 fn wide_runs_identical_for_every_shard_and_thread_count() {
     // Fork family: shard transparency at threads = 1.
-    let (fork_ref, fork_events) = run_wide(11, config_with(1, 1, false));
+    let (fork_ref, fork_events) = run(sim_wide, 11, config_with(1, 1, false));
     assert!(
         fork_ref.1.frames_transmitted > 0 && fork_ref.1.frames_delivered > 0,
         "wide scenario produced no traffic — the test proves nothing"
     );
     for &shards in &SHARD_COUNTS[1..] {
-        let (other, events) = run_wide(11, config_with(shards, 1, false));
+        let (other, events) = run(sim_wide, 11, config_with(shards, 1, false));
         assert_eq!(fork_ref, other, "fork divergence at shards={shards}");
         assert_eq!(fork_events, events, "fork event drift at shards={shards}");
     }
     // Stream family: the full matrix, parallel batch commit included.
-    let (reference, ref_events) = run_wide(11, config_with(1, 1, true));
+    let (reference, ref_events) = run(sim_wide, 11, config_with(1, 1, true));
     assert!(
         reference.1.frames_transmitted > 0 && reference.1.frames_delivered > 0,
         "stream scenario produced no traffic — the test proves nothing"
@@ -512,7 +317,7 @@ fn wide_runs_identical_for_every_shard_and_thread_count() {
             if (shards, threads) == (1, 1) {
                 continue;
             }
-            let (other, events) = run_wide(11, config_with(shards, threads, true));
+            let (other, events) = run(sim_wide, 11, config_with(shards, threads, true));
             assert_eq!(
                 reference, other,
                 "divergence at shards={shards}, threads={threads}"
@@ -532,16 +337,16 @@ fn wide_runs_identical_for_every_shard_and_thread_count() {
 #[test]
 fn small_runs_identical_for_every_thread_count() {
     for seed in [1u64, 5] {
-        let (st_ref, _) = run_static_cfg(seed, config_with(1, 1, true));
-        let (mo_ref, _) = run_mobile_cfg(seed, config_with(1, 1, true));
+        let (st_ref, _) = run(sim_static, seed, config_with(1, 1, true));
+        let (mo_ref, _) = run(sim_mobile, seed, config_with(1, 1, true));
         for &threads in &THREAD_COUNTS[1..] {
             for shards in [1usize, 4] {
-                let (st, _) = run_static_cfg(seed, config_with(shards, threads, true));
+                let (st, _) = run(sim_static, seed, config_with(shards, threads, true));
                 assert_eq!(
                     st_ref, st,
                     "static divergence at seed {seed}, shards={shards}, threads={threads}"
                 );
-                let (mo, _) = run_mobile_cfg(seed, config_with(shards, threads, true));
+                let (mo, _) = run(sim_mobile, seed, config_with(shards, threads, true));
                 assert_eq!(
                     mo_ref, mo,
                     "mobile divergence at seed {seed}, shards={shards}, threads={threads}"
@@ -557,20 +362,20 @@ fn small_runs_identical_for_every_thread_count() {
 /// pinned fork reference would be redundant).
 #[test]
 fn rng_stream_runs_identical_across_engines() {
-    let (reference, ref_events) = run_wide(13, config_with(1, 1, true));
+    let (reference, ref_events) = run(sim_wide, 13, config_with(1, 1, true));
     assert!(
         reference.1.frames_transmitted > 0,
         "stream battery produced no traffic"
     );
     for &(shards, threads) in &[(2usize, 1usize), (4, 2), (8, 4)] {
-        let (other, events) = run_wide(13, config_with(shards, threads, true));
+        let (other, events) = run(sim_wide, 13, config_with(shards, threads, true));
         assert_eq!(
             reference, other,
             "stream divergence at shards={shards}, threads={threads}"
         );
         assert_eq!(ref_events, events, "stream event count drift");
     }
-    let (forked, _) = run_wide(13, config_with(1, 1, false));
+    let (forked, _) = run(sim_wide, 13, config_with(1, 1, false));
     assert_ne!(
         reference.0, forked.0,
         "stream derivation must draw differently than fork"
@@ -587,10 +392,8 @@ fn sim_long_frames(seed: u64, mut cfg: SimConfig) -> Simulator<Chatty> {
     cfg.rf.modulation = LoRaModulation::long_slow();
     let mut s = Simulator::new(cfg, seed);
     for k in 0..8u64 {
-        let chatty = Chatty {
-            interval: Duration::from_secs(9),
-            ..Chatty::new(4_000 * k + 100, 120 + 6 * k as usize)
-        };
+        let mut chatty = Chatty::new(4_000 * k + 100, 120 + 6 * k as usize, SALT);
+        chatty.interval = Duration::from_secs(9);
         s.add_node(
             chatty,
             Position::new(k as f64 * 250.0, (k % 2) as f64 * 150.0),
@@ -654,7 +457,6 @@ fn long_frames_end_alike_as_bursts_and_as_band_queue_events() {
 /// to hide behind.
 #[test]
 fn one_thread_is_sequential_and_the_declined_planner_merge_drain_agrees() {
-    type Scenario = fn(u64, SimConfig) -> Simulator<Chatty>;
     let scenarios: [(&str, Scenario, u64); 4] = [
         ("static churn", sim_static, 2),
         ("mobile", sim_mobile, 6),
