@@ -7,6 +7,7 @@
 //! something actionable.
 
 use core::fmt;
+use std::num::NonZeroUsize;
 use std::time::Duration;
 
 use lora_phy::modulation::SpreadingFactor;
@@ -193,9 +194,9 @@ pub enum SharedFlag {
     /// `--seed N`: the master seed.
     Seed(u64),
     /// `--seeds N`: replication seeds, `1..=`[`MAX_SEEDS`].
-    Seeds(usize),
-    /// `--jobs N`: worker threads across seeds, at least 1.
-    Jobs(usize),
+    Seeds(NonZeroUsize),
+    /// `--jobs N`: worker threads across seeds.
+    Jobs(NonZeroUsize),
     /// `--protocol NAME`: a stack, by [`ProtocolChoice::from_name`].
     Protocol(ProtocolChoice),
 }
@@ -244,14 +245,13 @@ fn count<S: AsRef<str>>(
     flag: &str,
     rest: &mut impl Iterator<Item = S>,
     max: usize,
-) -> Result<usize, ParseError> {
+) -> Result<NonZeroUsize, ParseError> {
     let v = value_of(flag, rest)?;
     let n: usize = v
         .parse()
         .map_err(|_| ParseError(format!("{flag} takes a count, got '{v}'")))?;
-    if n == 0 {
-        Err(ParseError(format!("{flag} must be at least 1")))
-    } else if n > max {
+    let n = NonZeroUsize::new(n).ok_or_else(|| ParseError(format!("{flag} must be at least 1")))?;
+    if n.get() > max {
         Err(ParseError(format!("{flag} must be at most {max}")))
     } else {
         Ok(n)
@@ -298,7 +298,7 @@ impl Cli {
                         other => return Err(ParseError(format!("unknown topology '{other}'"))),
                     };
                 }
-                "--nodes" => cli.nodes = count("--nodes", &mut it, MAX_NODES)?,
+                "--nodes" => cli.nodes = count("--nodes", &mut it, MAX_NODES)?.get(),
                 "--spacing-frac" => {
                     let v = value_of("--spacing-frac", &mut it)?;
                     cli.spacing_frac = v
@@ -319,8 +319,8 @@ impl Cli {
                         .map_err(|_| ParseError(format!("bad duration '{v}'")))?;
                     cli.duration = Duration::from_secs(secs);
                 }
-                "--shards" => cli.shards = count("--shards", &mut it, usize::MAX)?,
-                "--threads" => cli.threads = count("--threads", &mut it, usize::MAX)?,
+                "--shards" => cli.shards = count("--shards", &mut it, usize::MAX)?.get(),
+                "--threads" => cli.threads = count("--threads", &mut it, usize::MAX)?.get(),
                 "--sf" => {
                     let v = value_of("--sf", &mut it)?;
                     let n: u8 = v.parse().map_err(|_| ParseError(format!("bad SF '{v}'")))?;
@@ -349,8 +349,8 @@ impl Cli {
                 }
                 other => match SharedFlag::parse(other, &mut it)? {
                     Some(SharedFlag::Seed(seed)) => cli.seed = seed,
-                    Some(SharedFlag::Seeds(n)) => cli.seeds = n,
-                    Some(SharedFlag::Jobs(n)) => cli.jobs = n,
+                    Some(SharedFlag::Seeds(n)) => cli.seeds = n.get(),
+                    Some(SharedFlag::Jobs(n)) => cli.jobs = n.get(),
                     Some(SharedFlag::Protocol(p)) => cli.protocol = p,
                     None => return Err(ParseError(format!("unknown argument '{other}'"))),
                 },
@@ -629,7 +629,7 @@ mod tests {
             ("--shards", usize::MAX),
             ("--threads", usize::MAX),
         ] {
-            let count_of = |v: &str| count(flag, &mut [v].iter(), max);
+            let count_of = |v: &str| count(flag, &mut [v].iter(), max).map(NonZeroUsize::get);
             assert_eq!(count_of("4"), Ok(4), "{flag}");
             assert_eq!(count_of(&max.to_string()), Ok(max), "{flag}");
             for bad in ["0", "-1", "lots", "18446744073709551616"] {
@@ -651,15 +651,16 @@ mod tests {
     fn shared_flags_parse_and_leave_the_rest_of_the_line() {
         let shared = |flag: &str, rest: &[&str]| SharedFlag::parse(flag, &mut rest.iter());
         assert_eq!(shared("--seed", &["7"]), Ok(Some(SharedFlag::Seed(7))));
-        assert_eq!(shared("--seeds", &["8"]), Ok(Some(SharedFlag::Seeds(8))));
-        assert_eq!(shared("--jobs", &["4"]), Ok(Some(SharedFlag::Jobs(4))));
+        let n = |n| NonZeroUsize::new(n).unwrap();
+        assert_eq!(shared("--seeds", &["8"]), Ok(Some(SharedFlag::Seeds(n(8)))));
+        assert_eq!(shared("--jobs", &["4"]), Ok(Some(SharedFlag::Jobs(n(4)))));
         let flooding = SharedFlag::Protocol(ProtocolChoice::Flooding { ttl: 7 });
         assert_eq!(shared("--protocol", &["flooding"]), Ok(Some(flooding)));
         assert!(shared("--seeds", &[]).is_err(), "missing value");
         assert!(shared("--seed", &["x"]).is_err());
         let mut rest = ["3", "e5"].iter();
         let jobs = SharedFlag::parse("--jobs", &mut rest);
-        assert_eq!(jobs, Ok(Some(SharedFlag::Jobs(3))));
+        assert_eq!(jobs, Ok(Some(SharedFlag::Jobs(n(3)))));
         assert_eq!(SharedFlag::parse("--csv", &mut rest), Ok(None));
         assert_eq!(
             rest.next(),

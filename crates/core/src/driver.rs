@@ -25,7 +25,8 @@
 //!
 //! Every stack is a sans-IO [`NodeProtocol`] state machine and must
 //! preserve the properties the simulator's determinism proofs
-//! (`tests/shard_diff.rs`, `tests/protocol_refactor_diff.rs`) rest on:
+//! (`tests/shard_diff.rs` and the golden table, `tests/goldens.rs`)
+//! rest on:
 //!
 //! 1. **Shared channel access.** All frame emission goes through
 //!    [`crate::mac::Mac`], built from the region by one constructor —

@@ -4,8 +4,8 @@
 //! The pre-split `node.rs` monolith interleaved channel access, the
 //! routing daemon, reliable transfers and the application API in one
 //! 1 800-line state machine. The stack keeps the exact same observable
-//! behaviour (pinned by `tests/stack_refactor_diff.rs`) but factors it
-//! into:
+//! behaviour (pinned by the golden table, `tests/goldens.rs`) but
+//! factors it into:
 //!
 //! * [`mod@app`] — the application surface: send validation and the
 //!   [`MeshEvent`] receive queue.

@@ -11,6 +11,7 @@
 //! relative to the computed radio range so the connectivity graph is
 //! meaningful regardless of the propagation profile.
 
+use std::num::NonZeroUsize;
 use std::time::Duration;
 
 use lora_phy::modulation::{Bandwidth, CodingRate, LoRaModulation, SpreadingFactor};
@@ -37,10 +38,10 @@ pub struct ExpOptions {
     pub seed: u64,
     /// Replications per sweep cell. 1 = single-sample runs; > 1 turns
     /// every stochastic figure into a mean ± deviation distribution.
-    pub seeds: usize,
+    pub seeds: NonZeroUsize,
     /// Worker threads for the sweep engine. Runs are deterministic and
     /// independent, so any value yields identical tables.
-    pub jobs: usize,
+    pub jobs: NonZeroUsize,
     /// Restrict the protocol-comparison experiments (E5 and the E13
     /// head-to-head) to a single stack; `None` runs every protocol in
     /// the comparison. Mirrors `meshsim --protocol` so one leg of a
@@ -56,8 +57,8 @@ impl Default for ExpOptions {
         ExpOptions {
             quick: false,
             seed: 42,
-            seeds: 1,
-            jobs: 1,
+            seeds: NonZeroUsize::MIN,
+            jobs: NonZeroUsize::MIN,
             protocol: None,
         }
     }
@@ -77,7 +78,7 @@ impl ExpOptions {
     /// seed (the master seed itself first).
     #[must_use]
     pub fn seed_set(&self) -> Vec<u64> {
-        crate::sweep::seed_list(self.seed, self.seeds)
+        crate::sweep::seed_list(self.seed, self.seeds.get())
     }
 
     /// Like [`ExpOptions::seed_set`], but an experiment that always
@@ -86,8 +87,8 @@ impl ExpOptions {
     /// asked for more than one seed explicitly.
     #[must_use]
     pub fn seed_set_or(&self, default_reps: usize) -> Vec<u64> {
-        let count = if self.seeds > 1 {
-            self.seeds
+        let count = if self.seeds.get() > 1 {
+            self.seeds.get()
         } else {
             default_reps
         };
@@ -203,7 +204,7 @@ pub fn e1_convergence(opt: &ExpOptions) -> ExpTable {
         .flat_map(|&n| ["line", "grid", "random"].map(|t| (n, t)))
         .collect();
     let seeds = opt.seed_set();
-    let stats = crate::sweep::sweep(&cells, &seeds, opt.jobs, |&(n, topo), seed| {
+    let stats = crate::sweep::sweep(&cells, &seeds, opt.jobs.get(), |&(n, topo), seed| {
         let positions = match topo {
             "line" => topology::line(n, spacing),
             "grid" => square_grid(n, spacing),
@@ -336,7 +337,7 @@ pub fn e3_pdr_vs_hops(opt: &ExpOptions) -> ExpTable {
         &["hops", "sent", "PDR", "mean latency"],
     );
     let cells: Vec<usize> = (1..=max_hops).collect();
-    let stats = crate::sweep::sweep(&cells, &seeds, opt.jobs, |&hops, seed| {
+    let stats = crate::sweep::sweep(&cells, &seeds, opt.jobs.get(), |&hops, seed| {
         let mut sim = SimConfig::default();
         sim.rf.grey_zone = true;
         // ~88 % of range: a few dB of margin — good but lossy links.
@@ -476,7 +477,7 @@ pub fn e5_protocol_comparison(opt: &ExpOptions) -> ExpTable {
         .flat_map(|&n| protocols.iter().map(move |(name, p)| (n, *name, *p)))
         .collect();
     let seeds = opt.seed_set();
-    let stats = crate::sweep::sweep(&cells, &seeds, opt.jobs, |(n, _, protocol), seed| {
+    let stats = crate::sweep::sweep(&cells, &seeds, opt.jobs.get(), |(n, _, protocol), seed| {
         let n = *n;
         // All protocols of a (size, seed) cell share the placement, so
         // the comparison is paired per replication.
@@ -893,7 +894,7 @@ pub fn e11_mobility(opt: &ExpOptions) -> ExpTable {
         &["speed", "sent", "delivered", "PDR", "mean latency"],
     );
     let seeds = opt.seed_set();
-    let stats = crate::sweep::sweep(speeds, &seeds, opt.jobs, |&speed, seed| {
+    let stats = crate::sweep::sweep(speeds, &seeds, opt.jobs.get(), |&speed, seed| {
         // Static 3×3 grid plus one mobile node starting at the centre.
         let mut positions = topology::grid(3, 3, spacing);
         let centre = positions[4];
@@ -1002,7 +1003,7 @@ pub fn e12_fairness(opt: &ExpOptions) -> ExpTable {
         .flat_map(|&n| protocols.iter().map(move |(name, p)| (n, *name, *p)))
         .collect();
     let seeds = opt.seed_set();
-    let stats = crate::sweep::sweep(&cells, &seeds, opt.jobs, |(n, _, protocol), seed| {
+    let stats = crate::sweep::sweep(&cells, &seeds, opt.jobs.get(), |(n, _, protocol), seed| {
         let n = *n;
         let positions = random_positions(n, spacing, seed ^ (n as u64) << 40);
         let mut runner = NetworkBuilder::mesh(positions, seed)
@@ -1232,7 +1233,7 @@ pub fn a4_snr_tiebreak(opt: &ExpOptions) -> ExpTable {
         Position::new(1.2 * range, 0.0),            // 3: sink
     ];
     let cells = [("hop count only", false), ("SNR tie-break", true)];
-    let stats = crate::sweep::sweep(&cells, &seeds, opt.jobs, |&(_, tiebreak), seed| {
+    let stats = crate::sweep::sweep(&cells, &seeds, opt.jobs.get(), |&(_, tiebreak), seed| {
         let mut runner = NetworkBuilder::mesh(positions.clone(), seed)
             .sim_config(sim.clone())
             .protocol(ProtocolChoice::Mesh {
@@ -1342,7 +1343,7 @@ pub fn e13_stack_head_to_head(opt: &ExpOptions) -> ExpTable {
         })
         .collect();
     let seeds = opt.seed_set();
-    let stats = crate::sweep::sweep(&cells, &seeds, opt.jobs, |cell, seed| {
+    let stats = crate::sweep::sweep(&cells, &seeds, opt.jobs.get(), |cell, seed| {
         let &(_, modulation, n, _, protocol) = cell;
         let mut sim = SimConfig::default();
         sim.rf.modulation = modulation;
@@ -1454,8 +1455,8 @@ mod tests {
         let opt = ExpOptions::default();
         assert!(!opt.quick);
         assert_eq!(opt.seed, 42);
-        assert_eq!(opt.seeds, 1);
-        assert_eq!(opt.jobs, 1);
+        assert_eq!(opt.seeds.get(), 1);
+        assert_eq!(opt.jobs.get(), 1);
         assert_eq!(opt.protocol, None);
     }
 

@@ -46,6 +46,12 @@ cargo run -q --release --offline -p meshlint -- --root .
 echo "==> cargo test -q --offline -p meshlint (analyzer unit + fixture suite)"
 cargo test -q --offline -p meshlint
 
+# Every golden digest covers floats from the host's libm: pin those
+# first, so a libm or toolchain drift is reported as such before the
+# golden table fails.
+echo "==> cargo test -q --offline --test canary_libm (host libm bits, before any golden)"
+cargo test -q --offline --test canary_libm
+
 echo "==> cargo test -q --offline --workspace"
 cargo test -q --offline --workspace
 

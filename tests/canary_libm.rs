@@ -3,8 +3,9 @@
 //! feature (`log10`, `ln`, `exp`, `powf`, `cos`, `hypot`). A libc or
 //! toolchain change would move every golden at once with no code
 //! change; this test pins those functions' bits on fixed inputs so such
-//! a run says why. The file name sorts before the golden suites, so
-//! `cargo test` runs it first.
+//! a run says why. `scripts/ci.sh` runs it as its own step before the
+//! workspace tests, so such a drift is reported as itself before the
+//! golden table (`tests/goldens.rs`) fails.
 
 use lora_phy::math;
 use testkit::fnv1a;

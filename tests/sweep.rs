@@ -3,6 +3,7 @@
 //! whole multi-seed evaluation suite must stay cheap enough to run
 //! inside `cargo test`.
 
+use std::num::NonZeroUsize;
 use std::time::Duration;
 
 use loramesher_repro::scenario::experiments::{self, ExpOptions};
@@ -10,8 +11,8 @@ use loramesher_repro::scenario::{run_parallel, seed_list};
 
 fn opts(seeds: usize, jobs: usize) -> ExpOptions {
     ExpOptions {
-        seeds,
-        jobs,
+        seeds: NonZeroUsize::new(seeds).unwrap(),
+        jobs: NonZeroUsize::new(jobs).unwrap(),
         ..ExpOptions::quick()
     }
 }
