@@ -40,7 +40,7 @@ use radio_sim::trace::TraceEvent;
 use radio_sim::{SimConfig, Simulator};
 use scenario::workload;
 use scenario::{seed_list, NetworkBuilder, Target};
-use scenarios::{grey_config, Chatty, Net, Script};
+use scenarios::{churn, dense, grey_config, walk, wide, Chatty, Net, Script};
 
 /// Shard counts every scenario is checked at. 1 is the sequential
 /// reference; 2/4/8 exercise narrow bands (including bands narrower
@@ -76,46 +76,32 @@ fn config_with(shards: usize, threads: usize, rng_streams: bool) -> SimConfig {
     }
 }
 
-/// Runs a scenario to its end.
-fn finished(mut script: Script<Simulator<Chatty>>) -> Simulator<Chatty> {
+/// An engine-level scenario of `tests/scenarios/mod.rs`.
+type Scenario = fn(u64, SimConfig, u64) -> Script<Simulator<Chatty>>;
+
+/// Runs `scenario` to its end with the shard reference salt.
+fn sim(scenario: Scenario, seed: u64, cfg: SimConfig) -> Simulator<Chatty> {
+    let mut script = scenario(seed, cfg, SALT);
     script.run_to(script.end);
     script.net
 }
 
-type Scenario = fn(u64, SimConfig) -> Simulator<Chatty>;
-
 /// A scenario's fingerprint and event count.
 fn run(scenario: Scenario, seed: u64, cfg: SimConfig) -> (Fingerprint, u64) {
-    let s = scenario(seed, cfg);
+    let s = sim(scenario, seed, cfg);
     (fingerprint(&s), s.events_processed())
-}
-
-fn sim_static(seed: u64, cfg: SimConfig) -> Simulator<Chatty> {
-    finished(scenarios::churn(seed, cfg, SALT))
-}
-
-fn sim_mobile(seed: u64, cfg: SimConfig) -> Simulator<Chatty> {
-    finished(scenarios::walk(seed, cfg, SALT))
-}
-
-fn sim_full_mesh(seed: u64, cfg: SimConfig) -> Simulator<Chatty> {
-    finished(scenarios::dense(seed, cfg, SALT))
-}
-
-fn sim_wide(seed: u64, cfg: SimConfig) -> Simulator<Chatty> {
-    finished(scenarios::wide(seed, cfg, SALT))
 }
 
 #[test]
 fn static_churn_runs_identical_for_every_shard_count() {
     for seed in [1u64, 2, 3, 999] {
-        let (reference, ref_events) = run(sim_static, seed, config(1));
+        let (reference, ref_events) = run(churn, seed, config(1));
         assert!(
             reference.1.frames_transmitted > 0 && reference.1.frames_delivered > 0,
             "seed {seed} produced no traffic — the test proves nothing"
         );
         for shards in &SHARD_COUNTS[1..] {
-            let (sharded, events) = run(sim_static, seed, config(*shards));
+            let (sharded, events) = run(churn, seed, config(*shards));
             assert_eq!(
                 reference, sharded,
                 "divergence at seed {seed}, {shards} shards"
@@ -131,13 +117,13 @@ fn static_churn_runs_identical_for_every_shard_count() {
 #[test]
 fn mobile_runs_identical_for_every_shard_count() {
     for seed in [5u64, 6, 7] {
-        let (reference, ref_events) = run(sim_mobile, seed, config(1));
+        let (reference, ref_events) = run(walk, seed, config(1));
         assert!(
             reference.1.frames_transmitted > 0,
             "seed {seed} produced no traffic"
         );
         for shards in &SHARD_COUNTS[1..] {
-            let (sharded, events) = run(sim_mobile, seed, config(*shards));
+            let (sharded, events) = run(walk, seed, config(*shards));
             assert_eq!(
                 reference, sharded,
                 "divergence at seed {seed}, {shards} shards"
@@ -150,13 +136,13 @@ fn mobile_runs_identical_for_every_shard_count() {
 #[test]
 fn full_mesh_runs_identical_for_every_shard_count() {
     for seed in [21u64, 22] {
-        let (reference, ref_events) = run(sim_full_mesh, seed, config(1));
+        let (reference, ref_events) = run(dense, seed, config(1));
         assert!(
             reference.1.frames_delivered > 0,
             "seed {seed} delivered nothing"
         );
         for shards in &SHARD_COUNTS[1..] {
-            let (sharded, events) = run(sim_full_mesh, seed, config(*shards));
+            let (sharded, events) = run(dense, seed, config(*shards));
             assert_eq!(
                 reference, sharded,
                 "divergence at seed {seed}, {shards} shards"
@@ -266,7 +252,7 @@ fn sweep_aggregates_identical_across_jobs_and_shards() {
     let aggregate = |shards: usize, jobs: usize| {
         let seeds = seed_list(42, 4);
         scenario::run_parallel(&seeds, jobs, |&seed| {
-            let (f, _) = run(sim_static, seed, config(shards));
+            let (f, _) = run(churn, seed, config(shards));
             (
                 f.1.frames_delivered,
                 f.1.total_losses(),
@@ -296,18 +282,18 @@ fn sweep_aggregates_identical_across_jobs_and_shards() {
 #[test]
 fn wide_runs_identical_for_every_shard_and_thread_count() {
     // Fork family: shard transparency at threads = 1.
-    let (fork_ref, fork_events) = run(sim_wide, 11, config_with(1, 1, false));
+    let (fork_ref, fork_events) = run(wide, 11, config_with(1, 1, false));
     assert!(
         fork_ref.1.frames_transmitted > 0 && fork_ref.1.frames_delivered > 0,
         "wide scenario produced no traffic — the test proves nothing"
     );
     for &shards in &SHARD_COUNTS[1..] {
-        let (other, events) = run(sim_wide, 11, config_with(shards, 1, false));
+        let (other, events) = run(wide, 11, config_with(shards, 1, false));
         assert_eq!(fork_ref, other, "fork divergence at shards={shards}");
         assert_eq!(fork_events, events, "fork event drift at shards={shards}");
     }
     // Stream family: the full matrix, parallel batch commit included.
-    let (reference, ref_events) = run(sim_wide, 11, config_with(1, 1, true));
+    let (reference, ref_events) = run(wide, 11, config_with(1, 1, true));
     assert!(
         reference.1.frames_transmitted > 0 && reference.1.frames_delivered > 0,
         "stream scenario produced no traffic — the test proves nothing"
@@ -317,7 +303,7 @@ fn wide_runs_identical_for_every_shard_and_thread_count() {
             if (shards, threads) == (1, 1) {
                 continue;
             }
-            let (other, events) = run(sim_wide, 11, config_with(shards, threads, true));
+            let (other, events) = run(wide, 11, config_with(shards, threads, true));
             assert_eq!(
                 reference, other,
                 "divergence at shards={shards}, threads={threads}"
@@ -337,16 +323,16 @@ fn wide_runs_identical_for_every_shard_and_thread_count() {
 #[test]
 fn small_runs_identical_for_every_thread_count() {
     for seed in [1u64, 5] {
-        let (st_ref, _) = run(sim_static, seed, config_with(1, 1, true));
-        let (mo_ref, _) = run(sim_mobile, seed, config_with(1, 1, true));
+        let (st_ref, _) = run(churn, seed, config_with(1, 1, true));
+        let (mo_ref, _) = run(walk, seed, config_with(1, 1, true));
         for &threads in &THREAD_COUNTS[1..] {
             for shards in [1usize, 4] {
-                let (st, _) = run(sim_static, seed, config_with(shards, threads, true));
+                let (st, _) = run(churn, seed, config_with(shards, threads, true));
                 assert_eq!(
                     st_ref, st,
                     "static divergence at seed {seed}, shards={shards}, threads={threads}"
                 );
-                let (mo, _) = run(sim_mobile, seed, config_with(shards, threads, true));
+                let (mo, _) = run(walk, seed, config_with(shards, threads, true));
                 assert_eq!(
                     mo_ref, mo,
                     "mobile divergence at seed {seed}, shards={shards}, threads={threads}"
@@ -362,20 +348,20 @@ fn small_runs_identical_for_every_thread_count() {
 /// pinned fork reference would be redundant).
 #[test]
 fn rng_stream_runs_identical_across_engines() {
-    let (reference, ref_events) = run(sim_wide, 13, config_with(1, 1, true));
+    let (reference, ref_events) = run(wide, 13, config_with(1, 1, true));
     assert!(
         reference.1.frames_transmitted > 0,
         "stream battery produced no traffic"
     );
     for &(shards, threads) in &[(2usize, 1usize), (4, 2), (8, 4)] {
-        let (other, events) = run(sim_wide, 13, config_with(shards, threads, true));
+        let (other, events) = run(wide, 13, config_with(shards, threads, true));
         assert_eq!(
             reference, other,
             "stream divergence at shards={shards}, threads={threads}"
         );
         assert_eq!(ref_events, events, "stream event count drift");
     }
-    let (forked, _) = run(sim_wide, 13, config_with(1, 1, false));
+    let (forked, _) = run(wide, 13, config_with(1, 1, false));
     assert_ne!(
         reference.0, forked.0,
         "stream derivation must draw differently than fork"
@@ -458,20 +444,20 @@ fn long_frames_end_alike_as_bursts_and_as_band_queue_events() {
 #[test]
 fn one_thread_is_sequential_and_the_declined_planner_merge_drain_agrees() {
     let scenarios: [(&str, Scenario, u64); 4] = [
-        ("static churn", sim_static, 2),
-        ("mobile", sim_mobile, 6),
-        ("full mesh", sim_full_mesh, 21),
-        ("wide", sim_wide, 11),
+        ("static churn", churn, 2),
+        ("mobile", walk, 6),
+        ("full mesh", dense, 21),
+        ("wide", wide, 11),
     ];
     for (name, scenario, seed) in scenarios {
-        let reference = scenario(seed, config_with(1, 1, true));
+        let reference = sim(scenario, seed, config_with(1, 1, true));
         assert!(
             reference.metrics().frames_transmitted > 0,
             "{name} produced no traffic — the test proves nothing"
         );
         let expected = fingerprint(&reference);
         for &shards in &SHARD_COUNTS[1..] {
-            let one = scenario(seed, config_with(shards, 1, true));
+            let one = sim(scenario, seed, config_with(shards, 1, true));
             assert_eq!(
                 expected,
                 fingerprint(&one),
@@ -487,7 +473,8 @@ fn one_thread_is_sequential_and_the_declined_planner_merge_drain_agrees() {
             );
             assert_eq!(one.commit_batches(), 0);
 
-            let declined = scenario(
+            let declined = sim(
+                scenario,
                 seed,
                 SimConfig {
                     commit_batch_min_events: usize::MAX,
