@@ -25,7 +25,7 @@
 //!
 //! Every stack is a sans-IO [`NodeProtocol`] state machine and must
 //! preserve the properties the simulator's determinism proofs
-//! (`tests/shard_diff.rs` and the golden table, `tests/goldens.rs`)
+//! (`tests/shard_diff.rs` and the golden table, `tests/scenarios/table.rs`)
 //! rest on:
 //!
 //! 1. **Shared channel access.** All frame emission goes through

@@ -4,7 +4,7 @@
 //! The pre-split `node.rs` monolith interleaved channel access, the
 //! routing daemon, reliable transfers and the application API in one
 //! 1 800-line state machine. The stack keeps the exact same observable
-//! behaviour (pinned by the golden table, `tests/goldens.rs`) but
+//! behaviour (pinned by the golden table, `tests/scenarios/table.rs`) but
 //! factors it into:
 //!
 //! * [`mod@app`] — the application surface: send validation and the

@@ -5,7 +5,7 @@
 //! change; this test pins those functions' bits on fixed inputs so such
 //! a run says why. `scripts/ci.sh` runs it as its own step before the
 //! workspace tests, so such a drift is reported as itself before the
-//! golden table (`tests/goldens.rs`) fails.
+//! golden table (`tests/scenarios/table.rs`) fails.
 
 use lora_phy::math;
 use testkit::fnv1a;

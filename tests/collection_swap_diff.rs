@@ -1,191 +1,12 @@
-//! Differential test for the determinism-motivated collection swap
-//! (PR 3): replacing `HashMap`/`HashSet` with `BTreeMap`/`BTreeSet` in
-//! `radio_sim::sim` (injected link loss), `radio_sim::metrics`
-//! (per-node counters), `scenario::runner` (delivery dedup keys) and
-//! `mesh_baselines::flooding` (duplicate suppression) must not change
-//! any observable behaviour.
-//!
-//! The golden fingerprints below were recorded at commit 052e215 —
-//! immediately *before* the swap — by running these exact scenarios on
-//! the `HashMap` implementations. The post-swap tree must reproduce
-//! them bit-for-bit: traces, PHY metrics (including RNG-fed grey-zone
-//! outcomes), traffic reports and per-node routing state.
+//! Swapping hashed collections for `BTreeMap`/`BTreeSet` (injected link
+//! loss, per-node metrics, delivery dedup keys, flooding's duplicate
+//! suppression) changed no behaviour: grey-zone mesh and flooding runs
+//! reproduce the golden table's pins (`tests/scenarios/table.rs`),
+//! recorded on the hashed implementations.
 
-use std::time::Duration;
+mod scenarios;
 
-use lora_phy::propagation::Shadowing;
-use loramesher_repro::radio_sim::sim::SimConfig;
-use loramesher_repro::radio_sim::topology;
-use loramesher_repro::scenario::runner::{NetworkBuilder, ProtocolChoice, Runner};
-use loramesher_repro::scenario::workload::{self, Target};
-use testkit::fnv1a;
-
-/// Serialises everything observable about a finished run into one
-/// string: the full event trace, global and per-node PHY metrics (in
-/// ascending node order), the traffic report and per-node protocol
-/// state.
-fn observe(net: &Runner) -> String {
-    let mut out = String::new();
-    for (t, ev) in net.sim().trace().entries() {
-        out.push_str(&format!("{t:?}|{ev:?};"));
-    }
-    let m = net.phy_metrics();
-    out.push_str(&format!(
-        "tx={} del={} floor={} coll={} trunc={} inj={} busy={} dead={} air={:?};",
-        m.frames_transmitted,
-        m.frames_delivered,
-        m.lost_below_floor,
-        m.lost_collision,
-        m.lost_truncated,
-        m.lost_injected,
-        m.tx_while_busy,
-        m.tx_while_dead,
-        m.total_airtime,
-    ));
-    for (i, c) in m.per_node.iter().enumerate() {
-        out.push_str(&format!(
-            "n{}:{},{},{},{},{};",
-            i, c.transmitted, c.received, c.lost, c.cad_scans, c.cad_busy
-        ));
-    }
-    let r = net.report();
-    out.push_str(&format!(
-        "sent={} del={} dup={} err={} lat={:?} rel={}/{};",
-        r.sent,
-        r.delivered,
-        r.duplicates,
-        r.send_errors,
-        r.latencies,
-        r.reliable_completed,
-        r.reliable_failed,
-    ));
-    for i in 0..net.len() {
-        if let Some(mesh) = net.mesh_node(i) {
-            for route in mesh.routing_table().routes() {
-                out.push_str(&format!(
-                    "{}:{}via{}m{};",
-                    i, route.destination, route.via, route.metric
-                ));
-            }
-            let s = mesh.stats();
-            out.push_str(&format!(
-                "s{}={},{},{},{};",
-                i, s.frames_sent, s.forwarded, s.hellos_received, s.data_delivered
-            ));
-        }
-    }
-    out
-}
-
-fn traced_config() -> SimConfig {
-    let mut cfg = SimConfig::default();
-    cfg.rf.grey_zone = true;
-    cfg.rf.shadowing = Shadowing::new(4.0, 7);
-    cfg.trace_capacity = 1 << 16;
-    cfg
-}
-
-/// Mesh grid with unicast traffic, a reliable transfer and node churn:
-/// exercises `sim.rs` (trace, churn), `metrics.rs` (per-node counters)
-/// and `runner.rs` (delivery dedup keys).
-fn mesh_fingerprint(seed: u64) -> u64 {
-    let spacing = topology::radio_range_m(&SimConfig::default().rf) * 0.8;
-    let mut net = NetworkBuilder::mesh(topology::grid(3, 2, spacing), seed)
-        .sim_config(traced_config())
-        .build();
-    net.run_until(Duration::from_secs(120));
-    let start = Duration::from_secs(125);
-    net.apply(&workload::all_to_one(
-        6,
-        0,
-        16,
-        start,
-        Duration::from_secs(30),
-        4,
-    ));
-    net.schedule(workload::bulk(1, 5, 900, start + Duration::from_secs(10)));
-    let victim = net.id(2);
-    net.sim_mut()
-        .schedule_kill(start + Duration::from_secs(60), victim);
-    net.sim_mut()
-        .schedule_revive(start + Duration::from_secs(180), victim);
-    net.run_until(start + Duration::from_secs(400));
-    fnv1a(observe(&net).as_bytes())
-}
-
-/// Managed flooding over a line: every relay consults the
-/// duplicate-suppression cache in `loramesher::flood`.
-fn flooding_fingerprint(seed: u64) -> u64 {
-    let mut net = NetworkBuilder::mesh(topology::line(4, 100.0), seed)
-        .protocol(ProtocolChoice::Flooding { ttl: 5 })
-        .sim_config(traced_config())
-        .build();
-    net.apply(&workload::periodic(
-        0,
-        Target::Node(3),
-        16,
-        Duration::from_secs(5),
-        Duration::from_secs(10),
-        6,
-    ));
-    net.apply(&workload::periodic(
-        3,
-        Target::Broadcast,
-        12,
-        Duration::from_secs(8),
-        Duration::from_secs(15),
-        4,
-    ));
-    net.run_until(Duration::from_secs(180));
-    fnv1a(observe(&net).as_bytes())
-}
-
-/// (seed, golden digest) pairs recorded on the pre-swap `HashMap`
-/// implementations at commit 052e215.
-///
-/// The mesh digests were re-pinned in PR 6: audibility-gating the
-/// interference sums (see DESIGN.md "Sharded engine") flipped a couple
-/// of marginal-SIR judgements in these runs. The digests were
-/// re-recorded on the sequential engine and still pin the collection
-/// swap: both engines and both collection families reproduce them
-/// bit-for-bit.
-const MESH_GOLDEN: [(u64, u64); 2] = [
-    (11, 13_788_772_325_276_016_391),
-    (31, 10_569_796_329_372_555_057),
-];
-/// Regen history: re-pinned when the mesh-baselines flooder was retired
-/// in favour of the first-class `loramesher::flood` stack (protocol
-/// refactor PR) — the new stack's SNR/contention-weighted rebroadcast
-/// delay intentionally changes the traces. Regenerate with
-/// `COLLECTION_SWAP_REGEN=1 cargo test --test collection_swap_diff --
-/// --nocapture`. The MESH_GOLDEN rows above are original recordings and
-/// must never move.
-const FLOODING_GOLDEN: [(u64, u64); 2] = [
-    (11, 6_921_568_027_091_372_036),
-    (31, 2_630_881_976_373_650_847),
-];
-
-fn check(label: &str, seed: u64, actual: u64, golden: u64) {
-    if std::env::var_os("COLLECTION_SWAP_REGEN").is_some() {
-        println!("    ({seed}, {actual}),  // {label}");
-        return;
-    }
-    assert_eq!(
-        actual, golden,
-        "{label} run at seed {seed} diverged from the pre-swap recording"
-    );
-}
-
-#[test]
-fn mesh_traces_unchanged_by_collection_swap() {
-    for (seed, golden) in MESH_GOLDEN {
-        check("mesh", seed, mesh_fingerprint(seed), golden);
-    }
-}
-
-#[test]
-fn flooding_traces_unchanged_by_collection_swap() {
-    for (seed, golden) in FLOODING_GOLDEN {
-        check("flooding", seed, flooding_fingerprint(seed), golden);
-    }
-}
+scenarios::table::golden_tests!(
+    mesh_traces_unchanged_by_collection_swap,
+    flooding_traces_unchanged_by_collection_swap,
+);

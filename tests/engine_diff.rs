@@ -1,211 +1,13 @@
-//! Differential tests proving the tombstone timer engine is
-//! behaviourally transparent: generation-stamped timers, with stale
-//! wakes dropped O(1) at pop, produce the byte-identical traces,
-//! identical metrics and identical firmware state that the resync
-//! engine (every scheduled wake pops and is re-checked) produced —
-//! across multiple seeds, under CAD traffic, node churn and mobility.
-//!
-//! The resync engine is gone, so its side of the comparison is pinned
-//! as golden digests ([`GOLDEN`]), recorded while both engines still ran
-//! and agreed on every run below. The fingerprint excludes the two
-//! bookkeeping counters the engines were allowed to differ on:
-//! `events_processed` (resync popped stale wakes as real events) and
-//! `stale_timers_dropped` (zero by construction under resync).
+//! The tombstone-timer engine is behaviourally transparent: with stale
+//! wakes dropped at pop, engine-level runs under CAD traffic, node churn
+//! and mobility reproduce the traces, metrics and firmware state the
+//! resync engine produced, pinned in the golden table
+//! (`tests/scenarios/table.rs`) while both engines still ran. The
+//! link-cache swap was proved on the same runs.
 
-use std::time::Duration;
+mod scenarios;
 
-use lora_phy::link::SignalQuality;
-use lora_phy::propagation::{Position, Shadowing};
-use radio_sim::firmware::{Context, Firmware};
-use radio_sim::metrics::Metrics;
-use radio_sim::mobility::Mobility;
-use radio_sim::time::SimTime;
-use radio_sim::trace::TraceEvent;
-use radio_sim::{SimConfig, Simulator};
-use testkit::fnv1a;
-
-/// Timer-churning firmware: every CAD-busy verdict moves the next wake
-/// by an RNG-jittered delay, so the engine constantly invalidates and
-/// reschedules timers — the exact churn a resync engine pops and
-/// re-checks instead.
-struct Chatty {
-    next: Duration,
-    interval: Duration,
-    len: usize,
-    heard: u64,
-    rng: radio_sim::SimRng,
-}
-
-impl Chatty {
-    fn new(phase_ms: u64, len: usize) -> Self {
-        Chatty {
-            next: Duration::from_millis(phase_ms),
-            interval: Duration::from_millis(800),
-            len,
-            heard: 0,
-            rng: radio_sim::SimRng::new(phase_ms ^ 0xC4A7),
-        }
-    }
-}
-
-impl Firmware for Chatty {
-    fn on_timer(&mut self, ctx: &mut Context) {
-        if ctx.now() >= self.next {
-            self.next += self.interval;
-            ctx.start_cad();
-        }
-    }
-    fn on_cad_done(&mut self, busy: bool, ctx: &mut Context) {
-        if busy {
-            // RNG-jittered retry: both engines had to make the very same
-            // draw here for the timelines to stay equal.
-            self.next = ctx.now() + Duration::from_millis(20 + self.rng.gen_range(60));
-        } else {
-            ctx.transmit(vec![0xE4; self.len]);
-        }
-    }
-    fn on_frame(&mut self, _b: &[u8], _q: SignalQuality, _ctx: &mut Context) {
-        self.heard += 1;
-    }
-    fn next_wake(&self) -> Option<Duration> {
-        Some(self.next)
-    }
-}
-
-/// Everything observable about a finished run, minus the two counters
-/// the tombstone engine is allowed to change.
-type Fingerprint = (Vec<(SimTime, TraceEvent)>, Metrics, Vec<u64>);
-
-fn fingerprint(s: &Simulator<Chatty>) -> Fingerprint {
-    let mut metrics = s.metrics().clone();
-    // Resync never tombstones, so this counter is the one metric
-    // allowed to differ; everything else must match bit-for-bit.
-    metrics.stale_timers_dropped = 0;
-    (
-        s.trace().entries().cloned().collect(),
-        metrics,
-        (0..s.node_count())
-            .map(|i| s.node(radio_sim::NodeId(i)).heard)
-            .collect(),
-    )
-}
-
-/// Golden digests (FNV-1a of the fingerprint's `Debug` text) of the
-/// resync engine's runs, which the tombstone engine matched on every
-/// entry. To regenerate after an *intentional* behaviour change:
-///
-/// ```text
-/// ENGINE_DIFF_REGEN=1 cargo test --test engine_diff -- --nocapture
-/// ```
-///
-/// and paste the printed lines, with a review of why the behaviour
-/// moved. Regen history: none.
-const GOLDEN: &[(&str, u64, u64)] = &[
-    ("static churn", 1, 0x9c0e06c33e071f5d),
-    ("static churn", 2, 0xe360cd6feaeeee73),
-    ("static churn", 3, 0x095483ffd9d4955b),
-    ("static churn", 999, 0xef2de5b30182749a),
-    ("mobile", 5, 0x90b426273e14446a),
-    ("mobile", 6, 0x17ae1579c212a3af),
-    ("mobile", 7, 0xe7936e5cd32ec6d1),
-];
-
-/// Asserts `fp` matches the resync engine's pinned run, or prints its
-/// table line under `ENGINE_DIFF_REGEN`.
-fn assert_golden(name: &str, seed: u64, fp: &Fingerprint) {
-    let actual = fnv1a(format!("{fp:?}").as_bytes());
-    if std::env::var_os("ENGINE_DIFF_REGEN").is_some() {
-        println!("    (\"{name}\", {seed}, {actual:#018x}),");
-        return;
-    }
-    let expected = GOLDEN
-        .iter()
-        .find(|&&(n, k, _)| n == name && k == seed)
-        .map(|&(_, _, h)| h)
-        .unwrap_or_else(|| panic!("no golden entry for {name}/{seed}"));
-    assert_eq!(
-        actual, expected,
-        "divergence from the resync engine's run ({name}, seed {seed})"
-    );
-}
-
-fn config() -> SimConfig {
-    let mut cfg = SimConfig::default();
-    cfg.rf.grey_zone = true;
-    cfg.rf.shadowing = Shadowing::new(4.0, 7);
-    cfg.trace_capacity = 1 << 16;
-    cfg
-}
-
-/// Static line + churn: kills exercise `cancel_timer`, revives restart
-/// the per-node timer generation mid-run.
-fn run_static(seed: u64) -> (Fingerprint, u64) {
-    let mut s = Simulator::new(config(), seed);
-    for k in 0..10u64 {
-        s.add_node(
-            Chatty::new(40 * k + 5, 10 + k as usize),
-            Position::new(k as f64 * 95.0, (k % 3) as f64 * 40.0),
-        );
-    }
-    s.schedule_kill(Duration::from_secs(3), radio_sim::NodeId(4));
-    s.schedule_revive(Duration::from_secs(7), radio_sim::NodeId(4));
-    s.run_for(Duration::from_secs(12));
-    let stale = s.metrics().stale_timers_dropped;
-    (fingerprint(&s), stale)
-}
-
-/// Mobile scenario: mobility ticks interleave with timer churn so
-/// same-instant orderings between timers and other event kinds are
-/// stressed, including across the calendar queue's overflow horizon.
-fn run_mobile(seed: u64) -> (Fingerprint, u64) {
-    let mut s = Simulator::new(config(), seed);
-    let waypoint = Mobility::RandomWaypoint {
-        width_m: 600.0,
-        height_m: 600.0,
-        min_speed: 10.0,
-        max_speed: 30.0,
-        pause: Duration::ZERO,
-    };
-    for k in 0..8u64 {
-        s.add_mobile_node(
-            Chatty::new(37 * k + 3, 60),
-            Position::new(k as f64 * 70.0, k as f64 * 50.0),
-            waypoint.clone(),
-        );
-    }
-    // A late-added node grows the queue's per-node generation tables.
-    s.run_for(Duration::from_secs(2));
-    s.add_node(Chatty::new(11, 24), Position::new(300.0, 300.0));
-    s.run_for(Duration::from_secs(10));
-    let stale = s.metrics().stale_timers_dropped;
-    (fingerprint(&s), stale)
-}
-
-#[test]
-fn static_runs_identical_across_seeds() {
-    for seed in [1u64, 2, 3, 999] {
-        let (run, stale) = run_static(seed);
-        assert_golden("static churn", seed, &run);
-        assert!(
-            run.1.frames_transmitted > 0 && run.1.frames_delivered > 0,
-            "seed {seed} produced no traffic — the test proves nothing"
-        );
-        assert!(
-            stale > 0,
-            "seed {seed} dropped no stale timers — reschedule churn untested"
-        );
-    }
-}
-
-#[test]
-fn mobile_runs_identical_across_seeds() {
-    for seed in [5u64, 6, 7] {
-        let (run, stale) = run_mobile(seed);
-        assert_golden("mobile", seed, &run);
-        assert!(
-            run.1.frames_transmitted > 0,
-            "seed {seed} produced no traffic"
-        );
-        assert!(stale > 0, "seed {seed} dropped no stale timers");
-    }
-}
+scenarios::table::golden_tests!(
+    static_runs_identical_across_seeds,
+    mobile_runs_identical_across_seeds,
+);

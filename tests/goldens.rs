@@ -1,21 +1,6 @@
-//! The golden table: every pinned run of the simulator and the three
-//! stacks, one row each, and where a run left its pin.
-//!
-//! A row is `(scenario, seed, engines, guards)`. It runs its scenario
-//! (`tests/scenarios/mod.rs`) under every engine configuration it lists,
-//! in slices ending at [`CHECKPOINTS`] fixed simulated times. At each
-//! checkpoint it keeps one FNV-1a digest per [`SECTIONS`] entry: the
-//! trace entries of the window since the last checkpoint, the PHY
-//! metrics, every node's state and the report. Every engine of a row
-//! must reproduce the digests pinned in `tests/goldens.txt`, and every
-//! guard must hold, or the pin proves nothing. A mismatch names the row,
-//! the engine, the first checkpoint and section that differ, and prints
-//! that window's trace.
-//!
-//! The pins were recorded on the tree where the six suites they
-//! replace — the layered-stack, collection-swap, protocol-refactor,
-//! tombstone-timer, link-cache and shard reference goldens — all
-//! passed, so they carry those proofs forward. To re-pin after an
+//! The golden table (`tests/scenarios/table.rs`) as a whole: every row
+//! has its pins in `tests/goldens.txt` and a test of its suite that
+//! checks it, and checkpoints only observe a run. To re-pin after an
 //! intentional behaviour change:
 //!
 //! ```text
@@ -26,443 +11,60 @@
 //! fails on an engine that disagrees or a guard that does not hold, and
 //! prints each changed row's first divergence for the change to quote.
 
+#[expect(
+    dead_code,
+    unused_imports,
+    unused_macros,
+    reason = "each row's suite declares its tests with `table::golden_tests!`; this file checks the table whole"
+)]
 mod scenarios;
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
-use std::time::Duration;
+use std::collections::BTreeSet;
 
 use radio_sim::time::SimTime;
 use radio_sim::trace::TraceEvent;
-use radio_sim::{SimConfig, Simulator};
-use scenario::{run_parallel, seed_list, ProtocolChoice, Runner};
-use scenarios::{grey_config, traced_config, Chatty, Facts, Net, Script};
-use testkit::fnv1a;
+use scenario::seed_list;
+use scenarios::table::{parse_pins, pinned, rows, verify, Run, CHECKPOINTS};
 
-/// Checkpoints per run, at equal fractions of the scenario's length.
-const CHECKPOINTS: u32 = 4;
-
-/// What each checkpoint keeps a digest of, in the order they are
-/// compared.
-const SECTIONS: [&str; 4] = ["trace", "phy", "nodes", "report"];
-
-/// An engine configuration a row must hold under.
-#[derive(Clone, Copy, Debug)]
-struct Engine {
-    shards: usize,
-    threads: usize,
-    rng_streams: bool,
-    /// Worker threads running a sweep row's seeds.
-    jobs: usize,
-}
-
-const fn engine(shards: usize, threads: usize, rng_streams: bool, jobs: usize) -> Engine {
-    Engine {
-        shards,
-        threads,
-        rng_streams,
-        jobs,
-    }
-}
-
-const SEQUENTIAL: &[Engine] = &[engine(1, 1, false, 1)];
-/// The fork-chain RNG family is sequential by construction: shards only.
-const FORK: &[Engine] = &[engine(1, 1, false, 1), engine(4, 1, false, 1)];
-/// The per-node stream family: shards × threads.
-const STREAMS: &[Engine] = &[
-    engine(1, 1, true, 1),
-    engine(1, 2, true, 1),
-    engine(4, 1, true, 1),
-    engine(4, 2, true, 1),
-];
-const ONE_STREAM: &[Engine] = &[engine(1, 1, true, 1)];
-const SWEEP: &[Engine] = &[engine(1, 1, false, 1), engine(1, 1, false, 3)];
-const SWEEP_STREAMS: &[Engine] = &[engine(4, 2, true, 1), engine(4, 2, true, 2)];
-
-type ChattyScript = fn(u64, SimConfig, u64) -> Script<Simulator<Chatty>>;
-type NetworkScript = fn(u64, SimConfig) -> Script<Runner>;
-
-/// What a row runs.
-#[derive(Clone, Copy)]
-enum Scenario {
-    /// An engine-level scenario and its [`Chatty`] RNG salt.
-    Chatty(&'static str, ChattyScript, u64),
-    /// A `Runner`-level scenario, on the grey-zone RF profile or not.
-    Network(&'static str, NetworkScript, bool),
-}
-
-impl Scenario {
-    fn name(self) -> String {
-        match self {
-            Scenario::Chatty(name, _, salt) => format!("{name}-{salt:x}"),
-            Scenario::Network(name, ..) => name.to_string(),
-        }
-    }
-
-    /// Runs the scenario at `seed` under `engine`, in `slices` slices.
-    fn record(self, seed: u64, engine: Engine, slices: u32) -> Run {
-        let config = |base: SimConfig| SimConfig {
-            shards: engine.shards,
-            threads: engine.threads,
-            rng_streams: engine.rng_streams,
-            ..base
-        };
-        match self {
-            Scenario::Chatty(_, script, salt) => {
-                record(script(seed, config(grey_config()), salt), slices)
-            }
-            Scenario::Network(_, script, grey) => {
-                let base = if grey { grey_config() } else { traced_config() };
-                record(script(seed, config(base)), slices)
-            }
-        }
-    }
-}
-
-/// What a row's run must show for its pin to mean anything.
-#[derive(Clone, Copy, Debug)]
-enum Guard {
-    Transmits,
-    Delivers,
-    CompletesReliable,
-    Forwards,
-    NeverScans,
-    Defers,
-    DropsStale,
-}
-
-impl Guard {
-    fn holds(self, f: &Facts) -> bool {
-        match self {
-            Guard::Transmits => f.transmitted > 0,
-            Guard::Delivers => f.delivered > 0,
-            Guard::CompletesReliable => f.reliable_completed > 0,
-            Guard::Forwards => f.forwarded > 0,
-            Guard::NeverScans => f.cad_scans == 0,
-            Guard::Defers => f.duty_deferrals > 0,
-            Guard::DropsStale => f.stale_dropped > 0,
-        }
-    }
-}
-
-struct Row {
-    scenario: Scenario,
-    seed: u64,
-    /// How many seeds of `seed_list(seed, …)` the row runs; more than
-    /// one makes it a sweep, run `jobs` at a time.
-    seeds: usize,
-    engines: &'static [Engine],
-    guards: &'static [Guard],
-}
-
-impl Row {
-    /// The row's name in `tests/goldens.txt` and in failures.
-    fn label(&self) -> String {
-        let family = if self.engines[0].rng_streams {
-            "/streams"
-        } else {
-            ""
-        };
-        let sweep = if self.seeds > 1 {
-            format!("x{}", self.seeds)
-        } else {
-            String::new()
-        };
-        format!("{}{family}:{}{sweep}", self.scenario.name(), self.seed)
-    }
-}
-
-fn rows() -> Vec<Row> {
-    use scenarios as s;
-    use Guard::*;
-    use ProtocolChoice::{Flooding, Star};
-    let row = |scenario, seed, engines, guards| Row {
-        scenario,
-        seed,
-        seeds: 1,
-        engines,
-        guards,
-    };
-    let sweep = |scenario, seed, engines| Row {
-        seeds: 3,
-        ..row(scenario, seed, engines, &[Delivers])
-    };
-    let churn = |salt| Scenario::Chatty("churn", s::churn, salt);
-    let walk = |salt| Scenario::Chatty("walk", s::walk, salt);
-    let dense = Scenario::Chatty("dense", s::dense, 0x54A8);
-    let wide = Scenario::Chatty("wide", s::wide, 0x54A8);
-    let network = |name, script: NetworkScript, grey| Scenario::Network(name, script, grey);
-    let line_churn = network("line-churn", s::line_churn, false);
-    let waypoint = network("waypoint", s::waypoint, false);
-    let full_line = network("full-line", s::full_line, false);
-    let flooding = network(
-        "shared-line-flooding",
-        |seed, cfg| s::shared_line(seed, cfg, Flooding { ttl: 3 }, true),
-        false,
-    );
-    let star = network(
-        "shared-line-star",
-        |seed, cfg| s::shared_line(seed, cfg, Star { gateway: 0 }, true),
-        false,
-    );
-    let mesh_aloha = network(
-        "shared-line-mesh-aloha",
-        |seed, cfg| s::shared_line(seed, cfg, ProtocolChoice::mesh_fast(), false),
-        false,
-    );
-    let flooding_aloha = network(
-        "shared-line-flooding-aloha",
-        |seed, cfg| s::shared_line(seed, cfg, Flooding { ttl: 3 }, false),
-        false,
-    );
-    let duty = network("duty", s::duty, false);
-    let grid_churn = network("grid-churn", s::grid_churn, true);
-    let grid_flood = network("grid-flood", s::grid_flood, true);
-    let late_traffic = network("late-traffic", s::late_traffic, true);
-    let flood_line = network("flood-line", s::flood_line, true);
-    let timers: &[Guard] = &[Transmits, Delivers, DropsStale];
-    let mesh_run: &[Guard] = &[Delivers, CompletesReliable, Forwards];
-    vec![
-        // Engine level: the tombstone-timer and link-cache pins ...
-        row(churn(0xC4A7), 1, SEQUENTIAL, timers),
-        row(churn(0xC4A7), 2, SEQUENTIAL, timers),
-        row(churn(0xC4A7), 3, SEQUENTIAL, timers),
-        row(churn(0xC4A7), 999, SEQUENTIAL, timers),
-        row(walk(0xC4A7), 5, SEQUENTIAL, timers),
-        row(walk(0xC4A7), 6, SEQUENTIAL, timers),
-        row(walk(0xC4A7), 7, SEQUENTIAL, timers),
-        // ... and the shard reference pins.
-        row(churn(0x54A8), 1, SEQUENTIAL, timers),
-        row(churn(0x54A8), 2, SEQUENTIAL, timers),
-        row(churn(0x54A8), 3, SEQUENTIAL, timers),
-        row(churn(0x54A8), 999, SEQUENTIAL, timers),
-        row(walk(0x54A8), 5, SEQUENTIAL, timers),
-        row(walk(0x54A8), 6, SEQUENTIAL, timers),
-        row(walk(0x54A8), 7, SEQUENTIAL, timers),
-        row(dense, 21, SEQUENTIAL, timers),
-        row(dense, 22, SEQUENTIAL, timers),
-        row(wide, 11, SEQUENTIAL, timers),
-        row(wide, 11, ONE_STREAM, timers),
-        // The layered-stack pins.
-        row(line_churn, 11, SEQUENTIAL, mesh_run),
-        row(line_churn, 12, SEQUENTIAL, mesh_run),
-        row(line_churn, 13, SEQUENTIAL, mesh_run),
-        sweep(line_churn, 29, SWEEP),
-        row(waypoint, 11, SEQUENTIAL, &[Transmits]),
-        row(waypoint, 12, SEQUENTIAL, &[Transmits]),
-        row(waypoint, 13, SEQUENTIAL, &[Transmits]),
-        row(full_line, 11, SEQUENTIAL, &[Delivers, CompletesReliable]),
-        row(full_line, 12, SEQUENTIAL, &[Delivers, CompletesReliable]),
-        row(full_line, 13, SEQUENTIAL, &[Delivers, CompletesReliable]),
-        row(flooding, 11, SEQUENTIAL, &[Delivers]),
-        row(star, 11, SEQUENTIAL, &[Delivers]),
-        row(mesh_aloha, 11, SEQUENTIAL, &[Delivers, NeverScans]),
-        row(flooding_aloha, 11, SEQUENTIAL, &[Delivers, NeverScans]),
-        row(duty, 11, SEQUENTIAL, &[Delivers, Defers]),
-        // The protocol-refactor pins, across the engine matrix.
-        row(grid_churn, 21, FORK, &[Delivers, CompletesReliable]),
-        row(grid_churn, 22, FORK, &[Delivers, CompletesReliable]),
-        row(grid_churn, 23, FORK, &[Delivers, CompletesReliable]),
-        row(grid_churn, 21, STREAMS, &[Delivers]),
-        row(grid_churn, 22, STREAMS, &[Delivers]),
-        row(grid_churn, 23, STREAMS, &[Delivers]),
-        sweep(grid_churn, 41, SWEEP_STREAMS),
-        row(grid_flood, 21, FORK, &[Delivers]),
-        row(grid_flood, 22, FORK, &[Delivers]),
-        row(grid_flood, 21, STREAMS, &[Delivers]),
-        row(grid_flood, 22, STREAMS, &[Delivers]),
-        // The collection-swap pins.
-        row(late_traffic, 11, SEQUENTIAL, &[Delivers]),
-        row(late_traffic, 31, SEQUENTIAL, &[Delivers]),
-        row(flood_line, 11, SEQUENTIAL, &[Delivers]),
-        row(flood_line, 31, SEQUENTIAL, &[Delivers]),
-    ]
-}
-
-/// One checkpoint of a run.
-struct Checkpoint {
-    at: Duration,
-    digests: [u64; 4],
-    /// The trace entries since the previous checkpoint.
-    window: Vec<(SimTime, TraceEvent)>,
-}
-
-/// A recorded run: its checkpoints and what its guards check.
-struct Run {
-    checkpoints: Vec<Checkpoint>,
-    facts: Facts,
-}
-
-/// Runs `script` in `slices` equal slices, keeping a checkpoint at the
-/// end of each. Radio-state accounting is closed only before the last.
-fn record<N: Net>(mut script: Script<N>, slices: u32) -> Run {
-    let mut checkpoints = Vec::new();
-    let mut traced = 0;
-    for k in 1..=slices {
-        let at = script.end * k / slices;
-        script.run_to(at);
-        if k == slices {
-            script.net.finish();
-        }
-        let net = &script.net;
-        let trace = net.trace();
-        assert_eq!(trace.dropped(), 0, "the trace must hold the whole run");
-        let window: Vec<_> = trace.entries().skip(traced).cloned().collect();
-        traced = trace.len();
-        // Band queues (threads > 1) settle their heads at their own
-        // moments, so a superseded timer may be dropped on either side of
-        // a slice's end; only the finished run's count is engine-free.
-        let mut phy = net.phy().clone();
-        if k < slices {
-            phy.stale_timers_dropped = 0;
-        }
-        let texts = [
-            format!("{window:?}"),
-            format!("{phy:?}"),
-            net.nodes(),
-            net.report(),
-        ];
-        checkpoints.push(Checkpoint {
-            at,
-            digests: texts.map(|t| fnv1a(t.as_bytes())),
-            window,
-        });
-    }
-    Run {
-        checkpoints,
-        facts: script.net.facts(),
-    }
-}
-
-/// Runs `row` under `engine`: one run per seed, in seed order.
-fn run_row(row: &Row, engine: Engine) -> Vec<(u64, Run)> {
-    let seeds = seed_list(row.seed, row.seeds);
-    run_parallel(&seeds, engine.jobs, |&seed| {
-        (seed, row.scenario.record(seed, engine, CHECKPOINTS))
-    })
-}
-
-/// `(row label, seed)` → each checkpoint's digests. `tests/goldens.txt`
-/// has one line per run: the label, the seed, then the four section
-/// digests of every checkpoint in turn; `#` starts a comment.
-type Pins = BTreeMap<(String, u64), Vec<[u64; 4]>>;
-
-fn parse_pins(text: &str) -> Pins {
-    let mut pins = Pins::new();
-    for line in text.lines().filter(|l| !l.starts_with('#')) {
-        let mut fields = line.split_whitespace();
-        let (Some(label), Some(seed)) = (fields.next(), fields.next()) else {
-            panic!("malformed pin line: {line}");
-        };
-        let digests: Vec<u64> = fields
-            .map(|d| u64::from_str_radix(d, 16).expect("hex digest"))
-            .collect();
-        let checkpoints = digests.chunks(4).map(|c| c.try_into().unwrap()).collect();
-        pins.insert((label.to_string(), seed.parse().unwrap()), checkpoints);
-    }
-    pins
-}
-
-fn pin_line(label: &str, seed: u64, run: &Run, out: &mut String) {
-    let _ = write!(out, "{label} {seed}");
-    for d in run.checkpoints.iter().flat_map(|c| c.digests) {
-        let _ = write!(out, " {d:016x}");
-    }
-    out.push('\n');
-}
-
-/// A checkpoint time as messages write it: `105s`, `131.25s`.
-fn secs(d: Duration) -> String {
-    format!("{}s", d.as_secs_f64())
-}
-
-/// Where `run` first leaves its pin, if it does: the checkpoint and
-/// section, then that checkpoint's trace window, one entry a line.
-fn divergence(label: &str, seed: u64, run: &Run, pins: &Pins) -> Option<(String, String)> {
-    let Some(pin) = pins.get(&(label.to_string(), seed)) else {
-        return Some(("no pin".into(), String::new()));
-    };
-    let mut from = Duration::ZERO;
-    for (k, c) in run.checkpoints.iter().enumerate() {
-        let pinned = pin.get(k).copied().unwrap_or_default();
-        let Some(s) = (0..SECTIONS.len()).find(|&s| pinned[s] != c.digests[s]) else {
-            from = c.at;
-            continue;
-        };
-        let at = secs(c.at);
-        let head = format!(
-            "first divergence at the {at} checkpoint, section `{}` (pinned {:016x}, got {:016x})",
-            SECTIONS[s], pinned[s], c.digests[s]
-        );
-        let mut window = format!(
-            "\n  trace window ({}, {at}], {} entries:",
-            secs(from),
-            c.window.len()
-        );
-        for (t, event) in &c.window {
-            let _ = write!(window, "\n  {t} {event:?}");
-        }
-        return Some((head, window));
-    }
-    None
-}
-
+/// Every run of every row has a pin and every pin a row, and every row
+/// is grouped under a test its suite declares, so no pin goes unchecked
+/// or stale. With `GOLDENS_REPIN` set, the whole table is first run and
+/// `tests/goldens.txt` rewritten.
 #[test]
-fn every_row_matches_its_golden() {
-    let repin = std::env::var_os("GOLDENS_REPIN").is_some();
-    let pinned = parse_pins(include_str!("goldens.txt"));
-    let mut fresh = String::from(
-        "# Golden digests of tests/goldens.rs, one run a line: row, seed, then\n\
-         # the trace-window, phy, nodes and report digests of each checkpoint.\n\
-         # Rewritten by `GOLDENS_REPIN=1 cargo test --test goldens`.\n",
-    );
-    let mut failures = Vec::new();
-    for row in rows() {
-        let label = row.label();
-        let first = run_row(&row, row.engines[0]);
-        let mut row_pins = String::new();
-        for (seed, run) in &first {
-            pin_line(&label, *seed, run, &mut row_pins);
-        }
-        fresh.push_str(&row_pins);
-        let repinned;
-        let expected = if repin {
-            let changed = first
-                .iter()
-                .find_map(|(seed, run)| Some((seed, divergence(&label, *seed, run, &pinned)?)));
-            if let Some((seed, (head, window))) = changed {
-                println!("re-pinned {label} (seed {seed}): {head}{window}\n");
-            }
-            repinned = parse_pins(&row_pins);
-            &repinned
-        } else {
-            &pinned
-        };
-        // The first divergence of a row prints its trace window; the
-        // row's other engines and seeds only say where they diverge.
-        let mut window_shown = false;
-        for (k, &engine) in row.engines.iter().enumerate() {
-            let runs = (k > 0).then(|| run_row(&row, engine));
-            for (seed, run) in runs.as_ref().unwrap_or(&first) {
-                let at = format!("{label} (seed {seed}) under {engine:?}");
-                if let Some((head, window)) = divergence(&label, *seed, run, expected) {
-                    let window = if window_shown { "" } else { &window };
-                    failures.push(format!("{at}: {head}{window}"));
-                    window_shown = true;
-                }
-                for guard in row.guards.iter().filter(|g| !g.holds(&run.facts)) {
-                    failures.push(format!(
-                        "{at}: guard {guard:?} does not hold, so the pin proves nothing ({:?})",
-                        run.facts
-                    ));
-                }
-            }
-        }
-    }
-    assert!(failures.is_empty(), "{}", failures.join("\n"));
-    if repin {
+fn every_row_has_its_pins_and_its_test() {
+    let mut pins = pinned();
+    if std::env::var_os("GOLDENS_REPIN").is_some() {
+        let (failures, fresh) = verify(&rows(), &pins, true);
+        assert!(failures.is_empty(), "{}", failures.join("\n"));
+        let header = "# Golden digests of tests/scenarios/table.rs, one run a line: row, seed,\n\
+                      # then the trace-window, phy, nodes and report digests of each checkpoint.\n\
+                      # Rewritten by `GOLDENS_REPIN=1 cargo test --test goldens`.\n";
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/goldens.txt");
-        std::fs::write(path, fresh).expect("write tests/goldens.txt");
+        std::fs::write(path, format!("{header}{fresh}")).expect("write tests/goldens.txt");
+        pins = parse_pins(&fresh);
+    }
+    let mut unclaimed: BTreeSet<_> = pins.into_keys().collect();
+    let mut tests = BTreeSet::new();
+    for row in rows() {
+        for seed in seed_list(row.seed, row.seeds) {
+            let label = row.label();
+            assert!(
+                unclaimed.remove(&(label.clone(), seed)),
+                "{label} (seed {seed}) has no pin in tests/goldens.txt"
+            );
+        }
+        tests.insert(row.test);
+    }
+    assert!(unclaimed.is_empty(), "pins without a row: {unclaimed:?}");
+    for test in tests {
+        let (suite, name) = test.split_once("::").expect("<suite>::<test>");
+        let path = format!("{}/tests/{suite}.rs", env!("CARGO_MANIFEST_DIR"));
+        let source = std::fs::read_to_string(&path).unwrap_or_default();
+        let mut words = source.split(|c: char| !(c.is_alphanumeric() || c == '_'));
+        assert!(
+            words.any(|word| word == name),
+            "rows are grouped under {test}, which {path} does not declare"
+        );
     }
 }
 

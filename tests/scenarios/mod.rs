@@ -1,5 +1,5 @@
-//! Every scenario the golden table (`tests/goldens.rs`) pins, and what
-//! a run of one shows at a checkpoint. `tests/shard_diff.rs` runs the
+//! Every scenario the golden table ([`table`]) pins, and what a run of
+//! one shows at a checkpoint. `tests/shard_diff.rs` runs the
 //! engine-level ones across shard and thread counts.
 //!
 //! Two kinds of network run here:
@@ -29,6 +29,8 @@ use radio_sim::trace::Trace;
 use radio_sim::{topology, NodeId, SimConfig, SimRng, Simulator};
 use scenario::workload::{self, Target, TrafficEvent};
 use scenario::{NetworkBuilder, ProtocolChoice, ProtocolNode, Runner};
+
+pub mod table;
 
 /// Timer- and channel-churning firmware: every CAD-busy verdict moves
 /// the next wake by an RNG-jittered delay, so the engine keeps

@@ -12,9 +12,10 @@
 //! same battery: engine-invariant under every (shards, threads) pair,
 //! while remaining a genuinely different stream family than the pinned
 //! fork derivation. The `shards = 1, threads = 1` reference runs are
-//! themselves pinned in the golden table (`tests/goldens.rs`), which
-//! shares this battery's scenarios and `Chatty` firmware
-//! (`tests/scenarios/mod.rs`).
+//! themselves pinned in the golden table (`tests/scenarios/table.rs`),
+//! which shares this battery's scenarios and `Chatty` firmware
+//! (`tests/scenarios/mod.rs`); `reference_runs_match_golden` checks
+//! them.
 //!
 //! The only allowed difference is the bookkeeping counter
 //! `stale_timers_dropped`, and only where band queues exist
@@ -23,10 +24,6 @@
 //! run's horizon. The fingerprint deliberately zeroes it; the golden
 //! table and the last test keep it, where one thread makes it exact.
 
-#[expect(
-    dead_code,
-    reason = "this battery runs only the engine-level scenarios"
-)]
 mod scenarios;
 
 use std::time::Duration;
@@ -499,3 +496,5 @@ fn one_thread_is_sequential_and_the_declined_planner_merge_drain_agrees() {
         }
     }
 }
+
+scenarios::table::golden_tests!(reference_runs_match_golden);
