@@ -6,8 +6,11 @@
 //!
 //! # Timing wheel
 //!
-//! Pending events live in one slab (a `Vec` of nodes plus a free list);
-//! two levels of 4096 buckets thread intrusive lists through it.
+//! Pending events live in one slab (a `Vec` of 40-byte nodes plus a free
+//! list); two levels of 4096 buckets thread intrusive lists through it.
+//! A node stores its event packed — a kind byte, a `u32` node index and
+//! one `u64` argument, 16 bytes where a [`SimEvent`] takes 24 — and the
+//! queue unpacks it only where it pops or tests it for a tombstone.
 //! **Level 0** is a ring of `2^20` ns (≈ 1 ms) buckets covering ≈ 4.3 s
 //! from the cursor on, each a list kept ascending by `(time, seq)` with
 //! a tail index: in-order arrivals — the common case, and every run of
@@ -30,7 +33,7 @@
 //! [`EventQueue::schedule_burst`] queues k events at one instant (a
 //! frame's `TxEnd` and its locked receivers' `RxEnd`s) under the next k
 //! sequence numbers as **one** wheel entry: the first event's node, whose
-//! padding holds the `u32` slab index of a chain of the other k − 1,
+//! `burst` field holds the `u32` slab index of a chain of the other k − 1,
 //! linked in no bucket. Popping the head arms a drain cursor that
 //! `peek_key` and `pop_until` serve the followers from, one per call.
 //! Nothing can sort between them: an entry sorting before the head popped
@@ -105,16 +108,84 @@ fn slot_of(n: u64) -> usize {
     (n & REACH) as usize
 }
 
+/// Which [`SimEvent`] variant a [`Packed`] event is.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kind {
+    Timer,
+    TxEnd,
+    RxEnd,
+    CadEnd,
+    CadBusyReport,
+    App,
+    Kill,
+    Revive,
+    MobilityTick,
+}
+
+/// A [`SimEvent`] as the slab stores it: every variant is at most a node
+/// and one 64-bit argument (timer stamp, frame id or app tag), so 16
+/// bytes hold any of them where the enum takes 24.
+#[derive(Clone, Copy, Debug)]
+struct Packed {
+    arg: u64,
+    node: u32,
+    kind: Kind,
+}
+
+impl Packed {
+    fn new(event: SimEvent) -> Packed {
+        let (kind, node, arg) = match event {
+            SimEvent::Timer(n, gen) => (Kind::Timer, n, gen),
+            SimEvent::TxEnd(n, f) => (Kind::TxEnd, n, f.0),
+            SimEvent::RxEnd(n, f) => (Kind::RxEnd, n, f.0),
+            SimEvent::CadEnd(n) => (Kind::CadEnd, n, 0),
+            SimEvent::CadBusyReport(n) => (Kind::CadBusyReport, n, 0),
+            SimEvent::App(n, tag) => (Kind::App, n, tag),
+            SimEvent::Kill(n) => (Kind::Kill, n, 0),
+            SimEvent::Revive(n) => (Kind::Revive, n, 0),
+            SimEvent::MobilityTick => (Kind::MobilityTick, NodeId(0), 0),
+        };
+        // A simulator holds a few thousand nodes; four billion would
+        // need terabytes of per-node state before this could wrap.
+        let node = u32::try_from(node.0);
+        debug_assert!(node.is_ok(), "node index beyond u32");
+        let node = node.unwrap_or(u32::MAX);
+        Packed { arg, node, kind }
+    }
+
+    fn node_id(self) -> NodeId {
+        NodeId(self.node as usize)
+    }
+
+    fn event(self) -> SimEvent {
+        let (n, arg) = (self.node_id(), self.arg);
+        match self.kind {
+            Kind::Timer => SimEvent::Timer(n, arg),
+            Kind::TxEnd => SimEvent::TxEnd(n, FrameId(arg)),
+            Kind::RxEnd => SimEvent::RxEnd(n, FrameId(arg)),
+            Kind::CadEnd => SimEvent::CadEnd(n),
+            Kind::CadBusyReport => SimEvent::CadBusyReport(n),
+            Kind::App => SimEvent::App(n, arg),
+            Kind::Kill => SimEvent::Kill(n),
+            Kind::Revive => SimEvent::Revive(n),
+            Kind::MobilityTick => SimEvent::MobilityTick,
+        }
+    }
+}
+
 /// One pending event, linked into a bucket list (or the free list).
 #[derive(Debug)]
 struct Node {
     key: (SimTime, u64),
-    event: SimEvent,
+    event: Packed,
     next: u32,
     /// First follower of the burst it heads, else [`NIL`]; the followers
     /// chain through `next`, outside every bucket.
     burst: u32,
 }
+
+// meshlint::allow(r1): a compile-time size check, never a run-time panic
+const _: () = assert!(std::mem::size_of::<Node>() <= 40);
 
 /// Sort key of slab node `idx`; `None` past the end of a list.
 fn key_of(slab: &[Node], idx: u32) -> Option<(SimTime, u64)> {
@@ -340,7 +411,8 @@ impl EventQueue {
                 self.advance()?;
                 continue;
             };
-            if !matches!(node.event, SimEvent::Timer(n, gen) if !self.timer_is_live(n, gen)) {
+            let e = node.event;
+            if e.kind != Kind::Timer || self.timer_is_live(e.node_id(), e.arg) {
                 self.head = Some(node.key);
                 return self.head;
             }
@@ -361,7 +433,7 @@ impl EventQueue {
         self.free = std::mem::replace(&mut bucket.head, next);
         self.near_occupied.mark(slot, next != NIL);
         self.len -= 1;
-        Some((node.key, node.event.clone(), node.burst))
+        Some((node.key, node.event.event(), node.burst))
     }
 
     /// Unlinks the draining burst's next follower from its chain and
@@ -374,7 +446,7 @@ impl EventQueue {
         self.free = idx;
         self.drain = (next != NIL).then_some((next, (at, seq + 1)));
         self.len -= 1;
-        Some((at, node.event.clone()))
+        Some((at, node.event.event()))
     }
 
     #[inline]
@@ -499,7 +571,7 @@ impl EventQueue {
         let (next, burst, mut idx) = (NIL, NIL, self.free);
         let node = Node {
             key,
-            event,
+            event: Packed::new(event),
             next,
             burst,
         };
@@ -630,8 +702,21 @@ mod tests {
     }
 
     #[test]
-    fn a_pending_event_fits_48_bytes() {
-        assert!(std::mem::size_of::<Node>() <= 48);
+    fn every_event_packs_and_unpacks_unchanged() {
+        let n = node(u32::MAX);
+        for event in [
+            SimEvent::Timer(n, u64::MAX),
+            SimEvent::TxEnd(n, FrameId(u64::MAX)),
+            SimEvent::RxEnd(node(0), FrameId(7)),
+            SimEvent::CadEnd(n),
+            SimEvent::CadBusyReport(n),
+            SimEvent::App(n, u64::MAX),
+            SimEvent::Kill(n),
+            SimEvent::Revive(node(3)),
+            SimEvent::MobilityTick,
+        ] {
+            assert_eq!(Packed::new(event.clone()).event(), event);
+        }
     }
 
     #[test]

@@ -287,6 +287,9 @@ pub struct Simulator<F: Firmware> {
     /// Whether `grid` must be rebuilt before its next use (positions
     /// changed: mobility tick, `set_position`, node addition).
     grid_dirty: bool,
+    /// The last instant a mobility tick or `set_position` moved nodes
+    /// (see [`moved_during_scan`]).
+    moved_at: Option<SimTime>,
     /// Reused row-index buffer for parallel prefetch planning.
     prefetch_scratch: Vec<usize>,
     /// Reused old-x snapshot for mobility ticks.
@@ -336,6 +339,7 @@ impl<F: Firmware> Simulator<F> {
             cad_duration,
             grid: Grid::new(),
             grid_dirty: true,
+            moved_at: None,
             prefetch_scratch: Vec::new(),
             xs_scratch: Vec::new(),
         }
@@ -460,6 +464,7 @@ impl<F: Firmware> Simulator<F> {
         self.state[id.0].position = position;
         self.link_cache.invalidate_all();
         self.grid_dirty = true;
+        self.moved_at = Some(self.now);
     }
 
     /// A node's radio (state durations feed the energy model).
@@ -1222,7 +1227,13 @@ impl<F: Firmware> Simulator<F> {
         if until != self.now {
             return;
         }
-        let busy = busy_seen || self.channel_busy(node.0);
+        let rescan = moved_during_scan(self.moved_at, until, self.cad_duration);
+        let busy = busy_seen || rescan && self.channel_busy(node.0);
+        debug_assert!(
+            rescan || busy == (busy_seen || self.channel_busy(node.0)),
+            "a frame audible at node {} started unseen during its CAD scan",
+            node.0
+        );
         self.nodes[node.0].radio.to_idle(self.now);
         self.metrics.record_cad(node, busy);
         self.fire(node.0, |fw, ctx| fw.on_cad_done(busy, ctx));
@@ -1329,6 +1340,7 @@ impl<F: Firmware> Simulator<F> {
             self.link_cache.invalidate_all();
         }
         self.grid_dirty = true;
+        self.moved_at = Some(self.now);
         // Wake-gated warm-up: refill, on worker threads, the rows of
         // nodes whose firmware will act before the next tick (their
         // transmissions/CADs would fill those rows on the coordinator
@@ -1347,6 +1359,15 @@ impl<F: Firmware> Simulator<F> {
         }
         self.queue.schedule(self.now + dt, SimEvent::MobilityTick);
     }
+}
+
+/// Whether the last position change (`moved_at`) came at or after the
+/// start of a CAD scan ending at `until`. Only then must the scan's end
+/// look at the channel again: otherwise the scan's start checked every
+/// frame on the air, and `start_tx` noted each audible start since
+/// through the same link row.
+fn moved_during_scan(moved_at: Option<SimTime>, until: SimTime, scan: Duration) -> bool {
+    moved_at.is_some_and(|t| t + scan >= until)
 }
 
 /// The run methods live in an `F: Send` impl because a parallel commit
@@ -1698,6 +1719,36 @@ mod tests {
             },
             Position::new(100.0, 0.0),
         );
+        s.run_for(Duration::from_secs(1));
+        assert_eq!(s.node(b).cad_results, vec![true]);
+    }
+
+    /// The scan's end only skips its re-scan while nothing has moved: a
+    /// listener carried into range of a frame already on the air, after
+    /// its scan began clear, must still end it busy.
+    #[test]
+    fn cad_sees_a_frame_it_is_moved_into_range_of_mid_scan() {
+        let mut s = sim();
+        s.add_node(
+            sender_at(Duration::from_millis(10), vec![0; 200]),
+            Position::new(0.0, 0.0),
+        );
+        let b = s.add_node(
+            Probe {
+                start_cad_at: Some(Duration::from_millis(50)),
+                ..Probe::default()
+            },
+            Position::new(100_000.0, 0.0),
+        );
+        s.run_until(Duration::from_millis(51));
+        assert!(matches!(
+            s.radio(b).state(),
+            RadioState::Cad {
+                busy_seen: false,
+                ..
+            }
+        ));
+        s.set_position(b, Position::new(100.0, 0.0));
         s.run_for(Duration::from_secs(1));
         assert_eq!(s.node(b).cad_results, vec![true]);
     }

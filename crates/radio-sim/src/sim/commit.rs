@@ -73,7 +73,7 @@ use std::time::Duration;
 use lora_phy::modulation::LoRaModulation;
 use lora_phy::propagation::Position;
 
-use super::{audible_mw, Lock, NodeSlot, NodeState, Simulator, GATHER_REACH};
+use super::{audible_mw, moved_during_scan, Lock, NodeSlot, NodeState, Simulator, GATHER_REACH};
 use crate::event::{EventQueue, FrameId, SimEvent};
 use crate::firmware::{Context, Firmware, NodeId, RadioCommand};
 use crate::grid::Grid;
@@ -272,6 +272,7 @@ struct Shared<'a> {
     limit: SimTime,
     preamble: Duration,
     cad_duration: Duration,
+    moved_at: Option<SimTime>,
 }
 
 /// One band group's executor: drains its member queues (plus in-window
@@ -891,7 +892,13 @@ impl<F: Firmware> BandWorker<'_, F> {
         if until != now {
             return;
         }
-        let busy = busy_seen || self.channel_busy_w(node.0);
+        let rescan = moved_during_scan(self.ctx.moved_at, until, self.ctx.cad_duration);
+        let busy = busy_seen || rescan && self.channel_busy_w(node.0);
+        debug_assert!(
+            rescan || busy == (busy_seen || self.channel_busy_w(node.0)),
+            "a frame audible at node {} started unseen during its CAD scan",
+            node.0
+        );
         self.slot(node.0).radio.to_idle(now);
         self.scratch.metrics.record_cad(node, busy);
         self.fire_w(node.0, |fw, ctx| fw.on_cad_done(busy, ctx));
@@ -1162,6 +1169,7 @@ impl<F: Firmware + Send> Simulator<F> {
                 limit,
                 preamble,
                 cad_duration,
+                moved_at: self.moved_at,
             };
             let mut band_workers: Vec<BandWorker<F>> = Vec::with_capacity(nw);
             {

@@ -11,10 +11,15 @@
 //! * it executes workload actions (scheduled via
 //!   `Simulator::schedule_app`) through the protocol's `submit_*` calls.
 //!
-//! Scheduled traffic is marked so a delivery can be traced back to its
-//! send. The format lives here and only here: [`marked_payload`] writes
-//! it (an [`AppAction::SendMarked`] builds its bytes only when its event
-//! fires) and [`payload_marker`] reads it back for the runner's report.
+//! An `App` event's `u64` tag names the work: its low 32 bits index the
+//! node's registered actions, its high 32 bits are an argument the
+//! action receives ([`tag_with_arg`]). Scheduled traffic is marked so a
+//! delivery can be traced back to its send, and the marker is that
+//! argument: an [`AppAction::SendMarked`] is a send *kind* (destination,
+//! length, service), registered once per node, and each send of it is
+//! one queued event whose tag carries its marker. The payload format
+//! lives here and only here: [`marked_payload`] writes it when the event
+//! fires and [`payload_marker`] reads it back for the runner's report.
 //!
 //! [`ProtocolNode`] is the concrete protocol enum the experiments use, so
 //! one simulation type hosts LoRaMesher, flooding and the star. Each of
@@ -110,28 +115,47 @@ pub struct FrameMeta {
     pub id: u8,
 }
 
-/// An action a workload schedules on a node.
+/// An action a workload registers on a node and runs by `App` tag.
 #[derive(Clone, Debug)]
 pub enum AppAction {
-    /// Send a datagram of `payload` to `dst`.
+    /// Send a datagram of `payload` to `dst`; the tag's argument is
+    /// ignored.
     SendDatagram {
         /// Destination address.
         dst: Address,
         /// The exact payload bytes.
         payload: Vec<u8>,
     },
-    /// Send the [`marked_payload`] of `marker` and `len` to `dst`, built
-    /// when the action runs.
+    /// Send the [`marked_payload`] of `len` bytes to `dst`, its marker
+    /// the tag's argument, built when the action runs.
     SendMarked {
         /// Destination address.
         dst: Address,
-        /// The marker the payload starts with.
-        marker: u32,
         /// Payload length in bytes (at least the marker's four).
         len: usize,
         /// A reliable transfer when set, else a datagram.
         reliable: bool,
     },
+}
+
+/// Bits of an `App` tag below its argument: the action's index.
+const ARG_SHIFT: u32 = 32;
+
+/// The tag that runs the action `tag` names (as
+/// [`ProtocolFirmware::add_action`] returned it) with argument `arg`:
+/// the low 32 bits of `tag`, then `arg` in the high 32.
+#[must_use]
+pub fn tag_with_arg(tag: u64, arg: u32) -> u64 {
+    tag & u64::from(u32::MAX) | u64::from(arg) << ARG_SHIFT
+}
+
+/// An `App` tag's action index and argument.
+fn split_tag(tag: u64) -> (u32, u32) {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the two 32-bit halves of the tag"
+    )]
+    (tag as u32, (tag >> ARG_SHIFT) as u32)
 }
 
 /// Bytes of the marker at the head of a [`marked_payload`].
@@ -242,7 +266,8 @@ impl NodeProtocol for ProtocolNode {
 /// Simulator firmware hosting a [`NodeProtocol`].
 ///
 /// Workload actions are registered with [`ProtocolFirmware::add_action`]
-/// and executed when the matching `App` event (tag = action index) fires.
+/// and executed when an `App` event whose tag holds their index fires
+/// (see the module docs for the tag's layout).
 #[derive(Debug)]
 pub struct ProtocolFirmware<P: NodeProtocol = ProtocolNode> {
     /// The hosted protocol stack.
@@ -344,11 +369,18 @@ impl<P: NodeProtocol> ProtocolFirmware<P> {
         }
     }
 
-    /// Registers a workload action, returning its tag for
-    /// [`radio_sim::Simulator::schedule_app`].
+    /// Registers a workload action, returning the tag that runs it with
+    /// argument 0 for [`radio_sim::Simulator::schedule_app`];
+    /// [`tag_with_arg`] gives it another argument.
+    ///
+    /// # Panics
+    ///
+    /// If the node already holds 2^32 actions: an index must fit the
+    /// tag's low half.
     pub fn add_action(&mut self, action: AppAction) -> u64 {
+        let index = u32::try_from(self.actions.len()).expect("action index fits 32 bits");
         self.actions.push(action);
-        (self.actions.len() - 1) as u64
+        u64::from(index)
     }
 }
 
@@ -410,7 +442,10 @@ impl<P: HostedProtocol> Firmware for ProtocolFirmware<P> {
     }
 
     fn on_app(&mut self, tag: u64, ctx: &mut Context) {
-        let action = usize::try_from(tag).ok().and_then(|i| self.actions.get(i));
+        let (index, arg) = split_tag(tag);
+        let action = usize::try_from(index)
+            .ok()
+            .and_then(|i| self.actions.get(i));
         let Some(action) = action.cloned() else {
             return;
         };
@@ -419,13 +454,8 @@ impl<P: HostedProtocol> Firmware for ProtocolFirmware<P> {
             AppAction::SendDatagram { dst, payload } => {
                 self.node.submit_datagram(dst, payload, now)
             }
-            AppAction::SendMarked {
-                dst,
-                marker,
-                len,
-                reliable,
-            } => {
-                let payload = marked_payload(marker, len);
+            AppAction::SendMarked { dst, len, reliable } => {
+                let payload = marked_payload(arg, len);
                 if reliable {
                     self.node.submit_reliable(dst, payload, now)
                 } else {
@@ -622,13 +652,12 @@ mod tests {
         let tag = sim.with_node(a, |fw, _| {
             fw.add_action(AppAction::SendMarked {
                 dst: Address::new(2),
-                marker: 7,
                 len: 16,
                 reliable: false,
             })
         });
-        sim.schedule_app(Duration::from_secs(30), a, tag);
-        sim.schedule_app(Duration::from_secs(35), a, tag);
+        sim.schedule_app(Duration::from_secs(30), a, tag_with_arg(tag, 7));
+        sim.schedule_app(Duration::from_secs(35), a, tag_with_arg(tag, 7));
         sim.run_for(Duration::from_secs(45));
         let expected = marked_payload(7, 16);
         let received = sim
@@ -650,12 +679,12 @@ mod tests {
         let tag = sim.with_node(a, |fw, _| {
             fw.add_action(AppAction::SendMarked {
                 dst: Address::new(99), // no route will ever exist
-                marker: 0,
                 len: 8,
                 reliable: false,
             })
         });
-        for unknown in [tag + 1, 42, u64::MAX] {
+        // Whatever their argument, tags whose index names no action.
+        for unknown in [tag + 1, 42, u64::MAX, tag_with_arg(tag + 1, 5)] {
             sim.schedule_app(Duration::from_secs(1), a, unknown);
         }
         sim.run_for(Duration::from_secs(2));
@@ -663,6 +692,72 @@ mod tests {
         sim.schedule_app(Duration::from_secs(3), a, tag);
         sim.run_for(Duration::from_secs(2));
         assert_eq!(sim.node(a).send_errors, 1);
+        sim.schedule_app(Duration::from_secs(5), a, tag_with_arg(tag, u32::MAX));
+        sim.run_for(Duration::from_secs(2));
+        assert_eq!(sim.node(a).send_errors, 2);
+    }
+
+    /// A stack that records what the adapter submits.
+    #[derive(Default)]
+    struct Recorder {
+        /// `(dst, payload, reliable)` per submission.
+        sent: Vec<(Address, Vec<u8>, bool)>,
+    }
+
+    impl NodeProtocol for Recorder {
+        fn on_frame(&mut self, _: &[u8], _: SignalQuality, _: &mut Context) {}
+        fn next_wake(&self) -> Option<Duration> {
+            None
+        }
+    }
+
+    impl HostedProtocol for Recorder {
+        fn drain(&mut self) -> Vec<AppEvent> {
+            Vec::new()
+        }
+        fn submit_datagram(
+            &mut self,
+            dst: Address,
+            payload: Vec<u8>,
+            _: Duration,
+        ) -> Result<u8, SendError> {
+            self.sent.push((dst, payload, false));
+            Ok(0)
+        }
+        fn submit_reliable(
+            &mut self,
+            dst: Address,
+            payload: Vec<u8>,
+            _: Duration,
+        ) -> Result<u8, SendError> {
+            self.sent.push((dst, payload, true));
+            Ok(0)
+        }
+    }
+
+    #[test]
+    fn a_tag_carries_every_field_of_a_marked_send() {
+        let mut fw = ProtocolFirmware::new(Recorder::default());
+        let kinds = [
+            (Address::BROADCAST, 4, false),
+            (Address::new(7), 300, true),
+            (Address::new(0xFFFE), 24, false),
+        ];
+        let tags = kinds.map(|(dst, len, reliable)| {
+            fw.add_action(AppAction::SendMarked { dst, len, reliable })
+        });
+        let mut expected = Vec::new();
+        for marker in [0, 1, u32::MAX] {
+            for (&tag, &(dst, len, reliable)) in tags.iter().zip(&kinds) {
+                fw.on_app(tag_with_arg(tag, marker), &mut Context::new(Duration::ZERO));
+                expected.push((dst, marked_payload(marker, len), reliable));
+            }
+        }
+        assert_eq!(fw.node.sent, expected);
+        assert_eq!(fw.send_errors, 0);
+        // The argument replaces the high half and keeps the index.
+        assert_eq!(tag_with_arg(tag_with_arg(5, 9), 3), tag_with_arg(5, 3));
+        assert_eq!(split_tag(tag_with_arg(5, u32::MAX)), (5, u32::MAX));
     }
 
     #[test]

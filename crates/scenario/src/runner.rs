@@ -7,13 +7,17 @@
 //! airtime cost.
 //!
 //! Every send, datagram or reliable transfer, draws the next marker from
-//! one counter. It keeps a 24-byte record and registers an
-//! [`AppAction::SendMarked`], which builds the payload
+//! one counter. It costs a 24-byte record and one queued `App` event
+//! whose tag carries the marker ([`crate::adapter::tag_with_arg`]). The
+//! event names its sender's [`AppAction::SendMarked`] for the send's
+//! destination, length and service: each node registers such a kind once,
+//! at its first send of it, and the action builds the payload
 //! ([`crate::adapter::marked_payload`]) only when the send fires. A
-//! delivery is traced back by the marker its payload carries: each kind's
-//! records ascend by marker, so the report finds one by binary search.
+//! delivery is traced back by the marker its payload carries: each
+//! service's records ascend by marker, so the report finds one by binary
+//! search.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
 
 use lora_phy::propagation::Position;
@@ -30,7 +34,9 @@ use radio_sim::mobility::Mobility;
 use radio_sim::sim::{SimConfig, Simulator};
 use radio_sim::time::SimTime;
 
-use crate::adapter::{payload_marker, AppAction, AppEvent, ProtocolFirmware, ProtocolNode};
+use crate::adapter::{
+    payload_marker, tag_with_arg, AppAction, AppEvent, ProtocolFirmware, ProtocolNode,
+};
 use crate::workload::{Target, TrafficEvent};
 
 /// The most nodes one network can address: node `i` has address
@@ -287,6 +293,7 @@ impl NetworkBuilder {
             sent: Vec::new(),
             reliable: Vec::new(),
             next_marker: 0,
+            kinds: BTreeMap::new(),
         }
     }
 }
@@ -332,9 +339,16 @@ pub struct Runner {
     sent: Vec<SendRecord>,
     /// Reliable sends, ascending by marker.
     reliable: Vec<SendRecord>,
-    /// The marker of the next send of either kind.
+    /// The marker of the next send of either service.
     next_marker: u32,
+    /// The tag of every [`AppAction::SendMarked`] a node holds, by
+    /// [`SendKind`].
+    kinds: BTreeMap<SendKind, u64>,
 }
+
+/// A send kind of one node: sender, receiver (as in [`SendRecord`]),
+/// payload length and whether it is reliable.
+type SendKind = (u32, u32, usize, bool);
 
 impl Runner {
     /// The protocol address of node index `i`, which is `i + 1`.
@@ -430,11 +444,17 @@ impl Runner {
     ///
     /// # Panics
     ///
-    /// Panics on a reliable transfer to [`Target::Broadcast`].
+    /// Panics on a reliable transfer to [`Target::Broadcast`], and on a
+    /// sender or receiver index that names no node of this network.
     pub fn schedule(&mut self, e: TrafficEvent) {
-        let index = |i: usize| u32::try_from(i).expect("node index fits u32");
+        let n = self.len();
+        let index = |i: usize, role: &str| {
+            assert!(i < n, "traffic {role} node {i} of a {n}-node network");
+            u32::try_from(i).expect("node index fits u32")
+        };
+        let from = index(e.from, "from");
         let to = match e.to {
-            Target::Node(i) => index(i),
+            Target::Node(i) => index(i, "to"),
             Target::Broadcast => {
                 assert!(!e.reliable, "reliable transfers cannot be broadcast");
                 SendRecord::BROADCAST
@@ -444,7 +464,7 @@ impl Runner {
         self.next_marker += 1;
         let record = SendRecord {
             marker,
-            from: index(e.from),
+            from,
             to,
             at: SimTime::from(e.at),
         };
@@ -453,15 +473,18 @@ impl Runner {
         } else {
             self.sent.push(record);
         }
+        let id = self.ids[e.from];
         let action = AppAction::SendMarked {
             dst: self.resolve(e.to),
-            marker,
             len: e.payload_len,
             reliable: e.reliable,
         };
-        let id = self.ids[e.from];
-        let tag = self.sim.with_node(id, |fw, _| fw.add_action(action));
-        self.sim.schedule_app(e.at, id, tag);
+        let sim = &mut self.sim;
+        let tag = *self
+            .kinds
+            .entry((from, to, e.payload_len, e.reliable))
+            .or_insert_with(|| sim.with_node(id, |fw, _| fw.add_action(action)));
+        self.sim.schedule_app(e.at, id, tag_with_arg(tag, marker));
     }
 
     /// Whether every mesh node has a usable route to every other node.
@@ -822,6 +845,58 @@ mod tests {
         let _ = NetworkBuilder::mesh(topology::line(3, 80.0), 1)
             .roles(vec![1])
             .build();
+    }
+
+    fn datagram(from: usize, to: Target) -> TrafficEvent {
+        TrafficEvent {
+            at: Duration::from_secs(1),
+            from,
+            to,
+            payload_len: 8,
+            reliable: false,
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "traffic from node 3 of a 3-node network")]
+    fn traffic_from_a_missing_node_is_refused() {
+        line_mesh(3, 80.0, 1).schedule(datagram(3, Target::Node(0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "traffic to node 7 of a 3-node network")]
+    fn traffic_to_a_missing_node_is_refused() {
+        line_mesh(3, 80.0, 1).schedule(datagram(0, Target::Node(7)));
+    }
+
+    /// A node holds one action per kind of send it makes, however many
+    /// sends of it are queued, and every send keeps its own record.
+    #[test]
+    fn a_node_registers_each_send_kind_once() {
+        let mut r = line_mesh(3, 80.0, 9);
+        let kinds = [
+            datagram(0, Target::Node(2)),
+            datagram(1, Target::Node(2)),
+            datagram(0, Target::Broadcast),
+            TrafficEvent {
+                payload_len: 9,
+                ..datagram(0, Target::Node(2))
+            },
+            workload::bulk(0, 2, 64, Duration::from_secs(1)),
+        ];
+        for k in 0..4 {
+            for e in kinds {
+                r.schedule(TrafficEvent {
+                    at: e.at + Duration::from_secs(k),
+                    ..e
+                });
+            }
+        }
+        assert_eq!(r.kinds.len(), kinds.len());
+        assert_eq!((r.sent.len(), r.reliable.len()), (16, 4));
+        let tags: BTreeSet<u64> = r.kinds.values().copied().collect();
+        // Node 0 holds tags 0..4, node 1 its own tag 0.
+        assert_eq!(tags, BTreeSet::from([0, 1, 2, 3]));
     }
 
     #[test]

@@ -104,10 +104,10 @@ pub fn all_to_one(
     interval: Duration,
     count: usize,
 ) -> Vec<TrafficEvent> {
-    let mut events = Vec::new();
-    let senders: Vec<usize> = (0..n_nodes).filter(|&i| i != sink).collect();
-    for (k, &from) in senders.iter().enumerate() {
-        let stagger = interval.mul_f64(k as f64 / senders.len().max(1) as f64);
+    let senders = n_nodes - usize::from(sink < n_nodes);
+    let mut events = Vec::with_capacity(senders * count);
+    for (k, from) in (0..n_nodes).filter(|&i| i != sink).enumerate() {
+        let stagger = interval.mul_f64(k as f64 / senders.max(1) as f64);
         events.extend(periodic(
             from,
             Target::Node(sink),
@@ -117,7 +117,10 @@ pub fn all_to_one(
             count,
         ));
     }
-    events.sort_by_key(|e| e.at);
+    // Equal instants come from distinct senders, pushed in ascending
+    // `from` (one sender's sends tie only if identical), so this is the
+    // order a stable sort by time gives, without its scratch buffer.
+    events.sort_unstable_by_key(|e| (e.at, e.from));
     events
 }
 
@@ -189,6 +192,52 @@ mod tests {
         assert_ne!(first_times[0], first_times[1]);
         // Sorted by time.
         assert!(ev.windows(2).all(|w| w[0].at <= w[1].at));
+    }
+
+    /// Reference construction: every sender's stream appended, then a
+    /// stable sort by time.
+    fn all_to_one_by_stable_sort(
+        n_nodes: usize,
+        sink: usize,
+        start: Duration,
+        interval: Duration,
+        count: usize,
+    ) -> Vec<TrafficEvent> {
+        let mut events = Vec::new();
+        let senders: Vec<usize> = (0..n_nodes).filter(|&i| i != sink).collect();
+        for (k, &from) in senders.iter().enumerate() {
+            let stagger = interval.mul_f64(k as f64 / senders.len().max(1) as f64);
+            let first = start + stagger;
+            events.extend(periodic(
+                from,
+                Target::Node(sink),
+                16,
+                first,
+                interval,
+                count,
+            ));
+        }
+        events.sort_by_key(|e| e.at);
+        events
+    }
+
+    #[test]
+    fn all_to_one_matches_a_stable_sort_by_time() {
+        let intervals = [0, 1, 7, 1_000, 30_000_000_000].map(Duration::from_nanos);
+        for n_nodes in [0, 1, 2, 5, 17, 64] {
+            for sink in [0, n_nodes / 2, n_nodes] {
+                for interval in intervals {
+                    for count in [0, 1, 3, 10] {
+                        let start = Duration::from_secs(100);
+                        assert_eq!(
+                            all_to_one(n_nodes, sink, 16, start, interval, count),
+                            all_to_one_by_stable_sort(n_nodes, sink, start, interval, count),
+                            "{n_nodes} nodes, sink {sink}, every {interval:?}, {count} each"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -62,8 +62,8 @@
 //! Outside the engine, `topology::connected_random` keeps one scratch
 //! (placement, candidate grid, DFS state) across its draws, so a draw
 //! after the first allocates nothing. And `Runner::apply` schedules
-//! traffic without building a payload: a send is a record and an action
-//! until it fires.
+//! traffic without building a payload: until it fires, a send is a
+//! record and one queued event, counted as net heap growth in bytes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -99,6 +99,13 @@ thread_local! {
     /// Per-thread `realloc` calls: buffers grown by moving their contents
     /// (also counted in `LOCAL_ALLOCS`).
     static LOCAL_REALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Per-thread net heap growth: bytes allocated minus bytes freed
+    /// (a `realloc` counts its change in size).
+    static LOCAL_LIVE: Cell<i64> = const { Cell::new(0) };
+}
+
+fn grow(bytes: usize, by: i64) {
+    let _ = LOCAL_LIVE.try_with(|c| c.set(c.get() + by * bytes as i64));
 }
 
 fn bump(bytes: usize) {
@@ -121,21 +128,31 @@ fn local_reallocs() -> u64 {
     LOCAL_REALLOCS.try_with(Cell::get).unwrap_or(0)
 }
 
+/// Net heap growth by *the calling thread* so far.
+fn local_live() -> i64 {
+    LOCAL_LIVE.try_with(Cell::get).unwrap_or(0)
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         bump(layout.size());
+        grow(layout.size(), 1);
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        grow(layout.size(), -1);
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         bump(new_size);
+        grow(new_size, 1);
+        grow(layout.size(), -1);
         let _ = LOCAL_REALLOCS.try_with(|c| c.set(c.get() + 1));
         unsafe { System.realloc(ptr, layout, new_size) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         bump(layout.size());
+        grow(layout.size(), 1);
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -642,15 +659,9 @@ fn building_64_nodes_reallocates_no_per_node_vector() {
     );
 }
 
-/// Scheduling traffic keeps a compact record and a small action per
-/// send and builds no payload: its bytes are made when the send fires.
-/// 4 000 datagrams on 16 nodes cost the records' one reservation, the
-/// action lists' doublings and the event queue's growth, not an
-/// allocation per message.
-#[test]
-fn applying_4000_datagrams_allocates_no_payloads() {
-    let mut net = NetworkBuilder::mesh(topology::grid(4, 4, default_spacing()), 7).build();
-    let events: Vec<workload::TrafficEvent> = (0..4_000u32)
+/// 4 000 datagrams from 16 nodes, each node sending to its successor.
+fn sends_4000() -> Vec<workload::TrafficEvent> {
+    (0..4_000u32)
         .map(|k| workload::TrafficEvent {
             at: Duration::from_secs(60) + Duration::from_millis(250) * k,
             from: k as usize % 16,
@@ -658,13 +669,45 @@ fn applying_4000_datagrams_allocates_no_payloads() {
             payload_len: 16,
             reliable: false,
         })
-        .collect();
+        .collect()
+}
+
+/// Scheduling traffic keeps a compact record per send and builds no
+/// payload: its bytes are made when the send fires. 4 000 datagrams on
+/// 16 nodes cost the records' one reservation, one action per node and
+/// the event queue's growth, not an allocation per message.
+#[test]
+fn applying_4000_datagrams_allocates_no_payloads() {
+    let mut net = NetworkBuilder::mesh(topology::grid(4, 4, default_spacing()), 7).build();
+    let events = sends_4000();
     let before = local_allocs();
     net.apply(&events);
     let allocs = local_allocs() - before;
     assert!(
         allocs < 1_000,
         "scheduling 4 000 datagrams allocated {allocs} times"
+    );
+}
+
+/// What a scheduled send holds until it fires is its 24-byte record and
+/// one 40-byte event-queue entry: the marker rides in the event's tag,
+/// so a node registers an action per kind of send, not per send. The
+/// 4 016 entries (the sends and a timer per node) fill a 4 096-entry
+/// slab; the rest — each node's one action, the runner's map of them —
+/// must stay under 1 KiB a node.
+#[test]
+fn a_scheduled_send_holds_its_record_and_one_queue_entry() {
+    let mut net = NetworkBuilder::mesh(topology::grid(4, 4, default_spacing()), 7).build();
+    let events = sends_4000();
+    let before = local_live();
+    net.apply(&events);
+    let grown = local_live() - before;
+    let (record, entry) = (24, 40);
+    let bound = 4_096 * (record + entry) + 16 * 1_024;
+    assert!(
+        grown <= bound,
+        "4 000 scheduled sends grew the heap by {grown} B ({} B a send), over {bound} B",
+        grown / 4_000
     );
 }
 
