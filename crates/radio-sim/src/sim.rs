@@ -25,6 +25,10 @@
 //!   most one live timer per node and ignores stale ones.
 //! * **Faults** — nodes can be killed (radio off, mid-frame transmissions
 //!   truncated) and revived at scheduled instants.
+//! * **App runs** — a node's `schedule_app` calls that advance instant,
+//!   sequence number and tag by one common step fold into a run, of
+//!   which the queue holds only the next send (see
+//!   [`Simulator::schedule_app`]).
 //!
 //! [`ActiveTx`]: crate::medium::ActiveTx
 
@@ -166,6 +170,66 @@ struct NodeSlot<F> {
     scheduled_wake: Option<SimTime>,
 }
 
+/// One [`Simulator::schedule_app`] call as the queue files it: the
+/// clamped instant, the sequence number it reserved and the tag.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct AppCall {
+    at: SimTime,
+    seq: u64,
+    tag: u64,
+}
+
+/// How far one call of a run advances over the one before it: in
+/// nanoseconds, sequence numbers and (wrapping) tag.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct AppStep {
+    at: u64,
+    seq: u64,
+    tag: u64,
+}
+
+impl AppCall {
+    /// The step from `self` to a later call; `None` if `later` is due
+    /// earlier, which a run cannot hold: it files a send only once the
+    /// one before it has fired.
+    fn step_to(self, later: AppCall) -> Option<AppStep> {
+        Some(AppStep {
+            at: later.at.as_nanos().checked_sub(self.at.as_nanos())?,
+            seq: later.seq.checked_sub(self.seq)?,
+            tag: later.tag.wrapping_sub(self.tag),
+        })
+    }
+
+    /// The call after `self` in a run of `step`. Never overflows: a run
+    /// only holds calls that were made.
+    fn advanced(self, step: AppStep) -> AppCall {
+        AppCall {
+            at: self.at + Duration::from_nanos(step.at),
+            seq: self.seq + step.seq,
+            tag: self.tag.wrapping_add(step.tag),
+        }
+    }
+}
+
+/// Sends `next`, `next + step`, … up to `last` of one node, of which
+/// only `next` is queued. Firing `next` files its successor at the
+/// `(time, seq)` key the call reserved.
+#[derive(Clone, Copy, Debug)]
+struct AppRun {
+    next: AppCall,
+    last: AppCall,
+    step: AppStep,
+}
+
+/// The `schedule_app` calls of one node that has made any: its last
+/// two, and the run they fold into.
+#[derive(Clone, Copy, Debug, Default)]
+struct AppStream {
+    /// The node's last two calls, oldest first.
+    recent: [Option<AppCall>; 2],
+    run: Option<AppRun>,
+}
+
 /// What `start_tx` knows about the frame it is fanning out, handed to
 /// every `lock_receiver` call instead of looked up again per receiver.
 struct Lock<'a> {
@@ -294,6 +358,8 @@ pub struct Simulator<F: Firmware> {
     prefetch_scratch: Vec<usize>,
     /// Reused old-x snapshot for mobility ticks.
     xs_scratch: Vec<f64>,
+    /// App-run state of each node that has scheduled an app event.
+    app_streams: std::collections::BTreeMap<usize, AppStream>,
 }
 
 impl<F: Firmware> Simulator<F> {
@@ -342,6 +408,7 @@ impl<F: Firmware> Simulator<F> {
             moved_at: None,
             prefetch_scratch: Vec::new(),
             xs_scratch: Vec::new(),
+            app_streams: std::collections::BTreeMap::new(),
         }
     }
 
@@ -560,18 +627,81 @@ impl<F: Firmware> Simulator<F> {
 
     /// Schedules an application (workload) event for `node` at `at`, or
     /// now if the clock has already passed `at`.
+    ///
+    /// Each call takes the next sequence number, so the event pops at
+    /// the instant and in the tie order of one queued per call. Once
+    /// three consecutive calls for `node` advance the clamped instant
+    /// (by zero or more), the sequence number and the tag each by one
+    /// common step, every further call one step on extends that run
+    /// instead of queueing an entry: the queue holds only the run's next
+    /// send, and firing it files the one after under its reserved
+    /// `(time, seq)`. A node has at most one run at a time; a call that
+    /// does not extend it is queued as it is. A periodic stream of any
+    /// length thus costs three queue entries and one run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is not a node of this simulator.
     pub fn schedule_app(&mut self, at: Duration, node: NodeId, tag: u64) {
-        self.schedule_external(at, SimEvent::App(node, tag));
+        self.check_node(node, "schedule_app");
+        let at = SimTime::from(at).max(self.now);
+        let seq = self.queue.alloc_seq();
+        let call = AppCall { at, seq, tag };
+        let stream = self.app_streams.entry(node.0).or_default();
+        let [older, prev] = stream.recent;
+        stream.recent = [prev, Some(call)];
+        match &mut stream.run {
+            Some(run) if run.last.step_to(call) == Some(run.step) => {
+                run.last = call;
+                return;
+            }
+            Some(_) => {}
+            None => {
+                let steps = older
+                    .zip(prev)
+                    .and_then(|(a, b)| a.step_to(b).zip(b.step_to(call)));
+                if let Some((step, _)) = steps.filter(|(a, b)| a == b) {
+                    stream.run = Some(AppRun {
+                        next: call,
+                        last: call,
+                        step,
+                    });
+                }
+            }
+        }
+        self.queue
+            .schedule_at_seq(at, seq, SimEvent::App(node, tag));
     }
 
     /// Schedules `node` to fail at `at`, or now if `at` has passed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is not a node of this simulator.
     pub fn schedule_kill(&mut self, at: Duration, node: NodeId) {
+        self.check_node(node, "schedule_kill");
         self.schedule_external(at, SimEvent::Kill(node));
     }
 
     /// Schedules `node` to restart at `at`, or now if `at` has passed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is not a node of this simulator.
     pub fn schedule_revive(&mut self, at: Duration, node: NodeId) {
+        self.check_node(node, "schedule_revive");
         self.schedule_external(at, SimEvent::Revive(node));
+    }
+
+    /// Refuses an external event for a node this simulator does not
+    /// hold, at the call rather than when it fires.
+    fn check_node(&self, node: NodeId, call: &str) {
+        let n = self.nodes.len();
+        assert!(
+            node.0 < n,
+            "{call}: node {} of a {n}-node simulator",
+            node.0
+        );
     }
 
     /// Enqueues an externally injected event on the coordinator queue,
@@ -579,6 +709,35 @@ impl<F: Firmware> Simulator<F> {
     /// its own time, and `dispatch` would run the clock backwards.
     fn schedule_external(&mut self, at: Duration, event: SimEvent) {
         self.queue.schedule(SimTime::from(at).max(self.now), event);
+    }
+
+    /// Files the send after `node`'s queued run send when an app event
+    /// of `node` with the same instant (now) and tag fires, or frees the
+    /// run if that send was its last.
+    ///
+    /// The event need not be the run's own entry: a one-off call of the
+    /// same node, instant and tag is indistinguishable from it. Whichever
+    /// of the two pops first files the successor, whose reserved key
+    /// sorts after both, so it is still queued before it is due, and
+    /// every send is filed exactly once.
+    fn rearm_app_run(&mut self, node: NodeId, tag: u64) {
+        let now = self.now;
+        let Some(stream) = self.app_streams.get_mut(&node.0) else {
+            return;
+        };
+        let queued = |run: &&mut AppRun| run.next.at == now && run.next.tag == tag;
+        let Some(run) = stream.run.as_mut().filter(queued) else {
+            return;
+        };
+        if run.next == run.last {
+            stream.run = None;
+            return;
+        }
+        run.next = run.next.advanced(run.step);
+        // The sequence number its call reserved from the coordinator.
+        let AppCall { at, seq, tag } = run.next;
+        self.queue
+            .schedule_at_seq(at, seq, SimEvent::App(node, tag));
     }
 
     /// Calls `on_start` on every node. Idempotent; run methods call this
@@ -659,6 +818,7 @@ impl<F: Firmware> Simulator<F> {
                 }
             }
             SimEvent::App(node, tag) => {
+                self.rearm_app_run(node, tag);
                 if self.state[node.0].alive {
                     self.fire(node.0, |fw, ctx| fw.on_app(tag, ctx));
                 }
@@ -1955,6 +2115,33 @@ mod tests {
             assert_eq!(s.now(), now, "revive, shards {shards}");
             assert_eq!(s.node(n).0, [Duration::ZERO, now, now], "shards {shards}");
         }
+    }
+
+    /// An external event for a node the simulator does not hold is
+    /// refused at the call, naming the index, not queued to panic when
+    /// it fires.
+    #[test]
+    #[should_panic(expected = "schedule_app: node 9 of a 1-node simulator")]
+    fn an_app_event_for_a_missing_node_is_refused() {
+        let mut s: Simulator<Clocked> = Simulator::new(SimConfig::default(), 1);
+        s.add_node(Clocked::default(), Position::new(0.0, 0.0));
+        s.schedule_app(Duration::from_secs(1), NodeId(9), 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "schedule_kill: node 9 of a 1-node simulator")]
+    fn a_kill_of_a_missing_node_is_refused() {
+        let mut s: Simulator<Clocked> = Simulator::new(SimConfig::default(), 1);
+        s.add_node(Clocked::default(), Position::new(0.0, 0.0));
+        s.schedule_kill(Duration::from_secs(1), NodeId(9));
+    }
+
+    #[test]
+    #[should_panic(expected = "schedule_revive: node 9 of a 1-node simulator")]
+    fn a_revive_of_a_missing_node_is_refused() {
+        let mut s: Simulator<Clocked> = Simulator::new(SimConfig::default(), 1);
+        s.add_node(Clocked::default(), Position::new(0.0, 0.0));
+        s.schedule_revive(Duration::from_secs(1), NodeId(9));
     }
 
     #[test]

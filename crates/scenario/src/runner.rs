@@ -7,15 +7,24 @@
 //! airtime cost.
 //!
 //! Every send, datagram or reliable transfer, draws the next marker from
-//! one counter. It costs a 24-byte record and one queued `App` event
-//! whose tag carries the marker ([`crate::adapter::tag_with_arg`]). The
-//! event names its sender's [`AppAction::SendMarked`] for the send's
-//! destination, length and service: each node registers such a kind once,
-//! at its first send of it, and the action builds the payload
-//! ([`crate::adapter::marked_payload`]) only when the send fires. A
-//! delivery is traced back by the marker its payload carries: each
-//! service's records ascend by marker, so the report finds one by binary
-//! search.
+//! one counter and is one `App` event whose tag carries the marker
+//! ([`crate::adapter::tag_with_arg`]). The event names its sender's
+//! [`AppAction::SendMarked`] for the send's destination, length and
+//! service: each node registers such a kind once, at its first send of
+//! it, and the action builds the payload
+//! ([`crate::adapter::marked_payload`]) only when the send fires.
+//!
+//! A sender's records fold into runs: a send to the same receiver and
+//! service whose marker and instant continue its last run's steps
+//! extends that run, so a periodic stream (and each sender of
+//! [`crate::workload::all_to_one`]) is one 32-byte record however many
+//! sends it holds, and any two sends share one. The simulator folds the
+//! queued events of such a stream the same way
+//! ([`Simulator::schedule_app`]). A delivery is traced back by its
+//! source and the marker its payload carries: the report finds the run
+//! among the source's, which ascend by marker, by binary search, and
+//! computes the send's instant, like the count of sends due, in closed
+//! form.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Duration;
@@ -289,45 +298,104 @@ impl NetworkBuilder {
         }
         Runner {
             sim,
+            runs: vec![Vec::new(); ids.len()],
             ids,
-            sent: Vec::new(),
-            reliable: Vec::new(),
             next_marker: 0,
             kinds: BTreeMap::new(),
         }
     }
 }
 
-/// A send awaiting its deliveries, datagram or reliable transfer.
+/// Sends of one sender to one receiver and service, awaiting their
+/// deliveries: send `k < count` carries marker `first + k·step` and is
+/// submitted at `at + k·period`.
 #[derive(Clone, Copy, Debug)]
-struct SendRecord {
-    /// The marker its payload carries.
-    marker: u32,
-    /// Sender index.
-    from: u32,
-    /// Receiver index, or [`SendRecord::BROADCAST`].
-    to: u32,
-    /// When the application submits it.
+struct SendRun {
+    first: u32,
+    step: u32,
+    count: u32,
+    /// Receiver index, or [`SendRun::BROADCAST`].
+    to: u16,
+    reliable: bool,
+    /// When the application submits the first send.
     at: SimTime,
+    /// Nanoseconds between consecutive sends.
+    period: u64,
 }
 
-const _: () = assert!(std::mem::size_of::<SendRecord>() <= 24);
+const _: () = assert!(std::mem::size_of::<SendRun>() <= 32);
 
-impl SendRecord {
+impl SendRun {
     /// The receiver of a broadcast: every node but the sender.
-    const BROADCAST: u32 = u32::MAX;
+    const BROADCAST: u16 = u16::MAX;
 
-    /// The record of `marker` in `records`, which ascend by marker.
-    fn find(records: &[SendRecord], marker: u32) -> Option<&SendRecord> {
-        let i = records.binary_search_by_key(&marker, |r| r.marker).ok()?;
-        Some(&records[i])
+    /// A run of the one send of `marker`.
+    fn new(marker: u32, to: u16, reliable: bool, at: SimTime) -> Self {
+        SendRun {
+            first: marker,
+            step: 1,
+            count: 1,
+            to,
+            reliable,
+            at,
+            period: 0,
+        }
     }
 
-    /// Whether a delivery from `src` at node index `receiver` is one of
-    /// this send's.
-    fn matches(&self, src: Address, receiver: usize) -> bool {
-        Runner::address_of(self.from as usize) == src
-            && (self.to == Self::BROADCAST || self.to as usize == receiver)
+    /// Appends the send of `marker` if it continues the run: same
+    /// receiver and service, and a marker and instant one step on. A
+    /// run of one send takes any later marker and instant as its step.
+    fn extend(&mut self, marker: u32, to: u16, reliable: bool, at: SimTime) -> bool {
+        if (to, reliable) != (self.to, self.reliable) {
+            return false;
+        }
+        if self.count == 1 {
+            let step = marker.checked_sub(self.first);
+            let period = at.as_nanos().checked_sub(self.at.as_nanos());
+            let (Some(step), Some(period)) = (step, period) else {
+                return false;
+            };
+            (self.step, self.period) = (step, period);
+        } else if self.send(self.count) != Some((marker, at)) {
+            return false;
+        }
+        self.count += 1;
+        true
+    }
+
+    /// The marker and instant of send `k`; `None` where they overflow.
+    fn send(&self, k: u32) -> Option<(u32, SimTime)> {
+        let marker = self.first.checked_add(self.step.checked_mul(k)?)?;
+        let offset = self.period.checked_mul(u64::from(k))?;
+        let at = self.at.as_nanos().checked_add(offset)?;
+        Some((marker, SimTime::from(Duration::from_nanos(at))))
+    }
+
+    /// The instant of the run's send of `marker`, if it holds one.
+    fn sent_at(&self, marker: u32) -> Option<SimTime> {
+        let offset = marker.checked_sub(self.first)?;
+        let k = offset / self.step;
+        if offset % self.step != 0 || k >= self.count {
+            return None;
+        }
+        self.send(k).map(|(_, at)| at)
+    }
+
+    /// How many of the run's sends are submitted at or before `by`.
+    fn due(&self, by: SimTime) -> usize {
+        let Some(since) = by.as_nanos().checked_sub(self.at.as_nanos()) else {
+            return 0;
+        };
+        let count = u64::from(self.count);
+        let due = since
+            .checked_div(self.period)
+            .map_or(count, |k| count.min(k + 1));
+        usize::try_from(due).unwrap_or(usize::MAX)
+    }
+
+    /// Whether a delivery at node index `receiver` is one of the run's.
+    fn reaches(&self, receiver: usize) -> bool {
+        self.to == Self::BROADCAST || usize::from(self.to) == receiver
     }
 }
 
@@ -335,10 +403,8 @@ impl SendRecord {
 pub struct Runner {
     sim: Simulator<ProtocolFirmware<ProtocolNode>>,
     ids: Vec<NodeId>,
-    /// Datagram sends, ascending by marker.
-    sent: Vec<SendRecord>,
-    /// Reliable sends, ascending by marker.
-    reliable: Vec<SendRecord>,
+    /// Each node's sends of either service, in runs ascending by marker.
+    runs: Vec<Vec<SendRun>>,
     /// The marker of the next send of either service.
     next_marker: u32,
     /// The tag of every [`AppAction::SendMarked`] a node holds, by
@@ -346,9 +412,9 @@ pub struct Runner {
     kinds: BTreeMap<SendKind, u64>,
 }
 
-/// A send kind of one node: sender, receiver (as in [`SendRecord`]),
+/// A send kind of one node: sender, receiver (as in [`SendRun`]),
 /// payload length and whether it is reliable.
-type SendKind = (u32, u32, usize, bool);
+type SendKind = (u16, u16, usize, bool);
 
 impl Runner {
     /// The protocol address of node index `i`, which is `i + 1`.
@@ -432,9 +498,6 @@ impl Runner {
 
     /// Schedules a whole workload.
     pub fn apply(&mut self, events: &[TrafficEvent]) {
-        let reliable = events.iter().filter(|e| e.reliable).count();
-        self.sent.reserve(events.len() - reliable);
-        self.reliable.reserve(reliable);
         for e in events {
             self.schedule(*e);
         }
@@ -450,28 +513,26 @@ impl Runner {
         let n = self.len();
         let index = |i: usize, role: &str| {
             assert!(i < n, "traffic {role} node {i} of a {n}-node network");
-            u32::try_from(i).expect("node index fits u32")
+            // Every index is below `MAX_NODES`, under the broadcast mark.
+            u16::try_from(i).expect("node index fits u16")
         };
         let from = index(e.from, "from");
         let to = match e.to {
             Target::Node(i) => index(i, "to"),
             Target::Broadcast => {
                 assert!(!e.reliable, "reliable transfers cannot be broadcast");
-                SendRecord::BROADCAST
+                SendRun::BROADCAST
             }
         };
         let marker = self.next_marker;
         self.next_marker += 1;
-        let record = SendRecord {
-            marker,
-            from,
-            to,
-            at: SimTime::from(e.at),
-        };
-        if e.reliable {
-            self.reliable.push(record);
-        } else {
-            self.sent.push(record);
+        let at = SimTime::from(e.at);
+        let runs = &mut self.runs[e.from];
+        if !runs
+            .last_mut()
+            .is_some_and(|run| run.extend(marker, to, e.reliable, at))
+        {
+            runs.push(SendRun::new(marker, to, e.reliable, at));
         }
         let id = self.ids[e.from];
         let action = AppAction::SendMarked {
@@ -517,6 +578,28 @@ impl Runner {
         }
     }
 
+    /// When the send of `marker` that a delivery from `src` at node
+    /// index `receiver` stands for was submitted: `None` unless `src`
+    /// sent `marker` to that receiver (or to all) on this service.
+    fn sent_at(
+        &self,
+        src: Address,
+        receiver: usize,
+        marker: u32,
+        reliable: bool,
+    ) -> Option<SimTime> {
+        let from = usize::from(src.value()).checked_sub(1)?;
+        let runs = self.runs.get(from)?;
+        let run = runs.get(
+            runs.partition_point(|run| run.first <= marker)
+                .checked_sub(1)?,
+        )?;
+        if run.reliable != reliable || !run.reaches(receiver) {
+            return None;
+        }
+        run.sent_at(marker)
+    }
+
     /// PHY-level metrics from the simulator.
     #[must_use]
     pub fn phy_metrics(&self) -> &Metrics {
@@ -547,24 +630,21 @@ impl Runner {
                         let Some(marker) = payload_marker(payload) else {
                             continue;
                         };
-                        let Some(rec) = SendRecord::find(&self.sent, marker) else {
+                        let Some(at) = self.sent_at(*src, j, marker, false) else {
                             continue;
                         };
-                        if !rec.matches(*src, j) {
-                            continue;
-                        }
                         if delivered_keys.insert((marker, j)) {
-                            latencies.push(SimTime::from(*t).since(rec.at));
+                            latencies.push(SimTime::from(*t).since(at));
                         } else {
                             duplicates += 1;
                         }
                     }
                     AppEvent::ReliableReceived { src, payload } => {
-                        let rec = payload_marker(payload)
-                            .and_then(|marker| SendRecord::find(&self.reliable, marker));
-                        if let Some(rec) = rec.filter(|r| r.matches(*src, j)) {
+                        let at = payload_marker(payload)
+                            .and_then(|marker| self.sent_at(*src, j, marker, true));
+                        if let Some(at) = at {
                             reliable_completed += 1;
-                            reliable_latencies.push(SimTime::from(*t).since(rec.at));
+                            reliable_latencies.push(SimTime::from(*t).since(at));
                         }
                     }
                     AppEvent::ReliableFailed { .. } => reliable_failed += 1,
@@ -575,15 +655,19 @@ impl Runner {
 
         // Only sends whose time has passed count as attempted.
         let due_by = SimTime::from(now);
-        let due = |records: &[SendRecord]| records.iter().filter(|r| r.at <= due_by).count();
+        let due = |reliable: bool| -> usize {
+            let runs = self.runs.iter().flatten();
+            let runs = runs.filter(|run| run.reliable == reliable);
+            runs.map(|run| run.due(due_by)).sum()
+        };
         let metrics = self.sim.metrics();
         TrafficReport {
-            sent: due(&self.sent),
+            sent: due(false),
             delivered: delivered_keys.len(),
             duplicates,
             send_errors,
             latencies,
-            reliable_attempted: due(&self.reliable),
+            reliable_attempted: due(true),
             reliable_completed,
             reliable_failed,
             reliable_latencies,
@@ -847,6 +931,15 @@ mod tests {
             .build();
     }
 
+    impl Runner {
+        /// Sends of one service scheduled so far, due or not.
+        fn scheduled(&self, reliable: bool) -> usize {
+            let runs = self.runs.iter().flatten();
+            let runs = runs.filter(|run| run.reliable == reliable);
+            runs.map(|run| run.count as usize).sum()
+        }
+    }
+
     fn datagram(from: usize, to: Target) -> TrafficEvent {
         TrafficEvent {
             at: Duration::from_secs(1),
@@ -893,10 +986,45 @@ mod tests {
             }
         }
         assert_eq!(r.kinds.len(), kinds.len());
-        assert_eq!((r.sent.len(), r.reliable.len()), (16, 4));
+        assert_eq!((r.scheduled(false), r.scheduled(true)), (16, 4));
         let tags: BTreeSet<u64> = r.kinds.values().copied().collect();
         // Node 0 holds tags 0..4, node 1 its own tag 0.
         assert_eq!(tags, BTreeSet::from([0, 1, 2, 3]));
+    }
+
+    /// Each sender of an all-to-one workload holds one run, however many
+    /// rounds it sends; sends that continue no run each start one, and
+    /// a run takes any second send.
+    #[test]
+    fn a_periodic_sender_holds_one_run() {
+        let mut r = line_mesh(4, 80.0, 9);
+        let start = Duration::from_secs(1);
+        r.apply(&workload::all_to_one(
+            4,
+            0,
+            16,
+            start,
+            Duration::from_secs(30),
+            50,
+        ));
+        assert!(r.runs[0].is_empty());
+        assert!(r.runs[1..]
+            .iter()
+            .all(|runs| runs.len() == 1 && runs[0].count == 50));
+        let at = [5, 9, 13, 20, 21];
+        for s in at {
+            r.schedule(TrafficEvent {
+                at: Duration::from_secs(s),
+                ..datagram(0, Target::Node(1))
+            });
+        }
+        let counts: Vec<u32> = r.runs[0].iter().map(|run| run.count).collect();
+        assert_eq!(
+            counts,
+            [3, 2],
+            "5, 9 and 13 s are one run, 20 and 21 s another"
+        );
+        assert_eq!(r.scheduled(false), 3 * 50 + at.len());
     }
 
     #[test]

@@ -62,9 +62,11 @@ cargo test -q --offline --workspace
 # clock's: integer overflow traps in debug and wraps in release, so the
 # clock's saturation is only proved explicit on this build. The
 # connectivity check's squared-distance gate is float arithmetic the
-# optimiser may schedule differently, so its model runs here too.
-echo "==> cargo test -q --offline --release -p radio-sim --test row_model --test grid_model --test interference_model --test queue_model --test clock_model --test shard_model --test commit_merge --test topology_model (model batteries without debug assertions)"
-cargo test -q --offline --release -p radio-sim --test row_model --test grid_model --test interference_model --test queue_model --test clock_model --test shard_model --test commit_merge --test topology_model
+# optimiser may schedule differently, so its model runs here too. So
+# does the app-run fold's: without debug assertions, only it holds the
+# folded sends to the eager schedule's order.
+echo "==> cargo test -q --offline --release -p radio-sim --test row_model --test grid_model --test interference_model --test queue_model --test clock_model --test shard_model --test commit_merge --test topology_model --test app_runs_model (model batteries without debug assertions)"
+cargo test -q --offline --release -p radio-sim --test row_model --test grid_model --test interference_model --test queue_model --test clock_model --test shard_model --test commit_merge --test topology_model --test app_runs_model
 
 # The routing table's repeat memo answers most hellos in a converged
 # mesh; its exactness against the map reference and the expiry oracle

@@ -62,8 +62,10 @@
 //! Outside the engine, `topology::connected_random` keeps one scratch
 //! (placement, candidate grid, DFS state) across its draws, so a draw
 //! after the first allocates nothing. And `Runner::apply` schedules
-//! traffic without building a payload: until it fires, a send is a
-//! record and one queued event, counted as net heap growth in bytes.
+//! traffic without building a payload: until it fires, a send is at
+//! most a record and one queued event, and a periodic stream folds into
+//! one run of each whatever its length, counted as net heap growth in
+//! bytes.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -689,12 +691,13 @@ fn applying_4000_datagrams_allocates_no_payloads() {
     );
 }
 
-/// What a scheduled send holds until it fires is its 24-byte record and
-/// one 40-byte event-queue entry: the marker rides in the event's tag,
-/// so a node registers an action per kind of send, not per send. The
-/// 4 016 entries (the sends and a timer per node) fill a 4 096-entry
-/// slab; the rest — each node's one action, the runner's map of them —
-/// must stay under 1 KiB a node.
+/// A scheduled send holds at most a 24-byte record and one 40-byte
+/// event-queue entry until it fires: the marker rides in the event's
+/// tag, so a node registers an action per kind of send, not per send.
+/// At that cost the 4 016 entries (the sends and a timer per node) would
+/// fill a 4 096-entry slab; the rest — each node's one action, the
+/// runner's map of them — must stay under 1 KiB a node. (Each sender's
+/// sends here form a periodic stream, which folds into far less.)
 #[test]
 fn a_scheduled_send_holds_its_record_and_one_queue_entry() {
     let mut net = NetworkBuilder::mesh(topology::grid(4, 4, default_spacing()), 7).build();
@@ -707,6 +710,57 @@ fn a_scheduled_send_holds_its_record_and_one_queue_entry() {
     assert!(
         grown <= bound,
         "4 000 scheduled sends grew the heap by {grown} B ({} B a send), over {bound} B",
+        grown / 4_000
+    );
+}
+
+/// Heap growth of applying `events` to a fresh 16-node mesh.
+fn apply_growth(events: &[workload::TrafficEvent]) -> i64 {
+    let mut net = NetworkBuilder::mesh(topology::grid(4, 4, default_spacing()), 7).build();
+    let before = local_live();
+    net.apply(events);
+    local_live() - before
+}
+
+/// A periodic stream costs the same however long it is: the runner
+/// keeps it as one run of records and the simulator queues its first
+/// three sends, then only the run's next one. 10 000 sends grow the
+/// heap by what 100 do.
+#[test]
+fn a_periodic_stream_of_10000_sends_costs_what_100_do() {
+    let stream = |count| {
+        let (start, interval) = (Duration::from_secs(60), Duration::from_secs(30));
+        workload::periodic(0, workload::Target::Node(15), 16, start, interval, count)
+    };
+    let (short, long) = (apply_growth(&stream(100)), apply_growth(&stream(10_000)));
+    assert!(
+        (long - short).abs() <= 1_024,
+        "10 000 sends grew the heap by {long} B, 100 sends by {short} B"
+    );
+}
+
+/// Sends that form no stream keep the cost of one record and one queue
+/// entry, at most 64 bytes each: 4 000 Poisson sends from 16 nodes,
+/// interleaved in time, each node to its successor.
+#[test]
+fn poisson_sends_cost_at_most_a_record_and_a_queue_entry() {
+    let mut rng = radio_sim::rng::SimRng::new(5);
+    let mut events: Vec<workload::TrafficEvent> = (0..16)
+        .flat_map(|i| {
+            let to = workload::Target::Node((i + 1) % 16);
+            let (start, mean) = (Duration::from_secs(60), Duration::from_secs(4));
+            let until = Duration::from_secs(1_000_000);
+            let mut sends = workload::poisson(i, to, 16, start, mean, until, &mut rng);
+            sends.truncate(250);
+            sends
+        })
+        .collect();
+    events.sort_by_key(|e| e.at);
+    assert_eq!(events.len(), 4_000);
+    let grown = apply_growth(&events);
+    assert!(
+        grown <= 4_000 * 64,
+        "4 000 Poisson sends grew the heap by {grown} B ({} B a send)",
         grown / 4_000
     );
 }
