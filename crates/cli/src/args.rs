@@ -458,6 +458,19 @@ impl Cli {
         for node in &self.gateways {
             check(*node, "--gateway")?;
         }
+        // Roles, routes and the per-node table exist only in LoRaMesher.
+        if !matches!(self.protocol, ProtocolChoice::Mesh { .. }) {
+            let mesh_only = [
+                ("--gateway", !self.gateways.is_empty()),
+                ("--per-node", self.per_node),
+                ("--snr-tiebreak", self.snr_tiebreak),
+            ];
+            if let Some((flag, _)) = mesh_only.iter().find(|(_, set)| *set) {
+                return Err(ParseError(format!(
+                    "{flag} applies to --protocol loramesher only"
+                )));
+            }
+        }
         Ok(())
     }
 }
@@ -497,7 +510,6 @@ mod tests {
             "9",
             "--grey-zone",
             "--eu868",
-            "--per-node",
             "--kill",
             "4@300",
             "--revive",
@@ -517,7 +529,7 @@ mod tests {
         );
         assert_eq!(cli.duration, Duration::from_secs(1200));
         assert_eq!(cli.sf, SpreadingFactor::Sf9);
-        assert!(cli.grey_zone && cli.eu868 && cli.per_node);
+        assert!(cli.grey_zone && cli.eu868);
         assert_eq!(cli.kills, vec![(4, Duration::from_secs(300))]);
         assert_eq!(cli.revives, vec![(4, Duration::from_secs(600))]);
     }

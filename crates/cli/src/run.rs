@@ -8,7 +8,7 @@ use radio_sim::sim::SimConfig;
 use radio_sim::topology;
 use scenario::experiments::{self, RANDOM_DRAWS};
 use scenario::report::{fmt_ms, fmt_pct, fmt_secs, ExpTable};
-use scenario::runner::{NetworkBuilder, ProtocolChoice, Runner, TrafficReport};
+use scenario::runner::{NetworkBuilder, ProtocolChoice, TrafficReport};
 use scenario::workload::{self, Target};
 use scenario::Summary;
 
@@ -312,7 +312,6 @@ fn run_scenario(cli: &Cli, seed: u64) -> Result<(String, TrafficReport), RunErro
     ));
 
     if !cli.gateways.is_empty() {
-        use loramesher::RoleQueries;
         out.push_str("\ngateway discovery:\n");
         for i in 0..net.len() {
             if let Some(mesh) = net.mesh_node(i) {
@@ -347,8 +346,6 @@ fn run_scenario(cli: &Cli, seed: u64) -> Result<(String, TrafficReport), RunErro
                     s.no_route_drops,
                     s.ttl_expired,
                 ));
-            } else {
-                out.push_str(&format!("  {:>4}  {}\n", i, Runner::address_of(i)));
             }
         }
     }

@@ -40,6 +40,10 @@ fn refused_command_lines_exit_2_before_any_output() {
         "meshsim --seeds 0 => error: --seeds must be at least 1",
         "meshsim --seeds 18446744073709551615 => error: --seeds must be at most 65536",
         "meshsim --nodes 18446744073709551615 => error: --nodes must be at most 65534",
+        // Flags only a LoRaMesher run reads: refused, not ignored.
+        "meshsim --protocol flooding --gateway 2 => error: --gateway applies to --protocol loramesher only",
+        "meshsim --per-node --protocol star => error: --per-node applies to --protocol loramesher only",
+        "meshsim --protocol flooding --snr-tiebreak => error: --snr-tiebreak applies to --protocol loramesher only",
         "exp_all --quick --seeds 0 e10 => --seeds must be at least 1",
         "exp_all --quick --jobs 0 e10 => --jobs must be at least 1",
         "exp_all --quick --seeds 18446744073709551615 e1 => --seeds must be at most 65536",

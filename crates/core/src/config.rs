@@ -6,13 +6,18 @@ use lora_phy::modulation::LoRaModulation;
 use lora_phy::region::Region;
 
 use crate::addr::Address;
-use crate::codec::MAX_DATA_PAYLOAD;
 
-/// Complete configuration of a [`crate::MeshNode`].
+/// What a caller may vary about a [`crate::MeshNode`].
 ///
 /// Construct with [`MeshConfig::builder`]; the defaults follow the
 /// LoRaMesher firmware (2-minute hellos, 10-minute route timeout, SF7
-/// radio profile, EU868 1 % duty cycle).
+/// radio profile, EU868 1 % duty cycle). The rest of the protocol is
+/// fixed and shared with the other stacks: the MAC's backoff and CAD
+/// retries ([`crate::mac`]), the transmit queue
+/// ([`crate::queue::TX_QUEUE_CAPACITY`]), the originated TTL
+/// ([`crate::stack::MAX_TTL`]), the datagram payload bound
+/// ([`crate::codec::MAX_DATA_PAYLOAD`]) and the reliable-transfer
+/// timers ([`crate::reliable`]).
 #[derive(Clone, Debug)]
 pub struct MeshConfig {
     /// This node's address.
@@ -27,24 +32,6 @@ pub struct MeshConfig {
     pub hello_interval: Duration,
     /// Age after which an unrefreshed route is purged.
     pub route_timeout: Duration,
-    /// Initial TTL of originated unicast packets.
-    pub max_ttl: u8,
-    /// Maximum queued outbound frames.
-    pub tx_queue_capacity: usize,
-    /// CSMA backoff slot length.
-    pub backoff_slot: Duration,
-    /// Maximum CSMA backoff exponent (window = `2^exponent` slots).
-    pub max_backoff_exponent: u32,
-    /// CAD retries before an outbound frame is dropped as undeliverable.
-    pub max_cad_retries: u32,
-    /// Largest application payload accepted per datagram frame.
-    pub max_datagram_payload: usize,
-    /// Acknowledgement timeout of the reliable transfer protocol.
-    pub reliable_timeout: Duration,
-    /// Retransmissions before a reliable transfer is aborted.
-    pub reliable_max_retries: u32,
-    /// Idle time after which a half-finished inbound transfer is dropped.
-    pub reassembly_timeout: Duration,
     /// Seed of the protocol's jitter/backoff randomness (defaults to the
     /// node address so every node draws a distinct sequence).
     pub seed: u64,
@@ -71,15 +58,6 @@ impl MeshConfig {
                 region: Region::Eu868,
                 hello_interval: Duration::from_secs(120),
                 route_timeout: Duration::from_secs(600),
-                max_ttl: 10,
-                tx_queue_capacity: 32,
-                backoff_slot: Duration::from_millis(100),
-                max_backoff_exponent: 6,
-                max_cad_retries: 16,
-                max_datagram_payload: MAX_DATA_PAYLOAD,
-                reliable_timeout: Duration::from_secs(8),
-                reliable_max_retries: 5,
-                reassembly_timeout: Duration::from_secs(120),
                 seed: u64::from(address.value()),
                 csma: true,
                 hello_jitter: true,
@@ -97,10 +75,10 @@ impl MeshConfig {
 ///
 /// let cfg = MeshConfig::builder(Address::new(7))
 ///     .hello_interval(Duration::from_secs(60))
-///     .max_ttl(5)
+///     .role(1)
 ///     .build();
 /// assert_eq!(cfg.hello_interval, Duration::from_secs(60));
-/// assert_eq!(cfg.max_ttl, 5);
+/// assert_eq!(cfg.role, 1);
 /// ```
 #[derive(Clone, Debug)]
 pub struct MeshConfigBuilder {
@@ -153,69 +131,6 @@ impl MeshConfigBuilder {
         self
     }
 
-    /// Sets the initial TTL of originated packets (clamped to ≥ 1).
-    #[must_use]
-    pub fn max_ttl(mut self, ttl: u8) -> Self {
-        self.config.max_ttl = ttl.max(1);
-        self
-    }
-
-    /// Sets the transmit queue capacity (clamped to ≥ 1).
-    #[must_use]
-    pub fn tx_queue_capacity(mut self, n: usize) -> Self {
-        self.config.tx_queue_capacity = n.max(1);
-        self
-    }
-
-    /// Sets the CSMA backoff slot.
-    #[must_use]
-    pub fn backoff_slot(mut self, d: Duration) -> Self {
-        self.config.backoff_slot = d;
-        self
-    }
-
-    /// Sets the maximum CSMA backoff exponent.
-    #[must_use]
-    pub fn max_backoff_exponent(mut self, e: u32) -> Self {
-        self.config.max_backoff_exponent = e;
-        self
-    }
-
-    /// Sets the CAD retry limit.
-    #[must_use]
-    pub fn max_cad_retries(mut self, n: u32) -> Self {
-        self.config.max_cad_retries = n;
-        self
-    }
-
-    /// Restricts the per-frame datagram payload (clamped to the PHY max).
-    #[must_use]
-    pub fn max_datagram_payload(mut self, n: usize) -> Self {
-        self.config.max_datagram_payload = n.clamp(1, MAX_DATA_PAYLOAD);
-        self
-    }
-
-    /// Sets the reliable-transfer acknowledgement timeout.
-    #[must_use]
-    pub fn reliable_timeout(mut self, d: Duration) -> Self {
-        self.config.reliable_timeout = d;
-        self
-    }
-
-    /// Sets the reliable-transfer retry limit.
-    #[must_use]
-    pub fn reliable_max_retries(mut self, n: u32) -> Self {
-        self.config.reliable_max_retries = n;
-        self
-    }
-
-    /// Sets the inbound reassembly timeout.
-    #[must_use]
-    pub fn reassembly_timeout(mut self, d: Duration) -> Self {
-        self.config.reassembly_timeout = d;
-        self
-    }
-
     /// Overrides the protocol randomness seed.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
@@ -262,22 +177,15 @@ mod tests {
         assert_eq!(c.route_timeout, Duration::from_secs(600));
         assert_eq!(c.region, Region::Eu868);
         assert_eq!(c.seed, 0x42);
-        assert_eq!(c.max_datagram_payload, MAX_DATA_PAYLOAD);
     }
 
     #[test]
     fn builder_overrides() {
         let c = MeshConfig::builder(Address::new(1))
             .role(2)
-            .max_ttl(0) // clamped to 1
-            .tx_queue_capacity(0) // clamped to 1
-            .max_datagram_payload(10_000) // clamped to PHY max
             .seed(99)
             .build();
         assert_eq!(c.role, 2);
-        assert_eq!(c.max_ttl, 1);
-        assert_eq!(c.tx_queue_capacity, 1);
-        assert_eq!(c.max_datagram_payload, MAX_DATA_PAYLOAD);
         assert_eq!(c.seed, 99);
     }
 

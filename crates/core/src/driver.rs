@@ -29,7 +29,9 @@
 //! rest on:
 //!
 //! 1. **Shared channel access.** All frame emission goes through
-//!    [`crate::mac::Mac`], built from the region by one constructor —
+//!    [`crate::mac::Mac`], built from the region by one constructor
+//!    whose backoff slot, exponent cap and CAD retry limit are the
+//!    constants in `mac.rs` —
 //!    CAD/backoff/duty-cycle/dwell behaviour is identical across
 //!    stacks, so cross-protocol experiments measure protocol overhead,
 //!    not MAC drift.

@@ -75,7 +75,7 @@ use crate::addr::Address;
 use crate::codec::{self, FrameView, UnicastBody, UnicastView};
 use crate::driver::{NodeProtocol, RadioIo};
 use crate::error::SendError;
-use crate::mac::{Mac, NoWireCache};
+use crate::mac::{Mac, NoWireCache, BACKOFF_SLOT};
 use crate::packet::{Forwarding, Packet};
 use crate::stack::app;
 use crate::stack::bus::Bus;
@@ -83,6 +83,12 @@ use crate::stack::bus::Bus;
 pub use crate::stack::app::MeshEvent;
 use dedup::DedupCache;
 pub use message::FloodMessage;
+
+/// Upper bound of the rebroadcast delay window, scaled down by the
+/// received SNR (see the [module docs](self)).
+pub const REBROADCAST_WINDOW: Duration = Duration::from_millis(500);
+/// `(origin, id)` keys the duplicate-suppression cache holds.
+pub const SEEN_CACHE: usize = 128;
 
 /// Configuration of a [`FloodNode`].
 #[derive(Clone, Debug)]
@@ -96,19 +102,6 @@ pub struct FloodConfig {
     /// Initial hop limit of originated packets (= maximum flood
     /// radius).
     pub hop_limit: u8,
-    /// Upper bound of the rebroadcast delay window (scaled down by
-    /// received SNR; see the [module docs](self)).
-    pub rebroadcast_window: Duration,
-    /// Duplicate-suppression cache size.
-    pub seen_cache: usize,
-    /// Transmit queue capacity.
-    pub tx_queue_capacity: usize,
-    /// CSMA backoff slot (also the per-queued-frame contention delay).
-    pub backoff_slot: Duration,
-    /// Maximum CSMA backoff exponent.
-    pub max_backoff_exponent: u32,
-    /// CAD retries before dropping a frame.
-    pub max_cad_retries: u32,
     /// Listen-before-talk (CAD) on, or the ALOHA ablation.
     pub csma: bool,
     /// Randomness seed (defaults to the address).
@@ -119,7 +112,9 @@ pub struct FloodConfig {
 }
 
 impl FloodConfig {
-    /// A configuration with LoRaMesher-compatible MAC defaults.
+    /// A configuration with the LoRaMesher defaults where the two
+    /// stacks overlap: SF7, EU868, CSMA on. The MAC and transmit queue
+    /// are the shared ones ([`crate::mac`], [`crate::queue`]).
     #[must_use]
     pub fn new(address: Address) -> Self {
         FloodConfig {
@@ -127,12 +122,6 @@ impl FloodConfig {
             modulation: LoRaModulation::default(),
             region: Region::Eu868,
             hop_limit: 7,
-            rebroadcast_window: Duration::from_millis(500),
-            seen_cache: 128,
-            tx_queue_capacity: 32,
-            backoff_slot: Duration::from_millis(100),
-            max_backoff_exponent: 6,
-            max_cad_retries: 16,
             csma: true,
             seed: u64::from(address.value()),
             #[cfg(feature = "crypto")]
@@ -206,16 +195,9 @@ impl FloodNode {
     #[must_use]
     pub fn new(config: FloodConfig) -> Self {
         FloodNode {
-            bus: Bus::new(config.seed, config.tx_queue_capacity),
-            mac: Mac::new(
-                config.region,
-                config.modulation,
-                config.backoff_slot,
-                config.max_backoff_exponent,
-                config.max_cad_retries,
-                config.csma,
-            ),
-            seen: DedupCache::new(config.seen_cache),
+            bus: Bus::new(config.seed),
+            mac: Mac::new(config.region, config.modulation, config.csma),
+            seen: DedupCache::new(SEEN_CACHE),
             pending: Vec::new(),
             next_relay: None,
             #[cfg(feature = "crypto")]
@@ -385,11 +367,11 @@ impl FloodNode {
     /// frame. See the [module docs](self) for the rationale.
     fn relay_delay(&mut self, snr: f64) -> Duration {
         let edge = ((snr + 20.0) / 30.0).clamp(0.0, 1.0);
-        let window = self.config.rebroadcast_window.mul_f64(0.25 + 0.75 * edge);
+        let window = REBROADCAST_WINDOW.mul_f64(0.25 + 0.75 * edge);
         let bound_us = u64::try_from(window.as_micros()).unwrap_or(u64::MAX).max(1);
         let jitter = Duration::from_micros(self.bus.rng.gen_range(bound_us));
         let backlog = u32::try_from(self.bus.txq.len()).unwrap_or(u32::MAX);
-        jitter.saturating_add(self.config.backoff_slot.saturating_mul(backlog))
+        jitter.saturating_add(BACKOFF_SLOT.saturating_mul(backlog))
     }
 
     /// Steps 1 + 2 of the dispatch order (see the [module docs](self)).
@@ -721,14 +703,9 @@ mod tests {
 
     #[test]
     fn seen_cache_is_bounded() {
-        let mut n = FloodNode::new({
-            let mut c = FloodConfig::new(A2);
-            c.region = Region::Unlimited;
-            c.seen_cache = 4;
-            c
-        });
+        let mut n = node(A2);
         start(&mut n);
-        for id in 0..10u8 {
+        for id in 0..=u8::MAX {
             let frame = codec::encode(&Packet::Data {
                 dst: A2,
                 src: A1,
@@ -742,8 +719,8 @@ mod tests {
             .unwrap();
             frame_in(&mut n, &frame, Duration::ZERO);
         }
-        assert_eq!(n.seen_len(), 4);
-        assert_eq!(n.take_events().len(), 10);
+        assert_eq!(n.seen_len(), SEEN_CACHE);
+        assert_eq!(n.take_events().len(), 256);
     }
 
     #[test]
@@ -847,7 +824,7 @@ mod tests {
         // The busy node's wake is ZERO (its own queued frame); compare
         // the pending relays directly.
         let busy_at = busy.pending.iter().map(|p| p.at).min().unwrap();
-        assert_eq!(busy_at - idle_at, FloodConfig::new(A2).backoff_slot);
+        assert_eq!(busy_at - idle_at, BACKOFF_SLOT);
     }
 
     /// Typed messages round-trip over the air.

@@ -98,7 +98,7 @@ pub use driver::{NodeProtocol, RadioIo, RadioRequest};
 pub use error::{CodecError, SendError};
 pub use flood::{FloodConfig, FloodMessage, FloodNode, FloodStats};
 pub use packet::{Packet, PacketKind};
-pub use role::{Role, RoleQueries};
+pub use role::Role;
 pub use routing::{Route, RoutingTable};
 pub use stack::{MeshEvent, MeshNode};
 pub use stats::NodeStats;

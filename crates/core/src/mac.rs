@@ -41,6 +41,15 @@ use crate::packet::{Packet, PacketKind};
 use crate::queue::TxQueue;
 use crate::rng::ProtocolRng;
 
+/// CSMA backoff slot: a busy channel defers the frame by a whole number
+/// of these.
+pub const BACKOFF_SLOT: Duration = Duration::from_millis(100);
+/// Largest backoff exponent: the window stops widening at
+/// `2^MAX_BACKOFF_EXPONENT` slots.
+pub const MAX_BACKOFF_EXPONENT: u32 = 6;
+/// Busy CAD verdicts a frame survives; the next one drops it.
+pub const MAX_CAD_RETRIES: u32 = 16;
+
 /// A protocol stack's cache of pre-encoded wire images.
 ///
 /// The only upward coupling the MAC needs is "does the stack already
@@ -106,9 +115,6 @@ pub struct Mac {
     state: MacState,
     duty: DutyCycleTracker,
     modulation: LoRaModulation,
-    slot: Duration,
-    max_exponent: u32,
-    max_retries: u32,
     /// Listen before talk; `false` is the ALOHA ablation.
     csma: bool,
     /// Maximum single-transmission duration (regulatory dwell), if any.
@@ -128,17 +134,11 @@ pub struct Mac {
 impl Mac {
     /// Creates the MAC of a node transmitting with `modulation` on
     /// `region`'s default channel: that sub-band's duty cycle over a
-    /// one-hour window and its dwell limit, the given backoff slot,
-    /// exponent cap and CAD retry limit, and CSMA on or off.
+    /// one-hour window and its dwell limit, and CSMA on or off. The
+    /// backoff is the same for every stack: [`BACKOFF_SLOT`],
+    /// [`MAX_BACKOFF_EXPONENT`] and [`MAX_CAD_RETRIES`].
     #[must_use]
-    pub fn new(
-        region: Region,
-        modulation: LoRaModulation,
-        slot: Duration,
-        max_exponent: u32,
-        max_retries: u32,
-        csma: bool,
-    ) -> Self {
+    pub fn new(region: Region, modulation: LoRaModulation, csma: bool) -> Self {
         let band = region.sub_band_for(region.default_frequency_hz());
         Mac {
             state: MacState::Ready,
@@ -146,9 +146,6 @@ impl Mac {
                 DutyCycleTracker::new(b.duty_cycle, Duration::from_secs(3600))
             }),
             modulation,
-            slot,
-            max_exponent,
-            max_retries,
             csma,
             max_dwell: band.and_then(|b| b.max_dwell),
             priced: None,
@@ -221,15 +218,14 @@ impl Mac {
             return self.send_or_defer(airtime, txq, cache, io);
         }
         let attempt = attempt + 1;
-        if attempt > self.max_retries {
+        if attempt > MAX_CAD_RETRIES {
             self.cad_drops += 1;
             return self.drop_front(txq);
         }
-        // Past 2^63 slots the window cannot widen: the shift stays in range.
-        let window = 1u64 << attempt.min(self.max_exponent).min(63);
+        let window = 1u64 << attempt.min(MAX_BACKOFF_EXPONENT);
         let slots = 1 + rng.gen_range(window);
         self.state = MacState::Backoff {
-            until: io.now() + self.slot * u32::try_from(slots).unwrap_or(u32::MAX),
+            until: io.now() + BACKOFF_SLOT * u32::try_from(slots).unwrap_or(u32::MAX),
             attempt,
         };
         TxOutcome::Idle
@@ -355,11 +351,10 @@ mod tests {
     use alloc::vec;
     use alloc::vec::Vec;
 
-    const SLOT: Duration = Duration::from_millis(100);
     const HOUR: Duration = Duration::from_secs(3600);
 
     fn mac(region: Region, modulation: LoRaModulation, csma: bool) -> Mac {
-        Mac::new(region, modulation, SLOT, 6, 3, csma)
+        Mac::new(region, modulation, csma)
     }
 
     fn data(len: usize) -> Packet {
@@ -469,7 +464,7 @@ mod tests {
         assert_eq!(cad(&mut m, true, &mut q, Duration::ZERO), TxOutcome::Idle);
         let until = m.next_wake(&q).expect("backoff deadline");
         assert!(until > Duration::ZERO);
-        assert!(until <= SLOT * 3, "window: 1..=2 slots");
+        assert!(until <= BACKOFF_SLOT * 3, "window: 1..=2 slots");
         // Too early: nothing happens.
         let early = kick(&mut m, &mut q, until - Duration::from_millis(1));
         assert_eq!(early, (TxOutcome::Idle, vec![]));
@@ -497,7 +492,7 @@ mod tests {
             now = until;
         }
         // With three busy CADs the window reaches 2^3 = 8 slots.
-        assert!(max_seen > SLOT);
+        assert!(max_seen > BACKOFF_SLOT);
     }
 
     #[test]
@@ -506,8 +501,10 @@ mod tests {
         let mut q = queue(10);
         let mut now = Duration::ZERO;
         let mut dropped = None;
-        for _ in 0..10 {
+        let mut busy_cads = 0;
+        for _ in 0..=MAX_CAD_RETRIES {
             let _ = kick(&mut m, &mut q, now);
+            busy_cads += 1;
             match cad(&mut m, true, &mut q, now) {
                 TxOutcome::Idle => now = m.next_wake(&q).unwrap(),
                 outcome => {
@@ -516,6 +513,8 @@ mod tests {
                 }
             }
         }
+        // Every retry backs off; the busy verdict after the last drops.
+        assert_eq!(busy_cads, MAX_CAD_RETRIES + 1);
         assert_eq!(
             dropped,
             Some(TxOutcome::Dropped {

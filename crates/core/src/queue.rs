@@ -13,6 +13,10 @@ use alloc::collections::VecDeque;
 
 use crate::packet::{Packet, PacketKind};
 
+/// Frames every stack's transmit queue holds (LoRaMesher, flooding and
+/// the star baseline alike).
+pub const TX_QUEUE_CAPACITY: usize = 32;
+
 /// Transmission priority classes, highest first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Priority {

@@ -20,6 +20,16 @@ use core::time::Duration;
 use crate::addr::Address;
 use crate::packet::SYNC_ACK_INDEX;
 
+/// How long a sender waits for an acknowledgement before retransmitting,
+/// and how long a receiver waits on a stalled transfer before asking for
+/// the fragments it misses (both stretched by up to 50 % jitter).
+pub const ACK_TIMEOUT: Duration = Duration::from_secs(8);
+/// Consecutive retransmissions (or `Lost` requests) before a transfer
+/// is given up.
+pub const MAX_RETRIES: u32 = 5;
+/// Idle time after which a half-finished inbound transfer is dropped.
+pub const REASSEMBLY_TIMEOUT: Duration = Duration::from_secs(120);
+
 /// Why an outbound transfer ended unsuccessfully.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum AbortReason {

@@ -58,16 +58,10 @@ impl core::ops::BitOr for Role {
 }
 
 /// Role-aware queries over a routing table.
-pub trait RoleQueries {
+impl RoutingTable {
     /// All known nodes advertising every bit of `role`, nearest first.
-    fn nodes_with_role(&self, role: Role) -> Vec<&Route>;
-
-    /// The nearest known gateway, if any.
-    fn closest_gateway(&self) -> Option<Address>;
-}
-
-impl RoleQueries for RoutingTable {
-    fn nodes_with_role(&self, role: Role) -> Vec<&Route> {
+    #[must_use]
+    pub fn nodes_with_role(&self, role: Role) -> Vec<&Route> {
         let mut matches: Vec<&Route> = self
             .routes()
             .filter(|r| Role::from_bits(r.role).contains(role))
@@ -76,7 +70,9 @@ impl RoleQueries for RoutingTable {
         matches
     }
 
-    fn closest_gateway(&self) -> Option<Address> {
+    /// The nearest known gateway, if any.
+    #[must_use]
+    pub fn closest_gateway(&self) -> Option<Address> {
         self.routes()
             .filter(|r| Role::from_bits(r.role).contains(Role::GATEWAY))
             .min_by_key(|r| (r.metric, r.destination))

@@ -145,26 +145,18 @@ fn vacates(earliest: Option<Duration>, old: Duration, now: Duration) -> bool {
     earliest == Some(old) && old != now
 }
 
+/// Minimum SNR advantage (dB) before the SNR tie-break switches an
+/// equal-metric route.
+pub const SNR_HYSTERESIS_DB: f64 = 3.0;
+
 /// Route-selection policy.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RoutingPolicy {
     /// Break metric ties in favour of the next hop with the better
-    /// last-heard SNR (requires a margin of
-    /// [`RoutingPolicy::snr_hysteresis_db`] to switch, so equal-quality
-    /// paths do not flap). Off by default — hop count only, as in the
-    /// demo paper's prototype.
+    /// last-heard SNR (requires a margin of [`SNR_HYSTERESIS_DB`] to
+    /// switch, so equal-quality paths do not flap). Off by default —
+    /// hop count only, as in the demo paper's prototype.
     pub snr_tiebreak: bool,
-    /// Minimum SNR advantage (dB) before an equal-metric route switches.
-    pub snr_hysteresis_db: f64,
-}
-
-impl Default for RoutingPolicy {
-    fn default() -> Self {
-        RoutingPolicy {
-            snr_tiebreak: false,
-            snr_hysteresis_db: 3.0,
-        }
-    }
 }
 
 /// A pluggable route-adoption policy: decides whether a candidate route
@@ -208,7 +200,7 @@ impl RouteMetric for RoutingPolicy {
         let better_snr = self.snr_tiebreak
             && candidate_metric == current.metric
             && neighbour != current.via
-            && snr > current.snr + self.snr_hysteresis_db;
+            && snr > current.snr + SNR_HYSTERESIS_DB;
         better_metric || better_snr
     }
 }
@@ -1078,10 +1070,7 @@ mod tests {
 
     #[test]
     fn snr_tiebreak_prefers_stronger_equal_metric_path() {
-        let mut t = RoutingTable::with_policy(RoutingPolicy {
-            snr_tiebreak: true,
-            snr_hysteresis_db: 3.0,
-        });
+        let mut t = RoutingTable::with_policy(RoutingPolicy { snr_tiebreak: true });
         // N4 reachable at 2 hops via N2 (weak link, -5 dB).
         t.apply_hello(ME, N2, 0, &[entry(N4, 1)], -5.0, NOW);
         assert_eq!(t.route(N4).unwrap().via, N2);

@@ -9,11 +9,13 @@
 use alloc::vec::Vec;
 
 use crate::addr::Address;
+use crate::codec::MAX_DATA_PAYLOAD;
 use crate::config::MeshConfig;
 use crate::error::SendError;
 use crate::packet::{Forwarding, Packet, PacketKind};
 use crate::stack::bus::Bus;
 use crate::stack::routing::RoutingLayer;
+use crate::stack::MAX_TTL;
 
 /// Something the protocol reports to the application.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -93,10 +95,10 @@ pub(crate) fn send_datagram(
     if payload.is_empty() {
         return Err(SendError::EmptyPayload);
     }
-    if payload.len() > config.max_datagram_payload {
+    if payload.len() > MAX_DATA_PAYLOAD {
         return Err(SendError::PayloadTooLarge {
             len: payload.len(),
-            max: config.max_datagram_payload,
+            max: MAX_DATA_PAYLOAD,
         });
     }
     let via = routing.resolve_via(dst)?;
@@ -105,10 +107,7 @@ pub(crate) fn send_datagram(
         dst,
         src: config.address,
         id,
-        fwd: Forwarding {
-            via,
-            ttl: config.max_ttl,
-        },
+        fwd: Forwarding { via, ttl: MAX_TTL },
         payload,
     };
     if !bus.enqueue(packet) {
@@ -133,15 +132,16 @@ pub(crate) fn deliver_broadcast(bus: &mut Bus, src: Address, payload: Vec<u8>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::queue::TX_QUEUE_CAPACITY;
     use alloc::vec;
 
     const ME: Address = Address::new(1);
     const PEER: Address = Address::new(2);
 
-    fn parts(capacity: usize) -> (MeshConfig, RoutingLayer, Bus) {
-        let config = MeshConfig::builder(ME).tx_queue_capacity(capacity).build();
+    fn parts() -> (MeshConfig, RoutingLayer, Bus) {
+        let config = MeshConfig::builder(ME).build();
         let routing = RoutingLayer::new(&config);
-        let bus = Bus::new(config.seed, config.tx_queue_capacity);
+        let bus = Bus::new(config.seed);
         (config, routing, bus)
     }
 
@@ -149,7 +149,7 @@ mod tests {
     /// the lower layers: no queue traffic, no stats movement.
     #[test]
     fn validation_rejects_before_the_bus_is_touched() {
-        let (config, routing, mut bus) = parts(4);
+        let (config, routing, mut bus) = parts();
         assert_eq!(
             send_datagram(&config, &routing, &mut bus, PEER, vec![]),
             Err(SendError::EmptyPayload)
@@ -170,7 +170,7 @@ mod tests {
     /// transmit queue.
     #[test]
     fn broadcast_datagram_is_queued_through_the_bus() {
-        let (config, routing, mut bus) = parts(4);
+        let (config, routing, mut bus) = parts();
         let id = send_datagram(&config, &routing, &mut bus, Address::BROADCAST, vec![7])
             .expect("broadcasts need no route");
         assert_eq!(id, 0);
@@ -182,20 +182,24 @@ mod tests {
     /// counter the sweeps monitor.
     #[test]
     fn backpressure_is_reported_and_counted() {
-        let (config, routing, mut bus) = parts(1);
-        assert!(send_datagram(&config, &routing, &mut bus, Address::BROADCAST, vec![1]).is_ok());
+        let (config, routing, mut bus) = parts();
+        for _ in 0..TX_QUEUE_CAPACITY {
+            assert!(
+                send_datagram(&config, &routing, &mut bus, Address::BROADCAST, vec![1]).is_ok()
+            );
+        }
         assert_eq!(
             send_datagram(&config, &routing, &mut bus, Address::BROADCAST, vec![2]),
             Err(SendError::QueueFull)
         );
         assert_eq!(bus.stats.queue_refusals, 1);
-        assert_eq!(bus.stats.data_originated, 1);
+        assert_eq!(bus.stats.data_originated, TX_QUEUE_CAPACITY as u64);
     }
 
     /// Deliveries count and queue in arrival order.
     #[test]
     fn deliveries_reach_the_event_queue_in_order() {
-        let (_, _, mut bus) = parts(1);
+        let (_, _, mut bus) = parts();
         deliver_datagram(&mut bus, PEER, vec![1]);
         deliver_broadcast(&mut bus, PEER, vec![2]);
         assert_eq!(bus.stats.data_delivered, 2);

@@ -22,7 +22,7 @@ use core::time::Duration;
 
 use crate::mac::TxOutcome;
 use crate::packet::Packet;
-use crate::queue::TxQueue;
+use crate::queue::{TxQueue, TX_QUEUE_CAPACITY};
 use crate::rng::ProtocolRng;
 use crate::stack::app::MeshEvent;
 use crate::stats::NodeStats;
@@ -39,18 +39,18 @@ pub(crate) struct Bus {
     pub(crate) stats: NodeStats,
     /// Events queued for the application (the app layer's receive side).
     pub(crate) events: VecDeque<MeshEvent>,
-    /// Outbound packets awaiting the MAC.
+    /// Outbound packets awaiting the MAC, at most [`TX_QUEUE_CAPACITY`].
     pub(crate) txq: TxQueue,
     next_packet_id: u8,
 }
 
 impl Bus {
-    pub(crate) fn new(seed: u64, tx_queue_capacity: usize) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Bus {
             rng: ProtocolRng::new(seed),
             stats: NodeStats::new(),
             events: VecDeque::new(),
-            txq: TxQueue::new(tx_queue_capacity),
+            txq: TxQueue::new(TX_QUEUE_CAPACITY),
             next_packet_id: 0,
         }
     }
@@ -122,7 +122,7 @@ mod tests {
 
     #[test]
     fn packet_ids_increment_and_wrap() {
-        let mut bus = Bus::new(1, 4);
+        let mut bus = Bus::new(1);
         bus.next_packet_id = 254;
         assert_eq!(bus.next_id(), 254);
         assert_eq!(bus.next_id(), 255);
@@ -131,17 +131,19 @@ mod tests {
 
     #[test]
     fn refused_enqueues_count_as_backpressure() {
-        let mut bus = Bus::new(1, 1);
-        assert!(bus.enqueue(broadcast(0)));
+        let mut bus = Bus::new(1);
+        for _ in 0..TX_QUEUE_CAPACITY {
+            assert!(bus.enqueue(broadcast(0)));
+        }
         assert!(!bus.enqueue(broadcast(1)));
         assert!(!bus.enqueue(broadcast(2)));
         assert_eq!(bus.stats.queue_refusals, 2);
-        assert_eq!(bus.txq.len(), 1);
+        assert_eq!(bus.txq.len(), TX_QUEUE_CAPACITY);
     }
 
     #[test]
     fn ack_jitter_stays_under_half_the_base() {
-        let mut bus = Bus::new(7, 1);
+        let mut bus = Bus::new(7);
         let base = Duration::from_secs(10);
         for _ in 0..100 {
             assert!(bus.ack_jitter(base) < base.mul_f64(0.5));

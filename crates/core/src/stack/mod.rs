@@ -63,6 +63,10 @@ use bus::Bus;
 use routing::RoutingLayer;
 use transport::TransportLayer;
 
+/// Initial TTL of the packets a [`MeshNode`] originates: the deepest
+/// path a datagram or reliable transfer can cross.
+pub const MAX_TTL: u8 = 10;
+
 /// A LoRaMesher node.
 ///
 /// See the crate-level docs for the protocol, the [module docs](self)
@@ -83,15 +87,8 @@ impl MeshNode {
     #[must_use]
     pub fn new(config: MeshConfig) -> Self {
         MeshNode {
-            bus: Bus::new(config.seed, config.tx_queue_capacity),
-            mac: Mac::new(
-                config.region,
-                config.modulation,
-                config.backoff_slot,
-                config.max_backoff_exponent,
-                config.max_cad_retries,
-                config.csma,
-            ),
+            bus: Bus::new(config.seed),
+            mac: Mac::new(config.region, config.modulation, config.csma),
             routing: RoutingLayer::new(&config),
             transport: TransportLayer::new(),
             started: false,
@@ -336,7 +333,7 @@ impl NodeProtocol for MeshNode {
         // A field read: the table keeps its earliest `last_seen` current
         // in its mutators, so the wake costs the same at any table size.
         consider(self.routing.table.next_expiry(self.config.route_timeout));
-        consider(self.transport.next_wake(&self.config));
+        consider(self.transport.next_wake());
         wake
     }
 }

@@ -248,7 +248,7 @@ mod tests {
             .hello_interval(Duration::from_secs(30))
             .build();
         let routing = RoutingLayer::new(&config);
-        let bus = Bus::new(config.seed, config.tx_queue_capacity);
+        let bus = Bus::new(config.seed);
         (config, routing, bus)
     }
 
@@ -385,7 +385,7 @@ mod tests {
             .route_timeout(Duration::from_secs(60))
             .build();
         let mut r = RoutingLayer::new(&config);
-        let mut bus = Bus::new(1, 4);
+        let mut bus = Bus::new(1);
         r.table.heard_from(A2, 0.0, Duration::from_secs(1));
         r.expire(Duration::from_secs(2), &config, &mut bus);
         assert!(r.table.next_hop(A2).is_some(), "fresh route must survive");

@@ -18,11 +18,13 @@ use crate::config::MeshConfig;
 use crate::error::SendError;
 use crate::packet::{Forwarding, Packet, SYNC_ACK_INDEX};
 use crate::reliable::{
-    InboundTransfer, OutboundTransfer, ReceiverAction, SenderAction, TransferPhase,
+    InboundTransfer, OutboundTransfer, ReceiverAction, SenderAction, TransferPhase, ACK_TIMEOUT,
+    MAX_RETRIES, REASSEMBLY_TIMEOUT,
 };
 use crate::stack::app::MeshEvent;
 use crate::stack::bus::Bus;
 use crate::stack::routing::RoutingLayer;
+use crate::stack::MAX_TTL;
 
 /// Control-packet kinds the receiver side sends back.
 enum ControlKind {
@@ -76,8 +78,8 @@ impl TransportLayer {
             seq,
             &payload,
             MAX_FRAG_PAYLOAD,
-            config.reliable_timeout,
-            config.reliable_max_retries,
+            ACK_TIMEOUT,
+            MAX_RETRIES,
         ) else {
             return Err(SendError::PayloadTooLarge {
                 len: payload.len(),
@@ -86,7 +88,7 @@ impl TransportLayer {
         };
         self.next_seq = self.next_seq.wrapping_add(1);
         let action = transfer.start(now);
-        transfer.defer_deadline(bus.ack_jitter(config.reliable_timeout));
+        transfer.defer_deadline(bus.ack_jitter(ACK_TIMEOUT));
         self.outbound.insert(dst, transfer);
         self.apply_sender_action(dst, action, now, config, bus, routing);
         Ok(seq)
@@ -117,10 +119,7 @@ impl TransportLayer {
                     dst,
                     src: config.address,
                     id,
-                    fwd: Forwarding {
-                        via,
-                        ttl: config.max_ttl,
-                    },
+                    fwd: Forwarding { via, ttl: MAX_TTL },
                     seq,
                     frag_count,
                     total_len,
@@ -141,10 +140,7 @@ impl TransportLayer {
                     dst,
                     src: config.address,
                     id,
-                    fwd: Forwarding {
-                        via,
-                        ttl: config.max_ttl,
-                    },
+                    fwd: Forwarding { via, ttl: MAX_TTL },
                     seq,
                     index,
                     data,
@@ -183,10 +179,7 @@ impl TransportLayer {
             return;
         };
         let id = bus.next_id();
-        let fwd = Forwarding {
-            via,
-            ttl: config.max_ttl,
-        };
+        let fwd = Forwarding { via, ttl: MAX_TTL };
         let src = config.address;
         let packet = match kind {
             ControlKind::Ack(index) => Packet::Ack {
@@ -289,7 +282,7 @@ impl TransportLayer {
             Packet::Ack {
                 src, seq, index, ..
             } => {
-                let jitter = bus.ack_jitter(config.reliable_timeout);
+                let jitter = bus.ack_jitter(ACK_TIMEOUT);
                 let action = match self.outbound.get_mut(&src) {
                     Some(t) if t.seq == seq => {
                         let action = t.on_ack(index, now);
@@ -305,7 +298,7 @@ impl TransportLayer {
             Packet::Lost {
                 src, seq, missing, ..
             } => {
-                let jitter = bus.ack_jitter(config.reliable_timeout);
+                let jitter = bus.ack_jitter(ACK_TIMEOUT);
                 let action = match self.outbound.get_mut(&src) {
                     Some(t) if t.seq == seq => {
                         let action = t.on_lost(&missing, now);
@@ -342,7 +335,7 @@ impl TransportLayer {
             .map(|(dst, _)| *dst)
             .collect();
         for dst in due {
-            let jitter = bus.ack_jitter(config.reliable_timeout);
+            let jitter = bus.ack_jitter(ACK_TIMEOUT);
             let action = self
                 .outbound
                 .get_mut(&dst)
@@ -360,8 +353,8 @@ impl TransportLayer {
             .inbound
             .iter()
             .filter(|(_, t)| {
-                t.stalled(now, config.reliable_timeout)
-                    && t.lost_requests() < config.reliable_max_retries
+                t.stalled(now, ACK_TIMEOUT)
+                    && t.lost_requests() < MAX_RETRIES
                     && !t.missing().is_empty()
             })
             .map(|(k, t)| {
@@ -382,7 +375,7 @@ impl TransportLayer {
         let expired: Vec<(Address, u8)> = self
             .inbound
             .iter()
-            .filter(|(_, t)| t.expired(now, config.reassembly_timeout))
+            .filter(|(_, t)| t.expired(now, REASSEMBLY_TIMEOUT))
             .map(|(k, _)| *k)
             .collect();
         for key in expired {
@@ -399,7 +392,7 @@ impl TransportLayer {
     }
 
     /// The earliest transport deadline, for `next_wake`.
-    pub(crate) fn next_wake(&self, config: &MeshConfig) -> Option<Duration> {
+    pub(crate) fn next_wake(&self) -> Option<Duration> {
         if self.is_idle() {
             return None;
         }
@@ -411,13 +404,13 @@ impl TransportLayer {
         let reassembly = self
             .inbound
             .values()
-            .map(|t| t.last_activity + config.reassembly_timeout)
+            .map(|t| t.last_activity + REASSEMBLY_TIMEOUT)
             .min();
         let stall = self
             .inbound
             .values()
-            .filter(|t| t.lost_requests() < config.reliable_max_retries)
-            .filter_map(|t| t.stall_deadline(config.reliable_timeout))
+            .filter(|t| t.lost_requests() < MAX_RETRIES)
+            .filter_map(|t| t.stall_deadline(ACK_TIMEOUT))
             .min();
         [outbound, reassembly, stall].into_iter().flatten().min()
     }
@@ -472,7 +465,7 @@ mod tests {
         let config = MeshConfig::builder(ME).build();
         let mut routing = RoutingLayer::new(&config);
         routing.table.heard_from(PEER, 0.0, Duration::ZERO);
-        let bus = Bus::new(config.seed, config.tx_queue_capacity);
+        let bus = Bus::new(config.seed);
         (config, routing, TransportLayer::new(), bus)
     }
 
@@ -592,8 +585,8 @@ mod tests {
         );
         // The sync-ack leaves immediately.
         assert!(matches!(bus.txq.pop(), Some(Packet::Ack { .. })));
-        let stall_at = config.reliable_timeout + Duration::from_secs(1);
-        assert!(t.next_wake(&config).is_some_and(|w| w <= stall_at));
+        let stall_at = ACK_TIMEOUT + Duration::from_secs(1);
+        assert!(t.next_wake().is_some_and(|w| w <= stall_at));
         t.process_due(stall_at, &config, &mut bus, &routing);
         match bus.txq.pop() {
             Some(Packet::Lost { missing, .. }) => assert_eq!(missing, vec![0, 1]),
@@ -622,7 +615,7 @@ mod tests {
             &routing,
         );
         assert!(matches!(bus.txq.pop(), Some(Packet::Ack { .. })));
-        let stall_at = config.reliable_timeout + Duration::from_secs(1);
+        let stall_at = ACK_TIMEOUT + Duration::from_secs(1);
         t.process_due(stall_at, &config, &mut bus, &routing);
         let lost = bus.txq.pop().expect("a Lost request");
         match &lost {
@@ -655,7 +648,7 @@ mod tests {
             &routing,
         );
         t.process_due(
-            config.reassembly_timeout + Duration::from_secs(1),
+            REASSEMBLY_TIMEOUT + Duration::from_secs(1),
             &config,
             &mut bus,
             &routing,

@@ -4,7 +4,7 @@
 //!
 //! * a relay rebroadcasts each distinct `(origin, id)` flood at most
 //!   once, however the duplicates are interleaved;
-//! * the seen-cache never holds more entries than its configured
+//! * the seen-cache never holds more entries than its
 //!   capacity, whatever traffic pattern it absorbs;
 //! * a frame whose hop limit is spent is never forwarded;
 //! * the cache forgets in arrival order: the relay forwards exactly the
@@ -21,8 +21,9 @@ use lora_phy::link::SignalQuality;
 use lora_phy::region::Region;
 use loramesher::codec;
 use loramesher::driver::{NodeProtocol, RadioIo, RadioRequest};
-use loramesher::flood::{FloodConfig, FloodNode};
+use loramesher::flood::{FloodConfig, FloodNode, SEEN_CACHE};
 use loramesher::packet::{Forwarding, Packet};
+use loramesher::queue::TX_QUEUE_CAPACITY;
 use loramesher::Address;
 use testkit::{forall, prop_assert, prop_assert_eq, Gen};
 
@@ -160,27 +161,22 @@ fn seen_cache_memory_stays_bounded() {
     forall(
         "seen_cache_memory_stays_bounded",
         |g: &mut Gen| {
-            let capacity = g.usize_in(1, 16);
             // Unicasts addressed *to* the relay: every distinct frame
             // populates the cache without queueing a rebroadcast, so
-            // the traffic volume is unconstrained by the tx queue.
-            let floods = g.vec_of(1, 80, |g| ArbFlood {
+            // the traffic volume is unconstrained by the tx queue. Up
+            // to three times the cache's capacity.
+            g.vec_of(1, 3 * SEEN_CACHE, |g| ArbFlood {
                 origin: Address::new(g.int_in(2, 5) as u16),
                 id: g.u8(),
                 dst: RELAY,
                 ttl: g.int_in(1, 7) as u8,
                 snr: 10.0,
                 payload: g.bytes(1, 8),
-            });
-            (capacity, floods)
+            })
         },
-        |(capacity, floods)| {
-            let mut config = FloodConfig::new(RELAY);
-            config.seen_cache = *capacity;
-            let mut node = FloodNode::new(config);
-            let mut io = RadioIo::new(Duration::ZERO);
-            node.on_start(&mut io);
-            prop_assert_eq!(node.seen_capacity(), *capacity);
+        |floods| {
+            let mut node = relay_node();
+            prop_assert_eq!(node.seen_capacity(), SEEN_CACHE);
             for (i, flood) in floods.iter().enumerate() {
                 receive(&mut node, flood, Duration::from_millis(i as u64));
                 prop_assert!(
@@ -274,36 +270,36 @@ fn relay_forwards_exactly_what_a_fifo_set_calls_new() {
     forall(
         "relay_forwards_exactly_what_a_fifo_set_calls_new",
         |g: &mut Gen| {
-            let capacity = g.usize_in(1, 200);
             let origins = g.usize_in(1, 4);
             // Each origin counts its ids up from a random start, so they
-            // wrap past 255; half the frames repeat an id up to 64 back,
-            // which the cache may or may not still hold. After one frame
-            // in twenty the relay drains what it has pending.
+            // wrap past 255. Every step sends one origin's next id, which
+            // is always new; half the steps then repeat an id up to 64
+            // back, which the cache may or may not still hold. There are
+            // more steps than the cache holds keys, so every case
+            // overflows it. After one frame in twenty the relay drains
+            // what it has pending.
             let mut next: Vec<u8> = (0..origins).map(|_| g.u8()).collect();
-            let frames = g.vec_of(1, 400, |g| {
+            let steps = g.len_in(SEEN_CACHE + 1, 3 * SEEN_CACHE);
+            let mut frames = Vec::with_capacity(2 * steps);
+            for _ in 0..steps {
                 let o = g.usize_in(0, origins - 1);
-                let id = if g.bool(0.5) {
-                    let id = next[o];
-                    next[o] = id.wrapping_add(1);
-                    id
-                } else {
-                    next[o].wrapping_sub(g.int_in(1, 64) as u8)
-                };
-                (Address::new(2 + o as u16), id, g.bool(0.05))
-            });
-            (capacity, frames)
+                let origin = Address::new(2 + o as u16);
+                frames.push((origin, next[o], g.bool(0.05)));
+                next[o] = next[o].wrapping_add(1);
+                if g.bool(0.5) {
+                    let back = next[o].wrapping_sub(g.int_in(1, 64) as u8);
+                    frames.push((origin, back, g.bool(0.05)));
+                }
+            }
+            frames
         },
-        |(capacity, frames)| {
+        |frames| {
             let mut config = FloodConfig::new(RELAY);
             config.region = Region::Unlimited;
-            config.seen_cache = *capacity;
-            // Room for every relay at once: nothing is refused on release.
-            config.tx_queue_capacity = frames.len();
             let mut node = FloodNode::new(config);
             let mut io = RadioIo::new(Duration::ZERO);
             node.on_start(&mut io);
-            let mut reference = ReferenceFifo::new(*capacity);
+            let mut reference = ReferenceFifo::new(SEEN_CACHE);
             let (mut expected, mut forwarded) = (Vec::new(), Vec::new());
             let mut now = Duration::ZERO;
             for (i, &(origin, id, drain_after)) in frames.iter().enumerate() {
@@ -327,7 +323,10 @@ fn relay_forwards_exactly_what_a_fifo_set_calls_new() {
                 if new {
                     expected.push(flood.payload);
                 }
-                if drain_after || i + 1 == frames.len() {
+                // Drained before the relays due at once could outgrow
+                // the transmit queue.
+                let full = node.pending_relays() == TX_QUEUE_CAPACITY;
+                if drain_after || full || i + 1 == frames.len() {
                     forwarded.extend(drain(&mut node, now));
                     now += LATER;
                 }
@@ -341,6 +340,12 @@ fn relay_forwards_exactly_what_a_fifo_set_calls_new() {
                     other => panic!("relay sent {other:?}"),
                 })
                 .collect();
+            prop_assert!(
+                expected.len() > SEEN_CACHE,
+                "{} new keys never overflow the cache",
+                expected.len()
+            );
+            prop_assert_eq!(node.stats().queue_refusals, 0);
             forwarded.sort_unstable();
             expected.sort_unstable();
             prop_assert_eq!(forwarded, expected);

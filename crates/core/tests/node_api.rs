@@ -13,7 +13,10 @@ use lora_phy::link::SignalQuality;
 use lora_phy::region::Region;
 
 use loramesher::codec;
+use loramesher::mac::MAX_CAD_RETRIES;
 use loramesher::packet::{Forwarding, Packet, RouteEntry};
+use loramesher::queue::TX_QUEUE_CAPACITY;
+use loramesher::reliable::ACK_TIMEOUT;
 use loramesher::{
     Address, MeshConfig, MeshEvent, MeshNode, NodeProtocol, PacketKind, RadioIo, RadioRequest,
     SendError,
@@ -413,15 +416,16 @@ fn queue_refusals_are_counted_as_backpressure() {
     let mut n = MeshNode::new(
         MeshConfig::builder(A1)
             .region(Region::Unlimited)
-            .tx_queue_capacity(1)
             .hello_interval(Duration::from_secs(1000))
             .build(),
     );
     start(&mut n, Duration::ZERO);
-    // First broadcast datagram fills the single-slot queue.
-    assert!(n
-        .send_datagram(Address::BROADCAST, b"one".to_vec(), Duration::ZERO)
-        .is_ok());
+    // The first broadcast datagrams fill the queue.
+    for _ in 0..TX_QUEUE_CAPACITY {
+        assert!(n
+            .send_datagram(Address::BROADCAST, b"one".to_vec(), Duration::ZERO)
+            .is_ok());
+    }
     assert_eq!(n.stats().queue_refusals, 0);
     // Equal-priority traffic cannot evict: refused and counted.
     assert_eq!(
@@ -433,7 +437,7 @@ fn queue_refusals_are_counted_as_backpressure() {
         Err(SendError::QueueFull)
     );
     assert_eq!(n.stats().queue_refusals, 2);
-    assert_eq!(n.stats().data_originated, 1);
+    assert_eq!(n.stats().data_originated, TX_QUEUE_CAPACITY as u64);
 }
 
 #[test]
@@ -513,7 +517,7 @@ fn stalled_inbound_transfer_requests_lost_fragments() {
     let _ = frame_in(&mut b, &frag, Duration::from_secs(2));
     // ...then the sender goes quiet. After the reliable timeout the
     // node must queue a Lost request listing fragments 1 and 2.
-    let stall_at = Duration::from_secs(2) + b.config().reliable_timeout;
+    let stall_at = Duration::from_secs(2) + ACK_TIMEOUT;
     assert!(b.next_wake().unwrap() <= stall_at);
     let mut reqs = timer(&mut b, stall_at);
     // Drain the queue through the MAC to observe the frame.
@@ -641,8 +645,6 @@ fn cad_exhaustion_drops_frame_with_event() {
     let mut n = MeshNode::new(
         MeshConfig::builder(A1)
             .region(Region::Unlimited)
-            .max_cad_retries(2)
-            .backoff_slot(Duration::from_millis(10))
             .hello_jitter(false)
             .build(),
     );
@@ -651,19 +653,17 @@ fn cad_exhaustion_drops_frame_with_event() {
     let mut now = Duration::from_secs(1);
     let mut reqs = timer(&mut n, now);
     assert_eq!(reqs, vec![RadioRequest::StartCad]);
-    for _ in 0..4 {
+    // Every retry backs off and scans again...
+    for _ in 0..MAX_CAD_RETRIES {
         reqs = cad_done(&mut n, true, now);
         assert!(reqs.is_empty());
-        if n.tx_queue_len() == 0 {
-            break; // frame dropped after exhausting CAD retries
-        }
-        // Wait out the backoff and CAD again.
-        if let Some(wake) = n.next_wake() {
-            now = now.max(wake);
-        }
+        assert_eq!(n.tx_queue_len(), 1, "the hello waits out the backoff");
+        now = n.next_wake().expect("backoff deadline");
         reqs = timer(&mut n, now);
         assert_eq!(reqs, vec![RadioRequest::StartCad]);
     }
+    // ...and the busy verdict after the last one drops the frame.
+    assert!(cad_done(&mut n, true, now).is_empty());
     let events = n.take_events();
     assert!(
         events.iter().any(|e| matches!(
@@ -676,38 +676,6 @@ fn cad_exhaustion_drops_frame_with_event() {
     );
     assert_eq!(n.stats().cad_exhausted, 1);
     assert_eq!(n.tx_queue_len(), 0);
-}
-
-/// With a backoff exponent cap past 63 and a channel that is always
-/// busy, the backoff window stops widening at 2^63 slots: the wait
-/// saturates instead of overflowing the shift (a panic in debug builds,
-/// a wrap back to one slot in release).
-#[test]
-fn backoff_exponent_beyond_63_saturates_the_wait() {
-    let slot = Duration::from_millis(100);
-    let mut n = MeshNode::new(
-        MeshConfig::builder(A1)
-            .region(Region::Unlimited)
-            .hello_interval(Duration::from_secs(1 << 40))
-            .hello_jitter(false)
-            .backoff_slot(slot)
-            .max_backoff_exponent(70)
-            .max_cad_retries(100)
-            .build(),
-    );
-    start(&mut n, Duration::ZERO);
-    let mut now = Duration::from_secs(1);
-    assert_eq!(timer(&mut n, now), vec![RadioRequest::StartCad]);
-    for attempt in 1..=70u32 {
-        assert!(cad_done(&mut n, true, now).is_empty());
-        let wake = n.next_wake().expect("backoff deadline");
-        if attempt >= 61 {
-            assert_eq!(wake - now, slot * u32::MAX, "attempt {attempt}");
-        }
-        now = wake;
-        assert_eq!(timer(&mut n, now), vec![RadioRequest::StartCad]);
-    }
-    assert_eq!(n.tx_queue_len(), 1, "the hello is still waiting");
 }
 
 #[test]

@@ -556,10 +556,7 @@ fn table_equals_the_map_reference_under_hop_count() {
 
 #[test]
 fn table_equals_the_map_reference_under_snr_tiebreak() {
-    let policy = RoutingPolicy {
-        snr_tiebreak: true,
-        snr_hysteresis_db: 3.0,
-    };
+    let policy = RoutingPolicy { snr_tiebreak: true };
     forall("table_model_snr_tiebreak", arb_ops, move |ops| {
         run(policy, ops)
     });

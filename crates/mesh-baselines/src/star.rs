@@ -24,7 +24,7 @@ use loramesher::driver::{NodeProtocol, RadioIo};
 use loramesher::error::SendError;
 use loramesher::mac::{Mac, NoWireCache, TxOutcome};
 use loramesher::packet::{Forwarding, Packet};
-use loramesher::queue::TxQueue;
+use loramesher::queue::{TxQueue, TX_QUEUE_CAPACITY};
 use loramesher::rng::ProtocolRng;
 use loramesher::MeshEvent;
 
@@ -39,20 +39,14 @@ pub struct StarConfig {
     pub modulation: LoRaModulation,
     /// Regulatory region for the duty cycle.
     pub region: Region,
-    /// Transmit queue capacity.
-    pub tx_queue_capacity: usize,
-    /// CSMA backoff slot.
-    pub backoff_slot: Duration,
-    /// Maximum CSMA backoff exponent.
-    pub max_backoff_exponent: u32,
-    /// CAD retries before dropping a frame.
-    pub max_cad_retries: u32,
     /// Randomness seed.
     pub seed: u64,
 }
 
 impl StarConfig {
-    /// A configuration with defaults matching the mesh experiments.
+    /// A configuration with defaults matching the mesh experiments. The
+    /// MAC and transmit queue are the ones every stack shares
+    /// ([`loramesher::mac`], [`loramesher::queue::TX_QUEUE_CAPACITY`]).
     #[must_use]
     pub fn new(address: Address, gateway: Address) -> Self {
         StarConfig {
@@ -60,10 +54,6 @@ impl StarConfig {
             gateway,
             modulation: LoRaModulation::default(),
             region: Region::Eu868,
-            tx_queue_capacity: 32,
-            backoff_slot: Duration::from_millis(100),
-            max_backoff_exponent: 6,
-            max_cad_retries: 16,
             seed: u64::from(address.value()),
         }
     }
@@ -93,15 +83,8 @@ impl StarNode {
     #[must_use]
     pub fn new(config: StarConfig) -> Self {
         StarNode {
-            mac: Mac::new(
-                config.region,
-                config.modulation,
-                config.backoff_slot,
-                config.max_backoff_exponent,
-                config.max_cad_retries,
-                true,
-            ),
-            txq: TxQueue::new(config.tx_queue_capacity),
+            mac: Mac::new(config.region, config.modulation, true),
+            txq: TxQueue::new(TX_QUEUE_CAPACITY),
             rng: ProtocolRng::new(config.seed),
             events: VecDeque::new(),
             next_id: 0,

@@ -180,15 +180,7 @@ pub fn payload_marker(payload: &[u8]) -> Option<u32> {
 }
 
 /// The protocols the experiments can host.
-///
-/// One instance exists per simulated node for a run's whole lifetime,
-/// so the size skew between a full mesh node and the thin baselines is
-/// irrelevant — boxing would only add pointer chasing to the hot loop.
 #[derive(Debug)]
-#[expect(
-    clippy::large_enum_variant,
-    reason = "one long-lived instance per node; boxing would add a pointer chase to the hot loop"
-)]
 pub enum ProtocolNode {
     /// The LoRaMesher distance-vector mesh.
     Mesh(MeshNode),

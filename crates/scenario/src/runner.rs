@@ -268,7 +268,6 @@ impl NetworkBuilder {
                         .hello_jitter(self.hello_jitter)
                         .routing_policy(loramesher::routing::RoutingPolicy {
                             snr_tiebreak: self.snr_tiebreak,
-                            ..loramesher::routing::RoutingPolicy::default()
                         })
                         .seed(self.seed ^ (i as u64 + 1).wrapping_mul(0x9e37_79b9))
                         .build();

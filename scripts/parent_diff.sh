@@ -2,8 +2,8 @@
 # Byte-identity check of a refactor: builds `exp_all` and `meshsim` from
 # the working tree and from a git revision (default HEAD), runs the same
 # outputs on both (`exp_all`, and `meshsim` all-to-one under each of the
-# three stacks, once more with a fault inside a six-hour stream, plus a
-# bulk transfer) and `cmp`s each one. Exits 1 naming every output that
+# three stacks, once light and once contended, once more with a fault
+# inside a six-hour stream, plus a bulk transfer) and `cmp`s each one. Exits 1 naming every output that
 # differs, 0 when all are identical.
 #
 #   ./scripts/parent_diff.sh            # working tree vs HEAD
@@ -44,12 +44,17 @@ cargo build -q --release --offline --workspace --bins
 # send path once more; exp_all already covers the three stacks' tables.
 # The six-hour run kills and revives a sender inside its stream and
 # outlasts the event queue's ≈ 4.9 h level-1 window, so sends fire on a
-# dead node and are parked beyond the wheel.
+# dead node and are parked beyond the wheel. The contended grid runs
+# (36 nodes, a send every 2 s each) fill transmit queues and back off
+# on busy CAD verdicts under each stack.
 runs=(
   "exp_all.md|exp_all|--markdown --seed 42"
   "meshsim_all_to_one.txt|meshsim|--nodes 16 --duration 600 --traffic all-to-one:30"
   "meshsim_all_to_one_flooding.txt|meshsim|--protocol flooding --nodes 16 --duration 600 --traffic all-to-one:30"
   "meshsim_all_to_one_star.txt|meshsim|--protocol star --nodes 16 --duration 600 --traffic all-to-one:30"
+  "meshsim_contended.txt|meshsim|--protocol loramesher --topology grid --nodes 36 --duration 300 --traffic all-to-one:2"
+  "meshsim_contended_flooding.txt|meshsim|--protocol flooding --topology grid --nodes 36 --duration 300 --traffic all-to-one:2"
+  "meshsim_contended_star.txt|meshsim|--protocol star --topology grid --nodes 36 --duration 300 --traffic all-to-one:2"
   "meshsim_bulk.txt|meshsim|--nodes 6 --duration 1800 --traffic bulk:0:5:2048"
   "meshsim_all_to_one_faults.txt|meshsim|--nodes 16 --duration 21600 --traffic all-to-one:60 --kill 3@3000 --revive 3@6000"
 )

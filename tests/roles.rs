@@ -4,7 +4,7 @@
 
 use std::time::Duration;
 
-use loramesher_repro::loramesher::{Role, RoleQueries};
+use loramesher_repro::loramesher::Role;
 use loramesher_repro::radio_sim::topology;
 use loramesher_repro::scenario::experiments::default_spacing;
 use loramesher_repro::scenario::runner::{NetworkBuilder, Runner};
