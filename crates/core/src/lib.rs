@@ -24,8 +24,8 @@
 //! * [`cast`] — checked narrowing conversions (no truncating `as`).
 //! * [`packet`] — the packet types of the protocol.
 //! * [`codec`] — the compact wire format (7–12 byte headers).
-//! * [`routing`] — the distance-vector routing table, generic over the
-//!   [`routing::RouteMetric`] route-preference policy.
+//! * [`routing`] — the distance-vector routing table and its hop-count
+//!   [`routing::RoutingPolicy`].
 //! * [`config`] — [`MeshConfig`] and its builder.
 //! * [`queue`] — the prioritised transmit queue.
 //! * [`mac`] — CAD-based listen-before-talk with exponential backoff,

@@ -50,21 +50,22 @@
 //! over its routes instead of the advert-by-advert merge. A record is
 //! stored at the end of a full apply only when all of these hold:
 //!
-//! * the policy does not read link state
-//!   ([`RouteMetric::reads_link_state`]), so `prefer` is a function of
-//!   the route's next hop and metric and the candidate's metric and
-//!   neighbour alone;
+//! * the SNR tie-break is off ([`RoutingPolicy::snr_tiebreak`]), so
+//!   `prefer` compares the route's metric with the candidate's and
+//!   reads no link state;
 //! * the adverts were strictly ascending, so no route is refreshed twice;
-//! * the advert loop left the table's *shape* unchanged — a private
-//!   counter bumped with every `version` bump and on every next-hop
-//!   change, also the equal-metric switches a custom policy may make
-//!   without one;
+//! * the advert loop left the table's `version` unchanged: no route was
+//!   added, removed, or rewritten in metric or role;
 //! * the hello refreshed every route through the neighbour, except the
 //!   neighbour's own route.
 //!
 //! A later hello from that neighbour is a repeat when its role, the
-//! table's shape and its digest all match the record. The full apply
-//! would then find every advertised route in place; a route through
+//! table's `version` and its digest all match the record. Without the
+//! tie-break a next hop never changes alone: a direct observation
+//! replaces only a multi-hop route (no advert yields a metric below 2),
+//! and an adopted candidate is strictly shorter. So an unchanged
+//! `version` also means no route moved to another next hop, and the
+//! full apply would find every advertised route in place; a route through
 //! the neighbour already has the candidate metric and the advertised
 //! role, so it would only refresh its statistics; `prefer` was false for
 //! every route through another node at record time, and none of its
@@ -78,7 +79,7 @@
 //! The record keeps a 128-bit digest of the hello rather than a copy:
 //! two independent 64-bit multiply–rotate lanes over every advert's four
 //! wire bytes in wire order, closed with the advert count. A false hit
-//! needs two hellos from the same neighbour, at the same table shape,
+//! needs two hellos from the same neighbour, at the same table version,
 //! to collide in both lanes; and its effect is exactly that of the
 //! recorded hello arriving again, which any node that can send under the
 //! neighbour's address can already cause.
@@ -149,7 +150,8 @@ fn vacates(earliest: Option<Duration>, old: Duration, now: Duration) -> bool {
 /// equal-metric route.
 pub const SNR_HYSTERESIS_DB: f64 = 3.0;
 
-/// Route-selection policy.
+/// Route-selection policy: the demo paper's hop count, with an optional
+/// SNR tie-break. [`RoutingTable::with_policy`] takes it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RoutingPolicy {
     /// Break metric ties in favour of the next hop with the better
@@ -159,41 +161,22 @@ pub struct RoutingPolicy {
     pub snr_tiebreak: bool,
 }
 
-/// A pluggable route-adoption policy: decides whether a candidate route
-/// advertised by a neighbour should replace the route currently held.
-///
-/// The routing layer is generic over this trait with
-/// [`RoutingPolicy`] — plain hop count, optionally SNR-tie-broken, as in
-/// the demo paper — as the default. Implementing it is the extension
-/// point for alternative metrics (ETX, battery-aware, role-weighted …)
-/// without touching the table or the hello daemon.
-pub trait RouteMetric {
+impl RoutingPolicy {
     /// Whether the candidate route — reaching `current.destination`
     /// through `neighbour` with `candidate_metric` hops, heard at `snr`
     /// dB — is strictly preferable to the `current` route.
     ///
-    /// Refresh semantics are *not* up for grabs here: a candidate from
-    /// the current next hop is always followed (so worsening paths are
-    /// noticed), and this method is only consulted for competing routes.
-    fn prefer(&self, current: &Route, candidate_metric: u8, neighbour: Address, snr: f64) -> bool;
-
-    /// Whether [`RouteMetric::prefer`] may read link state: the
-    /// candidate's `snr`, or any of `current`'s fields other than `via`,
-    /// `metric`, `destination` and `role`. Only a policy that answers
-    /// `false` lets the table apply a repeated hello in one pass (see
-    /// "Repeats" in the [module docs](self)); the default is the safe
-    /// answer.
-    fn reads_link_state(&self) -> bool {
-        true
-    }
-}
-
-impl RouteMetric for RoutingPolicy {
-    fn reads_link_state(&self) -> bool {
-        self.snr_tiebreak
-    }
-
-    fn prefer(&self, current: &Route, candidate_metric: u8, neighbour: Address, snr: f64) -> bool {
+    /// Only consulted for competing routes: the table always follows a
+    /// candidate from the current next hop, so worsening paths are
+    /// noticed.
+    #[must_use]
+    pub fn prefer(
+        &self,
+        current: &Route,
+        candidate_metric: u8,
+        neighbour: Address,
+        snr: f64,
+    ) -> bool {
         let better_metric = candidate_metric < current.metric;
         // Optional SNR tie-break: same hop count, audibly stronger
         // neighbour (beyond the hysteresis margin).
@@ -253,12 +236,12 @@ impl Digest {
 }
 
 /// A neighbour's last hello whose apply was a no-op: a repeat of it at
-/// the same table `shape` is applied in one pass.
+/// the same table `version` is applied in one pass.
 #[derive(Clone, Copy, Debug)]
 struct Repeat {
     neighbour: Address,
     role: u8,
-    shape: u64,
+    version: u64,
     digest: Digest,
 }
 
@@ -287,20 +270,17 @@ struct Repeat {
 /// assert_eq!(table.route(Address::new(3)).unwrap().metric, 2);
 /// ```
 #[derive(Clone, Debug, Default)]
-pub struct RoutingTable<M: RouteMetric = RoutingPolicy> {
+pub struct RoutingTable {
     /// Sorted by `destination`, one route per destination.
     routes: Vec<Route>,
-    policy: M,
+    policy: RoutingPolicy,
     /// Bumped whenever the Hello-visible content of the table — the set
     /// of `(destination, metric, role)` tuples — changes. Refreshes that
     /// only touch timestamps or link statistics do not count, so an
     /// unchanged `version` guarantees [`RoutingTable::as_entries`]
-    /// returns the same list and lets callers cache its encoding.
+    /// returns the same list and lets callers cache its encoding. What
+    /// a [`Repeat`] is valid for.
     version: u64,
-    /// Bumped with `version` and on every next-hop change: unchanged, no
-    /// route was added, removed, or rewritten in next hop, metric or
-    /// role. What a [`Repeat`] is valid for.
-    shape: u64,
     /// At most one record per neighbour, sorted by neighbour.
     repeats: Vec<Repeat>,
     /// The smallest `last_seen` over `routes` (`None` when empty): the
@@ -324,19 +304,13 @@ impl RoutingTable {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl<M: RouteMetric> RoutingTable<M> {
     /// An empty table with the given selection policy.
     #[must_use]
-    pub fn with_policy(policy: M) -> Self {
+    pub fn with_policy(policy: RoutingPolicy) -> Self {
         RoutingTable {
-            routes: Vec::new(),
             policy,
-            version: 0,
-            shape: 0,
-            repeats: Vec::new(),
-            earliest_seen: None,
+            ..Self::default()
         }
     }
 
@@ -351,17 +325,11 @@ impl<M: RouteMetric> RoutingTable<M> {
     /// Marks the Hello-visible content as changed.
     fn touch(&mut self) {
         self.version = self.version.wrapping_add(1);
-        self.reroute();
-    }
-
-    /// Marks a next-hop change (implied by every [`RoutingTable::touch`]).
-    fn reroute(&mut self) {
-        self.shape = self.shape.wrapping_add(1);
     }
 
     /// The active selection policy.
     #[must_use]
-    pub fn policy(&self) -> &M {
+    pub fn policy(&self) -> &RoutingPolicy {
         &self.policy
     }
 
@@ -487,10 +455,11 @@ impl<M: RouteMetric> RoutingTable<M> {
         entry.last_seen = now;
         entry.snr = snr;
         entry.heard_count += 1;
+        // A metric-1 route goes via its destination, so a next-hop
+        // change here is a promotion from a multi-hop metric.
+        debug_assert!(advertised_change || !rerouted);
         if advertised_change {
             self.touch();
-        } else if rerouted {
-            self.reroute();
         }
         (slot, stale)
     }
@@ -557,10 +526,10 @@ impl<M: RouteMetric> RoutingTable<M> {
                 self.touch();
             }
         }
-        // What a record of this hello needs (see "Repeats"): the shape
+        // What a record of this hello needs (see "Repeats"): the version
         // the loop must leave alone, strict ascent, the routes through
         // `neighbour` it refreshed, and the digest.
-        let shape = self.shape;
+        let version = self.version;
         let mut ascending = true;
         let mut followed = 0;
         let mut digest = Digest::new();
@@ -653,24 +622,24 @@ impl<M: RouteMetric> RoutingTable<M> {
             r.last_seen = now;
             r.snr = snr;
             r.heard_count += 1;
+            // Only the tie-break moves a route at equal metric and role.
+            debug_assert!(visible || !rerouted || self.policy.snr_tiebreak);
             if visible {
                 self.touch();
-            } else if rerouted {
-                self.reroute();
-            } else {
+            } else if !rerouted {
                 followed += 1;
             }
         }
         self.settle_earliest(stale, now);
-        if self.shape == shape
+        if self.version == version
             && ascending
-            && !self.policy.reads_link_state()
+            && !self.policy.snr_tiebreak
             && followed == self.routes_via(neighbour)
         {
             self.remember(Repeat {
                 neighbour,
                 role,
-                shape,
+                version,
                 digest: digest.finish(count),
             });
         }
@@ -701,7 +670,7 @@ impl<M: RouteMetric> RoutingTable<M> {
     }
 
     /// The repeat path: when this hello repeats `neighbour`'s recorded
-    /// one at the recorded shape, refreshes every route through
+    /// one at the recorded version, refreshes every route through
     /// `neighbour` — all the full apply would do — and re-derives
     /// `earliest_seen` in the same pass. Returns whether it was a repeat.
     fn replay(
@@ -718,7 +687,7 @@ impl<M: RouteMetric> RoutingTable<M> {
         let Some(memo) = found.ok().and_then(|k| self.repeats.get(k)) else {
             return false;
         };
-        if memo.shape != self.shape || memo.role != role || memo.digest != Digest::of(entries) {
+        if memo.version != self.version || memo.role != role || memo.digest != Digest::of(entries) {
             return false;
         }
         // The neighbour's own route is among those refreshed, so `now`
@@ -800,7 +769,7 @@ impl<M: RouteMetric> RoutingTable<M> {
     }
 }
 
-impl<M: RouteMetric> core::fmt::Display for RoutingTable<M> {
+impl core::fmt::Display for RoutingTable {
     /// A human-readable dump, one route per line:
     /// `dst via next_hop metric=N role=R snr=S age@T`.
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
@@ -839,43 +808,6 @@ mod tests {
             metric,
             role: 0,
         }
-    }
-
-    /// The table is generic over [`RouteMetric`]: a custom policy slots
-    /// in via [`RoutingTable::with_policy`] and changes route selection
-    /// without touching refresh semantics.
-    #[test]
-    fn custom_route_metric_plugs_into_the_table() {
-        /// Prefers the audibly loudest neighbour, hop count be damned.
-        struct LoudestNeighbour;
-        impl RouteMetric for LoudestNeighbour {
-            fn prefer(
-                &self,
-                current: &Route,
-                _candidate_metric: u8,
-                neighbour: Address,
-                snr: f64,
-            ) -> bool {
-                neighbour != current.via && snr > current.snr
-            }
-        }
-
-        let dst = Address::new(0x0009);
-        // Default policy: the 2-hop route through the quiet neighbour
-        // beats the 6-hop route through the loud one.
-        let mut hops = RoutingTable::new();
-        hops.apply_hello(ME, N2, 0, &[entry(dst, 1)], 0.0, NOW);
-        hops.apply_hello(ME, N3, 0, &[entry(dst, 5)], 20.0, NOW);
-        assert_eq!(hops.next_hop(dst), Some(N2));
-        assert_eq!(hops.route(dst).unwrap().metric, 2);
-
-        // Same hellos under the custom policy: the louder neighbour
-        // wins even though the path is longer.
-        let mut loud = RoutingTable::with_policy(LoudestNeighbour);
-        loud.apply_hello(ME, N2, 0, &[entry(dst, 1)], 0.0, NOW);
-        loud.apply_hello(ME, N3, 0, &[entry(dst, 5)], 20.0, NOW);
-        assert_eq!(loud.next_hop(dst), Some(N3));
-        assert_eq!(loud.route(dst).unwrap().metric, 6);
     }
 
     #[test]

@@ -10,7 +10,6 @@ use alloc::vec::Vec;
 
 use crate::addr::Address;
 use crate::codec::MAX_DATA_PAYLOAD;
-use crate::config::MeshConfig;
 use crate::error::SendError;
 use crate::packet::{Forwarding, Packet, PacketKind};
 use crate::stack::bus::Bus;
@@ -86,7 +85,7 @@ pub enum MeshEvent {
 /// Validates and queues a single-frame datagram; see
 /// `MeshNode::send_datagram` for the public contract.
 pub(crate) fn send_datagram(
-    config: &MeshConfig,
+    me: Address,
     routing: &RoutingLayer,
     bus: &mut Bus,
     dst: Address,
@@ -105,7 +104,7 @@ pub(crate) fn send_datagram(
     let id = bus.next_id();
     let packet = Packet::Data {
         dst,
-        src: config.address,
+        src: me,
         id,
         fwd: Forwarding { via, ttl: MAX_TTL },
         payload,
@@ -132,34 +131,35 @@ pub(crate) fn deliver_broadcast(bus: &mut Bus, src: Address, payload: Vec<u8>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MeshConfig;
     use crate::queue::TX_QUEUE_CAPACITY;
     use alloc::vec;
 
     const ME: Address = Address::new(1);
     const PEER: Address = Address::new(2);
 
-    fn parts() -> (MeshConfig, RoutingLayer, Bus) {
+    fn parts() -> (RoutingLayer, Bus) {
         let config = MeshConfig::builder(ME).build();
         let routing = RoutingLayer::new(&config);
         let bus = Bus::new(config.seed);
-        (config, routing, bus)
+        (routing, bus)
     }
 
     /// The app layer refuses bad submissions before anything reaches
     /// the lower layers: no queue traffic, no stats movement.
     #[test]
     fn validation_rejects_before_the_bus_is_touched() {
-        let (config, routing, mut bus) = parts();
+        let (routing, mut bus) = parts();
         assert_eq!(
-            send_datagram(&config, &routing, &mut bus, PEER, vec![]),
+            send_datagram(ME, &routing, &mut bus, PEER, vec![]),
             Err(SendError::EmptyPayload)
         );
         assert!(matches!(
-            send_datagram(&config, &routing, &mut bus, PEER, vec![0; 4000]),
+            send_datagram(ME, &routing, &mut bus, PEER, vec![0; 4000]),
             Err(SendError::PayloadTooLarge { .. })
         ));
         assert_eq!(
-            send_datagram(&config, &routing, &mut bus, PEER, vec![1]),
+            send_datagram(ME, &routing, &mut bus, PEER, vec![1]),
             Err(SendError::NoRoute(PEER))
         );
         assert!(bus.txq.is_empty());
@@ -170,8 +170,8 @@ mod tests {
     /// transmit queue.
     #[test]
     fn broadcast_datagram_is_queued_through_the_bus() {
-        let (config, routing, mut bus) = parts();
-        let id = send_datagram(&config, &routing, &mut bus, Address::BROADCAST, vec![7])
+        let (routing, mut bus) = parts();
+        let id = send_datagram(ME, &routing, &mut bus, Address::BROADCAST, vec![7])
             .expect("broadcasts need no route");
         assert_eq!(id, 0);
         assert_eq!(bus.txq.len(), 1);
@@ -182,14 +182,12 @@ mod tests {
     /// counter the sweeps monitor.
     #[test]
     fn backpressure_is_reported_and_counted() {
-        let (config, routing, mut bus) = parts();
+        let (routing, mut bus) = parts();
         for _ in 0..TX_QUEUE_CAPACITY {
-            assert!(
-                send_datagram(&config, &routing, &mut bus, Address::BROADCAST, vec![1]).is_ok()
-            );
+            assert!(send_datagram(ME, &routing, &mut bus, Address::BROADCAST, vec![1]).is_ok());
         }
         assert_eq!(
-            send_datagram(&config, &routing, &mut bus, Address::BROADCAST, vec![2]),
+            send_datagram(ME, &routing, &mut bus, Address::BROADCAST, vec![2]),
             Err(SendError::QueueFull)
         );
         assert_eq!(bus.stats.queue_refusals, 1);
@@ -199,7 +197,7 @@ mod tests {
     /// Deliveries count and queue in arrival order.
     #[test]
     fn deliveries_reach_the_event_queue_in_order() {
-        let (_, _, mut bus) = parts();
+        let (_, mut bus) = parts();
         deliver_datagram(&mut bus, PEER, vec![1]);
         deliver_broadcast(&mut bus, PEER, vec![2]);
         assert_eq!(bus.stats.data_delivered, 2);

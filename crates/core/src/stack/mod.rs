@@ -10,8 +10,8 @@
 //! * [`mod@app`] — the application surface: send validation and the
 //!   [`MeshEvent`] receive queue.
 //! * `transport` — reliable SYNC/fragment/ACK/LOST transfers.
-//! * `routing` — the hello daemon, the distance-vector table (generic
-//!   over [`crate::routing::RouteMetric`]) and unicast forwarding.
+//! * `routing` — the hello daemon, the distance-vector table and
+//!   unicast forwarding.
 //! * [`crate::mac`] — CAD/backoff/duty-cycle channel access and frame
 //!   emission, the same [`Mac`] the other stacks own.
 //!
@@ -190,7 +190,8 @@ impl MeshNode {
         payload: Vec<u8>,
         _now: Duration,
     ) -> Result<u8, SendError> {
-        app::send_datagram(&self.config, &self.routing, &mut self.bus, dst, payload)
+        let me = self.config.address;
+        app::send_datagram(me, &self.routing, &mut self.bus, dst, payload)
     }
 
     /// Starts a reliable transfer of an arbitrarily large payload.
@@ -220,7 +221,7 @@ impl MeshNode {
             dst,
             payload,
             now,
-            &self.config,
+            self.config.address,
             &mut self.bus,
             &self.routing,
         )
@@ -237,7 +238,7 @@ impl MeshNode {
         }
         // 3 + 4. Transport deadlines.
         self.transport
-            .process_due(now, &self.config, &mut self.bus, &self.routing);
+            .process_due(now, self.config.address, &mut self.bus, &self.routing);
         // 5. Give the MAC a chance to move traffic.
         let outcome = self.mac.kick(&mut self.bus.txq, &mut self.routing, io);
         self.bus.book(outcome);
@@ -292,7 +293,7 @@ impl NodeProtocol for MeshNode {
                 }
                 p => self
                     .transport
-                    .consume(p, now, &self.config, &mut self.bus, &self.routing),
+                    .consume(p, now, me, &mut self.bus, &self.routing),
             },
             FrameView::Unicast(unicast) if unicast.dst.is_broadcast() => {
                 if let UnicastBody::Data { payload } = unicast.body {

@@ -1,7 +1,7 @@
 //! The routing layer: the hello daemon and the distance-vector table.
 //!
-//! Owns the [`RoutingTable`] (generic over [`crate::routing::RouteMetric`];
-//! hop count is the default policy), the hello schedule, and the hello
+//! Owns the [`RoutingTable`] (hop count, with the SNR tie-break as the
+//! configured policy allows), the hello schedule, and the hello
 //! wire cache: while the table's hello-visible content is unchanged,
 //! consecutive hellos reuse one encoded image — and one shared
 //! `Arc<[u8]>` — with only the packet-id byte rewritten, so the

@@ -14,7 +14,6 @@ use core::time::Duration;
 
 use crate::addr::Address;
 use crate::codec::{MAX_FRAG_PAYLOAD, MAX_LOST_INDICES, MAX_RELIABLE_PAYLOAD};
-use crate::config::MeshConfig;
 use crate::error::SendError;
 use crate::packet::{Forwarding, Packet, SYNC_ACK_INDEX};
 use crate::reliable::{
@@ -56,7 +55,7 @@ impl TransportLayer {
         dst: Address,
         payload: Vec<u8>,
         now: Duration,
-        config: &MeshConfig,
+        me: Address,
         bus: &mut Bus,
         routing: &RoutingLayer,
     ) -> Result<u8, SendError> {
@@ -90,7 +89,7 @@ impl TransportLayer {
         let action = transfer.start(now);
         transfer.defer_deadline(bus.ack_jitter(ACK_TIMEOUT));
         self.outbound.insert(dst, transfer);
-        self.apply_sender_action(dst, action, now, config, bus, routing);
+        self.apply_sender_action(dst, action, me, bus, routing);
         Ok(seq)
     }
 
@@ -98,8 +97,7 @@ impl TransportLayer {
         &mut self,
         dst: Address,
         action: SenderAction,
-        _now: Duration,
-        config: &MeshConfig,
+        me: Address,
         bus: &mut Bus,
         routing: &RoutingLayer,
     ) {
@@ -117,7 +115,7 @@ impl TransportLayer {
                 let id = bus.next_id();
                 let packet = Packet::Sync {
                     dst,
-                    src: config.address,
+                    src: me,
                     id,
                     fwd: Forwarding { via, ttl: MAX_TTL },
                     seq,
@@ -138,7 +136,7 @@ impl TransportLayer {
                 let id = bus.next_id();
                 let packet = Packet::Frag {
                     dst,
-                    src: config.address,
+                    src: me,
                     id,
                     fwd: Forwarding { via, ttl: MAX_TTL },
                     seq,
@@ -170,7 +168,7 @@ impl TransportLayer {
         peer: Address,
         seq: u8,
         kind: ControlKind,
-        config: &MeshConfig,
+        me: Address,
         bus: &mut Bus,
         routing: &RoutingLayer,
     ) {
@@ -180,11 +178,10 @@ impl TransportLayer {
         };
         let id = bus.next_id();
         let fwd = Forwarding { via, ttl: MAX_TTL };
-        let src = config.address;
         let packet = match kind {
             ControlKind::Ack(index) => Packet::Ack {
                 dst: peer,
-                src,
+                src: me,
                 id,
                 fwd,
                 seq,
@@ -192,7 +189,7 @@ impl TransportLayer {
             },
             ControlKind::Lost(missing) => Packet::Lost {
                 dst: peer,
-                src,
+                src: me,
                 id,
                 fwd,
                 seq,
@@ -208,7 +205,7 @@ impl TransportLayer {
         &mut self,
         packet: Packet,
         now: Duration,
-        config: &MeshConfig,
+        me: Address,
         bus: &mut Bus,
         routing: &RoutingLayer,
     ) {
@@ -236,14 +233,7 @@ impl TransportLayer {
                 let ReceiverAction::AckSync = transfer.on_sync(now) else {
                     return;
                 };
-                self.send_control(
-                    src,
-                    seq,
-                    ControlKind::Ack(SYNC_ACK_INDEX),
-                    config,
-                    bus,
-                    routing,
-                );
+                self.send_control(src, seq, ControlKind::Ack(SYNC_ACK_INDEX), me, bus, routing);
             }
             Packet::Frag {
                 src,
@@ -264,13 +254,13 @@ impl TransportLayer {
                                 src,
                                 seq,
                                 ControlKind::Ack(SYNC_ACK_INDEX),
-                                config,
+                                me,
                                 bus,
                                 routing,
                             );
                         }
                         ReceiverAction::AckFrag(i) => {
-                            self.send_control(src, seq, ControlKind::Ack(i), config, bus, routing);
+                            self.send_control(src, seq, ControlKind::Ack(i), me, bus, routing);
                         }
                         ReceiverAction::Complete(payload) => {
                             bus.stats.reliable_received += 1;
@@ -292,7 +282,7 @@ impl TransportLayer {
                     _ => None,
                 };
                 if let Some(action) = action {
-                    self.apply_sender_action(src, action, now, config, bus, routing);
+                    self.apply_sender_action(src, action, me, bus, routing);
                 }
             }
             Packet::Lost {
@@ -308,7 +298,7 @@ impl TransportLayer {
                     _ => None,
                 };
                 if let Some(action) = action {
-                    self.apply_sender_action(src, action, now, config, bus, routing);
+                    self.apply_sender_action(src, action, me, bus, routing);
                 }
             }
         }
@@ -320,7 +310,7 @@ impl TransportLayer {
     pub(crate) fn process_due(
         &mut self,
         now: Duration,
-        config: &MeshConfig,
+        me: Address,
         bus: &mut Bus,
         routing: &RoutingLayer,
     ) {
@@ -345,7 +335,7 @@ impl TransportLayer {
                     action
                 })
                 .unwrap_or(SenderAction::None);
-            self.apply_sender_action(dst, action, now, config, bus, routing);
+            self.apply_sender_action(dst, action, me, bus, routing);
         }
         // 4a. Inbound transfers that stalled mid-way: nudge the sender
         //     with a Lost request listing the missing fragments.
@@ -369,7 +359,7 @@ impl TransportLayer {
             if let Some(t) = self.inbound.get_mut(&(src, seq)) {
                 t.note_lost_sent(now);
             }
-            self.send_control(src, seq, ControlKind::Lost(missing), config, bus, routing);
+            self.send_control(src, seq, ControlKind::Lost(missing), me, bus, routing);
         }
         // 4b. Inbound reassembly expiry.
         let expired: Vec<(Address, u8)> = self
@@ -456,31 +446,25 @@ impl TransportLayer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::MeshConfig;
     use alloc::vec;
 
     const ME: Address = Address::new(1);
     const PEER: Address = Address::new(2);
 
-    fn parts() -> (MeshConfig, RoutingLayer, TransportLayer, Bus) {
+    fn parts() -> (RoutingLayer, TransportLayer, Bus) {
         let config = MeshConfig::builder(ME).build();
         let mut routing = RoutingLayer::new(&config);
         routing.table.heard_from(PEER, 0.0, Duration::ZERO);
         let bus = Bus::new(config.seed);
-        (config, routing, TransportLayer::new(), bus)
+        (routing, TransportLayer::new(), bus)
     }
 
     #[test]
     fn send_reliable_queues_a_sync_through_the_bus() {
-        let (config, routing, mut t, mut bus) = parts();
+        let (routing, mut t, mut bus) = parts();
         let seq = t
-            .send_reliable(
-                PEER,
-                vec![9; 300],
-                Duration::ZERO,
-                &config,
-                &mut bus,
-                &routing,
-            )
+            .send_reliable(PEER, vec![9; 300], Duration::ZERO, ME, &mut bus, &routing)
             .expect("route exists");
         assert_eq!(seq, 0);
         match bus.txq.pop() {
@@ -497,32 +481,18 @@ mod tests {
 
     #[test]
     fn second_transfer_to_same_destination_is_refused() {
-        let (config, routing, mut t, mut bus) = parts();
-        t.send_reliable(
-            PEER,
-            vec![1; 100],
-            Duration::ZERO,
-            &config,
-            &mut bus,
-            &routing,
-        )
-        .unwrap();
+        let (routing, mut t, mut bus) = parts();
+        t.send_reliable(PEER, vec![1; 100], Duration::ZERO, ME, &mut bus, &routing)
+            .unwrap();
         assert_eq!(
-            t.send_reliable(
-                PEER,
-                vec![2; 100],
-                Duration::ZERO,
-                &config,
-                &mut bus,
-                &routing
-            ),
+            t.send_reliable(PEER, vec![2; 100], Duration::ZERO, ME, &mut bus, &routing),
             Err(SendError::TransferInProgress(PEER))
         );
     }
 
     #[test]
     fn zero_fragment_sync_is_rejected() {
-        let (config, routing, mut t, mut bus) = parts();
+        let (routing, mut t, mut bus) = parts();
         t.consume(
             Packet::Sync {
                 dst: ME,
@@ -534,7 +504,7 @@ mod tests {
                 total_len: 0,
             },
             Duration::ZERO,
-            &config,
+            ME,
             &mut bus,
             &routing,
         );
@@ -544,7 +514,7 @@ mod tests {
 
     #[test]
     fn ack_for_unknown_transfer_is_ignored() {
-        let (config, routing, mut t, mut bus) = parts();
+        let (routing, mut t, mut bus) = parts();
         t.consume(
             Packet::Ack {
                 dst: ME,
@@ -555,7 +525,7 @@ mod tests {
                 index: 0,
             },
             Duration::ZERO,
-            &config,
+            ME,
             &mut bus,
             &routing,
         );
@@ -567,7 +537,7 @@ mod tests {
     /// layer must nudge the sender with a LOST listing every fragment.
     #[test]
     fn stalled_inbound_transfer_emits_a_lost_request() {
-        let (config, routing, mut t, mut bus) = parts();
+        let (routing, mut t, mut bus) = parts();
         t.consume(
             Packet::Sync {
                 dst: ME,
@@ -579,7 +549,7 @@ mod tests {
                 total_len: 20,
             },
             Duration::ZERO,
-            &config,
+            ME,
             &mut bus,
             &routing,
         );
@@ -587,7 +557,7 @@ mod tests {
         assert!(matches!(bus.txq.pop(), Some(Packet::Ack { .. })));
         let stall_at = ACK_TIMEOUT + Duration::from_secs(1);
         assert!(t.next_wake().is_some_and(|w| w <= stall_at));
-        t.process_due(stall_at, &config, &mut bus, &routing);
+        t.process_due(stall_at, ME, &mut bus, &routing);
         match bus.txq.pop() {
             Some(Packet::Lost { missing, .. }) => assert_eq!(missing, vec![0, 1]),
             p => panic!("unexpected {p:?}"),
@@ -598,7 +568,7 @@ mod tests {
     /// for the earliest ones, in a Lost that still encodes.
     #[test]
     fn lost_request_lists_what_fits_one_frame() {
-        let (config, routing, mut t, mut bus) = parts();
+        let (routing, mut t, mut bus) = parts();
         t.consume(
             Packet::Sync {
                 dst: ME,
@@ -610,13 +580,13 @@ mod tests {
                 total_len: 30_000,
             },
             Duration::ZERO,
-            &config,
+            ME,
             &mut bus,
             &routing,
         );
         assert!(matches!(bus.txq.pop(), Some(Packet::Ack { .. })));
         let stall_at = ACK_TIMEOUT + Duration::from_secs(1);
-        t.process_due(stall_at, &config, &mut bus, &routing);
+        t.process_due(stall_at, ME, &mut bus, &routing);
         let lost = bus.txq.pop().expect("a Lost request");
         match &lost {
             Packet::Lost { missing, .. } => {
@@ -631,7 +601,7 @@ mod tests {
     /// An abandoned inbound transfer expires into an app event.
     #[test]
     fn expired_inbound_transfer_reports_to_the_app() {
-        let (config, routing, mut t, mut bus) = parts();
+        let (routing, mut t, mut bus) = parts();
         t.consume(
             Packet::Sync {
                 dst: ME,
@@ -643,13 +613,13 @@ mod tests {
                 total_len: 20,
             },
             Duration::ZERO,
-            &config,
+            ME,
             &mut bus,
             &routing,
         );
         t.process_due(
             REASSEMBLY_TIMEOUT + Duration::from_secs(1),
-            &config,
+            ME,
             &mut bus,
             &routing,
         );

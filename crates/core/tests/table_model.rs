@@ -28,9 +28,11 @@
 //! recent hellos or its last one moved by one advert, so the table's
 //! repeat memo is recorded, hit, and missed by a digest that differs in
 //! one byte, all between the other mutators. The reference has no memo:
-//! every repeat is a full apply there. A third policy leg, ties to the
-//! lower-address next hop, is a custom policy that reads no link state
-//! and switches next hop at equal metric without a `version` bump.
+//! every repeat is a full apply there. Records are keyed on the table's
+//! `version` and stored only with the SNR tie-break off; in debug builds
+//! the table asserts on every hello that nothing else moves a route to
+//! another next hop without a `version` bump. A pinned sequence has a
+//! better route through another neighbour retire a record.
 //!
 //! Hand mutants of `routing.rs`, each applied and run against this file,
 //! each failing: `below` not advanced after an insert (the cursor
@@ -39,13 +41,12 @@
 //! `remove_where` without the `earliest_seen` re-scan (`next_expiry`).
 //! Of the repeat memo: the hit path skipping `heard_count += 1`, a
 //! record stored without the completeness check, the hit path keeping
-//! the old `earliest_seen` (each a wrong table under hop count and
-//! lower-address ties; the last also `next_expiry` in
-//! `expiry_oracle.rs`); the memo used under `snr_tiebreak`, and the
-//! digest leaving out the role byte (wrong table); an equal-metric
-//! next-hop switch not bumping `shape` (wrong table in
-//! `an_equal_metric_switch_retires_older_records`, which pins the one
-//! sequence that exposes it; the random leg needs thousands of cases).
+//! the old `earliest_seen` (each a wrong table under hop count; the last
+//! also `next_expiry` in `expiry_oracle.rs`); a record stored under
+//! `snr_tiebreak` (wrong table under snr-tiebreak), and the digest
+//! leaving out the role byte (wrong table); `replay` ignoring `version`
+//! (wrong table under hop count, and in
+//! `a_better_route_through_another_neighbour_retires_older_records`).
 //!
 //! Uses the in-repo `testkit` harness: failures print a replayable
 //! `TESTKIT_SEED` and a shrunk counterexample.
@@ -55,7 +56,7 @@ use std::fmt::{Debug, Display};
 use std::time::Duration;
 
 use loramesher::packet::RouteEntry;
-use loramesher::routing::{Route, RouteMetric, RoutingPolicy};
+use loramesher::routing::{Route, RoutingPolicy};
 use loramesher::{Address, RoutingTable};
 use testkit::{forall, prop_assert, Gen};
 
@@ -67,32 +68,16 @@ fn ewma(old: f64, new: f64) -> f64 {
     0.75 * old + 0.25 * new
 }
 
-/// Hop count, ties to the lower-address next hop: a policy that reads
-/// no link state yet moves routes between next hops at equal metric.
-#[derive(Clone, Copy, Debug)]
-struct LowerAddress;
-
-impl RouteMetric for LowerAddress {
-    fn prefer(&self, current: &Route, candidate_metric: u8, neighbour: Address, _snr: f64) -> bool {
-        candidate_metric < current.metric
-            || (candidate_metric == current.metric && neighbour < current.via)
-    }
-
-    fn reads_link_state(&self) -> bool {
-        false
-    }
-}
-
 /// The reference: one map lookup per rule application, minimum by
 /// brute force.
-struct Model<P> {
+struct Model {
     routes: BTreeMap<Address, Route>,
-    policy: P,
+    policy: RoutingPolicy,
     version: u64,
 }
 
-impl<P: RouteMetric> Model<P> {
-    fn new(policy: P) -> Self {
+impl Model {
+    fn new(policy: RoutingPolicy) -> Self {
         Model {
             routes: BTreeMap::new(),
             policy,
@@ -366,7 +351,7 @@ fn arb_sender(g: &mut Gen, latest: Option<Address>) -> Address {
 /// ascending as an honest table sends it), or is one of the sender's
 /// last few hellos (a flapping table), its last one moved by one
 /// advert, or the last hello of another neighbour (a shared table:
-/// under lower-address ties, a wave of equal-metric next-hop switches).
+/// under the SNR tie-break, a wave of equal-metric next-hop switches).
 /// About a third of hellos are [`Op::Repeat`]s, in bursts of up to three
 /// from one sender, so that runs reach a record and then hit it.
 fn arb_ops(g: &mut Gen) -> Vec<Op> {
@@ -452,11 +437,7 @@ fn agree<T: PartialEq + Debug>(table: T, model: T, what: impl Display) -> Result
     Ok(())
 }
 
-fn compare<P: RouteMetric>(
-    table: &RoutingTable<P>,
-    model: &Model<P>,
-    at: &str,
-) -> Result<(), String> {
+fn compare(table: &RoutingTable, model: &Model, at: &str) -> Result<(), String> {
     agree(table.len(), model.routes.len(), format_args!("{at}: len"))?;
     for (t, m) in table.routes().zip(model.routes.values()) {
         prop_assert!(same(t, m), "{at}: table has {t:?}, reference {m:?}");
@@ -489,7 +470,7 @@ fn compare<P: RouteMetric>(
     Ok(())
 }
 
-fn run<P: RouteMetric + Copy>(policy: P, ops: &[Op]) -> Result<(), String> {
+fn run(policy: RoutingPolicy, ops: &[Op]) -> Result<(), String> {
     let mut table = RoutingTable::with_policy(policy);
     let mut model = Model::new(policy);
     // Each neighbour's last hello, for `Op::Repeat`.
@@ -562,26 +543,20 @@ fn table_equals_the_map_reference_under_snr_tiebreak() {
     });
 }
 
-/// A custom policy that reads no link state, so the repeat memo is on,
-/// and that moves routes between next hops at equal metric.
+/// A record outlives every change the table makes elsewhere unless
+/// it is keyed on `version`. Y's hello is recorded; Z then advertises a
+/// strictly better route to Y's destination 10, which moves there (a
+/// `version` bump), and a later hello from Z puts 10 further away than
+/// Y's advert does (another). Y's recorded hello, arriving again, must
+/// take the full apply and move 10 back to Y: a hit would only refresh
+/// the routes still through Y. Without Z's second hello the hit and the
+/// full apply agree, as both skip the route through Z.
 #[test]
-fn table_equals_the_map_reference_under_lower_address_ties() {
-    forall("table_model_lower_address", arb_ops, |ops| {
-        run(LowerAddress, ops)
-    });
-}
-
-/// The case the lower-address leg reaches only rarely at random: a
-/// record of Y's hello, then a hello from Y that moves a route from Z to
-/// Y at equal metric without changing `version` and that is itself no
-/// record (not ascending), then Y's recorded hello again. The moved
-/// route is through Y now but not in that hello: a hit would refresh it.
-#[test]
-fn an_equal_metric_switch_retires_older_records() {
+fn a_better_route_through_another_neighbour_retires_older_records() {
     let (y, z) = (Address::new(2), Address::new(3));
-    let advert = |a: u16| RouteEntry {
+    let advert = |a: u16, metric| RouteEntry {
         address: Address::new(a),
-        metric: 1,
+        metric,
         role: 0,
     };
     let hello = |neighbour, entries: &[RouteEntry], secs| Op::Hello {
@@ -591,18 +566,19 @@ fn an_equal_metric_switch_retires_older_records() {
         snr: 1.0,
         now: Duration::from_secs(secs),
     };
+    let repeat = |secs| Op::Repeat {
+        neighbour: y,
+        snr: 2.0,
+        now: Duration::from_secs(secs),
+    };
     let ops = [
-        hello(z, &[advert(10)], 1),
-        hello(y, &[advert(11)], 2),
-        Op::Repeat {
-            neighbour: y,
-            snr: 2.0,
-            now: Duration::from_secs(3),
-        },
-        hello(y, &[advert(11), advert(10)], 4),
-        hello(y, &[advert(11)], 5),
+        hello(y, &[advert(10, 2), advert(11, 1)], 1),
+        repeat(2),
+        hello(z, &[advert(10, 1)], 3),
+        hello(z, &[advert(10, 4)], 4),
+        repeat(5),
     ];
-    assert_eq!(run(LowerAddress, &ops), Ok(()));
+    assert_eq!(run(RoutingPolicy::default(), &ops), Ok(()));
 }
 
 /// Full 61-entry hellos against a table several times their size, in

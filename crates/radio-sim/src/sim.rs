@@ -80,17 +80,19 @@ const PREFETCH_MIN_PER_WORKER: usize = 128;
 /// fill's gate.
 const GATHER_REACH: f64 = 2.0 * (1.0 + 1e-9);
 
+/// Duration of a CAD scan, in symbol times (SX127x: ~2).
+const CAD_SYMBOLS: u32 = 2;
+
+/// Interval between mobility position updates.
+const MOBILITY_TICK: Duration = Duration::from_secs(1);
+
 /// Simulation-wide configuration.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
     /// RF parameters shared by all nodes.
     pub rf: RfConfig,
-    /// Duration of a CAD scan, in symbol times (SX127x: ~2).
-    pub cad_symbols: u32,
     /// Capacity of the debug trace (0 disables tracing).
     pub trace_capacity: usize,
-    /// Interval between mobility position updates.
-    pub mobility_tick: Duration,
     /// Number of spatial bands the world is partitioned into along the
     /// x-axis (see [`crate::shard`]). `1` (the default) has no partition.
     /// More scope link-cache invalidation on mobility ticks to the bands
@@ -147,9 +149,7 @@ impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
             rf: RfConfig::default(),
-            cad_symbols: 2,
             trace_capacity: 0,
-            mobility_tick: Duration::from_secs(1),
             shards: 1,
             threads: 1,
             rng_streams: false,
@@ -342,8 +342,8 @@ pub struct Simulator<F: Firmware> {
     seed: u64,
     /// Audibility bound the grid and partitioner are built with.
     audible_range: f64,
-    /// Length of a CAD scan: [`SimConfig::cad_symbols`] symbol times of
-    /// the shared modulation, fixed for the run.
+    /// Length of a CAD scan: `CAD_SYMBOLS` symbol times of the shared
+    /// modulation, fixed for the run.
     cad_duration: Duration,
     /// Spatial candidate index for row fills and band weights
     /// ([`crate::grid`]).
@@ -364,21 +364,14 @@ pub struct Simulator<F: Firmware> {
 
 impl<F: Firmware> Simulator<F> {
     /// Creates an empty simulation with the given configuration and seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`SimConfig::mobility_tick`] is zero.
     #[must_use]
     pub fn new(config: SimConfig, seed: u64) -> Self {
-        assert!(
-            !config.mobility_tick.is_zero(),
-            "SimConfig::mobility_tick must be positive: a zero tick re-arms the \
-             mobility event at the same instant forever and the run never advances"
-        );
         let trace = Trace::new(config.trace_capacity);
         let audible_range = shard::max_audible_range(&config.rf);
         let symbol_time = config.rf.modulation.symbol_time();
-        let cad_duration = symbol_time.mul_f64(f64::from(config.cad_symbols));
+        // Every golden pins this product: an integer multiply can round
+        // differently.
+        let cad_duration = symbol_time.mul_f64(f64::from(CAD_SYMBOLS));
         Simulator {
             medium: Medium::new(config.rf.clone()),
             trace,
@@ -491,7 +484,7 @@ impl<F: Firmware> Simulator<F> {
         if mobile && !self.mobility_scheduled {
             self.mobility_scheduled = true;
             self.queue
-                .schedule(self.now + self.config.mobility_tick, SimEvent::MobilityTick);
+                .schedule(self.now + MOBILITY_TICK, SimEvent::MobilityTick);
         }
         id
     }
@@ -1461,7 +1454,7 @@ impl<F: Firmware> Simulator<F> {
     }
 
     fn mobility_tick(&mut self) {
-        let dt = self.config.mobility_tick;
+        let dt = MOBILITY_TICK;
         if let Some(mut sh) = self.shard.take() {
             // Scoped invalidation: a move can only change links touching
             // nodes within audible range of the mover's old or new
@@ -2320,19 +2313,6 @@ mod tests {
         mobile_fingerprint(cfg);
     }
 
-    /// A zero mobility tick would re-arm `MobilityTick` at the same
-    /// instant forever — with one mobile node `run_for` never returned —
-    /// so the configuration is refused where it enters.
-    #[test]
-    #[should_panic(expected = "SimConfig::mobility_tick must be positive")]
-    fn zero_mobility_tick_is_refused() {
-        let cfg = SimConfig {
-            mobility_tick: Duration::ZERO,
-            ..SimConfig::default()
-        };
-        let _ = Simulator::<Probe>::new(cfg, 1);
-    }
-
     /// Per-node stream derivation is engine-invariant — shard and thread
     /// counts cannot perturb any node's draws — while still producing
     /// different draws than the fork derivation (it is a genuinely
@@ -2430,7 +2410,7 @@ mod tests {
 
     /// Adding a node asks only that node whether the world became mobile:
     /// static nodes arm nothing, the first mover arms the tick one
-    /// `mobility_tick` from now, later movers do not arm a second one.
+    /// `MOBILITY_TICK` from now, later movers do not arm a second one.
     #[test]
     fn only_the_first_mobile_node_arms_the_mobility_tick() {
         let mut s: Simulator<Clocked> = Simulator::new(SimConfig::default(), 1);
