@@ -23,8 +23,8 @@
 //! The table is one `Vec<Route>` sorted by destination, because its
 //! inner loop is applying a hello: up to 61 adverts from every
 //! neighbour, for ever, against a table of at most a few hundred
-//! 48-byte routes. Hellos are emitted in address order
-//! ([`RoutingTable::as_entries`]), so applying one is a merge of two
+//! 32-byte routes. Hellos are emitted in address order
+//! ([`RoutingTable::routes`]), so applying one is a merge of two
 //! sorted sequences: a cursor remembers how many routes sort at or
 //! before the previous advert, and the next advert is looked for in the
 //! slot right there — a sequential read of a table prefix, no search. The
@@ -36,7 +36,7 @@
 //! (`route`, `next_hop`, the direct-neighbour refresh) binary-search;
 //! `purge`/`drop_via` are one `retain` pass. What the flat layout gives
 //! up is O(log n) insertion: a new destination shifts the routes after it
-//! (at most 12 KiB for a full 256-node table) — paid once per route
+//! (at most 8 KiB for a full 256-node table) — paid once per route
 //! *learned*, during formation and after churn, against a lookup per
 //! advert *heard* in the steady state.
 //!
@@ -45,7 +45,7 @@
 //! The hello is periodic, so in a converged mesh almost every hello is a
 //! byte-for-byte copy of what the same neighbour said one interval
 //! earlier, and applying it changes nothing but timestamps and link
-//! statistics. The table remembers, per neighbour, the last hello whose
+//! SNRs. The table remembers, per neighbour, the last hello whose
 //! apply was such a no-op and applies an exact repeat of it in one pass
 //! over its routes instead of the advert-by-advert merge. A record is
 //! stored at the end of a full apply only when all of these hold:
@@ -67,14 +67,14 @@
 //! `version` also means no route moved to another next hop, and the
 //! full apply would find every advertised route in place; a route through
 //! the neighbour already has the candidate metric and the advertised
-//! role, so it would only refresh its statistics; `prefer` was false for
-//! every route through another node at record time, and none of its
-//! inputs has changed; and the completeness condition makes "routes
-//! through the neighbour" the same set as "routes this hello
-//! refreshes". So the repeat sets `last_seen`, `snr`, `snr_ewma` and
-//! `heard_count` on exactly those routes, with the expressions the full
-//! apply uses, re-derives `earliest_seen` as the exact minimum in the
-//! same pass, and changes nothing else.
+//! role, so it would only refresh its `last_seen` and `snr`; `prefer`
+//! was false for every route through another node at record time, and
+//! none of its inputs has changed; and the completeness condition makes
+//! "routes through the neighbour" the same set as "routes this hello
+//! refreshes". So the repeat sets `last_seen` and `snr` on exactly those
+//! routes, to the values the full apply stores, re-derives
+//! `earliest_seen` as the exact minimum in the same pass, and changes
+//! nothing else.
 //!
 //! The record keeps a 128-bit digest of the hello rather than a copy:
 //! two independent 64-bit multiply–rotate lanes over every advert's four
@@ -91,7 +91,6 @@ use core::cmp::Ordering;
 use core::time::Duration;
 
 use crate::addr::Address;
-use crate::codec::ROUTE_ENTRY_LEN;
 use crate::packet::RouteEntry;
 
 /// One route: how to reach `destination`.
@@ -111,12 +110,6 @@ pub struct Route {
     /// SNR of the last packet from the `via` neighbour, in dB (receiver
     /// side bookkeeping; 0 until measured).
     pub snr: f64,
-    /// Exponentially weighted moving average of the `via` link's SNR
-    /// (α = 0.25), smoothing out per-frame fading for link monitoring.
-    pub snr_ewma: f64,
-    /// How many times this route has been confirmed (direct routes:
-    /// packets heard from the neighbour).
-    pub heard_count: u64,
 }
 
 impl Route {
@@ -129,13 +122,6 @@ impl Route {
             role: self.role,
         }
     }
-}
-
-/// EWMA smoothing factor for link SNR.
-const SNR_EWMA_ALPHA: f64 = 0.25;
-
-fn ewma(old: f64, new: f64) -> f64 {
-    (1.0 - SNR_EWMA_ALPHA) * old + SNR_EWMA_ALPHA * new
 }
 
 /// Whether re-stamping a route's `last_seen` from `old` to `now` can
@@ -276,9 +262,9 @@ pub struct RoutingTable {
     policy: RoutingPolicy,
     /// Bumped whenever the Hello-visible content of the table — the set
     /// of `(destination, metric, role)` tuples — changes. Refreshes that
-    /// only touch timestamps or link statistics do not count, so an
-    /// unchanged `version` guarantees [`RoutingTable::as_entries`]
-    /// returns the same list and lets callers cache its encoding. What
+    /// only touch timestamps or link SNRs do not count, so an unchanged
+    /// `version` guarantees [`RoutingTable::routes`] advertises the same
+    /// entries and lets callers cache their encoding. What
     /// a [`Repeat`] is valid for.
     version: u64,
     /// At most one record per neighbour, sorted by neighbour.
@@ -418,43 +404,39 @@ impl RoutingTable {
     /// [`RoutingTable::settle_earliest`].
     fn refresh_direct(&mut self, neighbour: Address, snr: f64, now: Duration) -> (usize, bool) {
         debug_assert!(!neighbour.is_broadcast());
-        let slot = self.find(neighbour).unwrap_or_else(|slot| {
-            self.insert_at(
-                slot,
-                Route {
-                    destination: neighbour,
-                    via: neighbour,
-                    metric: 1,
-                    role: 0,
-                    last_seen: now,
-                    snr,
-                    snr_ewma: snr,
-                    heard_count: 0,
-                },
-            );
-            slot
-        });
+        let slot = match self.find(neighbour) {
+            Ok(slot) => slot,
+            Err(slot) => {
+                self.insert_at(
+                    slot,
+                    Route {
+                        destination: neighbour,
+                        via: neighbour,
+                        metric: 1,
+                        role: 0,
+                        last_seen: now,
+                        snr,
+                    },
+                );
+                self.touch();
+                // Stamped `now`, so it vacates no minimum.
+                return (slot, false);
+            }
+        };
         let Some(entry) = self.routes.get_mut(slot) else {
-            debug_assert!(false, "slot {slot} was just found or filled");
+            debug_assert!(false, "slot {slot} was just found");
             return (slot, false);
         };
-        // Freshly inserted (heard_count still 0) or promoted from a
-        // multi-hop metric: the Hello-visible tuple changed.
-        let advertised_change = entry.heard_count == 0 || entry.metric != 1;
+        // Promoted from a multi-hop metric: the Hello-visible tuple
+        // changed.
+        let advertised_change = entry.metric != 1;
         // A direct observation always beats any multi-hop route.
         let rerouted = entry.via != neighbour;
-        if rerouted {
-            // Switching from a multi-hop route: restart link statistics.
-            entry.snr_ewma = snr;
-        } else {
-            entry.snr_ewma = ewma(entry.snr_ewma, snr);
-        }
         let stale = vacates(self.earliest_seen, entry.last_seen, now);
         entry.via = neighbour;
         entry.metric = 1;
         entry.last_seen = now;
         entry.snr = snr;
-        entry.heard_count += 1;
         // A metric-1 route goes via its destination, so a next-hop
         // change here is a promotion from a multi-hop metric.
         debug_assert!(advertised_change || !rerouted);
@@ -481,7 +463,7 @@ impl RoutingTable {
         self.routes.iter().map(|r| r.last_seen).min()
     }
 
-    /// The direct neighbours (metric-1 routes) with their link statistics.
+    /// The direct neighbours (metric-1 routes) with their last-heard SNR.
     pub fn neighbours(&self) -> impl Iterator<Item = &Route> {
         self.routes.iter().filter(|r| r.metric == 1)
     }
@@ -572,8 +554,6 @@ impl RoutingTable {
                                 role: e.role,
                                 last_seen: now,
                                 snr,
-                                snr_ewma: snr,
-                                heard_count: 1,
                             },
                         );
                         below = slot + 1;
@@ -610,18 +590,12 @@ impl RoutingTable {
             if rerouted || r.metric != candidate_metric {
                 changed += 1;
             }
-            if rerouted {
-                r.snr_ewma = snr; // new link: restart stats
-            } else {
-                r.snr_ewma = ewma(r.snr_ewma, snr);
-            }
             stale |= vacates(earliest, r.last_seen, now);
             r.via = neighbour;
             r.metric = candidate_metric;
             r.role = e.role;
             r.last_seen = now;
             r.snr = snr;
-            r.heard_count += 1;
             // Only the tie-break moves a route at equal metric and role.
             debug_assert!(visible || !rerouted || self.policy.snr_tiebreak);
             if visible {
@@ -696,9 +670,7 @@ impl RoutingTable {
         for r in &mut self.routes {
             if r.via == neighbour {
                 r.last_seen = now;
-                r.snr_ewma = ewma(r.snr_ewma, snr);
                 r.snr = snr;
-                r.heard_count += 1;
             } else {
                 earliest = earliest.min(r.last_seen);
             }
@@ -755,18 +727,6 @@ impl RoutingTable {
     pub fn next_expiry(&self, timeout: Duration) -> Option<Duration> {
         self.earliest_seen?.checked_add(timeout)
     }
-
-    /// The table as Hello-broadcast entries (address order).
-    #[must_use]
-    pub fn as_entries(&self) -> Vec<RouteEntry> {
-        self.routes.iter().map(Route::as_entry).collect()
-    }
-
-    /// The bytes this table occupies in a Hello frame.
-    #[must_use]
-    pub fn wire_size(&self) -> usize {
-        self.routes.len() * ROUTE_ENTRY_LEN
-    }
 }
 
 impl core::fmt::Display for RoutingTable {
@@ -808,6 +768,12 @@ mod tests {
             metric,
             role: 0,
         }
+    }
+
+    /// A table is a vector of these, so its size is the table's.
+    #[test]
+    fn a_route_fits_32_bytes() {
+        assert!(core::mem::size_of::<Route>() <= 32);
     }
 
     #[test]
@@ -987,17 +953,16 @@ mod tests {
     }
 
     #[test]
-    fn as_entries_round_trips_metrics() {
+    fn routes_advertise_metrics_and_roles_in_address_order() {
         let mut t = RoutingTable::new();
         t.apply_hello(ME, N2, 7, &[entry(N3, 1)], 0.0, NOW);
-        let entries = t.as_entries();
+        let entries: Vec<RouteEntry> = t.routes().map(Route::as_entry).collect();
         assert_eq!(entries.len(), 2);
         assert_eq!(entries[0].address, N2);
         assert_eq!(entries[0].metric, 1);
         assert_eq!(entries[0].role, 7);
         assert_eq!(entries[1].address, N3);
         assert_eq!(entries[1].metric, 2);
-        assert_eq!(t.wire_size(), 2 * ROUTE_ENTRY_LEN);
     }
 
     #[test]
@@ -1044,21 +1009,6 @@ mod tests {
     }
 
     #[test]
-    fn link_statistics_smooth_snr_and_count_packets() {
-        let mut t = RoutingTable::new();
-        t.heard_from(N2, 8.0, NOW);
-        let r = t.route(N2).unwrap();
-        assert_eq!(r.snr_ewma, 8.0);
-        assert_eq!(r.heard_count, 1);
-        // A deep fade on one frame barely moves the average.
-        t.heard_from(N2, -8.0, NOW + Duration::from_secs(1));
-        let r = t.route(N2).unwrap();
-        assert_eq!(r.snr, -8.0);
-        assert!((r.snr_ewma - 4.0).abs() < 1e-12, "ewma {}", r.snr_ewma);
-        assert_eq!(r.heard_count, 2);
-    }
-
-    #[test]
     fn neighbours_lists_only_direct_routes() {
         let mut t = RoutingTable::new();
         t.apply_hello(ME, N2, 0, &[entry(N3, 1)], 5.0, NOW);
@@ -1071,11 +1021,12 @@ mod tests {
         let mut t = RoutingTable::new();
         // Route to N4 via N2 with poor SNR...
         t.apply_hello(ME, N2, 0, &[entry(N4, 2)], -10.0, NOW);
-        // ...replaced by a strictly better path via N3: stats restart.
+        // ...replaced by a strictly better path via N3: the route now
+        // carries the new link's SNR.
         t.apply_hello(ME, N3, 0, &[entry(N4, 1)], 6.0, NOW);
         let r = t.route(N4).unwrap();
         assert_eq!(r.via, N3);
-        assert_eq!(r.snr_ewma, 6.0);
+        assert_eq!(r.snr, 6.0);
     }
 
     #[test]

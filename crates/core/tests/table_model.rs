@@ -39,13 +39,14 @@
 //! assertion); `below` not pulled back after the in-hello remove (wrong
 //! table); `seek` without the not-ascending fallback (wrong table);
 //! `remove_where` without the `earliest_seen` re-scan (`next_expiry`).
-//! Of the repeat memo: the hit path skipping `heard_count += 1`, a
-//! record stored without the completeness check, the hit path keeping
-//! the old `earliest_seen` (each a wrong table under hop count; the last
-//! also `next_expiry` in `expiry_oracle.rs`); a record stored under
-//! `snr_tiebreak` (wrong table under snr-tiebreak), and the digest
-//! leaving out the role byte (wrong table); `replay` ignoring `version`
-//! (wrong table under hop count, and in
+//! Of the repeat memo: the hit path skipping `r.snr = snr`, the hit path
+//! skipping `r.last_seen = now`, a record stored without the
+//! completeness check, the hit path keeping the old `earliest_seen`
+//! (each a wrong table under hop count; the last also `next_expiry` in
+//! `expiry_oracle.rs`); a record stored under `snr_tiebreak` (wrong
+//! table under snr-tiebreak), and the digest leaving out the role byte
+//! (wrong table); `replay` ignoring `version` (wrong table under hop
+//! count, and in
 //! `a_better_route_through_another_neighbour_retires_older_records`).
 //!
 //! Uses the in-repo `testkit` harness: failures print a replayable
@@ -62,11 +63,6 @@ use testkit::{forall, prop_assert, Gen};
 
 const ME: Address = Address::new(1);
 const INFINITY: u8 = RoutingTable::INFINITY_METRIC;
-
-/// The link-SNR smoothing the table documents (α = 0.25).
-fn ewma(old: f64, new: f64) -> f64 {
-    0.75 * old + 0.25 * new
-}
 
 /// The reference: one map lookup per rule application, minimum by
 /// brute force.
@@ -97,10 +93,6 @@ impl Model {
                         role: 0,
                         last_seen: now,
                         snr,
-                        // A new link's average starts at its first sample
-                        // and is then smoothed with it.
-                        snr_ewma: ewma(snr, snr),
-                        heard_count: 1,
                     },
                 );
                 self.version += 1;
@@ -109,16 +101,10 @@ impl Model {
                 if r.metric != 1 {
                     self.version += 1;
                 }
-                r.snr_ewma = if r.via == neighbour {
-                    ewma(r.snr_ewma, snr)
-                } else {
-                    snr
-                };
                 r.via = neighbour;
                 r.metric = 1;
                 r.last_seen = now;
                 r.snr = snr;
-                r.heard_count += 1;
             }
         }
     }
@@ -159,8 +145,6 @@ impl Model {
                             role: e.role,
                             last_seen: now,
                             snr,
-                            snr_ewma: snr,
-                            heard_count: 1,
                         },
                     );
                     changed += 1;
@@ -185,17 +169,11 @@ impl Model {
             if r.metric != metric || r.role != e.role {
                 self.version += 1;
             }
-            r.snr_ewma = if r.via == neighbour {
-                ewma(r.snr_ewma, snr)
-            } else {
-                snr
-            };
             r.via = neighbour;
             r.metric = metric;
             r.role = e.role;
             r.last_seen = now;
             r.snr = snr;
-            r.heard_count += 1;
         }
         changed
     }
@@ -299,7 +277,7 @@ fn arb_entry(g: &mut Gen) -> RouteEntry {
 fn arb_entries(g: &mut Gen) -> Vec<RouteEntry> {
     let mut entries = g.vec_of(0, 61, arb_entry);
     match g.usize_in(0, 4) {
-        // What `as_entries` produces: ascending, one advert per address.
+        // What an honest table sends: ascending, one advert per address.
         0 => {
             entries.sort_by_key(|e| e.address);
             entries.dedup_by_key(|e| e.address);
@@ -423,9 +401,8 @@ fn arb_ops(g: &mut Gen) -> Vec<Op> {
 /// Every field, floats by bit pattern.
 fn same(a: &Route, b: &Route) -> bool {
     (a.destination, a.via, a.metric, a.role) == (b.destination, b.via, b.metric, b.role)
-        && (a.last_seen, a.heard_count) == (b.last_seen, b.heard_count)
+        && a.last_seen == b.last_seen
         && a.snr.to_bits() == b.snr.to_bits()
-        && a.snr_ewma.to_bits() == b.snr_ewma.to_bits()
 }
 
 /// One observable, read from both.

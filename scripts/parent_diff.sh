@@ -3,8 +3,9 @@
 # the working tree and from a git revision (default HEAD), runs the same
 # outputs on both (`exp_all`, and `meshsim` all-to-one under each of the
 # three stacks, once light and once contended, once more with a fault
-# inside a six-hour stream and once with the SNR tie-break, plus a bulk
-# transfer) and `cmp`s each one. Exits 1 naming every output that
+# inside a six-hour stream, once with the SNR tie-break and once with
+# per-node and gateway reports, plus a bulk transfer) and `cmp`s each
+# one. Exits 1 naming every output that
 # differs, 0 when all are identical.
 #
 #   ./scripts/parent_diff.sh            # working tree vs HEAD
@@ -49,7 +50,9 @@ cargo build -q --release --offline --workspace --bins
 # (36 nodes, a send every 2 s each) fill transmit queues and back off
 # on busy CAD verdicts under each stack. The SNR tie-break run moves
 # routes between next hops at equal metric, the one path on which the
-# routing table stores no repeat record.
+# routing table stores no repeat record. The per-node run prints what
+# is read back out of every table: each node's route count and its
+# gateway's hop count.
 runs=(
   "exp_all.md|exp_all|--markdown --seed 42"
   "meshsim_all_to_one.txt|meshsim|--nodes 16 --duration 600 --traffic all-to-one:30"
@@ -61,6 +64,7 @@ runs=(
   "meshsim_bulk.txt|meshsim|--nodes 6 --duration 1800 --traffic bulk:0:5:2048"
   "meshsim_all_to_one_faults.txt|meshsim|--nodes 16 --duration 21600 --traffic all-to-one:60 --kill 3@3000 --revive 3@6000"
   "meshsim_snr_tiebreak.txt|meshsim|--snr-tiebreak --topology random --nodes 16 --duration 600 --traffic all-to-one:30"
+  "meshsim_per_node.txt|meshsim|--per-node --gateway 0 --topology random --nodes 16 --duration 600 --traffic all-to-one:30"
 )
 
 differ=0

@@ -589,17 +589,26 @@ fn learning_255_routes_allocates_only_to_double_the_table() {
     let hellos: Vec<Vec<RouteEntry>> = (0..5).map(hello).collect();
     let mut table = RoutingTable::new();
     let allocs_before = local_allocs();
+    let live_before = local_live();
     for (i, entries) in hellos.iter().enumerate() {
         assert!(entries.len() <= 61, "{} entries", entries.len());
         let now = Duration::from_secs(i as u64);
         table.apply_hello(me, neighbour, 0, entries, 0.0, now);
     }
     let allocs = local_allocs() - allocs_before;
+    let grown = local_live() - live_before;
     assert_eq!(table.len(), 255);
     let doublings = 9; // ⌈log₂ 255⌉ + 1
     assert!(
         allocs <= doublings,
         "{allocs} allocations to learn 255 routes: more than {doublings} vector doublings"
+    );
+    // 256 slots of a 32-byte route, and room for a few 32-byte repeat
+    // records.
+    let bound = 256 * 32 + 4 * 32;
+    assert!(
+        grown <= bound,
+        "learning 255 routes grew the heap by {grown} B, over {bound} B"
     );
 }
 
@@ -637,10 +646,17 @@ fn repeated_hellos_apply_without_allocating() {
     }
     let allocs = local_allocs() - allocs_before;
     assert_eq!(allocs, 0, "{allocs} allocations over 2 000 repeated hellos");
-    assert_eq!(
-        table.route(Address::new(10)).map(|r| r.heard_count),
-        Some(1_002)
-    );
+    // Every route through either neighbour carries the last hello's
+    // stamp and SNR.
+    let (last_seen, snr) = (Duration::from_secs(1_001), (1_001 % 7) as f64 - 3.0);
+    for via in [n2, n3] {
+        let through: Vec<_> = table.routes().filter(|r| r.via == via).collect();
+        assert!(!through.is_empty(), "no route through {via}");
+        for r in through {
+            assert_eq!(r.last_seen, last_seen, "{r:?}");
+            assert_eq!(r.snr.to_bits(), snr.to_bits(), "{r:?}");
+        }
+    }
 }
 
 /// Set-up sizes every per-node vector once: `NetworkBuilder::build`
