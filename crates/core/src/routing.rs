@@ -463,11 +463,6 @@ impl RoutingTable {
         self.routes.iter().map(|r| r.last_seen).min()
     }
 
-    /// The direct neighbours (metric-1 routes) with their last-heard SNR.
-    pub fn neighbours(&self) -> impl Iterator<Item = &Route> {
-        self.routes.iter().filter(|r| r.metric == 1)
-    }
-
     /// Applies a Hello broadcast heard from `neighbour` advertising
     /// `role` for itself and `entries` from its table. `me` filters out
     /// routes to ourselves. Returns the number of entries that changed.
@@ -870,7 +865,11 @@ mod tests {
         let before = *t.route(N3).unwrap();
         assert_eq!(t.apply_hello(ME, N2, 0, &[entry(N3, 0)], 0.0, NOW), 0);
         assert_eq!(*t.route(N3).unwrap(), before);
-        let direct: Vec<Address> = t.neighbours().map(|r| r.destination).collect();
+        let direct: Vec<Address> = t
+            .routes()
+            .filter(|r| r.metric == 1)
+            .map(|r| r.destination)
+            .collect();
         assert_eq!(direct, vec![N2]);
     }
 
@@ -1009,10 +1008,14 @@ mod tests {
     }
 
     #[test]
-    fn neighbours_lists_only_direct_routes() {
+    fn only_the_hello_sender_becomes_a_direct_route() {
         let mut t = RoutingTable::new();
         t.apply_hello(ME, N2, 0, &[entry(N3, 1)], 5.0, NOW);
-        let direct: Vec<Address> = t.neighbours().map(|r| r.destination).collect();
+        let direct: Vec<Address> = t
+            .routes()
+            .filter(|r| r.metric == 1)
+            .map(|r| r.destination)
+            .collect();
         assert_eq!(direct, vec![N2]);
     }
 

@@ -94,8 +94,8 @@ impl Bus {
 
     /// Random extra delay added to every reliable-transfer deadline:
     /// uniformly 0–50 % of `base`. See
-    /// [`crate::reliable::OutboundTransfer::defer_deadline`] for why
-    /// this is load-bearing.
+    /// [`crate::reliable::OutboundTransfer::start`] for the rule that
+    /// applies it and why it is load-bearing.
     pub(crate) fn ack_jitter(&mut self, base: Duration) -> Duration {
         base.mul_f64(0.5 * self.rng.gen_f64())
     }

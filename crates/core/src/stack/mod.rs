@@ -53,7 +53,6 @@ use crate::config::MeshConfig;
 use crate::driver::{NodeProtocol, RadioIo};
 use crate::error::SendError;
 use crate::mac::Mac;
-use crate::packet::Packet;
 use crate::reliable::TransferPhase;
 use crate::routing::RoutingTable;
 use crate::stats::NodeStats;
@@ -287,13 +286,14 @@ impl NodeProtocol for MeshNode {
                 self.routing.on_hello(me, &hello, quality.snr, now);
                 self.bus.stats.hellos_received += 1;
             }
-            FrameView::Unicast(unicast) if unicast.dst == me => match unicast.to_packet() {
-                Packet::Data { src, payload, .. } => {
-                    app::deliver_datagram(&mut self.bus, src, payload);
+            FrameView::Unicast(unicast) if unicast.dst == me => match unicast.body {
+                UnicastBody::Data { payload } => {
+                    app::deliver_datagram(&mut self.bus, unicast.src, payload.to_vec());
                 }
-                p => self
-                    .transport
-                    .consume(p, now, me, &mut self.bus, &self.routing),
+                body => {
+                    self.transport
+                        .consume(unicast.src, body, now, me, &mut self.bus, &self.routing)
+                }
             },
             FrameView::Unicast(unicast) if unicast.dst.is_broadcast() => {
                 if let UnicastBody::Data { payload } = unicast.body {
@@ -343,6 +343,7 @@ impl NodeProtocol for MeshNode {
 mod tests {
     use super::*;
     use crate::driver::RadioRequest;
+    use crate::packet::Packet;
     use alloc::sync::Arc;
     use lora_phy::region::Region;
 

@@ -13,23 +13,16 @@ use alloc::vec::Vec;
 use core::time::Duration;
 
 use crate::addr::Address;
-use crate::codec::{MAX_FRAG_PAYLOAD, MAX_LOST_INDICES, MAX_RELIABLE_PAYLOAD};
+use crate::codec::{UnicastBody, MAX_FRAG_PAYLOAD, MAX_LOST_INDICES, MAX_RELIABLE_PAYLOAD};
 use crate::error::SendError;
 use crate::packet::{Forwarding, Packet, SYNC_ACK_INDEX};
 use crate::reliable::{
-    InboundTransfer, OutboundTransfer, ReceiverAction, SenderAction, TransferPhase, ACK_TIMEOUT,
-    MAX_RETRIES, REASSEMBLY_TIMEOUT,
+    InboundTransfer, OutboundTransfer, SenderAction, TransferPhase, ACK_TIMEOUT, REASSEMBLY_TIMEOUT,
 };
 use crate::stack::app::MeshEvent;
 use crate::stack::bus::Bus;
 use crate::stack::routing::RoutingLayer;
 use crate::stack::MAX_TTL;
-
-/// Control-packet kinds the receiver side sends back.
-enum ControlKind {
-    Ack(u16),
-    Lost(Vec<u16>),
-}
 
 /// Transport state; see the module docs.
 #[derive(Debug)]
@@ -72,235 +65,95 @@ impl TransportLayer {
             return Err(SendError::TransferInProgress(dst));
         }
         let seq = self.next_seq;
-        let Some(mut transfer) = OutboundTransfer::new(
-            dst,
-            seq,
-            &payload,
-            MAX_FRAG_PAYLOAD,
-            ACK_TIMEOUT,
-            MAX_RETRIES,
-        ) else {
-            return Err(SendError::PayloadTooLarge {
-                len: payload.len(),
+        let len = payload.len();
+        let mut transfer = OutboundTransfer::new(seq, payload, MAX_FRAG_PAYLOAD).ok_or(
+            SendError::PayloadTooLarge {
+                len,
                 max: MAX_RELIABLE_PAYLOAD,
-            });
-        };
+            },
+        )?;
         self.next_seq = self.next_seq.wrapping_add(1);
-        let action = transfer.start(now);
-        transfer.defer_deadline(bus.ack_jitter(ACK_TIMEOUT));
+        let action = transfer.start(now, bus.ack_jitter(ACK_TIMEOUT));
+        apply(dst, &transfer, action, me, bus, routing);
         self.outbound.insert(dst, transfer);
-        self.apply_sender_action(dst, action, me, bus, routing);
         Ok(seq)
     }
 
-    fn apply_sender_action(
-        &mut self,
-        dst: Address,
-        action: SenderAction,
-        me: Address,
-        bus: &mut Bus,
-        routing: &RoutingLayer,
-    ) {
-        match action {
-            SenderAction::None => {}
-            SenderAction::SendSync => {
-                let Some(t) = self.outbound.get(&dst) else {
-                    return;
-                };
-                let (seq, frag_count, total_len) = (t.seq, t.frag_count(), t.total_len());
-                let Some(via) = routing.table.next_hop(dst) else {
-                    bus.stats.no_route_drops += 1;
-                    return;
-                };
-                let id = bus.next_id();
-                let packet = Packet::Sync {
-                    dst,
-                    src: me,
-                    id,
-                    fwd: Forwarding { via, ttl: MAX_TTL },
-                    seq,
-                    frag_count,
-                    total_len,
-                };
-                let _ = bus.enqueue(packet);
-            }
-            SenderAction::SendFrag(index) => {
-                let Some(t) = self.outbound.get(&dst) else {
-                    return;
-                };
-                let (seq, data) = (t.seq, t.fragment(index).to_vec());
-                let Some(via) = routing.table.next_hop(dst) else {
-                    bus.stats.no_route_drops += 1;
-                    return;
-                };
-                let id = bus.next_id();
-                let packet = Packet::Frag {
-                    dst,
-                    src: me,
-                    id,
-                    fwd: Forwarding { via, ttl: MAX_TTL },
-                    seq,
-                    index,
-                    data,
-                };
-                let _ = bus.enqueue(packet);
-            }
-            SenderAction::Completed => {
-                if let Some(t) = self.outbound.remove(&dst) {
-                    bus.stats.reliable_sent += 1;
-                    bus.stats.reliable_retransmits += u64::from(t.retransmits);
-                    bus.emit(MeshEvent::ReliableDelivered { dst, seq: t.seq });
-                }
-            }
-            SenderAction::Aborted(_) => {
-                if let Some(t) = self.outbound.remove(&dst) {
-                    bus.stats.reliable_aborted += 1;
-                    bus.stats.reliable_retransmits += u64::from(t.retransmits);
-                    bus.emit(MeshEvent::ReliableFailed { dst, seq: t.seq });
-                }
-            }
-        }
-    }
-
-    /// Sends a reliable-transfer control packet back to `peer`.
-    fn send_control(
-        &mut self,
-        peer: Address,
-        seq: u8,
-        kind: ControlKind,
-        me: Address,
-        bus: &mut Bus,
-        routing: &RoutingLayer,
-    ) {
-        let Some(via) = routing.table.next_hop(peer) else {
-            bus.stats.no_route_drops += 1;
-            return;
-        };
-        let id = bus.next_id();
-        let fwd = Forwarding { via, ttl: MAX_TTL };
-        let packet = match kind {
-            ControlKind::Ack(index) => Packet::Ack {
-                dst: peer,
-                src: me,
-                id,
-                fwd,
-                seq,
-                index,
-            },
-            ControlKind::Lost(missing) => Packet::Lost {
-                dst: peer,
-                src: me,
-                id,
-                fwd,
-                seq,
-                missing,
-            },
-        };
-        let _ = bus.enqueue(packet);
-    }
-
-    /// Consumes a transport packet addressed to this node (dispatch from
-    /// `on_frame`; Hello and Data never reach here).
+    /// Consumes a transport frame addressed to this node: `on_frame`
+    /// hands Data to the app and everything else here, borrowed.
     pub(crate) fn consume(
         &mut self,
-        packet: Packet,
+        src: Address,
+        body: UnicastBody<'_>,
         now: Duration,
         me: Address,
         bus: &mut Bus,
         routing: &RoutingLayer,
     ) {
-        match packet {
-            Packet::Hello { .. } | Packet::Data { .. } => {
-                // Routed to the routing/app layers in on_frame; tolerate
-                // a misdispatch instead of crashing the node.
-                debug_assert!(false, "hello/data handled before the transport layer");
-            }
-            Packet::Sync {
-                src,
-                seq,
-                frag_count,
-                total_len,
-                ..
+        match body {
+            UnicastBody::Data { .. } => {}
+            UnicastBody::Sync {
+                seq, frag_count, ..
             } => {
                 if frag_count == 0 {
                     bus.stats.decode_errors += 1;
                     return;
                 }
-                let transfer = self
-                    .inbound
+                self.inbound
                     .entry((src, seq))
-                    .or_insert_with(|| InboundTransfer::new(src, seq, frag_count, total_len, now));
-                let ReceiverAction::AckSync = transfer.on_sync(now) else {
+                    .or_insert_with(|| InboundTransfer::new(frag_count, now))
+                    .on_sync(now);
+                send_ack(src, seq, SYNC_ACK_INDEX, me, bus, routing);
+            }
+            UnicastBody::Frag { seq, index, data } => {
+                // A Frag whose Sync never arrived (or expired) has nothing
+                // to attach to; one past the announced count is ignored.
+                let Some(completed) = self
+                    .inbound
+                    .get_mut(&(src, seq))
+                    .and_then(|t| t.on_frag(index, data, now))
+                else {
                     return;
                 };
-                self.send_control(src, seq, ControlKind::Ack(SYNC_ACK_INDEX), me, bus, routing);
-            }
-            Packet::Frag {
-                src,
-                seq,
-                index,
-                data,
-                ..
-            } => {
-                let Some(transfer) = self.inbound.get_mut(&(src, seq)) else {
-                    // Sync never arrived (or expired): nothing to attach to.
-                    return;
-                };
-                let actions = transfer.on_frag(index, &data, now);
-                for action in actions {
-                    match action {
-                        ReceiverAction::AckSync => {
-                            self.send_control(
-                                src,
-                                seq,
-                                ControlKind::Ack(SYNC_ACK_INDEX),
-                                me,
-                                bus,
-                                routing,
-                            );
-                        }
-                        ReceiverAction::AckFrag(i) => {
-                            self.send_control(src, seq, ControlKind::Ack(i), me, bus, routing);
-                        }
-                        ReceiverAction::Complete(payload) => {
-                            bus.stats.reliable_received += 1;
-                            bus.emit(MeshEvent::ReliableReceived { src, payload });
-                        }
-                    }
+                send_ack(src, seq, index, me, bus, routing);
+                if let Some(payload) = completed {
+                    bus.stats.reliable_received += 1;
+                    bus.emit(MeshEvent::ReliableReceived { src, payload });
                 }
             }
-            Packet::Ack {
-                src, seq, index, ..
-            } => {
-                let jitter = bus.ack_jitter(ACK_TIMEOUT);
-                let action = match self.outbound.get_mut(&src) {
-                    Some(t) if t.seq == seq => {
-                        let action = t.on_ack(index, now);
-                        t.defer_deadline(jitter);
-                        Some(action)
-                    }
-                    _ => None,
-                };
-                if let Some(action) = action {
-                    self.apply_sender_action(src, action, me, bus, routing);
-                }
+            UnicastBody::Ack { seq, index } => {
+                self.on_reply(src, seq, me, bus, routing, |t, jitter| {
+                    t.on_ack(index, now, jitter)
+                });
             }
-            Packet::Lost {
-                src, seq, missing, ..
-            } => {
-                let jitter = bus.ack_jitter(ACK_TIMEOUT);
-                let action = match self.outbound.get_mut(&src) {
-                    Some(t) if t.seq == seq => {
-                        let action = t.on_lost(&missing, now);
-                        t.defer_deadline(jitter);
-                        Some(action)
-                    }
-                    _ => None,
-                };
-                if let Some(action) = action {
-                    self.apply_sender_action(src, action, me, bus, routing);
-                }
+            UnicastBody::Lost { seq, missing } => {
+                let missing = missing.iter().map(|&m| u16::from_le_bytes(m));
+                self.on_reply(src, seq, me, bus, routing, |t, jitter| {
+                    t.on_lost(missing, now, jitter)
+                });
             }
+        }
+    }
+
+    /// An Ack or Lost from `src`: one jitter draw whether or not it
+    /// matches a transfer, then `step` on the transfer it matches.
+    fn on_reply(
+        &mut self,
+        src: Address,
+        seq: u8,
+        me: Address,
+        bus: &mut Bus,
+        routing: &RoutingLayer,
+        step: impl FnOnce(&mut OutboundTransfer, Duration) -> SenderAction,
+    ) {
+        let jitter = bus.ack_jitter(ACK_TIMEOUT);
+        let Some(t) = self.outbound.get_mut(&src).filter(|t| t.seq == seq) else {
+            return;
+        };
+        let action = step(t, jitter);
+        apply(src, t, action, me, bus, routing);
+        if t.phase() == TransferPhase::Done {
+            self.outbound.remove(&src);
         }
     }
 
@@ -318,67 +171,44 @@ impl TransportLayer {
             return;
         }
         // 3. Outbound reliable deadlines.
-        let due: Vec<Address> = self
-            .outbound
-            .iter()
-            .filter(|(_, t)| t.deadline().is_some_and(|d| d <= now))
-            .map(|(dst, _)| *dst)
-            .collect();
-        for dst in due {
-            let jitter = bus.ack_jitter(ACK_TIMEOUT);
-            let action = self
-                .outbound
-                .get_mut(&dst)
-                .map(|t| {
-                    let action = t.on_timeout(now);
-                    t.defer_deadline(jitter);
-                    action
-                })
-                .unwrap_or(SenderAction::None);
-            self.apply_sender_action(dst, action, me, bus, routing);
-        }
+        self.outbound.retain(|&dst, t| {
+            if t.deadline().is_some_and(|d| d <= now) {
+                let action = t.on_timeout(now, bus.ack_jitter(ACK_TIMEOUT));
+                apply(dst, t, action, me, bus, routing);
+            }
+            t.phase() != TransferPhase::Done
+        });
         // 4a. Inbound transfers that stalled mid-way: nudge the sender
         //     with a Lost request listing the missing fragments.
-        let stalled: Vec<(Address, u8, Vec<u16>)> = self
-            .inbound
-            .iter()
-            .filter(|(_, t)| {
-                t.stalled(now, ACK_TIMEOUT)
-                    && t.lost_requests() < MAX_RETRIES
-                    && !t.missing().is_empty()
-            })
-            .map(|(k, t)| {
-                // The earliest indices that fit one frame: the sender
-                // rewinds to the first, and a later request names the rest.
-                let mut missing = t.missing();
-                missing.truncate(MAX_LOST_INDICES);
-                (k.0, k.1, missing)
-            })
-            .collect();
-        for (src, seq, missing) in stalled {
-            if let Some(t) = self.inbound.get_mut(&(src, seq)) {
-                t.note_lost_sent(now);
+        for (&(src, seq), t) in &mut self.inbound {
+            if !t.stalled(now) {
+                continue;
             }
-            self.send_control(src, seq, ControlKind::Lost(missing), me, bus, routing);
+            t.note_lost_sent(now);
+            // The earliest indices that fit one frame: the sender
+            // rewinds to the first, and a later request names the rest.
+            let mut missing = t.missing();
+            missing.truncate(MAX_LOST_INDICES);
+            send(src, bus, routing, |id, fwd| Packet::Lost {
+                dst: src,
+                src: me,
+                id,
+                fwd,
+                seq,
+                missing,
+            });
         }
         // 4b. Inbound reassembly expiry.
-        let expired: Vec<(Address, u8)> = self
-            .inbound
-            .iter()
-            .filter(|(_, t)| t.expired(now, REASSEMBLY_TIMEOUT))
-            .map(|(k, _)| *k)
-            .collect();
-        for key in expired {
-            if let Some(t) = self.inbound.remove(&key) {
-                if !t.is_delivered() {
-                    bus.stats.reliable_aborted += 1;
-                    bus.emit(MeshEvent::InboundTransferExpired {
-                        src: key.0,
-                        seq: key.1,
-                    });
-                }
+        self.inbound.retain(|&(src, seq), t| {
+            if !t.expired(now) {
+                return true;
             }
-        }
+            if !t.is_delivered() {
+                bus.stats.reliable_aborted += 1;
+                bus.emit(MeshEvent::InboundTransferExpired { src, seq });
+            }
+            false
+        });
     }
 
     /// The earliest transport deadline, for `next_wake`.
@@ -389,20 +219,14 @@ impl TransportLayer {
         let outbound = self
             .outbound
             .values()
-            .filter_map(OutboundTransfer::deadline)
-            .min();
-        let reassembly = self
-            .inbound
-            .values()
-            .map(|t| t.last_activity + REASSEMBLY_TIMEOUT)
-            .min();
-        let stall = self
-            .inbound
-            .values()
-            .filter(|t| t.lost_requests() < MAX_RETRIES)
-            .filter_map(|t| t.stall_deadline(ACK_TIMEOUT))
-            .min();
-        [outbound, reassembly, stall].into_iter().flatten().min()
+            .filter_map(OutboundTransfer::deadline);
+        let inbound = self.inbound.values().flat_map(|t| {
+            [
+                Some(t.last_activity + REASSEMBLY_TIMEOUT),
+                t.stall_deadline(),
+            ]
+        });
+        outbound.chain(inbound.flatten()).min()
     }
 
     /// No transfer in either direction: nothing can fall due, so the
@@ -443,10 +267,93 @@ impl TransportLayer {
     }
 }
 
+/// Carries out what a step of the transfer to `dst` decided: sends its
+/// Sync or a fragment, or books its end. The caller forgets a transfer
+/// that is [`TransferPhase::Done`].
+fn apply(
+    dst: Address,
+    t: &OutboundTransfer,
+    action: SenderAction,
+    me: Address,
+    bus: &mut Bus,
+    routing: &RoutingLayer,
+) {
+    let seq = t.seq;
+    match action {
+        SenderAction::None => {}
+        SenderAction::SendSync => send(dst, bus, routing, |id, fwd| Packet::Sync {
+            dst,
+            src: me,
+            id,
+            fwd,
+            seq,
+            frag_count: t.frag_count(),
+            total_len: t.total_len(),
+        }),
+        SenderAction::SendFrag(index) => send(dst, bus, routing, |id, fwd| Packet::Frag {
+            dst,
+            src: me,
+            id,
+            fwd,
+            seq,
+            index,
+            data: t.fragment(index).to_vec(),
+        }),
+        SenderAction::Completed => {
+            bus.stats.reliable_sent += 1;
+            bus.stats.reliable_retransmits += u64::from(t.retransmits);
+            bus.emit(MeshEvent::ReliableDelivered { dst, seq });
+        }
+        SenderAction::Aborted => {
+            bus.stats.reliable_aborted += 1;
+            bus.stats.reliable_retransmits += u64::from(t.retransmits);
+            bus.emit(MeshEvent::ReliableFailed { dst, seq });
+        }
+    }
+}
+
+/// Acknowledges the Sync ([`SYNC_ACK_INDEX`]) or fragment `index` of the
+/// transfer `seq` from `peer`.
+fn send_ack(
+    peer: Address,
+    seq: u8,
+    index: u16,
+    me: Address,
+    bus: &mut Bus,
+    routing: &RoutingLayer,
+) {
+    send(peer, bus, routing, |id, fwd| Packet::Ack {
+        dst: peer,
+        src: me,
+        id,
+        fwd,
+        seq,
+        index,
+    });
+}
+
+/// The one way a transfer packet leaves: the next hop towards `dst` (a
+/// missing one counts in `no_route_drops`), then a packet id, then the
+/// transmit queue.
+fn send(
+    dst: Address,
+    bus: &mut Bus,
+    routing: &RoutingLayer,
+    packet: impl FnOnce(u8, Forwarding) -> Packet,
+) {
+    let Some(via) = routing.table.next_hop(dst) else {
+        bus.stats.no_route_drops += 1;
+        return;
+    };
+    let id = bus.next_id();
+    let _ = bus.enqueue(packet(id, Forwarding { via, ttl: MAX_TTL }));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::MeshConfig;
+    use crate::rng::ProtocolRng;
     use alloc::vec;
 
     const ME: Address = Address::new(1);
@@ -494,11 +401,8 @@ mod tests {
     fn zero_fragment_sync_is_rejected() {
         let (routing, mut t, mut bus) = parts();
         t.consume(
-            Packet::Sync {
-                dst: ME,
-                src: PEER,
-                id: 1,
-                fwd: Forwarding { via: ME, ttl: 5 },
+            PEER,
+            UnicastBody::Sync {
                 seq: 0,
                 frag_count: 0,
                 total_len: 0,
@@ -516,14 +420,8 @@ mod tests {
     fn ack_for_unknown_transfer_is_ignored() {
         let (routing, mut t, mut bus) = parts();
         t.consume(
-            Packet::Ack {
-                dst: ME,
-                src: PEER,
-                id: 0,
-                fwd: Forwarding { via: ME, ttl: 5 },
-                seq: 9,
-                index: 0,
-            },
+            PEER,
+            UnicastBody::Ack { seq: 9, index: 0 },
             Duration::ZERO,
             ME,
             &mut bus,
@@ -533,17 +431,69 @@ mod tests {
         assert!(t.outbound_transfers().is_empty());
     }
 
+    /// Pins how replies to a sender spend the node RNG: (a) an Ack and a
+    /// Lost that match no transfer each take exactly one draw, and (b) a
+    /// duplicate Ack, which changes no state, still pushes the pending
+    /// deadline out by exactly one fresh jitter.
+    ///
+    /// Hand mutants it kills: "draw only on a match" fails (a), "defer
+    /// only when the step re-arms" fails (b).
+    #[test]
+    fn replies_draw_one_jitter_each_and_a_duplicate_ack_defers() {
+        let (routing, mut t, mut bus) = parts();
+        let seed = MeshConfig::builder(ME).build().seed;
+        // (a) No transfer to PEER exists yet.
+        t.consume(
+            PEER,
+            UnicastBody::Ack { seq: 9, index: 0 },
+            Duration::ZERO,
+            ME,
+            &mut bus,
+            &routing,
+        );
+        t.consume(
+            PEER,
+            UnicastBody::Lost {
+                seq: 9,
+                missing: &[[0, 0]],
+            },
+            Duration::ZERO,
+            ME,
+            &mut bus,
+            &routing,
+        );
+        let mut fresh = ProtocolRng::new(seed);
+        fresh.next_u64();
+        fresh.next_u64();
+        assert_eq!(bus.rng.clone().next_u64(), fresh.next_u64());
+
+        // (b) The Sync is acknowledged, then acknowledged again.
+        let seq = t
+            .send_reliable(PEER, vec![7; 300], Duration::ZERO, ME, &mut bus, &routing)
+            .expect("route exists");
+        let sync_ack = UnicastBody::Ack {
+            seq,
+            index: SYNC_ACK_INDEX,
+        };
+        let now = Duration::from_secs(1);
+        t.consume(PEER, sync_ack, now, ME, &mut bus, &routing);
+        let before = t.next_wake().expect("fragment 0 awaits its ack");
+        let mut probe = Bus::new(seed);
+        probe.rng = bus.rng.clone();
+        let jitter = probe.ack_jitter(ACK_TIMEOUT);
+        assert!(jitter > Duration::ZERO);
+        t.consume(PEER, sync_ack, now, ME, &mut bus, &routing);
+        assert_eq!(t.next_wake(), Some(before + jitter));
+    }
+
     /// A sync with no follow-up fragments trips the stall deadline; the
     /// layer must nudge the sender with a LOST listing every fragment.
     #[test]
     fn stalled_inbound_transfer_emits_a_lost_request() {
         let (routing, mut t, mut bus) = parts();
         t.consume(
-            Packet::Sync {
-                dst: ME,
-                src: PEER,
-                id: 1,
-                fwd: Forwarding { via: ME, ttl: 5 },
+            PEER,
+            UnicastBody::Sync {
                 seq: 3,
                 frag_count: 2,
                 total_len: 20,
@@ -570,11 +520,8 @@ mod tests {
     fn lost_request_lists_what_fits_one_frame() {
         let (routing, mut t, mut bus) = parts();
         t.consume(
-            Packet::Sync {
-                dst: ME,
-                src: PEER,
-                id: 1,
-                fwd: Forwarding { via: ME, ttl: 5 },
+            PEER,
+            UnicastBody::Sync {
                 seq: 3,
                 frag_count: 300,
                 total_len: 30_000,
@@ -603,11 +550,8 @@ mod tests {
     fn expired_inbound_transfer_reports_to_the_app() {
         let (routing, mut t, mut bus) = parts();
         t.consume(
-            Packet::Sync {
-                dst: ME,
-                src: PEER,
-                id: 1,
-                fwd: Forwarding { via: ME, ttl: 5 },
+            PEER,
+            UnicastBody::Sync {
                 seq: 7,
                 frag_count: 2,
                 total_len: 20,

@@ -4,9 +4,10 @@
 # outputs on both (`exp_all`, and `meshsim` all-to-one under each of the
 # three stacks, once light and once contended, once more with a fault
 # inside a six-hour stream, once with the SNR tie-break and once with
-# per-node and gateway reports, plus a bulk transfer) and `cmp`s each
-# one. Exits 1 naming every output that
-# differs, 0 when all are identical.
+# per-node and gateway reports, plus three bulk transfers: one clean,
+# one that completes after retransmissions, one that aborts) and `cmp`s
+# each one. Exits 1 naming every output that differs, 0 when all are
+# identical.
 #
 #   ./scripts/parent_diff.sh            # working tree vs HEAD
 #   ./scripts/parent_diff.sh HEAD~1     # working tree vs its parent
@@ -52,7 +53,11 @@ cargo build -q --release --offline --workspace --bins
 # routes between next hops at equal metric, the one path on which the
 # routing table stores no repeat record. The per-node run prints what
 # is read back out of every table: each node's route count and its
-# gateway's hop count.
+# gateway's hop count. The clean bulk run never reaches a retry; the
+# two grey-zone bulk runs lose frames on purpose: the 4 KiB one
+# completes after retransmissions (first completion at 172.886 s,
+# 1 339 frames), the 8 KiB one at 95 % spacing spends its retry budget
+# and aborts (0 completed, 1 failed, 1 119 frames).
 runs=(
   "exp_all.md|exp_all|--markdown --seed 42"
   "meshsim_all_to_one.txt|meshsim|--nodes 16 --duration 600 --traffic all-to-one:30"
@@ -62,6 +67,8 @@ runs=(
   "meshsim_contended_flooding.txt|meshsim|--protocol flooding --topology grid --nodes 36 --duration 300 --traffic all-to-one:2"
   "meshsim_contended_star.txt|meshsim|--protocol star --topology grid --nodes 36 --duration 300 --traffic all-to-one:2"
   "meshsim_bulk.txt|meshsim|--nodes 6 --duration 1800 --traffic bulk:0:5:2048"
+  "meshsim_bulk_retries.txt|meshsim|--nodes 6 --grey-zone --duration 3600 --traffic bulk:0:5:4096"
+  "meshsim_bulk_abort.txt|meshsim|--nodes 6 --grey-zone --spacing-frac 0.95 --duration 3600 --traffic bulk:0:5:8192"
   "meshsim_all_to_one_faults.txt|meshsim|--nodes 16 --duration 21600 --traffic all-to-one:60 --kill 3@3000 --revive 3@6000"
   "meshsim_snr_tiebreak.txt|meshsim|--snr-tiebreak --topology random --nodes 16 --duration 600 --traffic all-to-one:30"
   "meshsim_per_node.txt|meshsim|--per-node --gateway 0 --topology random --nodes 16 --duration 600 --traffic all-to-one:30"

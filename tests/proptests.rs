@@ -17,9 +17,7 @@ use loramesher_repro::loramesher::driver::{RadioIo, RadioRequest};
 use loramesher_repro::loramesher::mac::{Mac, NoWireCache, TxOutcome};
 use loramesher_repro::loramesher::packet::{Forwarding, Packet, RouteEntry};
 use loramesher_repro::loramesher::queue::TxQueue;
-use loramesher_repro::loramesher::reliable::{
-    InboundTransfer, OutboundTransfer, ReceiverAction, SenderAction,
-};
+use loramesher_repro::loramesher::reliable::{InboundTransfer, OutboundTransfer, SenderAction};
 use loramesher_repro::loramesher::rng::ProtocolRng;
 use loramesher_repro::loramesher::routing::RoutingTable;
 use loramesher_repro::loramesher::FloodMessage;
@@ -315,26 +313,25 @@ fn fragmentation_reassembles_exactly() {
         "fragmentation_reassembles_exactly",
         |g| (g.bytes(1, 5000), g.usize_in(1, codec::MAX_FRAG_PAYLOAD)),
         |(payload, max_frag)| {
-            let dst = Address::new(2);
-            let src = Address::new(1);
             let now = Duration::from_secs(1);
-            let mut tx =
-                OutboundTransfer::new(dst, 0, payload, *max_frag, Duration::from_secs(8), 3)
-                    .expect("at most 5 000 bytes fit a Sync");
-            let mut rx = InboundTransfer::new(src, 0, tx.frag_count(), tx.total_len(), now);
+            let jitter = Duration::ZERO;
+            let mut tx = OutboundTransfer::new(0, payload.clone(), *max_frag)
+                .expect("at most 5 000 bytes fit a Sync");
+            let mut rx = InboundTransfer::new(tx.frag_count(), now);
 
-            prop_assert_eq!(tx.start(now), SenderAction::SendSync);
-            prop_assert_eq!(rx.on_sync(now), ReceiverAction::AckSync);
-            let mut action = tx.on_ack(loramesher_repro::loramesher::packet::SYNC_ACK_INDEX, now);
+            prop_assert_eq!(tx.start(now, jitter), SenderAction::SendSync);
+            rx.on_sync(now);
+            let mut action = tx.on_ack(
+                loramesher_repro::loramesher::packet::SYNC_ACK_INDEX,
+                now,
+                jitter,
+            );
             let mut reassembled = None;
             while let SenderAction::SendFrag(i) = action {
-                let data = tx.fragment(i).to_vec();
-                for r in rx.on_frag(i, &data, now) {
-                    if let ReceiverAction::Complete(p) = r {
-                        reassembled = Some(p);
-                    }
+                if let Some(Some(p)) = rx.on_frag(i, tx.fragment(i), now) {
+                    reassembled = Some(p);
                 }
-                action = tx.on_ack(i, now);
+                action = tx.on_ack(i, now, jitter);
             }
             prop_assert_eq!(action, SenderAction::Completed);
             prop_assert_eq!(&reassembled.expect("delivered"), payload);
@@ -351,29 +348,23 @@ fn lost_recovery_reassembles() {
         "lost_recovery_reassembles",
         |g| (g.bytes(100, 3000), g.u64()),
         |(payload, drop_mask)| {
-            let src = Address::new(1);
             let now = Duration::from_secs(1);
-            let tx =
-                OutboundTransfer::new(Address::new(2), 0, payload, 100, Duration::from_secs(8), 3)
-                    .expect("at most 3 000 bytes fit a Sync");
-            let mut rx = InboundTransfer::new(src, 0, tx.frag_count(), tx.total_len(), now);
+            let tx = OutboundTransfer::new(0, payload.clone(), 100)
+                .expect("at most 3 000 bytes fit a Sync");
+            let mut rx = InboundTransfer::new(tx.frag_count(), now);
             // First pass: deliver only the fragments whose mask bit is set.
             let mut delivered = None;
             for i in 0..tx.frag_count() {
                 if drop_mask >> (i % 64) & 1 == 1 {
-                    for r in rx.on_frag(i, tx.fragment(i), now) {
-                        if let ReceiverAction::Complete(p) = r {
-                            delivered = Some(p);
-                        }
+                    if let Some(Some(p)) = rx.on_frag(i, tx.fragment(i), now) {
+                        delivered = Some(p);
                     }
                 }
             }
             // Recovery pass: send exactly what the receiver lists as missing.
             for i in rx.missing() {
-                for r in rx.on_frag(i, tx.fragment(i), now) {
-                    if let ReceiverAction::Complete(p) = r {
-                        delivered = Some(p);
-                    }
+                if let Some(Some(p)) = rx.on_frag(i, tx.fragment(i), now) {
+                    delivered = Some(p);
                 }
             }
             prop_assert!(rx.missing().is_empty());
