@@ -23,7 +23,7 @@
 //! The table is one `Vec<Route>` sorted by destination, because its
 //! inner loop is applying a hello: up to 61 adverts from every
 //! neighbour, for ever, against a table of at most a few hundred
-//! 32-byte routes. Hellos are emitted in address order
+//! 24-byte routes. Hellos are emitted in address order
 //! ([`RoutingTable::routes`]), so applying one is a merge of two
 //! sorted sequences: a cursor remembers how many routes sort at or
 //! before the previous advert, and the next advert is looked for in the
@@ -36,9 +36,13 @@
 //! (`route`, `next_hop`, the direct-neighbour refresh) binary-search;
 //! `purge`/`drop_via` are one `retain` pass. What the flat layout gives
 //! up is O(log n) insertion: a new destination shifts the routes after it
-//! (at most 8 KiB for a full 256-node table) — paid once per route
+//! (at most 6 KiB for a full 256-node table) — paid once per route
 //! *learned*, during formation and after churn, against a lookup per
-//! advert *heard* in the steady state.
+//! advert *heard* in the steady state. A full vector grows by a quarter
+//! of its length plus four routes, not by doubling: a table keeps the
+//! capacity it reached for its whole life, and formation overshoots
+//! the steady-state route count, so doubling would leave up to half of
+//! that peak unused for good.
 //!
 //! # Repeats
 //!
@@ -93,7 +97,41 @@ use core::time::Duration;
 use crate::addr::Address;
 use crate::packet::RouteEntry;
 
-/// One route: how to reach `destination`.
+/// An instant on the table's clock, as whole nanoseconds in a `u64`.
+///
+/// Saturation: an instant at or past `u64::MAX` ns (≈ 584 years) is
+/// stamped as `u64::MAX` ns, so a route heard that late reads as heard at
+/// the cap. Where a stamp meets a caller's clock in arithmetic (a route's
+/// age in [`RoutingTable::purge`], the deadline of
+/// [`RoutingTable::next_expiry`]) it is converted back to a [`Duration`]
+/// first, so a clock past the cap never wraps: such a route ages from
+/// the cap. Below the cap the round trip is exact.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Stamp(u64);
+
+impl Stamp {
+    /// `now`, saturated at `u64::MAX` ns.
+    #[must_use]
+    pub fn at(now: Duration) -> Self {
+        Stamp(u64::try_from(now.as_nanos()).unwrap_or(u64::MAX))
+    }
+}
+
+impl From<Stamp> for Duration {
+    fn from(stamp: Stamp) -> Duration {
+        Duration::from_nanos(stamp.0)
+    }
+}
+
+impl core::fmt::Debug for Stamp {
+    /// As the [`Duration`] it stands for.
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        Duration::from(*self).fmt(f)
+    }
+}
+
+/// One route: how to reach `destination`. 24 bytes; a table is a
+/// vector of them.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Route {
     /// The destination node.
@@ -105,8 +143,9 @@ pub struct Route {
     pub metric: u8,
     /// Role bits advertised by the destination.
     pub role: u8,
-    /// When this route was last confirmed.
-    pub last_seen: Duration,
+    /// When this route was last confirmed (see [`Stamp`] for the
+    /// saturation rule).
+    pub last_seen: Stamp,
     /// SNR of the last packet from the `via` neighbour, in dB (receiver
     /// side bookkeeping; 0 until measured).
     pub snr: f64,
@@ -128,7 +167,7 @@ impl Route {
 /// raise the table minimum `earliest`: only when the route held that
 /// minimum and the stamp actually moves (a fresh insert, or a second
 /// frame in the same instant, carries `now` already).
-fn vacates(earliest: Option<Duration>, old: Duration, now: Duration) -> bool {
+fn vacates(earliest: Option<Stamp>, old: Stamp, now: Stamp) -> bool {
     earliest == Some(old) && old != now
 }
 
@@ -275,7 +314,7 @@ pub struct RoutingTable {
     /// (`heard_from`, `apply_hello`, `purge`, `drop_via`): each keeps it
     /// current on insert and re-derives it with one walk only when a
     /// route that held the minimum was refreshed or removed in that call.
-    earliest_seen: Option<Duration>,
+    earliest_seen: Option<Stamp>,
 }
 
 impl RoutingTable {
@@ -385,15 +424,20 @@ impl RoutingTable {
     }
 
     /// Inserts `route` at `slot`, which a search for its destination
-    /// just returned as `Err`.
+    /// just returned as `Err`. The table's only growth point: a full
+    /// vector grows by a quarter of its length plus four (see "Layout").
     fn insert_at(&mut self, slot: usize, route: Route) {
         debug_assert_eq!(self.find(route.destination), Err(slot));
+        if self.routes.len() == self.routes.capacity() {
+            self.routes.reserve_exact(self.routes.len() / 4 + 4);
+        }
         self.routes.insert(slot, route);
     }
 
     /// Records that a packet was heard directly from `neighbour`,
     /// creating or refreshing its metric-1 route.
     pub fn heard_from(&mut self, neighbour: Address, snr: f64, now: Duration) {
+        let now = Stamp::at(now);
         let (_, stale) = self.refresh_direct(neighbour, snr, now);
         self.settle_earliest(stale, now);
     }
@@ -402,7 +446,7 @@ impl RoutingTable {
     /// returns the neighbour's slot and whether the refreshed route held
     /// the table minimum, for the calling mutator to pass to
     /// [`RoutingTable::settle_earliest`].
-    fn refresh_direct(&mut self, neighbour: Address, snr: f64, now: Duration) -> (usize, bool) {
+    fn refresh_direct(&mut self, neighbour: Address, snr: f64, now: Stamp) -> (usize, bool) {
         debug_assert!(!neighbour.is_broadcast());
         let slot = match self.find(neighbour) {
             Ok(slot) => slot,
@@ -450,7 +494,7 @@ impl RoutingTable {
     /// `stale` says a route that held `earliest_seen` was refreshed or
     /// removed, so the minimum is re-derived by one walk; otherwise the
     /// only candidate below the old minimum is `now` itself.
-    fn settle_earliest(&mut self, stale: bool, now: Duration) {
+    fn settle_earliest(&mut self, stale: bool, now: Stamp) {
         self.earliest_seen = if stale {
             self.scan_earliest()
         } else {
@@ -459,7 +503,7 @@ impl RoutingTable {
     }
 
     /// The minimum `last_seen` by walking the table.
-    fn scan_earliest(&self) -> Option<Duration> {
+    fn scan_earliest(&self) -> Option<Stamp> {
         self.routes.iter().map(|r| r.last_seen).min()
     }
 
@@ -490,6 +534,7 @@ impl RoutingTable {
         snr: f64,
         now: Duration,
     ) -> usize {
+        let now = Stamp::at(now);
         if self.replay(neighbour, role, entries.clone(), snr, now) {
             return 0;
         }
@@ -648,7 +693,7 @@ impl RoutingTable {
         role: u8,
         entries: impl Iterator<Item = RouteEntry>,
         snr: f64,
-        now: Duration,
+        now: Stamp,
     ) -> bool {
         let found = self
             .repeats
@@ -678,7 +723,8 @@ impl RoutingTable {
     /// (metric-capped) routes, returning the purged destinations.
     pub fn purge(&mut self, now: Duration, timeout: Duration) -> Vec<Address> {
         self.remove_where(|r| {
-            now.saturating_sub(r.last_seen) >= timeout || r.metric >= RoutingTable::INFINITY_METRIC
+            now.saturating_sub(r.last_seen.into()) >= timeout
+                || r.metric >= RoutingTable::INFINITY_METRIC
         })
     }
 
@@ -720,7 +766,7 @@ impl RoutingTable {
     /// deadline.
     #[must_use]
     pub fn next_expiry(&self, timeout: Duration) -> Option<Duration> {
-        self.earliest_seen?.checked_add(timeout)
+        Duration::from(self.earliest_seen?).checked_add(timeout)
     }
 }
 
@@ -740,7 +786,7 @@ impl core::fmt::Display for RoutingTable {
                 r.metric,
                 r.role,
                 r.snr,
-                r.last_seen.as_secs_f64(),
+                Duration::from(r.last_seen).as_secs_f64(),
             )?;
         }
         Ok(())
@@ -767,8 +813,8 @@ mod tests {
 
     /// A table is a vector of these, so its size is the table's.
     #[test]
-    fn a_route_fits_32_bytes() {
-        assert!(core::mem::size_of::<Route>() <= 32);
+    fn a_route_is_24_bytes() {
+        assert_eq!(core::mem::size_of::<Route>(), 24);
     }
 
     #[test]
@@ -949,6 +995,48 @@ mod tests {
             t.next_expiry(Duration::from_secs(600)),
             Some(Duration::from_secs(610))
         );
+    }
+
+    /// A clock at or past `u64::MAX` ns stamps the cap (see [`Stamp`]):
+    /// the route reads as heard at the cap in `Display` and
+    /// `next_expiry`, and a purge on a clock past the cap ages it from
+    /// there, never wrapping. Below the cap a stamp is exact.
+    #[test]
+    fn a_stamp_saturates_at_the_cap() {
+        let cap = Duration::from_nanos(u64::MAX);
+        let past = cap + Duration::from_secs(1_000);
+        let mut t = RoutingTable::new();
+        t.heard_from(N2, 0.0, past);
+        t.heard_from(N3, 0.0, cap - Duration::from_nanos(1));
+        assert_eq!(t.route(N2).unwrap().last_seen, Stamp::at(cap));
+        assert_eq!(Stamp::at(Duration::MAX), Stamp::at(cap));
+        assert_eq!(
+            Duration::from(t.route(N3).unwrap().last_seen),
+            cap - Duration::from_nanos(1)
+        );
+        assert_eq!(
+            t.next_expiry(Duration::from_secs(600)),
+            Some(cap - Duration::from_nanos(1) + Duration::from_secs(600))
+        );
+        let s = t.to_string();
+        assert!(
+            s.contains("0002 via 0002  metric=1  role=0x00 snr=+0.0 seen@18446744074s"),
+            "{s}"
+        );
+        // At `past`, N2 is 1 000 s old and N3 a nanosecond more.
+        let just_over = Duration::from_secs(1_000) + Duration::from_nanos(1);
+        assert_eq!(t.purge(past, just_over), vec![N3]);
+        assert_eq!(t.next_expiry(Duration::ZERO), Some(cap));
+        assert!(t.purge(past, Duration::from_secs(1_001)).is_empty());
+        assert_eq!(
+            t.purge(past + Duration::from_secs(1), Duration::from_secs(1_001)),
+            vec![N2]
+        );
+        // The largest clock there is: no wrap, no overflow.
+        t.heard_from(N2, 0.0, Duration::MAX);
+        assert!(t.purge(Duration::MAX, Duration::MAX).is_empty());
+        assert_eq!(t.next_expiry(Duration::MAX), None);
+        assert_eq!(t.purge(Duration::MAX, Duration::from_secs(600)), vec![N2]);
     }
 
     #[test]

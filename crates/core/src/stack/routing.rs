@@ -17,7 +17,7 @@ use alloc::vec::Vec;
 use core::time::Duration;
 
 use crate::addr::Address;
-use crate::codec::{self, HelloView};
+use crate::codec::{self, FrameView, HelloView};
 use crate::config::MeshConfig;
 use crate::error::SendError;
 use crate::mac::WireCache;
@@ -36,8 +36,8 @@ pub(crate) struct RoutingLayer {
     /// [`RoutingTable::version`] matches `hello_version`, consecutive
     /// hellos carry identical entries, so the wire image is reused with
     /// only the packet-id byte patched instead of re-serialising the
-    /// whole table every beacon interval.
-    hello_entries: Vec<RouteEntry>,
+    /// whole table every beacon interval. A repeated hello's entries are
+    /// read back from it.
     pub(crate) hello_wire: Vec<u8>,
     /// The shared frame handed to the host; refreshed from
     /// `hello_wire` in place while uniquely owned, so steady-state
@@ -52,7 +52,6 @@ impl RoutingLayer {
         RoutingLayer {
             table: RoutingTable::with_policy(config.routing_policy),
             next_hello: Duration::ZERO,
-            hello_entries: Vec::new(),
             hello_wire: Vec::new(),
             hello_arc: None,
             hello_version: None,
@@ -121,19 +120,12 @@ impl RoutingLayer {
     /// broadcast and schedule the next one.
     pub(crate) fn emit_hello(&mut self, now: Duration, config: &MeshConfig, bus: &mut Bus) {
         let id = bus.next_id();
-        let hello = if self.hello_version == Some(self.table.version()) {
-            // The table's Hello-visible content is unchanged since the
-            // cached encoding: only the packet id differs, so patch that
-            // single byte instead of re-serialising the whole table.
-            if let Some(b) = self.hello_wire.get_mut(codec::HEADER_ID_OFFSET) {
-                *b = id;
-            }
-            self.hello_wire_id = Some(id);
+        let hello = if let Some(entries) = self.repeat_entries(id) {
             Packet::Hello {
                 src: config.address,
                 id,
                 role: config.role,
-                entries: self.hello_entries.clone(),
+                entries,
             }
         } else {
             let entries = self
@@ -152,9 +144,6 @@ impl RoutingLayer {
                 Ok(()) => {
                     self.hello_version = Some(self.table.version());
                     self.hello_wire_id = Some(id);
-                    if let Packet::Hello { entries, .. } = &hello {
-                        self.hello_entries.clone_from(entries);
-                    }
                 }
                 Err(_) => {
                     // Unencodable hello (cannot happen with the entry cap,
@@ -170,6 +159,25 @@ impl RoutingLayer {
             bus.stats.hellos_sent += 1;
         }
         self.schedule_next_hello(now, config, bus);
+    }
+
+    /// When the table's Hello-visible content is unchanged since the
+    /// cached encoding, only the packet id differs: patches that single
+    /// byte instead of re-serialising the whole table, and returns the
+    /// entries read back off the wire. `None` sends the caller to a
+    /// fresh encoding: no cache, or one that does not parse.
+    fn repeat_entries(&mut self, id: u8) -> Option<Vec<RouteEntry>> {
+        if self.hello_version != Some(self.table.version()) {
+            return None;
+        }
+        if let Some(b) = self.hello_wire.get_mut(codec::HEADER_ID_OFFSET) {
+            *b = id;
+        }
+        let Ok(FrameView::Hello(view)) = codec::parse(&self.hello_wire) else {
+            return None;
+        };
+        self.hello_wire_id = Some(id);
+        Some(view.entries().collect())
     }
 
     /// The cached hello frame for packet id `id`, as the shared bytes
@@ -282,6 +290,30 @@ mod tests {
             p => panic!("unexpected {p:?}"),
         }
         assert_eq!(bus.stats.hellos_sent, 3);
+    }
+
+    /// A repeated hello carries the entries read back off the cached
+    /// wire; a cached wire that does not parse is encoded afresh, never
+    /// sent as an empty hello.
+    #[test]
+    fn a_repeat_reads_its_entries_off_the_wire_or_encodes_afresh() {
+        let (config, mut r, mut bus) = parts();
+        r.table.heard_from(A2, 0.0, Duration::ZERO);
+        r.table.heard_from(A3, 0.0, Duration::ZERO);
+        let mut sent = Vec::new();
+        for k in 0..3 {
+            if k == 2 {
+                r.hello_wire.truncate(3);
+            }
+            r.emit_hello(Duration::from_secs(30 * k), &config, &mut bus);
+            match bus.txq.pop() {
+                Some(Packet::Hello { entries, .. }) => sent.push(entries),
+                p => panic!("unexpected {p:?}"),
+            }
+        }
+        let all: Vec<RouteEntry> = r.table.routes().map(Route::as_entry).collect();
+        assert_eq!(sent, vec![all.clone(), all.clone(), all]);
+        assert!(codec::parse(&r.hello_wire).is_ok(), "the cache was rebuilt");
     }
 
     /// Steady state: the shared frame is rewritten in place, not

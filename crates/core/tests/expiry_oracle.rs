@@ -11,6 +11,12 @@
 //! compares the cached answer with the brute-force minimum over
 //! `routes()`. A mutator that forgets the cache fails it.
 //!
+//! The table stamps routes in whole nanoseconds saturating at `u64::MAX`
+//! ns, so the property runs on two clocks: 0–40 s, and the last 40 s
+//! below that cap, where every stamp is within 40 s of saturating and
+//! `next_expiry`'s addition and `purge`'s subtraction work next to the
+//! largest stamp there is.
+//!
 //! Uses the in-repo `testkit` harness: failures print a replayable
 //! `TESTKIT_SEED` and a shrunk counterexample.
 
@@ -54,10 +60,18 @@ fn arb_neighbour(g: &mut Gen) -> Address {
     Address::new(g.int_in(2, 4) as u16)
 }
 
+/// Where a leg's instants are drawn from.
+type Clock = fn(&mut Gen) -> Duration;
+
 /// Clocks are drawn independently per step: time is not monotone, and
 /// equal instants are common.
 fn arb_instant(g: &mut Gen) -> Duration {
     Duration::from_secs(g.int_in(0, 40))
+}
+
+/// The same draw, as the last 40 s below the stamp's cap.
+fn arb_instant_below_the_cap(g: &mut Gen) -> Duration {
+    Duration::from_nanos(u64::MAX) - Duration::from_secs(g.int_in(0, 40))
 }
 
 fn arb_entry(g: &mut Gen) -> RouteEntry {
@@ -79,26 +93,26 @@ fn arb_entry(g: &mut Gen) -> RouteEntry {
     }
 }
 
-fn arb_op(g: &mut Gen) -> Op {
+fn arb_op(g: &mut Gen, clock: Clock) -> Op {
     match g.usize_in(0, 11) {
         0..=2 => Op::Heard {
             neighbour: arb_neighbour(g),
-            now: arb_instant(g),
+            now: clock(g),
         },
         3..=6 => Op::Hello {
             neighbour: arb_neighbour(g),
             role: g.int_in(0, 1) as u8,
             entries: g.vec_of(0, 5, arb_entry),
-            now: arb_instant(g),
+            now: clock(g),
         },
         7..=8 => Op::Repeat {
             neighbour: arb_neighbour(g),
-            now: arb_instant(g),
+            now: clock(g),
         },
         // Timeouts as short as the clock range, so purges bite — down to
         // zero, which empties the table.
         9..=10 => Op::Purge {
-            now: arb_instant(g),
+            now: clock(g),
             timeout: Duration::from_secs(g.int_in(0, 30)),
         },
         _ => Op::DropVia(arb_neighbour(g)),
@@ -107,9 +121,18 @@ fn arb_op(g: &mut Gen) -> Op {
 
 #[test]
 fn next_expiry_is_the_brute_force_minimum_after_every_mutation() {
+    oracle("next_expiry_oracle", arb_instant);
+}
+
+#[test]
+fn next_expiry_is_the_brute_force_minimum_just_below_the_stamp_cap() {
+    oracle("next_expiry_oracle_cap", arb_instant_below_the_cap);
+}
+
+fn oracle(name: &str, clock: Clock) {
     forall(
-        "next_expiry_oracle",
-        |g| g.vec_of(1, 60, arb_op),
+        name,
+        move |g| g.vec_of(1, 60, |g| arb_op(g, clock)),
         |ops| {
             let mut table = RoutingTable::new();
             let mut last: BTreeMap<Address, (u8, &[RouteEntry])> = BTreeMap::new();
@@ -136,7 +159,7 @@ fn next_expiry_is_the_brute_force_minimum_after_every_mutation() {
                         table.drop_via(*via);
                     }
                 }
-                let earliest = table.routes().map(|r| r.last_seen).min();
+                let earliest = table.routes().map(|r| Duration::from(r.last_seen)).min();
                 // `Duration::MAX` overflows (no deadline) unless the earliest
                 // route dates from instant zero.
                 for timeout in [Duration::ZERO, Duration::from_secs(600), Duration::MAX] {

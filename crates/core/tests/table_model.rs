@@ -57,7 +57,7 @@ use std::fmt::{Debug, Display};
 use std::time::Duration;
 
 use loramesher::packet::RouteEntry;
-use loramesher::routing::{Route, RoutingPolicy};
+use loramesher::routing::{Route, RoutingPolicy, Stamp};
 use loramesher::{Address, RoutingTable};
 use testkit::{forall, prop_assert, Gen};
 
@@ -91,7 +91,7 @@ impl Model {
                         via: neighbour,
                         metric: 1,
                         role: 0,
-                        last_seen: now,
+                        last_seen: Stamp::at(now),
                         snr,
                     },
                 );
@@ -103,7 +103,7 @@ impl Model {
                 }
                 r.via = neighbour;
                 r.metric = 1;
-                r.last_seen = now;
+                r.last_seen = Stamp::at(now);
                 r.snr = snr;
             }
         }
@@ -143,7 +143,7 @@ impl Model {
                             via: neighbour,
                             metric,
                             role: e.role,
-                            last_seen: now,
+                            last_seen: Stamp::at(now),
                             snr,
                         },
                     );
@@ -172,7 +172,7 @@ impl Model {
             r.via = neighbour;
             r.metric = metric;
             r.role = e.role;
-            r.last_seen = now;
+            r.last_seen = Stamp::at(now);
             r.snr = snr;
         }
         changed
@@ -195,7 +195,9 @@ impl Model {
     }
 
     fn purge(&mut self, now: Duration, timeout: Duration) -> Vec<Address> {
-        self.remove_where(|r| now.saturating_sub(r.last_seen) >= timeout || r.metric >= INFINITY)
+        self.remove_where(|r| {
+            now.saturating_sub(r.last_seen.into()) >= timeout || r.metric >= INFINITY
+        })
     }
 
     fn drop_via(&mut self, via: Address) -> Vec<Address> {
@@ -204,7 +206,7 @@ impl Model {
 
     fn next_expiry(&self, timeout: Duration) -> Option<Duration> {
         let earliest = self.routes.values().map(|r| r.last_seen).min()?;
-        earliest.checked_add(timeout)
+        Duration::from(earliest).checked_add(timeout)
     }
 }
 

@@ -3,10 +3,11 @@
 # the working tree and from a git revision (default HEAD), runs the same
 # outputs on both (`exp_all`, and `meshsim` all-to-one under each of the
 # three stacks, once light and once contended, once more with a fault
-# inside a six-hour stream, once with the SNR tie-break and once with
-# per-node and gateway reports, plus three bulk transfers: one clean,
-# one that completes after retransmissions, one that aborts) and `cmp`s
-# each one. Exits 1 naming every output that differs, 0 when all are
+# inside a six-hour stream, once with the SNR tie-break, once with
+# per-node and gateway reports and once more with per-node reports on
+# a 256-node grid, plus three bulk transfers: one clean, one that
+# completes after retransmissions, one that aborts) and `cmp`s each
+# one. Exits 1 naming every output that differs, 0 when all are
 # identical.
 #
 #   ./scripts/parent_diff.sh            # working tree vs HEAD
@@ -53,11 +54,16 @@ cargo build -q --release --offline --workspace --bins
 # routes between next hops at equal metric, the one path on which the
 # routing table stores no repeat record. The per-node run prints what
 # is read back out of every table: each node's route count and its
-# gateway's hop count. The clean bulk run never reaches a retry; the
-# two grey-zone bulk runs lose frames on purpose: the 4 KiB one
-# completes after retransmissions (first completion at 172.886 s,
-# 1 339 frames), the 8 KiB one at 95 % spacing spends its retry budget
-# and aborts (0 completed, 1 failed, 1 119 frames).
+# gateway's hop count. The 256-node grid run has the shape of the
+# benchmark's `mesh_grid` workload (16×16, all-to-one every 60 s,
+# ≈ 0.4 s) and prints every node's route count after about two hours:
+# tables that grew, and shrank again, through the formation transient,
+# the phase that exercises the table's growth path. The clean bulk run
+# never reaches a retry; the two grey-zone bulk runs lose frames on
+# purpose: the 4 KiB one completes after retransmissions (first
+# completion at 172.886 s, 1 339 frames), the 8 KiB one at 95 % spacing
+# spends its retry budget and aborts (0 completed, 1 failed, 1 119
+# frames).
 runs=(
   "exp_all.md|exp_all|--markdown --seed 42"
   "meshsim_all_to_one.txt|meshsim|--nodes 16 --duration 600 --traffic all-to-one:30"
@@ -72,6 +78,7 @@ runs=(
   "meshsim_all_to_one_faults.txt|meshsim|--nodes 16 --duration 21600 --traffic all-to-one:60 --kill 3@3000 --revive 3@6000"
   "meshsim_snr_tiebreak.txt|meshsim|--snr-tiebreak --topology random --nodes 16 --duration 600 --traffic all-to-one:30"
   "meshsim_per_node.txt|meshsim|--per-node --gateway 0 --topology random --nodes 16 --duration 600 --traffic all-to-one:30"
+  "meshsim_grid256.txt|meshsim|--topology grid --nodes 256 --traffic all-to-one:60 --duration 7440 --per-node"
 )
 
 differ=0

@@ -572,9 +572,11 @@ fn mesh_steady_state_allocates_per_hello_sent_not_per_hello_heard() {
 /// Formation: a node learning a 256-node mesh from full hellos — the
 /// sender's own route plus 254 advertised ones, arriving interleaved so
 /// most land *between* routes already held — allocates only when the
-/// table's one vector doubles: at most ⌈log₂ 255⌉ + 1 times.
+/// table's one vector is full, and then grows it by a quarter of its
+/// length plus four routes: exactly the rule's 13 steps to 256 slots
+/// (doubling took 7).
 #[test]
-fn learning_255_routes_allocates_only_to_double_the_table() {
+fn learning_255_routes_grows_the_table_by_quarters() {
     let (me, neighbour) = (Address::new(1), Address::new(2));
     let hello = |residue: u16| -> Vec<RouteEntry> {
         (3..=256)
@@ -598,14 +600,19 @@ fn learning_255_routes_allocates_only_to_double_the_table() {
     let allocs = local_allocs() - allocs_before;
     let grown = local_live() - live_before;
     assert_eq!(table.len(), 255);
-    let doublings = 9; // ⌈log₂ 255⌉ + 1
-    assert!(
-        allocs <= doublings,
-        "{allocs} allocations to learn 255 routes: more than {doublings} vector doublings"
+    let (mut capacity, mut steps) = (0, 0);
+    while capacity < 255 {
+        capacity += capacity / 4 + 4;
+        steps += 1;
+    }
+    assert_eq!((steps, capacity), (13, 256));
+    assert_eq!(
+        allocs, steps,
+        "{allocs} allocations to learn 255 routes, not the {steps} quarter steps"
     );
-    // 256 slots of a 32-byte route, and room for a few 32-byte repeat
-    // records.
-    let bound = 256 * 32 + 4 * 32;
+    // The fitted slots of a 24-byte route, and room for a few 32-byte
+    // repeat records.
+    let bound = capacity * 24 + 4 * 32;
     assert!(
         grown <= bound,
         "learning 255 routes grew the heap by {grown} B, over {bound} B"
@@ -653,7 +660,7 @@ fn repeated_hellos_apply_without_allocating() {
         let through: Vec<_> = table.routes().filter(|r| r.via == via).collect();
         assert!(!through.is_empty(), "no route through {via}");
         for r in through {
-            assert_eq!(r.last_seen, last_seen, "{r:?}");
+            assert_eq!(Duration::from(r.last_seen), last_seen, "{r:?}");
             assert_eq!(r.snr.to_bits(), snr.to_bits(), "{r:?}");
         }
     }
