@@ -36,6 +36,8 @@ use crate::packet::{Forwarding, Packet, PacketKind, RouteEntry};
 
 /// Size of the common header present in every frame.
 pub const COMMON_HEADER_LEN: usize = 7;
+/// Byte offset of the packet kind within the common header.
+pub const HEADER_KIND_OFFSET: usize = 4;
 /// Byte offset of the packet id within the common header.
 pub const HEADER_ID_OFFSET: usize = 5;
 /// Size of the forwarding extension in unicast frames.
@@ -521,6 +523,17 @@ pub fn parse(frame: &[u8]) -> Result<FrameView<'_>, CodecError> {
 /// length, uses an unknown kind, or carries a malformed payload.
 pub fn decode(frame: &[u8]) -> Result<Packet, CodecError> {
     parse(frame).map(|view| view.to_packet())
+}
+
+/// The kind a frame's header names, or `None` when the frame is too
+/// short to carry one or names no known kind. Reads one byte; the rest
+/// of the frame is not validated (see [`parse`]).
+#[must_use]
+pub fn frame_kind(frame: &[u8]) -> Option<PacketKind> {
+    frame
+        .get(HEADER_KIND_OFFSET)
+        .copied()
+        .and_then(PacketKind::from_wire)
 }
 
 /// The encoded size of a packet without actually encoding it.

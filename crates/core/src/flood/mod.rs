@@ -75,7 +75,7 @@ use crate::addr::Address;
 use crate::codec::{self, FrameView, UnicastBody, UnicastView};
 use crate::driver::{NodeProtocol, RadioIo};
 use crate::error::SendError;
-use crate::mac::{Mac, NoWireCache, BACKOFF_SLOT};
+use crate::mac::{Mac, BACKOFF_SLOT};
 use crate::packet::{Forwarding, Packet};
 use crate::stack::app;
 use crate::stack::bus::Bus;
@@ -138,7 +138,7 @@ pub struct FloodStats {
     pub frames_sent: u64,
     /// Total airtime transmitted.
     pub airtime: Duration,
-    /// Frames that failed to decode.
+    /// Received frames that failed to decode or were malformed.
     pub decode_errors: u64,
     /// Transmit-queue refusals (backpressure).
     pub queue_refusals: u64,
@@ -313,7 +313,7 @@ impl FloodNode {
         };
         // Mark our own flood as seen so echoes are not relayed.
         self.seen.insert(self.config.address, id);
-        if !self.bus.enqueue(packet) {
+        if !self.bus.enqueue(&packet) {
             return Err(SendError::QueueFull);
         }
         self.originated += 1;
@@ -383,7 +383,7 @@ impl FloodNode {
             self.release_due(now);
         }
         // 2. Give the MAC a chance to move traffic.
-        let outcome = self.mac.kick(&mut self.bus.txq, &mut NoWireCache, io);
+        let outcome = self.mac.kick(&mut self.bus.txq, io);
         self.bus.book(outcome);
     }
 
@@ -406,7 +406,7 @@ impl FloodNode {
                 },
                 payload: core::mem::take(&mut relay.payload),
             };
-            if self.bus.enqueue(packet) {
+            if self.bus.enqueue(&packet) {
                 self.relayed += 1;
                 self.bus.stats.forwarded += 1;
             }
@@ -496,9 +496,7 @@ impl NodeProtocol for FloodNode {
 
     fn on_cad_done(&mut self, busy: bool, io: &mut RadioIo) {
         let bus = &mut self.bus;
-        let outcome = self
-            .mac
-            .on_cad_done(busy, &mut bus.txq, &mut bus.rng, &mut NoWireCache, io);
+        let outcome = self.mac.on_cad_done(busy, &mut bus.txq, &mut bus.rng, io);
         bus.book(outcome);
     }
 

@@ -15,29 +15,23 @@
 //! single-gateway star baseline each own one and make the same calls:
 //! [`Mac::kick`] when traffic may move, [`Mac::on_cad_done`] and
 //! [`Mac::on_tx_done`] from the host callbacks, [`Mac::next_wake`] for the
-//! timer. The MAC pops the front of the stack's [`TxQueue`], encodes it
-//! (or takes the stack's cached wire image, see [`WireCache`]) and hands
-//! it to the radio; it reports what happened as a [`TxOutcome`], which
-//! the stack books into its own counters.
+//! timer. The MAC pops the front of the stack's [`TxQueue`], which holds
+//! frames already encoded, and hands its bytes to the radio; it reports
+//! what happened as a [`TxOutcome`], which the stack books into its own
+//! counters. It never encodes a packet.
 //!
 //! A frame is priced on every CAD verdict (and on every ALOHA kick), so
-//! the MAC remembers the last `(encoded length, time on air)` pair:
+//! the MAC remembers the last `(frame length, time on air)` pair:
 //! `time_on_air` depends only on the length and the modulation, which a
-//! `Mac` never changes, so a frame that backs off is priced once. A frame
-//! the stack holds no wire image for is encoded into a buffer the MAC
-//! keeps and copied from there into the `Arc` the radio shares: one
-//! allocation per frame.
+//! `Mac` never changes, so a frame that backs off is priced once.
 
-use alloc::sync::Arc;
-use alloc::vec::Vec;
 use core::time::Duration;
 
 use lora_phy::modulation::LoRaModulation;
 use lora_phy::region::{DutyCycleTracker, Region};
 
-use crate::codec;
 use crate::driver::RadioIo;
-use crate::packet::{Packet, PacketKind};
+use crate::packet::PacketKind;
 use crate::queue::TxQueue;
 use crate::rng::ProtocolRng;
 
@@ -49,28 +43,6 @@ pub const BACKOFF_SLOT: Duration = Duration::from_millis(100);
 pub const MAX_BACKOFF_EXPONENT: u32 = 6;
 /// Busy CAD verdicts a frame survives; the next one drops it.
 pub const MAX_CAD_RETRIES: u32 = 16;
-
-/// A protocol stack's cache of pre-encoded wire images.
-///
-/// The only upward coupling the MAC needs is "does the stack already
-/// hold the encoded bytes of this packet?". LoRaMesher's routing layer
-/// answers for its periodic hello beacon (a shared, allocation-free
-/// `Arc`); stacks without pre-encoded frames use [`NoWireCache`].
-pub trait WireCache {
-    /// The cached wire image of `packet`, if the layer holds one. The
-    /// image must be byte-identical to `codec::encode(packet)`.
-    fn wire_for(&mut self, packet: &Packet) -> Option<Arc<[u8]>>;
-}
-
-/// The null cache: every frame is encoded at transmit time.
-#[derive(Debug, Default)]
-pub struct NoWireCache;
-
-impl WireCache for NoWireCache {
-    fn wire_for(&mut self, _packet: &Packet) -> Option<Arc<[u8]>> {
-        None
-    }
-}
 
 /// What a MAC call did with the front of the transmit queue.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -89,9 +61,6 @@ pub enum TxOutcome {
         /// The dropped packet's kind.
         kind: PacketKind,
     },
-    /// The frame failed to encode and was discarded. Frames are
-    /// validated at enqueue time, so this should never happen.
-    EncodeFailed,
 }
 
 /// MAC engine state.
@@ -121,8 +90,6 @@ pub struct Mac {
     max_dwell: Option<Duration>,
     /// The last frame length priced and its time on air.
     priced: Option<(usize, Duration)>,
-    /// Reused encode buffer for frames without a cached wire image.
-    wire: Vec<u8>,
     /// Duty-cycle deferrals observed (for statistics).
     pub duty_deferrals: u64,
     /// Frames dropped after exhausting CAD retries.
@@ -149,7 +116,6 @@ impl Mac {
             csma,
             max_dwell: band.and_then(|b| b.max_dwell),
             priced: None,
-            wire: Vec::new(),
             duty_deferrals: 0,
             cad_drops: 0,
             dwell_drops: 0,
@@ -171,12 +137,7 @@ impl Mac {
     /// Gives queued traffic a chance to move. When idle, or when a
     /// backoff or duty wait has elapsed, starts a CAD scan — or, under
     /// ALOHA, takes the clear-channel path for the front frame at once.
-    pub fn kick(
-        &mut self,
-        txq: &mut TxQueue,
-        cache: &mut impl WireCache,
-        io: &mut RadioIo,
-    ) -> TxOutcome {
+    pub fn kick(&mut self, txq: &mut TxQueue, io: &mut RadioIo) -> TxOutcome {
         if txq.is_empty() {
             return TxOutcome::Idle;
         }
@@ -193,7 +154,7 @@ impl Mac {
             return TxOutcome::Idle;
         }
         match self.front_airtime(txq) {
-            Some(airtime) => self.send_or_defer(airtime, txq, cache, io),
+            Some(airtime) => self.send_or_defer(airtime, txq, io),
             None => TxOutcome::Idle,
         }
     }
@@ -205,7 +166,6 @@ impl Mac {
         busy: bool,
         txq: &mut TxQueue,
         rng: &mut ProtocolRng,
-        cache: &mut impl WireCache,
         io: &mut RadioIo,
     ) -> TxOutcome {
         let MacState::WaitingCad { attempt } = self.state else {
@@ -215,7 +175,7 @@ impl Mac {
             return TxOutcome::Idle;
         };
         if !busy || self.violates_dwell(airtime) {
-            return self.send_or_defer(airtime, txq, cache, io);
+            return self.send_or_defer(airtime, txq, io);
         }
         let attempt = attempt + 1;
         if attempt > MAX_CAD_RETRIES {
@@ -252,7 +212,7 @@ impl Mac {
 
     /// The on-air duration of the front frame, priced once per length.
     fn front_airtime(&mut self, txq: &TxQueue) -> Option<Duration> {
-        let len = codec::encoded_len(txq.peek()?);
+        let len = txq.front_len()?;
         let airtime = match self.priced {
             Some((priced_len, airtime)) if priced_len == len => airtime,
             _ => {
@@ -280,7 +240,6 @@ impl Mac {
         &mut self,
         airtime: Duration,
         txq: &mut TxQueue,
-        cache: &mut impl WireCache,
         io: &mut RadioIo,
     ) -> TxOutcome {
         if self.violates_dwell(airtime) {
@@ -290,7 +249,10 @@ impl Mac {
         let now = io.now();
         if self.duty.try_transmit(now, airtime) {
             self.state = MacState::Transmitting;
-            return self.transmit_front(airtime, txq, cache, io);
+            return txq.pop().map_or(TxOutcome::Idle, |frame| {
+                io.transmit(frame);
+                TxOutcome::Sent { airtime }
+            });
         }
         self.duty_deferrals += 1;
         match self.duty.next_allowed(now, airtime) {
@@ -304,41 +266,8 @@ impl Mac {
 
     fn drop_front(&mut self, txq: &mut TxQueue) -> TxOutcome {
         self.state = MacState::Ready;
-        txq.pop()
-            .map_or(TxOutcome::Idle, |p| TxOutcome::Dropped { kind: p.kind() })
-    }
-
-    /// Pops the front frame and hands it to the radio — the stack's
-    /// cached wire image when it holds one, a fresh encoding otherwise.
-    fn transmit_front(
-        &mut self,
-        airtime: Duration,
-        txq: &mut TxQueue,
-        cache: &mut impl WireCache,
-        io: &mut RadioIo,
-    ) -> TxOutcome {
-        let Some(packet) = txq.pop() else {
-            return TxOutcome::Idle;
-        };
-        if let Some(wire) = cache.wire_for(&packet) {
-            debug_assert_eq!(
-                codec::encode(&packet).ok().as_deref(),
-                Some(&*wire),
-                "wire cache out of sync with the queued packet"
-            );
-            io.transmit(wire);
-            return TxOutcome::Sent { airtime };
-        }
-        match codec::encode_into(&packet, &mut self.wire) {
-            Ok(()) => {
-                io.transmit(self.wire.as_slice());
-                TxOutcome::Sent { airtime }
-            }
-            Err(_) => {
-                self.state = MacState::Ready;
-                TxOutcome::EncodeFailed
-            }
-        }
+        txq.discard_front()
+            .map_or(TxOutcome::Idle, |kind| TxOutcome::Dropped { kind })
     }
 }
 
@@ -346,8 +275,9 @@ impl Mac {
 mod tests {
     use super::*;
     use crate::addr::Address;
+    use crate::codec;
     use crate::driver::RadioRequest;
-    use crate::packet::Forwarding;
+    use crate::packet::{Forwarding, Packet};
     use alloc::vec;
     use alloc::vec::Vec;
 
@@ -372,7 +302,7 @@ mod tests {
 
     fn queue(len: usize) -> TxQueue {
         let mut q = TxQueue::new(8);
-        assert!(q.push(data(len)));
+        assert!(q.push(&data(len)));
         q
     }
 
@@ -382,19 +312,13 @@ mod tests {
 
     fn kick(m: &mut Mac, q: &mut TxQueue, now: Duration) -> (TxOutcome, Vec<RadioRequest>) {
         let mut io = RadioIo::new(now);
-        let outcome = m.kick(q, &mut NoWireCache, &mut io);
+        let outcome = m.kick(q, &mut io);
         (outcome, io.take_requests())
     }
 
     fn cad(m: &mut Mac, busy: bool, q: &mut TxQueue, now: Duration) -> TxOutcome {
         let mut io = RadioIo::new(now);
-        let outcome = m.on_cad_done(
-            busy,
-            q,
-            &mut ProtocolRng::new(42),
-            &mut NoWireCache,
-            &mut io,
-        );
+        let outcome = m.on_cad_done(busy, q, &mut ProtocolRng::new(42), &mut io);
         let sent = matches!(outcome, TxOutcome::Sent { .. });
         assert_eq!(io.take_requests().len(), usize::from(sent));
         outcome
@@ -414,13 +338,7 @@ mod tests {
         );
         assert!(!m.is_ready());
         let mut io = RadioIo::new(Duration::ZERO);
-        let outcome = m.on_cad_done(
-            false,
-            &mut q,
-            &mut ProtocolRng::new(1),
-            &mut NoWireCache,
-            &mut io,
-        );
+        let outcome = m.on_cad_done(false, &mut q, &mut ProtocolRng::new(1), &mut io);
         assert_eq!(
             outcome,
             TxOutcome::Sent {
@@ -443,8 +361,8 @@ mod tests {
     fn frames_of_different_lengths_are_priced_apart() {
         let mut m = mac(Region::Unlimited, LoRaModulation::default(), false);
         let mut q = queue(10);
-        assert!(q.push(data(200)));
-        assert!(q.push(data(10)));
+        assert!(q.push(&data(200)));
+        assert!(q.push(&data(10)));
         for len in [10, 200, 10] {
             assert_eq!(
                 kick(&mut m, &mut q, Duration::ZERO).0,
@@ -659,7 +577,7 @@ mod tests {
     fn aloha_transmits_without_cad() {
         let mut m = mac(Region::Unlimited, LoRaModulation::default(), false);
         let mut q = queue(10);
-        assert!(q.push(data(10)));
+        assert!(q.push(&data(10)));
         let (outcome, requests) = kick(&mut m, &mut q, Duration::ZERO);
         assert!(matches!(outcome, TxOutcome::Sent { .. }));
         assert!(matches!(requests.as_slice(), [RadioRequest::Transmit(_)]));
@@ -678,7 +596,7 @@ mod tests {
         let mut m = mac(Region::Eu868, LoRaModulation::long_slow(), false);
         m.duty = DutyCycleTracker::new(0.001, HOUR);
         let mut q = queue(20);
-        assert!(q.push(data(20)));
+        assert!(q.push(&data(20)));
         assert!(matches!(
             kick(&mut m, &mut q, Duration::ZERO).0,
             TxOutcome::Sent { .. }

@@ -109,7 +109,7 @@ pub(crate) fn send_datagram(
         fwd: Forwarding { via, ttl: MAX_TTL },
         payload,
     };
-    if !bus.enqueue(packet) {
+    if !bus.enqueue(&packet) {
         return Err(SendError::QueueFull);
     }
     bus.stats.data_originated += 1;

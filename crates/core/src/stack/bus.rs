@@ -5,8 +5,10 @@
 //! the pre-split `MeshNode` monolith grew together), every cross-layer
 //! interaction goes through one of the bus's typed channels:
 //!
-//! * **commands to the MAC** — [`Bus::enqueue`] feeds the prioritised
-//!   transmit queue the [`crate::mac::Mac`] drains;
+//! * **commands to the MAC** — [`Bus::enqueue`] encodes a packet into
+//!   the prioritised transmit queue the [`crate::mac::Mac`] drains, and
+//!   [`Bus::enqueue_frame`] queues bytes a layer already holds encoded
+//!   (the routing layer's hello);
 //! * **events to the app** — [`Bus::emit`] appends to the application
 //!   event queue drained by `MeshNode::take_events`;
 //! * **shared protocol resources** — the single deterministic RNG
@@ -18,6 +20,7 @@
 //! [`crate::stack`].
 
 use alloc::collections::VecDeque;
+use alloc::sync::Arc;
 use core::time::Duration;
 
 use crate::mac::TxOutcome;
@@ -39,7 +42,7 @@ pub(crate) struct Bus {
     pub(crate) stats: NodeStats,
     /// Events queued for the application (the app layer's receive side).
     pub(crate) events: VecDeque<MeshEvent>,
-    /// Outbound packets awaiting the MAC, at most [`TX_QUEUE_CAPACITY`].
+    /// Outbound frames awaiting the MAC, at most [`TX_QUEUE_CAPACITY`].
     pub(crate) txq: TxQueue,
     next_packet_id: u8,
 }
@@ -62,14 +65,19 @@ impl Bus {
         id
     }
 
-    /// Queues `packet` for transmission; a refusal is counted as
-    /// backpressure (sweeps compare the counter to spot congestion
+    /// Queues `packet`, encoded, for transmission; a refusal is counted
+    /// as backpressure (sweeps compare the counter to spot congestion
     /// collapse) and reported to the caller.
-    pub(crate) fn enqueue(&mut self, packet: Packet) -> bool {
+    pub(crate) fn enqueue(&mut self, packet: &Packet) -> bool {
         let accepted = self.txq.push(packet);
-        if !accepted {
-            self.stats.queue_refusals += 1;
-        }
+        self.stats.queue_refusals += u64::from(!accepted);
+        accepted
+    }
+
+    /// Queues an already-encoded frame, counted as [`Bus::enqueue`] counts.
+    pub(crate) fn enqueue_frame(&mut self, frame: Arc<[u8]>) -> bool {
+        let accepted = self.txq.push_frame(frame);
+        self.stats.queue_refusals += u64::from(!accepted);
         accepted
     }
 
@@ -88,7 +96,6 @@ impl Bus {
                 self.stats.airtime += airtime;
             }
             TxOutcome::Dropped { kind } => self.emit(MeshEvent::FrameDropped { kind }),
-            TxOutcome::EncodeFailed => self.stats.decode_errors += 1,
         }
     }
 
@@ -133,10 +140,11 @@ mod tests {
     fn refused_enqueues_count_as_backpressure() {
         let mut bus = Bus::new(1);
         for _ in 0..TX_QUEUE_CAPACITY {
-            assert!(bus.enqueue(broadcast(0)));
+            assert!(bus.enqueue(&broadcast(0)));
         }
-        assert!(!bus.enqueue(broadcast(1)));
-        assert!(!bus.enqueue(broadcast(2)));
+        assert!(!bus.enqueue(&broadcast(1)));
+        let encoded = crate::codec::encode(&broadcast(2)).unwrap();
+        assert!(!bus.enqueue_frame(encoded.into()));
         assert_eq!(bus.stats.queue_refusals, 2);
         assert_eq!(bus.txq.len(), TX_QUEUE_CAPACITY);
     }

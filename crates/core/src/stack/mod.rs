@@ -239,7 +239,7 @@ impl MeshNode {
         self.transport
             .process_due(now, self.config.address, &mut self.bus, &self.routing);
         // 5. Give the MAC a chance to move traffic.
-        let outcome = self.mac.kick(&mut self.bus.txq, &mut self.routing, io);
+        let outcome = self.mac.kick(&mut self.bus.txq, io);
         self.bus.book(outcome);
     }
 }
@@ -314,9 +314,7 @@ impl NodeProtocol for MeshNode {
 
     fn on_cad_done(&mut self, busy: bool, io: &mut RadioIo) {
         let bus = &mut self.bus;
-        let outcome = self
-            .mac
-            .on_cad_done(busy, &mut bus.txq, &mut bus.rng, &mut self.routing, io);
+        let outcome = self.mac.on_cad_done(busy, &mut bus.txq, &mut bus.rng, io);
         bus.book(outcome);
     }
 
@@ -434,7 +432,7 @@ mod tests {
         frame
     }
 
-    /// A beacon goes out as the routing layer's cached wire image, and
+    /// A beacon goes out as the routing layer's hello wire image, and
     /// once the host releases it the next beacon transmits the same
     /// shared allocation — the zero-copy steady state.
     #[test]

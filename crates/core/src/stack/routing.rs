@@ -1,12 +1,13 @@
 //! The routing layer: the hello daemon and the distance-vector table.
 //!
 //! Owns the [`RoutingTable`] (hop count, with the SNR tie-break as the
-//! configured policy allows), the hello schedule, and the hello
-//! wire cache: while the table's hello-visible content is unchanged,
-//! consecutive hellos reuse one encoded image — and one shared
-//! `Arc<[u8]>` — with only the packet-id byte rewritten, so the
-//! steady-state beacon costs neither a re-serialisation nor a frame
-//! copy.
+//! configured policy allows), the hello schedule, and the hello's wire
+//! image. The hello is the one frame this layer queues already encoded:
+//! while the table's hello-visible content is unchanged, consecutive
+//! hellos reuse one encoded image — and one shared `Arc<[u8]>` — with
+//! only the packet-id byte rewritten, so the steady-state beacon costs
+//! neither an entry list, a re-serialisation nor an allocation. A debug
+//! assertion checks every repeat against a fresh encoding.
 //!
 //! Unicast packets addressed *through* this node come back here too:
 //! [`RoutingLayer::forward`] rewrites the `via`/TTL pair and re-queues
@@ -20,7 +21,6 @@ use crate::addr::Address;
 use crate::codec::{self, FrameView, HelloView};
 use crate::config::MeshConfig;
 use crate::error::SendError;
-use crate::mac::WireCache;
 use crate::packet::{Packet, RouteEntry};
 use crate::routing::{Route, RoutingTable};
 use crate::stack::app::MeshEvent;
@@ -32,19 +32,17 @@ pub(crate) struct RoutingLayer {
     pub(crate) table: RoutingTable,
     /// When the next hello broadcast is due.
     pub(crate) next_hello: Duration,
-    /// Hello frame cache: while the routing table's
+    /// The last hello's wire image: while the routing table's
     /// [`RoutingTable::version`] matches `hello_version`, consecutive
-    /// hellos carry identical entries, so the wire image is reused with
-    /// only the packet-id byte patched instead of re-serialising the
-    /// whole table every beacon interval. A repeated hello's entries are
-    /// read back from it.
+    /// hellos carry identical entries, so the image is reused with only
+    /// the packet-id byte patched instead of re-serialising the whole
+    /// table every beacon interval.
     pub(crate) hello_wire: Vec<u8>,
-    /// The shared frame handed to the host; refreshed from
-    /// `hello_wire` in place while uniquely owned, so steady-state
-    /// beacons transmit without allocating.
+    /// The shared frame queued for the MAC; refreshed from `hello_wire`
+    /// in place while uniquely owned, so steady-state beacons are queued
+    /// without allocating.
     hello_arc: Option<Arc<[u8]>>,
     pub(crate) hello_version: Option<u64>,
-    hello_wire_id: Option<u8>,
 }
 
 impl RoutingLayer {
@@ -55,7 +53,6 @@ impl RoutingLayer {
             hello_wire: Vec::new(),
             hello_arc: None,
             hello_version: None,
-            hello_wire_id: None,
         }
     }
 
@@ -120,75 +117,53 @@ impl RoutingLayer {
     /// broadcast and schedule the next one.
     pub(crate) fn emit_hello(&mut self, now: Duration, config: &MeshConfig, bus: &mut Bus) {
         let id = bus.next_id();
-        let hello = if let Some(entries) = self.repeat_entries(id) {
-            Packet::Hello {
-                src: config.address,
-                id,
-                role: config.role,
-                entries,
+        if self.hello_version == Some(self.table.version()) {
+            if let Some(b) = self.hello_wire.get_mut(codec::HEADER_ID_OFFSET) {
+                *b = id;
             }
+            // Field by field, so the check allocates nothing: the repeat
+            // must be what a fresh encoding of the table would be.
+            debug_assert!(
+                matches!(codec::parse(&self.hello_wire), Ok(FrameView::Hello(h))
+                    if self.hello_wire.starts_with(&Address::BROADCAST.value().to_le_bytes())
+                        && (h.src, h.id, h.role) == (config.address, id, config.role)
+                        && h.entries().eq(self.advertised())),
+                "a repeated hello differs from a fresh encoding of the table"
+            );
         } else {
-            let entries = self
-                .table
-                .routes()
-                .take(codec::MAX_HELLO_ENTRIES)
-                .map(Route::as_entry)
-                .collect();
             let hello = Packet::Hello {
                 src: config.address,
                 id,
                 role: config.role,
-                entries,
+                entries: self.advertised().collect(),
             };
-            match codec::encode_into(&hello, &mut self.hello_wire) {
-                Ok(()) => {
-                    self.hello_version = Some(self.table.version());
-                    self.hello_wire_id = Some(id);
-                }
-                Err(_) => {
-                    // Unencodable hello (cannot happen with the entry cap,
-                    // but stay safe): poison the cache.
-                    self.hello_version = None;
-                    self.hello_wire_id = None;
-                    self.hello_wire.clear();
-                }
-            }
-            hello
-        };
-        if bus.enqueue(hello) {
+            // A hello carries at most `MAX_HELLO_ENTRIES`, so it always
+            // encodes; were it not to, the buffer is left empty and the
+            // queue refuses it.
+            self.hello_version = codec::encode_into(&hello, &mut self.hello_wire)
+                .ok()
+                .map(|()| self.table.version());
+        }
+        if bus.enqueue_frame(self.shared_hello()) {
             bus.stats.hellos_sent += 1;
         }
         self.schedule_next_hello(now, config, bus);
     }
 
-    /// When the table's Hello-visible content is unchanged since the
-    /// cached encoding, only the packet id differs: patches that single
-    /// byte instead of re-serialising the whole table, and returns the
-    /// entries read back off the wire. `None` sends the caller to a
-    /// fresh encoding: no cache, or one that does not parse.
-    fn repeat_entries(&mut self, id: u8) -> Option<Vec<RouteEntry>> {
-        if self.hello_version != Some(self.table.version()) {
-            return None;
-        }
-        if let Some(b) = self.hello_wire.get_mut(codec::HEADER_ID_OFFSET) {
-            *b = id;
-        }
-        let Ok(FrameView::Hello(view)) = codec::parse(&self.hello_wire) else {
-            return None;
-        };
-        self.hello_wire_id = Some(id);
-        Some(view.entries().collect())
+    /// The entries a hello advertises: the table's routes, up to what
+    /// one frame carries.
+    fn advertised(&self) -> impl Iterator<Item = RouteEntry> + '_ {
+        self.table
+            .routes()
+            .take(codec::MAX_HELLO_ENTRIES)
+            .map(Route::as_entry)
     }
 
-    /// The cached hello frame for packet id `id`, as the shared bytes
-    /// the host transmits. Refreshes the `Arc` from `hello_wire` —
-    /// rewriting it in place when this layer holds the only reference
-    /// (the steady state once the host has released the previous
-    /// beacon), reallocating otherwise.
-    pub(crate) fn cached_wire(&mut self, id: u8) -> Option<Arc<[u8]>> {
-        if self.hello_wire_id != Some(id) || self.hello_wire.is_empty() {
-            return None;
-        }
+    /// `hello_wire` as the shared bytes the queue holds and the host
+    /// transmits: the previous `Arc` rewritten in place when this layer
+    /// holds the only reference (the steady state once the host has
+    /// released the previous beacon), a fresh allocation otherwise.
+    fn shared_hello(&mut self) -> Arc<[u8]> {
         let arc = match self.hello_arc.take() {
             Some(mut arc) if arc.len() == self.hello_wire.len() => {
                 if let Some(bytes) = Arc::get_mut(&mut arc) {
@@ -201,7 +176,7 @@ impl RoutingLayer {
             _ => Arc::from(self.hello_wire.as_slice()),
         };
         self.hello_arc = Some(arc.clone());
-        Some(arc)
+        arc
     }
 
     /// Forwards a unicast packet addressed through this node: TTL check,
@@ -224,19 +199,8 @@ impl RoutingLayer {
         }
         fwd.ttl -= 1;
         fwd.via = next;
-        if bus.enqueue(packet) {
+        if bus.enqueue(&packet) {
             bus.stats.forwarded += 1;
-        }
-    }
-}
-
-/// LoRaMesher's wire cache: only the periodic hello beacon carries a
-/// pre-encoded image (see [`RoutingLayer::cached_wire`]).
-impl WireCache for RoutingLayer {
-    fn wire_for(&mut self, packet: &Packet) -> Option<Arc<[u8]>> {
-        match packet {
-            Packet::Hello { id, .. } => self.cached_wire(*id),
-            _ => None,
         }
     }
 }
@@ -292,79 +256,67 @@ mod tests {
         assert_eq!(bus.stats.hellos_sent, 3);
     }
 
-    /// A repeated hello carries the entries read back off the cached
-    /// wire; a cached wire that does not parse is encoded afresh, never
-    /// sent as an empty hello.
+    /// Consecutive repeated hellos carry consecutive packet ids and are
+    /// otherwise byte-identical: the fresh encoding of the table's
+    /// hello, with only the id byte moved.
     #[test]
-    fn a_repeat_reads_its_entries_off_the_wire_or_encodes_afresh() {
+    fn repeated_hellos_differ_only_in_consecutive_ids() {
         let (config, mut r, mut bus) = parts();
         r.table.heard_from(A2, 0.0, Duration::ZERO);
         r.table.heard_from(A3, 0.0, Duration::ZERO);
-        let mut sent = Vec::new();
-        for k in 0..3 {
-            if k == 2 {
-                r.hello_wire.truncate(3);
-            }
-            r.emit_hello(Duration::from_secs(30 * k), &config, &mut bus);
-            match bus.txq.pop() {
-                Some(Packet::Hello { entries, .. }) => sent.push(entries),
-                p => panic!("unexpected {p:?}"),
-            }
+        let frames: Vec<Vec<u8>> = (0..4)
+            .map(|k| {
+                r.emit_hello(Duration::from_secs(30 * k), &config, &mut bus);
+                bus.txq.pop().expect("a queued hello").to_vec()
+            })
+            .collect();
+        let first_id = frames[0][codec::HEADER_ID_OFFSET];
+        for (k, frame) in (0u8..).zip(&frames) {
+            let expected = codec::encode(&Packet::Hello {
+                src: A1,
+                id: first_id.wrapping_add(k),
+                role: config.role,
+                entries: r.table.routes().map(Route::as_entry).collect(),
+            })
+            .unwrap();
+            assert_eq!(*frame, expected, "hello {k}");
         }
-        let all: Vec<RouteEntry> = r.table.routes().map(Route::as_entry).collect();
-        assert_eq!(sent, vec![all.clone(), all.clone(), all]);
-        assert!(codec::parse(&r.hello_wire).is_ok(), "the cache was rebuilt");
+        assert_eq!(bus.stats.hellos_sent, 4);
     }
 
     /// Steady state: the shared frame is rewritten in place, not
-    /// reallocated — consecutive beacons hand out the *same* `Arc`.
+    /// reallocated — once the host has released a beacon, the next one
+    /// is queued in the *same* `Arc`.
     #[test]
-    fn cached_wire_reuses_the_shared_allocation() {
+    fn repeated_hellos_reuse_the_shared_allocation() {
         let (config, mut r, mut bus) = parts();
         r.table.heard_from(A2, 0.0, Duration::ZERO);
         r.emit_hello(Duration::ZERO, &config, &mut bus);
-        let id1 = match bus.txq.pop() {
-            Some(Packet::Hello { id, .. }) => id,
-            p => panic!("unexpected {p:?}"),
-        };
-        let first = r.cached_wire(id1).expect("cache hit");
+        let first = bus.txq.pop().expect("a queued hello");
         assert_eq!(&first[..], &r.hello_wire[..]);
         let first_ptr = first.as_ptr();
         drop(first); // the host released the frame: refcount back to 1
         r.emit_hello(Duration::from_secs(30), &config, &mut bus);
-        let id2 = match bus.txq.pop() {
-            Some(Packet::Hello { id, .. }) => id,
-            p => panic!("unexpected {p:?}"),
-        };
-        assert_ne!(id1, id2);
-        let second = r.cached_wire(id2).expect("cache hit");
+        let second = bus.txq.pop().expect("a queued hello");
         assert_eq!(
             second.as_ptr(),
             first_ptr,
             "steady state must not reallocate"
         );
         assert_eq!(&second[..], &r.hello_wire[..]);
-        // A stale id misses the cache entirely.
-        assert!(r.cached_wire(id2.wrapping_add(1)).is_none());
     }
 
-    /// While the host still holds the previous beacon, the cache must
-    /// not mutate it — it hands out a fresh allocation instead.
+    /// While the host (or the queue) still holds the previous beacon, a
+    /// repeat must not mutate it — it is queued in a fresh allocation.
     #[test]
-    fn cached_wire_never_mutates_a_frame_the_host_still_holds() {
+    fn a_repeat_never_mutates_a_frame_still_held() {
         let (config, mut r, mut bus) = parts();
         r.table.heard_from(A2, 0.0, Duration::ZERO);
         r.emit_hello(Duration::ZERO, &config, &mut bus);
-        let Some(Packet::Hello { id: id1, .. }) = bus.txq.pop() else {
-            panic!("expected hello");
-        };
-        let held = r.cached_wire(id1).expect("cache hit");
+        let held = bus.txq.pop().expect("a queued hello");
         let held_bytes: Vec<u8> = held.to_vec();
         r.emit_hello(Duration::from_secs(30), &config, &mut bus);
-        let Some(Packet::Hello { id: id2, .. }) = bus.txq.pop() else {
-            panic!("expected hello");
-        };
-        let fresh = r.cached_wire(id2).expect("cache hit");
+        let fresh = bus.txq.pop().expect("a queued hello");
         assert_eq!(&held[..], &held_bytes[..], "held frame was mutated");
         assert_ne!(fresh.as_ptr(), held.as_ptr());
     }
@@ -384,8 +336,8 @@ mod tests {
             &mut bus,
         );
         assert_eq!(bus.stats.forwarded, 1);
-        match bus.txq.pop() {
-            Some(Packet::Data { fwd, .. }) => {
+        match codec::decode(&bus.txq.pop().unwrap()).unwrap() {
+            Packet::Data { fwd, .. } => {
                 assert_eq!(fwd.via, A3);
                 assert_eq!(fwd.ttl, 4);
             }

@@ -346,7 +346,7 @@ fn send(
         return;
     };
     let id = bus.next_id();
-    let _ = bus.enqueue(packet(id, Forwarding { via, ttl: MAX_TTL }));
+    let _ = bus.enqueue(&packet(id, Forwarding { via, ttl: MAX_TTL }));
 }
 
 #[cfg(test)]
@@ -358,6 +358,11 @@ mod tests {
 
     const ME: Address = Address::new(1);
     const PEER: Address = Address::new(2);
+
+    /// The next queued frame, decoded.
+    fn pop(bus: &mut Bus) -> Option<Packet> {
+        bus.txq.pop().map(|f| crate::codec::decode(&f).unwrap())
+    }
 
     fn parts() -> (RoutingLayer, TransportLayer, Bus) {
         let config = MeshConfig::builder(ME).build();
@@ -374,7 +379,7 @@ mod tests {
             .send_reliable(PEER, vec![9; 300], Duration::ZERO, ME, &mut bus, &routing)
             .expect("route exists");
         assert_eq!(seq, 0);
-        match bus.txq.pop() {
+        match pop(&mut bus) {
             Some(Packet::Sync {
                 dst, frag_count, ..
             }) => {
@@ -504,11 +509,11 @@ mod tests {
             &routing,
         );
         // The sync-ack leaves immediately.
-        assert!(matches!(bus.txq.pop(), Some(Packet::Ack { .. })));
+        assert!(matches!(pop(&mut bus), Some(Packet::Ack { .. })));
         let stall_at = ACK_TIMEOUT + Duration::from_secs(1);
         assert!(t.next_wake().is_some_and(|w| w <= stall_at));
         t.process_due(stall_at, ME, &mut bus, &routing);
-        match bus.txq.pop() {
+        match pop(&mut bus) {
             Some(Packet::Lost { missing, .. }) => assert_eq!(missing, vec![0, 1]),
             p => panic!("unexpected {p:?}"),
         }
@@ -531,10 +536,10 @@ mod tests {
             &mut bus,
             &routing,
         );
-        assert!(matches!(bus.txq.pop(), Some(Packet::Ack { .. })));
+        assert!(matches!(pop(&mut bus), Some(Packet::Ack { .. })));
         let stall_at = ACK_TIMEOUT + Duration::from_secs(1);
         t.process_due(stall_at, ME, &mut bus, &routing);
-        let lost = bus.txq.pop().expect("a Lost request");
+        let lost = pop(&mut bus).expect("a Lost request");
         match &lost {
             Packet::Lost { missing, .. } => {
                 let first: Vec<u16> = (0..).take(MAX_LOST_INDICES).collect();

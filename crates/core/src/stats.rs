@@ -22,7 +22,10 @@ pub struct NodeStats {
     pub ttl_expired: u64,
     /// Unicast packets dropped because no route existed at a relay.
     pub no_route_drops: u64,
-    /// Frames that failed to decode.
+    /// Received frames that failed to decode or were malformed (a
+    /// broadcast source, a Sync announcing no fragments). Counted on the
+    /// receive path only: a packet that does not encode never leaves
+    /// the transmit queue's admission (see `queue_refusals`).
     pub decode_errors: u64,
     /// Frames received that claimed our own address as originator
     /// (duplicate-address indicator).
@@ -30,7 +33,8 @@ pub struct NodeStats {
     /// Outbound packets the transmit queue refused at admission
     /// (backpressure: the queue was full of equal-or-higher-priority
     /// traffic). Hellos, forwards and reliable-transfer control packets
-    /// all land here instead of vanishing silently.
+    /// all land here instead of vanishing silently, and so would a
+    /// packet that does not encode (a bug: debug builds stop on it).
     pub queue_refusals: u64,
     /// Outbound frames dropped after exhausting CAD retries.
     pub cad_exhausted: u64,

@@ -22,7 +22,7 @@ use loramesher::addr::Address;
 use loramesher::codec::{self, FrameView, UnicastBody, UnicastView};
 use loramesher::driver::{NodeProtocol, RadioIo};
 use loramesher::error::SendError;
-use loramesher::mac::{Mac, NoWireCache, TxOutcome};
+use loramesher::mac::{Mac, TxOutcome};
 use loramesher::packet::{Forwarding, Packet};
 use loramesher::queue::{TxQueue, TX_QUEUE_CAPACITY};
 use loramesher::rng::ProtocolRng;
@@ -154,7 +154,7 @@ impl StarNode {
             fwd: Forwarding { via: dst, ttl: 1 },
             payload,
         };
-        if !self.txq.push(packet) {
+        if !self.txq.push(&packet) {
             return Err(SendError::QueueFull);
         }
         Ok(id)
@@ -175,7 +175,7 @@ impl NodeProtocol for StarNode {
     }
 
     fn on_timer(&mut self, io: &mut RadioIo) {
-        let outcome = self.mac.kick(&mut self.txq, &mut NoWireCache, io);
+        let outcome = self.mac.kick(&mut self.txq, io);
         self.book(outcome);
     }
 
@@ -213,9 +213,7 @@ impl NodeProtocol for StarNode {
     }
 
     fn on_cad_done(&mut self, busy: bool, io: &mut RadioIo) {
-        let outcome =
-            self.mac
-                .on_cad_done(busy, &mut self.txq, &mut self.rng, &mut NoWireCache, io);
+        let outcome = self.mac.on_cad_done(busy, &mut self.txq, &mut self.rng, io);
         self.book(outcome);
     }
 

@@ -5,10 +5,10 @@
 # three stacks, once light and once contended, once more with a fault
 # inside a six-hour stream, once with the SNR tie-break, once with
 # per-node and gateway reports and once more with per-node reports on
-# a 256-node grid, plus three bulk transfers: one clean, one that
-# completes after retransmissions, one that aborts) and `cmp`s each
-# one. Exits 1 naming every output that differs, 0 when all are
-# identical.
+# a 256-node grid, once more under each stack at SF9 on EU868's 1 %
+# duty cycle, plus three bulk transfers: one clean, one that completes
+# after retransmissions, one that aborts) and `cmp`s each one. Exits 1
+# naming every output that differs, 0 when all are identical.
 #
 #   ./scripts/parent_diff.sh            # working tree vs HEAD
 #   ./scripts/parent_diff.sh HEAD~1     # working tree vs its parent
@@ -58,12 +58,16 @@ cargo build -q --release --offline --workspace --bins
 # benchmark's `mesh_grid` workload (16×16, all-to-one every 60 s,
 # ≈ 0.4 s) and prints every node's route count after about two hours:
 # tables that grew, and shrank again, through the formation transient,
-# the phase that exercises the table's growth path. The clean bulk run
-# never reaches a retry; the two grey-zone bulk runs lose frames on
-# purpose: the 4 KiB one completes after retransmissions (first
-# completion at 172.886 s, 1 339 frames), the 8 KiB one at 95 % spacing
-# spends its retry budget and aborts (0 completed, 1 failed, 1 119
-# frames).
+# the phase that exercises the table's growth path. The three SF9 runs
+# (16-node grid, a send every 20 s each, one hour on EU868) keep
+# transmit queues full behind the 1 % duty cycle: frames wait longest
+# between being queued and being sent, and evictions and refusals are
+# constant (LoRaMesher refuses 2 074 of its 2 610 datagrams). The clean
+# bulk run never reaches a retry; the two grey-zone bulk runs lose
+# frames on purpose: the 4 KiB one completes after retransmissions
+# (first completion at 172.886 s, 1 339 frames), the 8 KiB one at 95 %
+# spacing spends its retry budget and aborts (0 completed, 1 failed,
+# 1 119 frames).
 runs=(
   "exp_all.md|exp_all|--markdown --seed 42"
   "meshsim_all_to_one.txt|meshsim|--nodes 16 --duration 600 --traffic all-to-one:30"
@@ -79,6 +83,9 @@ runs=(
   "meshsim_snr_tiebreak.txt|meshsim|--snr-tiebreak --topology random --nodes 16 --duration 600 --traffic all-to-one:30"
   "meshsim_per_node.txt|meshsim|--per-node --gateway 0 --topology random --nodes 16 --duration 600 --traffic all-to-one:30"
   "meshsim_grid256.txt|meshsim|--topology grid --nodes 256 --traffic all-to-one:60 --duration 7440 --per-node"
+  "meshsim_duty_sf9.txt|meshsim|--protocol loramesher --eu868 --sf 9 --topology grid --nodes 16 --traffic all-to-one:20 --duration 3600"
+  "meshsim_duty_sf9_flooding.txt|meshsim|--protocol flooding --eu868 --sf 9 --topology grid --nodes 16 --traffic all-to-one:20 --duration 3600"
+  "meshsim_duty_sf9_star.txt|meshsim|--protocol star --eu868 --sf 9 --topology grid --nodes 16 --traffic all-to-one:20 --duration 3600"
 )
 
 differ=0

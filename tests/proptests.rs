@@ -14,9 +14,9 @@ use loramesher_repro::lora_phy::region::{DutyCycleTracker, Region};
 use loramesher_repro::loramesher::addr::Address;
 use loramesher_repro::loramesher::codec;
 use loramesher_repro::loramesher::driver::{RadioIo, RadioRequest};
-use loramesher_repro::loramesher::mac::{Mac, NoWireCache, TxOutcome};
-use loramesher_repro::loramesher::packet::{Forwarding, Packet, RouteEntry};
-use loramesher_repro::loramesher::queue::TxQueue;
+use loramesher_repro::loramesher::mac::{Mac, TxOutcome};
+use loramesher_repro::loramesher::packet::{Forwarding, Packet, PacketKind, RouteEntry};
+use loramesher_repro::loramesher::queue::{Priority, TxQueue};
 use loramesher_repro::loramesher::reliable::{InboundTransfer, OutboundTransfer, SenderAction};
 use loramesher_repro::loramesher::rng::ProtocolRng;
 use loramesher_repro::loramesher::routing::RoutingTable;
@@ -537,15 +537,19 @@ fn duty_tracker_matches_keep_everything_model() {
 // ----------------------------------------------------------------------
 
 /// Shared body of the MAC property: whatever sequence of channel
-/// outcomes and frame lengths the MAC sees, in any region and with CSMA
-/// on or off (ALOHA), it never starts a transmission while one is on
-/// the air, never transmits more windowed airtime than the duty budget
-/// allows, never transmits a frame longer than the region's dwell
-/// limit, and every drop leaves it ready for new work.
+/// outcomes and frames the MAC sees, in any region and with CSMA on or
+/// off (ALOHA), it never starts a transmission while one is on the air,
+/// never transmits more windowed airtime than the duty budget allows,
+/// never transmits a frame longer than the region's dwell limit, and
+/// every drop leaves it ready for new work. What it sends, or drops, is
+/// always the packet next due by a model of the queue (priority, then
+/// FIFO; a full queue evicts the newest strictly-lower-priority
+/// packet): a sent frame is exactly `codec::encode` of that packet, and
+/// a drop names its kind.
 fn check_mac_invariants(
     region: Region,
     csma: bool,
-    events: &[(bool, usize)],
+    events: &[(bool, usize, PacketKind)],
     seed: u64,
 ) -> Result<(), String> {
     let modulation = mac_modulation();
@@ -554,6 +558,7 @@ fn check_mac_invariants(
         .sub_band_for(region.default_frequency_hz())
         .and_then(|b| b.max_dwell);
     let mut txq = TxQueue::new(4);
+    let mut model = QueueModel::new(4);
     let mut rng = ProtocolRng::new(seed);
     let mut now = Duration::ZERO;
     let mut on_air: Option<Duration> = None;
@@ -561,25 +566,27 @@ fn check_mac_invariants(
     let budget = mac.duty().budget();
     let window = Duration::from_secs(3600);
 
-    for &(busy, len) in events {
-        let _ = txq.push(mac_frame(len)); // refused while the queue is full
+    for (id, &(busy, len, kind)) in (0u8..=u8::MAX).cycle().zip(events) {
+        let packet = mac_frame(kind, id, len);
+        // Refused while the queue is full of equal or higher priority.
+        prop_assert_eq!(txq.push(&packet), model.push(packet));
         if let Some(end) = on_air.take() {
             // A kick in mid-frame must leave the radio alone.
             let mut io = RadioIo::new(now);
-            let outcome = mac.kick(&mut txq, &mut NoWireCache, &mut io);
+            let outcome = mac.kick(&mut txq, &mut io);
             prop_assert_eq!(outcome, TxOutcome::Idle);
             prop_assert!(io.take_requests().is_empty(), "overlapping transmissions");
             now = now.max(end);
             mac.on_tx_done();
         }
         let mut io = RadioIo::new(now);
-        let mut outcome = mac.kick(&mut txq, &mut NoWireCache, &mut io);
+        let mut outcome = mac.kick(&mut txq, &mut io);
         let mut requests = io.take_requests();
         if requests == [RadioRequest::StartCad] {
             prop_assert!(csma, "ALOHA never scans the channel");
             prop_assert_eq!(outcome, TxOutcome::Idle);
             let mut io = RadioIo::new(now);
-            outcome = mac.on_cad_done(busy, &mut txq, &mut rng, &mut NoWireCache, &mut io);
+            outcome = mac.on_cad_done(busy, &mut txq, &mut rng, &mut io);
             requests = io.take_requests();
         }
         match outcome {
@@ -588,6 +595,12 @@ fn check_mac_invariants(
                     matches!(requests.as_slice(), [RadioRequest::Transmit(f)]
                         if modulation.time_on_air(f.len()) == airtime),
                     "a sent frame is one transmit request: {requests:?}"
+                );
+                let due = model.pop().ok_or("sent from an empty queue")?;
+                prop_assert!(
+                    matches!(requests.as_slice(), [RadioRequest::Transmit(f)]
+                        if codec::encode(&due).as_deref() == Ok(&f[..])),
+                    "sent {requests:?}, but {due:?} was due"
                 );
                 prop_assert!(
                     dwell.is_none_or(|d| airtime <= d),
@@ -607,7 +620,9 @@ fn check_mac_invariants(
                     "duty budget exceeded: {windowed:?} > {budget:?}"
                 );
             }
-            TxOutcome::Dropped { .. } => {
+            TxOutcome::Dropped { kind } => {
+                let due = model.pop().ok_or("dropped from an empty queue")?;
+                prop_assert_eq!(kind, due.kind());
                 prop_assert!(mac.is_ready(), "drop must leave the MAC ready");
                 prop_assert!(
                     requests.is_empty(),
@@ -618,8 +633,8 @@ fn check_mac_invariants(
                 requests.iter().all(|r| *r == RadioRequest::StartCad),
                 "no transmission without a Sent outcome: {requests:?}"
             ),
-            TxOutcome::EncodeFailed => prop_assert!(false, "queued frames always encode"),
         }
+        prop_assert_eq!(txq.len(), model.len());
         // Jump to any pending deadline so the machine can progress.
         match mac.next_wake(&txq) {
             Some(wake) => now = now.max(wake),
@@ -635,16 +650,88 @@ fn mac_modulation() -> LoRaModulation {
     LoRaModulation::new(SpreadingFactor::Sf10, Bandwidth::Khz125, CodingRate::Cr4_5)
 }
 
-fn mac_frame(len: usize) -> Packet {
-    Packet::Data {
-        dst: Address::BROADCAST,
-        src: Address::new(1),
-        id: 0,
-        fwd: Forwarding {
-            via: Address::BROADCAST,
-            ttl: 1,
+/// A frame of `kind` for the MAC property, sized by `len`: a Data
+/// payload of `len` bytes, a Hello of `len / 4` entries (at most what
+/// one frame carries), or a fixed-size Ack.
+fn mac_frame(kind: PacketKind, id: u8, len: usize) -> Packet {
+    let fwd = Forwarding {
+        via: Address::BROADCAST,
+        ttl: 1,
+    };
+    let (dst, src) = (Address::BROADCAST, Address::new(1));
+    match kind {
+        PacketKind::Hello => Packet::Hello {
+            src,
+            id,
+            role: 0,
+            entries: (2..)
+                .take((len / 4).min(codec::MAX_HELLO_ENTRIES))
+                .map(|a| RouteEntry {
+                    address: Address::new(a),
+                    metric: 1,
+                    role: 0,
+                })
+                .collect(),
         },
-        payload: vec![0; len],
+        PacketKind::Ack => Packet::Ack {
+            dst,
+            src,
+            id,
+            fwd,
+            seq: 0,
+            index: 0,
+        },
+        _ => Packet::Data {
+            dst,
+            src,
+            id,
+            fwd,
+            payload: vec![0; len],
+        },
+    }
+}
+
+/// The transmit queue's contract, kept as plain packets: three FIFOs by
+/// priority, bounded in total; a packet arriving at a full queue evicts
+/// the newest packet of the lowest strictly-lower priority, or is
+/// refused.
+struct QueueModel {
+    levels: [std::collections::VecDeque<Packet>; 3],
+    capacity: usize,
+}
+
+impl QueueModel {
+    fn new(capacity: usize) -> Self {
+        QueueModel {
+            levels: Default::default(),
+            capacity,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.levels.iter().map(|l| l.len()).sum()
+    }
+
+    fn push(&mut self, packet: Packet) -> bool {
+        let level = Priority::of(packet.kind()) as usize;
+        if self.len() >= self.capacity {
+            match self.levels[level + 1..]
+                .iter_mut()
+                .rev()
+                .find(|l| !l.is_empty())
+            {
+                Some(victim) => {
+                    victim.pop_back();
+                }
+                None => return false,
+            }
+        }
+        self.levels[level].push_back(packet);
+        true
+    }
+
+    fn pop(&mut self) -> Option<Packet> {
+        self.levels.iter_mut().find_map(|l| l.pop_front())
     }
 }
 
@@ -688,16 +775,17 @@ fn mac_regression_idle_channel_duty_overdraw() {
     ];
     // Each pinned airtime becomes the shortest frame lasting at least as
     // long under the property's modulation.
-    let lens: Vec<(bool, usize)> = events
+    let lens: Vec<(bool, usize, PacketKind)> = events
         .iter()
         .map(|&(busy, ms)| {
             let len = (1..=codec::MAX_DATA_PAYLOAD)
                 .find(|&len| {
-                    mac_modulation().time_on_air(codec::encoded_len(&mac_frame(len)))
+                    let frame = mac_frame(PacketKind::Data, 0, len);
+                    mac_modulation().time_on_air(codec::encoded_len(&frame))
                         >= Duration::from_millis(ms)
                 })
                 .unwrap();
-            (busy, len)
+            (busy, len, PacketKind::Data)
         })
         .collect();
     check_mac_invariants(Region::Eu868, true, &lens, 0).unwrap();
@@ -713,8 +801,20 @@ fn mac_invariants_under_random_channel() {
             // A mostly busy channel in some cases, so runs of more than
             // `MAX_CAD_RETRIES` busy verdicts (CAD drops) occur too.
             let busy = g.choose(&[0.5, 0.95]);
+            // Mostly data, so each priority level sees evictions and FIFO
+            // runs of its own.
+            let kinds = [
+                PacketKind::Data,
+                PacketKind::Data,
+                PacketKind::Hello,
+                PacketKind::Ack,
+            ];
             let events = g.vec_of(1, 200, |g| {
-                (g.bool(busy), g.usize_in(1, codec::MAX_DATA_PAYLOAD))
+                (
+                    g.bool(busy),
+                    g.usize_in(1, codec::MAX_DATA_PAYLOAD),
+                    g.choose(&kinds),
+                )
             });
             (region, csma, events, g.u64())
         },
